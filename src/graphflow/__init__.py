@@ -48,7 +48,6 @@ from .transport import (
     action,
     dual_action,
     geodesic_profile,
-    negative_gradient_flux,
     pairing_l,
     pairing_l_tilde,
     transport_cost,

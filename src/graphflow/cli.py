@@ -24,7 +24,7 @@ from .config import (
     run_refinement_study,
 )
 from .errors import GraphflowError, NotConverged, SchemaError, SemanticError, StepSizeUnderflow
-from .graph import check_assumptions
+from .graph import check_assumptions, divergence_matrix
 from .kernels import energy
 
 EXIT_OK = 0
@@ -259,21 +259,8 @@ def _cmd_geodesic_profile(args):
 
 def _states_to_path(times, states, config):
     """Rebuild interval fluxes from stored states by least squares on continuity."""
-    graph = config.graph
-    from .graph import nonlocal_divergence
-
-    div = np.zeros((graph.n_vertices, graph.n_edges))
-    for e in range(graph.n_edges):
-        basis = np.zeros(graph.n_edges)
-        basis[e] = 1.0
-        div[:, e] = nonlocal_divergence(basis, graph)
-    pinv = np.linalg.pinv(div)
-    dts = np.diff(times)
-    fluxes = np.empty((len(times) - 1, 2, graph.n_edges))
-    for k, dt in enumerate(dts):
-        delta = (states[k + 1] - states[k]) / dt
-        for i in range(2):
-            fluxes[k, i] = -pinv @ delta[i]
+    rates = np.diff(states, axis=0) / np.diff(times)[:, None, None]
+    fluxes = transport.min_norm_flux(divergence_matrix(config.graph), rates)
     return transport.DiscretePath(times=times, states=states, fluxes=fluxes)
 
 
@@ -284,7 +271,6 @@ def _cmd_diagnose(args):
     trajectory = dynamics.Trajectory(
         times=times,
         states=states,
-        fluxes=np.zeros((len(times) - 1, 2, config.graph.n_edges)),
         energies=np.array(
             [energy(states[k], config.kernels, config.graph) for k in range(len(times))]
         ),

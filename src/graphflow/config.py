@@ -46,6 +46,16 @@ def _require(mapping, key, path, kind=None):
     return value
 
 
+def _positive_or_null(integ, key):
+    """integrator.<key> as a positive float, or None when null or absent."""
+    value = integ.get(key)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
+        raise SemanticError(f"integrator.{key} must be a positive number or null, got {value!r}")
+    return float(value)
+
+
 def _eta_from_preset(spec, path):
     name = _require(spec, "name", path, str)
     params = spec.get("params", {})
@@ -185,11 +195,12 @@ def parse_config(source):
         raise SemanticError(f"time_horizon must be positive, got {t_final}")
 
     integ = resolved["integrator"]
+    max_dt = _positive_or_null(integ, "max_dt")
     integrator = dynamics.IntegratorOptions(
         rel_tol=float(integ.get("rel_tol", 1e-8)),
         abs_tol=float(integ.get("abs_tol", 1e-10)),
-        max_dt=float(integ["max_dt"]) if integ.get("max_dt") else np.inf,
-        dt_initial=float(integ["dt_initial"]) if integ.get("dt_initial") else None,
+        max_dt=np.inf if max_dt is None else max_dt,
+        dt_initial=_positive_or_null(integ, "dt_initial"),
     )
     sol = resolved["solver"]
     solver = SolverOptions(
@@ -301,9 +312,8 @@ def project_initial(positions, masses, base, method="auto"):
         if masses.size > LP_ATOM_LIMIT:
             raise ValueError(f"transport projection limited to {LP_ATOM_LIMIT} atoms")
         n_atoms, n_vertices = dist.shape
-        a_eq = np.zeros((n_atoms, n_atoms * n_vertices))
-        for i in range(n_atoms):
-            a_eq[i, i * n_vertices : (i + 1) * n_vertices] = 1.0
+        # each atom's mass is sent out in full; the vertex marginal is free
+        a_eq = diagnostics.transport_marginals(n_atoms, n_vertices)[:n_atoms]
         result = linprog(
             dist.ravel(), A_eq=a_eq, b_eq=masses, bounds=(0, None), method="highs"
         )

@@ -14,6 +14,7 @@ bounded by integrator plus quadrature error.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from . import transport
@@ -36,6 +37,7 @@ __all__ = [
     "moment",
     "w1_distance",
     "w1_between_states",
+    "transport_marginals",
     "flux_bound_report",
     "property_harness",
     "HarnessReport",
@@ -178,17 +180,22 @@ def w1_distance(positions_a, masses_a, positions_b, masses_b):
     if na == 0 or nb == 0:
         return 0.0
     cost = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1).ravel()
-    # transportation polytope: row sums ma, column sums mb
-    a_eq = np.zeros((na + nb, na * nb))
-    for i in range(na):
-        a_eq[i, i * nb : (i + 1) * nb] = 1.0
-    for j in range(nb):
-        a_eq[na + j, j::nb] = 1.0
+    # transportation polytope: row sums ma, column sums mb; one of the
+    # na + nb constraints is implied by the equal totals
     b_eq = np.concatenate([ma, mb])
-    result = linprog(cost, A_eq=a_eq[:-1], b_eq=b_eq[:-1], bounds=(0, None), method="highs")
+    result = linprog(cost, A_eq=transport_marginals(na, nb)[:-1], b_eq=b_eq[:-1],
+                     bounds=(0, None), method="highs")
     if not result.success:
         raise RuntimeError(f"transport LP failed: {result.message}")
     return float(result.fun)
+
+
+def transport_marginals(na, nb):
+    """Sparse 0/1 (na + nb, na * nb) matrix mapping a row-major flattened
+    (na, nb) transport plan to its row sums followed by its column sums."""
+    rows = sparse.kron(sparse.eye(na), np.ones((1, nb)))
+    cols = sparse.kron(np.ones((1, na)), sparse.eye(nb))
+    return sparse.vstack([rows, cols], format="csr")
 
 
 def w1_between_states(state_a, state_b, graph_a, graph_b=None):

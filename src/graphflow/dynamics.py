@@ -19,7 +19,7 @@ import numpy as np
 from .errors import StepSizeUnderflow, ThresholdExceeded
 from .graph import nonlocal_divergence
 from .kernels import edge_velocities, energy
-from .mobility import negative_part, positive_part
+from .mobility import flux_law
 
 STATE_TOL = 1e-8  # slack accepted on raw states before ThresholdExceeded
 GUARD_TOL = 1e-12  # simplex guard on accepted integrator steps
@@ -94,27 +94,22 @@ def upwind_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
         )
     if velocities is None:
         velocities = edge_velocities(rho_pair, kernels, graph)
-    qm1 = exponents.q - 1.0
     rho_box = _clip_to_box(rho_pair, mobility)
     flux = np.empty((2, graph.n_edges))
     for i in range(2):
-        w = kernels.beta[i] * velocities[i]
-        m_fwd = mobility(rho_box[i][graph.edge_src], rho_box[i][graph.edge_dst])
-        m_bwd = mobility(rho_box[i][graph.edge_dst], rho_box[i][graph.edge_src])
-        flux[i] = m_fwd * positive_part(w) ** qm1 - m_bwd * negative_part(w) ** qm1
+        flux[i] = flux_law(kernels.beta[i] * velocities[i], rho_box[i][graph.edge_src],
+                           rho_box[i][graph.edge_dst], mobility, exponents)
     return flux
+
+
+def _rate(flux, graph):
+    """Density time derivative -div(j) per species of a flux pair."""
+    return np.stack([-nonlocal_divergence(flux[i], graph) for i in range(2)])
 
 
 def rhs(rho_pair, kernels, mobility, exponents, graph):
     """Density time derivative -div(j) per species; conserves mass exactly."""
-    flux = upwind_flux(rho_pair, kernels, mobility, exponents, graph)
-    return np.stack([-nonlocal_divergence(flux[i], graph) for i in range(2)])
-
-
-def _flux_and_rhs(rho_pair, kernels, mobility, exponents, graph):
-    flux = upwind_flux(rho_pair, kernels, mobility, exponents, graph)
-    deriv = np.stack([-nonlocal_divergence(flux[i], graph) for i in range(2)])
-    return flux, deriv
+    return _rate(upwind_flux(rho_pair, kernels, mobility, exponents, graph), graph)
 
 
 @dataclass
@@ -129,21 +124,20 @@ class IntegratorOptions:
 
 @dataclass
 class Trajectory:
-    """Accepted states of one integration run with per-interval fluxes.
+    """Accepted states of one integration run with the flux at each state.
 
-    ``fluxes[k]`` is the gradient-flow flux evaluated at ``states[k]`` (the
-    left endpoint of interval k).  Diagnostics recompute node fluxes from
-    states where needed; for these trajectories the two agree by definition.
+    ``node_fluxes[k]`` is the gradient-flow flux evaluated at ``states[k]``.
+    Hand-built trajectories may leave it unset; diagnostics then evaluate the
+    flux law at each state.
     """
 
     times: np.ndarray  # (m+1,)
     states: np.ndarray  # (m+1, 2, n)
-    fluxes: np.ndarray  # (m, 2, e)
     energies: np.ndarray  # (m+1,)
     dts: np.ndarray  # (m,)
     local_errors: np.ndarray  # (m,)
     stats: dict = field(default_factory=dict)
-    node_fluxes: np.ndarray = None  # (m+1, 2, e), flux law evaluated per node
+    node_fluxes: np.ndarray = None  # (m+1, 2, e)
 
     @property
     def n_steps(self):
@@ -191,14 +185,15 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
     times = [0.0]
     states = [y.copy()]
     energies = [energy(y, kernels, graph)]
-    fluxes, dts, errors = [], [], []
+    node_fluxes, dts, errors = [], [], []
     min_density = float(np.min(y))
     max_density = float(np.max(y))
     clamp_total = 0.0
     renorm_total = 0.0
     accepted = rejected = 0
 
-    flux0, k1 = _flux_and_rhs(y, kernels, mobility, exponents, graph)
+    node_fluxes.append(upwind_flux(y, kernels, mobility, exponents, graph))
+    k1 = _rate(node_fluxes[-1], graph)
     rejects_in_a_row = 0
     while t < t_final - 1e-14:
         dt = min(dt, options.max_dt, t_final - t)
@@ -249,7 +244,6 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
         renorm_total += float(np.sum(np.abs(factors - 1.0) * masses0))
         y_new = y_new * factors[:, None]
 
-        fluxes.append(flux0)
         dts.append(dt)
         errors.append(err)
         t += dt
@@ -258,7 +252,8 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
         states.append(y.copy())
         energies.append(energy(y, kernels, graph))
         accepted += 1
-        flux0, k1 = _flux_and_rhs(y, kernels, mobility, exponents, graph)
+        node_fluxes.append(upwind_flux(y, kernels, mobility, exponents, graph))
+        k1 = _rate(node_fluxes[-1], graph)
         dt = dt * min(5.0, max(0.2, 0.9 * err ** (-0.2))) if err > 0 else dt * 5.0
 
     final_masses = y @ graph.weights
@@ -275,10 +270,9 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
     return Trajectory(
         times=np.asarray(times),
         states=np.asarray(states),
-        fluxes=np.asarray(fluxes),
         energies=np.asarray(energies),
         dts=np.asarray(dts),
         local_errors=np.asarray(errors),
         stats=stats,
-        node_fluxes=np.asarray(fluxes + [flux0]),
+        node_fluxes=np.asarray(node_fluxes),
     )

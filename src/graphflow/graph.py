@@ -282,6 +282,19 @@ def nonlocal_divergence(j, graph):
     return 0.5 * (outgoing - incoming)
 
 
+def divergence_matrix(graph):
+    """Dense (n, e) matrix D with D @ j = nonlocal_divergence(j, graph).
+
+    Column (l, k) holds (1/2) eta(l,k) mu_k at row l and -(1/2) eta(l,k) mu_l
+    at row k, the two terms through which j(l, k) enters the divergence.
+    """
+    cols = np.arange(graph.n_edges)
+    div = np.zeros((graph.n_vertices, graph.n_edges))
+    div[graph.edge_src, cols] = 0.5 * (graph.edge_eta * graph.weights[graph.edge_dst])
+    div[graph.edge_dst, cols] = -0.5 * (graph.edge_eta * graph.weights[graph.edge_src])
+    return div
+
+
 def transpose_edge_field(j, graph):
     """Gather j onto reversed edges: out(l,k) = j(k,l)."""
     j = graph.check_edge_field(j)

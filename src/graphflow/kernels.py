@@ -11,6 +11,7 @@ constructor accepts K12 = c * K21 and stores the symmetrized cross kernel
 unchanged for every choice of the species weights beta.
 """
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,9 @@ class KernelSet:
     beta: np.ndarray
     growth_constant: float = None
     growth_estimated: bool = True
-    _tables: dict = field(default_factory=dict, repr=False, compare=False)
+    # (weak reference to the last graph, its kernel matrices): an id(graph)
+    # key would be handed to a later graph that reuses a freed graph's id
+    _tables: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float).ravel()
@@ -57,8 +60,8 @@ class KernelSet:
 
     def on_graph(self, graph):
         """Materialize the four kernel matrices on the graph's vertices (cached)."""
-        key = id(graph)
-        if key not in self._tables:
+        ref, mats = self._tables
+        if ref is None or ref() is not graph:
             xs = graph.points
             mats = np.stack(
                 [
@@ -66,8 +69,8 @@ class KernelSet:
                     for i in range(2)
                 ]
             )
-            self._tables[key] = mats
-        return self._tables[key]
+            object.__setattr__(self, "_tables", (weakref.ref(graph), mats))
+        return mats
 
 
 def _check_symmetry(fn, name, rng, dim, box=2.0):

@@ -147,12 +147,6 @@ def negative_part(x):
     return np.maximum(-np.asarray(x, dtype=float), 0.0)
 
 
-def signed_power(x, a):
-    """sign(x) |x|^a, the odd power used to invert q-1 <-> p-1 relations."""
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.abs(x) ** a
-
-
 def alpha_density(j, r, s, mobility, exponents):
     """Upwind cost density (j_+)^p / m(r,s)^(p-1) as an extended real.
 
@@ -179,6 +173,17 @@ def alpha_density(j, r, s, mobility, exponents):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def flux_law(w, r, s, mobility, exponents):
+    """Upwind flux m(r,s) (w_+)^(q-1) - m(s,r) (w_-)^(q-1) of one species.
+
+    ``w`` is the edge velocity and ``r``, ``s`` the densities at the source
+    and destination of each edge.  This is the Legendre dual of
+    :func:`alpha_density`: the flux whose action equals its pairing with w.
+    """
+    qm1 = exponents.q - 1.0
+    return mobility(r, s) * positive_part(w) ** qm1 - mobility(s, r) * negative_part(w) ** qm1
 
 
 def recession(mobility):

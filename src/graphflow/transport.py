@@ -16,15 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .dynamics import upwind_flux
 from .errors import (
     InfeasibleEndpoints,
     InfiniteAction,
     NonAntisymmetric,
     NotConverged,
 )
-from .graph import is_antisymmetric, nonlocal_divergence
-from .mobility import alpha_density, negative_part, positive_part, signed_power
+from .graph import divergence_matrix, is_antisymmetric, nonlocal_divergence
+from .mobility import alpha_density, flux_law, positive_part
 
 
 @dataclass(frozen=True)
@@ -92,13 +91,11 @@ def flux_from_velocity(graph, rho_pair, velocity_pair, mobility, exponents):
     """Dual representation: j = m(rho_l, rho_k) (v_+)^(q-1) - m(rho_k, rho_l) (v_-)^(q-1)."""
     rho_pair = np.asarray(rho_pair, dtype=float)
     velocity_pair = np.asarray(velocity_pair, dtype=float)
-    qm1 = exponents.q - 1.0
     out = np.empty((2, graph.n_edges))
     for i in range(2):
         v = graph.check_edge_field(velocity_pair[i])
-        m_fwd = mobility(rho_pair[i][graph.edge_src], rho_pair[i][graph.edge_dst])
-        m_bwd = mobility(rho_pair[i][graph.edge_dst], rho_pair[i][graph.edge_src])
-        out[i] = m_fwd * positive_part(v) ** qm1 - m_bwd * negative_part(v) ** qm1
+        out[i] = flux_law(v, rho_pair[i][graph.edge_src], rho_pair[i][graph.edge_dst],
+                          mobility, exponents)
     return out
 
 
@@ -121,26 +118,12 @@ def velocity_from_flux(graph, rho_pair, flux_pair, mobility, exponents):
     return out
 
 
-def _upwind_ratio(graph, rho, j, mobility, exponents):
-    """(j_+/m - j_-/m^T)^(p-1) as a signed power; inf mobility gaps raise."""
-    m_fwd = mobility(rho[graph.edge_src], rho[graph.edge_dst])
-    m_bwd = mobility(rho[graph.edge_dst], rho[graph.edge_src])
-    jp = positive_part(j)
-    jm = negative_part(j)
-    if np.any((jp > 0) & (m_fwd <= 0)) or np.any((jm > 0) & (m_bwd <= 0)):
-        raise InfiniteAction("flux leaves a vertex with vanishing mobility")
-    ratio = np.zeros_like(j)
-    pos = jp > 0
-    neg = jm > 0
-    ratio[pos] = jp[pos] / m_fwd[pos]
-    ratio[neg] = -(jm[neg] / m_bwd[neg])
-    return signed_power(ratio, exponents.p - 1.0)
-
-
 def pairing_l(graph, rho_pair, flux_pair, other_flux_pair, mobility, beta, exponents):
     """Finsler pairing l_rho(j)[jbar]; linear in jbar, l_rho(j)[j] = action(j).
 
-    Both fluxes must have finite action (InfiniteAction otherwise).
+    Both fluxes must have finite action (InfiniteAction otherwise); then no
+    flux leaves a vertex with vanishing mobility, so ``velocity_from_flux``
+    inverts the flux law on every edge that carries flux.
     """
     rho_pair = np.asarray(rho_pair, dtype=float)
     flux_pair = np.asarray(flux_pair, dtype=float)
@@ -148,11 +131,11 @@ def pairing_l(graph, rho_pair, flux_pair, other_flux_pair, mobility, beta, expon
     for pair in (flux_pair, other_flux_pair):
         if not np.isfinite(action(graph, rho_pair, pair, mobility, beta, exponents).total):
             raise InfiniteAction("pairing requires fluxes of finite action")
+    velocity = velocity_from_flux(graph, rho_pair, flux_pair, mobility, exponents)
     weight = graph.edge_eta * graph.edge_pair_weight
     total = 0.0
     for i in range(2):
-        ratio = _upwind_ratio(graph, rho_pair[i], flux_pair[i], mobility, exponents)
-        total += 0.5 * float(np.sum(other_flux_pair[i] * ratio * weight)) / float(beta[i])
+        total += 0.5 * float(np.sum(other_flux_pair[i] * velocity[i] * weight)) / float(beta[i])
     return total
 
 
@@ -161,7 +144,6 @@ def pairing_l_tilde(graph, rho_pair, velocity_pair, other_velocity_pair, mobilit
     rho_pair = np.asarray(rho_pair, dtype=float)
     velocity_pair = np.asarray(velocity_pair, dtype=float)
     other_velocity_pair = np.asarray(other_velocity_pair, dtype=float)
-    qm1 = exponents.q - 1.0
     weight = graph.edge_eta * graph.edge_pair_weight
     total = 0.0
     for i in range(2):
@@ -170,9 +152,8 @@ def pairing_l_tilde(graph, rho_pair, velocity_pair, other_velocity_pair, mobilit
         for name, arr in (("first", v), ("second", vbar)):
             if not is_antisymmetric(arr, graph):
                 raise NonAntisymmetric(f"{name} velocity of species {i + 1} is not antisymmetric")
-        m_fwd = mobility(rho_pair[i][graph.edge_src], rho_pair[i][graph.edge_dst])
-        m_bwd = mobility(rho_pair[i][graph.edge_dst], rho_pair[i][graph.edge_src])
-        kernel = m_fwd * positive_part(v) ** qm1 - m_bwd * negative_part(v) ** qm1
+        kernel = flux_law(v, rho_pair[i][graph.edge_src], rho_pair[i][graph.edge_dst],
+                          mobility, exponents)
         total += 0.5 * float(np.sum(vbar * kernel * weight)) / float(beta[i])
     return total
 
@@ -182,15 +163,6 @@ def minkowski_norm(graph, rho_pair, flux_pair, mobility, beta, exponents):
     return action(graph, rho_pair, flux_pair, mobility, beta, exponents).total ** (
         1.0 / exponents.p
     )
-
-
-def negative_gradient_flux(graph, rho_pair, kernels, mobility, exponents):
-    """Steepest-descent flux of the interaction energy under the Finsler pairing.
-
-    Shares its implementation with the dynamics' upwind flux; satisfies
-    l_rho(flux)[jbar] = -dE(rho)[jbar] for every test flux jbar.
-    """
-    return upwind_flux(rho_pair, kernels, mobility, exponents, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +250,7 @@ class _PathProblem:
         self.e = graph.n_edges
         self.weight = graph.edge_eta * graph.edge_pair_weight
         # dense divergence operator div(j) = D @ j and 0/1 edge->vertex scatters
-        self.D = np.zeros((self.n, self.e))
-        for idx in range(self.e):
-            basis = np.zeros(self.e)
-            basis[idx] = 1.0
-            self.D[:, idx] = nonlocal_divergence(basis, graph)
+        self.D = divergence_matrix(graph)
         self.S_src = np.zeros((self.n, self.e))
         self.S_dst = np.zeros((self.n, self.e))
         self.S_src[graph.edge_src, np.arange(self.e)] = 1.0
@@ -378,9 +346,12 @@ class _PathProblem:
         taus = np.linspace(0.0, 1.0, self.K + 1)
         states = np.stack([(1 - t) * self.rho0 + t * self.rho1 for t in taus])
         delta = (states[1:] - states[:-1]) / self.dt
-        pinv = np.linalg.pinv(self.D)
-        fluxes = -np.einsum("ev,kiv->kie", pinv, delta)
-        return fluxes.ravel()
+        return min_norm_flux(self.D, delta).ravel()
+
+
+def min_norm_flux(div_matrix, rates):
+    """Least-norm fluxes j with -div(j) = rate, (K, 2, n) rates -> (K, 2, e)."""
+    return -np.einsum("ev,kiv->kie", np.linalg.pinv(div_matrix), rates)
 
 
 def transport_cost(graph, start, end, k_steps, mobility, beta, exponents, options=None):

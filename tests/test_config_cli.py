@@ -249,6 +249,16 @@ def test_cli_invalid_config_exits_1(tmp_path):
     assert main_cli(["simulate", "--config", cfg_path]) == 1
 
 
+@pytest.mark.parametrize("field, value", [("max_dt", 0), ("max_dt", -0.1), ("dt_initial", 0)])
+def test_cli_rejects_non_positive_step_sizes(tmp_path, field, value):
+    cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
+    cfg["integrator"] = {field: value}
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    assert main_cli(["simulate", "--config", cfg_path]) == 1
+    with pytest.raises(SemanticError, match=f"integrator.{field}"):
+        parse_config(cfg)
+
+
 def test_cli_refine(tmp_path):
     cfg = _refine_config()
     cfg["output_dir"] = str(tmp_path / "out")

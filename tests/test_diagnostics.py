@@ -67,7 +67,6 @@ def test_de_giorgi_positive_for_non_gradient_path():
     traj = Trajectory(
         times=times,
         states=states,
-        fluxes=node_fluxes[:-1],
         energies=np.array([energy(s, kernels, g) for s in states]),
         dts=np.diff(times),
         local_errors=np.zeros(K),
@@ -223,7 +222,7 @@ def test_chain_rule_holds_along_non_gradient_curves(p):
             elif (src, dst) == (1, 0):
                 node_fluxes[:, 0, e] = rate0 * 2 * times
         traj = Trajectory(
-            times=times, states=states, fluxes=node_fluxes[:-1],
+            times=times, states=states,
             energies=np.array([energy(s, kern, g) for s in states]),
             dts=np.diff(times), local_errors=np.zeros(K), node_fluxes=node_fluxes,
         )

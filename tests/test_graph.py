@@ -12,6 +12,7 @@ from graphflow.graph import (
     antisymmetrize_flux,
     build_graph,
     check_assumptions,
+    divergence_matrix,
     is_antisymmetric,
     nonlocal_divergence,
     nonlocal_gradient,
@@ -143,6 +144,25 @@ def test_divergence_duality_identity_random():
             np.sum(nonlocal_gradient(phi, g) * g.edge_eta * j * g.edge_pair_weight)
         )
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
+
+
+def test_divergence_matrix_equals_columnwise_divergence():
+    # reference: column e of D is the divergence of the e-th unit edge field
+    rng = np.random.default_rng(11)
+    points = rng.uniform(0.0, 1.0, size=(24, 2))
+
+    def cutoff(xs, ys):
+        dist = np.linalg.norm(xs - ys, axis=-1)
+        return np.exp(-dist**2) * (dist <= 0.4)
+
+    g = build_graph(points, rng.uniform(0.5, 1.5, 24), cutoff)
+    assert 0 < g.n_edges < 24 * 23
+    reference = np.zeros((g.n_vertices, g.n_edges))
+    for e in range(g.n_edges):
+        basis = np.zeros(g.n_edges)
+        basis[e] = 1.0
+        reference[:, e] = nonlocal_divergence(basis, g)
+    assert np.array_equal(divergence_matrix(g), reference)
 
 
 def test_antisymmetrize_examples():

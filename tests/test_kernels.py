@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,23 @@ def test_energy_continuity_bound():
         bound = k_max * (2.0 + 0.5 * l1) * l1
         gap = abs(energy(rho + delta, kernels, g) - energy(rho, kernels, g))
         assert gap <= bound + 1e-12
+
+
+def test_kernel_cache_follows_the_graph():
+    # graphs built and freed in a loop reuse each other's ids; every energy
+    # must still come from the kernel matrices of its own graph
+    rng = np.random.default_rng(3)
+    kernels = build_kernel_set(distance(), zero(), zero(), distance(), dimension=2,
+                               validate=False)
+    rho = np.full((2, 5), 0.2)
+    for _ in range(50):
+        g = build_graph(rng.uniform(size=(5, 2)), np.ones(5),
+                        lambda x, y: np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))
+        fresh = build_kernel_set(distance(), zero(), zero(), distance(), dimension=2,
+                                 validate=False)
+        assert energy(rho, kernels, g) == energy(rho, fresh, g)
+        del g
+        gc.collect()
 
 
 def test_growth_constant_estimate_distance():

@@ -14,7 +14,6 @@ from graphflow.transport import (
     flux_from_velocity,
     geodesic_profile,
     minkowski_norm,
-    negative_gradient_flux,
     pairing_l,
     pairing_l_tilde,
     transport_cost,
@@ -189,8 +188,7 @@ def test_minkowski_norm_axioms():
 def test_negative_gradient_flux_pairing_identity(p):
     g, kernels, mob, _, state = s1_setup()
     exps = Exponents(p)
-    grad_flux = negative_gradient_flux(g, state.rho, kernels, mob, exps)
-    assert np.allclose(grad_flux, upwind_flux(state.rho, kernels, mob, exps, g))
+    grad_flux = upwind_flux(state.rho, kernels, mob, exps, g)
 
     rng = np.random.default_rng(17)
     h = 1e-6
