@@ -32,6 +32,8 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 
+_STATE_HEADER = ("t", "species", "vertex", "density")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -139,12 +141,8 @@ def _cmd_simulate(args):
         config.exponents, config.graph, config.integrator,
     )
     out = _out_dir(config, args.out)
-    rows = []
-    for k, t in enumerate(trajectory.times):
-        for species in range(2):
-            for vertex in range(config.graph.n_vertices):
-                rows.append((t, species + 1, vertex, trajectory.states[k, species, vertex]))
-    _write_csv(os.path.join(out, "trajectory.csv"), ("t", "species", "vertex", "density"), rows)
+    _write_csv(os.path.join(out, "trajectory.csv"), _STATE_HEADER,
+               _species_rows(trajectory.times, trajectory.states, np.arange(config.graph.n_vertices)))
     summary = _summary_payload(
         config,
         {
@@ -183,39 +181,44 @@ def _cmd_metric(args):
             },
         ),
     )
-    rows = []
-    for k, t in enumerate(path.times):
-        for species in range(2):
-            for vertex in range(config.graph.n_vertices):
-                rows.append((t, species + 1, vertex, path.states[k, species, vertex]))
-    _write_csv(os.path.join(out, "geodesic.csv"), ("t", "species", "vertex", "density"), rows)
-    flux_rows = []
-    for k in range(path.n_intervals):
-        for species in range(2):
-            for e in range(config.graph.n_edges):
-                flux_rows.append(
-                    (k, species + 1, int(config.graph.edge_src[e]),
-                     int(config.graph.edge_dst[e]), path.fluxes[k, species, e])
-                )
+    _write_csv(os.path.join(out, "geodesic.csv"), _STATE_HEADER,
+               _species_rows(path.times, path.states, np.arange(config.graph.n_vertices)))
     _write_csv(
         os.path.join(out, "geodesic_fluxes.csv"),
         ("interval", "species", "src", "dst", "flux"),
-        flux_rows,
+        _species_rows(np.arange(path.n_intervals), path.fluxes, config.graph.edge_src,
+                      config.graph.edge_dst),
     )
     print(f"T = {t_value:.6f} (objective {certificate.objective:.6f}); wrote {out}/metric.json")
     return EXIT_OK
 
 
+def _species_rows(index, values, *labels):
+    """CSV rows ``(index[k], species, *(label[m] for label in labels),
+    values[k, species - 1, m])`` of a (K, 2, m) array, in its C order."""
+    count, _, m = values.shape
+    columns = [np.repeat(index, 2 * m), np.tile(np.repeat((1, 2), m), count)]
+    columns += [np.tile(label, 2 * count) for label in labels]
+    return zip(*(column.tolist() for column in columns), values.reshape(-1).tolist())
+
+
 def _read_states_csv(path, graph):
-    """Read a (t, species, vertex, density) CSV into times and state arrays."""
-    by_time = {}
+    """Read a (t, species, vertex, density) CSV into times and state arrays.
+
+    Rows may come in any order; entries missing for a time stay zero.
+    """
     with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            t = float(row["t"])
-            entry = by_time.setdefault(t, np.zeros((2, graph.n_vertices)))
-            entry[int(row["species"]) - 1, int(row["vertex"])] = float(row["density"])
-    times = np.array(sorted(by_time))
-    states = np.stack([by_time[t] for t in times])
+        header = next(csv.reader(handle), [])
+        missing = [name for name in _STATE_HEADER if name not in header]
+        if missing:
+            raise SchemaError(path, f"missing columns {missing}")
+        data = np.loadtxt(handle, delimiter=",", ndmin=2,
+                          usecols=[header.index(name) for name in _STATE_HEADER])
+    if len(data) == 0:
+        raise SchemaError(path, "no data rows")
+    times, slot = np.unique(data[:, 0], return_inverse=True)
+    states = np.zeros((len(times), 2, graph.n_vertices))
+    states[slot, data[:, 1].astype(np.int64) - 1, data[:, 2].astype(np.int64)] = data[:, 3]
     return times, states
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.stats import norm as _gaussian
+from scipy.special import ndtri
 
 from . import diagnostics, dynamics, kernels as kernels_mod, mobility as mobility_mod
 from .errors import MassMismatch, SchemaError, SemanticError
@@ -196,12 +196,15 @@ def parse_config(source):
 
     integ = resolved["integrator"]
     max_dt = _positive_or_null(integ, "max_dt")
-    integrator = dynamics.IntegratorOptions(
-        rel_tol=float(integ.get("rel_tol", 1e-8)),
-        abs_tol=float(integ.get("abs_tol", 1e-10)),
-        max_dt=np.inf if max_dt is None else max_dt,
-        dt_initial=_positive_or_null(integ, "dt_initial"),
-    )
+    try:
+        integrator = dynamics.IntegratorOptions(
+            rel_tol=float(integ.get("rel_tol", 1e-8)),
+            abs_tol=float(integ.get("abs_tol", 1e-10)),
+            max_dt=np.inf if max_dt is None else max_dt,
+            dt_initial=_positive_or_null(integ, "dt_initial"),
+        )
+    except ValueError as exc:  # e.g. an infinite first step
+        raise SemanticError(f"integrator.{exc}") from exc
     sol = resolved["solver"]
     solver = SolverOptions(
         eps_constraint=float(sol.get("eps_constraint", 1e-7)),
@@ -339,8 +342,10 @@ def project_initial(positions, masses, base, method="auto"):
 # ---------------------------------------------------------------------------
 
 _DENSITIES = {
+    # mean + sigma * Phi^-1(u); scipy.stats.norm.ppf computes the same
+    # expression, but importing scipy.stats costs about half a second
     "gaussian": lambda params: (
-        lambda u: _gaussian.ppf(u, loc=params.get("mean", 0.0), scale=params.get("sigma", 1.0))
+        lambda u: params.get("mean", 0.0) + params.get("sigma", 1.0) * ndtri(u)
     ),
     "uniform": lambda params: (
         lambda u: params.get("low", 0.0) + (params.get("high", 1.0) - params.get("low", 0.0)) * u
@@ -366,6 +371,8 @@ class RefinementPlan:
             raise SchemaError("plan.density", f"unknown density {self.density_name!r}")
         if list(self.ladder) != sorted(set(self.ladder)) or len(self.ladder) == 0:
             raise SchemaError("plan.ladder", "must be strictly increasing and nonempty")
+        if self.density_name == "gaussian" and not self.density_params.get("sigma", 1.0) > 0:
+            raise SchemaError("plan.density.params.sigma", "must be positive")
 
     def quantile(self, u):
         return _DENSITIES[self.density_name](self.density_params)(np.asarray(u))

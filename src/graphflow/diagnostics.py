@@ -44,10 +44,15 @@ __all__ = [
 ]
 
 
-def dissipation(graph, rho_pair, kernels, mobility, exponents):
-    """D(rho): dual action of the beta-scaled descent velocities."""
+def dissipation(graph, rho_pair, kernels, mobility, exponents, velocities=None):
+    """D(rho): dual action of the beta-scaled descent velocities.
+
+    ``velocities``, when given, must be ``edge_velocities(rho_pair, ...)``;
+    a caller that already holds them saves their recomputation.
+    """
     rho_pair = np.asarray(rho_pair, dtype=float)
-    velocities = edge_velocities(rho_pair, kernels, graph)
+    if velocities is None:
+        velocities = edge_velocities(rho_pair, kernels, graph)
     scaled = kernels.beta[:, None] * velocities
     return transport.dual_action(
         graph, rho_pair, scaled, mobility, kernels.beta, exponents
@@ -68,22 +73,18 @@ class DeGiorgiReport:
         return self.series[-1][0] if self.series else 0.0
 
 
-def _node_flux_series(trajectory, graph, kernels, mobility, exponents):
-    """Per-node fluxes: as stored when available, else the flux law at each state.
+def _node_flux(trajectory, k, graph, kernels, mobility, exponents, velocities=None):
+    """Flux at state k: as stored when available, else the flux law at the state.
 
-    Trajectories from :func:`graphflow.dynamics.integrate` carry both and the
-    two coincide; hand-built curves (e.g. non-gradient perturbations) must
+    Trajectories from :func:`graphflow.dynamics.integrate` carry the flux and
+    the two coincide; hand-built curves (e.g. non-gradient perturbations) must
     supply ``node_fluxes`` themselves.
     """
     node_fluxes = getattr(trajectory, "node_fluxes", None)
     if node_fluxes is not None:
-        return np.asarray(node_fluxes, dtype=float)
-    return np.stack(
-        [
-            upwind_flux(trajectory.states[k], kernels, mobility, exponents, graph)
-            for k in range(len(trajectory.times))
-        ]
-    )
+        return np.asarray(node_fluxes[k], dtype=float)
+    return upwind_flux(trajectory.states[k], kernels, mobility, exponents, graph,
+                       velocities=velocities)
 
 
 def de_giorgi(trajectory, graph, kernels, mobility, exponents):
@@ -92,18 +93,19 @@ def de_giorgi(trajectory, graph, kernels, mobility, exponents):
     The residual budget is roughly 10x the integrator tolerance times the
     horizon plus an O(max_dt^2) quadrature term, so cap the step size when a
     tight certificate is needed (the acceptance runs use max_dt = 1/128).
+    The descent velocities of each state are computed once and feed both its
+    dissipation and, when the trajectory stores none, its flux.
     """
     times = trajectory.times
     beta = kernels.beta
     diss = np.empty(len(times))
     act = np.empty(len(times))
-    node_fluxes = _node_flux_series(trajectory, graph, kernels, mobility, exponents)
-    for k, t in enumerate(times):
+    for k in range(len(times)):
         rho = trajectory.states[k]
-        diss[k] = dissipation(graph, rho, kernels, mobility, exponents)
-        act[k] = transport.action(
-            graph, rho, node_fluxes[k], mobility, beta, exponents
-        ).total
+        velocities = edge_velocities(rho, kernels, graph)
+        flux = _node_flux(trajectory, k, graph, kernels, mobility, exponents, velocities)
+        diss[k] = dissipation(graph, rho, kernels, mobility, exponents, velocities=velocities)
+        act[k] = transport.action(graph, rho, flux, mobility, beta, exponents).total
     q = exponents.q
     p = exponents.p
     diss_integral = float(np.trapezoid(diss / q, times))
@@ -132,12 +134,13 @@ def chain_rule_residual(trajectory, graph, kernels, mobility, exponents):
     """
     times = trajectory.times
     beta = kernels.beta
-    node_fluxes = _node_flux_series(trajectory, graph, kernels, mobility, exponents)
     integrand = np.empty(len(times))
     for k in range(len(times)):
         rho = trajectory.states[k]
-        vel = transport.velocity_from_flux(graph, rho, node_fluxes[k], mobility, exponents)
-        ascent = -beta[:, None] * edge_velocities(rho, kernels, graph)
+        velocities = edge_velocities(rho, kernels, graph)
+        flux = _node_flux(trajectory, k, graph, kernels, mobility, exponents, velocities)
+        vel = transport.velocity_from_flux(graph, rho, flux, mobility, exponents)
+        ascent = -beta[:, None] * velocities
         integrand[k] = transport.pairing_l_tilde(
             graph, rho, vel, ascent, mobility, beta, exponents
         )
@@ -215,7 +218,7 @@ def flux_bound_report(graph, rho_pair, flux_pair, mobility, beta, exponents):
     """Weighted flux integrals for the standard test factors, and their ratio
     to action^(1/p).  No constant is asserted; the ratio is informational."""
     lengths = graph.edge_lengths
-    weight = graph.edge_eta * graph.edge_pair_weight
+    weight = graph.action_weight
     act = transport.action(graph, rho_pair, flux_pair, mobility, beta, exponents).total
     abs_flux = np.sum(np.abs(np.asarray(flux_pair, dtype=float)), axis=0)
     phi1 = float(np.sum(np.minimum(2.0, lengths) * abs_flux * weight))

@@ -82,7 +82,9 @@ def upwind_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
 
     Raises ThresholdExceeded when the state leaves [0, R] x [0, S] (or goes
     negative) by more than a small slack; inside the slack the mobility
-    arguments are clamped to the box.
+    arguments are clamped to the box.  ``velocities``, when given, must be
+    ``edge_velocities(rho_pair, kernels, graph)``; a caller that already
+    holds them saves their recomputation.
     """
     rho_pair = np.asarray(rho_pair, dtype=float)
     lo = float(np.min(rho_pair))
@@ -93,18 +95,19 @@ def upwind_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
             f"state outside [0, {cap}] by more than {STATE_TOL}: min={lo:.3e} max={hi:.3e}"
         )
     if velocities is None:
-        velocities = edge_velocities(rho_pair, kernels, graph)
+        # velocities made here are scaled in place; a caller's are not modified
+        scaled = edge_velocities(rho_pair, kernels, graph)
+        scaled *= kernels.beta[:, None]
+    else:
+        scaled = kernels.beta[:, None] * velocities
     rho_box = _clip_to_box(rho_pair, mobility)
-    flux = np.empty((2, graph.n_edges))
-    for i in range(2):
-        flux[i] = flux_law(kernels.beta[i] * velocities[i], rho_box[i][graph.edge_src],
-                           rho_box[i][graph.edge_dst], mobility, exponents)
-    return flux
+    return flux_law(scaled, np.take(rho_box, graph.edge_src, axis=1),
+                    np.take(rho_box, graph.edge_dst, axis=1), mobility, exponents)
 
 
 def _rate(flux, graph):
     """Density time derivative -div(j) per species of a flux pair."""
-    return np.stack([-nonlocal_divergence(flux[i], graph) for i in range(2)])
+    return -nonlocal_divergence(flux, graph)
 
 
 def rhs(rho_pair, kernels, mobility, exponents, graph):
@@ -120,6 +123,13 @@ class IntegratorOptions:
     dt_initial: float = None
     dt_min: float = 1e-14
     guard_tol: float = GUARD_TOL
+
+    def __post_init__(self):
+        # only None means "unset": a zero first step must not fall back to the default
+        if self.dt_initial is not None and not 0.0 < self.dt_initial < np.inf:
+            raise ValueError(f"dt_initial must be None or finite and > 0, got {self.dt_initial!r}")
+        if not self.max_dt > 0.0:
+            raise ValueError(f"max_dt must be > 0 (inf allowed), got {self.max_dt!r}")
 
 
 @dataclass
@@ -180,7 +190,9 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
 
     y = state0.rho.copy()
     t = 0.0
-    dt = options.dt_initial or min(options.max_dt, max(t_final / 100.0, 1e-6), t_final)
+    dt = options.dt_initial
+    if dt is None:
+        dt = min(options.max_dt, max(t_final / 100.0, 1e-6), t_final)
 
     times = [0.0]
     states = [y.copy()]

@@ -93,7 +93,10 @@ class FiniteGraph:
 
     ``edge_src``, ``edge_dst`` and ``edge_eta`` enumerate every ordered pair
     with positive weight; ``transpose_index[e]`` is the index of the reversed
-    pair, so transposing an edge field is a gather.
+    pair, so transposing an edge field is a gather.  The constant per-edge
+    products are gathered once, at construction: ``mu_src``, ``mu_dst``,
+    ``edge_pair_weight = mu_src * mu_dst`` and the action weight
+    ``action_weight = eta * mu_src * mu_dst``.
     """
 
     base: BaseMeasure
@@ -102,6 +105,30 @@ class FiniteGraph:
     edge_dst: np.ndarray = field(repr=False)
     edge_eta: np.ndarray = field(repr=False)
     transpose_index: np.ndarray = field(repr=False)
+    mu_src: np.ndarray = field(init=False, repr=False, compare=False)
+    mu_dst: np.ndarray = field(init=False, repr=False, compare=False)
+    edge_pair_weight: np.ndarray = field(init=False, repr=False, compare=False)
+    action_weight: np.ndarray = field(init=False, repr=False, compare=False)
+    # edge endpoints of a species pair flattened to (2 e,), the second row's
+    # vertices offset by n: one bincount then scatters both rows
+    _pair_src: np.ndarray = field(init=False, repr=False, compare=False)
+    _pair_dst: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = self.base.n_vertices
+        mu_src = self.weights[self.edge_src]
+        mu_dst = self.weights[self.edge_dst]
+        pair_weight = mu_src * mu_dst
+        cached = {
+            "mu_src": mu_src,
+            "mu_dst": mu_dst,
+            "edge_pair_weight": pair_weight,
+            "action_weight": self.edge_eta * pair_weight,
+            "_pair_src": np.concatenate([self.edge_src, self.edge_src + n]),
+            "_pair_dst": np.concatenate([self.edge_dst, self.edge_dst + n]),
+        }
+        for name, value in cached.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_vertices(self):
@@ -120,30 +147,24 @@ class FiniteGraph:
         return self.base.weights
 
     @property
-    def edge_pair_weight(self):
-        """mu_src * mu_dst per ordered edge."""
-        return self.weights[self.edge_src] * self.weights[self.edge_dst]
-
-    @property
     def edge_lengths(self):
         delta = self.points[self.edge_dst] - self.points[self.edge_src]
         return np.linalg.norm(delta, axis=1)
 
-    def check_node_field(self, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_vertices,):
-            raise SizeMismatch(
-                f"node field shape {values.shape}, expected ({self.n_vertices},)"
-            )
-        return values
+    def check_node_field(self, values, pair=False):
+        """``values`` as a float (n,) array, or (2, n) for a species ``pair``."""
+        return _check_field(values, (2, self.n_vertices) if pair else (self.n_vertices,), "node")
 
-    def check_edge_field(self, values):
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.n_edges,):
-            raise SizeMismatch(
-                f"edge field shape {values.shape}, expected ({self.n_edges},)"
-            )
-        return values
+    def check_edge_field(self, values, pair=False):
+        """``values`` as a float (e,) array, or (2, e) for a species ``pair``."""
+        return _check_field(values, (2, self.n_edges) if pair else (self.n_edges,), "edge")
+
+
+def _check_field(values, shape, kind):
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise SizeMismatch(f"{kind} field shape {values.shape}, expected {shape}")
+    return values
 
 
 def build_graph(points, weights, eta_spec, dense_limit=DENSE_VERTEX_LIMIT):
@@ -236,12 +257,12 @@ def check_assumptions(graph, exponents):
 
     kernel = np.maximum(lengths**q, lengths ** (p * q)) * graph.edge_eta
     per_vertex = np.bincount(
-        graph.edge_src, weights=kernel * graph.weights[graph.edge_dst], minlength=graph.n_vertices
+        graph.edge_src, weights=kernel * graph.mu_dst, minlength=graph.n_vertices
     )
     c_eta = float(np.max(per_vertex))
     c_eta_prime = float(np.max(kernel))
 
-    qterm = lengths**q * graph.edge_eta * graph.weights[graph.edge_dst]
+    qterm = lengths**q * graph.edge_eta * graph.mu_dst
     eps_grid = np.unique(lengths)
     profile = []
     for eps in eps_grid:
@@ -255,9 +276,15 @@ def check_assumptions(graph, exponents):
 
 
 def nonlocal_gradient(phi, graph):
-    """Edge difference phi(dst) - phi(src); exactly antisymmetric."""
-    phi = graph.check_node_field(phi)
-    return phi[graph.edge_dst] - phi[graph.edge_src]
+    """Edge difference phi(dst) - phi(src); exactly antisymmetric.
+
+    Takes one node field (n,) or a species pair (2, n) and returns (e,) or
+    (2, e); each row equals the call on that row alone.
+    """
+    phi = graph.check_node_field(phi, pair=np.ndim(phi) == 2)
+    grad = np.take(phi, graph.edge_dst, axis=-1)
+    grad -= np.take(phi, graph.edge_src, axis=-1)
+    return grad
 
 
 def nonlocal_divergence(j, graph):
@@ -270,16 +297,21 @@ def nonlocal_divergence(j, graph):
     for every node field phi, which on densities gives
 
         div(l) = (1/2) sum_k eta(l,k) mu_k (j(l,k) - j(k,l)).
+
+    Takes one edge field (e,) or a species pair (2, e) and returns (n,) or
+    (2, n).  A pair is scattered by one bincount whose bins for the second
+    row are offset by n; bincount adds in input order, so every bin receives
+    the same additions in the same order as the single-row call.
     """
-    j = graph.check_edge_field(j)
+    j = graph.check_edge_field(j, pair=np.ndim(j) == 2)
+    n = graph.n_vertices
+    rows = 1 if j.ndim == 1 else 2
     weighted = graph.edge_eta * j
-    outgoing = np.bincount(
-        graph.edge_src, weights=weighted * graph.weights[graph.edge_dst], minlength=graph.n_vertices
-    )
-    incoming = np.bincount(
-        graph.edge_dst, weights=weighted * graph.weights[graph.edge_src], minlength=graph.n_vertices
-    )
-    return 0.5 * (outgoing - incoming)
+    outgoing = np.bincount(graph._pair_src[: j.size], weights=(weighted * graph.mu_dst).ravel(),
+                           minlength=rows * n)
+    weighted *= graph.mu_src
+    incoming = np.bincount(graph._pair_dst[: j.size], weights=weighted.ravel(), minlength=rows * n)
+    return (0.5 * (outgoing - incoming)).reshape(j.shape[:-1] + (n,))
 
 
 def divergence_matrix(graph):
@@ -311,6 +343,13 @@ def antisymmetrize_flux(j, graph):
 
 
 def is_antisymmetric(j, graph, tol=1e-12):
-    j = graph.check_edge_field(j)
-    scale = max(1.0, float(np.max(np.abs(j))) if j.size else 1.0)
-    return bool(np.all(np.abs(j + j[graph.transpose_index]) <= tol * scale))
+    """Whether j(k,l) = -j(l,k) up to tol * max(1, max|j|).
+
+    One edge field gives a bool; a species pair (2, e) gives one bool per
+    row, each with its own scale.
+    """
+    j = graph.check_edge_field(j, pair=np.ndim(j) == 2)
+    scale = np.maximum(1.0, np.max(np.abs(j), axis=-1, initial=0.0))
+    defect = np.abs(j + np.take(j, graph.transpose_index, axis=-1))
+    ok = np.all(defect <= tol * scale[..., None], axis=-1)
+    return bool(ok) if j.ndim == 1 else ok

@@ -243,6 +243,6 @@ def edge_velocity(rho_pair, kernels, graph, species):
 
 
 def edge_velocities(rho_pair, kernels, graph):
-    """Both species' descent velocities stacked as (2, n_edges)."""
-    phi = potentials(rho_pair, kernels, graph)
-    return np.stack([-nonlocal_gradient(phi[i], graph) for i in range(2)])
+    """Both species' descent velocities as one (2, n_edges) array."""
+    grad = nonlocal_gradient(potentials(rho_pair, kernels, graph), graph)
+    return np.negative(grad, out=grad)

@@ -151,39 +151,57 @@ def alpha_density(j, r, s, mobility, exponents):
     """Upwind cost density (j_+)^p / m(r,s)^(p-1) as an extended real.
 
     Total on R^3 with values in [0, inf]: outside [0, R] x [0, S] the value
-    is inf; 0/0 = 0 and a/0 = inf for a > 0.  Inputs broadcast.
+    is inf; 0/0 = 0 and a/0 = inf for a > 0.  Inputs broadcast.  The
+    mobility is evaluated on the whole array, with the arguments clipped
+    into the box when some point lies outside it (clipping leaves every
+    point inside unchanged); the cases are then written into the ratio's
+    buffer in place.
     """
-    j, r, s = np.broadcast_arrays(
-        np.asarray(j, dtype=float), np.asarray(r, dtype=float), np.asarray(s, dtype=float)
-    )
+    j, r, s = (np.asarray(x, dtype=float) for x in (j, r, s))
+    scalar = j.ndim == r.ndim == s.ndim == 0
+    # a scalar is evaluated as a one-element array, by the same array loops
+    j, r, s = np.broadcast_arrays(np.atleast_1d(j), r, s)
     p = exponents.p
-    out = np.zeros(j.shape, dtype=float)
     outside = (r < 0) | (s < 0) | (r > mobility.R) | (s > mobility.S)
     jp = positive_part(j)
-    inside = ~outside
-    m_vals = np.zeros_like(out)
-    if np.any(inside):
-        m_vals[inside] = mobility(r[inside], s[inside])
-    active = inside & (jp > 0)
-    degenerate = active & (m_vals <= 0)
-    regular = active & (m_vals > 0)
-    out[regular] = jp[regular] ** p / m_vals[regular] ** (p - 1.0)
-    out[degenerate] = np.inf
-    out[outside] = np.inf
-    if out.ndim == 0:
-        return float(out)
-    return out
+    if np.any(outside):
+        r, s = np.clip(r, 0.0, mobility.R), np.clip(s, 0.0, mobility.S)
+    m_vals = mobility(r, s)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = jp**p
+        out /= m_vals if p == 2.0 else m_vals ** (p - 1.0)
+    # an undefined mobility value carries no cost, a/0 = inf for a > 0 (m <= 0)
+    np.copyto(out, 0.0, where=~(m_vals > 0))
+    np.copyto(out, np.inf, where=m_vals <= 0)
+    np.copyto(out, 0.0, where=~(jp > 0))
+    np.copyto(out, np.inf, where=outside)
+    return float(out[0]) if scalar else out
 
 
 def flux_law(w, r, s, mobility, exponents):
-    """Upwind flux m(r,s) (w_+)^(q-1) - m(s,r) (w_-)^(q-1) of one species.
+    """Upwind flux m(r,s) (w_+)^(q-1) - m(s,r) (w_-)^(q-1), elementwise.
 
     ``w`` is the edge velocity and ``r``, ``s`` the densities at the source
-    and destination of each edge.  This is the Legendre dual of
-    :func:`alpha_density`: the flux whose action equals its pairing with w.
+    and destination of each edge, for one species or a stacked pair; inputs
+    broadcast.  This is the Legendre dual of :func:`alpha_density`: the flux
+    whose action equals its pairing with w.  The parts are formed in place,
+    the power only when q - 1 != 1, and the difference goes into the buffer
+    of the positive part whenever that has the broadcast shape.
     """
     qm1 = exponents.q - 1.0
-    return mobility(r, s) * positive_part(w) ** qm1 - mobility(s, r) * negative_part(w) ** qm1
+    w = np.asarray(w, dtype=float)
+    fwd = mobility(r, s)
+    bwd = mobility(s, r)
+    up = positive_part(w)
+    down = np.negative(w)
+    down = np.maximum(down, 0.0, out=down if w.ndim else None)
+    if qm1 != 1.0:
+        up **= qm1
+        down **= qm1
+    in_place = w.ndim > 0 and w.shape == np.broadcast_shapes(w.shape, fwd.shape, bwd.shape)
+    buffers = (up, down) if in_place else (None, None)
+    out = np.multiply(up, fwd, out=buffers[0])
+    return np.subtract(out, np.multiply(down, bwd, out=buffers[1]), out=buffers[0])
 
 
 def recession(mobility):

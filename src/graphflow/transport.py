@@ -37,26 +37,39 @@ class ActionValue:
         return self.total
 
 
-def _species_action(graph, rho, flux, mobility, exponents):
-    r_src = rho[graph.edge_src]
-    r_dst = rho[graph.edge_dst]
-    fwd = alpha_density(flux, r_src, r_dst, mobility, exponents)
-    bwd = alpha_density(-flux, r_dst, r_src, mobility, exponents)
-    weight = graph.edge_eta * graph.edge_pair_weight
-    terms = (np.atleast_1d(fwd) + np.atleast_1d(bwd)) * weight
-    return 0.5 * float(np.sum(terms))
+def _edge_densities(graph, rho_pair):
+    """Source and destination densities of every edge for both species, (2, e) each."""
+    rho_pair = np.asarray(rho_pair, dtype=float)
+    return np.take(rho_pair, graph.edge_src, axis=1), np.take(rho_pair, graph.edge_dst, axis=1)
+
+
+def _action_value(bare, beta):
+    """ActionValue of per-species sums (2,) divided by beta."""
+    parts = bare / np.asarray(beta, dtype=float)
+    return ActionValue(total=float(parts[0] + parts[1]),
+                       per_species=(float(parts[0]), float(parts[1])))
+
+
+def _require_antisymmetric(graph, *named_pairs):
+    """Raise NonAntisymmetric for the first species (then the first field)
+    whose velocity is not antisymmetric."""
+    ok = np.stack([is_antisymmetric(pair, graph) for _, pair in named_pairs], axis=1)
+    if not np.all(ok):
+        species, which = np.argwhere(~ok)[0]
+        label = named_pairs[which][0]
+        raise NonAntisymmetric(
+            f"{label + ' ' if label else ''}velocity of species {species + 1} is not antisymmetric"
+        )
 
 
 def action(graph, rho_pair, flux_pair, mobility, beta, exponents):
     """Two-species upwind action; infinity encodes infeasibility, not an error."""
-    rho_pair = np.asarray(rho_pair, dtype=float)
-    flux_pair = np.asarray(flux_pair, dtype=float)
-    parts = []
-    for i in range(2):
-        bare = _species_action(graph, rho_pair[i], graph.check_edge_field(flux_pair[i]),
-                               mobility, exponents)
-        parts.append(bare / float(beta[i]))
-    return ActionValue(total=parts[0] + parts[1], per_species=tuple(parts))
+    flux_pair = graph.check_edge_field(flux_pair, pair=True)
+    r_src, r_dst = _edge_densities(graph, rho_pair)
+    terms = alpha_density(flux_pair, r_src, r_dst, mobility, exponents)
+    terms += alpha_density(-flux_pair, r_dst, r_src, mobility, exponents)
+    terms *= graph.action_weight
+    return _action_value(0.5 * np.sum(terms, axis=1), beta)
 
 
 def dual_action(graph, rho_pair, velocity_pair, mobility, beta, exponents):
@@ -65,57 +78,35 @@ def dual_action(graph, rho_pair, velocity_pair, mobility, beta, exponents):
     Requires antisymmetric velocities (raises NonAntisymmetric otherwise);
     equals ``action`` of :func:`flux_from_velocity` of the same velocities.
     """
-    rho_pair = np.asarray(rho_pair, dtype=float)
-    velocity_pair = np.asarray(velocity_pair, dtype=float)
-    q = exponents.q
-    parts = []
-    for i in range(2):
-        v = graph.check_edge_field(velocity_pair[i])
-        if not is_antisymmetric(v, graph):
-            raise NonAntisymmetric(f"velocity of species {i + 1} is not antisymmetric")
-        m_fwd = mobility(rho_pair[i][graph.edge_src], rho_pair[i][graph.edge_dst])
-        vp = positive_part(v)
-        active = vp > 0
-        vals = np.zeros_like(vp)
-        degenerate = active & (m_fwd <= 0)
-        # m = 0 with v_+ > 0 carries zero flux and zero cost in velocity form
-        vals[active & ~degenerate] = (
-            m_fwd[active & ~degenerate] * vp[active & ~degenerate] ** q
-        )
-        weight = graph.edge_eta * graph.edge_pair_weight
-        parts.append(float(np.sum(vals * weight)) / float(beta[i]))
-    return ActionValue(total=parts[0] + parts[1], per_species=tuple(parts))
+    v = graph.check_edge_field(velocity_pair, pair=True)
+    _require_antisymmetric(graph, ("", v))
+    m_fwd = mobility(*_edge_densities(graph, rho_pair))
+    vp = positive_part(v)
+    vals = vp**exponents.q
+    vals *= m_fwd
+    # m = 0 with v_+ > 0 carries zero flux and zero cost in velocity form
+    np.copyto(vals, 0.0, where=~(vp > 0) | (m_fwd <= 0))
+    vals *= graph.action_weight
+    return _action_value(np.sum(vals, axis=1), beta)
 
 
 def flux_from_velocity(graph, rho_pair, velocity_pair, mobility, exponents):
     """Dual representation: j = m(rho_l, rho_k) (v_+)^(q-1) - m(rho_k, rho_l) (v_-)^(q-1)."""
-    rho_pair = np.asarray(rho_pair, dtype=float)
-    velocity_pair = np.asarray(velocity_pair, dtype=float)
-    out = np.empty((2, graph.n_edges))
-    for i in range(2):
-        v = graph.check_edge_field(velocity_pair[i])
-        out[i] = flux_law(v, rho_pair[i][graph.edge_src], rho_pair[i][graph.edge_dst],
-                          mobility, exponents)
-    return out
+    v = graph.check_edge_field(velocity_pair, pair=True)
+    return flux_law(v, *_edge_densities(graph, rho_pair), mobility, exponents)
 
 
 def velocity_from_flux(graph, rho_pair, flux_pair, mobility, exponents):
     """Invert the dual representation; edges with vanishing mobility carry v = 0."""
-    rho_pair = np.asarray(rho_pair, dtype=float)
-    flux_pair = np.asarray(flux_pair, dtype=float)
+    j = graph.check_edge_field(flux_pair, pair=True)
+    r_src, r_dst = _edge_densities(graph, rho_pair)
+    m_fwd = mobility(r_src, r_dst)
+    m_bwd = mobility(r_dst, r_src)
     pm1 = exponents.p - 1.0
-    out = np.zeros((2, graph.n_edges))
-    for i in range(2):
-        j = graph.check_edge_field(flux_pair[i])
-        m_fwd = mobility(rho_pair[i][graph.edge_src], rho_pair[i][graph.edge_dst])
-        m_bwd = mobility(rho_pair[i][graph.edge_dst], rho_pair[i][graph.edge_src])
-        v = np.zeros_like(j)
-        pos = (j > 0) & (m_fwd > 0)
-        neg = (j < 0) & (m_bwd > 0)
-        v[pos] = (j[pos] / m_fwd[pos]) ** pm1
-        v[neg] = -((-j[neg] / m_bwd[neg]) ** pm1)
-        out[i] = v
-    return out
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        up = (j / m_fwd) ** pm1
+        down = -((-j / m_bwd) ** pm1)
+    return np.where((j > 0) & (m_fwd > 0), up, np.where((j < 0) & (m_bwd > 0), down, 0.0))
 
 
 def pairing_l(graph, rho_pair, flux_pair, other_flux_pair, mobility, beta, exponents):
@@ -125,37 +116,23 @@ def pairing_l(graph, rho_pair, flux_pair, other_flux_pair, mobility, beta, expon
     flux leaves a vertex with vanishing mobility, so ``velocity_from_flux``
     inverts the flux law on every edge that carries flux.
     """
-    rho_pair = np.asarray(rho_pair, dtype=float)
     flux_pair = np.asarray(flux_pair, dtype=float)
     other_flux_pair = np.asarray(other_flux_pair, dtype=float)
     for pair in (flux_pair, other_flux_pair):
         if not np.isfinite(action(graph, rho_pair, pair, mobility, beta, exponents).total):
             raise InfiniteAction("pairing requires fluxes of finite action")
     velocity = velocity_from_flux(graph, rho_pair, flux_pair, mobility, exponents)
-    weight = graph.edge_eta * graph.edge_pair_weight
-    total = 0.0
-    for i in range(2):
-        total += 0.5 * float(np.sum(other_flux_pair[i] * velocity[i] * weight)) / float(beta[i])
-    return total
+    sums = np.sum(other_flux_pair * velocity * graph.action_weight, axis=1)
+    return _action_value(0.5 * sums, beta).total
 
 
 def pairing_l_tilde(graph, rho_pair, velocity_pair, other_velocity_pair, mobility, beta, exponents):
     """Velocity-side pairing; linear in the second slot, diagonal equals the dual action."""
-    rho_pair = np.asarray(rho_pair, dtype=float)
-    velocity_pair = np.asarray(velocity_pair, dtype=float)
-    other_velocity_pair = np.asarray(other_velocity_pair, dtype=float)
-    weight = graph.edge_eta * graph.edge_pair_weight
-    total = 0.0
-    for i in range(2):
-        v = graph.check_edge_field(velocity_pair[i])
-        vbar = graph.check_edge_field(other_velocity_pair[i])
-        for name, arr in (("first", v), ("second", vbar)):
-            if not is_antisymmetric(arr, graph):
-                raise NonAntisymmetric(f"{name} velocity of species {i + 1} is not antisymmetric")
-        kernel = flux_law(v, rho_pair[i][graph.edge_src], rho_pair[i][graph.edge_dst],
-                          mobility, exponents)
-        total += 0.5 * float(np.sum(vbar * kernel * weight)) / float(beta[i])
-    return total
+    v = graph.check_edge_field(velocity_pair, pair=True)
+    vbar = graph.check_edge_field(other_velocity_pair, pair=True)
+    _require_antisymmetric(graph, ("first", v), ("second", vbar))
+    kernel = flux_law(v, *_edge_densities(graph, rho_pair), mobility, exponents)
+    return _action_value(0.5 * np.sum(vbar * kernel * graph.action_weight, axis=1), beta).total
 
 
 def minkowski_norm(graph, rho_pair, flux_pair, mobility, beta, exponents):

@@ -98,3 +98,31 @@ def w1_one_dimensional(positions_a, masses_a, positions_b, masses_b):
     signed = np.concatenate([np.ravel(masses_a), -np.ravel(masses_b)])[order]
     cdf_gap = np.cumsum(signed)[:-1]
     return float(np.sum(np.abs(cdf_gap) * np.diff(xs_sorted)))
+
+
+def masked_alpha_density(j, r, s, mobility, exponents):
+    """Upwind cost density (j_+)^p / m(r,s)^(p-1) with boolean gathers and
+    scatters: the mobility is evaluated only inside [0, R] x [0, S] and the
+    ratio only where the flux and the mobility are positive; inf outside the
+    box and for a/0, and 0/0 = 0."""
+    j, r, s = np.broadcast_arrays(
+        np.asarray(j, dtype=float), np.asarray(r, dtype=float), np.asarray(s, dtype=float)
+    )
+    p = exponents.p
+    out = np.zeros(j.shape, dtype=float)
+    outside = (r < 0) | (s < 0) | (r > mobility.R) | (s > mobility.S)
+    jp = np.maximum(j, 0.0)
+    inside = ~outside
+    m_vals = np.zeros_like(out)
+    if np.any(inside):
+        m_vals[inside] = mobility(r[inside], s[inside])
+    active = inside & (jp > 0)
+    degenerate = active & (m_vals <= 0)
+    regular = active & (m_vals > 0)
+    out[regular] = jp[regular] ** p / m_vals[regular] ** (p - 1.0)
+    out[degenerate] = np.inf
+    out[outside] = np.inf
+    if out.ndim == 0:
+        return float(out)
+    return out
+

@@ -1,9 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
-from graphflow.cli import main_cli
+from graphflow.cli import _read_states_csv, main_cli
 from graphflow.config import (
     RefinementPlan,
     emit_config,
@@ -12,6 +13,7 @@ from graphflow.config import (
     project_initial,
     run_refinement_study,
 )
+from graphflow.dynamics import integrate
 from graphflow.errors import MassMismatch, SchemaError, SemanticError
 from graphflow.graph import BaseMeasure
 from graphflow.scenarios import s1_config, s2_state_files
@@ -361,3 +363,76 @@ def test_cli_geodesic_profile_states_only_fallback(tmp_path):
     assert main_cli(["geodesic-profile", "--path", str(tmp_path / "out" / "geodesic.csv"),
                      "--config", cfg_path]) == 0
     assert (tmp_path / "out" / "profile.csv").exists()
+
+
+def test_cli_rejects_infinite_first_step(tmp_path):
+    cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
+    cfg["integrator"] = {"dt_initial": float("inf")}
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    assert main_cli(["simulate", "--config", cfg_path]) == 1
+    with pytest.raises(SemanticError, match="integrator.dt_initial"):
+        parse_config(cfg)
+
+
+def test_gaussian_plan_quantiles_equal_norm_ppf():
+    from scipy.stats import norm
+
+    for mean in np.linspace(-1.0, 1.0, 9):
+        for sigma in (0.05, 0.5, 1.0, 3.0):
+            plan = RefinementPlan("gaussian", {"mean": float(mean), "sigma": sigma}, ladder=(4,))
+            for n in (3, 64, 512):
+                u = (np.arange(n) + 0.5) / n
+                assert np.array_equal(plan.quantile(u), norm.ppf(u, loc=mean, scale=sigma))
+    plan = RefinementPlan("gaussian", {}, ladder=(4,))
+    assert np.array_equal(plan.quantile([0.0, 0.25, 1.0]), norm.ppf([0.0, 0.25, 1.0]))
+    with pytest.raises(SchemaError, match="sigma"):
+        RefinementPlan("gaussian", {"sigma": 0.0}, ladder=(4,))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    import subprocess
+    import sys
+
+    import graphflow
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphflow.__file__)))
+    code = "import sys, graphflow; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def _simulated_states(tmp_path, cfg):
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    assert main_cli(["simulate", "--config", cfg_path]) == 0
+    config = parse_config(cfg)
+    trajectory = integrate(config.initial_state, config.time_horizon, config.kernels,
+                           config.mobility, config.exponents, config.graph, config.integrator)
+    return config, trajectory
+
+
+def test_cli_trajectory_csv_round_trip(tmp_path):
+    cfg = s1_config(t_final=0.25, out_dir=str(tmp_path / "out"))
+    cfg["integrator"] = {"max_dt": 0.05}
+    config, trajectory = _simulated_states(tmp_path, cfg)
+    path = tmp_path / "out" / "trajectory.csv"
+    times, states = _read_states_csv(str(path), config.graph)
+    assert np.array_equal(times, trajectory.times)
+    assert np.array_equal(states, trajectory.states)
+    # any row order reads back the same states
+    header, *rows = path.read_text().splitlines(keepends=True)
+    np.random.default_rng(0).shuffle(rows)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(rows))
+    times, states = _read_states_csv(str(shuffled), config.graph)
+    assert np.array_equal(times, trajectory.times)
+    assert np.array_equal(states, trajectory.states)
+    # entries missing for a time read as zero
+    kept = [row for row in rows if not row.startswith(f"{float(trajectory.times[1])!r},2,1,")]
+    assert len(kept) == len(rows) - 1
+    shuffled.write_text(header + "".join(kept))
+    _, states = _read_states_csv(str(shuffled), config.graph)
+    expected = trajectory.states.copy()
+    expected[1, 1, 1] = 0.0
+    assert np.array_equal(states, expected)

@@ -10,7 +10,7 @@ from graphflow.dynamics import (
 )
 from graphflow.errors import StepSizeUnderflow, ThresholdExceeded
 from graphflow.graph import Exponents, nonlocal_divergence
-from graphflow.kernels import build_kernel_set, zero
+from graphflow.kernels import build_kernel_set, edge_velocities, zero
 from graphflow.mobility import Mobility, volume_filling
 from graphflow.scenarios import random_geometric_setup, s1_setup
 
@@ -187,3 +187,46 @@ def test_integrate_p3_against_reference():
 
     ref = rk4_reference(scalar_rhs, [0.75, 0.25], 1.0, 40000)
     assert traj.states[-1, 0] == pytest.approx(ref, abs=1e-7)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_upwind_flux_pair_equals_raw_formula_per_species(p):
+    # both species in one pass give each species' flux bit for bit, written
+    # here from the raw formula on the box-clipped densities
+    g, kernels, _, _, state = random_geometric_setup(seed=3, n=12, p=p)
+    mob, exps = volume_filling(1.0), Exponents(p)
+    rho = state.rho.copy()
+    rho[:, ::5] = 0.0
+    got = upwind_flux(rho, kernels, mob, exps, g)
+    mats = kernels.on_graph(g)
+    masses = rho * g.weights
+    qm1 = exps.q - 1.0
+    for i in range(2):
+        phi = mats[i, 0] @ masses[0] + mats[i, 1] @ masses[1]
+        w = kernels.beta[i] * -(phi[g.edge_dst] - phi[g.edge_src])
+        r, s = rho[i][g.edge_src], rho[i][g.edge_dst]
+        want = mob(r, s) * np.maximum(w, 0.0) ** qm1 - mob(s, r) * np.maximum(-w, 0.0) ** qm1
+        assert np.array_equal(got[i], want)
+        assert np.array_equal(rhs(rho, kernels, mob, exps, g)[i], -nonlocal_divergence(got[i], g))
+    # velocities handed in give the same flux and are left unmodified
+    vel = edge_velocities(rho, kernels, g)
+    kept = vel.copy()
+    assert np.array_equal(upwind_flux(rho, kernels, mob, exps, g, velocities=vel), got)
+    assert np.array_equal(vel, kept)
+
+
+@pytest.mark.parametrize("field, value", [("dt_initial", 0.0), ("dt_initial", -1e-3),
+                                          ("dt_initial", np.inf), ("dt_initial", np.nan),
+                                          ("max_dt", 0.0), ("max_dt", -0.1), ("max_dt", np.nan)])
+def test_integrator_options_reject_non_positive_steps(field, value):
+    # dt_initial=0 used to be read as "unset" and silently replaced by the
+    # default first step
+    with pytest.raises(ValueError, match=field):
+        IntegratorOptions(**{field: value})
+
+
+def test_integrator_options_accept_unset_and_unbounded_steps():
+    assert IntegratorOptions(max_dt=np.inf, dt_initial=None).max_dt == np.inf
+    g, kernels, mob, exps, state = s1_setup()
+    traj = integrate(state, 0.1, kernels, mob, exps, g, IntegratorOptions(dt_initial=0.1))
+    assert traj.dts[0] == 0.1

@@ -13,6 +13,7 @@ from graphflow.graph import Exponents
 from graphflow.mobility import (
     Mobility,
     alpha_density,
+    flux_law,
     from_expression,
     geometric,
     is_uniformly_sublinear,
@@ -22,6 +23,8 @@ from graphflow.mobility import (
     validate_mobility,
     volume_filling,
 )
+
+from oracles import masked_alpha_density
 
 P2 = Exponents(2.0)
 
@@ -152,3 +155,58 @@ def test_expression_parser_grammar():
         compile_expression("r + ", ("r", "s"))
     with pytest.raises(ExpressionError):
         compile_expression("__import__('os')", ("r", "s"))
+
+
+def _extended_real_samples(rng, shape, cap):
+    """Fluxes with exact zeros and densities with negative, zero and above-cap entries."""
+    j = rng.normal(size=shape)
+    j[..., ::5] = 0.0
+    r = rng.uniform(-0.2, cap + 0.3, size=shape)
+    s = rng.uniform(-0.2, cap + 0.3, size=shape)
+    r[..., ::7] = 0.0
+    s[..., ::3] = 0.0  # the geometric mobility vanishes here
+    return j, r, s
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("mobility", [linear(), volume_filling(1.0), geometric()],
+                         ids=lambda m: m.name)
+def test_alpha_density_equals_masked_reference(p, mobility):
+    rng = np.random.default_rng(int(10 * p))
+    exps = Exponents(p)
+    j, r, s = _extended_real_samples(rng, (2, 400), 1.0)
+    got = alpha_density(j, r, s, mobility, exps)
+    want = masked_alpha_density(j, r, s, mobility, exps)
+    assert np.array_equal(got, want)
+    # every convention is exercised: inf outside the box, a/0 = inf, 0/0 = 0
+    assert np.any(np.isinf(want)) and np.any(want == 0.0) and np.any(np.isfinite(want) & (want > 0))
+    if mobility.name == "geometric":
+        assert np.any((j > 0) & (r > 0) & (s == 0.0) & np.isinf(got))
+    if mobility.name == "volume_filling":
+        assert np.any((s > mobility.S) & np.isinf(got))
+    # scalars and broadcasting keep the reference's types and values
+    for args in ((j[0, 1], r[0, 1], s[0, 1]), (0.3, 0.5, 0.0), (j[0, :5], 0.4, s[1, :5])):
+        got, want = alpha_density(*args, mobility, exps), masked_alpha_density(*args, mobility, exps)
+        assert type(got) is type(want) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_flux_law_pair_equals_raw_formula_per_species(p):
+    rng = np.random.default_rng(int(10 * p) + 1)
+    exps, mob = Exponents(p), volume_filling(1.0)
+    w = rng.normal(size=(2, 300))
+    w[:, ::4] = 0.0
+    r, s = rng.uniform(0.0, 1.0, size=(2, 2, 300))
+    got = flux_law(w, r, s, mob, exps)
+    qm1 = exps.q - 1.0
+    for i in range(2):
+        want = (mob(r[i], s[i]) * np.maximum(w[i], 0.0) ** qm1
+                - mob(s[i], r[i]) * np.maximum(-w[i], 0.0) ** qm1)
+        assert np.array_equal(got[i], want)
+    # scalar and narrower velocity inputs broadcast as before
+    assert np.array_equal(flux_law(w[0], r, s, mob, exps)[1],
+                          mob(r[1], s[1]) * np.maximum(w[0], 0.0) ** qm1
+                          - mob(s[1], r[1]) * np.maximum(-w[0], 0.0) ** qm1)
+    scalar = flux_law(0.3, 0.5, 0.2, mob, exps)
+    assert np.ndim(scalar) == 0
+    assert scalar == mob(0.5, 0.2) * np.maximum(np.float64(0.3), 0.0) ** qm1

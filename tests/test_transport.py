@@ -20,7 +20,7 @@ from graphflow.transport import (
     velocity_from_flux,
 )
 
-from oracles import interval_actions, unit_transport_oracle
+from oracles import interval_actions, masked_alpha_density, unit_transport_oracle
 
 BETA = (1.0, 1.0)
 
@@ -457,3 +457,59 @@ def test_transport_cost_is_genuinely_asymmetric():
     t_ab = transport_cost(g, a, b, 16, linear(), BETA, exps)[0]
     t_ba = transport_cost(g, b, a, 16, linear(), BETA, exps)[0]
     assert abs(t_ab - t_ba) > 0.1
+
+
+def _masked_dual_action(graph, rho_pair, velocity_pair, mobility, beta, exponents):
+    """Reference: the velocity-form action with boolean gathers and scatters,
+    one species at a time."""
+    q = exponents.q
+    parts = []
+    for i in range(2):
+        v = velocity_pair[i]
+        m_fwd = mobility(rho_pair[i][graph.edge_src], rho_pair[i][graph.edge_dst])
+        vp = np.maximum(v, 0.0)
+        active = vp > 0
+        vals = np.zeros_like(vp)
+        degenerate = active & (m_fwd <= 0)
+        vals[active & ~degenerate] = m_fwd[active & ~degenerate] * vp[active & ~degenerate] ** q
+        weight = graph.edge_eta * (graph.weights[graph.edge_src] * graph.weights[graph.edge_dst])
+        parts.append(float(np.sum(vals * weight)) / float(beta[i]))
+    return parts
+
+
+def _masked_action(graph, rho_pair, flux_pair, mobility, beta, exponents):
+    """Reference: sum of both orientations' masked cost densities per species."""
+    weight = graph.edge_eta * (graph.weights[graph.edge_src] * graph.weights[graph.edge_dst])
+    parts = []
+    for i in range(2):
+        r_src, r_dst = rho_pair[i][graph.edge_src], rho_pair[i][graph.edge_dst]
+        fwd = masked_alpha_density(flux_pair[i], r_src, r_dst, mobility, exponents)
+        bwd = masked_alpha_density(-flux_pair[i], r_dst, r_src, mobility, exponents)
+        parts.append(0.5 * float(np.sum((fwd + bwd) * weight)) / float(beta[i]))
+    return parts
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("mobility_name", ["linear", "volume_filling", "geometric"])
+def test_action_and_dual_action_equal_masked_references(p, mobility_name):
+    from graphflow.mobility import PRESETS
+    from graphflow.scenarios import random_geometric_setup
+
+    g, kernels, _, exps, state = random_geometric_setup(seed=5, n=12, p=p)
+    mob = PRESETS[mobility_name]()
+    rng = np.random.default_rng(int(10 * p))
+    beta = (1.0, 0.7)
+    rho = state.rho.copy()
+    rho[:, ::4] = 0.0  # m = 0 on edges into (geometric) or out of these vertices
+    vel = beta[0] * edge_velocities(rho, kernels, g)
+    got = dual_action(g, rho, vel, mob, beta, exps)
+    want = _masked_dual_action(g, rho, vel, mob, beta, exps)
+    assert got.per_species == tuple(want) and got.total == want[0] + want[1]
+
+    flux = rng.normal(size=(2, g.n_edges))
+    flux[:, ::5] = 0.0
+    for states in (rho, rho - 0.3, rho + 0.8):  # inside, below 0, above the cap of 1
+        got = action(g, states, flux, mob, beta, exps)
+        want = _masked_action(g, states, flux, mob, beta, exps)
+        assert got.per_species == tuple(want) and got.total == want[0] + want[1]
+    assert np.isinf(action(g, rho - 0.3, flux, mob, beta, exps).total)
