@@ -24,7 +24,7 @@ from .config import (
     run_refinement_study,
 )
 from .errors import GraphflowError, NotConverged, SchemaError, SemanticError, StepSizeUnderflow
-from .graph import check_assumptions, divergence_matrix
+from .graph import check_assumptions
 from .kernels import energy
 
 EXIT_OK = 0
@@ -263,7 +263,7 @@ def _cmd_geodesic_profile(args):
 def _states_to_path(times, states, config):
     """Rebuild interval fluxes from stored states by least squares on continuity."""
     rates = np.diff(states, axis=0) / np.diff(times)[:, None, None]
-    fluxes = transport.min_norm_flux(divergence_matrix(config.graph), rates)
+    fluxes = transport.min_norm_flux(config.graph, rates)
     return transport.DiscretePath(times=times, states=states, fluxes=fluxes)
 
 

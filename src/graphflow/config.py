@@ -25,14 +25,7 @@ _DEFAULTS = {
     "time_horizon": 1.0,
     "output_dir": "out",
     "integrator": {"rel_tol": 1e-8, "abs_tol": 1e-10, "max_dt": None, "dt_initial": None},
-    "solver": {
-        "steps": 32,
-        "eps_constraint": 1e-7,
-        "eps_optimality": 1e-4,
-        "smoothing_schedule": [1e-2, 1e-4, 1e-6],
-        "max_outer": 16,
-        "inner_maxiter": 4000,
-    },
+    "solver": {"steps": 32, "eps_constraint": 1e-7, "eps_optimality": 1e-4},
     "mobility": {"preset": "linear", "params": {}},
 }
 
@@ -206,12 +199,12 @@ def parse_config(source):
     except ValueError as exc:  # e.g. an infinite first step
         raise SemanticError(f"integrator.{exc}") from exc
     sol = resolved["solver"]
+    for key in sol:
+        if key not in _DEFAULTS["solver"]:
+            raise SchemaError(f"solver.{key}", "unknown key")
     solver = SolverOptions(
-        eps_constraint=float(sol.get("eps_constraint", 1e-7)),
-        eps_optimality=float(sol.get("eps_optimality", 1e-4)),
-        smoothing_schedule=tuple(sol.get("smoothing_schedule", (1e-2, 1e-4, 1e-6))),
-        max_outer=int(sol.get("max_outer", 16)),
-        inner_maxiter=int(sol.get("inner_maxiter", 4000)),
+        eps_constraint=float(sol["eps_constraint"]),
+        eps_optimality=float(sol["eps_optimality"]),
     )
 
     state = None
@@ -227,7 +220,7 @@ def parse_config(source):
         time_horizon=float(t_final),
         integrator=integrator,
         solver=solver,
-        solver_steps=int(sol.get("steps", 32)),
+        solver_steps=int(sol["steps"]),
         output_dir=str(resolved["output_dir"]),
         seed=int(resolved["seed"]),
         resolved=resolved,

@@ -16,7 +16,7 @@ from graphflow.dynamics import IntegratorOptions, integrate, upwind_flux
 from graphflow.graph import Exponents
 from graphflow.kernels import energy
 from graphflow.scenarios import random_geometric_setup, s1_setup, s2_endpoints
-from graphflow.transport import SolverOptions, geodesic_profile, transport_cost
+from graphflow.transport import geodesic_profile, transport_cost
 
 from oracles import interval_actions, unit_transport_oracle
 
@@ -205,9 +205,8 @@ def test_criterion_5_quasi_metric_oracle(capsys):
 
     g, _, mob, exps, _ = s1_setup(2.0)
     start, end = s2_endpoints()
-    options = SolverOptions(smoothing_schedule=(1e-2, 1e-4, 1e-6))
-    t_coarse, _, cert_coarse = transport_cost(g, start, end, 32, mob, (1.0, 1.0), exps, options)
-    t_value, path, cert = transport_cost(g, start, end, 64, mob, (1.0, 1.0), exps, options)
+    t_coarse, _, cert_coarse = transport_cost(g, start, end, 32, mob, (1.0, 1.0), exps)
+    t_value, path, cert = transport_cost(g, start, end, 64, mob, (1.0, 1.0), exps)
     profile = geodesic_profile(g, path, mob, (1.0, 1.0), exps)
 
     # The solver minimizes the K-interval midpoint discretization, whose

@@ -261,6 +261,17 @@ def test_cli_rejects_non_positive_step_sizes(tmp_path, field, value):
         parse_config(cfg)
 
 
+@pytest.mark.parametrize("key", ["smoothing_schedule", "max_outer", "inner_maxiter", "tolerance"])
+def test_cli_rejects_unknown_solver_keys(tmp_path, capsys, key):
+    cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
+    cfg["solver"] = {"steps": 8, key: 16}
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    assert main_cli(["simulate", "--config", cfg_path]) == 1
+    assert f"solver.{key}" in capsys.readouterr().err
+    with pytest.raises(SchemaError, match=f"solver.{key}: unknown key"):
+        parse_config(cfg)
+
+
 def test_cli_refine(tmp_path):
     cfg = _refine_config()
     cfg["output_dir"] = str(tmp_path / "out")

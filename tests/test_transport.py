@@ -3,9 +3,15 @@ import pytest
 
 from graphflow.dynamics import upwind_flux
 from graphflow.errors import InfeasibleEndpoints, InfiniteAction, NonAntisymmetric
-from graphflow.graph import Exponents, antisymmetrize_flux, build_graph, nonlocal_divergence
+from graphflow.graph import (
+    Exponents,
+    antisymmetrize_flux,
+    build_graph,
+    is_antisymmetric,
+    nonlocal_divergence,
+)
 from graphflow.kernels import edge_velocities, energy
-from graphflow.mobility import linear
+from graphflow.mobility import PRESETS, linear
 from graphflow.scenarios import s1_setup, s2_endpoints, two_point_graph
 from graphflow.transport import (
     DiscretePath,
@@ -13,6 +19,7 @@ from graphflow.transport import (
     dual_action,
     flux_from_velocity,
     geodesic_profile,
+    min_norm_flux,
     minkowski_norm,
     pairing_l,
     pairing_l_tilde,
@@ -513,3 +520,151 @@ def test_action_and_dual_action_equal_masked_references(p, mobility_name):
         want = _masked_action(g, states, flux, mob, beta, exps)
         assert got.per_species == tuple(want) and got.total == want[0] + want[1]
     assert np.isinf(action(g, rho - 0.3, flux, mob, beta, exps).total)
+
+
+def _cutoff_graph(radius, n=24, seed=11):
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.0, 1.0, size=(n, 2))
+
+    def cutoff(xs, ys):
+        dist = np.linalg.norm(xs - ys, axis=-1)
+        return np.exp(-dist**2) * (dist <= radius)
+
+    return build_graph(points, rng.uniform(0.5, 1.5, n), cutoff)
+
+
+def _divergence_columns(graph):
+    """Dense (n, e) divergence matrix, column e the divergence of unit edge field e."""
+    columns = np.zeros((graph.n_vertices, graph.n_edges))
+    for e in range(graph.n_edges):
+        basis = np.zeros(graph.n_edges)
+        basis[e] = 1.0
+        columns[:, e] = nonlocal_divergence(basis, graph)
+    return columns
+
+
+@pytest.mark.parametrize("radius", [0.4, 0.2])  # one component, and six
+def test_min_norm_flux_equals_pinv_formula(radius):
+    g = _cutoff_graph(radius)
+    div = _divergence_columns(g)
+    rng = np.random.default_rng(5)
+    # rates of mass-conserving changes: -div of random edge fields
+    rates = -np.einsum("ve,kie->kiv", div, rng.normal(size=(3, 2, g.n_edges)))
+    reference = -np.einsum("ev,kiv->kie", np.linalg.pinv(div), rates)
+    got = min_norm_flux(g, rates)
+    assert got.shape == (3, 2, g.n_edges)
+    assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert np.allclose(-np.einsum("ve,kie->kiv", div, got), rates, rtol=0, atol=1e-12)
+
+
+def test_transport_cost_two_vertex_objective_equals_matched_oracle():
+    # the solver minimizes the exact discrete problem the oracle solves
+    g, _, mob, exps, _ = s1_setup()
+    start, end = s2_endpoints()
+    _, _, cert = transport_cost(g, start, end, 16, mob, BETA, exps)
+    oracle, _, _ = unit_transport_oracle(n_grid=16)
+    assert cert.converged
+    assert cert.objective == pytest.approx(oracle, abs=1e-9)
+
+
+def _path_objective(graph, path, mobility, exponents):
+    return float(np.sum(geodesic_profile(graph, path, mobility, BETA, exponents))) / path.n_intervals
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("mobility_name", ["linear", "volume_filling"])
+def test_transport_cost_feasible_perturbations_never_lower_the_objective(p, mobility_name):
+    # first- and second-order check of the returned path on a 3-vertex
+    # complete graph: perturbations that keep continuity and the endpoints,
+    # a divergence-free flux cycle on one interval or a mass-preserving shift
+    # of one interior state with the least-norm compensating fluxes
+    rng = np.random.default_rng(int(10 * p))
+    g = build_graph(rng.normal(size=(3, 2)), rng.uniform(0.5, 1.5, 3),
+                    lambda x, y: np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))
+    mob, exps, K = PRESETS[mobility_name](), Exponents(p), 8
+    rho0, rho1 = rng.uniform(0.2, 1.0, (2, 2, 3))
+    rho0 /= (rho0 @ g.weights)[:, None]
+    rho1 /= (rho1 @ g.weights)[:, None]
+    _, path, cert = transport_cost(g, rho0, rho1, K, mob, BETA, exps)
+    assert cert.converged
+    base = _path_objective(g, path, mob, exps)
+
+    cycle = antisymmetrize_flux(np.linalg.svd(_divergence_columns(g))[2][-1], g)
+    assert np.max(np.abs(nonlocal_divergence(cycle, g))) < 1e-14
+    flux_scale = np.max(np.abs(path.fluxes))
+    shift = rng.normal(size=3)
+    shift -= (shift @ g.weights) / g.weights.sum()
+    perturbed = []
+    for k in range(K):
+        for i in range(2):
+            for eps in (-1e-2, -1e-3, 1e-3, 1e-2):
+                fluxes = path.fluxes.copy()
+                fluxes[k, i] += eps * flux_scale * cycle
+                perturbed.append(DiscretePath(path.times, path.states, fluxes))
+                if k == 0:
+                    continue
+                states, fluxes = path.states.copy(), path.fluxes.copy()
+                states[k, i] += 0.1 * eps * shift
+                fluxes[k - 1, i] += min_norm_flux(g, 0.1 * eps * shift * K)
+                fluxes[k, i] -= min_norm_flux(g, 0.1 * eps * shift * K)
+                perturbed.append(DiscretePath(path.times, states, fluxes))
+    for other in perturbed:
+        assert other.continuity_residual(g) < 1e-12
+        assert _path_objective(g, other, mob, exps) >= base * (1.0 - 1e-10)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no mobility call outside its box
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("mobility_name", ["linear", "volume_filling", "geometric"])
+def test_transport_cost_vertex_empty_at_both_endpoints(p, mobility_name):
+    rng = np.random.default_rng(3)
+    g = build_graph(rng.normal(size=(4, 2)), rng.uniform(0.5, 1.5, 4),
+                    lambda x, y: np.exp(-np.sum((x - y) ** 2, -1)))
+    rho0, rho1 = rng.uniform(0.2, 1.0, (2, 2, 4))
+    rho0[:, 2] = rho1[:, 2] = 0.0
+    rho0 /= 2.0 * (rho0 @ g.weights)[:, None]  # mass 1/2 keeps below the cap of 1
+    rho1 /= 2.0 * (rho1 @ g.weights)[:, None]
+    _, path, cert = transport_cost(g, rho0, rho1, 16, PRESETS[mobility_name](), BETA,
+                                   Exponents(p))
+    assert cert.converged
+    assert np.min(path.states) >= 0.0
+    assert path.continuity_residual(g) <= 1e-10
+
+
+def test_transport_cost_returns_antisymmetric_fluxes():
+    from graphflow.scenarios import random_geometric_setup
+
+    g, kernels, mob, exps, start = random_geometric_setup(seed=9, n=6, p=1.5)
+    end = np.roll(start.rho, 2, axis=1)
+    end /= (end @ g.weights)[:, None]
+    _, path, cert = transport_cost(g, start.rho, end, 8, mob, kernels.beta, exps)
+    assert cert.converged
+    assert all(np.all(is_antisymmetric(fluxes, g)) for fluxes in path.fluxes)
+
+
+def test_transport_cost_per_component_masses():
+    # two components: the endpoints must agree on the mass of each
+    eta = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    g = build_graph([[0.0], [1.0], [5.0], [6.0]], [1.0, 1.0, 1.0, 1.0], eta)
+    start = np.array([[0.4, 0.1, 0.3, 0.2], [0.25, 0.25, 0.25, 0.25]])
+    moved = np.array([[0.1, 0.4, 0.2, 0.3], [0.25, 0.25, 0.25, 0.25]])
+    T, path, cert = transport_cost(g, start, moved, 8, linear(), BETA, Exponents(2.0))
+    assert cert.converged and T > 0.0
+    across = np.array([[0.5, 0.4, 0.0, 0.1], [0.25, 0.25, 0.25, 0.25]])
+    with pytest.raises(InfeasibleEndpoints):
+        transport_cost(g, start, across, 8, linear(), BETA, Exponents(2.0))
+
+
+def test_continuity_residual_equals_per_species_loop():
+    rng = np.random.default_rng(13)
+    g = _cutoff_graph(0.4)
+    K = 5
+    path = DiscretePath(np.linspace(0.0, 1.0, K + 1), rng.uniform(size=(K + 1, 2, g.n_vertices)),
+                        rng.normal(size=(K, 2, g.n_edges)))
+    worst = 0.0
+    for k in range(K):
+        for i in range(2):
+            res = path.states[k + 1, i] - path.states[k, i] + (1.0 / K) * nonlocal_divergence(
+                path.fluxes[k, i], g)
+            worst = max(worst, float(np.max(np.abs(res))))
+    assert path.continuity_residual(g) == worst
