@@ -163,7 +163,9 @@ def _cmd_metric(args):
     config = parse_config(_read(args.config))
     start = parse_state(_read(args.state_from), config.graph)
     end = parse_state(_read(args.state_to), config.graph)
-    steps = args.steps or config.solver_steps
+    steps = config.solver_steps if args.steps is None else args.steps
+    if steps < 1:
+        raise SemanticError(f"--steps must be at least 1, got {steps}")
     t_value, path, certificate = transport.transport_cost(
         config.graph, start, end, steps, config.mobility, config.kernels.beta,
         config.exponents, config.solver,

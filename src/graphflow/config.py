@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.special import ndtri
 
 from . import diagnostics, dynamics, kernels as kernels_mod, mobility as mobility_mod
@@ -202,6 +201,8 @@ def parse_config(source):
     for key in sol:
         if key not in _DEFAULTS["solver"]:
             raise SchemaError(f"solver.{key}", "unknown key")
+    if int(sol["steps"]) < 1:
+        raise SemanticError(f"solver.steps must be at least 1, got {sol['steps']!r}")
     solver = SolverOptions(
         eps_constraint=float(sol["eps_constraint"]),
         eps_optimality=float(sol["eps_optimality"]),
@@ -256,13 +257,13 @@ def _build_initial_state(section, graph, path="initial_state"):
         state.rho /= masses[:, None]
         return state
     if "atoms1" in section and "atoms2" in section:
-        method = section.get("projection", "auto")
+        _check_projection(section, path)
         densities = []
         for name in ("atoms1", "atoms2"):
             atoms = _require(section, name, path, dict)
             positions = np.asarray(_require(atoms, "positions", f"{path}.{name}", list), dtype=float)
             masses = np.asarray(_require(atoms, "masses", f"{path}.{name}", list), dtype=float)
-            rho, _ = project_initial(positions, masses, graph.base, method=method)
+            rho, _ = project_initial(positions, masses, graph.base)
             densities.append(rho)
         return dynamics.SpeciesPairState.from_densities(*densities)
     raise SchemaError(path, "needs rho1/rho2 or atoms1/atoms2")
@@ -272,17 +273,27 @@ def _build_initial_state(section, graph, path="initial_state"):
 # initial-data projection
 # ---------------------------------------------------------------------------
 
-LP_ATOM_LIMIT = 512
+# Names accepted for the "projection" key.  All of them denote the one optimal
+# map that ``project_initial`` computes; "transport" and "auto" stay accepted so
+# that existing configurations keep parsing.
+PROJECTIONS = ("auto", "nearest", "transport")
 
 
-def project_initial(positions, masses, base, method="auto"):
+def _check_projection(section, path):
+    name = section.get("projection", "nearest")
+    if name not in PROJECTIONS:
+        raise SchemaError(f"{path}.projection",
+                          f"unknown projection {name!r}; expected one of {list(PROJECTIONS)}")
+
+
+def project_initial(positions, masses, base):
     """Project an atomic measure onto the vertices of the base measure.
 
-    ``transport`` solves the assignment LP (minimal total |x - y| times mass
-    moved, free vertex marginal) exactly; ``nearest`` sends each atom to its
-    closest vertex, ties broken toward the lower vertex index.  ``auto``
-    uses the LP up to 512 atoms.  Returns (densities w.r.t. mu, info dict);
-    mass is renormalized to exactly match the input, drift logged.
+    Each atom goes to its closest vertex, ties broken toward the lower vertex
+    index.  This is an optimal plan of the transport problem with the vertex
+    marginal free (minimal total |x - y| times mass moved), which separates
+    per atom.  Returns (densities w.r.t. mu, info dict); mass is renormalized
+    to exactly match the input, drift logged.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     masses = np.asarray(masses, dtype=float).ravel()
@@ -296,37 +307,17 @@ def project_initial(positions, masses, base, method="auto"):
     if total <= 0:
         raise MassMismatch("total input mass must be positive")
 
-    if method == "auto":
-        method = "transport" if masses.size <= LP_ATOM_LIMIT else "nearest"
     dist = np.linalg.norm(positions[:, None, :] - base.points[None, :, :], axis=-1)
-
-    if method == "nearest":
-        assign = np.argmin(dist, axis=1)  # argmin already favors lower indices on ties
-        vertex_mass = np.bincount(assign, weights=masses, minlength=base.n_vertices)
-        moved = float(np.sum(dist[np.arange(masses.size), assign] * masses))
-    elif method == "transport":
-        if masses.size > LP_ATOM_LIMIT:
-            raise ValueError(f"transport projection limited to {LP_ATOM_LIMIT} atoms")
-        n_atoms, n_vertices = dist.shape
-        # each atom's mass is sent out in full; the vertex marginal is free
-        a_eq = diagnostics.transport_marginals(n_atoms, n_vertices)[:n_atoms]
-        result = linprog(
-            dist.ravel(), A_eq=a_eq, b_eq=masses, bounds=(0, None), method="highs"
-        )
-        if not result.success:
-            raise RuntimeError(f"projection LP failed: {result.message}")
-        plan = result.x.reshape(n_atoms, n_vertices)
-        vertex_mass = plan.sum(axis=0)
-        moved = float(result.fun)
-    else:
-        raise ValueError(f"unknown projection method {method!r}")
+    assign = np.argmin(dist, axis=1)  # argmin already favors lower indices on ties
+    vertex_mass = np.bincount(assign, weights=masses, minlength=base.n_vertices)
+    moved = float(np.sum(dist[np.arange(masses.size), assign] * masses))
 
     got = float(np.sum(vertex_mass))
     drift = got - total
     if got > 0:
         vertex_mass = vertex_mass * (total / got)
     rho = vertex_mass / base.weights
-    info = {"method": method, "mass_drift": drift, "w1_moved": moved}
+    info = {"method": "nearest", "mass_drift": drift, "w1_moved": moved}
     return rho, info
 
 
@@ -353,7 +344,6 @@ class RefinementPlan:
     density_name: str
     density_params: dict
     ladder: tuple
-    projection: str = "auto"
     total_mass: float = 2.0
     initial_atoms: int = 64
     transport_diagnostic: bool = True
@@ -366,6 +356,9 @@ class RefinementPlan:
             raise SchemaError("plan.ladder", "must be strictly increasing and nonempty")
         if self.density_name == "gaussian" and not self.density_params.get("sigma", 1.0) > 0:
             raise SchemaError("plan.density.params.sigma", "must be positive")
+        if self.transport_steps < 1:
+            raise SchemaError("plan.transport_steps",
+                              f"must be at least 1, got {self.transport_steps}")
 
     def quantile(self, u):
         return _DENSITIES[self.density_name](self.density_params)(np.asarray(u))
@@ -381,11 +374,11 @@ class RefinementPlan:
 def parse_plan(source):
     raw = json.loads(source) if isinstance(source, str) else source
     density = _require(raw, "density", "plan", dict)
+    _check_projection(raw, "plan")
     return RefinementPlan(
         density_name=_require(density, "name", "plan.density", str),
         density_params=density.get("params", {}),
         ladder=tuple(_require(raw, "ladder", "plan", list)),
-        projection=raw.get("projection", "auto"),
         total_mass=float(raw.get("total_mass", 2.0)),
         initial_atoms=int(raw.get("initial_atoms", 64)),
         transport_diagnostic=bool(raw.get("transport_diagnostic", True)),
@@ -402,7 +395,6 @@ class StudyLevel:
     energy_start: float = math.nan
     energy_end: float = math.nan
     w1_gap_from_previous: float = math.nan
-    projection_method: str = ""
     final_masses: tuple = ()
     energy_series: tuple = ()  # (t, energy) pairs along the level's trajectory
     # joint W1 / T^(1/p) report between the level's initial and final states;
@@ -446,8 +438,7 @@ def run_refinement_study(plan, config, max_workers=1):
             eta_spec = config.resolved["graph"].get("eta_preset", {"name": "constant"})
             graph = build_graph(points, weights, _eta_from_preset(eta_spec, "graph.eta_preset"))
             kernels = _build_kernels_section(config.resolved["kernels"], graph.base.dimension)
-            rho, info = project_initial(atom_positions, atom_masses, graph.base, plan.projection)
-            level.projection_method = info["method"]
+            rho, _ = project_initial(atom_positions, atom_masses, graph.base)
             state = dynamics.SpeciesPairState.from_densities(rho, rho.copy())
             trajectory = dynamics.integrate(
                 state, config.time_horizon, kernels, config.mobility,
@@ -471,7 +462,7 @@ def run_refinement_study(plan, config, max_workers=1):
 
                 t_value, _, _ = transport_cost(
                     graph, trajectory.states[0], trajectory.states[-1],
-                    max(8, plan.transport_steps), config.mobility,
+                    plan.transport_steps, config.mobility,
                     kernels.beta, config.exponents, config.solver,
                 )
                 level.transport_start_to_final = t_value ** (1.0 / config.exponents.p)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from . import transport
 from .dynamics import SpeciesPairState, integrate, upwind_flux
@@ -37,7 +36,6 @@ __all__ = [
     "moment",
     "w1_distance",
     "w1_between_states",
-    "transport_marginals",
     "flux_bound_report",
     "property_harness",
     "HarnessReport",
@@ -163,7 +161,12 @@ def moment(density, order, graph):
 
 
 def w1_distance(positions_a, masses_a, positions_b, masses_b):
-    """Exact 1-Wasserstein distance between atomic measures via the transport LP."""
+    """Exact 1-Wasserstein distance between atomic measures.
+
+    On the line it is the L1 distance between the two cumulative
+    distribution functions; in higher dimensions it is the optimum of the
+    transport LP.
+    """
     positions_a = np.atleast_2d(np.asarray(positions_a, dtype=float))
     positions_b = np.atleast_2d(np.asarray(positions_b, dtype=float))
     masses_a = np.asarray(masses_a, dtype=float).ravel()
@@ -182,23 +185,24 @@ def w1_distance(positions_a, masses_a, positions_b, masses_b):
     na, nb = len(ma), len(mb)
     if na == 0 or nb == 0:
         return 0.0
+    if pa.shape[1] == 1 and pb.shape[1] == 1:
+        xs = np.concatenate([pa[:, 0], pb[:, 0]])
+        order = np.argsort(xs, kind="stable")
+        cdf_gap = np.cumsum(np.concatenate([ma, -mb])[order])[:-1]
+        return float(np.sum(np.abs(cdf_gap) * np.diff(xs[order])))
+    from scipy.optimize import linprog  # deferred: importing scipy.optimize is slow
+
     cost = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1).ravel()
-    # transportation polytope: row sums ma, column sums mb; one of the
-    # na + nb constraints is implied by the equal totals
-    b_eq = np.concatenate([ma, mb])
-    result = linprog(cost, A_eq=transport_marginals(na, nb)[:-1], b_eq=b_eq[:-1],
-                     bounds=(0, None), method="highs")
+    # transportation polytope: row sums ma, column sums mb of the row-major
+    # flattened plan; one of the na + nb constraints is implied by the equal totals
+    rows = sparse.kron(sparse.eye(na), np.ones((1, nb)))
+    cols = sparse.kron(np.ones((1, na)), sparse.eye(nb))
+    a_eq = sparse.vstack([rows, cols], format="csr")[:-1]
+    b_eq = np.concatenate([ma, mb])[:-1]
+    result = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not result.success:
         raise RuntimeError(f"transport LP failed: {result.message}")
     return float(result.fun)
-
-
-def transport_marginals(na, nb):
-    """Sparse 0/1 (na + nb, na * nb) matrix mapping a row-major flattened
-    (na, nb) transport plan to its row sums followed by its column sums."""
-    rows = sparse.kron(sparse.eye(na), np.ones((1, nb)))
-    cols = sparse.kron(np.ones((1, na)), sparse.eye(nb))
-    return sparse.vstack([rows, cols], format="csr")
 
 
 def w1_between_states(state_a, state_b, graph_a, graph_b=None):
@@ -469,7 +473,3 @@ def property_harness(suite, seed=0, n_samples=100):
                 )
             )
     return report
-
-
-def available_suites():
-    return sorted(_SUITES)

@@ -167,7 +167,7 @@ def _check_field(values, shape, kind):
     return values
 
 
-def build_graph(points, weights, eta_spec, dense_limit=DENSE_VERTEX_LIMIT):
+def build_graph(points, weights, eta_spec):
     """Assemble a :class:`FiniteGraph` from raw data.
 
     Parameters
@@ -178,13 +178,14 @@ def build_graph(points, weights, eta_spec, dense_limit=DENSE_VERTEX_LIMIT):
         Either an explicit (n, n) matrix, validated for symmetry, or a
         callable ``eta(x, y)`` on point arrays which is symmetrized after
         evaluation.  The diagonal is forced to zero either way.
-    dense_limit : int
-        Guard for the dense (n, n) storage used here; desk-scale graphs only.
+
+    Storage is dense (n, n), so graphs above ``DENSE_VERTEX_LIMIT`` vertices
+    are refused.
     """
     base = BaseMeasure(np.asarray(points, dtype=float), np.asarray(weights, dtype=float))
     n = base.n_vertices
-    if n > dense_limit:
-        raise SizeMismatch(f"{n} vertices exceeds the dense storage limit {dense_limit}")
+    if n > DENSE_VERTEX_LIMIT:
+        raise SizeMismatch(f"{n} vertices exceeds the dense storage limit {DENSE_VERTEX_LIMIT}")
 
     if callable(eta_spec):
         xs = base.points[:, None, :]
@@ -262,17 +263,24 @@ def check_assumptions(graph, exponents):
     c_eta = float(np.max(per_vertex))
     c_eta_prime = float(np.max(kernel))
 
+    # The per-vertex sums only grow with eps, so one pass over the edges in
+    # order of length gives every profile value: each vertex's running sum
+    # in its own length order, then a running maximum over all edges.
     qterm = lengths**q * graph.edge_eta * graph.mu_dst
+    by_vertex = np.lexsort((lengths, graph.edge_src))
+    src = graph.edge_src[by_vertex]
+    slot = np.arange(src.size) - np.searchsorted(src, src)  # rank within the vertex
+    table = np.zeros((graph.n_vertices, int(slot.max()) + 1))
+    table[src, slot] = qterm[by_vertex]
+    running = np.empty_like(qterm)
+    running[by_vertex] = np.cumsum(table, axis=1)[src, slot]
+    by_length = np.argsort(lengths, kind="stable")
+    peak = np.maximum.accumulate(running[by_length])
     eps_grid = np.unique(lengths)
-    profile = []
-    for eps in eps_grid:
-        mask = lengths < eps
-        if not np.any(mask):
-            profile.append((float(eps), 0.0))
-            continue
-        sums = np.bincount(graph.edge_src[mask], weights=qterm[mask], minlength=graph.n_vertices)
-        profile.append((float(eps), float(np.max(sums))))
-    return AssumptionReport(c_mu, c_eta, c_eta_prime, tuple(profile), graph.n_vertices, graph.n_edges)
+    shorter = np.searchsorted(lengths[by_length], eps_grid, side="left")
+    values = np.where(shorter > 0, peak[shorter - 1], 0.0)
+    profile = tuple(zip(eps_grid.tolist(), values.tolist()))
+    return AssumptionReport(c_mu, c_eta, c_eta_prime, profile, graph.n_vertices, graph.n_edges)
 
 
 def nonlocal_gradient(phi, graph):

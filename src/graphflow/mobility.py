@@ -143,10 +143,6 @@ def positive_part(x):
     return np.maximum(np.asarray(x, dtype=float), 0.0)
 
 
-def negative_part(x):
-    return np.maximum(-np.asarray(x, dtype=float), 0.0)
-
-
 def alpha_density(j, r, s, mobility, exponents):
     """Upwind cost density (j_+)^p / m(r,s)^(p-1) as an extended real.
 

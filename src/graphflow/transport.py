@@ -678,8 +678,8 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents, option
         When the certificate targets are not met; the partial certificate is
         attached to the exception.
     """
-    if k_steps < 8:
-        raise ValueError("k_steps must be at least 8")
+    if k_steps < 1:
+        raise ValueError("k_steps must be at least 1")
     options = options or SolverOptions()
     rho0 = np.asarray(getattr(start, "rho", start), dtype=float)
     rho1 = np.asarray(getattr(end, "rho", end), dtype=float)

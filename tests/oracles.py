@@ -100,6 +100,26 @@ def w1_one_dimensional(positions_a, masses_a, positions_b, masses_b):
     return float(np.sum(np.abs(cdf_gap) * np.diff(xs_sorted)))
 
 
+def blowup_profile_loop(graph, exponents):
+    """Local blow-up profile by one masked pass per distinct edge length.
+
+    Maps each eps in the sorted distinct edge lengths to
+    max_l sum over edges (l, k) shorter than eps of |x_l - x_k|^q eta mu_k;
+    O(e) per grid point, so O(e^2) in all.
+    """
+    lengths = graph.edge_lengths
+    qterm = lengths**exponents.q * graph.edge_eta * graph.mu_dst
+    profile = []
+    for eps in np.unique(lengths):
+        mask = lengths < eps
+        if not np.any(mask):
+            profile.append((float(eps), 0.0))
+            continue
+        sums = np.bincount(graph.edge_src[mask], weights=qterm[mask], minlength=graph.n_vertices)
+        profile.append((float(eps), float(np.max(sums))))
+    return profile
+
+
 def masked_alpha_density(j, r, s, mobility, exponents):
     """Upwind cost density (j_+)^p / m(r,s)^(p-1) with boolean gathers and
     scatters: the mobility is evaluated only inside [0, R] x [0, S] and the

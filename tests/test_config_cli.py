@@ -94,34 +94,36 @@ def test_parse_config_eta_presets():
 
 def test_project_initial_identity_when_on_vertices():
     base = BaseMeasure(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
-    rho, info = project_initial(np.array([[0.0], [1.0]]), [0.3, 0.7], base, "nearest")
+    rho, info = project_initial(np.array([[0.0], [1.0]]), [0.3, 0.7], base)
     assert rho == pytest.approx([0.3, 0.7])
     assert info["mass_drift"] == pytest.approx(0.0)
+    assert info["method"] == "nearest"
 
 
 def test_project_initial_nearest_tie_breaks_low_index():
     base = BaseMeasure(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
-    rho, info = project_initial(np.array([[0.5]]), [1.0], base, "nearest")
+    rho, info = project_initial(np.array([[0.5]]), [1.0], base)
     assert rho == pytest.approx([1.0, 0.0])
-    rho, _ = project_initial(np.array([[0.6]]), [1.0], base, "nearest")
+    rho, _ = project_initial(np.array([[0.6]]), [1.0], base)
     assert rho == pytest.approx([0.0, 1.0])
 
 
-def test_project_initial_lp_matches_nearest_for_generic_atoms():
+def test_project_initial_sends_generic_atoms_to_nearest_vertex():
     rng = np.random.default_rng(100)
     base = BaseMeasure(np.linspace(0, 1, 10).reshape(-1, 1), np.full(10, 0.1))
     samples = rng.uniform(0, 1, size=(100, 1))
     masses = np.full(100, 0.01)
-    lp_rho, lp_info = project_initial(samples, masses, base, "transport")
-    near_rho, _ = project_initial(samples, masses, base, "nearest")
-    # with no capacity constraint the optimal plan is the nearest-vertex map
-    assert lp_rho == pytest.approx(near_rho, abs=1e-9)
-    assert np.sum(lp_rho * base.weights) == pytest.approx(1.0)
+    rho, info = project_initial(samples, masses, base)
+    # on the uniform grid of spacing 1/9 the nearest vertex is round(9 x)
+    expected = np.bincount(np.rint(9 * samples[:, 0]).astype(int), weights=masses, minlength=10)
+    assert rho * base.weights == pytest.approx(expected, abs=1e-15)
+    assert np.sum(rho * base.weights) == pytest.approx(1.0)
     # ten cells of a uniform sample receive roughly a tenth each, up to
     # binomial fluctuation of the 100 draws
-    assert np.mean(np.abs(lp_rho * base.weights - 0.1)) < 0.05
-    assert np.max(np.abs(lp_rho * base.weights - 0.1)) < 0.15
-    assert lp_info["method"] == "transport"
+    assert np.mean(np.abs(rho * base.weights - 0.1)) < 0.05
+    assert np.max(np.abs(rho * base.weights - 0.1)) < 0.15
+    assert info["w1_moved"] == pytest.approx(
+        np.sum(np.abs(samples[:, 0] - np.rint(9 * samples[:, 0]) / 9) * masses))
 
 
 def test_project_initial_mass_errors():
@@ -272,6 +274,23 @@ def test_cli_rejects_unknown_solver_keys(tmp_path, capsys, key):
         parse_config(cfg)
 
 
+@pytest.mark.parametrize("steps", [0, -4])
+def test_cli_rejects_non_positive_solver_steps(tmp_path, capsys, steps):
+    cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    start, end = s2_state_files()
+    states = ["--from", _write(tmp_path / "from.json", start),
+              "--to", _write(tmp_path / "to.json", end)]
+    assert main_cli(["metric", "--config", cfg_path, *states, "--steps", str(steps)]) == 1
+    assert "invalid input: --steps" in capsys.readouterr().err
+    cfg["solver"] = {"steps": steps}
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    assert main_cli(["simulate", "--config", cfg_path]) == 1
+    assert "solver.steps" in capsys.readouterr().err
+    with pytest.raises(SemanticError, match="solver.steps"):
+        parse_config(cfg)
+
+
 def test_cli_refine(tmp_path):
     cfg = _refine_config()
     cfg["output_dir"] = str(tmp_path / "out")
@@ -344,6 +363,73 @@ def test_parse_config_initial_state_from_atoms():
     # 0.1 and 0.4 snap to vertex 0, 0.9 to vertex 1; 0.6 to vertex 1
     assert config.initial_state.rho1 == pytest.approx([0.75, 0.25])
     assert config.initial_state.rho2 == pytest.approx([0.0, 1.0])
+
+
+def test_projection_names_give_identical_densities():
+    # "auto" and "transport" name the same optimal map as "nearest"
+    raw = s1_config()
+    rng = np.random.default_rng(3)
+    raw["initial_state"] = {
+        "atoms1": {"positions": rng.uniform(-0.5, 1.5, size=(40, 1)).tolist(),
+                   "masses": np.full(40, 1 / 40).tolist()},
+        "atoms2": {"positions": [[0.5], [0.2]], "masses": [0.5, 0.5]},
+    }
+    densities = []
+    for name in ("transport", "auto", "nearest", None):
+        if name is not None:
+            raw["initial_state"]["projection"] = name
+        densities.append(parse_config(json.dumps(raw)).initial_state.rho)
+    for rho in densities[1:]:
+        assert np.array_equal(rho, densities[0])
+
+
+def test_cli_validate_graph_rejects_unknown_projection(tmp_path, capsys):
+    raw = s1_config()
+    raw["initial_state"] = {
+        "atoms1": {"positions": [[0.1]], "masses": [1.0]},
+        "atoms2": {"positions": [[0.9]], "masses": [1.0]},
+        "projection": "bogus",
+    }
+    cfg_path = _write(tmp_path / "cfg.json", raw)
+    assert main_cli(["validate-graph", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and "initial_state.projection" in err
+
+
+def test_cli_refine_rejects_unknown_projection(tmp_path, capsys):
+    cfg = _refine_config()
+    cfg["output_dir"] = str(tmp_path / "out")
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    plan_path = _write(
+        tmp_path / "plan.json",
+        {"density": {"name": "uniform"}, "ladder": [4], "initial_atoms": 8,
+         "projection": "bogus"},
+    )
+    assert main_cli(["refine", "--plan", plan_path, "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and "plan.projection" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_refinement_plan_transport_steps_is_the_solver_k(monkeypatch):
+    import graphflow.transport as transport_mod
+
+    with pytest.raises(SchemaError, match="plan.transport_steps"):
+        RefinementPlan("uniform", {}, ladder=(4,), transport_steps=0)
+    with pytest.raises(SchemaError, match="plan.transport_steps"):
+        parse_plan({"density": {"name": "uniform"}, "ladder": [4], "transport_steps": -1})
+    steps_seen = []
+    real_cost = transport_mod.transport_cost
+
+    def recording(graph, start, end, steps, *args):
+        steps_seen.append(steps)
+        return real_cost(graph, start, end, steps, *args)
+
+    monkeypatch.setattr(transport_mod, "transport_cost", recording)
+    plan = RefinementPlan("uniform", {}, ladder=(4,), initial_atoms=8, transport_steps=4)
+    report = run_refinement_study(plan, parse_config(json.dumps(_refine_config())))
+    assert not report.levels[0].failed, report.levels[0].error
+    assert steps_seen == [4]
 
 
 def test_cli_simulate_is_bit_reproducible(tmp_path):

@@ -153,9 +153,25 @@ def test_w1_distance_matches_cdf_oracle():
         mb = rng.uniform(0.1, 1.0, size=nb)
         ma /= ma.sum()
         mb /= mb.sum()
-        lp = w1_distance(xa, ma, xb, mb)
-        ref = w1_one_dimensional(xa, ma, xb, mb)
-        assert lp == pytest.approx(ref, abs=1e-9)
+        assert w1_distance(xa, ma, xb, mb) == pytest.approx(
+            w1_one_dimensional(xa, ma, xb, mb), abs=1e-12)
+
+
+def test_w1_distance_line_formula_matches_plane_lp():
+    # the same points embedded as (x, 0) go through the transport LP
+    rng = np.random.default_rng(15)
+    for trial in range(20):
+        na, nb = rng.integers(1, 9, size=2)
+        xa = rng.normal(size=(na, 1))
+        xb = rng.normal(size=(nb, 1)) if trial % 4 else xa[rng.integers(0, na, size=nb)]
+        ma = rng.uniform(0.0, 1.0, size=na) * (rng.uniform(size=na) < 0.8)
+        mb = rng.uniform(0.1, 1.0, size=nb)
+        ma[0] += 0.1
+        mb *= ma.sum() / mb.sum()
+        line = w1_distance(xa, ma, xb, mb)
+        plane = w1_distance(np.hstack([xa, np.zeros_like(xa)]), ma,
+                            np.hstack([xb, np.zeros_like(xb)]), mb)
+        assert line == pytest.approx(plane, rel=1e-9, abs=1e-12)
 
 
 def test_w1_between_states_sums_species():

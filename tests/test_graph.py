@@ -19,6 +19,8 @@ from graphflow.graph import (
 )
 from graphflow.scenarios import two_point_graph
 
+from oracles import blowup_profile_loop
+
 
 def test_exponents_conjugate_relation():
     for p in (1.5, 2.0, 3.0, 7.3):
@@ -93,6 +95,29 @@ def test_check_assumptions_monotone_in_edges():
     small = check_assumptions(build_graph(points, weights, eta_small), p)
     big = check_assumptions(build_graph(points, weights, eta_big), p)
     assert big.c_eta >= small.c_eta
+
+
+def test_check_assumptions_profile_matches_loop_oracle():
+    rng = np.random.default_rng(21)
+    for trial in range(30):
+        n = int(rng.integers(2, 12))
+        if trial % 3 == 0:
+            # integer grid points repeat edge lengths, within and across vertices
+            points = rng.choice(8, size=(n, 2), replace=True).astype(float)
+            points = np.unique(points, axis=0)
+            n = points.shape[0]
+        else:
+            points = rng.normal(size=(n, int(rng.integers(1, 3))))
+        eta = rng.uniform(0.1, 2.0, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.7)
+        eta = np.triu(eta, 1)
+        graph = build_graph(points, rng.uniform(0.2, 1.5, size=n), eta + eta.T)
+        exponents = Exponents(float(rng.choice([1.5, 2.0, 3.0])))
+        profile = check_assumptions(graph, exponents).bc_profile
+        reference = blowup_profile_loop(graph, exponents)
+        assert [eps for eps, _ in profile] == [eps for eps, _ in reference]
+        scale = max((value for _, value in reference), default=0.0)
+        for (_, value), (_, expected) in zip(profile, reference):
+            assert abs(value - expected) <= 1e-12 * scale
 
 
 def test_nonlocal_gradient_examples():
