@@ -336,7 +336,7 @@ def _cmd_validate_graph(args):
         "n_vertices": report.n_vertices,
         "n_edges": report.n_edges,
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload))  # indent would select the pure-Python encoder
     return EXIT_OK
 
 

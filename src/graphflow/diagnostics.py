@@ -6,7 +6,7 @@ The De Giorgi functional of a trajectory is
 
 where the metric-derivative integrand is taken as the action of the
 trajectory's own flux: an upper bound for |rho'|^p in general and exact for
-gradient-flow trajectories, whose stored flux is the steepest-descent one.
+gradient-flow trajectories, whose flux is the steepest-descent one.
 Weak solutions are exactly the curves with G_T = 0; numerically G_T is
 bounded by integrator plus quadrature error.
 """
@@ -72,11 +72,12 @@ class DeGiorgiReport:
 
 
 def _node_flux(trajectory, k, graph, kernels, mobility, exponents, velocities=None):
-    """Flux at state k: as stored when available, else the flux law at the state.
+    """Flux at state k: as supplied when available, else the flux law at the state.
 
-    Trajectories from :func:`graphflow.dynamics.integrate` carry the flux and
-    the two coincide; hand-built curves (e.g. non-gradient perturbations) must
-    supply ``node_fluxes`` themselves.
+    Trajectories from :func:`graphflow.dynamics.integrate` store no fluxes,
+    so their gradient-flow flux is evaluated here, bit for bit the flux the
+    integrator's right-hand side used at that state; hand-built curves (e.g.
+    non-gradient perturbations) supply ``node_fluxes`` themselves.
     """
     node_fluxes = getattr(trajectory, "node_fluxes", None)
     if node_fluxes is not None:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeUnderflow, ThresholdExceeded
-from .graph import nonlocal_divergence
-from .kernels import edge_velocities, energy
+from .graph import link_to_edges
+from .kernels import energy, potentials
 from .mobility import flux_law
 
 STATE_TOL = 1e-8  # slack accepted on raw states before ThresholdExceeded
@@ -77,14 +77,11 @@ def _clip_to_box(rho, mobility):
     return np.clip(rho, 0.0, hi if np.isfinite(hi) else None)
 
 
-def upwind_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
-    """Gradient-flow flux pair (2, n_edges); antisymmetric by construction.
+def _link_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
+    """The flux of :func:`upwind_flux` per link (2, links): its value on (lo, hi).
 
-    Raises ThresholdExceeded when the state leaves [0, R] x [0, S] (or goes
-    negative) by more than a small slack; inside the slack the mobility
-    arguments are clamped to the box.  ``velocities``, when given, must be
-    ``edge_velocities(rho_pair, kernels, graph)``; a caller that already
-    holds them saves their recomputation.
+    The flux is antisymmetric, so one flux-law evaluation per link gives both
+    orientations; the descent velocity on (lo, hi) is phi(lo) - phi(hi).
     """
     rho_pair = np.asarray(rho_pair, dtype=float)
     lo = float(np.min(rho_pair))
@@ -95,24 +92,39 @@ def upwind_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
             f"state outside [0, {cap}] by more than {STATE_TOL}: min={lo:.3e} max={hi:.3e}"
         )
     if velocities is None:
-        # velocities made here are scaled in place; a caller's are not modified
-        scaled = edge_velocities(rho_pair, kernels, graph)
-        scaled *= kernels.beta[:, None]
+        phi = potentials(rho_pair, kernels, graph)
+        scaled = np.take(phi, graph.link_lo, axis=1)
+        scaled -= np.take(phi, graph.link_hi, axis=1)
     else:
-        scaled = kernels.beta[:, None] * velocities
+        scaled = np.take(velocities, graph.link_edge, axis=1)
+    scaled *= kernels.beta[:, None]
     rho_box = _clip_to_box(rho_pair, mobility)
-    return flux_law(scaled, np.take(rho_box, graph.edge_src, axis=1),
-                    np.take(rho_box, graph.edge_dst, axis=1), mobility, exponents)
+    return flux_law(scaled, np.take(rho_box, graph.link_lo, axis=1),
+                    np.take(rho_box, graph.link_hi, axis=1), mobility, exponents)
 
 
-def _rate(flux, graph):
-    """Density time derivative -div(j) per species of a flux pair."""
-    return -nonlocal_divergence(flux, graph)
+def upwind_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
+    """Gradient-flow flux pair (2, n_edges); antisymmetric by construction.
+
+    Raises ThresholdExceeded when the state leaves [0, R] x [0, S] (or goes
+    negative) by more than a small slack; inside the slack the mobility
+    arguments are clamped to the box.  ``velocities``, when given, must be
+    ``edge_velocities(rho_pair, kernels, graph)``; a caller that already
+    holds them saves their recomputation.
+    """
+    return link_to_edges(_link_flux(rho_pair, kernels, mobility, exponents, graph, velocities),
+                         graph)
 
 
 def rhs(rho_pair, kernels, mobility, exponents, graph):
-    """Density time derivative -div(j) per species; conserves mass exactly."""
-    return _rate(upwind_flux(rho_pair, kernels, mobility, exponents, graph), graph)
+    """Density time derivative -div(j) per species; conserves mass exactly.
+
+    The flux is evaluated once per link and its divergence taken by the
+    graph's link divergence matrix, one species row at a time.
+    """
+    flux = _link_flux(rho_pair, kernels, mobility, exponents, graph)
+    rate = np.stack([graph.link_divergence @ row for row in flux])
+    return np.negative(rate, out=rate)
 
 
 @dataclass
@@ -134,11 +146,12 @@ class IntegratorOptions:
 
 @dataclass
 class Trajectory:
-    """Accepted states of one integration run with the flux at each state.
+    """Accepted states of one integration run.
 
-    ``node_fluxes[k]`` is the gradient-flow flux evaluated at ``states[k]``.
-    Hand-built trajectories may leave it unset; diagnostics then evaluate the
-    flux law at each state.
+    ``node_fluxes`` is an optional input for hand-built curves (e.g.
+    non-gradient perturbations): ``node_fluxes[k]`` is the flux at
+    ``states[k]``.  :func:`integrate` leaves it unset, and diagnostics then
+    evaluate the gradient-flow flux law at each state.
     """
 
     times: np.ndarray  # (m+1,)
@@ -197,15 +210,14 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
     times = [0.0]
     states = [y.copy()]
     energies = [energy(y, kernels, graph)]
-    node_fluxes, dts, errors = [], [], []
+    dts, errors = [], []
     min_density = float(np.min(y))
     max_density = float(np.max(y))
     clamp_total = 0.0
     renorm_total = 0.0
     accepted = rejected = 0
 
-    node_fluxes.append(upwind_flux(y, kernels, mobility, exponents, graph))
-    k1 = _rate(node_fluxes[-1], graph)
+    k1 = rhs(y, kernels, mobility, exponents, graph)
     rejects_in_a_row = 0
     while t < t_final - 1e-14:
         dt = min(dt, options.max_dt, t_final - t)
@@ -264,8 +276,7 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
         states.append(y.copy())
         energies.append(energy(y, kernels, graph))
         accepted += 1
-        node_fluxes.append(upwind_flux(y, kernels, mobility, exponents, graph))
-        k1 = _rate(node_fluxes[-1], graph)
+        k1 = rhs(y, kernels, mobility, exponents, graph)
         dt = dt * min(5.0, max(0.2, 0.9 * err ** (-0.2))) if err > 0 else dt * 5.0
 
     final_masses = y @ graph.weights
@@ -286,5 +297,4 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
         dts=np.asarray(dts),
         local_errors=np.asarray(errors),
         stats=stats,
-        node_fluxes=np.asarray(node_fluxes),
     )

@@ -5,12 +5,15 @@ the atoms of a positive measure with positions ``x_l`` and weights ``mu_l``,
 edges are the ordered pairs ``(l, k)`` with ``l != k`` and symmetric weight
 ``eta(l, k) > 0``.  Both orientations of every edge are materialized; edge
 fields (fluxes, velocities, nonlocal gradients) are flat arrays aligned with
-the edge list, node fields are arrays of one value per vertex.
+the edge list, node fields are arrays of one value per vertex.  Each edge and
+its reverse also form one link, the unordered edge ``{lo, hi}`` with
+``lo < hi``: an antisymmetric edge field is one value per link.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     DuplicatePoint,
@@ -97,6 +100,14 @@ class FiniteGraph:
     products are gathered once, at construction: ``mu_src``, ``mu_dst``,
     ``edge_pair_weight = mu_src * mu_dst`` and the action weight
     ``action_weight = eta * mu_src * mu_dst``.
+
+    The links are numbered in edge order of their ``(lo, hi)`` orientation:
+    ``link_lo`` < ``link_hi`` are their vertices, ``link_edge`` and
+    ``link_reverse`` the indices of the edges ``(lo, hi)`` and ``(hi, lo)``.
+    An antisymmetric flux with value ``a`` on ``(lo, hi)`` has divergence
+    ``eta mu_hi a`` at ``lo`` and ``-eta mu_lo a`` at ``hi``; ``link_div_lo``
+    and ``link_div_hi`` hold these coefficients, and ``link_divergence`` is
+    the (n, links) CSR matrix of them, each row's entries in link order.
     """
 
     base: BaseMeasure
@@ -113,12 +124,35 @@ class FiniteGraph:
     # vertices offset by n: one bincount then scatters both rows
     _pair_src: np.ndarray = field(init=False, repr=False, compare=False)
     _pair_dst: np.ndarray = field(init=False, repr=False, compare=False)
+    link_lo: np.ndarray = field(init=False, repr=False, compare=False)
+    link_hi: np.ndarray = field(init=False, repr=False, compare=False)
+    link_edge: np.ndarray = field(init=False, repr=False, compare=False)
+    link_reverse: np.ndarray = field(init=False, repr=False, compare=False)
+    link_div_lo: np.ndarray = field(init=False, repr=False, compare=False)
+    link_div_hi: np.ndarray = field(init=False, repr=False, compare=False)
+    link_divergence: sparse.csr_matrix = field(init=False, repr=False, compare=False)
+    # position of each edge in the link values followed by their negatives,
+    # so writing link values to the edges is one gather
+    _edge_slot: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.base.n_vertices
         mu_src = self.weights[self.edge_src]
         mu_dst = self.weights[self.edge_dst]
         pair_weight = mu_src * mu_dst
+        link_edge = np.flatnonzero(self.edge_src < self.edge_dst)
+        link_lo, link_hi = self.edge_src[link_edge], self.edge_dst[link_edge]
+        div_lo = self.edge_eta[link_edge] * mu_dst[link_edge]
+        div_hi = -self.edge_eta[link_edge] * mu_src[link_edge]
+        links = np.arange(link_edge.size)
+        divergence = sparse.csr_matrix(
+            (np.concatenate([div_lo, div_hi]),
+             (np.concatenate([link_lo, link_hi]), np.concatenate([links, links]))),
+            shape=(n, links.size))
+        divergence.sort_indices()
+        link_reverse = self.transpose_index[link_edge]
+        edge_slot = np.empty(self.n_edges, dtype=np.int64)
+        edge_slot[np.concatenate([link_edge, link_reverse])] = np.arange(2 * links.size)
         cached = {
             "mu_src": mu_src,
             "mu_dst": mu_dst,
@@ -126,6 +160,14 @@ class FiniteGraph:
             "action_weight": self.edge_eta * pair_weight,
             "_pair_src": np.concatenate([self.edge_src, self.edge_src + n]),
             "_pair_dst": np.concatenate([self.edge_dst, self.edge_dst + n]),
+            "link_lo": link_lo,
+            "link_hi": link_hi,
+            "link_edge": link_edge,
+            "link_reverse": link_reverse,
+            "link_div_lo": div_lo,
+            "link_div_hi": div_hi,
+            "link_divergence": divergence,
+            "_edge_slot": edge_slot,
         }
         for name, value in cached.items():
             object.__setattr__(self, name, value)
@@ -320,6 +362,14 @@ def nonlocal_divergence(j, graph):
     weighted *= graph.mu_src
     incoming = np.bincount(graph._pair_dst[: j.size], weights=weighted.ravel(), minlength=rows * n)
     return (0.5 * (outgoing - incoming)).reshape(j.shape[:-1] + (n,))
+
+
+def link_to_edges(a, graph):
+    """Antisymmetric edge fields of link values: (..., links) -> (..., e).
+
+    Edge ``(lo, hi)`` gets ``a`` and edge ``(hi, lo)`` gets ``-a``.
+    """
+    return np.take(np.concatenate([a, np.negative(a)], axis=-1), graph._edge_slot, axis=-1)
 
 
 def transpose_edge_field(j, graph):

@@ -26,7 +26,7 @@ from .errors import (
     NonAntisymmetric,
     NotConverged,
 )
-from .graph import is_antisymmetric, nonlocal_divergence
+from .graph import is_antisymmetric, link_to_edges, nonlocal_divergence
 from .mobility import alpha_density, flux_law, positive_part
 
 
@@ -203,24 +203,20 @@ class SolverOptions:
 class _Pairs:
     """The edges of a graph as unordered pairs u = (l, k), l < k.
 
-    An antisymmetric flux is one value a_u = j(l, k) = -j(k, l) per pair, and
-    its divergence is div(a)[l] += eta mu_k a_u, div(a)[k] -= eta mu_l a_u;
-    ``div_lo`` and ``div_hi`` hold these coefficients.  ``ground`` holds one
-    vertex of every connected component, on which the divergence conserves
-    mass separately.
+    These are the graph's links.  An antisymmetric flux is one value
+    a_u = j(l, k) = -j(k, l) per pair, and its divergence is
+    div(a)[l] += eta mu_k a_u, div(a)[k] -= eta mu_l a_u; ``div_lo`` and
+    ``div_hi`` hold these coefficients.  ``ground`` holds one vertex of every
+    connected component, on which the divergence conserves mass separately.
     """
 
     def __init__(self, graph):
-        fwd = graph.edge_src < graph.edge_dst
         self.n = graph.n_vertices
-        self.n_edges = graph.n_edges
-        self.edge = np.flatnonzero(fwd)
-        self.reverse = graph.transpose_index[self.edge]
-        self.lo = graph.edge_src[fwd]
-        self.hi = graph.edge_dst[fwd]
-        self.div_lo = graph.edge_eta[fwd] * graph.mu_dst[fwd]
-        self.div_hi = -graph.edge_eta[fwd] * graph.mu_src[fwd]
-        self.action_weight = graph.action_weight[fwd]
+        self.lo = graph.link_lo
+        self.hi = graph.link_hi
+        self.div_lo = graph.link_div_lo
+        self.div_hi = graph.link_div_hi
+        self.action_weight = graph.action_weight[graph.link_edge]
         self.weights = graph.weights
         adjacency = sparse.csr_matrix(
             (np.ones(self.lo.size), (self.lo, self.hi)), shape=(self.n, self.n))
@@ -266,13 +262,6 @@ class _Pairs:
             y[:, free] = solve(np.ascontiguousarray(rates[:, free].T)).T
         return -0.5 * self.gather(y)
 
-    def to_edges(self, a):
-        """Antisymmetric edge fields of pair fluxes: (..., pairs) -> (..., e)."""
-        j = np.zeros(a.shape[:-1] + (self.n_edges,))
-        j[..., self.edge] = a
-        j[..., self.reverse] = -a
-        return j
-
 
 def _row_bincount(index, weights, bins):
     """Row-wise bincount: (m, c) weights summed into (m, bins) at the (c,) index."""
@@ -290,7 +279,7 @@ def min_norm_flux(graph, rates):
     pairs = _Pairs(graph)
     rates = np.asarray(rates, dtype=float)
     a = pairs.min_norm(rates.reshape(-1, graph.n_vertices))
-    return pairs.to_edges(a).reshape(rates.shape[:-1] + (graph.n_edges,))
+    return link_to_edges(a, graph).reshape(rates.shape[:-1] + (graph.n_edges,))
 
 
 def _mobility_derivatives(mobility, r, s):
@@ -699,7 +688,7 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents, option
     path = DiscretePath(
         times=np.linspace(0.0, 1.0, k_steps + 1),
         states=np.stack([s.states for s in solutions], axis=1),
-        fluxes=pairs.to_edges(np.stack([s.flux for s in solutions], axis=1)),
+        fluxes=link_to_edges(np.stack([s.flux for s in solutions], axis=1), graph),
     )
 
     # certificate quantities recomputed at the returned path

@@ -487,13 +487,16 @@ def test_gaussian_plan_quantiles_equal_norm_ppf():
 
 
 def test_import_leaves_scipy_stats_unloaded():
+    # both are slow to import and graphflow needs neither at import time;
+    # the W1 LP for points of dimension above 1 imports scipy.optimize itself
     import subprocess
     import sys
 
     import graphflow
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(graphflow.__file__)))
-    code = "import sys, graphflow; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code = ("import sys, graphflow; print(sorted(m for m in sys.modules"
+            " if m.startswith(('scipy.stats', 'scipy.optimize'))))")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)

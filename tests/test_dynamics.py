@@ -9,8 +9,8 @@ from graphflow.dynamics import (
     upwind_flux,
 )
 from graphflow.errors import StepSizeUnderflow, ThresholdExceeded
-from graphflow.graph import Exponents, nonlocal_divergence
-from graphflow.kernels import build_kernel_set, edge_velocities, zero
+from graphflow.graph import Exponents, build_graph, nonlocal_divergence
+from graphflow.kernels import build_kernel_set, distance, edge_velocities, zero
 from graphflow.mobility import Mobility, volume_filling
 from graphflow.scenarios import random_geometric_setup, s1_setup
 
@@ -138,7 +138,8 @@ def test_integrate_continuity_residual_per_step():
     for k in range(traj.n_steps):
         dt = traj.times[k + 1] - traj.times[k]
         for i in range(2):
-            flux_avg = 0.5 * (traj.node_fluxes[k, i] + traj.node_fluxes[k + 1, i])
+            flux_avg = 0.5 * (upwind_flux(traj.states[k], kernels, mob, exps, g)[i]
+                              + upwind_flux(traj.states[k + 1], kernels, mob, exps, g)[i])
             lhs = (traj.states[k + 1, i] - traj.states[k, i]) * g.weights
             rhs_val = -dt * nonlocal_divergence(flux_avg, g) * g.weights
             worst = max(worst, float(np.max(np.abs(lhs - rhs_val))))
@@ -192,7 +193,11 @@ def test_integrate_p3_against_reference():
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_upwind_flux_pair_equals_raw_formula_per_species(p):
     # both species in one pass give each species' flux bit for bit, written
-    # here from the raw formula on the box-clipped densities
+    # here from the raw formula on the box-clipped densities; rhs takes the
+    # divergence of the flux on the unordered edges l < k, which sums in
+    # another order than nonlocal_divergence on the ordered edges, so it is
+    # compared bit for bit with the same sums in edge order, and with the
+    # ordered-edge divergence to a few ulp
     g, kernels, _, _, state = random_geometric_setup(seed=3, n=12, p=p)
     mob, exps = volume_filling(1.0), Exponents(p)
     rho = state.rho.copy()
@@ -207,7 +212,17 @@ def test_upwind_flux_pair_equals_raw_formula_per_species(p):
         r, s = rho[i][g.edge_src], rho[i][g.edge_dst]
         want = mob(r, s) * np.maximum(w, 0.0) ** qm1 - mob(s, r) * np.maximum(-w, 0.0) ** qm1
         assert np.array_equal(got[i], want)
-        assert np.array_equal(rhs(rho, kernels, mob, exps, g)[i], -nonlocal_divergence(got[i], g))
+        rate = rhs(rho, kernels, mob, exps, g)[i]
+        fwd = g.edge_src < g.edge_dst
+        lo, hi, a = g.edge_src[fwd], g.edge_dst[fwd], got[i][fwd]
+        eta = g.edge_eta[fwd]
+        terms = np.stack([eta * g.weights[hi] * a, -eta * g.weights[lo] * a], axis=1)
+        div = np.zeros(g.n_vertices)
+        np.add.at(div, np.stack([lo, hi], axis=1).ravel(), terms.ravel())
+        assert np.array_equal(rate, -div)
+        ordered = -nonlocal_divergence(got[i], g)
+        scale = np.max(np.abs(ordered))
+        assert np.max(np.abs(rate - ordered)) <= 8 * np.finfo(float).eps * scale
     # velocities handed in give the same flux and are left unmodified
     vel = edge_velocities(rho, kernels, g)
     kept = vel.copy()
@@ -230,3 +245,38 @@ def test_integrator_options_accept_unset_and_unbounded_steps():
     g, kernels, mob, exps, state = s1_setup()
     traj = integrate(state, 0.1, kernels, mob, exps, g, IntegratorOptions(dt_initial=0.1))
     assert traj.dts[0] == 0.1
+
+
+def _component_rates_conserve_mass(g, rho, kernels, mob, exps, components):
+    rate = rhs(rho, kernels, mob, exps, g)
+    for part in components:
+        drift = np.abs(np.sum(rate[:, part] * g.weights[part], axis=1))
+        assert np.all(drift <= 1e-15), drift
+    return rate
+
+
+def test_rhs_conserves_mass_per_component_with_isolated_vertex():
+    # vertices 0-2 form a triangle, 3-4 an edge, and vertex 5 is isolated
+    points = np.array([[0.0], [0.3], [0.7], [2.0], [2.4], [5.0]])
+    weights = np.array([0.2, 0.1, 0.25, 0.15, 0.2, 0.1])
+    eta = np.zeros((6, 6))
+    for l, k, w in [(0, 1, 1.0), (1, 2, 0.5), (0, 2, 2.0), (3, 4, 1.5)]:
+        eta[l, k] = eta[k, l] = w
+    g = build_graph(points, weights, eta)
+    kernels = build_kernel_set(distance(), distance(), distance(), zero(), dimension=1)
+    rng = np.random.default_rng(4)
+    rho = rng.uniform(0.1, 0.9, size=(2, 6))
+    rate = _component_rates_conserve_mass(g, rho, kernels, volume_filling(1.0), Exponents(1.5),
+                                          [[0, 1, 2], [3, 4], [5]])
+    assert np.all(rate[:, 5] == 0.0)
+    assert np.any(rate[:, :5] != 0.0)
+
+
+def test_rhs_is_zero_on_edgeless_graph():
+    g = build_graph([[0.0], [1.0], [3.0]], [0.5, 0.25, 0.25], np.zeros((3, 3)))
+    assert g.n_edges == 0 and g.link_lo.size == 0
+    kernels = build_kernel_set(distance(), distance(), distance(), zero(), dimension=1)
+    rho = np.array([[0.2, 0.5, 0.3], [0.9, 0.1, 0.4]])
+    rate = rhs(rho, kernels, volume_filling(1.0), Exponents(2.0), g)
+    assert rate.shape == (2, 3) and np.all(rate == 0.0)
+    assert upwind_flux(rho, kernels, volume_filling(1.0), Exponents(2.0), g).shape == (2, 0)

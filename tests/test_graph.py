@@ -13,6 +13,7 @@ from graphflow.graph import (
     build_graph,
     check_assumptions,
     is_antisymmetric,
+    link_to_edges,
     nonlocal_divergence,
     nonlocal_gradient,
     transpose_edge_field,
@@ -237,3 +238,48 @@ def test_is_antisymmetric_per_species_row():
     pair = np.stack([good, np.array([1.0, 1.0])])
     assert is_antisymmetric(good, g) is True
     assert is_antisymmetric(pair, g).tolist() == [True, False]
+
+
+def _gaussian_graph_with_isolated_vertex(seed):
+    rng = np.random.default_rng(seed)
+    n = 20
+    points = rng.uniform(0.0, 1.0, size=(n, 2))
+    points[-1] = [9.0, 9.0]  # no edge reaches it
+    weights = rng.uniform(0.5, 1.5, size=n)
+    eta = np.exp(-8.0 * np.sum((points[:, None] - points[None]) ** 2, axis=-1))
+    eta[eta < 0.3] = 0.0
+    return build_graph(points, weights, eta)
+
+
+def test_links_are_the_edges_taken_once():
+    g = _gaussian_graph_with_isolated_vertex(5)
+    assert 0 < g.link_lo.size and 2 * g.link_lo.size == g.n_edges
+    assert np.all(g.link_lo < g.link_hi)
+    assert np.array_equal(g.edge_src[g.link_edge], g.link_lo)
+    assert np.array_equal(g.edge_dst[g.link_edge], g.link_hi)
+    # edge and reverse are transposes of each other and cover every edge once
+    assert np.array_equal(g.transpose_index[g.link_edge], g.link_reverse)
+    assert np.array_equal(g.transpose_index[g.link_reverse], g.link_edge)
+    assert np.array_equal(np.sort(np.concatenate([g.link_edge, g.link_reverse])),
+                          np.arange(g.n_edges))
+    # one CSR column per link: eta mu_hi at lo and -eta mu_lo at hi, each row in link order
+    dense = g.link_divergence.toarray()
+    links = np.arange(g.link_lo.size)
+    assert dense.shape == (g.n_vertices, g.link_lo.size)
+    assert np.array_equal(dense[g.link_lo, links], g.eta[g.link_lo, g.link_hi] * g.weights[g.link_hi])
+    assert np.array_equal(dense[g.link_hi, links], -g.eta[g.link_lo, g.link_hi] * g.weights[g.link_lo])
+    assert g.link_divergence.nnz == 2 * g.link_lo.size and g.link_divergence.has_sorted_indices
+    assert not np.any(dense[-1])
+
+
+def test_link_divergence_matches_ordered_edge_divergence():
+    g = _gaussian_graph_with_isolated_vertex(6)
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(3, g.link_lo.size))
+    j = link_to_edges(a, g)
+    assert j.shape == (3, g.n_edges) and is_antisymmetric(j[0], g)
+    assert np.array_equal(j[:, g.link_edge], a) and np.array_equal(j[:, g.link_reverse], -a)
+    for row, flux in zip(a, j):
+        by_link = g.link_divergence @ row
+        by_edge = nonlocal_divergence(flux, g)
+        assert np.max(np.abs(by_link - by_edge)) <= 8 * np.finfo(float).eps * np.max(np.abs(by_edge))
