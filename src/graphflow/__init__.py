@@ -44,7 +44,6 @@ from .mobility import (
 from .transport import (
     DiscretePath,
     SolverCertificate,
-    SolverOptions,
     action,
     dual_action,
     geodesic_profile,

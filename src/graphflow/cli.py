@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -33,6 +34,7 @@ EXIT_NUMERICAL = 2
 EXIT_USAGE = 64
 
 _STATE_HEADER = ("t", "species", "vertex", "density")
+_FLUX_HEADER = ("interval", "species", "src", "dst", "flux")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -167,9 +169,7 @@ def _cmd_metric(args):
     if steps < 1:
         raise SemanticError(f"--steps must be at least 1, got {steps}")
     t_value, path, certificate = transport.transport_cost(
-        config.graph, start, end, steps, config.mobility, config.kernels.beta,
-        config.exponents, config.solver,
-    )
+        config.graph, start, end, steps, config.mobility, config.kernels.beta, config.exponents)
     out = _out_dir(config, args.out)
     _write_json(
         os.path.join(out, "metric.json"),
@@ -187,7 +187,7 @@ def _cmd_metric(args):
                _species_rows(path.times, path.states, np.arange(config.graph.n_vertices)))
     _write_csv(
         os.path.join(out, "geodesic_fluxes.csv"),
-        ("interval", "species", "src", "dst", "flux"),
+        _FLUX_HEADER,
         _species_rows(np.arange(path.n_intervals), path.fluxes, config.graph.edge_src,
                       config.graph.edge_dst),
     )
@@ -204,18 +204,55 @@ def _species_rows(index, values, *labels):
     return zip(*(column.tolist() for column in columns), values.reshape(-1).tolist())
 
 
+def _read_table(path, columns):
+    """The named columns of a CSV file with a header row, as (rows, columns) floats.
+
+    ``columns`` maps each name to None (any finite number) or to the range
+    [start, stop) of an integer.  A row breaking this raises SchemaError
+    with its number, counted from 1 after the header, empty lines skipped.
+    """
+    names = list(columns)
+    with open(path, newline="", encoding="utf-8") as handle:
+        header = next(csv.reader([handle.readline()]), [])
+        missing = [name for name in names if name not in header]
+        if missing:
+            raise SchemaError(path, f"missing columns {missing}")
+        usecols = [header.index(name) for name in names]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # a file without data rows is an empty table
+                data = np.loadtxt(handle, delimiter=",", ndmin=2, usecols=usecols, comments=None)
+        except ValueError as exc:
+            handle.seek(0)
+            for number, row in enumerate(list(filter(None, csv.reader(handle)))[1:], start=1):
+                try:
+                    [float(row[c]) for c in usecols]
+                except (IndexError, ValueError):
+                    raise SchemaError(path, f"row {number}: expected numbers in {names}, "
+                                            f"got {row}") from None
+            raise SchemaError(path, str(exc)) from None
+    for values, (name, bounds) in zip(data.T, columns.items()):
+        start, stop = bounds or (-np.inf, np.inf)
+        integral = bounds is None or np.floor(values) == values
+        _reject_row(path, ~(np.isfinite(values) & (values >= start) & (values < stop) & integral),
+                    lambda row: f"{name} {values[row]:g} is not " + (
+                        "finite" if bounds is None else f"an integer in {start}..{stop - 1}"))
+    return data
+
+
+def _reject_row(path, bad, describe):
+    """SchemaError at the first row flagged in ``bad``, described by ``describe(row)``."""
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        raise SchemaError(path, f"row {row + 1}: {describe(row)}")
+
+
 def _read_states_csv(path, graph):
     """Read a (t, species, vertex, density) CSV into times and state arrays.
 
     Rows may come in any order; entries missing for a time stay zero.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        header = next(csv.reader(handle), [])
-        missing = [name for name in _STATE_HEADER if name not in header]
-        if missing:
-            raise SchemaError(path, f"missing columns {missing}")
-        data = np.loadtxt(handle, delimiter=",", ndmin=2,
-                          usecols=[header.index(name) for name in _STATE_HEADER])
+    data = _read_table(path, dict(zip(_STATE_HEADER, [None, (1, 3), (0, graph.n_vertices), None])))
     if len(data) == 0:
         raise SchemaError(path, "no data rows")
     times, slot = np.unique(data[:, 0], return_inverse=True)
@@ -225,12 +262,16 @@ def _read_states_csv(path, graph):
 
 
 def _read_fluxes_csv(path, graph, n_intervals):
+    """Read an (interval, species, src, dst, flux) CSV into (K, 2, e) fluxes;
+    entries missing stay zero."""
+    n = graph.n_vertices
+    data = _read_table(path, dict(zip(_FLUX_HEADER, [(0, n_intervals), (1, 3), (0, n), (0, n), None])))
+    interval, species, src, dst = data[:, :4].T.astype(np.int64)
+    keys, wanted = graph.edge_src * n + graph.edge_dst, src * n + dst
+    _reject_row(path, ~np.isin(wanted, keys), lambda row: f"({src[row]}, {dst[row]}) is not an edge")
+    order = np.argsort(keys)
     fluxes = np.zeros((n_intervals, 2, graph.n_edges))
-    index = {(int(s), int(d)): e for e, (s, d) in enumerate(zip(graph.edge_src, graph.edge_dst))}
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            e = index[(int(row["src"]), int(row["dst"]))]
-            fluxes[int(row["interval"]), int(row["species"]) - 1, e] = float(row["flux"])
+    fluxes[interval, species - 1, order[np.searchsorted(keys, wanted, sorter=order)]] = data[:, 4]
     return fluxes
 
 

@@ -16,7 +16,6 @@ from scipy.special import ndtri
 from . import diagnostics, dynamics, kernels as kernels_mod, mobility as mobility_mod
 from .errors import MassMismatch, SchemaError, SemanticError
 from .graph import Exponents, FiniteGraph, build_graph
-from .transport import SolverOptions
 
 _DEFAULTS = {
     "seed": 0,
@@ -24,7 +23,7 @@ _DEFAULTS = {
     "time_horizon": 1.0,
     "output_dir": "out",
     "integrator": {"rel_tol": 1e-8, "abs_tol": 1e-10, "max_dt": None, "dt_initial": None},
-    "solver": {"steps": 32, "eps_constraint": 1e-7, "eps_optimality": 1e-4},
+    "solver": {"steps": 32},
     "mobility": {"preset": "linear", "params": {}},
 }
 
@@ -140,7 +139,6 @@ class RunConfig:
     initial_state: object  # SpeciesPairState or None when given as a recipe
     time_horizon: float
     integrator: dynamics.IntegratorOptions
-    solver: SolverOptions
     solver_steps: int
     output_dir: str
     seed: int
@@ -203,10 +201,6 @@ def parse_config(source):
             raise SchemaError(f"solver.{key}", "unknown key")
     if int(sol["steps"]) < 1:
         raise SemanticError(f"solver.steps must be at least 1, got {sol['steps']!r}")
-    solver = SolverOptions(
-        eps_constraint=float(sol["eps_constraint"]),
-        eps_optimality=float(sol["eps_optimality"]),
-    )
 
     state = None
     if "initial_state" in resolved:
@@ -220,7 +214,6 @@ def parse_config(source):
         initial_state=state,
         time_horizon=float(t_final),
         integrator=integrator,
-        solver=solver,
         solver_steps=int(sol["steps"]),
         output_dir=str(resolved["output_dir"]),
         seed=int(resolved["seed"]),
@@ -462,8 +455,7 @@ def run_refinement_study(plan, config, max_workers=1):
 
                 t_value, _, _ = transport_cost(
                     graph, trajectory.states[0], trajectory.states[-1],
-                    plan.transport_steps, config.mobility,
-                    kernels.beta, config.exponents, config.solver,
+                    plan.transport_steps, config.mobility, kernels.beta, config.exponents,
                 )
                 level.transport_start_to_final = t_value ** (1.0 / config.exponents.p)
             return level, graph, trajectory.states[-1]

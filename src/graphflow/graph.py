@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DuplicatePoint,
@@ -108,6 +109,10 @@ class FiniteGraph:
     ``eta mu_hi a`` at ``lo`` and ``-eta mu_lo a`` at ``hi``; ``link_div_lo``
     and ``link_div_hi`` hold these coefficients, and ``link_divergence`` is
     the (n, links) CSR matrix of them, each row's entries in link order.
+
+    ``component`` labels the connected components in order of their lowest
+    vertex, which ``ground`` holds, one per component; the divergence
+    conserves the mass of each component.
     """
 
     base: BaseMeasure
@@ -134,6 +139,8 @@ class FiniteGraph:
     # position of each edge in the link values followed by their negatives,
     # so writing link values to the edges is one gather
     _edge_slot: np.ndarray = field(init=False, repr=False, compare=False)
+    component: np.ndarray = field(init=False, repr=False, compare=False)
+    ground: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.base.n_vertices
@@ -153,6 +160,8 @@ class FiniteGraph:
         link_reverse = self.transpose_index[link_edge]
         edge_slot = np.empty(self.n_edges, dtype=np.int64)
         edge_slot[np.concatenate([link_edge, link_reverse])] = np.arange(2 * links.size)
+        adjacency = sparse.csr_matrix((np.ones(links.size), (link_lo, link_hi)), shape=(n, n))
+        _, component = connected_components(adjacency, directed=False)
         cached = {
             "mu_src": mu_src,
             "mu_dst": mu_dst,
@@ -168,6 +177,8 @@ class FiniteGraph:
             "link_div_hi": div_hi,
             "link_divergence": divergence,
             "_edge_slot": edge_slot,
+            "component": component,
+            "ground": np.unique(component, return_index=True)[1],
         }
         for name, value in cached.items():
             object.__setattr__(self, name, value)

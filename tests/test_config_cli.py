@@ -263,7 +263,8 @@ def test_cli_rejects_non_positive_step_sizes(tmp_path, field, value):
         parse_config(cfg)
 
 
-@pytest.mark.parametrize("key", ["smoothing_schedule", "max_outer", "inner_maxiter", "tolerance"])
+@pytest.mark.parametrize("key", ["smoothing_schedule", "max_outer", "inner_maxiter", "tolerance",
+                                 "eps_constraint", "eps_optimality"])
 def test_cli_rejects_unknown_solver_keys(tmp_path, capsys, key):
     cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
     cfg["solver"] = {"steps": 8, key: 16}
@@ -460,6 +461,39 @@ def test_cli_geodesic_profile_states_only_fallback(tmp_path):
     assert main_cli(["geodesic-profile", "--path", str(tmp_path / "out" / "geodesic.csv"),
                      "--config", cfg_path]) == 0
     assert (tmp_path / "out" / "profile.csv").exists()
+
+
+@pytest.mark.parametrize("name, row, message", [
+    ("geodesic_fluxes.csv", "0,1,0,0,0.5", "(0, 0) is not an edge"),
+    ("geodesic_fluxes.csv", "0,0,0,1,0.5", "species 0 is not an integer in 1..2"),
+    ("geodesic_fluxes.csv", "0,3,0,1,0.5", "species 3 is not an integer in 1..2"),
+    ("geodesic_fluxes.csv", "-1,1,0,1,0.5", "interval -1 is not an integer in 0..7"),
+    ("geodesic_fluxes.csv", "8,1,0,1,0.5", "interval 8 is not an integer in 0..7"),
+    ("geodesic_fluxes.csv", "0,1,0,2,0.5", "dst 2 is not an integer in 0..1"),
+    ("geodesic_fluxes.csv", "0,1.5,0,1,0.5", "species 1.5 is not an integer in 1..2"),
+    ("geodesic_fluxes.csv", "0,1,0,1,x", "expected numbers in"),
+    ("geodesic_fluxes.csv", "0,1,0", "expected numbers in"),
+    ("geodesic_fluxes.csv", "0,1,0,1,nan", "flux nan is not finite"),
+    ("geodesic.csv", "0.0,0,0,0.5", "species 0 is not an integer in 1..2"),
+    ("geodesic.csv", "0.0,1,-1,0.5", "vertex -1 is not an integer in 0..1"),
+    ("geodesic.csv", "0.0,1,2,0.5", "vertex 2 is not an integer in 0..1"),
+    ("geodesic.csv", "abc,1,0,0.5", "expected numbers in"),
+    ("geodesic.csv", "0.0,1,0,inf", "density inf is not finite"),
+])
+def test_cli_geodesic_profile_rejects_malformed_rows(tmp_path, capsys, name, row, message):
+    cfg = s1_config(out_dir=str(tmp_path / "out"))
+    cfg["solver"] = {"steps": 8}
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    start, end = s2_state_files()
+    assert main_cli(["metric", "--config", cfg_path, "--from", _write(tmp_path / "from.json", start),
+                     "--to", _write(tmp_path / "to.json", end)]) == 0
+    target = tmp_path / "out" / name
+    lines = target.read_text().splitlines()
+    target.write_text("\n".join(lines + [row]) + "\n")
+    capsys.readouterr()
+    assert main_cli(["geodesic-profile", "--path", str(tmp_path / "out" / "geodesic.csv"),
+                     "--config", cfg_path]) == 1
+    assert f"invalid input: {target}: row {len(lines)}: {message}" in capsys.readouterr().err
 
 
 def test_cli_rejects_infinite_first_step(tmp_path):

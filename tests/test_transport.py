@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from graphflow.dynamics import upwind_flux
 from graphflow.errors import InfeasibleEndpoints, InfiniteAction, NonAntisymmetric
@@ -541,6 +542,27 @@ def _divergence_columns(graph):
         basis[e] = 1.0
         columns[:, e] = nonlocal_divergence(basis, graph)
     return columns
+
+
+def _triangle_edge_isolated_graph():
+    # vertices 0-2 form a triangle, 3-4 an edge, and vertex 5 is isolated
+    eta = np.zeros((6, 6))
+    for l, k, w in [(0, 1, 1.0), (1, 2, 0.5), (0, 2, 2.0), (3, 4, 1.5)]:
+        eta[l, k] = eta[k, l] = w
+    return build_graph(np.arange(6.0)[:, None], np.full(6, 0.5), eta)
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda: _cutoff_graph(0.2), 6),
+    (_triangle_edge_isolated_graph, 3),
+    (lambda: build_graph([[0.0], [1.0], [3.0]], [0.5, 0.25, 0.25], np.zeros((3, 3))), 3),
+], ids=["cutoff", "triangle-edge-isolated", "edgeless"])
+def test_graph_components_match_connected_components(make, count):
+    g = make()
+    found, labels = connected_components(g.eta > 0, directed=False)
+    assert found == count
+    assert np.array_equal(g.component, labels)
+    assert np.array_equal(g.ground, [np.flatnonzero(labels == c)[0] for c in range(count)])
 
 
 @pytest.mark.parametrize("radius", [0.4, 0.2])  # one component, and six
