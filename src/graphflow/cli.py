@@ -262,16 +262,33 @@ def _read_states_csv(path, graph):
 
 
 def _read_fluxes_csv(path, graph, n_intervals):
-    """Read an (interval, species, src, dst, flux) CSV into (K, 2, e) fluxes;
-    entries missing stay zero."""
-    n = graph.n_vertices
+    """Read an (interval, species, src, dst, flux) CSV into (K, 2, e) fluxes.
+
+    Each (interval, species, edge) entry must appear exactly once, as
+    ``metric`` writes them: a repeated entry or a missing one is a
+    SchemaError, since no flux value can stand in for it.
+    """
+    n, e = graph.n_vertices, graph.n_edges
     data = _read_table(path, dict(zip(_FLUX_HEADER, [(0, n_intervals), (1, 3), (0, n), (0, n), None])))
     interval, species, src, dst = data[:, :4].T.astype(np.int64)
     keys, wanted = graph.edge_src * n + graph.edge_dst, src * n + dst
     _reject_row(path, ~np.isin(wanted, keys), lambda row: f"({src[row]}, {dst[row]}) is not an edge")
     order = np.argsort(keys)
-    fluxes = np.zeros((n_intervals, 2, graph.n_edges))
-    fluxes[interval, species - 1, order[np.searchsorted(keys, wanted, sorter=order)]] = data[:, 4]
+    slot = ((interval * 2 + species - 1) * e
+            + order[np.searchsorted(keys, wanted, sorter=order)])
+    first = np.zeros(slot.size, dtype=bool)
+    first[np.unique(slot, return_index=True)[1]] = True
+    _reject_row(path, ~first, lambda row: f"repeats interval {interval[row]}, species "
+                                          f"{species[row]}, edge ({src[row]}, {dst[row]})")
+    seen = np.zeros(n_intervals * 2 * e, dtype=bool)
+    seen[slot] = True
+    if not np.all(seen):
+        k, rest = divmod(int(np.argmin(seen)), 2 * e)
+        i, edge = divmod(rest, e)
+        raise SchemaError(path, f"no row for interval {k}, species {i + 1}, "
+                                f"edge ({graph.edge_src[edge]}, {graph.edge_dst[edge]})")
+    fluxes = np.empty((n_intervals, 2, e))
+    fluxes.reshape(-1)[slot] = data[:, 4]
     return fluxes
 
 
@@ -349,10 +366,22 @@ def _cmd_diagnose(args):
     return EXIT_OK
 
 
+def _thread_count():
+    """``GRAPHFLOW_THREADS`` as an integer of at least 1; 1 when unset."""
+    raw = os.environ.get("GRAPHFLOW_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise SemanticError(f"GRAPHFLOW_THREADS must be an integer >= 1, got {raw!r}")
+    return workers
+
+
 def _cmd_refine(args):
+    workers = _thread_count()
     config = parse_config(_read(args.config))
     plan = parse_plan(_read(args.plan))
-    workers = max(1, int(os.environ.get("GRAPHFLOW_THREADS", "1")))
     report = run_refinement_study(plan, config, max_workers=workers)
     out = _out_dir(config, args.out)
     _write_json(os.path.join(out, "refinement.json"), _summary_payload(config, report.as_dict()))

@@ -17,15 +17,15 @@ import numpy as np
 from scipy import sparse
 
 from . import transport
-from .dynamics import SpeciesPairState, integrate, upwind_flux
+from .dynamics import SpeciesPairState, _link_flux, _link_velocities, integrate
 from .errors import MassMismatch
 from .graph import (
     antisymmetrize_flux,
     build_graph,
+    link_to_edges,
     nonlocal_divergence,
     nonlocal_gradient,
 )
-from .kernels import edge_velocities
 from .mobility import linear
 
 __all__ = [
@@ -42,19 +42,19 @@ __all__ = [
 ]
 
 
-def dissipation(graph, rho_pair, kernels, mobility, exponents, velocities=None):
-    """D(rho): dual action of the beta-scaled descent velocities.
-
-    ``velocities``, when given, must be ``edge_velocities(rho_pair, ...)``;
-    a caller that already holds them saves their recomputation.
-    """
-    rho_pair = np.asarray(rho_pair, dtype=float)
-    if velocities is None:
-        velocities = edge_velocities(rho_pair, kernels, graph)
+def _link_dissipation(graph, rho_pair, velocities, kernels, mobility, exponents):
+    """D(rho) from the link descent velocities (2, links) of ``rho_pair``."""
     scaled = kernels.beta[:, None] * velocities
-    return transport.dual_action(
+    return transport._link_dual_action(
         graph, rho_pair, scaled, mobility, kernels.beta, exponents
     ).total
+
+
+def dissipation(graph, rho_pair, kernels, mobility, exponents):
+    """D(rho): dual action of the beta-scaled descent velocities, one term per link."""
+    rho_pair = np.asarray(rho_pair, dtype=float)
+    velocities = _link_velocities(rho_pair, kernels, graph)
+    return _link_dissipation(graph, rho_pair, velocities, kernels, mobility, exponents)
 
 
 @dataclass(frozen=True)
@@ -71,19 +71,16 @@ class DeGiorgiReport:
         return self.series[-1][0] if self.series else 0.0
 
 
-def _node_flux(trajectory, k, graph, kernels, mobility, exponents, velocities=None):
-    """Flux at state k: as supplied when available, else the flux law at the state.
+def _node_flux(trajectory, k):
+    """The flux supplied for state k, or None when the trajectory stores none.
 
     Trajectories from :func:`graphflow.dynamics.integrate` store no fluxes,
-    so their gradient-flow flux is evaluated here, bit for bit the flux the
-    integrator's right-hand side used at that state; hand-built curves (e.g.
-    non-gradient perturbations) supply ``node_fluxes`` themselves.
+    so the diagnostics evaluate the gradient-flow flux law at each state, bit
+    for bit the flux the integrator's right-hand side used there; hand-built
+    curves (e.g. non-gradient perturbations) supply ``node_fluxes`` themselves.
     """
     node_fluxes = getattr(trajectory, "node_fluxes", None)
-    if node_fluxes is not None:
-        return np.asarray(node_fluxes[k], dtype=float)
-    return upwind_flux(trajectory.states[k], kernels, mobility, exponents, graph,
-                       velocities=velocities)
+    return None if node_fluxes is None else np.asarray(node_fluxes[k], dtype=float)
 
 
 def de_giorgi(trajectory, graph, kernels, mobility, exponents):
@@ -92,8 +89,9 @@ def de_giorgi(trajectory, graph, kernels, mobility, exponents):
     The residual budget is roughly 10x the integrator tolerance times the
     horizon plus an O(max_dt^2) quadrature term, so cap the step size when a
     tight certificate is needed (the acceptance runs use max_dt = 1/128).
-    The descent velocities of each state are computed once and feed both its
-    dissipation and, when the trajectory stores none, its flux.
+    Each state's potentials are computed once; its link descent velocities
+    feed both its dissipation and, when the trajectory stores no fluxes, its
+    gradient-flow flux, and both are evaluated once per link.
     """
     times = trajectory.times
     beta = kernels.beta
@@ -101,10 +99,14 @@ def de_giorgi(trajectory, graph, kernels, mobility, exponents):
     act = np.empty(len(times))
     for k in range(len(times)):
         rho = trajectory.states[k]
-        velocities = edge_velocities(rho, kernels, graph)
-        flux = _node_flux(trajectory, k, graph, kernels, mobility, exponents, velocities)
-        diss[k] = dissipation(graph, rho, kernels, mobility, exponents, velocities=velocities)
-        act[k] = transport.action(graph, rho, flux, mobility, beta, exponents).total
+        velocities = _link_velocities(rho, kernels, graph)
+        diss[k] = _link_dissipation(graph, rho, velocities, kernels, mobility, exponents)
+        flux = _node_flux(trajectory, k)
+        if flux is None:
+            flux = _link_flux(rho, kernels, mobility, exponents, graph, velocities)
+            act[k] = transport._link_action(graph, rho, flux, mobility, beta, exponents).total
+        else:
+            act[k] = transport.action(graph, rho, flux, mobility, beta, exponents).total
     q = exponents.q
     p = exponents.p
     diss_integral = float(np.trapezoid(diss / q, times))
@@ -136,10 +138,14 @@ def chain_rule_residual(trajectory, graph, kernels, mobility, exponents):
     integrand = np.empty(len(times))
     for k in range(len(times)):
         rho = trajectory.states[k]
-        velocities = edge_velocities(rho, kernels, graph)
-        flux = _node_flux(trajectory, k, graph, kernels, mobility, exponents, velocities)
+        velocities = _link_velocities(rho, kernels, graph)
+        flux = _node_flux(trajectory, k)
+        if flux is None:
+            flux = link_to_edges(
+                _link_flux(rho, kernels, mobility, exponents, graph, velocities), graph
+            )
         vel = transport.velocity_from_flux(graph, rho, flux, mobility, exponents)
-        ascent = -beta[:, None] * velocities
+        ascent = -beta[:, None] * link_to_edges(velocities, graph)
         integrand[k] = transport.pairing_l_tilde(
             graph, rho, vel, ascent, mobility, beta, exponents
         )

@@ -77,11 +77,24 @@ def _clip_to_box(rho, mobility):
     return np.clip(rho, 0.0, hi if np.isfinite(hi) else None)
 
 
+def _link_velocities(rho_pair, kernels, graph):
+    """Both species' descent velocities on the edges (lo, hi), (2, links): phi(lo) - phi(hi).
+
+    Written to both orientations by ``link_to_edges`` they equal
+    ``kernels.edge_velocities`` bit for bit, because fl(a - b) = -fl(b - a).
+    """
+    phi = potentials(rho_pair, kernels, graph)
+    velocities = np.take(phi, graph.link_lo, axis=1)
+    velocities -= np.take(phi, graph.link_hi, axis=1)
+    return velocities
+
+
 def _link_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
     """The flux of :func:`upwind_flux` per link (2, links): its value on (lo, hi).
 
     The flux is antisymmetric, so one flux-law evaluation per link gives both
-    orientations; the descent velocity on (lo, hi) is phi(lo) - phi(hi).
+    orientations.  ``velocities``, when given, must be
+    ``_link_velocities(rho_pair, kernels, graph)``; they are left unmodified.
     """
     rho_pair = np.asarray(rho_pair, dtype=float)
     lo = float(np.min(rho_pair))
@@ -92,28 +105,23 @@ def _link_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
             f"state outside [0, {cap}] by more than {STATE_TOL}: min={lo:.3e} max={hi:.3e}"
         )
     if velocities is None:
-        phi = potentials(rho_pair, kernels, graph)
-        scaled = np.take(phi, graph.link_lo, axis=1)
-        scaled -= np.take(phi, graph.link_hi, axis=1)
+        scaled = _link_velocities(rho_pair, kernels, graph)
+        scaled *= kernels.beta[:, None]
     else:
-        scaled = np.take(velocities, graph.link_edge, axis=1)
-    scaled *= kernels.beta[:, None]
+        scaled = kernels.beta[:, None] * velocities
     rho_box = _clip_to_box(rho_pair, mobility)
     return flux_law(scaled, np.take(rho_box, graph.link_lo, axis=1),
                     np.take(rho_box, graph.link_hi, axis=1), mobility, exponents)
 
 
-def upwind_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
+def upwind_flux(rho_pair, kernels, mobility, exponents, graph):
     """Gradient-flow flux pair (2, n_edges); antisymmetric by construction.
 
     Raises ThresholdExceeded when the state leaves [0, R] x [0, S] (or goes
     negative) by more than a small slack; inside the slack the mobility
-    arguments are clamped to the box.  ``velocities``, when given, must be
-    ``edge_velocities(rho_pair, kernels, graph)``; a caller that already
-    holds them saves their recomputation.
+    arguments are clamped to the box.
     """
-    return link_to_edges(_link_flux(rho_pair, kernels, mobility, exponents, graph, velocities),
-                         graph)
+    return link_to_edges(_link_flux(rho_pair, kernels, mobility, exponents, graph), graph)
 
 
 def rhs(rho_pair, kernels, mobility, exponents, graph):

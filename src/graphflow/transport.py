@@ -93,6 +93,44 @@ def dual_action(graph, rho_pair, velocity_pair, mobility, beta, exponents):
     return _action_value(np.sum(vals, axis=1), beta)
 
 
+def _link_densities(graph, rho_pair):
+    """Densities at the ``lo`` and ``hi`` vertex of every link for both species, (2, links) each."""
+    rho_pair = np.asarray(rho_pair, dtype=float)
+    return np.take(rho_pair, graph.link_lo, axis=1), np.take(rho_pair, graph.link_hi, axis=1)
+
+
+def _link_action(graph, rho_pair, flux, mobility, beta, exponents):
+    """:func:`action` of the antisymmetric flux with values ``flux`` (2, links) on (lo, hi).
+
+    Both edges of a link carry the same two alpha terms, which ``action``
+    sums and halves; here each link sums them once, so the value equals
+    ``action`` of ``link_to_edges(flux)`` up to the order of summation, with
+    the same inf and 0 cases.
+    """
+    r_lo, r_hi = _link_densities(graph, rho_pair)
+    terms = alpha_density(flux, r_lo, r_hi, mobility, exponents)
+    terms += alpha_density(-flux, r_hi, r_lo, mobility, exponents)
+    terms *= graph.action_weight[graph.link_edge]
+    return _action_value(np.sum(terms, axis=1), beta)
+
+
+def _link_dual_action(graph, rho_pair, velocity, mobility, beta, exponents):
+    """:func:`dual_action` of the antisymmetric velocity with values ``velocity`` on (lo, hi).
+
+    Only the edge a link's velocity points along has a positive part, so
+    the mobility is evaluated once per link, upwind: m(r_up, r_down) |v|^q.
+    """
+    r_lo, r_hi = _link_densities(graph, rho_pair)
+    forward = velocity > 0
+    m_up = mobility(np.where(forward, r_lo, r_hi), np.where(forward, r_hi, r_lo))
+    speed = np.abs(velocity)
+    vals = speed**exponents.q
+    vals *= m_up
+    np.copyto(vals, 0.0, where=~(speed > 0) | (m_up <= 0))
+    vals *= graph.action_weight[graph.link_edge]
+    return _action_value(np.sum(vals, axis=1), beta)
+
+
 def flux_from_velocity(graph, rho_pair, velocity_pair, mobility, exponents):
     """Dual representation: j = m(rho_l, rho_k) (v_+)^(q-1) - m(rho_k, rho_l) (v_-)^(q-1)."""
     v = graph.check_edge_field(velocity_pair, pair=True)

@@ -1,11 +1,22 @@
 """Independent reference computations used as test oracles.
 
-Everything here is deliberately written against the raw formulas, not the
-package's own code paths, so the tests compare two independent routes.
+Everything here is deliberately written against the raw formulas, or
+against the package's public ordered-edge functions where a test checks a
+per-link route, not the package's own code paths, so the tests compare two
+independent routes.
 """
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+from graphflow.kernels import edge_velocities
+from graphflow.transport import (
+    action,
+    dual_action,
+    flux_from_velocity,
+    pairing_l_tilde,
+    velocity_from_flux,
+)
 
 
 def unit_transport_oracle(n_grid=8192, tol=1e-12, max_newton=80):
@@ -146,3 +157,54 @@ def masked_alpha_density(j, r, s, mobility, exponents):
         return float(out)
     return out
 
+
+
+def _ordered_edge_state(trajectory, k, graph, kernels, mobility, exponents):
+    """Descent velocities (2, e) of state k and its flux on every ordered edge:
+    the trajectory's own, or the flux law at the state clipped to the box."""
+    rho = trajectory.states[k]
+    velocities = edge_velocities(rho, kernels, graph)
+    if trajectory.node_fluxes is not None:
+        return velocities, np.asarray(trajectory.node_fluxes[k], dtype=float)
+    cap = mobility.threshold_cap
+    rho_box = np.clip(rho, 0.0, cap if np.isfinite(cap) else None)
+    scaled = kernels.beta[:, None] * velocities
+    return velocities, flux_from_velocity(graph, rho_box, scaled, mobility, exponents)
+
+
+def de_giorgi_ordered_edges(trajectory, graph, kernels, mobility, exponents):
+    """Dissipation and action series of a trajectory, and its G_T, on (2, e) fields.
+
+    Per state: the descent velocities on every ordered edge, ``dual_action``
+    of their beta-scaled values, and ``action`` of the flux on every ordered
+    edge, with the trapezoidal rule on the stored grid.  Returns
+    (dissipations, actions, g_t).
+    """
+    beta = kernels.beta
+    diss, act = [], []
+    for k, rho in enumerate(trajectory.states):
+        velocities, flux = _ordered_edge_state(trajectory, k, graph, kernels, mobility, exponents)
+        diss.append(dual_action(graph, rho, beta[:, None] * velocities, mobility, beta,
+                                exponents).total)
+        act.append(action(graph, rho, flux, mobility, beta, exponents).total)
+    diss, act = np.array(diss), np.array(act)
+    g_t = (trajectory.energies[-1] - trajectory.energies[0]
+           + np.trapezoid(diss / exponents.q, trajectory.times)
+           + np.trapezoid(act / exponents.p, trajectory.times))
+    return diss, act, float(g_t)
+
+
+def chain_rule_residual_ordered_edges(trajectory, graph, kernels, mobility, exponents):
+    """Spread of E(t) minus the trapezoidal integral of the velocity-side
+    pairing of each state's flux with its ascent direction, on (2, e) fields."""
+    beta = kernels.beta
+    integrand = []
+    for k, rho in enumerate(trajectory.states):
+        velocities, flux = _ordered_edge_state(trajectory, k, graph, kernels, mobility, exponents)
+        vel = velocity_from_flux(graph, rho, flux, mobility, exponents)
+        integrand.append(pairing_l_tilde(graph, rho, vel, -beta[:, None] * velocities,
+                                         mobility, beta, exponents))
+    integrand = np.array(integrand)
+    steps = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(trajectory.times)
+    defect = trajectory.energies - np.concatenate([[0.0], np.cumsum(steps)])
+    return float(np.max(defect) - np.min(defect))

@@ -496,6 +496,69 @@ def test_cli_geodesic_profile_rejects_malformed_rows(tmp_path, capsys, name, row
     assert f"invalid input: {target}: row {len(lines)}: {message}" in capsys.readouterr().err
 
 
+def _metric_outputs(tmp_path):
+    """Run ``metric`` at K = 8 on the two-vertex S1 scenario; return the config path."""
+    cfg = s1_config(out_dir=str(tmp_path / "out"))
+    cfg["solver"] = {"steps": 8}
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    start, end = s2_state_files()
+    assert main_cli(["metric", "--config", cfg_path, "--from", _write(tmp_path / "from.json", start),
+                     "--to", _write(tmp_path / "to.json", end)]) == 0
+    return cfg_path
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:1], "no row for interval 0, species 1, edge (0, 1)"),
+    (lambda lines: lines[:-1], "no row for interval 7, species 2, edge (1, 0)"),
+    (lambda lines: lines[:3] + lines[4:], "no row for interval 0, species 2, edge (0, 1)"),
+    (lambda lines: lines + [lines[1]], "row 33: repeats interval 0, species 1, edge (0, 1)"),
+    (lambda lines: lines[:5] + [lines[2]] + lines[6:],
+     "row 5: repeats interval 0, species 1, edge (1, 0)"),
+], ids=["header-only", "truncated", "one-missing", "appended-duplicate", "replaced-by-duplicate"])
+def test_cli_geodesic_profile_requires_every_flux_entry_once(tmp_path, capsys, edit, message):
+    # a missing entry used to read as zero flux: a header-only file printed
+    # "profile mean 0.000000" with exit 0
+    cfg_path = _metric_outputs(tmp_path)
+    target = tmp_path / "out" / "geodesic_fluxes.csv"
+    target.write_text("\n".join(edit(target.read_text().splitlines())) + "\n")
+    capsys.readouterr()
+    assert main_cli(["geodesic-profile", "--path", str(tmp_path / "out" / "geodesic.csv"),
+                     "--config", cfg_path]) == 1
+    assert f"invalid input: {target}: {message}" in capsys.readouterr().err
+
+
+def test_cli_geodesic_profile_reads_flux_rows_in_any_order(tmp_path):
+    cfg_path = _metric_outputs(tmp_path)
+    out = tmp_path / "out"
+    command = ["geodesic-profile", "--path", str(out / "geodesic.csv"), "--config", cfg_path]
+    assert main_cli(command) == 0
+    written = (out / "profile.csv").read_bytes()
+    lines = (out / "geodesic_fluxes.csv").read_text().splitlines()
+    shuffled = [lines[0]] + [lines[1:][i] for i in np.random.default_rng(0).permutation(32)]
+    (out / "geodesic_fluxes.csv").write_text("\n".join(shuffled) + "\n")
+    assert main_cli(command) == 0
+    assert (out / "profile.csv").read_bytes() == written
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_cli_refine_rejects_invalid_thread_env(tmp_path, monkeypatch, capsys, value):
+    # "abc" used to escape as a ValueError traceback, and 0 or -3 silently ran
+    # one worker
+    monkeypatch.setenv("GRAPHFLOW_THREADS", value)
+    cfg = _refine_config()
+    cfg["output_dir"] = str(tmp_path / "out")
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    plan_path = _write(
+        tmp_path / "plan.json",
+        {"density": {"name": "gaussian", "params": {"sigma": 0.4}},
+         "ladder": [4], "initial_atoms": 8, "transport_diagnostic": False},
+    )
+    assert main_cli(["refine", "--plan", plan_path, "--config", cfg_path]) == 1
+    assert (f"invalid input: GRAPHFLOW_THREADS must be an integer >= 1, got {value!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "refinement.json").exists()
+
+
 def test_cli_rejects_infinite_first_step(tmp_path):
     cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
     cfg["integrator"] = {"dt_initial": float("inf")}

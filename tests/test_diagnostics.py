@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,11 @@ from graphflow.graph import Exponents
 from graphflow.kernels import build_kernel_set, energy, zero
 from graphflow.scenarios import random_geometric_setup, s1_setup
 
-from oracles import w1_one_dimensional
+from oracles import (
+    chain_rule_residual_ordered_edges,
+    de_giorgi_ordered_edges,
+    w1_one_dimensional,
+)
 
 BETA = (1.0, 1.0)
 
@@ -215,6 +221,34 @@ def test_de_giorgi_random_geometric_all_exponents():
         traj = integrate(state, 0.5, kernels, mob, exps, g, IntegratorOptions(max_dt=1 / 64))
         report = de_giorgi(traj, g, kernels, mob, exps)
         assert abs(report.g_t) <= 1e-3, (p, report.g_t)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("mobility_name", ["linear", "volume_filling", "saturating"])
+def test_per_link_diagnostics_match_ordered_edge_oracle(p, mobility_name):
+    # de_giorgi, dissipation and chain_rule_residual evaluate each state once
+    # per link; the oracle takes every ordered edge through the public (2, e)
+    # functions, so the two differ only in the order of summation
+    g, kernels, mob, exps, state = random_geometric_setup(
+        seed=2, n=10, p=p, mobility_name=mobility_name)
+    kernels = dataclasses.replace(kernels, beta=(1.0, 0.7))
+    traj = integrate(state, 0.25, kernels, mob, exps, g, IntegratorOptions(max_dt=1 / 32))
+    report = de_giorgi(traj, g, kernels, mob, exps)
+    diss, act, g_t = de_giorgi_ordered_edges(traj, g, kernels, mob, exps)
+    tol = 4 * np.finfo(float).eps
+    series = np.array(report.series)
+    assert np.array_equal(series[:, :2], np.column_stack([traj.times, traj.energies]))
+    assert np.all(diss > 0) and np.all(act > 0)
+    assert np.all(np.abs(series[:, 2] - diss) <= tol * diss)
+    assert np.all(np.abs(series[:, 3] - act) <= tol * act)
+    scale = max(abs(report.energy_start), abs(report.energy_end),
+                report.dissipation_integral, report.velocity_integral)
+    assert abs(report.g_t - g_t) <= tol * scale
+    for rho, want in zip(traj.states, diss):
+        assert abs(dissipation(g, rho, kernels, mob, exps) - want) <= tol * want
+    got = chain_rule_residual(traj, g, kernels, mob, exps)
+    want = chain_rule_residual_ordered_edges(traj, g, kernels, mob, exps)
+    assert abs(got - want) <= tol * np.max(np.abs(traj.energies))
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

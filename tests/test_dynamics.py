@@ -4,12 +4,14 @@ import pytest
 from graphflow.dynamics import (
     IntegratorOptions,
     SpeciesPairState,
+    _link_flux,
+    _link_velocities,
     integrate,
     rhs,
     upwind_flux,
 )
 from graphflow.errors import StepSizeUnderflow, ThresholdExceeded
-from graphflow.graph import Exponents, build_graph, nonlocal_divergence
+from graphflow.graph import Exponents, build_graph, link_to_edges, nonlocal_divergence
 from graphflow.kernels import build_kernel_set, distance, edge_velocities, zero
 from graphflow.mobility import Mobility, volume_filling
 from graphflow.scenarios import random_geometric_setup, s1_setup
@@ -223,10 +225,12 @@ def test_upwind_flux_pair_equals_raw_formula_per_species(p):
         ordered = -nonlocal_divergence(got[i], g)
         scale = np.max(np.abs(ordered))
         assert np.max(np.abs(rate - ordered)) <= 8 * np.finfo(float).eps * scale
-    # velocities handed in give the same flux and are left unmodified
-    vel = edge_velocities(rho, kernels, g)
+    # link velocities are the edge velocities on (lo, hi); handed in, they
+    # give the same flux and are left unmodified
+    vel = _link_velocities(rho, kernels, g)
+    assert np.array_equal(link_to_edges(vel, g), edge_velocities(rho, kernels, g))
     kept = vel.copy()
-    assert np.array_equal(upwind_flux(rho, kernels, mob, exps, g, velocities=vel), got)
+    assert np.array_equal(link_to_edges(_link_flux(rho, kernels, mob, exps, g, vel), g), got)
     assert np.array_equal(vel, kept)
 
 

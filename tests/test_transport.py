@@ -2,20 +2,23 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
-from graphflow.dynamics import upwind_flux
+from graphflow.dynamics import _link_velocities, upwind_flux
 from graphflow.errors import InfeasibleEndpoints, InfiniteAction, NonAntisymmetric
 from graphflow.graph import (
     Exponents,
     antisymmetrize_flux,
     build_graph,
     is_antisymmetric,
+    link_to_edges,
     nonlocal_divergence,
 )
 from graphflow.kernels import edge_velocities, energy
 from graphflow.mobility import PRESETS, linear
-from graphflow.scenarios import s1_setup, s2_endpoints, two_point_graph
+from graphflow.scenarios import random_geometric_setup, s1_setup, s2_endpoints, two_point_graph
 from graphflow.transport import (
     DiscretePath,
+    _link_action,
+    _link_dual_action,
     action,
     dual_action,
     flux_from_velocity,
@@ -521,6 +524,44 @@ def test_action_and_dual_action_equal_masked_references(p, mobility_name):
         want = _masked_action(g, states, flux, mob, beta, exps)
         assert got.per_species == tuple(want) and got.total == want[0] + want[1]
     assert np.isinf(action(g, rho - 0.3, flux, mob, beta, exps).total)
+
+
+def _assert_same_value(got, want):
+    """Per species: the same inf and 0 cases, else equal up to the order of summation."""
+    for a, b in zip(got.per_species, want.per_species):
+        assert (np.isinf(a), a == 0) == (np.isinf(b), b == 0), (a, b)
+        if np.isfinite(b):
+            assert abs(a - b) <= 4 * np.finfo(float).eps * b, (a, b)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("mobility_name", ["linear", "volume_filling", "geometric"])
+def test_link_kernels_equal_action_and_dual_action_of_edge_fields(p, mobility_name):
+    # the cases of the masked references above, on link fields and on
+    # their ordered-edge expansion; fields on one link at a time compare
+    # the inf and 0 cases term by term
+    g, kernels, _, exps, state = random_geometric_setup(seed=5, n=12, p=p)
+    mob = PRESETS[mobility_name]()
+    rng = np.random.default_rng(int(10 * p))
+    beta = (1.0, 0.7)
+    rho = state.rho.copy()
+    rho[:, ::4] = 0.0  # m = 0 on edges into (geometric) or out of these vertices
+    links = g.link_lo.size
+    vel = beta[0] * _link_velocities(rho, kernels, g)
+    vel[:, ::6] = 0.0
+    flux = rng.normal(size=(2, links))
+    flux[:, ::5] = 0.0
+    singles = [np.zeros((2, links)) for _ in range(2 * links)]
+    for k, field in enumerate(singles):
+        field[:, k // 2] = (1.0, -0.5) if k % 2 else (-2.0, 0.25)
+    for v in [vel] + singles:
+        _assert_same_value(_link_dual_action(g, rho, v, mob, beta, exps),
+                           dual_action(g, rho, link_to_edges(v, g), mob, beta, exps))
+    for states in (rho, rho - 0.3, rho + 0.8):  # inside, below 0, above the cap of 1
+        for j in [flux, np.zeros_like(flux)] + singles:
+            _assert_same_value(_link_action(g, states, j, mob, beta, exps),
+                               action(g, states, link_to_edges(j, g), mob, beta, exps))
+    assert np.isinf(_link_action(g, rho - 0.3, flux, mob, beta, exps).total)
 
 
 def _cutoff_graph(radius, n=24, seed=11):
