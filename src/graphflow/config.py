@@ -8,6 +8,7 @@ echoed verbatim into run summaries so that reruns are reproducible;
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +36,11 @@ def _require(mapping, key, path, kind=None):
     if kind is not None and not isinstance(value, kind):
         raise SchemaError(f"{path}.{key}", f"expected {kind}, got {type(value).__name__}")
     return value
+
+
+def _is_integer(value):
+    """Whether ``value`` is an integer; JSON true and false are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _positive_or_null(integ, key):
@@ -181,26 +187,29 @@ def parse_config(source):
     mobility = _build_mobility_section(resolved["mobility"])
 
     t_final = resolved["time_horizon"]
-    if not isinstance(t_final, (int, float)) or t_final <= 0:
-        raise SemanticError(f"time_horizon must be positive, got {t_final}")
+    if isinstance(t_final, bool) or not isinstance(t_final, (int, float)) or not (
+            0 < t_final < math.inf):
+        raise SemanticError(f"time_horizon must be a positive finite number, got {t_final!r}")
+    if not _is_integer(resolved["seed"]):
+        raise SemanticError(f"seed must be an integer, got {resolved['seed']!r}")
 
     integ = resolved["integrator"]
     max_dt = _positive_or_null(integ, "max_dt")
     try:
         integrator = dynamics.IntegratorOptions(
-            rel_tol=float(integ.get("rel_tol", 1e-8)),
-            abs_tol=float(integ.get("abs_tol", 1e-10)),
+            rel_tol=integ["rel_tol"],
+            abs_tol=integ["abs_tol"],
             max_dt=np.inf if max_dt is None else max_dt,
             dt_initial=_positive_or_null(integ, "dt_initial"),
         )
-    except ValueError as exc:  # e.g. an infinite first step
+    except ValueError as exc:  # e.g. a negative tolerance or an infinite first step
         raise SemanticError(f"integrator.{exc}") from exc
     sol = resolved["solver"]
     for key in sol:
         if key not in _DEFAULTS["solver"]:
             raise SchemaError(f"solver.{key}", "unknown key")
-    if int(sol["steps"]) < 1:
-        raise SemanticError(f"solver.steps must be at least 1, got {sol['steps']!r}")
+    if not _is_integer(sol["steps"]) or sol["steps"] < 1:
+        raise SemanticError(f"solver.steps must be an integer of at least 1, got {sol['steps']!r}")
 
     state = None
     if "initial_state" in resolved:
@@ -214,9 +223,9 @@ def parse_config(source):
         initial_state=state,
         time_horizon=float(t_final),
         integrator=integrator,
-        solver_steps=int(sol["steps"]),
+        solver_steps=sol["steps"],
         output_dir=str(resolved["output_dir"]),
-        seed=int(resolved["seed"]),
+        seed=resolved["seed"],
         resolved=resolved,
     )
 
@@ -345,13 +354,23 @@ class RefinementPlan:
     def __post_init__(self):
         if self.density_name not in _DENSITIES:
             raise SchemaError("plan.density", f"unknown density {self.density_name!r}")
-        if list(self.ladder) != sorted(set(self.ladder)) or len(self.ladder) == 0:
+        ladder = list(self.ladder)
+        if not all(_is_integer(n) and n >= 1 for n in ladder):
+            raise SchemaError("plan.ladder", f"vertex counts must be integers >= 1, got {ladder}")
+        if ladder != sorted(set(ladder)) or len(ladder) == 0:
             raise SchemaError("plan.ladder", "must be strictly increasing and nonempty")
         if self.density_name == "gaussian" and not self.density_params.get("sigma", 1.0) > 0:
             raise SchemaError("plan.density.params.sigma", "must be positive")
-        if self.transport_steps < 1:
-            raise SchemaError("plan.transport_steps",
-                              f"must be at least 1, got {self.transport_steps}")
+        for key in ("initial_atoms", "transport_steps"):
+            value = getattr(self, key)
+            if not _is_integer(value) or value < 1:
+                raise SchemaError(f"plan.{key}", f"must be an integer of at least 1, got {value!r}")
+        mass = self.total_mass
+        if isinstance(mass, bool) or not isinstance(mass, numbers.Real) or not 0 < mass < math.inf:
+            raise SchemaError("plan.total_mass", f"must be a finite number > 0, got {mass!r}")
+        if not isinstance(self.transport_diagnostic, bool):
+            raise SchemaError("plan.transport_diagnostic",
+                              f"must be true or false, got {self.transport_diagnostic!r}")
 
     def quantile(self, u):
         return _DENSITIES[self.density_name](self.density_params)(np.asarray(u))
@@ -372,10 +391,10 @@ def parse_plan(source):
         density_name=_require(density, "name", "plan.density", str),
         density_params=density.get("params", {}),
         ladder=tuple(_require(raw, "ladder", "plan", list)),
-        total_mass=float(raw.get("total_mass", 2.0)),
-        initial_atoms=int(raw.get("initial_atoms", 64)),
-        transport_diagnostic=bool(raw.get("transport_diagnostic", True)),
-        transport_steps=int(raw.get("transport_steps", 8)),
+        total_mass=raw.get("total_mass", 2.0),
+        initial_atoms=raw.get("initial_atoms", 64),
+        transport_diagnostic=raw.get("transport_diagnostic", True),
+        transport_steps=raw.get("transport_steps", 8),
     )
 
 

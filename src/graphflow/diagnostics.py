@@ -381,7 +381,7 @@ def _suite_duality(rng, tol, scale=1.0):
     div = nonlocal_divergence(j, graph)
     lhs = float(np.sum(phi * div * graph.weights))
     grad = nonlocal_gradient(phi, graph)
-    rhs_val = -0.5 * float(np.sum(grad * graph.edge_eta * j * graph.edge_pair_weight))
+    rhs_val = -0.5 * float(np.sum(grad * j * graph.action_weight))
     scale = max(1.0, abs(lhs), abs(rhs_val))
     violation = abs(lhs - rhs_val) / scale
     return violation > tol, float(violation)

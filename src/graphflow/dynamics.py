@@ -12,6 +12,7 @@ dE/dt = -D(rho) hold for every exponent p; the resulting trajectories are
 curves of maximal slope (zeros of the De Giorgi functional).
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,7 @@ from .mobility import flux_law
 
 STATE_TOL = 1e-8  # slack accepted on raw states before ThresholdExceeded
 GUARD_TOL = 1e-12  # simplex guard on accepted integrator steps
+DT_MIN = 1e-14  # integrator steps below this raise StepSizeUnderflow
 
 
 @dataclass
@@ -141,10 +143,15 @@ class IntegratorOptions:
     abs_tol: float = 1e-10
     max_dt: float = np.inf
     dt_initial: float = None
-    dt_min: float = 1e-14
-    guard_tol: float = GUARD_TOL
 
     def __post_init__(self):
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+                    0.0 <= value < np.inf):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if self.rel_tol == 0.0 and self.abs_tol == 0.0:
+            raise ValueError("rel_tol and abs_tol must not both be 0")
         # only None means "unset": a zero first step must not fall back to the default
         if self.dt_initial is not None and not 0.0 < self.dt_initial < np.inf:
             raise ValueError(f"dt_initial must be None or finite and > 0, got {self.dt_initial!r}")
@@ -199,7 +206,7 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
     """Adaptive Dormand-Prince 5(4) integration on the invariant simplex.
 
     A step is rejected (and dt halved) when any density would leave
-    [-guard_tol, threshold + guard_tol]; accepted states are clamped into the
+    [-GUARD_TOL, threshold + GUARD_TOL]; accepted states are clamped into the
     box and renormalized in mass, with both amounts accumulated in the run
     statistics.  Evaluation failures at wild trial states count as rejections.
     """
@@ -229,7 +236,7 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
     rejects_in_a_row = 0
     while t < t_final - 1e-14:
         dt = min(dt, options.max_dt, t_final - t)
-        if dt < options.dt_min or rejects_in_a_row > 60:
+        if dt < DT_MIN or rejects_in_a_row > 60:
             raise StepSizeUnderflow(
                 f"dt underflow at t={t:.6g}", state=SpeciesPairState(y.copy()), time=t
             )
@@ -257,9 +264,7 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
         wild = not (np.all(np.isfinite(y5)) and np.isfinite(err))
         lo = float(np.min(y5)) if not wild else 0.0
         hi = float(np.max(y5)) if not wild else 0.0
-        guard_bad = wild or lo < -options.guard_tol or (
-            np.isfinite(cap) and hi > cap + options.guard_tol
-        )
+        guard_bad = wild or lo < -GUARD_TOL or (np.isfinite(cap) and hi > cap + GUARD_TOL)
         if err > 1.0 or guard_bad:
             rejected += 1
             rejects_in_a_row += 1

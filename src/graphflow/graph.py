@@ -93,14 +93,12 @@ class BaseMeasure:
 
 @dataclass(frozen=True)
 class FiniteGraph:
-    """Base measure plus symmetric edge weights and the materialized edge list.
+    """Base measure plus the edge list with its symmetric weights.
 
     ``edge_src``, ``edge_dst`` and ``edge_eta`` enumerate every ordered pair
-    with positive weight; ``transpose_index[e]`` is the index of the reversed
-    pair, so transposing an edge field is a gather.  The constant per-edge
-    products are gathered once, at construction: ``mu_src``, ``mu_dst``,
-    ``edge_pair_weight = mu_src * mu_dst`` and the action weight
-    ``action_weight = eta * mu_src * mu_dst``.
+    with positive weight; a dense eta is rebuilt from these three arrays.
+    The action weight ``action_weight = eta * mu_src * mu_dst`` is gathered
+    once, at construction.
 
     The links are numbered in edge order of their ``(lo, hi)`` orientation:
     ``link_lo`` < ``link_hi`` are their vertices, ``link_edge`` and
@@ -116,19 +114,10 @@ class FiniteGraph:
     """
 
     base: BaseMeasure
-    eta: np.ndarray  # (n, n), symmetric, zero diagonal
     edge_src: np.ndarray = field(repr=False)
     edge_dst: np.ndarray = field(repr=False)
     edge_eta: np.ndarray = field(repr=False)
-    transpose_index: np.ndarray = field(repr=False)
-    mu_src: np.ndarray = field(init=False, repr=False, compare=False)
-    mu_dst: np.ndarray = field(init=False, repr=False, compare=False)
-    edge_pair_weight: np.ndarray = field(init=False, repr=False, compare=False)
     action_weight: np.ndarray = field(init=False, repr=False, compare=False)
-    # edge endpoints of a species pair flattened to (2 e,), the second row's
-    # vertices offset by n: one bincount then scatters both rows
-    _pair_src: np.ndarray = field(init=False, repr=False, compare=False)
-    _pair_dst: np.ndarray = field(init=False, repr=False, compare=False)
     link_lo: np.ndarray = field(init=False, repr=False, compare=False)
     link_hi: np.ndarray = field(init=False, repr=False, compare=False)
     link_edge: np.ndarray = field(init=False, repr=False, compare=False)
@@ -144,31 +133,27 @@ class FiniteGraph:
 
     def __post_init__(self):
         n = self.base.n_vertices
-        mu_src = self.weights[self.edge_src]
-        mu_dst = self.weights[self.edge_dst]
-        pair_weight = mu_src * mu_dst
         link_edge = np.flatnonzero(self.edge_src < self.edge_dst)
         link_lo, link_hi = self.edge_src[link_edge], self.edge_dst[link_edge]
-        div_lo = self.edge_eta[link_edge] * mu_dst[link_edge]
-        div_hi = -self.edge_eta[link_edge] * mu_src[link_edge]
+        # eta is symmetric, so the reversed pair of every edge is itself an edge
+        keys = self.edge_src * n + self.edge_dst
+        order = np.argsort(keys)
+        link_reverse = order[np.searchsorted(keys, link_hi * n + link_lo, sorter=order)]
+        div_lo = self.edge_eta[link_edge] * self.weights[link_hi]
+        div_hi = -self.edge_eta[link_edge] * self.weights[link_lo]
         links = np.arange(link_edge.size)
         divergence = sparse.csr_matrix(
             (np.concatenate([div_lo, div_hi]),
              (np.concatenate([link_lo, link_hi]), np.concatenate([links, links]))),
             shape=(n, links.size))
         divergence.sort_indices()
-        link_reverse = self.transpose_index[link_edge]
         edge_slot = np.empty(self.n_edges, dtype=np.int64)
         edge_slot[np.concatenate([link_edge, link_reverse])] = np.arange(2 * links.size)
         adjacency = sparse.csr_matrix((np.ones(links.size), (link_lo, link_hi)), shape=(n, n))
         _, component = connected_components(adjacency, directed=False)
+        pair_weight = self.weights[self.edge_src] * self.weights[self.edge_dst]
         cached = {
-            "mu_src": mu_src,
-            "mu_dst": mu_dst,
-            "edge_pair_weight": pair_weight,
             "action_weight": self.edge_eta * pair_weight,
-            "_pair_src": np.concatenate([self.edge_src, self.edge_src + n]),
-            "_pair_dst": np.concatenate([self.edge_dst, self.edge_dst + n]),
             "link_lo": link_lo,
             "link_hi": link_hi,
             "link_edge": link_edge,
@@ -232,8 +217,9 @@ def build_graph(points, weights, eta_spec):
         callable ``eta(x, y)`` on point arrays which is symmetrized after
         evaluation.  The diagonal is forced to zero either way.
 
-    Storage is dense (n, n), so graphs above ``DENSE_VERTEX_LIMIT`` vertices
-    are refused.
+    Eta is evaluated densely on all (n, n) pairs, so graphs above
+    ``DENSE_VERTEX_LIMIT`` vertices are refused; the graph keeps only the
+    edges with positive weight.
     """
     base = BaseMeasure(np.asarray(points, dtype=float), np.asarray(weights, dtype=float))
     n = base.n_vertices
@@ -264,18 +250,11 @@ def build_graph(points, weights, eta_spec):
         raise NegativeEdgeWeight(f"eta({l},{k}) = {eta[l, k]} < 0")
 
     src, dst = np.nonzero(eta > 0)
-    edge_index = -np.ones((n, n), dtype=np.int64)
-    edge_index[src, dst] = np.arange(src.size)
-    transpose_index = edge_index[dst, src]
-    # eta is symmetric, so the reversed pair of every edge is itself an edge.
-    assert np.all(transpose_index >= 0)
     return FiniteGraph(
         base=base,
-        eta=eta,
         edge_src=src.astype(np.int64),
         edge_dst=dst.astype(np.int64),
         edge_eta=eta[src, dst],
-        transpose_index=transpose_index,
     )
 
 
@@ -309,17 +288,16 @@ def check_assumptions(graph, exponents):
     if graph.n_edges == 0:
         return AssumptionReport(c_mu, 0.0, 0.0, tuple(), graph.n_vertices, 0)
 
+    mu_dst = graph.weights[graph.edge_dst]
     kernel = np.maximum(lengths**q, lengths ** (p * q)) * graph.edge_eta
-    per_vertex = np.bincount(
-        graph.edge_src, weights=kernel * graph.mu_dst, minlength=graph.n_vertices
-    )
+    per_vertex = np.bincount(graph.edge_src, weights=kernel * mu_dst, minlength=graph.n_vertices)
     c_eta = float(np.max(per_vertex))
     c_eta_prime = float(np.max(kernel))
 
     # The per-vertex sums only grow with eps, so one pass over the edges in
     # order of length gives every profile value: each vertex's running sum
     # in its own length order, then a running maximum over all edges.
-    qterm = lengths**q * graph.edge_eta * graph.mu_dst
+    qterm = lengths**q * graph.edge_eta * mu_dst
     by_vertex = np.lexsort((lengths, graph.edge_src))
     src = graph.edge_src[by_vertex]
     slot = np.arange(src.size) - np.searchsorted(src, src)  # rank within the vertex
@@ -359,20 +337,25 @@ def nonlocal_divergence(j, graph):
 
         div(l) = (1/2) sum_k eta(l,k) mu_k (j(l,k) - j(k,l)).
 
-    Takes one edge field (e,) or a species pair (2, e) and returns (n,) or
-    (2, n).  A pair is scattered by one bincount whose bins for the second
-    row are offset by n; bincount adds in input order, so every bin receives
-    the same additions in the same order as the single-row call.
+    Only the antisymmetric part of j enters, so this is ``link_divergence``
+    of ``edges_to_links(j)``, the divergence the dynamics take.  Takes one
+    edge field (e,) or a species pair (2, e) and returns (n,) or (2, n),
+    one row at a time.
     """
     j = graph.check_edge_field(j, pair=np.ndim(j) == 2)
-    n = graph.n_vertices
-    rows = 1 if j.ndim == 1 else 2
-    weighted = graph.edge_eta * j
-    outgoing = np.bincount(graph._pair_src[: j.size], weights=(weighted * graph.mu_dst).ravel(),
-                           minlength=rows * n)
-    weighted *= graph.mu_src
-    incoming = np.bincount(graph._pair_dst[: j.size], weights=weighted.ravel(), minlength=rows * n)
-    return (0.5 * (outgoing - incoming)).reshape(j.shape[:-1] + (n,))
+    links = edges_to_links(j, graph)
+    if links.ndim == 1:
+        return graph.link_divergence @ links
+    return np.stack([graph.link_divergence @ row for row in links])
+
+
+def edges_to_links(j, graph):
+    """Antisymmetric part of edge fields per link: (..., e) -> (..., links).
+
+    Link ``(lo, hi)`` gets ``(j(lo, hi) - j(hi, lo)) / 2``; on antisymmetric
+    fields this inverts :func:`link_to_edges`.
+    """
+    return 0.5 * (np.take(j, graph.link_edge, axis=-1) - np.take(j, graph.link_reverse, axis=-1))
 
 
 def link_to_edges(a, graph):
@@ -386,7 +369,10 @@ def link_to_edges(a, graph):
 def transpose_edge_field(j, graph):
     """Gather j onto reversed edges: out(l,k) = j(k,l)."""
     j = graph.check_edge_field(j)
-    return j[graph.transpose_index]
+    out = np.empty_like(j)
+    out[graph.link_edge] = j[graph.link_reverse]
+    out[graph.link_reverse] = j[graph.link_edge]
+    return out
 
 
 def antisymmetrize_flux(j, graph):
@@ -395,7 +381,7 @@ def antisymmetrize_flux(j, graph):
     Preserves the nonlocal divergence and never increases the action.
     """
     j = graph.check_edge_field(j)
-    return 0.5 * (j - j[graph.transpose_index])
+    return link_to_edges(edges_to_links(j, graph), graph)
 
 
 def is_antisymmetric(j, graph, tol=1e-12):
@@ -406,6 +392,6 @@ def is_antisymmetric(j, graph, tol=1e-12):
     """
     j = graph.check_edge_field(j, pair=np.ndim(j) == 2)
     scale = np.maximum(1.0, np.max(np.abs(j), axis=-1, initial=0.0))
-    defect = np.abs(j + np.take(j, graph.transpose_index, axis=-1))
+    defect = np.abs(np.take(j, graph.link_edge, axis=-1) + np.take(j, graph.link_reverse, axis=-1))
     ok = np.all(defect <= tol * scale[..., None], axis=-1)
     return bool(ok) if j.ndim == 1 else ok

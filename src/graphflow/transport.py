@@ -40,10 +40,10 @@ class ActionValue:
         return self.total
 
 
-def _edge_densities(graph, rho_pair):
-    """Source and destination densities of every edge for both species, (2, e) each."""
+def _endpoint_densities(rho_pair, src, dst):
+    """Densities at the ``src`` and ``dst`` vertices for both species, (2, len(src)) each."""
     rho_pair = np.asarray(rho_pair, dtype=float)
-    return np.take(rho_pair, graph.edge_src, axis=1), np.take(rho_pair, graph.edge_dst, axis=1)
+    return np.take(rho_pair, src, axis=1), np.take(rho_pair, dst, axis=1)
 
 
 def _action_value(bare, beta):
@@ -65,14 +65,31 @@ def _require_antisymmetric(graph, *named_pairs):
         )
 
 
+def _alpha_sum(rho_pair, flux, src, dst, weight, mobility, exponents):
+    """Per-species sums of [alpha(j, r_src, r_dst) + alpha(-j, r_dst, r_src)] * weight."""
+    r_src, r_dst = _endpoint_densities(rho_pair, src, dst)
+    terms = alpha_density(flux, r_src, r_dst, mobility, exponents)
+    terms += alpha_density(-flux, r_dst, r_src, mobility, exponents)
+    terms *= weight
+    return np.sum(terms, axis=1)
+
+
+def _dual_sum(speed, m, weight, exponents):
+    """Per-species sums of m speed^q weight, zero where speed or m is not positive."""
+    vals = speed**exponents.q
+    vals *= m
+    # m = 0 with a positive speed carries zero flux and zero cost in velocity form
+    np.copyto(vals, 0.0, where=~(speed > 0) | (m <= 0))
+    vals *= weight
+    return np.sum(vals, axis=1)
+
+
 def action(graph, rho_pair, flux_pair, mobility, beta, exponents):
     """Two-species upwind action; infinity encodes infeasibility, not an error."""
     flux_pair = graph.check_edge_field(flux_pair, pair=True)
-    r_src, r_dst = _edge_densities(graph, rho_pair)
-    terms = alpha_density(flux_pair, r_src, r_dst, mobility, exponents)
-    terms += alpha_density(-flux_pair, r_dst, r_src, mobility, exponents)
-    terms *= graph.action_weight
-    return _action_value(0.5 * np.sum(terms, axis=1), beta)
+    bare = _alpha_sum(rho_pair, flux_pair, graph.edge_src, graph.edge_dst, graph.action_weight,
+                      mobility, exponents)
+    return _action_value(0.5 * bare, beta)
 
 
 def dual_action(graph, rho_pair, velocity_pair, mobility, beta, exponents):
@@ -83,20 +100,8 @@ def dual_action(graph, rho_pair, velocity_pair, mobility, beta, exponents):
     """
     v = graph.check_edge_field(velocity_pair, pair=True)
     _require_antisymmetric(graph, ("", v))
-    m_fwd = mobility(*_edge_densities(graph, rho_pair))
-    vp = positive_part(v)
-    vals = vp**exponents.q
-    vals *= m_fwd
-    # m = 0 with v_+ > 0 carries zero flux and zero cost in velocity form
-    np.copyto(vals, 0.0, where=~(vp > 0) | (m_fwd <= 0))
-    vals *= graph.action_weight
-    return _action_value(np.sum(vals, axis=1), beta)
-
-
-def _link_densities(graph, rho_pair):
-    """Densities at the ``lo`` and ``hi`` vertex of every link for both species, (2, links) each."""
-    rho_pair = np.asarray(rho_pair, dtype=float)
-    return np.take(rho_pair, graph.link_lo, axis=1), np.take(rho_pair, graph.link_hi, axis=1)
+    m_fwd = mobility(*_endpoint_densities(rho_pair, graph.edge_src, graph.edge_dst))
+    return _action_value(_dual_sum(positive_part(v), m_fwd, graph.action_weight, exponents), beta)
 
 
 def _link_action(graph, rho_pair, flux, mobility, beta, exponents):
@@ -107,11 +112,9 @@ def _link_action(graph, rho_pair, flux, mobility, beta, exponents):
     ``action`` of ``link_to_edges(flux)`` up to the order of summation, with
     the same inf and 0 cases.
     """
-    r_lo, r_hi = _link_densities(graph, rho_pair)
-    terms = alpha_density(flux, r_lo, r_hi, mobility, exponents)
-    terms += alpha_density(-flux, r_hi, r_lo, mobility, exponents)
-    terms *= graph.action_weight[graph.link_edge]
-    return _action_value(np.sum(terms, axis=1), beta)
+    bare = _alpha_sum(rho_pair, flux, graph.link_lo, graph.link_hi,
+                      graph.action_weight[graph.link_edge], mobility, exponents)
+    return _action_value(bare, beta)
 
 
 def _link_dual_action(graph, rho_pair, velocity, mobility, beta, exponents):
@@ -120,27 +123,24 @@ def _link_dual_action(graph, rho_pair, velocity, mobility, beta, exponents):
     Only the edge a link's velocity points along has a positive part, so
     the mobility is evaluated once per link, upwind: m(r_up, r_down) |v|^q.
     """
-    r_lo, r_hi = _link_densities(graph, rho_pair)
+    r_lo, r_hi = _endpoint_densities(rho_pair, graph.link_lo, graph.link_hi)
     forward = velocity > 0
     m_up = mobility(np.where(forward, r_lo, r_hi), np.where(forward, r_hi, r_lo))
-    speed = np.abs(velocity)
-    vals = speed**exponents.q
-    vals *= m_up
-    np.copyto(vals, 0.0, where=~(speed > 0) | (m_up <= 0))
-    vals *= graph.action_weight[graph.link_edge]
-    return _action_value(np.sum(vals, axis=1), beta)
+    bare = _dual_sum(np.abs(velocity), m_up, graph.action_weight[graph.link_edge], exponents)
+    return _action_value(bare, beta)
 
 
 def flux_from_velocity(graph, rho_pair, velocity_pair, mobility, exponents):
     """Dual representation: j = m(rho_l, rho_k) (v_+)^(q-1) - m(rho_k, rho_l) (v_-)^(q-1)."""
     v = graph.check_edge_field(velocity_pair, pair=True)
-    return flux_law(v, *_edge_densities(graph, rho_pair), mobility, exponents)
+    r_src, r_dst = _endpoint_densities(rho_pair, graph.edge_src, graph.edge_dst)
+    return flux_law(v, r_src, r_dst, mobility, exponents)
 
 
 def velocity_from_flux(graph, rho_pair, flux_pair, mobility, exponents):
     """Invert the dual representation; edges with vanishing mobility carry v = 0."""
     j = graph.check_edge_field(flux_pair, pair=True)
-    r_src, r_dst = _edge_densities(graph, rho_pair)
+    r_src, r_dst = _endpoint_densities(rho_pair, graph.edge_src, graph.edge_dst)
     m_fwd = mobility(r_src, r_dst)
     m_bwd = mobility(r_dst, r_src)
     pm1 = exponents.p - 1.0
@@ -172,7 +172,8 @@ def pairing_l_tilde(graph, rho_pair, velocity_pair, other_velocity_pair, mobilit
     v = graph.check_edge_field(velocity_pair, pair=True)
     vbar = graph.check_edge_field(other_velocity_pair, pair=True)
     _require_antisymmetric(graph, ("first", v), ("second", vbar))
-    kernel = flux_law(v, *_edge_densities(graph, rho_pair), mobility, exponents)
+    r_src, r_dst = _endpoint_densities(rho_pair, graph.edge_src, graph.edge_dst)
+    kernel = flux_law(v, r_src, r_dst, mobility, exponents)
     return _action_value(0.5 * np.sum(vbar * kernel * graph.action_weight, axis=1), beta).total
 
 

@@ -119,7 +119,7 @@ def blowup_profile_loop(graph, exponents):
     O(e) per grid point, so O(e^2) in all.
     """
     lengths = graph.edge_lengths
-    qterm = lengths**exponents.q * graph.edge_eta * graph.mu_dst
+    qterm = lengths**exponents.q * graph.edge_eta * graph.weights[graph.edge_dst]
     profile = []
     for eps in np.unique(lengths):
         mask = lengths < eps
@@ -129,6 +129,25 @@ def blowup_profile_loop(graph, exponents):
         sums = np.bincount(graph.edge_src[mask], weights=qterm[mask], minlength=graph.n_vertices)
         profile.append((float(eps), float(np.max(sums))))
     return profile
+
+
+def dense_eta(graph):
+    """The (n, n) edge weights, rebuilt from the edge list; zero off the edges."""
+    eta = np.zeros((graph.n_vertices, graph.n_vertices))
+    eta[graph.edge_src, graph.edge_dst] = graph.edge_eta
+    return eta
+
+
+def ordered_edge_divergence(j, graph):
+    """div(l) = (1/2) sum_k eta(l,k) mu_k (j(l,k) - j(k,l)) of one edge field (e,),
+    as two bincounts over the ordered edges: the outgoing and the incoming sums."""
+    n = graph.n_vertices
+    weighted = graph.edge_eta * j
+    outgoing = np.bincount(graph.edge_src, weights=weighted * graph.weights[graph.edge_dst],
+                           minlength=n)
+    incoming = np.bincount(graph.edge_dst, weights=weighted * graph.weights[graph.edge_src],
+                           minlength=n)
+    return 0.5 * (outgoing - incoming)
 
 
 def masked_alpha_density(j, r, s, mobility, exponents):

@@ -18,6 +18,8 @@ from graphflow.errors import MassMismatch, SchemaError, SemanticError
 from graphflow.graph import BaseMeasure
 from graphflow.scenarios import s1_config, s2_state_files
 
+from oracles import dense_eta
+
 
 def test_parse_config_s1_defaults_and_derived_q():
     config = parse_config(json.dumps(s1_config()))
@@ -86,7 +88,7 @@ def test_parse_config_eta_presets():
     del raw["graph"]["eta_matrix"]
     raw["graph"]["eta_preset"] = {"name": "gaussian", "params": {"sigma": 1.0}}
     config = parse_config(json.dumps(raw))
-    assert config.graph.eta[0, 1] == pytest.approx(np.exp(-0.5))
+    assert dense_eta(config.graph)[0, 1] == pytest.approx(np.exp(-0.5))
     raw["graph"]["eta_preset"] = {"name": "cutoff", "params": {"radius": 0.5}}
     config = parse_config(json.dumps(raw))
     assert config.graph.n_edges == 0
@@ -290,6 +292,72 @@ def test_cli_rejects_non_positive_solver_steps(tmp_path, capsys, steps):
     assert "solver.steps" in capsys.readouterr().err
     with pytest.raises(SemanticError, match="solver.steps"):
         parse_config(cfg)
+
+
+@pytest.mark.parametrize("path, value", [
+    ("solver.steps", "abc"), ("solver.steps", 2.7), ("solver.steps", True),
+    ("seed", "abc"), ("seed", 1.5), ("seed", False),
+    ("integrator.rel_tol", -1), ("integrator.abs_tol", -1e-10), ("integrator.rel_tol", "abc"),
+    ("integrator.abs_tol", True), ("integrator.rel_tol", None),
+    ("time_horizon", True), ("time_horizon", "1"), ("time_horizon", 0),
+])
+def test_cli_rejects_invalid_config_scalars(tmp_path, capsys, path, value):
+    cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
+    *parents, key = path.split(".")
+    section = cfg
+    for name in parents:
+        section = section.setdefault(name, {})
+    section[key] = value
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    assert main_cli(["simulate", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and path in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SemanticError, match=path):
+        parse_config(cfg)
+
+
+def test_cli_rejects_zero_tolerances(tmp_path, capsys):
+    # with both tolerances 0 every step's error is infinite: this used to
+    # exit 2 with "dt underflow at t=0"
+    cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
+    cfg["integrator"] = {"rel_tol": 0, "abs_tol": 0.0}
+    assert main_cli(["simulate", "--config", _write(tmp_path / "cfg.json", cfg)]) == 1
+    assert "integrator.rel_tol and abs_tol must not both be 0" in capsys.readouterr().err
+    cfg["integrator"] = {"rel_tol": 0, "abs_tol": 1e-10}
+    assert parse_config(cfg).integrator.rel_tol == 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("ladder", [0, 4]), ("ladder", [2.5, 4]), ("ladder", ["a"]), ("ladder", [-4, 4]),
+    ("ladder", [True, 4]), ("ladder", [4, 4]), ("ladder", []),
+    ("initial_atoms", 0), ("initial_atoms", -3), ("initial_atoms", 2.5),
+    ("total_mass", -2), ("total_mass", 0), ("total_mass", "2"), ("total_mass", True),
+    ("transport_steps", 2.5), ("transport_steps", 0), ("transport_steps", False),
+    ("transport_diagnostic", "no"), ("transport_diagnostic", 0),
+])
+def test_cli_refine_rejects_invalid_plan(tmp_path, capsys, key, value):
+    cfg = _refine_config()
+    cfg["output_dir"] = str(tmp_path / "out")
+    plan = {"density": {"name": "uniform"}, "ladder": [4], "initial_atoms": 8, key: value}
+    args = ["--plan", _write(tmp_path / "plan.json", plan),
+            "--config", _write(tmp_path / "cfg.json", cfg)]
+    assert main_cli(["refine", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and f"plan.{key}" in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SchemaError, match=f"plan.{key}"):
+        parse_plan(plan)
+
+
+def test_refinement_plan_accepts_valid_values():
+    plan = RefinementPlan("gaussian", {"mean": 0.0, "sigma": 0.5}, ladder=(8, 16, 32, 64),
+                          initial_atoms=512, total_mass=2.0, transport_steps=8)
+    assert plan.ladder == (8, 16, 32, 64) and plan.transport_diagnostic is True
+    plan = parse_plan({"density": {"name": "uniform"}, "ladder": [4, 8], "initial_atoms": 1,
+                       "total_mass": 3, "transport_steps": 1, "transport_diagnostic": False})
+    assert (plan.initial_atoms, plan.total_mass, plan.transport_steps) == (1, 3, 1)
+    assert plan.transport_diagnostic is False
 
 
 def test_cli_refine(tmp_path):

@@ -29,7 +29,7 @@ def test_upwind_flux_two_vertex():
     assert _edge_lookup(g, flux[0])[(0, 1)] == pytest.approx(-0.125, abs=1e-15)
     assert np.all(flux[1] == 0.0)
     # antisymmetric by construction
-    assert np.allclose(flux[0] + flux[0][g.transpose_index], 0.0)
+    assert np.allclose(flux[0][g.link_edge] + flux[0][g.link_reverse], 0.0)
 
 
 def test_upwind_flux_p3_mobility_enters_linearly():
@@ -242,6 +242,17 @@ def test_integrator_options_reject_non_positive_steps(field, value):
     # default first step
     with pytest.raises(ValueError, match=field):
         IntegratorOptions(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [("rel_tol", -1.0), ("abs_tol", -1e-12),
+                                          ("rel_tol", np.inf), ("abs_tol", np.nan),
+                                          ("rel_tol", "1e-8"), ("abs_tol", True)])
+def test_integrator_options_reject_invalid_tolerances(field, value):
+    with pytest.raises(ValueError, match=field):
+        IntegratorOptions(**{field: value})
+    with pytest.raises(ValueError, match="must not both be 0"):
+        IntegratorOptions(rel_tol=0.0, abs_tol=0)
+    assert IntegratorOptions(rel_tol=0, abs_tol=1e-12).rel_tol == 0
 
 
 def test_integrator_options_accept_unset_and_unbounded_steps():

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from graphflow.errors import (
     DuplicatePoint,
@@ -9,9 +12,11 @@ from graphflow.errors import (
 )
 from graphflow.graph import (
     Exponents,
+    FiniteGraph,
     antisymmetrize_flux,
     build_graph,
     check_assumptions,
+    edges_to_links,
     is_antisymmetric,
     link_to_edges,
     nonlocal_divergence,
@@ -20,7 +25,7 @@ from graphflow.graph import (
 )
 from graphflow.scenarios import two_point_graph
 
-from oracles import blowup_profile_loop
+from oracles import blowup_profile_loop, dense_eta, ordered_edge_divergence
 
 
 def test_exponents_conjugate_relation():
@@ -40,7 +45,8 @@ def test_build_graph_two_point():
     g = two_point_graph()
     pairs = set(zip(g.edge_src.tolist(), g.edge_dst.tolist()))
     assert pairs == {(0, 1), (1, 0)}
-    assert g.eta[0, 1] == 1.0 and g.eta[1, 1] == 0.0
+    eta = dense_eta(g)
+    assert eta[0, 1] == 1.0 and eta[1, 1] == 0.0
 
 
 def test_build_graph_from_callable_is_symmetric():
@@ -50,8 +56,9 @@ def test_build_graph_from_callable_is_symmetric():
         return np.exp(-np.sum((xs - ys) ** 2, axis=-1))
 
     g = build_graph(points, [1.0, 1.0, 1.0], eta)
-    assert np.allclose(g.eta, g.eta.T)
-    assert np.all(np.diag(g.eta) == 0.0)
+    dense = dense_eta(g)
+    assert np.allclose(dense, dense.T)
+    assert np.all(np.diag(dense) == 0.0)
     assert g.n_edges == 6
 
 
@@ -166,7 +173,8 @@ def test_divergence_duality_identity_random():
         j = rng.normal(size=g.n_edges)
         lhs = float(np.sum(phi * nonlocal_divergence(j, g) * g.weights))
         rhs = -0.5 * float(
-            np.sum(nonlocal_gradient(phi, g) * g.edge_eta * j * g.edge_pair_weight)
+            np.sum(nonlocal_gradient(phi, g) * g.edge_eta * j * weights[g.edge_src]
+                   * weights[g.edge_dst])
         )
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
@@ -204,7 +212,9 @@ def test_transpose_edge_field():
 
 def test_species_pair_operators_equal_single_rows():
     # a stacked (2, .) call must give each row bit for bit, written here from
-    # the raw formulas: phi(dst) - phi(src), and the eta-weighted scatter
+    # the raw formulas: phi(dst) - phi(src), and the eta-weighted scatter of
+    # the antisymmetric part per link (lo, hi), summed in link order; the
+    # ordered-edge bincount sums in another order, so it agrees to a few ulp
     rng = np.random.default_rng(11)
     n = 24
     points = rng.uniform(0.0, 1.0, size=(n, 2))
@@ -215,17 +225,24 @@ def test_species_pair_operators_equal_single_rows():
     grad = nonlocal_gradient(phi, g)
     div = nonlocal_divergence(j, g)
     assert grad.shape == (2, g.n_edges) and div.shape == (2, n)
+    index = {(s, d): e for e, (s, d) in enumerate(zip(g.edge_src.tolist(), g.edge_dst.tolist()))}
+    fwd = np.flatnonzero(g.edge_src < g.edge_dst)
+    lo, hi = g.edge_src[fwd], g.edge_dst[fwd]
+    rev = np.array([index[(d, s)] for s, d in zip(lo.tolist(), hi.tolist())])
+    eta = g.edge_eta[fwd]
     for i in range(2):
         assert np.array_equal(grad[i], phi[i][g.edge_dst] - phi[i][g.edge_src])
-        weighted = g.edge_eta * j[i]
-        out = np.bincount(g.edge_src, weights=weighted * weights[g.edge_dst], minlength=n)
-        inc = np.bincount(g.edge_dst, weights=weighted * weights[g.edge_src], minlength=n)
-        assert np.array_equal(div[i], 0.5 * (out - inc))
+        a = 0.5 * (j[i][fwd] - j[i][rev])
+        terms = np.stack([eta * weights[hi] * a, -eta * weights[lo] * a], axis=1)
+        want = np.zeros(n)
+        np.add.at(want, np.stack([lo, hi], axis=1).ravel(), terms.ravel())
+        assert np.array_equal(div[i], want)
+        ordered = ordered_edge_divergence(j[i], g)
+        assert np.max(np.abs(div[i] - ordered)) <= 8 * np.finfo(float).eps * np.max(np.abs(ordered))
         assert np.array_equal(grad[i], nonlocal_gradient(phi[i], g))
         assert np.array_equal(div[i], nonlocal_divergence(j[i], g))
-    # cached edge constants hold the products the formulas use
-    assert np.array_equal(g.edge_pair_weight, weights[g.edge_src] * weights[g.edge_dst])
-    assert np.array_equal(g.action_weight, g.edge_eta * g.edge_pair_weight)
+    # the cached action weight holds the product the formulas use
+    assert np.array_equal(g.action_weight, g.edge_eta * (weights[g.edge_src] * weights[g.edge_dst]))
     with pytest.raises(SizeMismatch):
         nonlocal_divergence(np.zeros((3, g.n_edges)), g)
     with pytest.raises(SizeMismatch):
@@ -258,16 +275,18 @@ def test_links_are_the_edges_taken_once():
     assert np.array_equal(g.edge_src[g.link_edge], g.link_lo)
     assert np.array_equal(g.edge_dst[g.link_edge], g.link_hi)
     # edge and reverse are transposes of each other and cover every edge once
-    assert np.array_equal(g.transpose_index[g.link_edge], g.link_reverse)
-    assert np.array_equal(g.transpose_index[g.link_reverse], g.link_edge)
+    assert np.array_equal(g.edge_src[g.link_reverse], g.link_hi)
+    assert np.array_equal(g.edge_dst[g.link_reverse], g.link_lo)
+    assert np.array_equal(g.edge_eta[g.link_reverse], g.edge_eta[g.link_edge])
     assert np.array_equal(np.sort(np.concatenate([g.link_edge, g.link_reverse])),
                           np.arange(g.n_edges))
     # one CSR column per link: eta mu_hi at lo and -eta mu_lo at hi, each row in link order
     dense = g.link_divergence.toarray()
     links = np.arange(g.link_lo.size)
     assert dense.shape == (g.n_vertices, g.link_lo.size)
-    assert np.array_equal(dense[g.link_lo, links], g.eta[g.link_lo, g.link_hi] * g.weights[g.link_hi])
-    assert np.array_equal(dense[g.link_hi, links], -g.eta[g.link_lo, g.link_hi] * g.weights[g.link_lo])
+    eta = g.edge_eta[g.link_edge]
+    assert np.array_equal(dense[g.link_lo, links], eta * g.weights[g.link_hi])
+    assert np.array_equal(dense[g.link_hi, links], -eta * g.weights[g.link_lo])
     assert g.link_divergence.nnz == 2 * g.link_lo.size and g.link_divergence.has_sorted_indices
     assert not np.any(dense[-1])
 
@@ -281,5 +300,48 @@ def test_link_divergence_matches_ordered_edge_divergence():
     assert np.array_equal(j[:, g.link_edge], a) and np.array_equal(j[:, g.link_reverse], -a)
     for row, flux in zip(a, j):
         by_link = g.link_divergence @ row
-        by_edge = nonlocal_divergence(flux, g)
+        assert np.array_equal(nonlocal_divergence(flux, g), by_link)
+        by_edge = ordered_edge_divergence(flux, g)
         assert np.max(np.abs(by_link - by_edge)) <= 8 * np.finfo(float).eps * np.max(np.abs(by_edge))
+
+
+def test_edges_to_links_inverts_link_to_edges():
+    g = _gaussian_graph_with_isolated_vertex(7)
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(2, g.link_lo.size))
+    assert np.array_equal(edges_to_links(link_to_edges(a, g), g), a)
+    for j in rng.normal(size=(3, g.n_edges)):
+        sym = antisymmetrize_flux(j, g)
+        assert np.array_equal(link_to_edges(edges_to_links(j, g), g), sym)
+        # the ordered-edge projection (j - j^T) / 2, bit for bit
+        assert np.array_equal(sym, 0.5 * (j - transpose_edge_field(j, g)))
+
+
+def _stored_arrays(g):
+    """(name, element count, bytes) of every array the graph stores, its
+    base measure's included; a sparse matrix counts its three CSR buffers."""
+    stored = [("points", g.base.points), ("weights", g.base.weights)]
+    stored += [(f.name, getattr(g, f.name)) for f in dataclasses.fields(FiniteGraph)]
+    out = []
+    for name, value in stored:
+        if isinstance(value, np.ndarray):
+            out.append((name, value.size, value.nbytes))
+        elif sparse.issparse(value):
+            buffers = value.data.nbytes + value.indices.nbytes + value.indptr.nbytes
+            out.append((name, value.nnz, buffers))
+    return out
+
+
+def test_graph_memory_grows_with_edges():
+    # a sparse cutoff graph, about four links per vertex: nothing may be n^2
+    rng = np.random.default_rng(3)
+    n, radius = 300, 0.08
+    points = rng.uniform(0.0, 1.0, size=(n, 2))
+    g = build_graph(points, rng.uniform(0.5, 1.5, n),
+                    lambda x, y: (np.linalg.norm(x - y, axis=-1) <= radius).astype(float))
+    assert 2 * n <= g.n_edges <= 8 * n
+    stored = _stored_arrays(g)
+    assert len(stored) >= 16
+    assert all(count < n * n for _, count, _ in stored), stored
+    total = sum(size for _, _, size in stored)
+    assert total <= 16 * 8 * (n + g.n_edges), (total, n, g.n_edges)

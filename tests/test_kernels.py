@@ -61,7 +61,7 @@ def test_edge_velocity_examples():
     uniform = np.array([[0.5, 0.5], [0.5, 0.5]])
     assert np.allclose(edge_velocity(uniform, kernels, g, species=0), 0.0)
     # exact antisymmetry
-    assert np.allclose(v1 + v1[g.transpose_index], 0.0)
+    assert np.allclose(v1[g.link_edge] + v1[g.link_reverse], 0.0)
 
 
 def test_cross_kernel_symmetrization_preserves_dynamics():

@@ -31,7 +31,7 @@ from graphflow.transport import (
     velocity_from_flux,
 )
 
-from oracles import interval_actions, masked_alpha_density, unit_transport_oracle
+from oracles import dense_eta, interval_actions, masked_alpha_density, unit_transport_oracle
 
 BETA = (1.0, 1.0)
 
@@ -431,7 +431,7 @@ def test_transport_cost_against_independent_convex_solver():
         basis = np.zeros(n_edges)
         basis[e] = 1.0
         div_op[:, e] = nonlocal_divergence(basis, g)
-    w = g.edge_eta * g.edge_pair_weight
+    w = g.edge_eta * (g.weights[g.edge_src] * g.weights[g.edge_dst])
     terms, constraints = [], []
     for i in range(2):
         states = [cp.Constant(rho0[i])]
@@ -600,7 +600,7 @@ def _triangle_edge_isolated_graph():
 ], ids=["cutoff", "triangle-edge-isolated", "edgeless"])
 def test_graph_components_match_connected_components(make, count):
     g = make()
-    found, labels = connected_components(g.eta > 0, directed=False)
+    found, labels = connected_components(dense_eta(g) > 0, directed=False)
     assert found == count
     assert np.array_equal(g.component, labels)
     assert np.array_equal(g.ground, [np.flatnonzero(labels == c)[0] for c in range(count)])
