@@ -26,7 +26,6 @@ from .config import (
 )
 from .errors import GraphflowError, NotConverged, SchemaError, SemanticError, StepSizeUnderflow
 from .graph import check_assumptions
-from .kernels import energy
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -330,13 +329,12 @@ def _states_to_path(times, states, config):
 def _cmd_diagnose(args):
     config = parse_config(_read(args.config))
     times, states = _read_states_csv(args.trajectory, config.graph)
-    # gradient-flow trajectories: node fluxes are recomputed from the states
+    # gradient-flow trajectories: energies and node fluxes are recomputed
+    # from the states, by de_giorgi from each state's potentials
     trajectory = dynamics.Trajectory(
         times=times,
         states=states,
-        energies=np.array(
-            [energy(states[k], config.kernels, config.graph) for k in range(len(times))]
-        ),
+        energies=None,
         dts=np.diff(times),
         local_errors=np.zeros(len(times) - 1),
     )

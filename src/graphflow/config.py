@@ -53,19 +53,30 @@ def _positive_or_null(integ, key):
     return float(value)
 
 
+def _preset_number(params, key, default, path, positive=False):
+    """params[key] (or the default) as a float: a finite real, not a boolean,
+    and above zero when ``positive``."""
+    value = params.get(key, default)
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or (positive and not value > 0)):
+        raise SchemaError(f"{path}.params.{key}",
+                          f"must be a finite {'positive ' if positive else ''}number, got {value!r}")
+    return float(value)
+
+
 def _eta_from_preset(spec, path):
     name = _require(spec, "name", path, str)
     params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise SchemaError(f"{path}.params", "expected an object")
     if name == "constant":
-        value = float(params.get("value", 1.0))
+        value = _preset_number(params, "value", 1.0, path)
         return lambda xs, ys: np.full(np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1]), value)
     if name == "gaussian":
-        sigma = float(params.get("sigma", 1.0))
-        if sigma <= 0:
-            raise SchemaError(f"{path}.params.sigma", "must be positive")
+        sigma = _preset_number(params, "sigma", 1.0, path, positive=True)
         return lambda xs, ys: np.exp(-np.sum((xs - ys) ** 2, axis=-1) / (2.0 * sigma**2))
     if name == "cutoff":
-        radius = float(params.get("radius", 1.0))
+        radius = _preset_number(params, "radius", 1.0, path, positive=True)
         return lambda xs, ys: (np.linalg.norm(xs - ys, axis=-1) <= radius).astype(float)
     raise SchemaError(f"{path}.name", f"unknown eta preset {name!r}")
 
@@ -101,9 +112,10 @@ def _kernel_from_spec(spec, path):
 def _build_kernels_section(section, dimension, path="kernels"):
     beta = section.get("beta", [1.0, 1.0])
     if not isinstance(beta, list) or len(beta) != 2 or any(
-        not isinstance(b, (int, float)) or b <= 0 for b in beta
+        isinstance(b, bool) or not isinstance(b, (int, float)) or not 0 < b < math.inf
+        for b in beta
     ):
-        raise SemanticError(f"{path}.beta must be two positive numbers, got {beta}")
+        raise SemanticError(f"{path}.beta must be two finite positive numbers, got {beta}")
     fns = {}
     for name in ("K11", "K12", "K21", "K22"):
         spec = section.get(name, {"preset": "zero"})

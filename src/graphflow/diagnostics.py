@@ -17,7 +17,7 @@ import numpy as np
 from scipy import sparse
 
 from . import transport
-from .dynamics import SpeciesPairState, _link_flux, _link_velocities, integrate
+from .dynamics import SpeciesPairState, _link_descent, _link_flux, _link_velocities, integrate
 from .errors import MassMismatch
 from .graph import (
     antisymmetrize_flux,
@@ -26,6 +26,7 @@ from .graph import (
     nonlocal_divergence,
     nonlocal_gradient,
 )
+from .kernels import energy_from_potentials, potentials
 from .mobility import linear
 
 __all__ = [
@@ -89,17 +90,21 @@ def de_giorgi(trajectory, graph, kernels, mobility, exponents):
     The residual budget is roughly 10x the integrator tolerance times the
     horizon plus an O(max_dt^2) quadrature term, so cap the step size when a
     tight certificate is needed (the acceptance runs use max_dt = 1/128).
-    Each state's potentials are computed once; its link descent velocities
-    feed both its dissipation and, when the trajectory stores no fluxes, its
-    gradient-flow flux, and both are evaluated once per link.
+    Each state's potentials are computed once: they give its energy (the
+    trajectory's stored energies are not read) and its link descent
+    velocities, which feed both its dissipation and, when the trajectory
+    stores no fluxes, its gradient-flow flux, both evaluated once per link.
     """
     times = trajectory.times
     beta = kernels.beta
+    energies = np.empty(len(times))
     diss = np.empty(len(times))
     act = np.empty(len(times))
     for k in range(len(times)):
         rho = trajectory.states[k]
-        velocities = _link_velocities(rho, kernels, graph)
+        phi = potentials(rho, kernels, graph)
+        energies[k] = energy_from_potentials(phi, rho, graph)
+        velocities = _link_descent(phi, graph)
         diss[k] = _link_dissipation(graph, rho, velocities, kernels, mobility, exponents)
         flux = _node_flux(trajectory, k)
         if flux is None:
@@ -111,10 +116,10 @@ def de_giorgi(trajectory, graph, kernels, mobility, exponents):
     p = exponents.p
     diss_integral = float(np.trapezoid(diss / q, times))
     vel_integral = float(np.trapezoid(act / p, times))
-    e0 = float(trajectory.energies[0])
-    e1 = float(trajectory.energies[-1])
+    e0 = float(energies[0])
+    e1 = float(energies[-1])
     series = tuple(
-        (float(times[k]), float(trajectory.energies[k]), float(diss[k]), float(act[k]))
+        (float(times[k]), float(energies[k]), float(diss[k]), float(act[k]))
         for k in range(len(times))
     )
     return DeGiorgiReport(
@@ -131,14 +136,19 @@ def chain_rule_residual(trajectory, graph, kernels, mobility, exponents):
     """Max over subintervals of |E(t) - E(s) - int_s^t l~(v)[beta grad dE]|.
 
     Velocities are recovered from the trajectory's fluxes by the dual
-    representation; along gradient flows the integrand equals -D(rho).
+    representation; along gradient flows the integrand equals -D(rho).  The
+    energies, like those of :func:`de_giorgi`, come from each state's
+    potentials, not from the trajectory's stored energies.
     """
     times = trajectory.times
     beta = kernels.beta
+    energies = np.empty(len(times))
     integrand = np.empty(len(times))
     for k in range(len(times)):
         rho = trajectory.states[k]
-        velocities = _link_velocities(rho, kernels, graph)
+        phi = potentials(rho, kernels, graph)
+        energies[k] = energy_from_potentials(phi, rho, graph)
+        velocities = _link_descent(phi, graph)
         flux = _node_flux(trajectory, k)
         if flux is None:
             flux = link_to_edges(
@@ -152,7 +162,7 @@ def chain_rule_residual(trajectory, graph, kernels, mobility, exponents):
     cumulative = np.concatenate(
         [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times))]
     )
-    defect = trajectory.energies - cumulative
+    defect = energies - cumulative
     return float(np.max(defect) - np.min(defect))
 
 

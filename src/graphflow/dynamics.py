@@ -85,7 +85,11 @@ def _link_velocities(rho_pair, kernels, graph):
     Written to both orientations by ``link_to_edges`` they equal
     ``kernels.edge_velocities`` bit for bit, because fl(a - b) = -fl(b - a).
     """
-    phi = potentials(rho_pair, kernels, graph)
+    return _link_descent(potentials(rho_pair, kernels, graph), graph)
+
+
+def _link_descent(phi, graph):
+    """The link descent velocities phi(lo) - phi(hi) of the (2, n) potentials ``phi``."""
     velocities = np.take(phi, graph.link_lo, axis=1)
     velocities -= np.take(phi, graph.link_hi, axis=1)
     return velocities
@@ -166,12 +170,14 @@ class Trajectory:
     ``node_fluxes`` is an optional input for hand-built curves (e.g.
     non-gradient perturbations): ``node_fluxes[k]`` is the flux at
     ``states[k]``.  :func:`integrate` leaves it unset, and diagnostics then
-    evaluate the gradient-flow flux law at each state.
+    evaluate the gradient-flow flux law at each state.  The diagnostics
+    compute each state's energy from its potentials and never read
+    ``energies``, so a curve read back from its states may leave it None.
     """
 
     times: np.ndarray  # (m+1,)
     states: np.ndarray  # (m+1, 2, n)
-    energies: np.ndarray  # (m+1,)
+    energies: np.ndarray  # (m+1,), or None
     dts: np.ndarray  # (m,)
     local_errors: np.ndarray  # (m,)
     stats: dict = field(default_factory=dict)

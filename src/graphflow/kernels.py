@@ -52,8 +52,8 @@ class KernelSet:
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float).ravel()
         object.__setattr__(self, "beta", beta)
-        if beta.shape != (2,) or np.any(beta <= 0):
-            raise SemanticError(f"beta must be two positive reals, got {beta}")
+        if beta.shape != (2,) or not np.all((beta > 0) & (beta < np.inf)):
+            raise SemanticError(f"beta must be two finite positive reals, got {beta}")
 
     def kernel(self, i, k):
         return ((self.k11, self.k12), (self.k21, self.k22))[i][k]
@@ -231,7 +231,11 @@ def potentials(rho_pair, kernels, graph):
 def energy(rho_pair, kernels, graph):
     """Cross-interaction energy of the density pair."""
     rho_pair = np.asarray(rho_pair, dtype=float)
-    phi = potentials(rho_pair, kernels, graph)
+    return energy_from_potentials(potentials(rho_pair, kernels, graph), rho_pair, graph)
+
+
+def energy_from_potentials(phi, rho_pair, graph):
+    """The energy of ``rho_pair`` given its potentials ``phi``: half their pairing with its masses."""
     masses = rho_pair * graph.weights[None, :]
     return 0.5 * float(np.sum(phi * masses))
 

@@ -308,66 +308,103 @@ class _NewtonSystem:
     With the flux block eliminated the unknowns are the interior states and
     the continuity multipliers, ordered by time: lambda_0, R_1, lambda_1, ...,
     R_{K-1}, lambda_{K-1}, n each.  Link u on interval k couples R_k, R_{k+1}
-    and lambda_k at its two vertices (a 6 x 6 element), and continuity row k
-    couples lambda_k with R_{k+1} - R_k.  One continuity row per connected
-    component is dropped from the last interval: the endpoint masses agree,
-    so the rows of each component sum to an identity, and keeping them all
-    makes the matrix singular.
+    and lambda_k at its two vertices, and continuity row k couples lambda_k
+    with R_{k+1} - R_k.  So the matrix is block tridiagonal in time, and
+    every nonzero n x n block (R_k-R_k, R_k-R_{k+1}, R_k-lambda_k,
+    R_{k+1}-lambda_k, their transposes and lambda_k-lambda_k) has the pattern
+    of the graph's adjacency plus the identity.  The pattern is built once
+    per solve, in CSC form, with one gather index from the block data onto
+    it, and ``matrix`` fills the blocks from per-link 2 x 2 values.  One
+    continuity row per connected component is dropped from the last
+    interval: the endpoint masses agree, so the rows of each component sum
+    to an identity, and keeping them all makes the matrix singular.  The
+    interior-point loop drops an iteration's factors before it factors the
+    next, so one factorization is alive at a time.
     """
 
     def __init__(self, graph, k_steps):
         n, K, links = graph.n_vertices, k_steps, graph.link_lo.size
-        ks = np.arange(K)[:, None]
-        vertices = np.arange(n)[None]
+        lo, hi = graph.link_lo, graph.link_hi
+        vertices, link_ids = np.arange(n), np.arange(links)
+        # the slots of a block's pattern: the diagonal, then each link's (lo, hi)
+        # and (hi, lo) entry
+        pattern_rows = np.concatenate([vertices, lo, hi])
+        pattern_cols = np.concatenate([vertices, hi, lo])
+        self.width = pattern_rows.size
+        lo_hi, hi_lo = n + link_ids, n + links + link_ids
+        self.slots = np.concatenate([lo, lo_hi, hi_lo, hi])  # a link's (ll, lh, hl, hh) entries
+        transpose = np.concatenate([vertices, hi_lo, lo_hi])
 
-        def state(k, v):  # index of R_k[v] in the full layout R_0, lambda_0, ..., R_K
-            return 2 * k * n + v
-
-        def mult(k, v):
-            return (2 * k + 1) * n + v
-
-        lo, hi = graph.link_lo[None], graph.link_hi[None]
-        element_index = np.stack(
-            [state(ks, lo), state(ks, hi), state(ks + 1, lo), state(ks + 1, hi),
-             mult(ks, lo), mult(ks, hi)], axis=-1)  # (K, links, 6)
-        diagonal = state(np.arange(1, K)[:, None], vertices)
-        later, earlier, row = state(ks + 1, vertices), state(ks, vertices), mult(ks, vertices)
-        rows = np.concatenate([
-            np.broadcast_to(element_index[..., :, None], (K, links, 6, 6)).ravel(),
-            diagonal.ravel(), later.ravel(), row.ravel(), earlier.ravel(), row.ravel()])
-        cols = np.concatenate([
-            np.broadcast_to(element_index[..., None, :], (K, links, 6, 6)).ravel(),
-            diagonal.ravel(), row.ravel(), later.ravel(), row.ravel(), earlier.ravel()])
-        coupling = np.concatenate([np.ones(2 * K * n), -np.ones(2 * K * n)])
+        # the nonzero blocks with state rows, and lambda_k-lambda_k, in the
+        # full layout R_0, lambda_0, ..., R_K (R_k is block 2k, lambda_k 2k + 1):
+        # (block row, block column, data row of ``matrix``, continuity coupling)
+        inner, k = np.arange(1, K), np.arange(K)
+        blocks = np.concatenate([np.stack(np.broadcast_arrays(*block)) for block in (
+            (2 * inner, 2 * inner, inner - 1, 0),  # R_k-R_k
+            (2 * inner[:-1], 2 * inner[:-1] + 2, K - 1 + inner[:-1], 0),  # R_k-R_{k+1}
+            (2 * inner, 2 * inner + 1, 2 * K - 1 + inner, -1),  # R_k-lambda_k
+            (2 * k[:-1] + 2, 2 * k[:-1] + 1, 2 * K - 1 + k[:-1], 1),  # R_{k+1}-lambda_k
+            (2 * k + 1, 2 * k + 1, 3 * K - 1 + k, 0),  # lambda_k-lambda_k
+        )], axis=1)
+        # the matrix is symmetric: a block off the diagonal has a mirror that
+        # reads the same data row through the transposed slots
+        mirror = blocks[:, blocks[0] != blocks[1]]
+        block_row = np.concatenate([blocks[0], mirror[1]])
+        block_col = np.concatenate([blocks[1], mirror[0]])
+        data_row = np.concatenate([blocks[2], mirror[2]])
+        coupling = np.concatenate([blocks[3], mirror[3]])
+        slot = np.concatenate([np.broadcast_to(np.arange(self.width), (blocks.shape[1], self.width)),
+                               np.broadcast_to(transpose, (mirror.shape[1], self.width))])
 
         size = (2 * K + 1) * n
         self.kept = np.ones(size, dtype=bool)
         self.kept[:n] = False  # R_0 and R_K are fixed
         self.kept[2 * K * n:] = False
-        self.kept[mult(K - 1, graph.ground)] = False
+        self.kept[(2 * K - 1) * n + graph.ground] = False  # lambda_{K-1} at each ground
         position = np.full(size, -1)
         position[self.kept] = np.arange(np.count_nonzero(self.kept))
         self.size = int(np.count_nonzero(self.kept))
-        rows, cols = position[rows], position[cols]
+        rows = position[block_row[:, None] * n + pattern_rows]
+        cols = position[block_col[:, None] * n + pattern_cols]
         valid = (rows >= 0) & (cols >= 0)
-        n_variable = rows.size - coupling.size
-        self.variable_valid = valid[:n_variable]
-        keys, slots = np.unique(cols[valid] * self.size + rows[valid], return_inverse=True)
-        self.variable_slots = slots[: np.count_nonzero(self.variable_valid)]
-        self.indices = keys % self.size
-        self.indptr = np.searchsorted(keys // self.size, np.arange(self.size + 1))
-        self.constant = np.bincount(slots[self.variable_slots.size:],
-                                    weights=coupling[valid[n_variable:]], minlength=keys.size)
+        rows, cols = rows[valid], cols[valid]
+        order = np.argsort(cols * self.size + rows)
+        # SuperLU's index type, so that no factorization converts them
+        self.indices = rows[order].astype(np.intc)
+        self.indptr = np.searchsorted(cols[order], np.arange(self.size + 1)).astype(np.intc)
+        self.gather = (data_row[:, None] * self.width + slot)[valid][order]
+        sign = (coupling[:, None] * (slot < n))[valid][order]
+        self.plus, self.minus = np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)
+        self.div_lo, self.div_hi = graph.link_div_lo, graph.link_div_hi
         self.K, self.n = K, n
 
-    def factor(self, elements, state_diagonal):
-        """LU factors of the matrix of (K, links, 6, 6) elements plus the
-        (K-1, n) state diagonal and the continuity coupling."""
-        values = np.concatenate([elements.ravel(), state_diagonal.ravel()])
-        data = self.constant + np.bincount(self.variable_slots, weights=values[self.variable_valid],
-                                           minlength=self.constant.size)
-        matrix = sparse.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
-        return splu(matrix, permc_spec="NATURAL")
+    def _blocks(self, ll, lh, hl, hh):
+        """Block data (m, width) of the (m, links) per-link 2 x 2 values."""
+        return _row_bincount(self.slots, np.concatenate([ll, lh, hl, hh], axis=1), self.width)
+
+    def matrix(self, hess, cross, weight, state_diagonal):
+        """The Newton matrix of the per-link (K, links) values: the state
+        Hessian ``hess`` (ll, lh, hh), ``cross`` (lo, hi) coupling the states
+        with the divergence into the multipliers, and ``weight`` w of the
+        multiplier block w div div^T, plus the (K-1, n) state diagonal and the
+        continuity coupling.  An interval's state Hessian enters its four
+        state blocks with weight 1/4 and its cross term both state-multiplier
+        blocks with weight 1/2, as midpoint densities average two states."""
+        h_ll, h_lh, h_hh = hess
+        c_lo, c_hi = cross
+        d_lo, d_hi = self.div_lo, self.div_hi
+        quarter = 0.25 * self._blocks(h_ll, h_lh, h_lh, h_hh)
+        diagonal = quarter[:-1] + quarter[1:]
+        diagonal[:, :self.n] += state_diagonal
+        half_cross = 0.5 * self._blocks(c_lo * d_lo, c_lo * d_hi, c_hi * d_lo, c_hi * d_hi)
+        lo_hi = weight * (d_lo * d_hi)
+        multiplier = self._blocks(weight * (d_lo * d_lo), lo_hi, lo_hi, weight * (d_hi * d_hi))
+        # the data rows that __init__ numbers: R_k-R_k for k = 1..K-1, then per
+        # interval the state-state, state-multiplier and multiplier blocks
+        data = np.concatenate([diagonal, quarter, half_cross, multiplier]).ravel()[self.gather]
+        data[self.plus] += 1.0
+        data[self.minus] -= 1.0
+        return sparse.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
 
     def solve(self, lu, state_rhs, continuity_rhs):
         """Solve for (dR, dlambda), given the (K-1, n) interior state rows and
@@ -504,20 +541,12 @@ class _SplitProblem:
         # so the step stays a descent direction of the barrier merit
         shift = np.maximum(0.0, np.hypot(0.5 * (h_ll - h_hh), h_lh) - 0.5 * (h_ll + h_hh))
         h_ll, h_hh = h_ll + shift, h_hh + shift
-        hess = np.stack([np.stack([h_ll, h_lh], -1), np.stack([h_lh, h_hh], -1)], -2)
-        div = np.stack([graph.link_div_lo, graph.link_div_hi], -1)  # (links, 2)
-        cross = dt * np.stack([q_b * mb.s - q_f * mf.r, q_b * mb.r - q_f * mf.s], -1)
-        cross = cross[..., :, None] * div[:, None, :]
-        elements = np.empty(h_ll.shape + (6, 6))
-        for rows in (slice(0, 2), slice(2, 4)):
-            for cols in (slice(0, 2), slice(2, 4)):
-                elements[..., rows, cols] = 0.25 * hess
-            elements[..., rows, 4:] = 0.5 * cross
-            elements[..., 4:, rows] = 0.5 * np.swapaxes(cross, -1, -2)
-        elements[..., 4:, 4:] = (-dt * dt * (1.0 / diag_P + 1.0 / diag_M))[..., None, None] * (
-            div[:, :, None] * div[:, None, :])
+        cross = (dt * (q_b * mb.s - q_f * mf.r), dt * (q_b * mb.r - q_f * mf.s))
+        weight = -dt * dt * (1.0 / diag_P + 1.0 / diag_M)
         state_diagonal = sum(zi / xi for zi, xi in zip(z[2:], x[2:]))
-        lu = system.factor(elements, state_diagonal)
+        # factored in natural (time) order, which fills the block tridiagonal band
+        lu = splu(system.matrix((h_ll, h_lh, h_hh), cross, weight, state_diagonal),
+                  permc_spec="NATURAL")
         grads = self.gradients(ev, lam)
 
         def direction(target, corrections):
@@ -598,6 +627,7 @@ def _interior_point(problem, system):
             break
         iteration += 1
         mu = complementarity / count
+        direction = None  # the previous factors are freed before the next are computed
         try:
             direction = problem.newton(system, ev, lam, x, z)
         except RuntimeError:  # splu: the Newton matrix is singular

@@ -227,3 +227,47 @@ def chain_rule_residual_ordered_edges(trajectory, graph, kernels, mobility, expo
     steps = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(trajectory.times)
     defect = trajectory.energies - np.concatenate([[0.0], np.cumsum(steps)])
     return float(np.max(defect) - np.min(defect))
+
+
+def newton_matrix_dense(graph, k_steps, hess, cross, weight, state_diagonal):
+    """Dense reduced Newton matrix of one species, by elements.
+
+    Link u on interval k is a symmetric 6 x 6 element on (R_k[lo], R_k[hi],
+    R_{k+1}[lo], R_{k+1}[hi], lambda_k[lo], lambda_k[hi]): 0.25 H in each of
+    its four state-state 2 x 2 blocks, 0.5 c d^T in both state-multiplier
+    blocks (c the ``cross`` pair, d the link's divergence pair) with the
+    transpose below, and w d d^T in the multiplier block.  Elements are
+    summed into the full layout R_0, lambda_0, R_1, ..., lambda_{K-1}, R_K
+    with the (K-1, n) state diagonal on R_1..R_{K-1} and +1 (-1) coupling
+    lambda_k with R_{k+1} (R_k); then R_0, R_K and the last interval's
+    continuity row at each component's ground vertex are dropped.
+    """
+    n, K = graph.n_vertices, k_steps
+    lo, hi = graph.link_lo, graph.link_hi
+    h_ll, h_lh, h_hh = hess
+    c_lo, c_hi = cross
+    div = np.stack([graph.link_div_lo, graph.link_div_hi], -1)  # (links, 2)
+    full = np.zeros(((2 * K + 1) * n, (2 * K + 1) * n))
+    for k in range(K):
+        index = np.stack([2 * k * n + lo, 2 * k * n + hi, 2 * (k + 1) * n + lo,
+                          2 * (k + 1) * n + hi, (2 * k + 1) * n + lo, (2 * k + 1) * n + hi], -1)
+        element = np.zeros((lo.size, 6, 6))
+        hess_k = np.stack([np.stack([h_ll[k], h_lh[k]], -1), np.stack([h_lh[k], h_hh[k]], -1)], -2)
+        cross_k = np.stack([c_lo[k], c_hi[k]], -1)[:, :, None] * div[:, None, :]
+        for rows in (slice(0, 2), slice(2, 4)):
+            for cols in (slice(0, 2), slice(2, 4)):
+                element[:, rows, cols] = 0.25 * hess_k
+            element[:, rows, 4:] = 0.5 * cross_k
+            element[:, 4:, rows] = 0.5 * np.swapaxes(cross_k, -1, -2)
+        element[:, 4:, 4:] = weight[k][:, None, None] * (div[:, :, None] * div[:, None, :])
+        np.add.at(full, (index[:, :, None], index[:, None, :]), element)
+        vertices = np.arange(n)
+        for state, sign in ((2 * (k + 1) * n + vertices, 1.0), (2 * k * n + vertices, -1.0)):
+            full[state, (2 * k + 1) * n + vertices] += sign
+            full[(2 * k + 1) * n + vertices, state] += sign
+    for k in range(1, K):
+        full[2 * k * n + np.arange(n), 2 * k * n + np.arange(n)] += state_diagonal[k - 1]
+    kept = np.ones(full.shape[0], dtype=bool)
+    kept[:n] = kept[2 * K * n:] = False
+    kept[(2 * K - 1) * n + graph.ground] = False
+    return full[np.ix_(kept, kept)]

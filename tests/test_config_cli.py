@@ -53,6 +53,22 @@ def test_parse_config_rejects_bad_beta():
         parse_config(json.dumps(raw))
 
 
+def test_parse_config_rejects_boolean_beta():
+    raw = s1_config()
+    raw["kernels"]["beta"] = [True, 1.0]
+    with pytest.raises(SemanticError, match="kernels.beta"):
+        parse_config(json.dumps(raw))
+
+
+def test_cli_validate_graph_rejects_boolean_beta(tmp_path, capsys):
+    raw = s1_config()
+    raw["kernels"]["beta"] = [True, 1.0]
+    cfg_path = _write(tmp_path / "cfg.json", raw)
+    assert main_cli(["validate-graph", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and "kernels.beta" in err
+
+
 def test_parse_config_rejects_nonproportional_cross_kernels():
     raw = s1_config()
     raw["kernels"]["K12"] = {"preset": "distance"}
@@ -92,6 +108,24 @@ def test_parse_config_eta_presets():
     raw["graph"]["eta_preset"] = {"name": "cutoff", "params": {"radius": 0.5}}
     config = parse_config(json.dumps(raw))
     assert config.graph.n_edges == 0
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("gaussian", "sigma", "abc"),
+    ("constant", "value", "x"),
+    ("gaussian", "sigma", True),
+    ("cutoff", "radius", True),
+    ("gaussian", "sigma", float("nan")),
+    ("cutoff", "radius", -1),
+], ids=["sigma-string", "value-string", "sigma-true", "radius-true", "sigma-nan", "radius-negative"])
+def test_cli_validate_graph_rejects_bad_eta_preset_parameter(tmp_path, capsys, name, key, value):
+    raw = s1_config()
+    del raw["graph"]["eta_matrix"]
+    raw["graph"]["eta_preset"] = {"name": name, "params": {key: value}}
+    cfg_path = _write(tmp_path / "cfg.json", raw)
+    assert main_cli(["validate-graph", "--config", cfg_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and f"graph.eta_preset.params.{key}" in err
 
 
 def test_project_initial_identity_when_on_vertices():

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from graphflow import diagnostics
 from graphflow.diagnostics import (
     chain_rule_residual,
     de_giorgi,
@@ -249,6 +250,22 @@ def test_per_link_diagnostics_match_ordered_edge_oracle(p, mobility_name):
     got = chain_rule_residual(traj, g, kernels, mob, exps)
     want = chain_rule_residual_ordered_edges(traj, g, kernels, mob, exps)
     assert abs(got - want) <= tol * np.max(np.abs(traj.energies))
+
+
+@pytest.mark.parametrize("diagnostic", [de_giorgi, chain_rule_residual])
+def test_diagnostics_take_energies_from_their_own_potentials(diagnostic, monkeypatch):
+    # a curve read back from its states carries no energies: the diagnostics
+    # take them from the one potentials evaluation they make per state, bit
+    # for bit the energies the integrator stores
+    g, kernels, mob, exps, state = random_geometric_setup(seed=5, n=8, p=1.5)
+    traj = integrate(state, 0.25, kernels, mob, exps, g, IntegratorOptions(max_dt=1 / 16))
+    want = diagnostic(traj, g, kernels, mob, exps)
+    calls = []
+    potentials = diagnostics.potentials
+    monkeypatch.setattr(diagnostics, "potentials", lambda *a: calls.append(1) or potentials(*a))
+    got = diagnostic(dataclasses.replace(traj, energies=None), g, kernels, mob, exps)
+    assert got == want
+    assert len(calls) == len(traj.times)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

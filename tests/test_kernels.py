@@ -108,8 +108,9 @@ def test_kernel_symmetry_validated():
 
 
 def test_beta_validation():
-    with pytest.raises(SemanticError):
-        build_kernel_set(zero(), zero(), zero(), zero(), beta=(1.0, -1.0), dimension=1)
+    for beta in [(1.0, -1.0), (float("nan"), 1.0), (1.0, float("inf"))]:
+        with pytest.raises(SemanticError):
+            build_kernel_set(zero(), zero(), zero(), zero(), beta=beta, dimension=1)
 
 
 def test_energy_continuity_bound():

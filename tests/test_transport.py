@@ -1,7 +1,12 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from graphflow import transport
+from graphflow.config import RefinementPlan, project_initial
 from graphflow.dynamics import _link_velocities, upwind_flux
 from graphflow.errors import InfeasibleEndpoints, InfiniteAction, NonAntisymmetric
 from graphflow.graph import (
@@ -31,7 +36,13 @@ from graphflow.transport import (
     velocity_from_flux,
 )
 
-from oracles import dense_eta, interval_actions, masked_alpha_density, unit_transport_oracle
+from oracles import (
+    dense_eta,
+    interval_actions,
+    masked_alpha_density,
+    newton_matrix_dense,
+    unit_transport_oracle,
+)
 
 BETA = (1.0, 1.0)
 
@@ -731,3 +742,100 @@ def test_continuity_residual_equals_per_species_loop():
                 path.fluxes[k, i], g)
             worst = max(worst, float(np.max(np.abs(res))))
     assert path.continuity_residual(g) == worst
+
+
+def _ladder_problem(n=64):
+    """The refinement ladder's n-vertex level: quantile points of N(0, 1/4),
+    complete under Gaussian eta, the 512 projected atoms as both species at
+    the start and two tilted copies of them at the end."""
+    plan = RefinementPlan("gaussian", {"mean": 0.0, "sigma": 0.5}, ladder=(n,), initial_atoms=512)
+    points, weights = plan.sample_base(n)
+    g = build_graph(points, weights, lambda x, y: np.exp(-0.5 * np.sum((x - y) ** 2, -1)))
+    atoms = plan.quantile((np.arange(512) + 0.5) / 512).reshape(-1, 1)
+    rho, _ = project_initial(atoms, np.full(512, 1.0 / 512), g.base)
+    start = np.stack([rho, rho])
+    x = points[:, 0]
+    end = start * np.stack([1.0 + 0.5 * np.tanh(x), 1.0 - 0.3 * np.tanh(2.0 * x)])
+    end /= (end @ weights)[:, None]
+    return g, start, end, linear(), Exponents(2.0)
+
+
+def _two_component_problem():
+    rng = np.random.default_rng(17)
+    g = _cutoff_graph(0.3, n=16)
+    assert g.ground.size == 2
+    start, end = rng.uniform(0.2, 1.0, (2, 2, g.n_vertices))
+    for c in range(2):  # each component keeps its start mass
+        on = g.component == c
+        end[:, on] *= ((start[:, on] @ g.weights[on]) / (end[:, on] @ g.weights[on]))[:, None]
+    return g, start, end, linear(), Exponents(1.5)
+
+
+def _volume_filling_problem():
+    g, _, mob, exps, start = random_geometric_setup(seed=4, n=6, p=3.0,
+                                                    mobility_name="volume_filling")
+    end = np.roll(start.rho, 1, axis=1)
+    end /= (end @ g.weights)[:, None]
+    assert np.isfinite(mob.threshold_cap) and np.max(end) < mob.threshold_cap
+    return g, start.rho, end, mob, exps
+
+
+@pytest.mark.parametrize("make", [_ladder_problem, _two_component_problem,
+                                  _volume_filling_problem],
+                         ids=["complete-ladder-64", "cutoff-two-components", "volume-filling-cap"])
+def test_newton_matrix_handed_to_splu_equals_element_assembly(make, monkeypatch):
+    g, start, end, mob, exps = make()
+    K = 8
+    values, handed = [], []
+    matrix, splu = transport._NewtonSystem.matrix, transport.splu
+
+    def recording_matrix(self, *args):
+        values.append(args)
+        return matrix(self, *args)
+
+    def recording_splu(a, **kwargs):
+        if kwargs.get("permc_spec") == "NATURAL":  # not min_norm_flux's Laplacian
+            handed.append(a.copy())
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(transport._NewtonSystem, "matrix", recording_matrix)
+    monkeypatch.setattr(transport, "splu", recording_splu)
+    _, _, cert = transport_cost(g, start, end, K, mob, BETA, exps)
+    assert cert.converged
+    assert len(handed) == len(values) == cert.iterations
+    for args, got in zip(values, handed):
+        want = newton_matrix_dense(g, K, *args)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_transport_cost_memory_on_the_complete_ladder_graph(monkeypatch):
+    # at n = 64 and K = 8 the solve peaks at about 15 MB; per-contribution
+    # (K, links, 6, 6) elements and their index arrays took it to 37 MB, and
+    # keeping the previous iteration's factors alive adds about 3 MB
+    g, start, end, mob, exps = _ladder_problem()
+    live, factors = [], []
+    splu = transport.splu
+
+    class Factors:  # a weakly referenceable holder of one Newton factorization
+        def __init__(self, lu):
+            self.solve = lu.solve
+
+    def counting_splu(a, **kwargs):
+        if kwargs.get("permc_spec") != "NATURAL":
+            return splu(a, **kwargs)
+        live.append(sum(ref() is not None for ref in factors))
+        held = Factors(splu(a, **kwargs))
+        factors.append(weakref.ref(held))
+        return held
+
+    monkeypatch.setattr(transport, "splu", counting_splu)
+    tracemalloc.start()
+    try:
+        _, _, cert = transport_cost(g, start, end, 8, mob, BETA, exps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.converged
+    assert len(live) == cert.iterations and max(live) == 0
+    assert peak <= 20e6
