@@ -21,7 +21,6 @@ from .graph import (
     BaseMeasure,
     Exponents,
     FiniteGraph,
-    antisymmetrize_flux,
     build_graph,
     check_assumptions,
     nonlocal_divergence,
@@ -31,7 +30,7 @@ from .kernels import (
     KernelSet,
     build_kernel_set,
     convolve_potential,
-    edge_velocity,
+    descent_velocities,
     energy,
 )
 from .mobility import (

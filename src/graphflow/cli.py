@@ -184,14 +184,25 @@ def _cmd_metric(args):
     )
     _write_csv(os.path.join(out, "geodesic.csv"), _STATE_HEADER,
                _species_rows(path.times, path.states, np.arange(config.graph.n_vertices)))
+    src, dst, entry = _ordered_edges(config.graph)
     _write_csv(
         os.path.join(out, "geodesic_fluxes.csv"),
         _FLUX_HEADER,
-        _species_rows(np.arange(path.n_intervals), path.fluxes, config.graph.edge_src,
-                      config.graph.edge_dst),
+        _species_rows(np.arange(path.n_intervals),
+                      np.concatenate([path.fluxes, -path.fluxes], axis=-1)[..., entry], src, dst),
     )
     print(f"T = {t_value:.6f} (objective {certificate.objective:.6f}); wrote {out}/metric.json")
     return EXIT_OK
+
+
+def _ordered_edges(graph):
+    """Both orientations of every link, (src, dst) in row-major order as
+    ``metric`` writes them, and the ``entry`` of each among the links'
+    (lo, hi) values followed by their (hi, lo) values."""
+    src = np.concatenate([graph.link_lo, graph.link_hi])
+    dst = np.concatenate([graph.link_hi, graph.link_lo])
+    entry = np.lexsort((dst, src))
+    return src[entry], dst[entry], entry
 
 
 def _species_rows(index, values, *labels):
@@ -249,45 +260,60 @@ def _reject_row(path, bad, describe):
 def _read_states_csv(path, graph):
     """Read a (t, species, vertex, density) CSV into times and state arrays.
 
-    Rows may come in any order; entries missing for a time stay zero.
+    Rows may come in any order; entries missing for a time stay zero.  A
+    path or trajectory needs at least two distinct times.
     """
     data = _read_table(path, dict(zip(_STATE_HEADER, [None, (1, 3), (0, graph.n_vertices), None])))
     if len(data) == 0:
         raise SchemaError(path, "no data rows")
     times, slot = np.unique(data[:, 0], return_inverse=True)
+    if len(times) < 2:
+        raise SchemaError(path, f"needs at least two distinct times, got {len(times)}")
     states = np.zeros((len(times), 2, graph.n_vertices))
     states[slot, data[:, 1].astype(np.int64) - 1, data[:, 2].astype(np.int64)] = data[:, 3]
     return times, states
 
 
 def _read_fluxes_csv(path, graph, n_intervals):
-    """Read an (interval, species, src, dst, flux) CSV into (K, 2, e) fluxes.
+    """Read an (interval, species, src, dst, flux) CSV into (K, 2, links) fluxes.
 
-    Each (interval, species, edge) entry must appear exactly once, as
-    ``metric`` writes them: a repeated entry or a missing one is a
-    SchemaError, since no flux value can stand in for it.
+    Each (interval, species, edge) entry must appear exactly once, in both
+    orientations of every link, as ``metric`` writes them: a repeated entry
+    or a missing one is a SchemaError, since no flux value can stand in for
+    it, and so is a (hi, lo) value that is not the negative of its (lo, hi)
+    value up to 1e-12 max(1, max|j|) of its interval and species.
     """
-    n, e = graph.n_vertices, graph.n_edges
+    n, links = graph.n_vertices, graph.n_links
     data = _read_table(path, dict(zip(_FLUX_HEADER, [(0, n_intervals), (1, 3), (0, n), (0, n), None])))
     interval, species, src, dst = data[:, :4].T.astype(np.int64)
-    keys, wanted = graph.edge_src * n + graph.edge_dst, src * n + dst
+    edge_src, edge_dst, edge_entry = _ordered_edges(graph)
+    keys, wanted = edge_src * n + edge_dst, src * n + dst
     _reject_row(path, ~np.isin(wanted, keys), lambda row: f"({src[row]}, {dst[row]}) is not an edge")
-    order = np.argsort(keys)
-    slot = ((interval * 2 + species - 1) * e
-            + order[np.searchsorted(keys, wanted, sorter=order)])
+    block = interval * 2 + species - 1
+    slot = block * 2 * links + np.searchsorted(keys, wanted)
     first = np.zeros(slot.size, dtype=bool)
     first[np.unique(slot, return_index=True)[1]] = True
     _reject_row(path, ~first, lambda row: f"repeats interval {interval[row]}, species "
                                           f"{species[row]}, edge ({src[row]}, {dst[row]})")
-    seen = np.zeros(n_intervals * 2 * e, dtype=bool)
+    seen = np.zeros(n_intervals * 2 * 2 * links, dtype=bool)
     seen[slot] = True
     if not np.all(seen):
-        k, rest = divmod(int(np.argmin(seen)), 2 * e)
-        i, edge = divmod(rest, e)
+        k, rest = divmod(int(np.argmin(seen)), 2 * 2 * links)
+        i, rank = divmod(rest, 2 * links)
         raise SchemaError(path, f"no row for interval {k}, species {i + 1}, "
-                                f"edge ({graph.edge_src[edge]}, {graph.edge_dst[edge]})")
-    fluxes = np.empty((n_intervals, 2, e))
-    fluxes.reshape(-1)[slot] = data[:, 4]
+                                f"edge ({edge_src[rank]}, {edge_dst[rank]})")
+    values = np.empty((n_intervals, 2, 2 * links))
+    values.reshape(-1)[slot] = data[:, 4]
+    values = values[..., np.argsort(edge_entry)]
+    fluxes, reverse = values[..., :links], values[..., links:]
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=-1, initial=0.0))
+    skewed = np.abs(fluxes + reverse) > 1e-12 * scale[..., None]
+    entry = edge_entry[slot % (2 * links)]  # (lo, hi) below links, (hi, lo) above
+    pair = block * links + entry % links
+    _reject_row(path, (entry >= links) & skewed.reshape(-1)[pair],
+                lambda row: f"flux {data[row, 4]:g} on ({src[row]}, {dst[row]}) is not the "
+                            f"negative of {fluxes.reshape(-1)[pair[row]]:g} on "
+                            f"({dst[row]}, {src[row]})")
     return fluxes
 
 

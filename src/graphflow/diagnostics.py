@@ -17,16 +17,10 @@ import numpy as np
 from scipy import sparse
 
 from . import transport
-from .dynamics import SpeciesPairState, _link_descent, _link_flux, _link_velocities, integrate
+from .dynamics import SpeciesPairState, integrate, upwind_flux
 from .errors import MassMismatch
-from .graph import (
-    antisymmetrize_flux,
-    build_graph,
-    link_to_edges,
-    nonlocal_divergence,
-    nonlocal_gradient,
-)
-from .kernels import energy_from_potentials, potentials
+from .graph import build_graph, nonlocal_divergence, nonlocal_gradient
+from .kernels import descent_velocities, energy_from_potentials, potentials
 from .mobility import linear
 
 __all__ = [
@@ -43,19 +37,11 @@ __all__ = [
 ]
 
 
-def _link_dissipation(graph, rho_pair, velocities, kernels, mobility, exponents):
-    """D(rho) from the link descent velocities (2, links) of ``rho_pair``."""
-    scaled = kernels.beta[:, None] * velocities
-    return transport._link_dual_action(
-        graph, rho_pair, scaled, mobility, kernels.beta, exponents
-    ).total
-
-
 def dissipation(graph, rho_pair, kernels, mobility, exponents):
     """D(rho): dual action of the beta-scaled descent velocities, one term per link."""
     rho_pair = np.asarray(rho_pair, dtype=float)
-    velocities = _link_velocities(rho_pair, kernels, graph)
-    return _link_dissipation(graph, rho_pair, velocities, kernels, mobility, exponents)
+    scaled = kernels.beta[:, None] * descent_velocities(potentials(rho_pair, kernels, graph), graph)
+    return transport.dual_action(graph, rho_pair, scaled, mobility, kernels.beta, exponents).total
 
 
 @dataclass(frozen=True)
@@ -91,9 +77,9 @@ def de_giorgi(trajectory, graph, kernels, mobility, exponents):
     horizon plus an O(max_dt^2) quadrature term, so cap the step size when a
     tight certificate is needed (the acceptance runs use max_dt = 1/128).
     Each state's potentials are computed once: they give its energy (the
-    trajectory's stored energies are not read) and its link descent
-    velocities, which feed both its dissipation and, when the trajectory
-    stores no fluxes, its gradient-flow flux, both evaluated once per link.
+    trajectory's stored energies are not read) and its descent velocities,
+    which feed both its dissipation and, when the trajectory stores no
+    fluxes, its gradient-flow flux; every term is evaluated once per link.
     """
     times = trajectory.times
     beta = kernels.beta
@@ -104,14 +90,13 @@ def de_giorgi(trajectory, graph, kernels, mobility, exponents):
         rho = trajectory.states[k]
         phi = potentials(rho, kernels, graph)
         energies[k] = energy_from_potentials(phi, rho, graph)
-        velocities = _link_descent(phi, graph)
-        diss[k] = _link_dissipation(graph, rho, velocities, kernels, mobility, exponents)
+        velocities = descent_velocities(phi, graph)
+        diss[k] = transport.dual_action(graph, rho, beta[:, None] * velocities, mobility, beta,
+                                        exponents).total
         flux = _node_flux(trajectory, k)
         if flux is None:
-            flux = _link_flux(rho, kernels, mobility, exponents, graph, velocities)
-            act[k] = transport._link_action(graph, rho, flux, mobility, beta, exponents).total
-        else:
-            act[k] = transport.action(graph, rho, flux, mobility, beta, exponents).total
+            flux = upwind_flux(rho, kernels, mobility, exponents, graph, velocities)
+        act[k] = transport.action(graph, rho, flux, mobility, beta, exponents).total
     q = exponents.q
     p = exponents.p
     diss_integral = float(np.trapezoid(diss / q, times))
@@ -148,14 +133,12 @@ def chain_rule_residual(trajectory, graph, kernels, mobility, exponents):
         rho = trajectory.states[k]
         phi = potentials(rho, kernels, graph)
         energies[k] = energy_from_potentials(phi, rho, graph)
-        velocities = _link_descent(phi, graph)
+        velocities = descent_velocities(phi, graph)
         flux = _node_flux(trajectory, k)
         if flux is None:
-            flux = link_to_edges(
-                _link_flux(rho, kernels, mobility, exponents, graph, velocities), graph
-            )
+            flux = upwind_flux(rho, kernels, mobility, exponents, graph, velocities)
         vel = transport.velocity_from_flux(graph, rho, flux, mobility, exponents)
-        ascent = -beta[:, None] * link_to_edges(velocities, graph)
+        ascent = -beta[:, None] * velocities
         integrand[k] = transport.pairing_l_tilde(
             graph, rho, vel, ascent, mobility, beta, exponents
         )
@@ -237,9 +220,11 @@ def w1_between_states(state_a, state_b, graph_a, graph_b=None):
 
 def flux_bound_report(graph, rho_pair, flux_pair, mobility, beta, exponents):
     """Weighted flux integrals for the standard test factors, and their ratio
-    to action^(1/p).  No constant is asserted; the ratio is informational."""
-    lengths = graph.edge_lengths
-    weight = graph.action_weight
+    to action^(1/p).  No constant is asserted; the ratio is informational.
+    The integrals run over both orientations of every edge, so each link
+    counts twice."""
+    lengths = graph.link_lengths
+    weight = 2.0 * graph.link_weight
     act = transport.action(graph, rho_pair, flux_pair, mobility, beta, exponents).total
     abs_flux = np.sum(np.abs(np.asarray(flux_pair, dtype=float)), axis=0)
     phi1 = float(np.sum(np.minimum(2.0, lengths) * abs_flux * weight))
@@ -297,18 +282,16 @@ def _random_setup(rng, n_min=3, n_max=6):
     return graph, exponents, rho, beta
 
 
-def _random_antisymmetric(rng, graph, scale=1.0):
-    raw = rng.normal(scale=scale, size=graph.n_edges)
-    return antisymmetrize_flux(raw, graph)
+def _random_fluxes(rng, graph, scale=1.0):
+    """A random (2, links) field pair."""
+    return rng.normal(scale=scale, size=(2, graph.n_links))
 
 
 def _suite_holder_l(rng, tol, scale=1.0):
     graph, exponents, rho, beta = _random_setup(rng)
     mob = linear()
-    j = _random_antisymmetric(rng, graph, scale)
-    jbar = _random_antisymmetric(rng, graph, scale)
-    pair = np.stack([j, _random_antisymmetric(rng, graph, scale)])
-    pair_bar = np.stack([jbar, _random_antisymmetric(rng, graph, scale)])
+    pair = _random_fluxes(rng, graph, scale)
+    pair_bar = _random_fluxes(rng, graph, scale)
     lhs = transport.pairing_l(graph, rho, pair, pair_bar, mob, beta, exponents)
     diag = transport.pairing_l(graph, rho, pair, pair, mob, beta, exponents)
     diag_bar = transport.pairing_l(graph, rho, pair_bar, pair_bar, mob, beta, exponents)
@@ -320,8 +303,8 @@ def _suite_holder_l(rng, tol, scale=1.0):
 def _suite_holder_ltilde(rng, tol, scale=1.0):
     graph, exponents, rho, beta = _random_setup(rng)
     mob = linear()
-    v = np.stack([_random_antisymmetric(rng, graph, scale), _random_antisymmetric(rng, graph, scale)])
-    vbar = np.stack([_random_antisymmetric(rng, graph, scale), _random_antisymmetric(rng, graph, scale)])
+    v = _random_fluxes(rng, graph, scale)
+    vbar = _random_fluxes(rng, graph, scale)
     lhs = transport.pairing_l_tilde(graph, rho, v, vbar, mob, beta, exponents)
     diag = transport.pairing_l_tilde(graph, rho, v, v, mob, beta, exponents)
     diag_bar = transport.pairing_l_tilde(graph, rho, vbar, vbar, mob, beta, exponents)
@@ -333,8 +316,8 @@ def _suite_holder_ltilde(rng, tol, scale=1.0):
 def _suite_minkowski(rng, tol, scale=1.0):
     graph, exponents, rho, beta = _random_setup(rng)
     mob = linear()
-    j = np.stack([_random_antisymmetric(rng, graph, scale), _random_antisymmetric(rng, graph, scale)])
-    jbar = np.stack([_random_antisymmetric(rng, graph, scale), _random_antisymmetric(rng, graph, scale)])
+    j = _random_fluxes(rng, graph, scale)
+    jbar = _random_fluxes(rng, graph, scale)
     lam = float(rng.uniform(0.1, 3.0))
     norm = transport.minkowski_norm(graph, rho, j, mob, beta, exponents)
     norm_scaled = transport.minkowski_norm(graph, rho, lam * j, mob, beta, exponents)
@@ -347,21 +330,18 @@ def _suite_minkowski(rng, tol, scale=1.0):
 
 
 def _suite_antisym(rng, tol, scale=1.0):
+    """A raw edge field, f on every (lo, hi) and b on (hi, lo), has the action
+    (A(f) + A(-b)) / 2: each orientation's two alpha terms are those of a
+    link field.  Its antisymmetric part (f - b) / 2 has the same divergence
+    and, A being convex, never a larger action."""
     graph, exponents, rho, beta = _random_setup(rng)
     mob = linear()
-    raw = scale * np.stack(
-        [np.abs(rng.normal(size=graph.n_edges)), np.abs(rng.normal(size=graph.n_edges))]
-    )
-    sym = np.stack([antisymmetrize_flux(raw[i], graph) for i in range(2)])
-    act_raw = transport.action(graph, rho, raw, mob, beta, exponents).total
-    act_sym = transport.action(graph, rho, sym, mob, beta, exponents).total
-    increase = act_sym - act_raw if np.isfinite(act_raw) else 0.0
-    div_gap = 0.0
-    for i in range(2):
-        d1 = nonlocal_divergence(raw[i], graph)
-        d2 = nonlocal_divergence(sym[i], graph)
-        div_gap = max(div_gap, float(np.max(np.abs(d1 - d2))))
-    violation = max(increase, div_gap)
+    f = scale * np.abs(rng.normal(size=(2, graph.n_links)))
+    b = scale * np.abs(rng.normal(size=(2, graph.n_links)))
+    act_raw = 0.5 * (transport.action(graph, rho, f, mob, beta, exponents).total
+                     + transport.action(graph, rho, -b, mob, beta, exponents).total)
+    act_sym = transport.action(graph, rho, 0.5 * (f - b), mob, beta, exponents).total
+    violation = act_sym - act_raw if np.isfinite(act_raw) else 0.0
     return violation > tol, float(violation)
 
 
@@ -370,8 +350,8 @@ def _suite_convexity(rng, tol, scale=1.0):
     mob = linear()
     rho1 = rng.uniform(0.05, 1.0, size=rho0.shape)
     rho1 /= (rho1 @ graph.weights)[:, None]
-    j0 = np.stack([_random_antisymmetric(rng, graph, scale), _random_antisymmetric(rng, graph, scale)])
-    j1 = np.stack([_random_antisymmetric(rng, graph, scale), _random_antisymmetric(rng, graph, scale)])
+    j0 = _random_fluxes(rng, graph, scale)
+    j1 = _random_fluxes(rng, graph, scale)
     tau = float(rng.uniform(0.0, 1.0))
     blend_rho = (1 - tau) * rho0 + tau * rho1
     blend_j = (1 - tau) * j0 + tau * j1
@@ -387,11 +367,11 @@ def _suite_convexity(rng, tol, scale=1.0):
 def _suite_duality(rng, tol, scale=1.0):
     graph, exponents, rho, beta = _random_setup(rng)
     phi = scale * rng.normal(size=graph.n_vertices)
-    j = scale * rng.normal(size=graph.n_edges)
+    j = scale * rng.normal(size=graph.n_links)
     div = nonlocal_divergence(j, graph)
     lhs = float(np.sum(phi * div * graph.weights))
     grad = nonlocal_gradient(phi, graph)
-    rhs_val = -0.5 * float(np.sum(grad * j * graph.action_weight))
+    rhs_val = -float(np.sum(grad * j * graph.link_weight))
     scale = max(1.0, abs(lhs), abs(rhs_val))
     violation = abs(lhs - rhs_val) / scale
     return violation > tol, float(violation)

@@ -1,7 +1,7 @@
 """Upwind gradient-flow flux, ODE right-hand side, and adaptive integration.
 
 For each species with descent velocity w = -beta * (nonlocal gradient of the
-energy's variational derivative), the flux on the ordered edge (l, k) is
+energy's variational derivative), the flux on the edge (l, k) is
 
     j(l, k) = m(rho_l, rho_k) (w_+)^(q-1) - m(rho_k, rho_l) (w_-)^(q-1),
 
@@ -9,7 +9,9 @@ i.e. the mobility is evaluated at the source vertex of the flow and enters
 to the first power.  This is the unique flux for which the Finsler pairing
 identity l_rho(j)[.] = -dE[.] and the exact dissipation balance
 dE/dt = -D(rho) hold for every exponent p; the resulting trajectories are
-curves of maximal slope (zeros of the De Giorgi functional).
+curves of maximal slope (zeros of the De Giorgi functional).  The flux is
+antisymmetric, so it is a (2, links) array of its values on the edges
+(lo, hi), one flux-law evaluation per link.
 """
 
 import numbers
@@ -18,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeUnderflow, ThresholdExceeded
-from .graph import link_to_edges
-from .kernels import energy, potentials
+from .kernels import descent_velocities, energy, potentials
 from .mobility import flux_law
 
 STATE_TOL = 1e-8  # slack accepted on raw states before ThresholdExceeded
@@ -79,28 +80,14 @@ def _clip_to_box(rho, mobility):
     return np.clip(rho, 0.0, hi if np.isfinite(hi) else None)
 
 
-def _link_velocities(rho_pair, kernels, graph):
-    """Both species' descent velocities on the edges (lo, hi), (2, links): phi(lo) - phi(hi).
+def upwind_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
+    """Gradient-flow flux pair (2, links): its values on the edges (lo, hi).
 
-    Written to both orientations by ``link_to_edges`` they equal
-    ``kernels.edge_velocities`` bit for bit, because fl(a - b) = -fl(b - a).
-    """
-    return _link_descent(potentials(rho_pair, kernels, graph), graph)
-
-
-def _link_descent(phi, graph):
-    """The link descent velocities phi(lo) - phi(hi) of the (2, n) potentials ``phi``."""
-    velocities = np.take(phi, graph.link_lo, axis=1)
-    velocities -= np.take(phi, graph.link_hi, axis=1)
-    return velocities
-
-
-def _link_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
-    """The flux of :func:`upwind_flux` per link (2, links): its value on (lo, hi).
-
-    The flux is antisymmetric, so one flux-law evaluation per link gives both
-    orientations.  ``velocities``, when given, must be
-    ``_link_velocities(rho_pair, kernels, graph)``; they are left unmodified.
+    Raises ThresholdExceeded when the state leaves [0, R] x [0, S] (or goes
+    negative) by more than a small slack; inside the slack the mobility
+    arguments are clamped to the box.  ``velocities``, when given, must be
+    the state's :func:`~graphflow.kernels.descent_velocities`; they are left
+    unmodified.
     """
     rho_pair = np.asarray(rho_pair, dtype=float)
     lo = float(np.min(rho_pair))
@@ -111,7 +98,7 @@ def _link_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
             f"state outside [0, {cap}] by more than {STATE_TOL}: min={lo:.3e} max={hi:.3e}"
         )
     if velocities is None:
-        scaled = _link_velocities(rho_pair, kernels, graph)
+        scaled = descent_velocities(potentials(rho_pair, kernels, graph), graph)
         scaled *= kernels.beta[:, None]
     else:
         scaled = kernels.beta[:, None] * velocities
@@ -120,23 +107,13 @@ def _link_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
                     np.take(rho_box, graph.link_hi, axis=1), mobility, exponents)
 
 
-def upwind_flux(rho_pair, kernels, mobility, exponents, graph):
-    """Gradient-flow flux pair (2, n_edges); antisymmetric by construction.
-
-    Raises ThresholdExceeded when the state leaves [0, R] x [0, S] (or goes
-    negative) by more than a small slack; inside the slack the mobility
-    arguments are clamped to the box.
-    """
-    return link_to_edges(_link_flux(rho_pair, kernels, mobility, exponents, graph), graph)
-
-
 def rhs(rho_pair, kernels, mobility, exponents, graph):
     """Density time derivative -div(j) per species; conserves mass exactly.
 
     The flux is evaluated once per link and its divergence taken by the
     graph's link divergence matrix, one species row at a time.
     """
-    flux = _link_flux(rho_pair, kernels, mobility, exponents, graph)
+    flux = upwind_flux(rho_pair, kernels, mobility, exponents, graph)
     rate = np.stack([graph.link_divergence @ row for row in flux])
     return np.negative(rate, out=rate)
 
@@ -181,7 +158,7 @@ class Trajectory:
     dts: np.ndarray  # (m,)
     local_errors: np.ndarray  # (m,)
     stats: dict = field(default_factory=dict)
-    node_fluxes: np.ndarray = None  # (m+1, 2, e)
+    node_fluxes: np.ndarray = None  # (m+1, 2, links)
 
     @property
     def n_steps(self):

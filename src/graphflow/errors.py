@@ -58,10 +58,6 @@ class StepSizeUnderflow(GraphflowError):
         self.time = time
 
 
-class NonAntisymmetric(GraphflowError):
-    """Edge field expected to be antisymmetric is not."""
-
-
 class InfiniteAction(GraphflowError):
     """A pairing was requested for a flux of infinite action."""
 

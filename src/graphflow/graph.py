@@ -2,12 +2,13 @@
 
 A graph is the triple (base measure, edge weights, edge set): vertices are
 the atoms of a positive measure with positions ``x_l`` and weights ``mu_l``,
-edges are the ordered pairs ``(l, k)`` with ``l != k`` and symmetric weight
-``eta(l, k) > 0``.  Both orientations of every edge are materialized; edge
-fields (fluxes, velocities, nonlocal gradients) are flat arrays aligned with
-the edge list, node fields are arrays of one value per vertex.  Each edge and
-its reverse also form one link, the unordered edge ``{lo, hi}`` with
-``lo < hi``: an antisymmetric edge field is one value per link.
+edges are the pairs ``(l, k)`` with ``l != k`` and symmetric weight
+``eta(l, k) > 0``.  Fluxes, velocities and nonlocal gradients are
+antisymmetric edge fields, so each is stored once per link, the unordered
+edge ``{lo, hi}`` with ``lo < hi``: a (links,) array, or (2, links) for a
+species pair, whose value is the field on the edge ``(lo, hi)``; its value
+on ``(hi, lo)`` is the negative.  Node fields are arrays of one value per
+vertex.
 """
 
 from dataclasses import dataclass, field
@@ -93,20 +94,16 @@ class BaseMeasure:
 
 @dataclass(frozen=True)
 class FiniteGraph:
-    """Base measure plus the edge list with its symmetric weights.
+    """Base measure plus the links with their symmetric weights.
 
-    ``edge_src``, ``edge_dst`` and ``edge_eta`` enumerate every ordered pair
-    with positive weight; a dense eta is rebuilt from these three arrays.
-    The action weight ``action_weight = eta * mu_src * mu_dst`` is gathered
-    once, at construction.
-
-    The links are numbered in edge order of their ``(lo, hi)`` orientation:
-    ``link_lo`` < ``link_hi`` are their vertices, ``link_edge`` and
-    ``link_reverse`` the indices of the edges ``(lo, hi)`` and ``(hi, lo)``.
-    An antisymmetric flux with value ``a`` on ``(lo, hi)`` has divergence
-    ``eta mu_hi a`` at ``lo`` and ``-eta mu_lo a`` at ``hi``; ``link_div_lo``
-    and ``link_div_hi`` hold these coefficients, and ``link_divergence`` is
-    the (n, links) CSR matrix of them, each row's entries in link order.
+    ``link_lo`` < ``link_hi`` and ``link_eta`` enumerate every unordered
+    pair with positive weight; a dense eta is rebuilt from these three
+    arrays.  Everything else is derived, once, at construction: the action
+    weight ``link_weight = eta mu_lo mu_hi``; the divergence coefficients of
+    a link field with value ``a`` on (lo, hi), ``eta mu_hi a`` at ``lo``
+    (``link_div_lo``) and ``-eta mu_lo a`` at ``hi`` (``link_div_hi``), and
+    ``link_divergence``, the (n, links) CSR matrix of them, each row's
+    entries in link order.
 
     ``component`` labels the connected components in order of their lowest
     vertex, which ``ground`` holds, one per component; the divergence
@@ -114,58 +111,38 @@ class FiniteGraph:
     """
 
     base: BaseMeasure
-    edge_src: np.ndarray = field(repr=False)
-    edge_dst: np.ndarray = field(repr=False)
-    edge_eta: np.ndarray = field(repr=False)
-    action_weight: np.ndarray = field(init=False, repr=False, compare=False)
-    link_lo: np.ndarray = field(init=False, repr=False, compare=False)
-    link_hi: np.ndarray = field(init=False, repr=False, compare=False)
-    link_edge: np.ndarray = field(init=False, repr=False, compare=False)
-    link_reverse: np.ndarray = field(init=False, repr=False, compare=False)
+    link_lo: np.ndarray = field(repr=False)
+    link_hi: np.ndarray = field(repr=False)
+    link_eta: np.ndarray = field(repr=False)
+    link_weight: np.ndarray = field(init=False, repr=False, compare=False)
     link_div_lo: np.ndarray = field(init=False, repr=False, compare=False)
     link_div_hi: np.ndarray = field(init=False, repr=False, compare=False)
     link_divergence: sparse.csr_matrix = field(init=False, repr=False, compare=False)
-    # position of each edge in the link values followed by their negatives,
-    # so writing link values to the edges is one gather
-    _edge_slot: np.ndarray = field(init=False, repr=False, compare=False)
     component: np.ndarray = field(init=False, repr=False, compare=False)
     ground: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.base.n_vertices
-        link_edge = np.flatnonzero(self.edge_src < self.edge_dst)
-        link_lo, link_hi = self.edge_src[link_edge], self.edge_dst[link_edge]
-        # eta is symmetric, so the reversed pair of every edge is itself an edge
-        keys = self.edge_src * n + self.edge_dst
-        order = np.argsort(keys)
-        link_reverse = order[np.searchsorted(keys, link_hi * n + link_lo, sorter=order)]
-        div_lo = self.edge_eta[link_edge] * self.weights[link_hi]
-        div_hi = -self.edge_eta[link_edge] * self.weights[link_lo]
-        links = np.arange(link_edge.size)
+        lo, hi, eta = self.link_lo, self.link_hi, self.link_eta
+        div_lo = eta * self.weights[hi]
+        div_hi = -eta * self.weights[lo]
+        links = np.arange(lo.size)
         divergence = sparse.csr_matrix(
             (np.concatenate([div_lo, div_hi]),
-             (np.concatenate([link_lo, link_hi]), np.concatenate([links, links]))),
+             (np.concatenate([lo, hi]), np.concatenate([links, links]))),
             shape=(n, links.size))
         divergence.sort_indices()
-        edge_slot = np.empty(self.n_edges, dtype=np.int64)
-        edge_slot[np.concatenate([link_edge, link_reverse])] = np.arange(2 * links.size)
-        adjacency = sparse.csr_matrix((np.ones(links.size), (link_lo, link_hi)), shape=(n, n))
+        adjacency = sparse.csr_matrix((np.ones(links.size), (lo, hi)), shape=(n, n))
         _, component = connected_components(adjacency, directed=False)
-        pair_weight = self.weights[self.edge_src] * self.weights[self.edge_dst]
-        cached = {
-            "action_weight": self.edge_eta * pair_weight,
-            "link_lo": link_lo,
-            "link_hi": link_hi,
-            "link_edge": link_edge,
-            "link_reverse": link_reverse,
+        derived = {
+            "link_weight": eta * (self.weights[lo] * self.weights[hi]),
             "link_div_lo": div_lo,
             "link_div_hi": div_hi,
             "link_divergence": divergence,
-            "_edge_slot": edge_slot,
             "component": component,
             "ground": np.unique(component, return_index=True)[1],
         }
-        for name, value in cached.items():
+        for name, value in derived.items():
             object.__setattr__(self, name, value)
 
     @property
@@ -173,8 +150,8 @@ class FiniteGraph:
         return self.base.n_vertices
 
     @property
-    def n_edges(self):
-        return self.edge_src.shape[0]
+    def n_links(self):
+        return self.link_lo.shape[0]
 
     @property
     def points(self):
@@ -185,17 +162,16 @@ class FiniteGraph:
         return self.base.weights
 
     @property
-    def edge_lengths(self):
-        delta = self.points[self.edge_dst] - self.points[self.edge_src]
-        return np.linalg.norm(delta, axis=1)
+    def link_lengths(self):
+        return np.linalg.norm(self.points[self.link_hi] - self.points[self.link_lo], axis=1)
 
     def check_node_field(self, values, pair=False):
         """``values`` as a float (n,) array, or (2, n) for a species ``pair``."""
         return _check_field(values, (2, self.n_vertices) if pair else (self.n_vertices,), "node")
 
-    def check_edge_field(self, values, pair=False):
-        """``values`` as a float (e,) array, or (2, e) for a species ``pair``."""
-        return _check_field(values, (2, self.n_edges) if pair else (self.n_edges,), "edge")
+    def check_link_field(self, values, pair=False):
+        """``values`` as a float (links,) array, or (2, links) for a species ``pair``."""
+        return _check_field(values, (2, self.n_links) if pair else (self.n_links,), "link")
 
 
 def _check_field(values, shape, kind):
@@ -219,7 +195,7 @@ def build_graph(points, weights, eta_spec):
 
     Eta is evaluated densely on all (n, n) pairs, so graphs above
     ``DENSE_VERTEX_LIMIT`` vertices are refused; the graph keeps only the
-    edges with positive weight.
+    links with positive weight.
     """
     base = BaseMeasure(np.asarray(points, dtype=float), np.asarray(weights, dtype=float))
     n = base.n_vertices
@@ -249,13 +225,10 @@ def build_graph(points, weights, eta_spec):
         l, k = np.unravel_index(int(np.argmin(eta)), eta.shape)
         raise NegativeEdgeWeight(f"eta({l},{k}) = {eta[l, k]} < 0")
 
-    src, dst = np.nonzero(eta > 0)
-    return FiniteGraph(
-        base=base,
-        edge_src=src.astype(np.int64),
-        edge_dst=dst.astype(np.int64),
-        edge_eta=eta[src, dst],
-    )
+    # row-major over the upper triangle, so each row's links are in order of hi
+    lo, hi = np.nonzero(np.triu(eta, 1) > 0)
+    return FiniteGraph(base=base, link_lo=lo.astype(np.int64), link_hi=hi.astype(np.int64),
+                       link_eta=eta[lo, hi])
 
 
 @dataclass(frozen=True)
@@ -281,25 +254,32 @@ def check_assumptions(graph, exponents):
     sum_k (|x_l - x_k|^q v |x_l - x_k|^{pq}) eta(l,k) mu_k; ``c_eta_prime``
     maximizes the same kernel factor over single edges; the blow-up profile
     maps eps to max_l sum over edges shorter than eps of |x|^q eta mu.
+    ``n_edges`` counts ordered edges, two per link.
     """
     p, q = exponents.p, exponents.q
     c_mu = graph.base.moment_constant(p)
-    lengths = graph.edge_lengths
-    if graph.n_edges == 0:
+    if graph.n_links == 0:
         return AssumptionReport(c_mu, 0.0, 0.0, tuple(), graph.n_vertices, 0)
 
-    mu_dst = graph.weights[graph.edge_dst]
-    kernel = np.maximum(lengths**q, lengths ** (p * q)) * graph.edge_eta
-    per_vertex = np.bincount(graph.edge_src, weights=kernel * mu_dst, minlength=graph.n_vertices)
+    # both orientations of every link, in row-major order of (src, dst)
+    src = np.concatenate([graph.link_lo, graph.link_hi])
+    dst = np.concatenate([graph.link_hi, graph.link_lo])
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    lengths = np.tile(graph.link_lengths, 2)[order]
+    eta = np.tile(graph.link_eta, 2)[order]
+    mu_dst = graph.weights[dst]
+    kernel = np.maximum(lengths**q, lengths ** (p * q)) * eta
+    per_vertex = np.bincount(src, weights=kernel * mu_dst, minlength=graph.n_vertices)
     c_eta = float(np.max(per_vertex))
     c_eta_prime = float(np.max(kernel))
 
     # The per-vertex sums only grow with eps, so one pass over the edges in
     # order of length gives every profile value: each vertex's running sum
     # in its own length order, then a running maximum over all edges.
-    qterm = lengths**q * graph.edge_eta * mu_dst
-    by_vertex = np.lexsort((lengths, graph.edge_src))
-    src = graph.edge_src[by_vertex]
+    qterm = lengths**q * eta * mu_dst
+    by_vertex = np.lexsort((lengths, src))
+    src = src[by_vertex]
     slot = np.arange(src.size) - np.searchsorted(src, src)  # rank within the vertex
     table = np.zeros((graph.n_vertices, int(slot.max()) + 1))
     table[src, slot] = qterm[by_vertex]
@@ -311,87 +291,36 @@ def check_assumptions(graph, exponents):
     shorter = np.searchsorted(lengths[by_length], eps_grid, side="left")
     values = np.where(shorter > 0, peak[shorter - 1], 0.0)
     profile = tuple(zip(eps_grid.tolist(), values.tolist()))
-    return AssumptionReport(c_mu, c_eta, c_eta_prime, profile, graph.n_vertices, graph.n_edges)
+    return AssumptionReport(c_mu, c_eta, c_eta_prime, profile, graph.n_vertices, 2 * graph.n_links)
 
 
 def nonlocal_gradient(phi, graph):
-    """Edge difference phi(dst) - phi(src); exactly antisymmetric.
+    """Link difference phi(hi) - phi(lo): the gradient on the edge (lo, hi).
 
-    Takes one node field (n,) or a species pair (2, n) and returns (e,) or
-    (2, e); each row equals the call on that row alone.
+    Takes one node field (n,) or a species pair (2, n) and returns (links,)
+    or (2, links); each row equals the call on that row alone.
     """
     phi = graph.check_node_field(phi, pair=np.ndim(phi) == 2)
-    grad = np.take(phi, graph.edge_dst, axis=-1)
-    grad -= np.take(phi, graph.edge_src, axis=-1)
+    grad = np.take(phi, graph.link_hi, axis=-1)
+    grad -= np.take(phi, graph.link_lo, axis=-1)
     return grad
 
 
 def nonlocal_divergence(j, graph):
     """Negative adjoint of the nonlocal gradient under the eta-weighted pairing.
 
-    The normalization is pinned by the duality identity
+    A link field ``j`` is the antisymmetric edge field with value j on
+    (lo, hi) and -j on (hi, lo).  The normalization is pinned by the duality
+    identity
 
-        sum_l phi(l) div(l) mu_l = -(1/2) sum_{(l,k)} (phi(k)-phi(l)) eta j(l,k) mu_l mu_k
+        sum_l phi(l) div(l) mu_l = -sum_links (phi(hi) - phi(lo)) eta j mu_lo mu_hi
 
-    for every node field phi, which on densities gives
-
-        div(l) = (1/2) sum_k eta(l,k) mu_k (j(l,k) - j(k,l)).
-
-    Only the antisymmetric part of j enters, so this is ``link_divergence``
-    of ``edges_to_links(j)``, the divergence the dynamics take.  Takes one
-    edge field (e,) or a species pair (2, e) and returns (n,) or (2, n),
-    one row at a time.
+    for every node field phi (half the sum over both orientations), which
+    gives div(lo) = eta mu_hi j and div(hi) = -eta mu_lo j per link: the
+    product with ``link_divergence``.  Takes one link field (links,) or a
+    species pair (2, links) and returns (n,) or (2, n), one row at a time.
     """
-    j = graph.check_edge_field(j, pair=np.ndim(j) == 2)
-    links = edges_to_links(j, graph)
-    if links.ndim == 1:
-        return graph.link_divergence @ links
-    return np.stack([graph.link_divergence @ row for row in links])
-
-
-def edges_to_links(j, graph):
-    """Antisymmetric part of edge fields per link: (..., e) -> (..., links).
-
-    Link ``(lo, hi)`` gets ``(j(lo, hi) - j(hi, lo)) / 2``; on antisymmetric
-    fields this inverts :func:`link_to_edges`.
-    """
-    return 0.5 * (np.take(j, graph.link_edge, axis=-1) - np.take(j, graph.link_reverse, axis=-1))
-
-
-def link_to_edges(a, graph):
-    """Antisymmetric edge fields of link values: (..., links) -> (..., e).
-
-    Edge ``(lo, hi)`` gets ``a`` and edge ``(hi, lo)`` gets ``-a``.
-    """
-    return np.take(np.concatenate([a, np.negative(a)], axis=-1), graph._edge_slot, axis=-1)
-
-
-def transpose_edge_field(j, graph):
-    """Gather j onto reversed edges: out(l,k) = j(k,l)."""
-    j = graph.check_edge_field(j)
-    out = np.empty_like(j)
-    out[graph.link_edge] = j[graph.link_reverse]
-    out[graph.link_reverse] = j[graph.link_edge]
-    return out
-
-
-def antisymmetrize_flux(j, graph):
-    """Project onto antisymmetric edge fields: (j - j^T)/2.
-
-    Preserves the nonlocal divergence and never increases the action.
-    """
-    j = graph.check_edge_field(j)
-    return link_to_edges(edges_to_links(j, graph), graph)
-
-
-def is_antisymmetric(j, graph, tol=1e-12):
-    """Whether j(k,l) = -j(l,k) up to tol * max(1, max|j|).
-
-    One edge field gives a bool; a species pair (2, e) gives one bool per
-    row, each with its own scale.
-    """
-    j = graph.check_edge_field(j, pair=np.ndim(j) == 2)
-    scale = np.maximum(1.0, np.max(np.abs(j), axis=-1, initial=0.0))
-    defect = np.abs(np.take(j, graph.link_edge, axis=-1) + np.take(j, graph.link_reverse, axis=-1))
-    ok = np.all(defect <= tol * scale[..., None], axis=-1)
-    return bool(ok) if j.ndim == 1 else ok
+    j = graph.check_link_field(j, pair=np.ndim(j) == 2)
+    if j.ndim == 1:
+        return graph.link_divergence @ j
+    return np.stack([graph.link_divergence @ row for row in j])

@@ -1,4 +1,4 @@
-"""Interaction kernels, the cross-interaction energy, and edge velocities.
+"""Interaction kernels, the cross-interaction energy, and descent velocities.
 
 The energy of a density pair is
 
@@ -240,13 +240,8 @@ def energy_from_potentials(phi, rho_pair, graph):
     return 0.5 * float(np.sum(phi * masses))
 
 
-def edge_velocity(rho_pair, kernels, graph, species):
-    """Descent velocity -grad of the species' potential; exactly antisymmetric."""
-    phi = potentials(rho_pair, kernels, graph)[species]
-    return -nonlocal_gradient(phi, graph)
-
-
-def edge_velocities(rho_pair, kernels, graph):
-    """Both species' descent velocities as one (2, n_edges) array."""
-    grad = nonlocal_gradient(potentials(rho_pair, kernels, graph), graph)
+def descent_velocities(phi, graph):
+    """Descent velocities -grad phi of the (2, n) potentials ``phi``, (2, links):
+    phi(lo) - phi(hi) on every edge (lo, hi)."""
+    grad = nonlocal_gradient(phi, graph)
     return np.negative(grad, out=grad)

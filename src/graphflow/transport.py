@@ -1,15 +1,19 @@
 """Upwind action, Finsler pairings, and the transportation quasi-metric.
 
-The two-species action of a state/flux pair is
+Fluxes and velocities are (2, links) arrays, one value per link on its
+edge (lo, hi) (see :mod:`graphflow.graph`).  The two-species action of a
+state/flux pair is
 
-    A = 1/2 sum_i (1/beta_i) sum_(l,k) [alpha(j, rho_l, rho_k)
-                                        + alpha(-j, rho_k, rho_l)] eta mu_l mu_k
+    A = sum_i (1/beta_i) sum_links [alpha(j, rho_lo, rho_hi)
+                                    + alpha(-j, rho_hi, rho_lo)] eta mu_lo mu_hi
 
-with the convex density alpha(j, r, s) = (j_+)^p / m(r, s)^(p-1).  The
-quasi-metric T(rho_0, rho_1) is the p-th root of the minimal time-integrated
-action over discrete paths solving the continuity equation; with midpoint
-interval densities the objective is jointly convex when the mobility is
-jointly concave (linear, for instance; volume filling is not).
+with the convex density alpha(j, r, s) = (j_+)^p / m(r, s)^(p-1): half the
+sum of the same two terms over both orientations of every edge, so each
+link is charged once, through the mobility at the source end of its flux.
+The quasi-metric T(rho_0, rho_1) is the p-th root of the minimal
+time-integrated action over discrete paths solving the continuity equation;
+with midpoint interval densities the objective is jointly convex when the
+mobility is jointly concave (linear, for instance; volume filling is not).
 """
 
 from dataclasses import dataclass
@@ -19,14 +23,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .errors import (
-    InfeasibleEndpoints,
-    InfiniteAction,
-    NonAntisymmetric,
-    NotConverged,
-)
-from .graph import is_antisymmetric, link_to_edges, nonlocal_divergence
-from .mobility import alpha_density, flux_law, positive_part
+from .errors import InfeasibleEndpoints, InfiniteAction, NotConverged
+from .graph import nonlocal_divergence
+from .mobility import alpha_density, flux_law
 
 
 @dataclass(frozen=True)
@@ -40,10 +39,10 @@ class ActionValue:
         return self.total
 
 
-def _endpoint_densities(rho_pair, src, dst):
-    """Densities at the ``src`` and ``dst`` vertices for both species, (2, len(src)) each."""
+def _link_densities(graph, rho_pair):
+    """Densities at the ``lo`` and ``hi`` end of every link for both species, (2, links) each."""
     rho_pair = np.asarray(rho_pair, dtype=float)
-    return np.take(rho_pair, src, axis=1), np.take(rho_pair, dst, axis=1)
+    return np.take(rho_pair, graph.link_lo, axis=1), np.take(rho_pair, graph.link_hi, axis=1)
 
 
 def _action_value(bare, beta):
@@ -53,96 +52,49 @@ def _action_value(bare, beta):
                        per_species=(float(parts[0]), float(parts[1])))
 
 
-def _require_antisymmetric(graph, *named_pairs):
-    """Raise NonAntisymmetric for the first species (then the first field)
-    whose velocity is not antisymmetric."""
-    ok = np.stack([is_antisymmetric(pair, graph) for _, pair in named_pairs], axis=1)
-    if not np.all(ok):
-        species, which = np.argwhere(~ok)[0]
-        label = named_pairs[which][0]
-        raise NonAntisymmetric(
-            f"{label + ' ' if label else ''}velocity of species {species + 1} is not antisymmetric"
-        )
-
-
-def _alpha_sum(rho_pair, flux, src, dst, weight, mobility, exponents):
-    """Per-species sums of [alpha(j, r_src, r_dst) + alpha(-j, r_dst, r_src)] * weight."""
-    r_src, r_dst = _endpoint_densities(rho_pair, src, dst)
-    terms = alpha_density(flux, r_src, r_dst, mobility, exponents)
-    terms += alpha_density(-flux, r_dst, r_src, mobility, exponents)
-    terms *= weight
-    return np.sum(terms, axis=1)
-
-
-def _dual_sum(speed, m, weight, exponents):
-    """Per-species sums of m speed^q weight, zero where speed or m is not positive."""
-    vals = speed**exponents.q
-    vals *= m
-    # m = 0 with a positive speed carries zero flux and zero cost in velocity form
-    np.copyto(vals, 0.0, where=~(speed > 0) | (m <= 0))
-    vals *= weight
-    return np.sum(vals, axis=1)
-
-
 def action(graph, rho_pair, flux_pair, mobility, beta, exponents):
-    """Two-species upwind action; infinity encodes infeasibility, not an error."""
-    flux_pair = graph.check_edge_field(flux_pair, pair=True)
-    bare = _alpha_sum(rho_pair, flux_pair, graph.edge_src, graph.edge_dst, graph.action_weight,
-                      mobility, exponents)
-    return _action_value(0.5 * bare, beta)
+    """Two-species upwind action of the (2, links) fluxes; infinity encodes
+    infeasibility, not an error."""
+    flux_pair = graph.check_link_field(flux_pair, pair=True)
+    r_lo, r_hi = _link_densities(graph, rho_pair)
+    terms = alpha_density(flux_pair, r_lo, r_hi, mobility, exponents)
+    terms += alpha_density(-flux_pair, r_hi, r_lo, mobility, exponents)
+    terms *= graph.link_weight
+    return _action_value(np.sum(terms, axis=1), beta)
 
 
 def dual_action(graph, rho_pair, velocity_pair, mobility, beta, exponents):
-    """Action in velocity form, sum_i (1/beta_i) sum m(rho_l, rho_k) (v_+)^q eta mu mu.
+    """Action in velocity form, sum_i (1/beta_i) sum m(rho_up, rho_down) |v|^q eta mu mu.
 
-    Requires antisymmetric velocities (raises NonAntisymmetric otherwise);
-    equals ``action`` of :func:`flux_from_velocity` of the same velocities.
+    Only the orientation a link's velocity points along has a positive part,
+    so the mobility is evaluated once per link, upwind; equals ``action`` of
+    :func:`flux_from_velocity` of the same velocities.
     """
-    v = graph.check_edge_field(velocity_pair, pair=True)
-    _require_antisymmetric(graph, ("", v))
-    m_fwd = mobility(*_endpoint_densities(rho_pair, graph.edge_src, graph.edge_dst))
-    return _action_value(_dual_sum(positive_part(v), m_fwd, graph.action_weight, exponents), beta)
-
-
-def _link_action(graph, rho_pair, flux, mobility, beta, exponents):
-    """:func:`action` of the antisymmetric flux with values ``flux`` (2, links) on (lo, hi).
-
-    Both edges of a link carry the same two alpha terms, which ``action``
-    sums and halves; here each link sums them once, so the value equals
-    ``action`` of ``link_to_edges(flux)`` up to the order of summation, with
-    the same inf and 0 cases.
-    """
-    bare = _alpha_sum(rho_pair, flux, graph.link_lo, graph.link_hi,
-                      graph.action_weight[graph.link_edge], mobility, exponents)
-    return _action_value(bare, beta)
-
-
-def _link_dual_action(graph, rho_pair, velocity, mobility, beta, exponents):
-    """:func:`dual_action` of the antisymmetric velocity with values ``velocity`` on (lo, hi).
-
-    Only the edge a link's velocity points along has a positive part, so
-    the mobility is evaluated once per link, upwind: m(r_up, r_down) |v|^q.
-    """
-    r_lo, r_hi = _endpoint_densities(rho_pair, graph.link_lo, graph.link_hi)
-    forward = velocity > 0
+    v = graph.check_link_field(velocity_pair, pair=True)
+    r_lo, r_hi = _link_densities(graph, rho_pair)
+    forward = v > 0
     m_up = mobility(np.where(forward, r_lo, r_hi), np.where(forward, r_hi, r_lo))
-    bare = _dual_sum(np.abs(velocity), m_up, graph.action_weight[graph.link_edge], exponents)
-    return _action_value(bare, beta)
+    speed = np.abs(v)
+    vals = speed**exponents.q
+    vals *= m_up
+    # m = 0 with a positive speed carries zero flux and zero cost in velocity form
+    np.copyto(vals, 0.0, where=~(speed > 0) | (m_up <= 0))
+    vals *= graph.link_weight
+    return _action_value(np.sum(vals, axis=1), beta)
 
 
 def flux_from_velocity(graph, rho_pair, velocity_pair, mobility, exponents):
-    """Dual representation: j = m(rho_l, rho_k) (v_+)^(q-1) - m(rho_k, rho_l) (v_-)^(q-1)."""
-    v = graph.check_edge_field(velocity_pair, pair=True)
-    r_src, r_dst = _endpoint_densities(rho_pair, graph.edge_src, graph.edge_dst)
-    return flux_law(v, r_src, r_dst, mobility, exponents)
+    """Dual representation: j = m(rho_lo, rho_hi) (v_+)^(q-1) - m(rho_hi, rho_lo) (v_-)^(q-1)."""
+    v = graph.check_link_field(velocity_pair, pair=True)
+    return flux_law(v, *_link_densities(graph, rho_pair), mobility, exponents)
 
 
 def velocity_from_flux(graph, rho_pair, flux_pair, mobility, exponents):
-    """Invert the dual representation; edges with vanishing mobility carry v = 0."""
-    j = graph.check_edge_field(flux_pair, pair=True)
-    r_src, r_dst = _endpoint_densities(rho_pair, graph.edge_src, graph.edge_dst)
-    m_fwd = mobility(r_src, r_dst)
-    m_bwd = mobility(r_dst, r_src)
+    """Invert the dual representation; links with vanishing upwind mobility carry v = 0."""
+    j = graph.check_link_field(flux_pair, pair=True)
+    r_lo, r_hi = _link_densities(graph, rho_pair)
+    m_fwd = mobility(r_lo, r_hi)
+    m_bwd = mobility(r_hi, r_lo)
     pm1 = exponents.p - 1.0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         up = (j / m_fwd) ** pm1
@@ -155,26 +107,22 @@ def pairing_l(graph, rho_pair, flux_pair, other_flux_pair, mobility, beta, expon
 
     Both fluxes must have finite action (InfiniteAction otherwise); then no
     flux leaves a vertex with vanishing mobility, so ``velocity_from_flux``
-    inverts the flux law on every edge that carries flux.
+    inverts the flux law on every link that carries flux.
     """
-    flux_pair = np.asarray(flux_pair, dtype=float)
-    other_flux_pair = np.asarray(other_flux_pair, dtype=float)
+    other_flux_pair = graph.check_link_field(other_flux_pair, pair=True)
     for pair in (flux_pair, other_flux_pair):
         if not np.isfinite(action(graph, rho_pair, pair, mobility, beta, exponents).total):
             raise InfiniteAction("pairing requires fluxes of finite action")
     velocity = velocity_from_flux(graph, rho_pair, flux_pair, mobility, exponents)
-    sums = np.sum(other_flux_pair * velocity * graph.action_weight, axis=1)
-    return _action_value(0.5 * sums, beta).total
+    return _action_value(np.sum(other_flux_pair * velocity * graph.link_weight, axis=1),
+                         beta).total
 
 
 def pairing_l_tilde(graph, rho_pair, velocity_pair, other_velocity_pair, mobility, beta, exponents):
     """Velocity-side pairing; linear in the second slot, diagonal equals the dual action."""
-    v = graph.check_edge_field(velocity_pair, pair=True)
-    vbar = graph.check_edge_field(other_velocity_pair, pair=True)
-    _require_antisymmetric(graph, ("first", v), ("second", vbar))
-    r_src, r_dst = _endpoint_densities(rho_pair, graph.edge_src, graph.edge_dst)
-    kernel = flux_law(v, r_src, r_dst, mobility, exponents)
-    return _action_value(0.5 * np.sum(vbar * kernel * graph.action_weight, axis=1), beta).total
+    vbar = graph.check_link_field(other_velocity_pair, pair=True)
+    kernel = flux_from_velocity(graph, rho_pair, velocity_pair, mobility, exponents)
+    return _action_value(np.sum(vbar * kernel * graph.link_weight, axis=1), beta).total
 
 
 def minkowski_norm(graph, rho_pair, flux_pair, mobility, beta, exponents):
@@ -204,7 +152,7 @@ class DiscretePath:
 
     times: np.ndarray  # (K+1,)
     states: np.ndarray  # (K+1, 2, n)
-    fluxes: np.ndarray  # (K, 2, e)
+    fluxes: np.ndarray  # (K, 2, links)
 
     @property
     def n_intervals(self):
@@ -253,24 +201,23 @@ def _scatter(graph, at_lo, at_hi):
 
 
 def min_norm_flux(graph, rates):
-    """Least-norm fluxes j with -div(j) = rate, (..., n) rates -> (..., e).
+    """Least-norm link fluxes j with -div(j) = rate, (..., n) rates -> (..., links).
 
     Rates must conserve the mass of every connected component, as rates of
-    states of equal component masses do; the fluxes are antisymmetric.  With
-    D the link divergence, the divergence on ordered edges is (D, -D) / 2, so
-    j = -(D, -D)^T y / 2 with (D D^T / 2) y = rate, a weighted graph
-    Laplacian.  Its kernel is the vertex weights on each component; grounding
-    one vertex per component fixes y up to that kernel, which D^T maps to zero.
+    states of equal component masses do.  With D the link divergence,
+    j = -D^T y with (D D^T) y = rate, a weighted graph Laplacian.  Its kernel
+    is the vertex weights on each component; grounding one vertex per
+    component fixes y up to that kernel, which D^T maps to zero.
     """
     rates = np.asarray(rates, dtype=float)
     rows = rates.reshape(-1, graph.n_vertices)
     y = np.zeros_like(rows)
     free = np.setdiff1d(np.arange(graph.n_vertices), graph.ground)
     if free.size:
-        laplacian = 0.5 * (graph.link_divergence @ graph.link_divergence.T)
+        laplacian = graph.link_divergence @ graph.link_divergence.T
         solve = splu(laplacian[free][:, free].tocsc()).solve
         y[:, free] = solve(np.ascontiguousarray(rows[:, free].T)).T
-    return link_to_edges(-0.5 * _adjoint(graph, y), graph).reshape(rates.shape[:-1] + (graph.n_edges,))
+    return np.negative(_adjoint(graph, y)).reshape(rates.shape[:-1] + (graph.n_links,))
 
 
 def _mobility_derivatives(mobility, r, s):
@@ -439,7 +386,7 @@ class _SplitProblem:
         self.mobility = mobility
         self.p = exponents.p
         self.cap = mobility.threshold_cap
-        self.coef = self.dt * graph.action_weight[graph.link_edge] / beta
+        self.coef = self.dt * graph.link_weight / beta
 
     def states(self, R):
         return np.concatenate([self.rho0[None], R, self.rho1[None]])
@@ -456,7 +403,7 @@ class _SplitProblem:
         uniform = (mass / volume)[graph.component]
         R = (1.0 - _UNIFORM_BLEND) * ((1.0 - taus) * self.rho0 + taus * self.rho1)
         R += _UNIFORM_BLEND * uniform
-        a = min_norm_flux(graph, np.diff(self.states(R), axis=0) / self.dt)[:, graph.link_edge]
+        a = min_norm_flux(graph, np.diff(self.states(R), axis=0) / self.dt)
         scale = max(float(np.max(np.abs(a), initial=0.0)),
                     float(np.max(uniform)) / float(np.max(np.abs(graph.link_div_lo), initial=1.0)))
         shift = 0.1 * scale
@@ -706,7 +653,7 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents):
     path = DiscretePath(
         times=np.linspace(0.0, 1.0, k_steps + 1),
         states=np.stack([s.states for s in solutions], axis=1),
-        fluxes=link_to_edges(np.stack([s.flux for s in solutions], axis=1), graph),
+        fluxes=np.stack([s.flux for s in solutions], axis=1),
     )
 
     # certificate quantities recomputed at the returned path
@@ -736,7 +683,7 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents):
 
 
 def geodesic_profile(graph, path, mobility, beta, exponents):
-    """Per-interval action values A_k of a discrete path.
+    """Per-interval action values A_k of a discrete path, one term per link.
 
     A continuum geodesic has constant speed, and the discrete optimum has a
     constant profile (to O(dt^2)) when both endpoints keep the source

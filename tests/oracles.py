@@ -1,22 +1,17 @@
 """Independent reference computations used as test oracles.
 
-Everything here is deliberately written against the raw formulas, or
-against the package's public ordered-edge functions where a test checks a
-per-link route, not the package's own code paths, so the tests compare two
-independent routes.
+Everything here is deliberately written against the raw formulas, not the
+package's own code paths, so the tests compare two independent routes.
+Where the package stores one value per link, the oracles take every
+ordered edge: both orientations of each link, as ``ordered_edges`` lists
+them.
 """
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from graphflow.kernels import edge_velocities
-from graphflow.transport import (
-    action,
-    dual_action,
-    flux_from_velocity,
-    pairing_l_tilde,
-    velocity_from_flux,
-)
+from graphflow.kernels import potentials
+from graphflow.mobility import flux_law
 
 
 def unit_transport_oracle(n_grid=8192, tol=1e-12, max_newton=80):
@@ -118,35 +113,55 @@ def blowup_profile_loop(graph, exponents):
     max_l sum over edges (l, k) shorter than eps of |x_l - x_k|^q eta mu_k;
     O(e) per grid point, so O(e^2) in all.
     """
-    lengths = graph.edge_lengths
-    qterm = lengths**exponents.q * graph.edge_eta * graph.weights[graph.edge_dst]
+    src, dst, eta = ordered_edges(graph)
+    lengths = np.linalg.norm(graph.points[dst] - graph.points[src], axis=1)
+    qterm = lengths**exponents.q * eta * graph.weights[dst]
     profile = []
     for eps in np.unique(lengths):
         mask = lengths < eps
         if not np.any(mask):
             profile.append((float(eps), 0.0))
             continue
-        sums = np.bincount(graph.edge_src[mask], weights=qterm[mask], minlength=graph.n_vertices)
+        sums = np.bincount(src[mask], weights=qterm[mask], minlength=graph.n_vertices)
         profile.append((float(eps), float(np.max(sums))))
     return profile
 
 
+def ordered_edges(graph):
+    """Every ordered edge (src, dst) with its weight eta: the links' (lo, hi)
+    in link order, then their (hi, lo) in the same order."""
+    src = np.concatenate([graph.link_lo, graph.link_hi])
+    dst = np.concatenate([graph.link_hi, graph.link_lo])
+    return src, dst, np.concatenate([graph.link_eta, graph.link_eta])
+
+
+def edge_field(a):
+    """The antisymmetric edge field (..., 2 links) on ``ordered_edges`` with
+    link values ``a`` (..., links): a on (lo, hi) and -a on (hi, lo)."""
+    return np.concatenate([a, np.negative(a)], axis=-1)
+
+
+def _edge_weight(graph):
+    src, dst, eta = ordered_edges(graph)
+    return eta * (graph.weights[src] * graph.weights[dst])
+
+
 def dense_eta(graph):
-    """The (n, n) edge weights, rebuilt from the edge list; zero off the edges."""
+    """The (n, n) edge weights, rebuilt from the links; zero off the edges."""
     eta = np.zeros((graph.n_vertices, graph.n_vertices))
-    eta[graph.edge_src, graph.edge_dst] = graph.edge_eta
+    eta[graph.link_lo, graph.link_hi] = graph.link_eta
+    eta += eta.T
     return eta
 
 
 def ordered_edge_divergence(j, graph):
-    """div(l) = (1/2) sum_k eta(l,k) mu_k (j(l,k) - j(k,l)) of one edge field (e,),
-    as two bincounts over the ordered edges: the outgoing and the incoming sums."""
+    """div(l) = (1/2) sum_k eta(l,k) mu_k (j(l,k) - j(k,l)) of one field (2 links,)
+    on ``ordered_edges``, as two bincounts: the outgoing and the incoming sums."""
     n = graph.n_vertices
-    weighted = graph.edge_eta * j
-    outgoing = np.bincount(graph.edge_src, weights=weighted * graph.weights[graph.edge_dst],
-                           minlength=n)
-    incoming = np.bincount(graph.edge_dst, weights=weighted * graph.weights[graph.edge_src],
-                           minlength=n)
+    src, dst, eta = ordered_edges(graph)
+    weighted = eta * j
+    outgoing = np.bincount(src, weights=weighted * graph.weights[dst], minlength=n)
+    incoming = np.bincount(dst, weights=weighted * graph.weights[src], minlength=n)
     return 0.5 * (outgoing - incoming)
 
 
@@ -178,34 +193,70 @@ def masked_alpha_density(j, r, s, mobility, exponents):
 
 
 
+def ordered_edge_action(graph, rho_pair, flux_pair, mobility, beta, exponents):
+    """Per-species action of a (2, 2 links) field on ``ordered_edges``, from the
+    masked cost densities: (1/2) sum over the edges of [alpha(j, rho_src,
+    rho_dst) + alpha(-j, rho_dst, rho_src)] eta mu_src mu_dst / beta."""
+    src, dst, _ = ordered_edges(graph)
+    weight = _edge_weight(graph)
+    parts = []
+    for i in range(2):
+        r_src, r_dst = rho_pair[i][src], rho_pair[i][dst]
+        fwd = masked_alpha_density(flux_pair[i], r_src, r_dst, mobility, exponents)
+        bwd = masked_alpha_density(-flux_pair[i], r_dst, r_src, mobility, exponents)
+        parts.append(0.5 * float(np.sum((fwd + bwd) * weight)) / float(beta[i]))
+    return parts
+
+
+def ordered_edge_dual_action(graph, rho_pair, velocity_pair, mobility, beta, exponents):
+    """Per-species velocity-form action of an antisymmetric (2, 2 links) field on
+    ``ordered_edges`` with boolean gathers and scatters: the sum over the
+    edges of m(rho_src, rho_dst) (v_+)^q eta mu_src mu_dst / beta, zero where
+    v_+ or m vanishes."""
+    src, dst, _ = ordered_edges(graph)
+    weight = _edge_weight(graph)
+    parts = []
+    for i in range(2):
+        m_fwd = mobility(rho_pair[i][src], rho_pair[i][dst])
+        vp = np.maximum(velocity_pair[i], 0.0)
+        vals = np.zeros_like(vp)
+        active = (vp > 0) & (m_fwd > 0)
+        vals[active] = vp[active] ** exponents.q * m_fwd[active]
+        parts.append(float(np.sum(vals * weight)) / float(beta[i]))
+    return parts
+
+
 def _ordered_edge_state(trajectory, k, graph, kernels, mobility, exponents):
-    """Descent velocities (2, e) of state k and its flux on every ordered edge:
-    the trajectory's own, or the flux law at the state clipped to the box."""
+    """Descent velocities phi(src) - phi(dst) (2, 2 links) of state k and its
+    flux on every ordered edge: the trajectory's own, or the flux law at the
+    state clipped to the box."""
+    src, dst, _ = ordered_edges(graph)
     rho = trajectory.states[k]
-    velocities = edge_velocities(rho, kernels, graph)
+    phi = potentials(rho, kernels, graph)
+    velocities = phi[:, src] - phi[:, dst]
     if trajectory.node_fluxes is not None:
-        return velocities, np.asarray(trajectory.node_fluxes[k], dtype=float)
+        return velocities, edge_field(np.asarray(trajectory.node_fluxes[k], dtype=float))
     cap = mobility.threshold_cap
     rho_box = np.clip(rho, 0.0, cap if np.isfinite(cap) else None)
     scaled = kernels.beta[:, None] * velocities
-    return velocities, flux_from_velocity(graph, rho_box, scaled, mobility, exponents)
+    return velocities, flux_law(scaled, rho_box[:, src], rho_box[:, dst], mobility, exponents)
 
 
 def de_giorgi_ordered_edges(trajectory, graph, kernels, mobility, exponents):
-    """Dissipation and action series of a trajectory, and its G_T, on (2, e) fields.
+    """Dissipation and action series of a trajectory, and its G_T, on (2, 2 links) fields.
 
-    Per state: the descent velocities on every ordered edge, ``dual_action``
-    of their beta-scaled values, and ``action`` of the flux on every ordered
-    edge, with the trapezoidal rule on the stored grid.  Returns
+    Per state: the descent velocities on every ordered edge, the velocity-form
+    action of their beta-scaled values, and the action of the flux on every
+    ordered edge, with the trapezoidal rule on the stored grid.  Returns
     (dissipations, actions, g_t).
     """
     beta = kernels.beta
     diss, act = [], []
     for k, rho in enumerate(trajectory.states):
         velocities, flux = _ordered_edge_state(trajectory, k, graph, kernels, mobility, exponents)
-        diss.append(dual_action(graph, rho, beta[:, None] * velocities, mobility, beta,
-                                exponents).total)
-        act.append(action(graph, rho, flux, mobility, beta, exponents).total)
+        diss.append(sum(ordered_edge_dual_action(graph, rho, beta[:, None] * velocities,
+                                                 mobility, beta, exponents)))
+        act.append(sum(ordered_edge_action(graph, rho, flux, mobility, beta, exponents)))
     diss, act = np.array(diss), np.array(act)
     g_t = (trajectory.energies[-1] - trajectory.energies[0]
            + np.trapezoid(diss / exponents.q, trajectory.times)
@@ -215,14 +266,24 @@ def de_giorgi_ordered_edges(trajectory, graph, kernels, mobility, exponents):
 
 def chain_rule_residual_ordered_edges(trajectory, graph, kernels, mobility, exponents):
     """Spread of E(t) minus the trapezoidal integral of the velocity-side
-    pairing of each state's flux with its ascent direction, on (2, e) fields."""
+    pairing of each state's flux with its ascent direction, on (2, 2 links)
+    fields: the velocity v inverting the flux law at the flux, and
+    (1/2) sum over the edges of vbar flux_law(v) eta mu mu / beta."""
+    src, dst, _ = ordered_edges(graph)
+    weight = _edge_weight(graph)
     beta = kernels.beta
+    pm1 = exponents.p - 1.0
     integrand = []
     for k, rho in enumerate(trajectory.states):
         velocities, flux = _ordered_edge_state(trajectory, k, graph, kernels, mobility, exponents)
-        vel = velocity_from_flux(graph, rho, flux, mobility, exponents)
-        integrand.append(pairing_l_tilde(graph, rho, vel, -beta[:, None] * velocities,
-                                         mobility, beta, exponents))
+        r_src, r_dst = rho[:, src], rho[:, dst]
+        m_fwd, m_bwd = mobility(r_src, r_dst), mobility(r_dst, r_src)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vel = np.where((flux > 0) & (m_fwd > 0), (flux / m_fwd) ** pm1,
+                           np.where((flux < 0) & (m_bwd > 0), -((-flux / m_bwd) ** pm1), 0.0))
+        kernel = flux_law(vel, r_src, r_dst, mobility, exponents)
+        ascent = -beta[:, None] * velocities
+        integrand.append(float(np.sum(0.5 * np.sum(ascent * kernel * weight, axis=1) / beta)))
     integrand = np.array(integrand)
     steps = 0.5 * (integrand[1:] + integrand[:-1]) * np.diff(trajectory.times)
     defect = trajectory.energies - np.concatenate([[0.0], np.cumsum(steps)])

@@ -96,13 +96,13 @@ def refinement_report():
 
 def test_criterion_1_upwind_flux_law(capsys):
     g, kern, mob, exps, state = s1_setup(2.0)
-    edge = (g.edge_src == 0) & (g.edge_dst == 1)
+    assert (g.link_lo.tolist(), g.link_hi.tolist()) == ([0], [1])  # the edge (0, 1)
     flux2 = upwind_flux(state.rho, kern, mob, exps, g)
-    value2 = flux2[0][edge][0]
+    value2 = flux2[0][0]
 
     exps3 = Exponents(3.0)
     flux3 = upwind_flux(state.rho, kern, mob, exps3, g)
-    value3 = flux3[0][edge][0]
+    value3 = flux3[0][0]
 
     elapsed = _best_time(lambda: upwind_flux(state.rho, kern, mob, exps, g))
 

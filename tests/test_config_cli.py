@@ -107,7 +107,7 @@ def test_parse_config_eta_presets():
     assert dense_eta(config.graph)[0, 1] == pytest.approx(np.exp(-0.5))
     raw["graph"]["eta_preset"] = {"name": "cutoff", "params": {"radius": 0.5}}
     config = parse_config(json.dumps(raw))
-    assert config.graph.n_edges == 0
+    assert config.graph.n_links == 0
 
 
 @pytest.mark.parametrize("name, key, value", [
@@ -274,6 +274,7 @@ def test_cli_validate_graph_and_properties(tmp_path, capsys):
     assert main_cli(["validate-graph", "--config", cfg_path]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["c_eta"] == pytest.approx(1.0)
+    assert payload["n_edges"] == 2  # both orientations of the one link
 
     assert main_cli(["properties", "--suite", "duality", "--seed", "3",
                      "--samples", "25"]) == 0
@@ -616,7 +617,10 @@ def _metric_outputs(tmp_path):
     (lambda lines: lines + [lines[1]], "row 33: repeats interval 0, species 1, edge (0, 1)"),
     (lambda lines: lines[:5] + [lines[2]] + lines[6:],
      "row 5: repeats interval 0, species 1, edge (1, 0)"),
-], ids=["header-only", "truncated", "one-missing", "appended-duplicate", "replaced-by-duplicate"])
+    (lambda lines: lines[:2] + ["0,1,1,0,0.5"] + lines[3:],
+     "row 2: flux 0.5 on (1, 0) is not the negative of 1.67203 on (0, 1)"),
+], ids=["header-only", "truncated", "one-missing", "appended-duplicate", "replaced-by-duplicate",
+        "not-antisymmetric"])
 def test_cli_geodesic_profile_requires_every_flux_entry_once(tmp_path, capsys, edit, message):
     # a missing entry used to read as zero flux: a header-only file printed
     # "profile mean 0.000000" with exit 0
@@ -640,6 +644,51 @@ def test_cli_geodesic_profile_reads_flux_rows_in_any_order(tmp_path):
     (out / "geodesic_fluxes.csv").write_text("\n".join(shuffled) + "\n")
     assert main_cli(command) == 0
     assert (out / "profile.csv").read_bytes() == written
+
+
+def test_cli_geodesic_profile_checks_flux_antisymmetry_per_species(tmp_path, capsys):
+    # each species of each interval is scaled by its own largest flux: 1e-10
+    # of skew passes next to species-1 fluxes of about 1000, but not on the
+    # zero fluxes of species 2, which a scale shared by both would allow
+    cfg_path = _metric_outputs(tmp_path)
+    target = tmp_path / "out" / "geodesic_fluxes.csv"
+    header, *rows = target.read_text().splitlines()
+    scaled = []
+    for row in rows:
+        *key, value = row.split(",")
+        scaled.append(",".join(key + [repr(1000.0 * float(value) if key[1] == "1" else
+                                           float(value))]))
+    command = ["geodesic-profile", "--path", str(tmp_path / "out" / "geodesic.csv"),
+               "--config", cfg_path]
+    skewed = scaled[:1] + [f"0,1,1,0,{-float(scaled[0].split(',')[-1]) + 1e-10!r}"] + scaled[2:]
+    target.write_text("\n".join([header] + skewed) + "\n")
+    assert main_cli(command) == 0
+    skewed = scaled[:3] + ["0,2,1,0,1e-10"] + scaled[4:]
+    target.write_text("\n".join([header] + skewed) + "\n")
+    capsys.readouterr()
+    assert main_cli(command) == 1
+    assert "row 4: flux 1e-10 on (1, 0) is not the negative of 0 on (0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option, written", [
+    ("geodesic-profile", "--path", "profile.csv"),
+    ("diagnose", "--trajectory", "de_giorgi.json"),
+])
+def test_cli_rejects_a_single_time(tmp_path, capsys, command, option, written):
+    # one state is no path: geodesic-profile printed "profile mean nan" and
+    # wrote an empty profile, and diagnose certified G_T = 0.0, both with exit 0
+    cfg_path = _metric_outputs(tmp_path)
+    out = tmp_path / "out"
+    header, *rows = (out / "geodesic.csv").read_text().splitlines()
+    first = [row for row in rows if row.startswith("0.0,")]
+    assert 0 < len(first) < len(rows)
+    (out / "geodesic.csv").write_text("\n".join([header] + first) + "\n")
+    (out / "geodesic_fluxes.csv").write_text("interval,species,src,dst,flux\n")
+    capsys.readouterr()
+    assert main_cli([command, option, str(out / "geodesic.csv"), "--config", cfg_path,
+                     "--out", str(tmp_path / "single")]) == 1
+    assert "needs at least two distinct times, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "single" / written).exists()
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3"])

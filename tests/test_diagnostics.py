@@ -23,6 +23,8 @@ from graphflow.scenarios import random_geometric_setup, s1_setup
 from oracles import (
     chain_rule_residual_ordered_edges,
     de_giorgi_ordered_edges,
+    edge_field,
+    ordered_edges,
     w1_one_dimensional,
 )
 
@@ -65,12 +67,8 @@ def test_de_giorgi_positive_for_non_gradient_path():
     times = np.linspace(0.0, 1.0, K + 1)
     states = np.array([(1 - t) * state.rho + t * mirrored for t in times])
     rate = mirrored - state.rho  # d rho / dt, constant
-    node_fluxes = np.zeros((K + 1, 2, g.n_edges))
-    for e, (src, dst) in enumerate(zip(g.edge_src, g.edge_dst)):
-        if (src, dst) == (0, 1):
-            node_fluxes[:, 0, e] = -rate[0, 0]
-        elif (src, dst) == (1, 0):
-            node_fluxes[:, 0, e] = rate[0, 0]
+    node_fluxes = np.zeros((K + 1, 2, g.n_links))
+    node_fluxes[:, 0, 0] = -rate[0, 0]  # along the edge (0, 1)
     traj = Trajectory(
         times=times,
         states=states,
@@ -88,15 +86,14 @@ def test_dissipation_matches_energy_decay_rate(p):
     g, kernels, mob, _, state = s1_setup()
     exps = Exponents(p)
     h = 1e-6
+    # -div j(l) = -sum_k j(l, k) eta mu_k over the edges out of l
+    src, dst, eta = ordered_edges(g)
+    flux = edge_field(upwind_flux(state.rho, kernels, mob, exps, g))
     rate = np.stack(
         [
             -np.array(
                 [
-                    np.sum(
-                        upwind_flux(state.rho, kernels, mob, exps, g)[i][g.edge_src == l]
-                        * g.edge_eta[g.edge_src == l]
-                        * g.weights[g.edge_dst[g.edge_src == l]]
-                    )
+                    np.sum(flux[i][src == l] * eta[src == l] * g.weights[dst[src == l]])
                     for l in range(g.n_vertices)
                 ]
             )
@@ -228,8 +225,8 @@ def test_de_giorgi_random_geometric_all_exponents():
 @pytest.mark.parametrize("mobility_name", ["linear", "volume_filling", "saturating"])
 def test_per_link_diagnostics_match_ordered_edge_oracle(p, mobility_name):
     # de_giorgi, dissipation and chain_rule_residual evaluate each state once
-    # per link; the oracle takes every ordered edge through the public (2, e)
-    # functions, so the two differ only in the order of summation
+    # per link; the oracle takes every ordered edge through the raw formulas,
+    # so the two differ only in the order of summation
     g, kernels, mob, exps, state = random_geometric_setup(
         seed=2, n=10, p=p, mobility_name=mobility_name)
     kernels = dataclasses.replace(kernels, beta=(1.0, 0.7))
@@ -281,13 +278,9 @@ def test_chain_rule_holds_along_non_gradient_curves(p):
         times = np.linspace(0.0, 1.0, K + 1)
         u = times**2
         states = np.array([(1 - uu) * state.rho + uu * mirrored for uu in u])
-        node_fluxes = np.zeros((K + 1, 2, g.n_edges))
+        node_fluxes = np.zeros((K + 1, 2, g.n_links))
         rate0 = (mirrored - state.rho)[0, 0]
-        for e, (src, dst) in enumerate(zip(g.edge_src, g.edge_dst)):
-            if (src, dst) == (0, 1):
-                node_fluxes[:, 0, e] = -rate0 * 2 * times
-            elif (src, dst) == (1, 0):
-                node_fluxes[:, 0, e] = rate0 * 2 * times
+        node_fluxes[:, 0, 0] = -rate0 * 2 * times  # along the edge (0, 1)
         traj = Trajectory(
             times=times, states=states,
             energies=np.array([energy(s, kern, g) for s in states]),

@@ -4,32 +4,26 @@ import pytest
 from graphflow.dynamics import (
     IntegratorOptions,
     SpeciesPairState,
-    _link_flux,
-    _link_velocities,
     integrate,
     rhs,
     upwind_flux,
 )
 from graphflow.errors import StepSizeUnderflow, ThresholdExceeded
-from graphflow.graph import Exponents, build_graph, link_to_edges, nonlocal_divergence
-from graphflow.kernels import build_kernel_set, distance, edge_velocities, zero
+from graphflow.graph import Exponents, build_graph, nonlocal_divergence
+from graphflow.kernels import build_kernel_set, descent_velocities, distance, potentials, zero
 from graphflow.mobility import Mobility, volume_filling
 from graphflow.scenarios import random_geometric_setup, s1_setup
 
-from oracles import rk4_reference
-
-
-def _edge_lookup(g, values):
-    return dict(zip(zip(g.edge_src.tolist(), g.edge_dst.tolist()), values))
+from oracles import edge_field, ordered_edge_divergence, ordered_edges, rk4_reference
 
 
 def test_upwind_flux_two_vertex():
     g, kernels, mob, exps, state = s1_setup()
     flux = upwind_flux(state.rho, kernels, mob, exps, g)
-    assert _edge_lookup(g, flux[0])[(0, 1)] == pytest.approx(-0.125, abs=1e-15)
+    # one value per link, the flux on its edge (0, 1)
+    assert flux.shape == (2, g.n_links) == (2, 1)
+    assert flux[0, 0] == pytest.approx(-0.125, abs=1e-15)
     assert np.all(flux[1] == 0.0)
-    # antisymmetric by construction
-    assert np.allclose(flux[0][g.link_edge] + flux[0][g.link_reverse], 0.0)
 
 
 def test_upwind_flux_p3_mobility_enters_linearly():
@@ -40,7 +34,7 @@ def test_upwind_flux_p3_mobility_enters_linearly():
     g, kernels, mob, _, state = s1_setup()
     flux = upwind_flux(state.rho, kernels, mob, Exponents(3.0), g)
     expected = -0.25 * np.sqrt(0.5)
-    assert _edge_lookup(g, flux[0])[(0, 1)] == pytest.approx(expected, abs=1e-15)
+    assert flux[0, 0] == pytest.approx(expected, abs=1e-15)  # on the edge (0, 1)
 
 
 def test_upwind_flux_uniform_state_is_zero():
@@ -195,11 +189,10 @@ def test_integrate_p3_against_reference():
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_upwind_flux_pair_equals_raw_formula_per_species(p):
     # both species in one pass give each species' flux bit for bit, written
-    # here from the raw formula on the box-clipped densities; rhs takes the
-    # divergence of the flux on the unordered edges l < k, which sums in
-    # another order than nonlocal_divergence on the ordered edges, so it is
-    # compared bit for bit with the same sums in edge order, and with the
-    # ordered-edge divergence to a few ulp
+    # here from the raw formula on the box-clipped densities at every
+    # ordered edge, whose (lo, hi) half is the link flux and whose (hi, lo)
+    # half is its negative; rhs is compared bit for bit with the link sums
+    # in link order, and with the ordered-edge divergence to a few ulp
     g, kernels, _, _, state = random_geometric_setup(seed=3, n=12, p=p)
     mob, exps = volume_filling(1.0), Exponents(p)
     rho = state.rho.copy()
@@ -208,29 +201,27 @@ def test_upwind_flux_pair_equals_raw_formula_per_species(p):
     mats = kernels.on_graph(g)
     masses = rho * g.weights
     qm1 = exps.q - 1.0
+    src, dst, _ = ordered_edges(g)
+    lo, hi, eta = g.link_lo, g.link_hi, g.link_eta
     for i in range(2):
         phi = mats[i, 0] @ masses[0] + mats[i, 1] @ masses[1]
-        w = kernels.beta[i] * -(phi[g.edge_dst] - phi[g.edge_src])
-        r, s = rho[i][g.edge_src], rho[i][g.edge_dst]
+        w = kernels.beta[i] * -(phi[dst] - phi[src])
+        r, s = rho[i][src], rho[i][dst]
         want = mob(r, s) * np.maximum(w, 0.0) ** qm1 - mob(s, r) * np.maximum(-w, 0.0) ** qm1
-        assert np.array_equal(got[i], want)
+        assert np.array_equal(edge_field(got[i]), want)
         rate = rhs(rho, kernels, mob, exps, g)[i]
-        fwd = g.edge_src < g.edge_dst
-        lo, hi, a = g.edge_src[fwd], g.edge_dst[fwd], got[i][fwd]
-        eta = g.edge_eta[fwd]
-        terms = np.stack([eta * g.weights[hi] * a, -eta * g.weights[lo] * a], axis=1)
+        terms = np.stack([eta * g.weights[hi] * got[i], -eta * g.weights[lo] * got[i]], axis=1)
         div = np.zeros(g.n_vertices)
         np.add.at(div, np.stack([lo, hi], axis=1).ravel(), terms.ravel())
         assert np.array_equal(rate, -div)
-        ordered = -nonlocal_divergence(got[i], g)
+        assert np.array_equal(rate, -nonlocal_divergence(got[i], g))
+        ordered = -ordered_edge_divergence(want, g)
         scale = np.max(np.abs(ordered))
         assert np.max(np.abs(rate - ordered)) <= 8 * np.finfo(float).eps * scale
-    # link velocities are the edge velocities on (lo, hi); handed in, they
-    # give the same flux and are left unmodified
-    vel = _link_velocities(rho, kernels, g)
-    assert np.array_equal(link_to_edges(vel, g), edge_velocities(rho, kernels, g))
+    # descent velocities handed in give the same flux and are left unmodified
+    vel = descent_velocities(potentials(rho, kernels, g), g)
     kept = vel.copy()
-    assert np.array_equal(link_to_edges(_link_flux(rho, kernels, mob, exps, g, vel), g), got)
+    assert np.array_equal(upwind_flux(rho, kernels, mob, exps, g, vel), got)
     assert np.array_equal(vel, kept)
 
 
@@ -289,7 +280,7 @@ def test_rhs_conserves_mass_per_component_with_isolated_vertex():
 
 def test_rhs_is_zero_on_edgeless_graph():
     g = build_graph([[0.0], [1.0], [3.0]], [0.5, 0.25, 0.25], np.zeros((3, 3)))
-    assert g.n_edges == 0 and g.link_lo.size == 0
+    assert g.n_links == 0
     kernels = build_kernel_set(distance(), distance(), distance(), zero(), dimension=1)
     rho = np.array([[0.2, 0.5, 0.3], [0.9, 0.1, 0.4]])
     rate = rhs(rho, kernels, volume_filling(1.0), Exponents(2.0), g)

@@ -13,19 +13,14 @@ from graphflow.errors import (
 from graphflow.graph import (
     Exponents,
     FiniteGraph,
-    antisymmetrize_flux,
     build_graph,
     check_assumptions,
-    edges_to_links,
-    is_antisymmetric,
-    link_to_edges,
     nonlocal_divergence,
     nonlocal_gradient,
-    transpose_edge_field,
 )
 from graphflow.scenarios import two_point_graph
 
-from oracles import blowup_profile_loop, dense_eta, ordered_edge_divergence
+from oracles import blowup_profile_loop, dense_eta, edge_field, ordered_edge_divergence
 
 
 def test_exponents_conjugate_relation():
@@ -43,8 +38,7 @@ def test_exponents_rejects_out_of_range(bad):
 
 def test_build_graph_two_point():
     g = two_point_graph()
-    pairs = set(zip(g.edge_src.tolist(), g.edge_dst.tolist()))
-    assert pairs == {(0, 1), (1, 0)}
+    assert (g.link_lo.tolist(), g.link_hi.tolist()) == ([0], [1])
     eta = dense_eta(g)
     assert eta[0, 1] == 1.0 and eta[1, 1] == 0.0
 
@@ -59,7 +53,7 @@ def test_build_graph_from_callable_is_symmetric():
     dense = dense_eta(g)
     assert np.allclose(dense, dense.T)
     assert np.all(np.diag(dense) == 0.0)
-    assert g.n_edges == 6
+    assert g.n_links == 3
 
 
 def test_build_graph_rejects_asymmetric_matrix():
@@ -130,31 +124,21 @@ def test_check_assumptions_profile_matches_loop_oracle():
 
 def test_nonlocal_gradient_examples():
     g = two_point_graph()
-    grad = nonlocal_gradient(np.array([0.0, 1.0]), g)
-    lookup = dict(zip(zip(g.edge_src.tolist(), g.edge_dst.tolist()), grad))
-    assert lookup[(0, 1)] == 1.0 and lookup[(1, 0)] == -1.0
+    # the one link (0, 1) carries the gradient on the edge (0, 1)
+    assert nonlocal_gradient(np.array([0.0, 1.0]), g).tolist() == [1.0]
     assert np.all(nonlocal_gradient(np.array([3.3, 3.3]), g) == 0.0)
-    pot = nonlocal_gradient(np.array([0.25, 0.75]), g)
-    assert dict(zip(zip(g.edge_src.tolist(), g.edge_dst.tolist()), pot))[(0, 1)] == 0.5
+    assert nonlocal_gradient(np.array([0.25, 0.75]), g).tolist() == [0.5]
     with pytest.raises(SizeMismatch):
         nonlocal_gradient(np.array([1.0, 2.0, 3.0]), g)
 
 
-def _edge_field(g, mapping):
-    values = np.zeros(g.n_edges)
-    for e, (src, dst) in enumerate(zip(g.edge_src, g.edge_dst)):
-        values[e] = mapping.get((int(src), int(dst)), 0.0)
-    return values
-
-
 def test_nonlocal_divergence_examples():
     g = two_point_graph()
-    j = _edge_field(g, {(0, 1): -0.125, (1, 0): 0.125})
-    div = nonlocal_divergence(j, g)
+    div = nonlocal_divergence(np.array([-0.125]), g)  # -0.125 on (0, 1), 0.125 on (1, 0)
     assert div == pytest.approx([-0.125, 0.125])
-    assert np.all(nonlocal_divergence(np.zeros(g.n_edges), g) == 0.0)
-    sym = _edge_field(g, {(0, 1): 0.7, (1, 0): 0.7})
-    assert np.allclose(nonlocal_divergence(sym, g), 0.0)
+    assert np.all(nonlocal_divergence(np.zeros(g.n_links), g) == 0.0)
+    # a symmetric edge field has zero antisymmetric part and no divergence
+    assert np.allclose(ordered_edge_divergence(np.array([0.7, 0.7]), g), 0.0)
 
 
 def test_divergence_duality_identity_random():
@@ -167,94 +151,73 @@ def test_divergence_duality_identity_random():
         eta = 0.5 * (eta + eta.T)
         np.fill_diagonal(eta, 0.0)
         g = build_graph(points, weights, eta)
-        if g.n_edges == 0:
+        if g.n_links == 0:
             continue
         phi = rng.normal(size=n)
-        j = rng.normal(size=g.n_edges)
+        j = rng.normal(size=g.n_links)
         lhs = float(np.sum(phi * nonlocal_divergence(j, g) * g.weights))
-        rhs = -0.5 * float(
-            np.sum(nonlocal_gradient(phi, g) * g.edge_eta * j * weights[g.edge_src]
-                   * weights[g.edge_dst])
+        rhs = -float(
+            np.sum(nonlocal_gradient(phi, g) * g.link_eta * j * weights[g.link_lo]
+                   * weights[g.link_hi])
         )
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
 
 def test_antisymmetrize_examples():
+    # the raw edge field 3 on (0, 1) and 1 on (1, 0) has the antisymmetric
+    # part 1 on the link (0, 1), and the divergence of that link value
     g = two_point_graph()
-    j = _edge_field(g, {(0, 1): 3.0, (1, 0): 1.0})
-    out = antisymmetrize_flux(j, g)
-    lookup = dict(zip(zip(g.edge_src.tolist(), g.edge_dst.tolist()), out))
-    assert lookup[(0, 1)] == 1.0 and lookup[(1, 0)] == -1.0
-    assert np.allclose(antisymmetrize_flux(out, g), out)  # idempotent
-    sym = _edge_field(g, {(0, 1): 2.0, (1, 0): 2.0})
-    assert np.all(antisymmetrize_flux(sym, g) == 0.0)
+    assert np.array_equal(ordered_edge_divergence(np.array([3.0, 1.0]), g), [1.0, -1.0])
+    assert np.array_equal(nonlocal_divergence(np.array([0.5 * (3.0 - 1.0)]), g), [1.0, -1.0])
 
 
 def test_antisymmetrize_preserves_divergence():
+    # a raw edge field, f on every (lo, hi) and b on (hi, lo), has the
+    # divergence of its antisymmetric part (f - b) / 2, a link field
     rng = np.random.default_rng(7)
     points = rng.normal(size=(5, 1))
     g = build_graph(points, rng.uniform(0.5, 1.5, 5), lambda x, y: np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))
     for _ in range(20):
-        j = rng.normal(size=g.n_edges)
-        d1 = nonlocal_divergence(j, g)
-        d2 = nonlocal_divergence(antisymmetrize_flux(j, g), g)
+        f, b = rng.normal(size=(2, g.n_links))
+        d1 = ordered_edge_divergence(np.concatenate([f, b]), g)
+        d2 = nonlocal_divergence(0.5 * (f - b), g)
         assert np.max(np.abs(d1 - d2)) < 1e-12
-        assert is_antisymmetric(antisymmetrize_flux(j, g), g)
-
-
-def test_transpose_edge_field():
-    g = two_point_graph()
-    j = _edge_field(g, {(0, 1): 5.0, (1, 0): -2.0})
-    jt = transpose_edge_field(j, g)
-    lookup = dict(zip(zip(g.edge_src.tolist(), g.edge_dst.tolist()), jt))
-    assert lookup[(0, 1)] == -2.0 and lookup[(1, 0)] == 5.0
 
 
 def test_species_pair_operators_equal_single_rows():
     # a stacked (2, .) call must give each row bit for bit, written here from
-    # the raw formulas: phi(dst) - phi(src), and the eta-weighted scatter of
-    # the antisymmetric part per link (lo, hi), summed in link order; the
-    # ordered-edge bincount sums in another order, so it agrees to a few ulp
+    # the raw formulas: phi(hi) - phi(lo), and the eta-weighted scatter of
+    # each link value at lo and hi, summed in link order; the ordered-edge
+    # bincount sums in another order, so it agrees to a few ulp
     rng = np.random.default_rng(11)
     n = 24
     points = rng.uniform(0.0, 1.0, size=(n, 2))
     weights = rng.uniform(0.5, 1.5, size=n)
     g = build_graph(points, weights, lambda x, y: np.exp(-np.sum((x - y) ** 2, axis=-1)))
     phi = rng.normal(size=(2, n))
-    j = rng.normal(size=(2, g.n_edges))
+    j = rng.normal(size=(2, g.n_links))
     grad = nonlocal_gradient(phi, g)
     div = nonlocal_divergence(j, g)
-    assert grad.shape == (2, g.n_edges) and div.shape == (2, n)
-    index = {(s, d): e for e, (s, d) in enumerate(zip(g.edge_src.tolist(), g.edge_dst.tolist()))}
-    fwd = np.flatnonzero(g.edge_src < g.edge_dst)
-    lo, hi = g.edge_src[fwd], g.edge_dst[fwd]
-    rev = np.array([index[(d, s)] for s, d in zip(lo.tolist(), hi.tolist())])
-    eta = g.edge_eta[fwd]
+    assert grad.shape == (2, g.n_links) and div.shape == (2, n)
+    lo, hi, eta = g.link_lo, g.link_hi, g.link_eta
     for i in range(2):
-        assert np.array_equal(grad[i], phi[i][g.edge_dst] - phi[i][g.edge_src])
-        a = 0.5 * (j[i][fwd] - j[i][rev])
-        terms = np.stack([eta * weights[hi] * a, -eta * weights[lo] * a], axis=1)
+        assert np.array_equal(grad[i], phi[i][hi] - phi[i][lo])
+        terms = np.stack([eta * weights[hi] * j[i], -eta * weights[lo] * j[i]], axis=1)
         want = np.zeros(n)
         np.add.at(want, np.stack([lo, hi], axis=1).ravel(), terms.ravel())
         assert np.array_equal(div[i], want)
-        ordered = ordered_edge_divergence(j[i], g)
+        ordered = ordered_edge_divergence(edge_field(j[i]), g)
         assert np.max(np.abs(div[i] - ordered)) <= 8 * np.finfo(float).eps * np.max(np.abs(ordered))
         assert np.array_equal(grad[i], nonlocal_gradient(phi[i], g))
         assert np.array_equal(div[i], nonlocal_divergence(j[i], g))
     # the cached action weight holds the product the formulas use
-    assert np.array_equal(g.action_weight, g.edge_eta * (weights[g.edge_src] * weights[g.edge_dst]))
+    assert np.array_equal(g.link_weight, eta * (weights[lo] * weights[hi]))
     with pytest.raises(SizeMismatch):
-        nonlocal_divergence(np.zeros((3, g.n_edges)), g)
+        nonlocal_divergence(np.zeros((3, g.n_links)), g)
+    with pytest.raises(SizeMismatch):
+        nonlocal_divergence(np.zeros((2, 2 * g.n_links)), g)  # an ordered-edge field
     with pytest.raises(SizeMismatch):
         nonlocal_gradient(np.zeros((2, n + 1)), g)
-
-
-def test_is_antisymmetric_per_species_row():
-    g = two_point_graph()
-    good = antisymmetrize_flux(np.array([1.0, 3.0]), g)
-    pair = np.stack([good, np.array([1.0, 1.0])])
-    assert is_antisymmetric(good, g) is True
-    assert is_antisymmetric(pair, g).tolist() == [True, False]
 
 
 def _gaussian_graph_with_isolated_vertex(seed):
@@ -270,51 +233,32 @@ def _gaussian_graph_with_isolated_vertex(seed):
 
 def test_links_are_the_edges_taken_once():
     g = _gaussian_graph_with_isolated_vertex(5)
-    assert 0 < g.link_lo.size and 2 * g.link_lo.size == g.n_edges
-    assert np.all(g.link_lo < g.link_hi)
-    assert np.array_equal(g.edge_src[g.link_edge], g.link_lo)
-    assert np.array_equal(g.edge_dst[g.link_edge], g.link_hi)
-    # edge and reverse are transposes of each other and cover every edge once
-    assert np.array_equal(g.edge_src[g.link_reverse], g.link_hi)
-    assert np.array_equal(g.edge_dst[g.link_reverse], g.link_lo)
-    assert np.array_equal(g.edge_eta[g.link_reverse], g.edge_eta[g.link_edge])
-    assert np.array_equal(np.sort(np.concatenate([g.link_edge, g.link_reverse])),
-                          np.arange(g.n_edges))
+    assert 0 < g.n_links and np.all(g.link_lo < g.link_hi)
+    # every positive weight once, row-major over the upper triangle
+    eta = dense_eta(g)
+    lo, hi = np.nonzero(np.triu(eta, 1))
+    assert np.array_equal(g.link_lo, lo) and np.array_equal(g.link_hi, hi)
+    assert np.array_equal(g.link_eta, eta[lo, hi])
+    assert np.count_nonzero(eta) == 2 * g.n_links
     # one CSR column per link: eta mu_hi at lo and -eta mu_lo at hi, each row in link order
     dense = g.link_divergence.toarray()
-    links = np.arange(g.link_lo.size)
-    assert dense.shape == (g.n_vertices, g.link_lo.size)
-    eta = g.edge_eta[g.link_edge]
-    assert np.array_equal(dense[g.link_lo, links], eta * g.weights[g.link_hi])
-    assert np.array_equal(dense[g.link_hi, links], -eta * g.weights[g.link_lo])
-    assert g.link_divergence.nnz == 2 * g.link_lo.size and g.link_divergence.has_sorted_indices
+    links = np.arange(g.n_links)
+    assert dense.shape == (g.n_vertices, g.n_links)
+    assert np.array_equal(dense[g.link_lo, links], g.link_eta * g.weights[g.link_hi])
+    assert np.array_equal(dense[g.link_hi, links], -g.link_eta * g.weights[g.link_lo])
+    assert g.link_divergence.nnz == 2 * g.n_links and g.link_divergence.has_sorted_indices
     assert not np.any(dense[-1])
 
 
 def test_link_divergence_matches_ordered_edge_divergence():
     g = _gaussian_graph_with_isolated_vertex(6)
     rng = np.random.default_rng(8)
-    a = rng.normal(size=(3, g.link_lo.size))
-    j = link_to_edges(a, g)
-    assert j.shape == (3, g.n_edges) and is_antisymmetric(j[0], g)
-    assert np.array_equal(j[:, g.link_edge], a) and np.array_equal(j[:, g.link_reverse], -a)
-    for row, flux in zip(a, j):
+    a = rng.normal(size=(3, g.n_links))
+    for row in a:
         by_link = g.link_divergence @ row
-        assert np.array_equal(nonlocal_divergence(flux, g), by_link)
-        by_edge = ordered_edge_divergence(flux, g)
+        assert np.array_equal(nonlocal_divergence(row, g), by_link)
+        by_edge = ordered_edge_divergence(edge_field(row), g)
         assert np.max(np.abs(by_link - by_edge)) <= 8 * np.finfo(float).eps * np.max(np.abs(by_edge))
-
-
-def test_edges_to_links_inverts_link_to_edges():
-    g = _gaussian_graph_with_isolated_vertex(7)
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(2, g.link_lo.size))
-    assert np.array_equal(edges_to_links(link_to_edges(a, g), g), a)
-    for j in rng.normal(size=(3, g.n_edges)):
-        sym = antisymmetrize_flux(j, g)
-        assert np.array_equal(link_to_edges(edges_to_links(j, g), g), sym)
-        # the ordered-edge projection (j - j^T) / 2, bit for bit
-        assert np.array_equal(sym, 0.5 * (j - transpose_edge_field(j, g)))
 
 
 def _stored_arrays(g):
@@ -339,9 +283,11 @@ def test_graph_memory_grows_with_edges():
     points = rng.uniform(0.0, 1.0, size=(n, 2))
     g = build_graph(points, rng.uniform(0.5, 1.5, n),
                     lambda x, y: (np.linalg.norm(x - y, axis=-1) <= radius).astype(float))
-    assert 2 * n <= g.n_edges <= 8 * n
+    assert n <= g.n_links <= 4 * n
     stored = _stored_arrays(g)
-    assert len(stored) >= 16
+    assert len(stored) >= 11
     assert all(count < n * n for _, count, _ in stored), stored
+    # each link stores three indices or weights and three derived values,
+    # and two divergence entries of 12 bytes each: 72 bytes
     total = sum(size for _, _, size in stored)
-    assert total <= 16 * 8 * (n + g.n_edges), (total, n, g.n_edges)
+    assert total <= 96 * g.n_links + 32 * n, (total, n, g.n_links)

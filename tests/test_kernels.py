@@ -9,8 +9,8 @@ from graphflow.graph import Exponents, build_graph
 from graphflow.kernels import (
     build_kernel_set,
     convolve_potential,
+    descent_velocities,
     distance,
-    edge_velocity,
     energy,
     estimate_growth_constant,
     gaussian_well,
@@ -54,14 +54,13 @@ def test_edge_velocity_examples():
     g = two_point_graph()
     state = s1_state()
     kernels = s1_kernels()
-    v1 = edge_velocity(state.rho, kernels, g, species=0)
-    lookup = dict(zip(zip(g.edge_src.tolist(), g.edge_dst.tolist()), v1))
-    assert lookup[(0, 1)] == pytest.approx(-0.5)
-    assert np.all(edge_velocity(state.rho, kernels, g, species=1) == 0.0)
+    velocities = descent_velocities(potentials(state.rho, kernels, g), g)
+    # one value per link: the descent velocity on the edge (0, 1)
+    assert velocities.shape == (2, 1)
+    assert velocities[0, 0] == pytest.approx(-0.5)
+    assert np.all(velocities[1] == 0.0)
     uniform = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert np.allclose(edge_velocity(uniform, kernels, g, species=0), 0.0)
-    # exact antisymmetry
-    assert np.allclose(v1[g.link_edge] + v1[g.link_reverse], 0.0)
+    assert np.allclose(descent_velocities(potentials(uniform, kernels, g), g), 0.0)
 
 
 def test_cross_kernel_symmetrization_preserves_dynamics():

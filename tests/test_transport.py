@@ -7,23 +7,14 @@ from scipy.sparse.csgraph import connected_components
 
 from graphflow import transport
 from graphflow.config import RefinementPlan, project_initial
-from graphflow.dynamics import _link_velocities, upwind_flux
-from graphflow.errors import InfeasibleEndpoints, InfiniteAction, NonAntisymmetric
-from graphflow.graph import (
-    Exponents,
-    antisymmetrize_flux,
-    build_graph,
-    is_antisymmetric,
-    link_to_edges,
-    nonlocal_divergence,
-)
-from graphflow.kernels import edge_velocities, energy
+from graphflow.dynamics import upwind_flux
+from graphflow.errors import InfeasibleEndpoints, InfiniteAction
+from graphflow.graph import Exponents, build_graph, nonlocal_divergence
+from graphflow.kernels import descent_velocities, energy, potentials
 from graphflow.mobility import PRESETS, linear
 from graphflow.scenarios import random_geometric_setup, s1_setup, s2_endpoints, two_point_graph
 from graphflow.transport import (
     DiscretePath,
-    _link_action,
-    _link_dual_action,
     action,
     dual_action,
     flux_from_velocity,
@@ -38,13 +29,21 @@ from graphflow.transport import (
 
 from oracles import (
     dense_eta,
+    edge_field,
     interval_actions,
     masked_alpha_density,
     newton_matrix_dense,
+    ordered_edge_action,
+    ordered_edge_divergence,
+    ordered_edge_dual_action,
     unit_transport_oracle,
 )
 
 BETA = (1.0, 1.0)
+
+
+def _velocities(rho, kernels, g):
+    return descent_velocities(potentials(rho, kernels, g), g)
 
 
 def _gradient_flux(setup):
@@ -64,23 +63,21 @@ def test_action_of_gradient_flow_flux():
 
 def test_action_zero_flux_and_infinite_case():
     g, kernels, mob, exps, state = s1_setup()
-    zero = np.zeros((2, g.n_edges))
+    zero = np.zeros((2, g.n_links))
     assert action(g, state.rho, zero, mob, BETA, exps).total == 0.0
     # unit flux out of an empty vertex costs infinity under linear mobility
     empty = np.array([[0.0, 1.0], [0.5, 0.5]])
-    flux = np.zeros((2, g.n_edges))
-    flux[0][(g.edge_src == 0)] = 1.0
+    flux = np.array([[1.0], [0.0]])  # from vertex 0 to vertex 1
     assert action(g, empty, flux, mob, BETA, exps).total == np.inf
 
 
 def test_dual_action_examples_and_flux_of():
     g, kernels, mob, exps, state = s1_setup()
-    vel = kernels.beta[:, None] * edge_velocities(state.rho, kernels, g)
+    vel = kernels.beta[:, None] * _velocities(state.rho, kernels, g)
     value = dual_action(g, state.rho, vel, mob, BETA, exps)
     assert value.total == pytest.approx(0.0625, abs=1e-15)
     flux = flux_from_velocity(g, state.rho, vel, mob, exps)
-    lookup = dict(zip(zip(g.edge_src.tolist(), g.edge_dst.tolist()), flux[0]))
-    assert lookup[(0, 1)] == pytest.approx(-0.125, abs=1e-15)
+    assert flux[0, 0] == pytest.approx(-0.125, abs=1e-15)  # on the edge (0, 1)
     assert dual_action(g, state.rho, np.zeros_like(vel), mob, BETA, exps).total == 0.0
 
 
@@ -88,19 +85,12 @@ def test_dual_action_examples_and_flux_of():
 def test_dual_action_consistency_identity(p):
     g, kernels, mob, _, state = s1_setup()
     exps = Exponents(p)
-    vel = kernels.beta[:, None] * edge_velocities(state.rho, kernels, g)
+    vel = kernels.beta[:, None] * _velocities(state.rho, kernels, g)
     tilde = dual_action(g, state.rho, vel, mob, BETA, exps).total
     through_flux = action(
         g, state.rho, flux_from_velocity(g, state.rho, vel, mob, exps), mob, BETA, exps
     ).total
     assert tilde == pytest.approx(through_flux, abs=1e-12)
-
-
-def test_dual_action_requires_antisymmetry():
-    g, _, mob, exps, state = s1_setup()
-    vel = np.ones((2, g.n_edges))
-    with pytest.raises(NonAntisymmetric):
-        dual_action(g, state.rho, vel, mob, BETA, exps)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
@@ -110,7 +100,7 @@ def test_velocity_from_flux_round_trip(p):
     exps = Exponents(p)
     mob = linear()
     rho = rng.uniform(0.2, 0.8, size=(2, 2))
-    vel = np.stack([antisymmetrize_flux(rng.normal(size=g.n_edges), g) for _ in range(2)])
+    vel = rng.normal(size=(2, g.n_links))
     flux = flux_from_velocity(g, rho, vel, mob, exps)
     back = velocity_from_flux(g, rho, flux, mob, exps)
     assert np.allclose(back, vel, atol=1e-10)
@@ -126,8 +116,7 @@ def test_pairing_l_identities():
     assert pairing_l(g, state.rho, flux, zero, mob, BETA, exps) == 0.0
     # linearity in the second slot
     rng = np.random.default_rng(9)
-    a = np.stack([antisymmetrize_flux(rng.normal(size=g.n_edges), g) for _ in range(2)])
-    b = np.stack([antisymmetrize_flux(rng.normal(size=g.n_edges), g) for _ in range(2)])
+    a, b = rng.normal(size=(2, 2, g.n_links))
     lhs = pairing_l(g, state.rho, flux, a + 2.5 * b, mob, BETA, exps)
     rhs = pairing_l(g, state.rho, flux, a, mob, BETA, exps) + 2.5 * pairing_l(
         g, state.rho, flux, b, mob, BETA, exps
@@ -138,15 +127,14 @@ def test_pairing_l_identities():
 def test_pairing_l_requires_finite_action():
     g, kernels, mob, exps, state = s1_setup()
     empty = np.array([[0.0, 1.0], [0.5, 0.5]])
-    flux = np.zeros((2, g.n_edges))
-    flux[0][(g.edge_src == 0)] = 1.0
+    flux = np.array([[1.0], [0.0]])  # from vertex 0 to vertex 1
     with pytest.raises(InfiniteAction):
         pairing_l(g, empty, flux, flux, mob, BETA, exps)
 
 
 def test_pairing_l_tilde_identities():
     g, kernels, mob, exps, state = s1_setup()
-    vel = kernels.beta[:, None] * edge_velocities(state.rho, kernels, g)
+    vel = kernels.beta[:, None] * _velocities(state.rho, kernels, g)
     diag = pairing_l_tilde(g, state.rho, vel, vel, mob, BETA, exps)
     assert diag == pytest.approx(0.0625, abs=1e-15)
     assert pairing_l_tilde(g, state.rho, vel, np.zeros_like(vel), mob, BETA, exps) == 0.0
@@ -162,8 +150,7 @@ def test_holder_inequalities_random(p):
     for _ in range(100):
         rho = rng.uniform(0.05, 1.0, size=(2, 4))
         rho /= (rho @ g.weights)[:, None]
-        j = np.stack([antisymmetrize_flux(rng.normal(size=g.n_edges), g) for _ in range(2)])
-        jbar = np.stack([antisymmetrize_flux(rng.normal(size=g.n_edges), g) for _ in range(2)])
+        j, jbar = rng.normal(size=(2, 2, g.n_links))
         lhs = pairing_l(g, rho, j, jbar, mob, BETA, exps)
         jj = pairing_l(g, rho, j, j, mob, BETA, exps)
         bb = pairing_l(g, rho, jbar, jbar, mob, BETA, exps)
@@ -173,7 +160,7 @@ def test_holder_inequalities_random(p):
         bb_t = pairing_l_tilde(g, rho, jbar, jbar, mob, BETA, exps)
         assert lhs_t <= jj_t ** (1 / exps.p) * bb_t ** (1 / exps.q) + 1e-10
     # equality at aligned arguments
-    j = np.stack([antisymmetrize_flux(rng.normal(size=g.n_edges), g) for _ in range(2)])
+    j = rng.normal(size=(2, g.n_links))
     rho = rng.uniform(0.05, 1.0, size=(2, 4))
     rho /= (rho @ g.weights)[:, None]
     lam = 1.7
@@ -190,8 +177,7 @@ def test_minkowski_norm_axioms():
     for p in (1.5, 2.0, 3.0):
         exps = Exponents(p)
         rho = rng.uniform(0.2, 0.8, size=(2, 2))
-        j = np.stack([antisymmetrize_flux(rng.normal(size=g.n_edges), g) for _ in range(2)])
-        jbar = np.stack([antisymmetrize_flux(rng.normal(size=g.n_edges), g) for _ in range(2)])
+        j, jbar = rng.normal(size=(2, 2, g.n_links))
         norm = minkowski_norm(g, rho, j, mob, BETA, exps)
         assert norm > 0
         assert minkowski_norm(g, rho, 2.5 * j, mob, BETA, exps) == pytest.approx(
@@ -215,9 +201,7 @@ def test_negative_gradient_flux_pairing_identity(p):
     rng = np.random.default_rng(17)
     h = 1e-6
     for _ in range(5):
-        test_flux = np.stack(
-            [antisymmetrize_flux(rng.normal(size=g.n_edges), g) for _ in range(2)]
-        )
+        test_flux = rng.normal(size=(2, g.n_links))
         div = np.stack([nonlocal_divergence(test_flux[i], g) for i in range(2)])
         e_plus = energy(state.rho - h * div, kernels, g)
         e_minus = energy(state.rho + h * div, kernels, g)
@@ -227,17 +211,25 @@ def test_negative_gradient_flux_pairing_identity(p):
 
 
 def test_antisymmetrization_never_increases_action():
+    # a raw edge field, f on (lo, hi) and b on (hi, lo), has the ordered-edge
+    # action (A(f) + A(-b)) / 2 of two link fields, and its antisymmetric
+    # part (f - b) / 2 never costs more
     rng = np.random.default_rng(77)
-    g = two_point_graph()
     mob = linear()
-    exps = Exponents(2.0)
-    for _ in range(200):
-        rho = rng.uniform(0.05, 0.95, size=(2, 2))
-        raw = np.abs(rng.normal(size=(2, g.n_edges)))
-        sym = np.stack([antisymmetrize_flux(raw[i], g) for i in range(2)])
-        a_raw = action(g, rho, raw, mob, BETA, exps).total
-        a_sym = action(g, rho, sym, mob, BETA, exps).total
-        assert a_sym <= a_raw + 1e-12
+    for g in (two_point_graph(), _cutoff_graph(0.4, n=6)):
+        for p in (1.5, 2.0, 3.0):
+            exps = Exponents(p)
+            for _ in range(40):
+                rho = rng.uniform(0.05, 0.95, size=(2, g.n_vertices))
+                f, b = np.abs(rng.normal(size=(2, 2, g.n_links)))
+                f[:, ::3] = 0.0
+                a_raw = sum(ordered_edge_action(g, rho, np.concatenate([f, b], axis=1), mob, BETA,
+                                                exps))
+                a_links = 0.5 * (action(g, rho, f, mob, BETA, exps).total
+                                 + action(g, rho, -b, mob, BETA, exps).total)
+                assert abs(a_links - a_raw) <= 1e-13 * a_raw
+                a_sym = action(g, rho, 0.5 * (f - b), mob, BETA, exps).total
+                assert a_sym <= a_raw + 1e-12
 
 
 def test_action_convexity_random_segments():
@@ -249,8 +241,8 @@ def test_action_convexity_random_segments():
         for _ in range(100):
             rho0 = rng.uniform(0.05, 0.95, size=(2, 2))
             rho1 = rng.uniform(0.05, 0.95, size=(2, 2))
-            j0 = rng.normal(size=(2, g.n_edges))
-            j1 = rng.normal(size=(2, g.n_edges))
+            j0 = rng.normal(size=(2, g.n_links))
+            j1 = rng.normal(size=(2, g.n_links))
             tau = rng.uniform()
             blend = action(
                 g, (1 - tau) * rho0 + tau * rho1, (1 - tau) * j0 + tau * j1, mob, BETA, exps
@@ -375,13 +367,8 @@ def test_reparametrized_path_exceeds_geodesic_cost():
     states[:, 0, 0] = 1.0 - u
     states[:, 0, 1] = u
     states[:, 1, :] = 0.5
-    fluxes = np.zeros((K, 2, g.n_edges))
-    du = np.diff(u) * K  # du/dt on each interval
-    for e, (src, dst) in enumerate(zip(g.edge_src, g.edge_dst)):
-        if (src, dst) == (0, 1):
-            fluxes[:, 0, e] = du
-        elif (src, dst) == (1, 0):
-            fluxes[:, 0, e] = -du
+    fluxes = np.zeros((K, 2, g.n_links))
+    fluxes[:, 0, 0] = np.diff(u) * K  # du/dt on each interval, along the edge (0, 1)
     path = DiscretePath(times=times, states=states, fluxes=fluxes)
     assert path.continuity_residual(g) < 1e-12
     profile = geodesic_profile(g, path, mob, BETA, exps)
@@ -435,29 +422,29 @@ def test_transport_cost_against_independent_convex_solver():
     rho0 = rng.uniform(0.1, 1.0, (2, 3)); rho0 /= (rho0 @ g.weights)[:, None]
     rho1 = rng.uniform(0.1, 1.0, (2, 3)); rho1 /= (rho1 @ g.weights)[:, None]
 
-    n, n_edges = g.n_vertices, g.n_edges
+    n, links = g.n_vertices, g.n_links
     dt = 1.0 / K
-    div_op = np.zeros((n, n_edges))
-    for e in range(n_edges):
-        basis = np.zeros(n_edges)
-        basis[e] = 1.0
-        div_op[:, e] = nonlocal_divergence(basis, g)
-    w = g.edge_eta * (g.weights[g.edge_src] * g.weights[g.edge_dst])
+    div_op = np.zeros((n, links))
+    for u in range(links):
+        basis = np.zeros(links)
+        basis[u] = 1.0
+        div_op[:, u] = nonlocal_divergence(basis, g)
+    w = g.link_eta * (g.weights[g.link_lo] * g.weights[g.link_hi])
     terms, constraints = [], []
     for i in range(2):
         states = [cp.Constant(rho0[i])]
         states += [cp.Variable(n, nonneg=True) for _ in range(K - 1)]
         states.append(cp.Constant(rho1[i]))
         for k in range(K):
-            jp = cp.Variable(n_edges, nonneg=True)
-            jm = cp.Variable(n_edges, nonneg=True)
+            jp = cp.Variable(links, nonneg=True)
+            jm = cp.Variable(links, nonneg=True)
             constraints.append(states[k + 1] - states[k] == -dt * (div_op @ (jp - jm)))
             mid = 0.5 * (states[k] + states[k + 1])
-            r_src = mid[g.edge_src]
-            r_dst = mid[g.edge_dst]
-            for e in range(n_edges):
-                terms.append(dt * 0.5 * w[e] * cp.quad_over_lin(jp[e], r_src[e]))
-                terms.append(dt * 0.5 * w[e] * cp.quad_over_lin(jm[e], r_dst[e]))
+            r_lo = mid[g.link_lo]
+            r_hi = mid[g.link_hi]
+            for u in range(links):
+                terms.append(dt * w[u] * cp.quad_over_lin(jp[u], r_lo[u]))
+                terms.append(dt * w[u] * cp.quad_over_lin(jm[u], r_hi[u]))
     reference = cp.Problem(cp.Minimize(cp.sum(cp.hstack(terms))), constraints)
     reference.solve(solver=cp.CLARABEL)
 
@@ -483,31 +470,34 @@ def test_transport_cost_is_genuinely_asymmetric():
 
 def _masked_dual_action(graph, rho_pair, velocity_pair, mobility, beta, exponents):
     """Reference: the velocity-form action with boolean gathers and scatters,
-    one species at a time."""
+    one species at a time: m at the upwind end of each link times |v|^q."""
     q = exponents.q
+    lo, hi = graph.link_lo, graph.link_hi
+    weight = graph.link_eta * (graph.weights[lo] * graph.weights[hi])
     parts = []
     for i in range(2):
-        v = velocity_pair[i]
-        m_fwd = mobility(rho_pair[i][graph.edge_src], rho_pair[i][graph.edge_dst])
-        vp = np.maximum(v, 0.0)
-        active = vp > 0
-        vals = np.zeros_like(vp)
-        degenerate = active & (m_fwd <= 0)
-        vals[active & ~degenerate] = m_fwd[active & ~degenerate] * vp[active & ~degenerate] ** q
-        weight = graph.edge_eta * (graph.weights[graph.edge_src] * graph.weights[graph.edge_dst])
+        v, r = velocity_pair[i], rho_pair[i]
+        m_up = np.zeros_like(v)
+        forward, backward = v > 0, v < 0
+        m_up[forward] = mobility(r[lo][forward], r[hi][forward])
+        m_up[backward] = mobility(r[hi][backward], r[lo][backward])
+        active = (v != 0) & (m_up > 0)
+        vals = np.zeros_like(v)
+        vals[active] = m_up[active] * np.abs(v[active]) ** q
         parts.append(float(np.sum(vals * weight)) / float(beta[i]))
     return parts
 
 
 def _masked_action(graph, rho_pair, flux_pair, mobility, beta, exponents):
-    """Reference: sum of both orientations' masked cost densities per species."""
-    weight = graph.edge_eta * (graph.weights[graph.edge_src] * graph.weights[graph.edge_dst])
+    """Reference: the masked cost densities of both directions of each link, per species."""
+    lo, hi = graph.link_lo, graph.link_hi
+    weight = graph.link_eta * (graph.weights[lo] * graph.weights[hi])
     parts = []
     for i in range(2):
-        r_src, r_dst = rho_pair[i][graph.edge_src], rho_pair[i][graph.edge_dst]
-        fwd = masked_alpha_density(flux_pair[i], r_src, r_dst, mobility, exponents)
-        bwd = masked_alpha_density(-flux_pair[i], r_dst, r_src, mobility, exponents)
-        parts.append(0.5 * float(np.sum((fwd + bwd) * weight)) / float(beta[i]))
+        r_lo, r_hi = rho_pair[i][lo], rho_pair[i][hi]
+        fwd = masked_alpha_density(flux_pair[i], r_lo, r_hi, mobility, exponents)
+        bwd = masked_alpha_density(-flux_pair[i], r_hi, r_lo, mobility, exponents)
+        parts.append(float(np.sum((fwd + bwd) * weight)) / float(beta[i]))
     return parts
 
 
@@ -523,12 +513,12 @@ def test_action_and_dual_action_equal_masked_references(p, mobility_name):
     beta = (1.0, 0.7)
     rho = state.rho.copy()
     rho[:, ::4] = 0.0  # m = 0 on edges into (geometric) or out of these vertices
-    vel = beta[0] * edge_velocities(rho, kernels, g)
+    vel = beta[0] * _velocities(rho, kernels, g)
     got = dual_action(g, rho, vel, mob, beta, exps)
     want = _masked_dual_action(g, rho, vel, mob, beta, exps)
     assert got.per_species == tuple(want) and got.total == want[0] + want[1]
 
-    flux = rng.normal(size=(2, g.n_edges))
+    flux = rng.normal(size=(2, g.n_links))
     flux[:, ::5] = 0.0
     for states in (rho, rho - 0.3, rho + 0.8):  # inside, below 0, above the cap of 1
         got = action(g, states, flux, mob, beta, exps)
@@ -539,7 +529,7 @@ def test_action_and_dual_action_equal_masked_references(p, mobility_name):
 
 def _assert_same_value(got, want):
     """Per species: the same inf and 0 cases, else equal up to the order of summation."""
-    for a, b in zip(got.per_species, want.per_species):
+    for a, b in zip(got.per_species, want):
         assert (np.isinf(a), a == 0) == (np.isinf(b), b == 0), (a, b)
         if np.isfinite(b):
             assert abs(a - b) <= 4 * np.finfo(float).eps * b, (a, b)
@@ -548,17 +538,17 @@ def _assert_same_value(got, want):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 @pytest.mark.parametrize("mobility_name", ["linear", "volume_filling", "geometric"])
 def test_link_kernels_equal_action_and_dual_action_of_edge_fields(p, mobility_name):
-    # the cases of the masked references above, on link fields and on
-    # their ordered-edge expansion; fields on one link at a time compare
-    # the inf and 0 cases term by term
+    # the cases of the masked references above, on link fields and, by the
+    # ordered-edge oracles, on their expansion to both orientations; fields
+    # on one link at a time compare the inf and 0 cases term by term
     g, kernels, _, exps, state = random_geometric_setup(seed=5, n=12, p=p)
     mob = PRESETS[mobility_name]()
     rng = np.random.default_rng(int(10 * p))
     beta = (1.0, 0.7)
     rho = state.rho.copy()
     rho[:, ::4] = 0.0  # m = 0 on edges into (geometric) or out of these vertices
-    links = g.link_lo.size
-    vel = beta[0] * _link_velocities(rho, kernels, g)
+    links = g.n_links
+    vel = beta[0] * _velocities(rho, kernels, g)
     vel[:, ::6] = 0.0
     flux = rng.normal(size=(2, links))
     flux[:, ::5] = 0.0
@@ -566,13 +556,13 @@ def test_link_kernels_equal_action_and_dual_action_of_edge_fields(p, mobility_na
     for k, field in enumerate(singles):
         field[:, k // 2] = (1.0, -0.5) if k % 2 else (-2.0, 0.25)
     for v in [vel] + singles:
-        _assert_same_value(_link_dual_action(g, rho, v, mob, beta, exps),
-                           dual_action(g, rho, link_to_edges(v, g), mob, beta, exps))
+        _assert_same_value(dual_action(g, rho, v, mob, beta, exps),
+                           ordered_edge_dual_action(g, rho, edge_field(v), mob, beta, exps))
     for states in (rho, rho - 0.3, rho + 0.8):  # inside, below 0, above the cap of 1
         for j in [flux, np.zeros_like(flux)] + singles:
-            _assert_same_value(_link_action(g, states, j, mob, beta, exps),
-                               action(g, states, link_to_edges(j, g), mob, beta, exps))
-    assert np.isinf(_link_action(g, rho - 0.3, flux, mob, beta, exps).total)
+            _assert_same_value(action(g, states, j, mob, beta, exps),
+                               ordered_edge_action(g, states, edge_field(j), mob, beta, exps))
+    assert np.isinf(action(g, rho - 0.3, flux, mob, beta, exps).total)
 
 
 def _cutoff_graph(radius, n=24, seed=11):
@@ -587,12 +577,12 @@ def _cutoff_graph(radius, n=24, seed=11):
 
 
 def _divergence_columns(graph):
-    """Dense (n, e) divergence matrix, column e the divergence of unit edge field e."""
-    columns = np.zeros((graph.n_vertices, graph.n_edges))
-    for e in range(graph.n_edges):
-        basis = np.zeros(graph.n_edges)
-        basis[e] = 1.0
-        columns[:, e] = nonlocal_divergence(basis, graph)
+    """Dense (n, links) divergence matrix, column u the divergence of unit link field u."""
+    columns = np.zeros((graph.n_vertices, graph.n_links))
+    for u in range(graph.n_links):
+        basis = np.zeros(graph.n_links)
+        basis[u] = 1.0
+        columns[:, u] = nonlocal_divergence(basis, graph)
     return columns
 
 
@@ -622,11 +612,11 @@ def test_min_norm_flux_equals_pinv_formula(radius):
     g = _cutoff_graph(radius)
     div = _divergence_columns(g)
     rng = np.random.default_rng(5)
-    # rates of mass-conserving changes: -div of random edge fields
-    rates = -np.einsum("ve,kie->kiv", div, rng.normal(size=(3, 2, g.n_edges)))
+    # rates of mass-conserving changes: -div of random link fields
+    rates = -np.einsum("ve,kie->kiv", div, rng.normal(size=(3, 2, g.n_links)))
     reference = -np.einsum("ev,kiv->kie", np.linalg.pinv(div), rates)
     got = min_norm_flux(g, rates)
-    assert got.shape == (3, 2, g.n_edges)
+    assert got.shape == (3, 2, g.n_links)
     assert np.max(np.abs(got - reference)) <= 1e-12 * np.max(np.abs(reference))
     assert np.allclose(-np.einsum("ve,kie->kiv", div, got), rates, rtol=0, atol=1e-12)
 
@@ -663,7 +653,7 @@ def test_transport_cost_feasible_perturbations_never_lower_the_objective(p, mobi
     assert cert.converged
     base = _path_objective(g, path, mob, exps)
 
-    cycle = antisymmetrize_flux(np.linalg.svd(_divergence_columns(g))[2][-1], g)
+    cycle = np.linalg.svd(_divergence_columns(g))[2][-1]
     assert np.max(np.abs(nonlocal_divergence(cycle, g))) < 1e-14
     flux_scale = np.max(np.abs(path.fluxes))
     shift = rng.normal(size=3)
@@ -713,7 +703,13 @@ def test_transport_cost_returns_antisymmetric_fluxes():
     end /= (end @ g.weights)[:, None]
     _, path, cert = transport_cost(g, start.rho, end, 8, mob, kernels.beta, exps)
     assert cert.converged
-    assert all(np.all(is_antisymmetric(fluxes, g)) for fluxes in path.fluxes)
+    # link fields: their expansion to both orientations is antisymmetric, and
+    # its ordered-edge divergence closes the continuity equation
+    assert path.fluxes.shape == (8, 2, g.n_links)
+    for k, fluxes in enumerate(path.fluxes):
+        for i, flux in enumerate(fluxes):
+            div = ordered_edge_divergence(edge_field(flux), g)
+            assert np.max(np.abs(path.states[k + 1, i] - path.states[k, i] + div / 8)) <= 1e-10
 
 
 def test_transport_cost_per_component_masses():
@@ -734,7 +730,7 @@ def test_continuity_residual_equals_per_species_loop():
     g = _cutoff_graph(0.4)
     K = 5
     path = DiscretePath(np.linspace(0.0, 1.0, K + 1), rng.uniform(size=(K + 1, 2, g.n_vertices)),
-                        rng.normal(size=(K, 2, g.n_edges)))
+                        rng.normal(size=(K, 2, g.n_links)))
     worst = 0.0
     for k in range(K):
         for i in range(2):
