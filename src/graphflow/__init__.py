@@ -28,8 +28,8 @@ from .graph import (
 )
 from .kernels import (
     KernelSet,
+    System,
     build_kernel_set,
-    convolve_potential,
     descent_velocities,
     energy,
 )

@@ -138,12 +138,11 @@ def _cmd_simulate(args):
     if config.initial_state is None:
         raise SemanticError("simulate requires initial_state in the config")
     trajectory = dynamics.integrate(
-        config.initial_state, config.time_horizon, config.kernels, config.mobility,
-        config.exponents, config.graph, config.integrator,
-    )
+        config.system, config.initial_state, config.time_horizon, config.integrator)
     out = _out_dir(config, args.out)
     _write_csv(os.path.join(out, "trajectory.csv"), _STATE_HEADER,
-               _species_rows(trajectory.times, trajectory.states, np.arange(config.graph.n_vertices)))
+               _species_rows(trajectory.times, trajectory.states,
+                             np.arange(config.system.graph.n_vertices)))
     summary = _summary_payload(
         config,
         {
@@ -162,13 +161,15 @@ def _cmd_simulate(args):
 
 def _cmd_metric(args):
     config = parse_config(_read(args.config))
-    start = parse_state(_read(args.state_from), config.graph)
-    end = parse_state(_read(args.state_to), config.graph)
+    system = config.system
+    graph = system.graph
+    start = parse_state(_read(args.state_from), graph)
+    end = parse_state(_read(args.state_to), graph)
     steps = config.solver_steps if args.steps is None else args.steps
     if steps < 1:
         raise SemanticError(f"--steps must be at least 1, got {steps}")
     t_value, path, certificate = transport.transport_cost(
-        config.graph, start, end, steps, config.mobility, config.kernels.beta, config.exponents)
+        graph, start, end, steps, system.mobility, system.kernels.beta, system.exponents)
     out = _out_dir(config, args.out)
     _write_json(
         os.path.join(out, "metric.json"),
@@ -183,8 +184,8 @@ def _cmd_metric(args):
         ),
     )
     _write_csv(os.path.join(out, "geodesic.csv"), _STATE_HEADER,
-               _species_rows(path.times, path.states, np.arange(config.graph.n_vertices)))
-    src, dst, entry = _ordered_edges(config.graph)
+               _species_rows(path.times, path.states, np.arange(graph.n_vertices)))
+    src, dst, entry = _ordered_edges(graph)
     _write_csv(
         os.path.join(out, "geodesic_fluxes.csv"),
         _FLUX_HEADER,
@@ -319,17 +320,18 @@ def _read_fluxes_csv(path, graph, n_intervals):
 
 def _cmd_geodesic_profile(args):
     config = parse_config(_read(args.config))
-    times, states = _read_states_csv(args.path, config.graph)
+    system = config.system
+    times, states = _read_states_csv(args.path, system.graph)
     flux_file = os.path.join(os.path.dirname(os.path.abspath(args.path)), "geodesic_fluxes.csv")
     if os.path.exists(flux_file):
-        fluxes = _read_fluxes_csv(flux_file, config.graph, len(times) - 1)
-        path = transport.DiscretePath(times=times, states=states, fluxes=fluxes)
+        fluxes = _read_fluxes_csv(flux_file, system.graph, len(times) - 1)
     else:
         # states-only input: fall back to the minimal-norm continuity flux
-        path = _states_to_path(times, states, config)
+        rates = np.diff(states, axis=0) / np.diff(times)[:, None, None]
+        fluxes = transport.min_norm_flux(system.graph, rates)
+    path = transport.DiscretePath(times=times, states=states, fluxes=fluxes)
     profile = transport.geodesic_profile(
-        config.graph, path, config.mobility, config.kernels.beta, config.exponents
-    )
+        system.graph, path, system.mobility, system.kernels.beta, system.exponents)
     out = _out_dir(config, args.out)
     _write_csv(
         os.path.join(out, "profile.csv"),
@@ -345,28 +347,13 @@ def _cmd_geodesic_profile(args):
     return EXIT_OK
 
 
-def _states_to_path(times, states, config):
-    """Rebuild interval fluxes from stored states by least squares on continuity."""
-    rates = np.diff(states, axis=0) / np.diff(times)[:, None, None]
-    fluxes = transport.min_norm_flux(config.graph, rates)
-    return transport.DiscretePath(times=times, states=states, fluxes=fluxes)
-
-
 def _cmd_diagnose(args):
     config = parse_config(_read(args.config))
-    times, states = _read_states_csv(args.trajectory, config.graph)
+    times, states = _read_states_csv(args.trajectory, config.system.graph)
     # gradient-flow trajectories: energies and node fluxes are recomputed
     # from the states, by de_giorgi from each state's potentials
-    trajectory = dynamics.Trajectory(
-        times=times,
-        states=states,
-        energies=None,
-        dts=np.diff(times),
-        local_errors=np.zeros(len(times) - 1),
-    )
-    report = diagnostics.de_giorgi(
-        trajectory, config.graph, config.kernels, config.mobility, config.exponents
-    )
+    trajectory = dynamics.Trajectory(times=times, states=states, energies=None)
+    report = diagnostics.de_giorgi(config.system, trajectory)
     out = _out_dir(config, args.out)
     _write_json(
         os.path.join(out, "de_giorgi.json"),
@@ -421,7 +408,7 @@ def _cmd_refine(args):
 
 def _cmd_validate_graph(args):
     config = parse_config(_read(args.config))
-    report = check_assumptions(config.graph, config.exponents)
+    report = check_assumptions(config.system.graph, config.system.exponents)
     payload = {
         "c_mu": report.c_mu,
         "c_eta": report.c_eta,

@@ -16,7 +16,7 @@ from scipy.special import ndtri
 
 from . import diagnostics, dynamics, kernels as kernels_mod, mobility as mobility_mod
 from .errors import MassMismatch, SchemaError, SemanticError
-from .graph import Exponents, FiniteGraph, build_graph
+from .graph import Exponents, build_graph
 
 _DEFAULTS = {
     "seed": 0,
@@ -150,10 +150,7 @@ def _build_mobility_section(section, path="mobility"):
 
 @dataclass
 class RunConfig:
-    graph: FiniteGraph
-    kernels: object
-    mobility: object
-    exponents: Exponents
+    system: kernels_mod.System
     initial_state: object  # SpeciesPairState or None when given as a recipe
     time_horizon: float
     integrator: dynamics.IntegratorOptions
@@ -163,16 +160,16 @@ class RunConfig:
     resolved: dict = field(repr=False)
 
 
+def _parse_json(text):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError("$", f"not valid JSON: {exc}") from None
+
+
 def parse_config(source):
-    """Parse and validate a JSON run configuration (text, dict, or path-like)."""
-    if isinstance(source, dict):
-        raw = source
-    else:
-        text = source
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("$", f"not valid JSON: {exc}")
+    """Parse and validate a JSON run configuration (text or dict)."""
+    raw = source if isinstance(source, dict) else _parse_json(source)
     if not isinstance(raw, dict):
         raise SchemaError("$", "top level must be an object")
 
@@ -228,10 +225,7 @@ def parse_config(source):
         state = _build_initial_state(resolved["initial_state"], graph)
 
     return RunConfig(
-        graph=graph,
-        kernels=kernels,
-        mobility=mobility,
-        exponents=exponents,
+        system=kernels_mod.System(graph, kernels, mobility, exponents),
         initial_state=state,
         time_horizon=float(t_final),
         integrator=integrator,
@@ -249,7 +243,7 @@ def emit_config(config):
 
 
 def parse_state(source, graph):
-    raw = json.loads(source) if isinstance(source, str) else source
+    raw = _parse_json(source) if isinstance(source, str) else source
     return _build_initial_state(raw, graph)
 
 
@@ -351,6 +345,13 @@ _DENSITIES = {
 }
 
 
+# (name, default, whether it must be positive) of each density parameter
+_DENSITY_PARAMS = {
+    "gaussian": (("mean", 0.0, False), ("sigma", 1.0, True)),
+    "uniform": (("low", 0.0, False), ("high", 1.0, False)),
+}
+
+
 @dataclass(frozen=True)
 class RefinementPlan:
     """Quantile-sampling recipe for the base measure plus a vertex-count ladder."""
@@ -371,8 +372,10 @@ class RefinementPlan:
             raise SchemaError("plan.ladder", f"vertex counts must be integers >= 1, got {ladder}")
         if ladder != sorted(set(ladder)) or len(ladder) == 0:
             raise SchemaError("plan.ladder", "must be strictly increasing and nonempty")
-        if self.density_name == "gaussian" and not self.density_params.get("sigma", 1.0) > 0:
-            raise SchemaError("plan.density.params.sigma", "must be positive")
+        if not isinstance(self.density_params, dict):
+            raise SchemaError("plan.density.params", "expected an object")
+        for key, default, positive in _DENSITY_PARAMS[self.density_name]:
+            _preset_number(self.density_params, key, default, "plan.density", positive)
         for key in ("initial_atoms", "transport_steps"):
             value = getattr(self, key)
             if not _is_integer(value) or value < 1:
@@ -396,7 +399,9 @@ class RefinementPlan:
 
 
 def parse_plan(source):
-    raw = json.loads(source) if isinstance(source, str) else source
+    raw = _parse_json(source) if isinstance(source, str) else source
+    if not isinstance(raw, dict):
+        raise SchemaError("plan", "expected an object")
     density = _require(raw, "density", "plan", dict)
     _check_projection(raw, "plan")
     return RefinementPlan(
@@ -452,6 +457,7 @@ def run_refinement_study(plan, config, max_workers=1):
     atoms_u = (np.arange(plan.initial_atoms) + 0.5) / plan.initial_atoms
     atom_positions = plan.quantile(atoms_u).reshape(-1, 1)
     atom_masses = np.full(plan.initial_atoms, 1.0 / plan.initial_atoms)
+    mobility, exponents = config.system.mobility, config.system.exponents
 
     def run_level(n):
         level = StudyLevel(n_vertices=n)
@@ -462,15 +468,11 @@ def run_refinement_study(plan, config, max_workers=1):
             eta_spec = config.resolved["graph"].get("eta_preset", {"name": "constant"})
             graph = build_graph(points, weights, _eta_from_preset(eta_spec, "graph.eta_preset"))
             kernels = _build_kernels_section(config.resolved["kernels"], graph.base.dimension)
+            system = kernels_mod.System(graph, kernels, mobility, exponents)
             rho, _ = project_initial(atom_positions, atom_masses, graph.base)
             state = dynamics.SpeciesPairState.from_densities(rho, rho.copy())
-            trajectory = dynamics.integrate(
-                state, config.time_horizon, kernels, config.mobility,
-                config.exponents, graph, config.integrator,
-            )
-            report = diagnostics.de_giorgi(
-                trajectory, graph, kernels, config.mobility, config.exponents
-            )
+            trajectory = dynamics.integrate(system, state, config.time_horizon, config.integrator)
+            report = diagnostics.de_giorgi(system, trajectory)
             level.g_t = report.g_t
             level.energy_start = report.energy_start
             level.energy_end = report.energy_end
@@ -486,9 +488,9 @@ def run_refinement_study(plan, config, max_workers=1):
 
                 t_value, _, _ = transport_cost(
                     graph, trajectory.states[0], trajectory.states[-1],
-                    plan.transport_steps, config.mobility, kernels.beta, config.exponents,
+                    plan.transport_steps, mobility, kernels.beta, exponents,
                 )
-                level.transport_start_to_final = t_value ** (1.0 / config.exponents.p)
+                level.transport_start_to_final = t_value ** (1.0 / exponents.p)
             return level, graph, trajectory.states[-1]
         except Exception as exc:  # levels fail independently
             level.failed = True

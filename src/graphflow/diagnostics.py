@@ -9,6 +9,9 @@ trajectory's own flux: an upper bound for |rho'|^p in general and exact for
 gradient-flow trajectories, whose flux is the steepest-descent one.
 Weak solutions are exactly the curves with G_T = 0; numerically G_T is
 bounded by integrator plus quadrature error.
+
+The functions that need the energy take a :class:`~graphflow.kernels.System`
+first; those that need only the graph take the graph first.
 """
 
 from dataclasses import dataclass, field
@@ -19,8 +22,16 @@ from scipy import sparse
 from . import transport
 from .dynamics import SpeciesPairState, integrate, upwind_flux
 from .errors import MassMismatch
-from .graph import build_graph, nonlocal_divergence, nonlocal_gradient
-from .kernels import descent_velocities, energy_from_potentials, potentials
+from .graph import Exponents, build_graph, nonlocal_divergence, nonlocal_gradient
+from .kernels import (
+    System,
+    build_kernel_set,
+    descent_velocities,
+    distance,
+    energy_from_potentials,
+    potentials,
+    zero,
+)
 from .mobility import linear
 
 __all__ = [
@@ -37,11 +48,13 @@ __all__ = [
 ]
 
 
-def dissipation(graph, rho_pair, kernels, mobility, exponents):
+def dissipation(system, rho_pair):
     """D(rho): dual action of the beta-scaled descent velocities, one term per link."""
+    graph, beta = system.graph, system.kernels.beta
     rho_pair = np.asarray(rho_pair, dtype=float)
-    scaled = kernels.beta[:, None] * descent_velocities(potentials(rho_pair, kernels, graph), graph)
-    return transport.dual_action(graph, rho_pair, scaled, mobility, kernels.beta, exponents).total
+    scaled = beta[:, None] * descent_velocities(graph, potentials(system, rho_pair))
+    return transport.dual_action(graph, rho_pair, scaled, system.mobility, beta,
+                                 system.exponents).total
 
 
 @dataclass(frozen=True)
@@ -58,19 +71,26 @@ class DeGiorgiReport:
         return self.series[-1][0] if self.series else 0.0
 
 
-def _node_flux(trajectory, k):
-    """The flux supplied for state k, or None when the trajectory stores none.
+def _state_terms(system, trajectory, k):
+    """Energy, descent velocities and flux of state k, from one potentials evaluation.
 
     Trajectories from :func:`graphflow.dynamics.integrate` store no fluxes,
-    so the diagnostics evaluate the gradient-flow flux law at each state, bit
-    for bit the flux the integrator's right-hand side used there; hand-built
-    curves (e.g. non-gradient perturbations) supply ``node_fluxes`` themselves.
+    so the flux is the gradient-flow flux law at the state, bit for bit the
+    flux the integrator's right-hand side used there; hand-built curves
+    (e.g. non-gradient perturbations) supply ``node_fluxes`` themselves.
     """
+    rho = trajectory.states[k]
+    phi = potentials(system, rho)
+    velocities = descent_velocities(system.graph, phi)
     node_fluxes = getattr(trajectory, "node_fluxes", None)
-    return None if node_fluxes is None else np.asarray(node_fluxes[k], dtype=float)
+    if node_fluxes is None:
+        flux = upwind_flux(system, rho, velocities)
+    else:
+        flux = np.asarray(node_fluxes[k], dtype=float)
+    return energy_from_potentials(system.graph, phi, rho), velocities, flux
 
 
-def de_giorgi(trajectory, graph, kernels, mobility, exponents):
+def de_giorgi(system, trajectory):
     """Assemble the De Giorgi report by trapezoidal quadrature on the stored grid.
 
     The residual budget is roughly 10x the integrator tolerance times the
@@ -81,21 +101,17 @@ def de_giorgi(trajectory, graph, kernels, mobility, exponents):
     which feed both its dissipation and, when the trajectory stores no
     fluxes, its gradient-flow flux; every term is evaluated once per link.
     """
+    graph, beta = system.graph, system.kernels.beta
+    mobility, exponents = system.mobility, system.exponents
     times = trajectory.times
-    beta = kernels.beta
     energies = np.empty(len(times))
     diss = np.empty(len(times))
     act = np.empty(len(times))
     for k in range(len(times)):
         rho = trajectory.states[k]
-        phi = potentials(rho, kernels, graph)
-        energies[k] = energy_from_potentials(phi, rho, graph)
-        velocities = descent_velocities(phi, graph)
+        energies[k], velocities, flux = _state_terms(system, trajectory, k)
         diss[k] = transport.dual_action(graph, rho, beta[:, None] * velocities, mobility, beta,
                                         exponents).total
-        flux = _node_flux(trajectory, k)
-        if flux is None:
-            flux = upwind_flux(rho, kernels, mobility, exponents, graph, velocities)
         act[k] = transport.action(graph, rho, flux, mobility, beta, exponents).total
     q = exponents.q
     p = exponents.p
@@ -117,7 +133,7 @@ def de_giorgi(trajectory, graph, kernels, mobility, exponents):
     )
 
 
-def chain_rule_residual(trajectory, graph, kernels, mobility, exponents):
+def chain_rule_residual(system, trajectory):
     """Max over subintervals of |E(t) - E(s) - int_s^t l~(v)[beta grad dE]|.
 
     Velocities are recovered from the trajectory's fluxes by the dual
@@ -125,18 +141,14 @@ def chain_rule_residual(trajectory, graph, kernels, mobility, exponents):
     energies, like those of :func:`de_giorgi`, come from each state's
     potentials, not from the trajectory's stored energies.
     """
+    graph, beta = system.graph, system.kernels.beta
+    mobility, exponents = system.mobility, system.exponents
     times = trajectory.times
-    beta = kernels.beta
     energies = np.empty(len(times))
     integrand = np.empty(len(times))
     for k in range(len(times)):
         rho = trajectory.states[k]
-        phi = potentials(rho, kernels, graph)
-        energies[k] = energy_from_potentials(phi, rho, graph)
-        velocities = descent_velocities(phi, graph)
-        flux = _node_flux(trajectory, k)
-        if flux is None:
-            flux = upwind_flux(rho, kernels, mobility, exponents, graph, velocities)
+        energies[k], velocities, flux = _state_terms(system, trajectory, k)
         vel = transport.velocity_from_flux(graph, rho, flux, mobility, exponents)
         ascent = -beta[:, None] * velocities
         integrand[k] = transport.pairing_l_tilde(
@@ -149,7 +161,7 @@ def chain_rule_residual(trajectory, graph, kernels, mobility, exponents):
     return float(np.max(defect) - np.min(defect))
 
 
-def moment(density, order, graph):
+def moment(graph, density, order):
     """p-th moment sum |x|^order rho mu; accepts one density or a species pair."""
     if order <= 0:
         raise ValueError("moment order must be positive")
@@ -272,8 +284,6 @@ def _random_setup(rng, n_min=3, n_max=6):
     eta = 0.5 * (eta + eta.T)
     np.fill_diagonal(eta, 0.0)
     graph = build_graph(points, weights, eta)
-    from .graph import Exponents
-
     p = float(rng.uniform(1.3, 3.5))
     exponents = Exponents(p)
     rho = rng.uniform(0.05, 1.0, size=(2, n))
@@ -368,9 +378,9 @@ def _suite_duality(rng, tol, scale=1.0):
     graph, exponents, rho, beta = _random_setup(rng)
     phi = scale * rng.normal(size=graph.n_vertices)
     j = scale * rng.normal(size=graph.n_links)
-    div = nonlocal_divergence(j, graph)
+    div = nonlocal_divergence(graph, j)
     lhs = float(np.sum(phi * div * graph.weights))
-    grad = nonlocal_gradient(phi, graph)
+    grad = nonlocal_gradient(graph, phi)
     rhs_val = -float(np.sum(grad * j * graph.link_weight))
     scale = max(1.0, abs(lhs), abs(rhs_val))
     violation = abs(lhs - rhs_val) / scale
@@ -378,9 +388,6 @@ def _suite_duality(rng, tol, scale=1.0):
 
 
 def _suite_nonneg(rng, tol, scale=1.0):
-    from .graph import Exponents
-    from .kernels import build_kernel_set, distance, zero
-
     graph, _, _, _ = _random_setup(rng, n_min=3, n_max=4)
     exponents = Exponents(2.0)
     kernels = build_kernel_set(
@@ -394,14 +401,12 @@ def _suite_nonneg(rng, tol, scale=1.0):
         if np.sum(rho[i] * graph.weights) <= 0:
             rho[i, (kill + 1) % graph.n_vertices] = 1.0
     rho /= (rho @ graph.weights)[:, None]
-    traj = integrate(SpeciesPairState(rho), 0.2, kernels, linear(), exponents, graph)
+    traj = integrate(System(graph, kernels, linear(), exponents), SpeciesPairState(rho), 0.2)
     violation = -float(traj.stats["min_density"])
     return violation > tol, float(violation)
 
 
 def _suite_decoupling(rng, tol, scale=1.0):
-    from .graph import Exponents
-
     graph, _, rho0, beta = _random_setup(rng, n_min=2, n_max=3)
     exponents = Exponents(2.0)
     mob = linear()

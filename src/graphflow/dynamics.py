@@ -12,6 +12,10 @@ dE/dt = -D(rho) hold for every exponent p; the resulting trajectories are
 curves of maximal slope (zeros of the De Giorgi functional).  The flux is
 antisymmetric, so it is a (2, links) array of its values on the edges
 (lo, hi), one flux-law evaluation per link.
+
+The flow is that of a :class:`~graphflow.kernels.System`, which binds the
+graph, kernels, mobility and exponents; the flux, the right-hand side and
+the integrator take it as their first argument.
 """
 
 import numbers
@@ -80,7 +84,7 @@ def _clip_to_box(rho, mobility):
     return np.clip(rho, 0.0, hi if np.isfinite(hi) else None)
 
 
-def upwind_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
+def upwind_flux(system, rho_pair, velocities=None):
     """Gradient-flow flux pair (2, links): its values on the edges (lo, hi).
 
     Raises ThresholdExceeded when the state leaves [0, R] x [0, S] (or goes
@@ -89,6 +93,7 @@ def upwind_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
     the state's :func:`~graphflow.kernels.descent_velocities`; they are left
     unmodified.
     """
+    graph, beta, mobility = system.graph, system.kernels.beta, system.mobility
     rho_pair = np.asarray(rho_pair, dtype=float)
     lo = float(np.min(rho_pair))
     hi = float(np.max(rho_pair))
@@ -98,23 +103,23 @@ def upwind_flux(rho_pair, kernels, mobility, exponents, graph, velocities=None):
             f"state outside [0, {cap}] by more than {STATE_TOL}: min={lo:.3e} max={hi:.3e}"
         )
     if velocities is None:
-        scaled = descent_velocities(potentials(rho_pair, kernels, graph), graph)
-        scaled *= kernels.beta[:, None]
+        scaled = descent_velocities(graph, potentials(system, rho_pair))
+        scaled *= beta[:, None]
     else:
-        scaled = kernels.beta[:, None] * velocities
+        scaled = beta[:, None] * velocities
     rho_box = _clip_to_box(rho_pair, mobility)
     return flux_law(scaled, np.take(rho_box, graph.link_lo, axis=1),
-                    np.take(rho_box, graph.link_hi, axis=1), mobility, exponents)
+                    np.take(rho_box, graph.link_hi, axis=1), mobility, system.exponents)
 
 
-def rhs(rho_pair, kernels, mobility, exponents, graph):
+def rhs(system, rho_pair):
     """Density time derivative -div(j) per species; conserves mass exactly.
 
     The flux is evaluated once per link and its divergence taken by the
     graph's link divergence matrix, one species row at a time.
     """
-    flux = upwind_flux(rho_pair, kernels, mobility, exponents, graph)
-    rate = np.stack([graph.link_divergence @ row for row in flux])
+    flux = upwind_flux(system, rho_pair)
+    rate = np.stack([system.graph.link_divergence @ row for row in flux])
     return np.negative(rate, out=rate)
 
 
@@ -155,17 +160,16 @@ class Trajectory:
     times: np.ndarray  # (m+1,)
     states: np.ndarray  # (m+1, 2, n)
     energies: np.ndarray  # (m+1,), or None
-    dts: np.ndarray  # (m,)
-    local_errors: np.ndarray  # (m,)
     stats: dict = field(default_factory=dict)
     node_fluxes: np.ndarray = None  # (m+1, 2, links)
 
     @property
-    def n_steps(self):
-        return len(self.dts)
+    def dts(self):
+        return np.diff(self.times)
 
-    def state_at(self, k):
-        return SpeciesPairState(self.states[k])
+    @property
+    def n_steps(self):
+        return len(self.times) - 1
 
 
 # Dormand-Prince 5(4) tableau
@@ -185,14 +189,18 @@ _DP_B4 = np.array(
 )
 
 
-def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None):
+def integrate(system, state0, t_final, options=None):
     """Adaptive Dormand-Prince 5(4) integration on the invariant simplex.
 
     A step is rejected (and dt halved) when any density would leave
     [-GUARD_TOL, threshold + GUARD_TOL]; accepted states are clamped into the
     box and renormalized in mass, with both amounts accumulated in the run
     statistics.  Evaluation failures at wild trial states count as rejections.
+    ``t_final`` must be finite and > 0.
     """
+    if not 0.0 < t_final < np.inf:
+        raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
+    graph, mobility = system.graph, system.mobility
     options = options or IntegratorOptions()
     state0 = state0 if isinstance(state0, SpeciesPairState) else SpeciesPairState(state0)
     masses0 = state0.masses(graph)
@@ -207,15 +215,14 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
 
     times = [0.0]
     states = [y.copy()]
-    energies = [energy(y, kernels, graph)]
-    dts, errors = [], []
+    energies = [energy(system, y)]
     min_density = float(np.min(y))
     max_density = float(np.max(y))
     clamp_total = 0.0
     renorm_total = 0.0
     accepted = rejected = 0
 
-    k1 = rhs(y, kernels, mobility, exponents, graph)
+    k1 = rhs(system, y)
     rejects_in_a_row = 0
     while t < t_final - 1e-14:
         dt = min(dt, options.max_dt, t_final - t)
@@ -230,10 +237,10 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
                     a * k for a, k in zip(_DP_A[row], stages)
                 )
                 if row < 6:
-                    stages.append(rhs(trial, kernels, mobility, exponents, graph))
+                    stages.append(rhs(system, trial))
                 else:
                     y5 = trial  # row 6 coefficients equal the 5th-order weights
-                    stages.append(rhs(y5, kernels, mobility, exponents, graph))
+                    stages.append(rhs(system, y5))
         except (ThresholdExceeded, FloatingPointError):
             dt *= 0.5
             rejected += 1
@@ -264,15 +271,13 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
         renorm_total += float(np.sum(np.abs(factors - 1.0) * masses0))
         y_new = y_new * factors[:, None]
 
-        dts.append(dt)
-        errors.append(err)
         t += dt
         y = y_new
         times.append(t)
         states.append(y.copy())
-        energies.append(energy(y, kernels, graph))
+        energies.append(energy(system, y))
         accepted += 1
-        k1 = rhs(y, kernels, mobility, exponents, graph)
+        k1 = rhs(system, y)
         dt = dt * min(5.0, max(0.2, 0.9 * err ** (-0.2))) if err > 0 else dt * 5.0
 
     final_masses = y @ graph.weights
@@ -290,7 +295,5 @@ def integrate(state0, t_final, kernels, mobility, exponents, graph, options=None
         times=np.asarray(times),
         states=np.asarray(states),
         energies=np.asarray(energies),
-        dts=np.asarray(dts),
-        local_errors=np.asarray(errors),
         stats=stats,
     )

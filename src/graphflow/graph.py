@@ -294,7 +294,7 @@ def check_assumptions(graph, exponents):
     return AssumptionReport(c_mu, c_eta, c_eta_prime, profile, graph.n_vertices, 2 * graph.n_links)
 
 
-def nonlocal_gradient(phi, graph):
+def nonlocal_gradient(graph, phi):
     """Link difference phi(hi) - phi(lo): the gradient on the edge (lo, hi).
 
     Takes one node field (n,) or a species pair (2, n) and returns (links,)
@@ -306,7 +306,7 @@ def nonlocal_gradient(phi, graph):
     return grad
 
 
-def nonlocal_divergence(j, graph):
+def nonlocal_divergence(graph, j):
     """Negative adjoint of the nonlocal gradient under the eta-weighted pairing.
 
     A link field ``j`` is the antisymmetric edge field with value j on

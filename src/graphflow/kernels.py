@@ -9,16 +9,21 @@ requires the cross kernels to be positive multiples of each other; the
 constructor accepts K12 = c * K21 and stores the symmetrized cross kernel
 (K12 + K21)/2, which leaves the energy and both variational derivatives
 unchanged for every choice of the species weights beta.
+
+A :class:`System` binds a graph, its kernels, a mobility and the exponents:
+the gradient-flow structure that the flow and the diagnostics act on.  It
+holds the kernel matrices on the graph's vertices, computed once when it is
+built.  Functions that need the kernels take the system first; functions
+that need only the graph take the graph first.
 """
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SemanticError, SizeMismatch
+from .errors import SemanticError
 from .expressions import compile_expression
-from .graph import nonlocal_gradient
+from .graph import Exponents, FiniteGraph, nonlocal_gradient
 
 _SYMMETRY_TOL = 1e-9
 
@@ -30,47 +35,48 @@ def _pairwise(fn, xs, ys):
 
 @dataclass(frozen=True)
 class KernelSet:
-    """Four interaction kernels with species weights beta.
+    """Self-interaction kernels k11, k22, the symmetrized cross kernel k12, and
+    the species weights beta, a float array of two finite positive reals.
 
-    ``k[i][k]`` are callables on broadcast point arrays returning the kernel
-    value; cross kernels are stored in canonical symmetrized form.
-    ``growth_constant`` is the sampled estimate of the constant in the
-    p-growth bound (a lower estimate of the true constant).
+    The kernels are callables on broadcast point arrays returning the kernel
+    value; :func:`build_kernel_set` makes a validated set.
     """
 
     k11: object
     k12: object
-    k21: object
     k22: object
     beta: np.ndarray
-    growth_constant: float = None
-    growth_estimated: bool = True
-    # (weak reference to the last graph, its kernel matrices): an id(graph)
-    # key would be handed to a later graph that reuses a freed graph's id
-    _tables: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float).ravel()
-        object.__setattr__(self, "beta", beta)
-        if beta.shape != (2,) or not np.all((beta > 0) & (beta < np.inf)):
+        beta = self.beta
+        if not (isinstance(beta, np.ndarray) and beta.shape == (2,)
+                and np.all((beta > 0) & (beta < np.inf))):
             raise SemanticError(f"beta must be two finite positive reals, got {beta}")
 
-    def kernel(self, i, k):
-        return ((self.k11, self.k12), (self.k21, self.k22))[i][k]
-
     def on_graph(self, graph):
-        """Materialize the four kernel matrices on the graph's vertices (cached)."""
-        ref, mats = self._tables
-        if ref is None or ref() is not graph:
-            xs = graph.points
-            mats = np.stack(
-                [
-                    np.stack([_pairwise(self.kernel(i, k), xs, xs) for k in range(2)])
-                    for i in range(2)
-                ]
-            )
-            object.__setattr__(self, "_tables", (weakref.ref(graph), mats))
-        return mats
+        """The kernel matrices K11, K12, K22 on the graph's vertices, (3, n, n);
+        K21 equals K12."""
+        xs = graph.points
+        return np.stack([_pairwise(fn, xs, xs) for fn in (self.k11, self.k12, self.k22)])
+
+
+@dataclass(frozen=True)
+class System:
+    """A graph, its kernels, a mobility and the exponents, bound together.
+
+    ``matrices`` stacks the kernel matrices K11, K12, K22 on the graph's
+    vertices, (3, n, n), computed once when the system is built.
+    """
+
+    graph: FiniteGraph
+    kernels: KernelSet
+    mobility: object
+    exponents: Exponents
+    matrices: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # a derived field set once at construction; nothing writes it later
+        vars(self)["matrices"] = self.kernels.on_graph(self.graph)
 
 
 def _check_symmetry(fn, name, rng, dim, box=2.0):
@@ -106,8 +112,7 @@ def _cross_ratio(k12, k21, rng, dim, box=2.0):
     return c
 
 
-def build_kernel_set(k11, k12, k21, k22, beta=(1.0, 1.0), dimension=1, validate=True,
-                     growth_constant=None, exponents=None, seed=0):
+def build_kernel_set(k11, k12, k21, k22, beta=(1.0, 1.0), dimension=1, validate=True, seed=0):
     """Validate kernels and return the canonical :class:`KernelSet`.
 
     Symmetry K(x,y) = K(y,x) and the cross-proportionality K12 = c * K21 are
@@ -123,12 +128,7 @@ def build_kernel_set(k11, k12, k21, k22, beta=(1.0, 1.0), dimension=1, validate=
     def cross(xs, ys, _a=k12, _b=k21):
         return 0.5 * (np.asarray(_a(xs, ys), dtype=float) + np.asarray(_b(xs, ys), dtype=float))
 
-    kernels = KernelSet(k11=k11, k12=cross, k21=cross, k22=k22, beta=np.asarray(beta, dtype=float),
-                        growth_constant=growth_constant, growth_estimated=growth_constant is None)
-    if kernels.growth_constant is None and exponents is not None:
-        est = estimate_growth_constant(kernels, dimension, exponents, seed=seed)
-        object.__setattr__(kernels, "growth_constant", est)
-    return kernels
+    return KernelSet(k11=k11, k12=cross, k22=k22, beta=np.asarray(beta, dtype=float).ravel())
 
 
 def estimate_growth_constant(kernels, dimension, exponents, n_samples=400, box=2.0, seed=0):
@@ -136,21 +136,20 @@ def estimate_growth_constant(kernels, dimension, exponents, n_samples=400, box=2
     rng = np.random.default_rng(seed)
     p = exponents.p
     worst = 0.0
-    for i in range(2):
-        for k in range(2):
-            fn = kernels.kernel(i, k)
-            z0 = rng.uniform(-box, box, size=(n_samples, 2 * dimension))
-            z1 = rng.uniform(-box, box, size=(n_samples, 2 * dimension))
-            x0, y0 = z0[:, :dimension], z0[:, dimension:]
-            x1, y1 = z1[:, :dimension], z1[:, dimension:]
-            num = np.abs(
-                np.asarray(fn(x0, y0), dtype=float) - np.asarray(fn(x1, y1), dtype=float)
-            )
-            dist = np.linalg.norm(z0 - z1, axis=1)
-            den = np.maximum(dist, dist**p)
-            good = den > 1e-9
-            if np.any(good):
-                worst = max(worst, float(np.max(num[good] / den[good])))
+    # the cross kernel stands for K12 and K21, so it is sampled twice
+    for fn in (kernels.k11, kernels.k12, kernels.k12, kernels.k22):
+        z0 = rng.uniform(-box, box, size=(n_samples, 2 * dimension))
+        z1 = rng.uniform(-box, box, size=(n_samples, 2 * dimension))
+        x0, y0 = z0[:, :dimension], z0[:, dimension:]
+        x1, y1 = z1[:, :dimension], z1[:, dimension:]
+        num = np.abs(
+            np.asarray(fn(x0, y0), dtype=float) - np.asarray(fn(x1, y1), dtype=float)
+        )
+        dist = np.linalg.norm(z0 - z1, axis=1)
+        den = np.maximum(dist, dist**p)
+        good = den > 1e-9
+        if np.any(good):
+            worst = max(worst, float(np.max(num[good] / den[good])))
     return worst
 
 
@@ -208,40 +207,27 @@ def kernel_from_expression(text):
 # energy and its variational derivatives on a graph
 # ---------------------------------------------------------------------------
 
-def convolve_potential(kernel, rho, graph):
-    """(K * rho)(x_l) = sum_h K(x_l, x_h) rho_h mu_h for one species density."""
-    rho = graph.check_node_field(rho)
-    if callable(kernel):
-        mat = _pairwise(kernel, graph.points, graph.points)
-    else:
-        mat = np.asarray(kernel, dtype=float)
-        if mat.shape != (graph.n_vertices, graph.n_vertices):
-            raise SizeMismatch(f"kernel matrix shape {mat.shape}")
-    return mat @ (rho * graph.weights)
-
-
-def potentials(rho_pair, kernels, graph):
+def potentials(system, rho_pair):
     """Variational derivatives (K^(i1) * rho1 + K^(i2) * rho2) per species, (2, n)."""
-    rho_pair = np.asarray(rho_pair, dtype=float)
-    mats = kernels.on_graph(graph)
-    masses = rho_pair * graph.weights[None, :]
-    return np.stack([mats[i, 0] @ masses[0] + mats[i, 1] @ masses[1] for i in range(2)])
+    k11, k12, k22 = system.matrices
+    masses = np.asarray(rho_pair, dtype=float) * system.graph.weights[None, :]
+    return np.stack([k11 @ masses[0] + k12 @ masses[1], k12 @ masses[0] + k22 @ masses[1]])
 
 
-def energy(rho_pair, kernels, graph):
+def energy(system, rho_pair):
     """Cross-interaction energy of the density pair."""
     rho_pair = np.asarray(rho_pair, dtype=float)
-    return energy_from_potentials(potentials(rho_pair, kernels, graph), rho_pair, graph)
+    return energy_from_potentials(system.graph, potentials(system, rho_pair), rho_pair)
 
 
-def energy_from_potentials(phi, rho_pair, graph):
+def energy_from_potentials(graph, phi, rho_pair):
     """The energy of ``rho_pair`` given its potentials ``phi``: half their pairing with its masses."""
     masses = rho_pair * graph.weights[None, :]
     return 0.5 * float(np.sum(phi * masses))
 
 
-def descent_velocities(phi, graph):
+def descent_velocities(graph, phi):
     """Descent velocities -grad phi of the (2, n) potentials ``phi``, (2, links):
     phi(lo) - phi(hi) on every edge (lo, hi)."""
-    grad = nonlocal_gradient(phi, graph)
+    grad = nonlocal_gradient(graph, phi)
     return np.negative(grad, out=grad)

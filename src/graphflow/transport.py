@@ -16,6 +16,7 @@ with midpoint interval densities the objective is jointly convex when the
 mobility is jointly concave (linear, for instance; volume filling is not).
 """
 
+import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -166,7 +167,7 @@ class DiscretePath:
         dt = self.times[1] - self.times[0]
         worst = 0.0
         for k in range(self.n_intervals):
-            res = self.states[k + 1] - self.states[k] + dt * nonlocal_divergence(self.fluxes[k], graph)
+            res = self.states[k + 1] - self.states[k] + dt * nonlocal_divergence(graph, self.fluxes[k])
             worst = max(worst, float(np.max(np.abs(res))))
         return worst
 
@@ -634,8 +635,8 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents):
         certificate exceeds its bounds (constraint residual 1e-7, optimality
         residual 1e-4); the partial certificate is attached to the exception.
     """
-    if k_steps < 1:
-        raise ValueError("k_steps must be at least 1")
+    if isinstance(k_steps, bool) or not isinstance(k_steps, numbers.Integral) or k_steps < 1:
+        raise ValueError(f"k_steps must be an integer >= 1, got {k_steps!r}")
     rho0 = np.asarray(getattr(start, "rho", start), dtype=float)
     rho1 = np.asarray(getattr(end, "rho", end), dtype=float)
     mass0, mass1 = (_row_bincount(graph.component, rho * graph.weights, graph.ground.size)

@@ -226,23 +226,25 @@ def ordered_edge_dual_action(graph, rho_pair, velocity_pair, mobility, beta, exp
     return parts
 
 
-def _ordered_edge_state(trajectory, k, graph, kernels, mobility, exponents):
+def _ordered_edge_state(system, trajectory, k):
     """Descent velocities phi(src) - phi(dst) (2, 2 links) of state k and its
     flux on every ordered edge: the trajectory's own, or the flux law at the
     state clipped to the box."""
-    src, dst, _ = ordered_edges(graph)
+    mobility = system.mobility
+    src, dst, _ = ordered_edges(system.graph)
     rho = trajectory.states[k]
-    phi = potentials(rho, kernels, graph)
+    phi = potentials(system, rho)
     velocities = phi[:, src] - phi[:, dst]
     if trajectory.node_fluxes is not None:
         return velocities, edge_field(np.asarray(trajectory.node_fluxes[k], dtype=float))
     cap = mobility.threshold_cap
     rho_box = np.clip(rho, 0.0, cap if np.isfinite(cap) else None)
-    scaled = kernels.beta[:, None] * velocities
-    return velocities, flux_law(scaled, rho_box[:, src], rho_box[:, dst], mobility, exponents)
+    scaled = system.kernels.beta[:, None] * velocities
+    return velocities, flux_law(scaled, rho_box[:, src], rho_box[:, dst], mobility,
+                                system.exponents)
 
 
-def de_giorgi_ordered_edges(trajectory, graph, kernels, mobility, exponents):
+def de_giorgi_ordered_edges(system, trajectory):
     """Dissipation and action series of a trajectory, and its G_T, on (2, 2 links) fields.
 
     Per state: the descent velocities on every ordered edge, the velocity-form
@@ -250,10 +252,11 @@ def de_giorgi_ordered_edges(trajectory, graph, kernels, mobility, exponents):
     ordered edge, with the trapezoidal rule on the stored grid.  Returns
     (dissipations, actions, g_t).
     """
-    beta = kernels.beta
+    graph, beta = system.graph, system.kernels.beta
+    mobility, exponents = system.mobility, system.exponents
     diss, act = [], []
     for k, rho in enumerate(trajectory.states):
-        velocities, flux = _ordered_edge_state(trajectory, k, graph, kernels, mobility, exponents)
+        velocities, flux = _ordered_edge_state(system, trajectory, k)
         diss.append(sum(ordered_edge_dual_action(graph, rho, beta[:, None] * velocities,
                                                  mobility, beta, exponents)))
         act.append(sum(ordered_edge_action(graph, rho, flux, mobility, beta, exponents)))
@@ -264,18 +267,19 @@ def de_giorgi_ordered_edges(trajectory, graph, kernels, mobility, exponents):
     return diss, act, float(g_t)
 
 
-def chain_rule_residual_ordered_edges(trajectory, graph, kernels, mobility, exponents):
+def chain_rule_residual_ordered_edges(system, trajectory):
     """Spread of E(t) minus the trapezoidal integral of the velocity-side
     pairing of each state's flux with its ascent direction, on (2, 2 links)
     fields: the velocity v inverting the flux law at the flux, and
     (1/2) sum over the edges of vbar flux_law(v) eta mu mu / beta."""
+    graph, beta = system.graph, system.kernels.beta
+    mobility, exponents = system.mobility, system.exponents
     src, dst, _ = ordered_edges(graph)
     weight = _edge_weight(graph)
-    beta = kernels.beta
     pm1 = exponents.p - 1.0
     integrand = []
     for k, rho in enumerate(trajectory.states):
-        velocities, flux = _ordered_edge_state(trajectory, k, graph, kernels, mobility, exponents)
+        velocities, flux = _ordered_edge_state(system, trajectory, k)
         r_src, r_dst = rho[:, src], rho[:, dst]
         m_fwd, m_bwd = mobility(r_src, r_dst), mobility(r_dst, r_src)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -14,7 +14,7 @@ from graphflow.config import RefinementPlan, parse_config, run_refinement_study
 from graphflow.diagnostics import de_giorgi, dissipation, property_harness
 from graphflow.dynamics import IntegratorOptions, integrate, upwind_flux
 from graphflow.graph import Exponents
-from graphflow.kernels import energy
+from graphflow.kernels import System, energy
 from graphflow.scenarios import random_geometric_setup, s1_setup, s2_endpoints
 from graphflow.transport import geodesic_profile, transport_cost
 
@@ -52,15 +52,16 @@ def dynamics_suite():
     suite = {}
     for p in (1.5, 2.0, 3.0):
         g, kern, mob, exps, state = s1_setup(p)
-        traj = integrate(state, 1.0, kern, mob, exps, g, ACCEPT_INTEGRATOR)
-        suite[f"s1-p{p}"] = (g, kern, mob, exps, traj)
+        system = System(g, kern, mob, exps)
+        suite[f"s1-p{p}"] = (system, integrate(system, state, 1.0, ACCEPT_INTEGRATOR))
     for mobility_name in ("linear", "volume_filling"):
         for p in (1.5, 2.0, 3.0):
             g, kern, mob, exps, state = random_geometric_setup(
                 seed=42, n=16, p=p, mobility_name=mobility_name
             )
-            traj = integrate(state, 1.0, kern, mob, exps, g, ACCEPT_INTEGRATOR)
-            suite[f"rgg16-{mobility_name}-p{p}"] = (g, kern, mob, exps, traj)
+            system = System(g, kern, mob, exps)
+            suite[f"rgg16-{mobility_name}-p{p}"] = (
+                system, integrate(system, state, 1.0, ACCEPT_INTEGRATOR))
     return suite
 
 
@@ -97,14 +98,15 @@ def refinement_report():
 def test_criterion_1_upwind_flux_law(capsys):
     g, kern, mob, exps, state = s1_setup(2.0)
     assert (g.link_lo.tolist(), g.link_hi.tolist()) == ([0], [1])  # the edge (0, 1)
-    flux2 = upwind_flux(state.rho, kern, mob, exps, g)
+    system = System(g, kern, mob, exps)
+    flux2 = upwind_flux(system, state.rho)
     value2 = flux2[0][0]
 
     exps3 = Exponents(3.0)
-    flux3 = upwind_flux(state.rho, kern, mob, exps3, g)
+    flux3 = upwind_flux(System(g, kern, mob, exps3), state.rho)
     value3 = flux3[0][0]
 
-    elapsed = _best_time(lambda: upwind_flux(state.rho, kern, mob, exps, g))
+    elapsed = _best_time(lambda: upwind_flux(system, state.rho))
 
     # p = 3 target from the action density (j_+)^p / m^(p-1): its Legendre
     # dual in the velocity is m (w_+)^q / q, whose derivative is the flux
@@ -135,16 +137,17 @@ def test_criterion_1_upwind_flux_law(capsys):
 
 def test_criterion_2_energy_dissipation_chain_rule(capsys):
     g, kern, mob, exps, state = s1_setup(2.0)
+    system = System(g, kern, mob, exps)
 
     def both_sides():
         h = 1e-6
         from graphflow.dynamics import rhs
 
-        rate = rhs(state.rho, kern, mob, exps, g)
-        e_plus = energy(state.rho + h * rate, kern, g)
-        e_minus = energy(state.rho - h * rate, kern, g)
+        rate = rhs(system, state.rho)
+        e_plus = energy(system, state.rho + h * rate)
+        e_minus = energy(system, state.rho - h * rate)
         de_dt = (e_plus - e_minus) / (2 * h)
-        diss = dissipation(g, state.rho, kern, mob, exps)
+        diss = dissipation(system, state.rho)
         return de_dt, diss
 
     de_dt, diss = both_sides()
@@ -165,9 +168,9 @@ def test_criterion_3_de_giorgi_characterization(dynamics_suite, capsys):
     worst = 0.0
     worst_name = ""
     slowest = 0.0
-    for name, (g, kern, mob, exps, traj) in dynamics_suite.items():
+    for name, (system, traj) in dynamics_suite.items():
         t0 = time.perf_counter()
-        report = de_giorgi(traj, g, kern, mob, exps)
+        report = de_giorgi(system, traj)
         slowest = max(slowest, time.perf_counter() - t0)
         if abs(report.g_t) > worst:
             worst, worst_name = abs(report.g_t), name
@@ -185,7 +188,8 @@ def test_criterion_4_conservation_positivity_simplex(dynamics_suite, capsys):
     min_density = min(t.stats["min_density"] for *_, t in dynamics_suite.values())
     clamp = max(t.stats["clamped_mass"] for *_, t in dynamics_suite.values())
     cap_excess = 0.0
-    for name, (g, kern, mob, exps, traj) in dynamics_suite.items():
+    for name, (system, traj) in dynamics_suite.items():
+        mob = system.mobility
         if mob.bounded:
             cap_excess = max(cap_excess, traj.stats["max_density"] - mob.threshold_cap)
     ok = _report(
@@ -313,7 +317,7 @@ def test_criterion_8_refinement_stability(refinement_report, capsys):
 
 def test_criterion_9_energy_monotonicity(dynamics_suite, refinement_report, capsys):
     worst = -np.inf
-    for name, (g, kern, mob, exps, traj) in dynamics_suite.items():
+    for name, (system, traj) in dynamics_suite.items():
         tol = 10.0 * (ACCEPT_INTEGRATOR.abs_tol
                       + ACCEPT_INTEGRATOR.rel_tol * np.max(np.abs(traj.energies)))
         worst = max(worst, float(np.max(np.diff(traj.energies))) - tol)

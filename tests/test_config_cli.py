@@ -23,9 +23,9 @@ from oracles import dense_eta
 
 def test_parse_config_s1_defaults_and_derived_q():
     config = parse_config(json.dumps(s1_config()))
-    assert config.exponents.p == 2.0
-    assert config.exponents.q == 2.0
-    assert config.graph.n_vertices == 2
+    assert config.system.exponents.p == 2.0
+    assert config.system.exponents.q == 2.0
+    assert config.system.graph.n_vertices == 2
     assert config.initial_state.rho1 == pytest.approx([0.75, 0.25])
     # defaults are echoed into the resolved form
     assert config.resolved["integrator"]["rel_tol"] == 1e-8
@@ -36,7 +36,7 @@ def test_parse_config_ignores_supplied_q():
     raw = s1_config()
     raw["q"] = 17.0  # the conjugate exponent is always derived, never read
     config = parse_config(json.dumps(raw))
-    assert config.exponents.q == 2.0
+    assert config.system.exponents.q == 2.0
     assert "q" not in config.resolved
 
 
@@ -104,10 +104,10 @@ def test_parse_config_eta_presets():
     del raw["graph"]["eta_matrix"]
     raw["graph"]["eta_preset"] = {"name": "gaussian", "params": {"sigma": 1.0}}
     config = parse_config(json.dumps(raw))
-    assert dense_eta(config.graph)[0, 1] == pytest.approx(np.exp(-0.5))
+    assert dense_eta(config.system.graph)[0, 1] == pytest.approx(np.exp(-0.5))
     raw["graph"]["eta_preset"] = {"name": "cutoff", "params": {"radius": 0.5}}
     config = parse_config(json.dumps(raw))
-    assert config.graph.n_links == 0
+    assert config.system.graph.n_links == 0
 
 
 @pytest.mark.parametrize("name, key, value", [
@@ -385,6 +385,45 @@ def test_cli_refine_rejects_invalid_plan(tmp_path, capsys, key, value):
         parse_plan(plan)
 
 
+@pytest.mark.parametrize("command", ["metric", "refine"])
+def test_cli_malformed_json_input_exits_1(tmp_path, capsys, command):
+    # the state and plan files used to die with a JSONDecodeError traceback
+    cfg = _refine_config() if command == "refine" else s1_config()
+    cfg["output_dir"] = str(tmp_path / "out")
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rho1": [1.0, 0.0],')
+    if command == "metric":
+        good = _write(tmp_path / "end.json", s2_state_files()[1])
+        args = ["metric", "--config", cfg_path, "--from", str(bad), "--to", good]
+    else:
+        args = ["refine", "--config", cfg_path, "--plan", str(bad)]
+    assert main_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and "not valid JSON" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("gaussian", "sigma", "abc"), ("gaussian", "mean", "abc"), ("gaussian", "sigma", 0.0),
+    ("gaussian", "mean", True), ("uniform", "low", None), ("uniform", "high", [1.0]),
+])
+def test_cli_refine_rejects_invalid_density_params(tmp_path, capsys, name, key, value):
+    # a string sigma used to raise a TypeError and a string mean a numpy
+    # UFuncNoLoopError, both as tracebacks
+    cfg = _refine_config()
+    cfg["output_dir"] = str(tmp_path / "out")
+    plan = {"density": {"name": name, "params": {key: value}}, "ladder": [4], "initial_atoms": 8}
+    args = ["--plan", _write(tmp_path / "plan.json", plan),
+            "--config", _write(tmp_path / "cfg.json", cfg)]
+    assert main_cli(["refine", *args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input:") and f"plan.density.params.{key}" in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SchemaError, match=f"plan.density.params.{key}"):
+        parse_plan(plan)
+
+
 def test_refinement_plan_accepts_valid_values():
     plan = RefinementPlan("gaussian", {"mean": 0.0, "sigma": 0.5}, ladder=(8, 16, 32, 64),
                           initial_atoms=512, total_mass=2.0, transport_steps=8)
@@ -418,12 +457,12 @@ def test_run_refinement_study_marks_failed_levels(monkeypatch):
     config = parse_config(json.dumps(_refine_config()))
     real_integrate = config_mod.dynamics.integrate
 
-    def flaky(state, t_final, kernels, mobility, exponents, graph, options=None):
-        if graph.n_vertices == 8:
+    def flaky(system, state, t_final, options=None):
+        if system.graph.n_vertices == 8:
             from graphflow.errors import StepSizeUnderflow
 
             raise StepSizeUnderflow("forced failure")
-        return real_integrate(state, t_final, kernels, mobility, exponents, graph, options)
+        return real_integrate(system, state, t_final, options)
 
     monkeypatch.setattr(config_mod.dynamics, "integrate", flaky)
     report = run_refinement_study(plan, config)
@@ -755,8 +794,8 @@ def _simulated_states(tmp_path, cfg):
     cfg_path = _write(tmp_path / "cfg.json", cfg)
     assert main_cli(["simulate", "--config", cfg_path]) == 0
     config = parse_config(cfg)
-    trajectory = integrate(config.initial_state, config.time_horizon, config.kernels,
-                           config.mobility, config.exponents, config.graph, config.integrator)
+    trajectory = integrate(config.system, config.initial_state, config.time_horizon,
+                           config.integrator)
     return config, trajectory
 
 
@@ -765,7 +804,7 @@ def test_cli_trajectory_csv_round_trip(tmp_path):
     cfg["integrator"] = {"max_dt": 0.05}
     config, trajectory = _simulated_states(tmp_path, cfg)
     path = tmp_path / "out" / "trajectory.csv"
-    times, states = _read_states_csv(str(path), config.graph)
+    times, states = _read_states_csv(str(path), config.system.graph)
     assert np.array_equal(times, trajectory.times)
     assert np.array_equal(states, trajectory.states)
     # any row order reads back the same states
@@ -773,14 +812,14 @@ def test_cli_trajectory_csv_round_trip(tmp_path):
     np.random.default_rng(0).shuffle(rows)
     shuffled = tmp_path / "shuffled.csv"
     shuffled.write_text(header + "".join(rows))
-    times, states = _read_states_csv(str(shuffled), config.graph)
+    times, states = _read_states_csv(str(shuffled), config.system.graph)
     assert np.array_equal(times, trajectory.times)
     assert np.array_equal(states, trajectory.states)
     # entries missing for a time read as zero
     kept = [row for row in rows if not row.startswith(f"{float(trajectory.times[1])!r},2,1,")]
     assert len(kept) == len(rows) - 1
     shuffled.write_text(header + "".join(kept))
-    _, states = _read_states_csv(str(shuffled), config.graph)
+    _, states = _read_states_csv(str(shuffled), config.system.graph)
     expected = trajectory.states.copy()
     expected[1, 1, 1] = 0.0
     assert np.array_equal(states, expected)

@@ -17,7 +17,7 @@ from graphflow.diagnostics import (
 from graphflow.dynamics import IntegratorOptions, Trajectory, integrate, upwind_flux
 from graphflow.errors import MassMismatch
 from graphflow.graph import Exponents
-from graphflow.kernels import build_kernel_set, energy, zero
+from graphflow.kernels import System, build_kernel_set, energy, zero
 from graphflow.scenarios import random_geometric_setup, s1_setup
 
 from oracles import (
@@ -33,17 +33,19 @@ BETA = (1.0, 1.0)
 
 def test_dissipation_examples():
     g, kernels, mob, exps, state = s1_setup()
-    assert dissipation(g, state.rho, kernels, mob, exps) == pytest.approx(0.0625, abs=1e-15)
+    system = System(g, kernels, mob, exps)
+    assert dissipation(system, state.rho) == pytest.approx(0.0625, abs=1e-15)
     mirrored = np.array([[0.25, 0.75], [0.5, 0.5]])
-    assert dissipation(g, mirrored, kernels, mob, exps) == pytest.approx(0.0625, abs=1e-15)
+    assert dissipation(system, mirrored) == pytest.approx(0.0625, abs=1e-15)
     zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1, validate=False)
-    assert dissipation(g, state.rho, zero_set, mob, exps) == 0.0
+    assert dissipation(System(g, zero_set, mob, exps), state.rho) == 0.0
 
 
 def test_de_giorgi_gradient_flow_residual_small():
     g, kernels, mob, exps, state = s1_setup()
-    traj = integrate(state, 1.0, kernels, mob, exps, g, IntegratorOptions(max_dt=1 / 128))
-    report = de_giorgi(traj, g, kernels, mob, exps)
+    system = System(g, kernels, mob, exps)
+    traj = integrate(system, state, 1.0, IntegratorOptions(max_dt=1 / 128))
+    report = de_giorgi(system, traj)
     assert abs(report.g_t) <= 1e-3
     assert report.energy_start == pytest.approx(0.1875)
     # identity split: both integrals carry half the energy drop each (p = 2)
@@ -53,8 +55,8 @@ def test_de_giorgi_gradient_flow_residual_small():
 def test_de_giorgi_constant_trajectory_exact_zero():
     g, _, mob, exps, state = s1_setup()
     zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1, validate=False)
-    traj = integrate(state, 1.0, zero_set, mob, exps, g)
-    report = de_giorgi(traj, g, zero_set, mob, exps)
+    system = System(g, zero_set, mob, exps)
+    report = de_giorgi(system, integrate(system, state, 1.0))
     assert report.g_t == 0.0
 
 
@@ -62,6 +64,7 @@ def test_de_giorgi_positive_for_non_gradient_path():
     # constant-speed linear interpolation solves the continuity equation but
     # is not a weak solution, so the De Giorgi functional is strictly positive
     g, kernels, mob, exps, state = s1_setup()
+    system = System(g, kernels, mob, exps)
     mirrored = np.array([[0.25, 0.75], [0.5, 0.5]])
     K = 64
     times = np.linspace(0.0, 1.0, K + 1)
@@ -72,23 +75,21 @@ def test_de_giorgi_positive_for_non_gradient_path():
     traj = Trajectory(
         times=times,
         states=states,
-        energies=np.array([energy(s, kernels, g) for s in states]),
-        dts=np.diff(times),
-        local_errors=np.zeros(K),
+        energies=np.array([energy(system, s) for s in states]),
         node_fluxes=node_fluxes,
     )
-    report = de_giorgi(traj, g, kernels, mob, exps)
+    report = de_giorgi(system, traj)
     assert report.g_t > 1e-3
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_dissipation_matches_energy_decay_rate(p):
     g, kernels, mob, _, state = s1_setup()
-    exps = Exponents(p)
+    system = System(g, kernels, mob, Exponents(p))
     h = 1e-6
     # -div j(l) = -sum_k j(l, k) eta mu_k over the edges out of l
     src, dst, eta = ordered_edges(g)
-    flux = edge_field(upwind_flux(state.rho, kernels, mob, exps, g))
+    flux = edge_field(upwind_flux(system, state.rho))
     rate = np.stack(
         [
             -np.array(
@@ -100,39 +101,40 @@ def test_dissipation_matches_energy_decay_rate(p):
             for i in range(2)
         ]
     )
-    e_plus = energy(state.rho + h * rate, kernels, g)
-    e_minus = energy(state.rho - h * rate, kernels, g)
+    e_plus = energy(system, state.rho + h * rate)
+    e_minus = energy(system, state.rho - h * rate)
     de_dt = (e_plus - e_minus) / (2 * h)
-    assert de_dt == pytest.approx(-dissipation(g, state.rho, kernels, mob, exps), abs=1e-6)
+    assert de_dt == pytest.approx(-dissipation(system, state.rho), abs=1e-6)
 
 
 def test_chain_rule_residual_small_on_gradient_flow():
     g, kernels, mob, exps, state = s1_setup()
-    traj = integrate(state, 1.0, kernels, mob, exps, g, IntegratorOptions(max_dt=1 / 128))
-    assert chain_rule_residual(traj, g, kernels, mob, exps) <= 1e-4
+    system = System(g, kernels, mob, exps)
+    traj = integrate(system, state, 1.0, IntegratorOptions(max_dt=1 / 128))
+    assert chain_rule_residual(system, traj) <= 1e-4
 
 
 def test_chain_rule_residual_zero_on_constant():
     g, _, mob, exps, state = s1_setup()
     zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1, validate=False)
-    traj = integrate(state, 1.0, zero_set, mob, exps, g)
-    assert chain_rule_residual(traj, g, zero_set, mob, exps) == 0.0
+    system = System(g, zero_set, mob, exps)
+    assert chain_rule_residual(system, integrate(system, state, 1.0)) == 0.0
 
 
 def test_moment_examples():
     g, _, _, _, state = s1_setup()
     concentrated = np.array([1.0, 0.0])
-    assert moment(concentrated, 2.0, g) == 0.0
-    assert moment(state.rho1, 2.0, g) == pytest.approx(0.25)
-    assert moment(state.rho, 2.0, g) == pytest.approx(0.25 + 0.5)
+    assert moment(g, concentrated, 2.0) == 0.0
+    assert moment(g, state.rho1, 2.0) == pytest.approx(0.25)
+    assert moment(g, state.rho, 2.0) == pytest.approx(0.25 + 0.5)
     with pytest.raises(ValueError):
-        moment(state.rho1, 0.0, g)
+        moment(g, state.rho1, 0.0)
 
 
 def test_moment_bounded_along_trajectory():
     g, kernels, mob, exps, state = s1_setup()
-    traj = integrate(state, 2.0, kernels, mob, exps, g)
-    moments = [moment(traj.states[k, 0], 2.0, g) for k in range(len(traj.times))]
+    traj = integrate(System(g, kernels, mob, exps), state, 2.0)
+    moments = [moment(g, traj.states[k, 0], 2.0) for k in range(len(traj.times))]
     assert max(moments) <= 1.0 + 1e-12
 
 
@@ -187,7 +189,7 @@ def test_w1_between_states_sums_species():
 
 def test_flux_bound_report_finite():
     g, kernels, mob, exps, state = s1_setup()
-    flux = upwind_flux(state.rho, kernels, mob, exps, g)
+    flux = upwind_flux(System(g, kernels, mob, exps), state.rho)
     report = flux_bound_report(g, state.rho, flux, mob, BETA, exps)
     assert np.isfinite(report["phi1_integral"])
     assert np.isfinite(report["phi1_ratio"]) and report["phi1_ratio"] >= 0
@@ -216,8 +218,9 @@ def test_property_harness_unknown_suite():
 def test_de_giorgi_random_geometric_all_exponents():
     for p in (1.5, 2.0, 3.0):
         g, kernels, mob, exps, state = random_geometric_setup(seed=1, n=8, p=p)
-        traj = integrate(state, 0.5, kernels, mob, exps, g, IntegratorOptions(max_dt=1 / 64))
-        report = de_giorgi(traj, g, kernels, mob, exps)
+        system = System(g, kernels, mob, exps)
+        traj = integrate(system, state, 0.5, IntegratorOptions(max_dt=1 / 64))
+        report = de_giorgi(system, traj)
         assert abs(report.g_t) <= 1e-3, (p, report.g_t)
 
 
@@ -229,10 +232,11 @@ def test_per_link_diagnostics_match_ordered_edge_oracle(p, mobility_name):
     # so the two differ only in the order of summation
     g, kernels, mob, exps, state = random_geometric_setup(
         seed=2, n=10, p=p, mobility_name=mobility_name)
-    kernels = dataclasses.replace(kernels, beta=(1.0, 0.7))
-    traj = integrate(state, 0.25, kernels, mob, exps, g, IntegratorOptions(max_dt=1 / 32))
-    report = de_giorgi(traj, g, kernels, mob, exps)
-    diss, act, g_t = de_giorgi_ordered_edges(traj, g, kernels, mob, exps)
+    kernels = dataclasses.replace(kernels, beta=np.array([1.0, 0.7]))
+    system = System(g, kernels, mob, exps)
+    traj = integrate(system, state, 0.25, IntegratorOptions(max_dt=1 / 32))
+    report = de_giorgi(system, traj)
+    diss, act, g_t = de_giorgi_ordered_edges(system, traj)
     tol = 4 * np.finfo(float).eps
     series = np.array(report.series)
     assert np.array_equal(series[:, :2], np.column_stack([traj.times, traj.energies]))
@@ -243,9 +247,9 @@ def test_per_link_diagnostics_match_ordered_edge_oracle(p, mobility_name):
                 report.dissipation_integral, report.velocity_integral)
     assert abs(report.g_t - g_t) <= tol * scale
     for rho, want in zip(traj.states, diss):
-        assert abs(dissipation(g, rho, kernels, mob, exps) - want) <= tol * want
-    got = chain_rule_residual(traj, g, kernels, mob, exps)
-    want = chain_rule_residual_ordered_edges(traj, g, kernels, mob, exps)
+        assert abs(dissipation(system, rho) - want) <= tol * want
+    got = chain_rule_residual(system, traj)
+    want = chain_rule_residual_ordered_edges(system, traj)
     assert abs(got - want) <= tol * np.max(np.abs(traj.energies))
 
 
@@ -255,12 +259,13 @@ def test_diagnostics_take_energies_from_their_own_potentials(diagnostic, monkeyp
     # take them from the one potentials evaluation they make per state, bit
     # for bit the energies the integrator stores
     g, kernels, mob, exps, state = random_geometric_setup(seed=5, n=8, p=1.5)
-    traj = integrate(state, 0.25, kernels, mob, exps, g, IntegratorOptions(max_dt=1 / 16))
-    want = diagnostic(traj, g, kernels, mob, exps)
+    system = System(g, kernels, mob, exps)
+    traj = integrate(system, state, 0.25, IntegratorOptions(max_dt=1 / 16))
+    want = diagnostic(system, traj)
     calls = []
     potentials = diagnostics.potentials
     monkeypatch.setattr(diagnostics, "potentials", lambda *a: calls.append(1) or potentials(*a))
-    got = diagnostic(dataclasses.replace(traj, energies=None), g, kernels, mob, exps)
+    got = diagnostic(system, dataclasses.replace(traj, energies=None))
     assert got == want
     assert len(calls) == len(traj.times)
 
@@ -271,7 +276,7 @@ def test_chain_rule_holds_along_non_gradient_curves(p):
     # accelerating u(t) = t^2 path the residual is pure quadrature error and
     # shrinks at second order in the grid spacing
     g, kern, mob, _, state = s1_setup()
-    exps = Exponents(p)
+    system = System(g, kern, mob, Exponents(p))
     mirrored = np.array([[0.25, 0.75], [0.5, 0.5]])
     residuals = []
     for K in (64, 128):
@@ -283,10 +288,10 @@ def test_chain_rule_holds_along_non_gradient_curves(p):
         node_fluxes[:, 0, 0] = -rate0 * 2 * times  # along the edge (0, 1)
         traj = Trajectory(
             times=times, states=states,
-            energies=np.array([energy(s, kern, g) for s in states]),
-            dts=np.diff(times), local_errors=np.zeros(K), node_fluxes=node_fluxes,
+            energies=np.array([energy(system, s) for s in states]),
+            node_fluxes=node_fluxes,
         )
-        residuals.append(chain_rule_residual(traj, g, kern, mob, exps))
+        residuals.append(chain_rule_residual(system, traj))
     assert residuals[0] <= 1e-4
     assert residuals[0] / residuals[1] == pytest.approx(4.0, rel=0.2)
 

@@ -10,7 +10,14 @@ from graphflow.dynamics import (
 )
 from graphflow.errors import StepSizeUnderflow, ThresholdExceeded
 from graphflow.graph import Exponents, build_graph, nonlocal_divergence
-from graphflow.kernels import build_kernel_set, descent_velocities, distance, potentials, zero
+from graphflow.kernels import (
+    System,
+    build_kernel_set,
+    descent_velocities,
+    distance,
+    potentials,
+    zero,
+)
 from graphflow.mobility import Mobility, volume_filling
 from graphflow.scenarios import random_geometric_setup, s1_setup
 
@@ -19,7 +26,7 @@ from oracles import edge_field, ordered_edge_divergence, ordered_edges, rk4_refe
 
 def test_upwind_flux_two_vertex():
     g, kernels, mob, exps, state = s1_setup()
-    flux = upwind_flux(state.rho, kernels, mob, exps, g)
+    flux = upwind_flux(System(g, kernels, mob, exps), state.rho)
     # one value per link, the flux on its edge (0, 1)
     assert flux.shape == (2, g.n_links) == (2, 1)
     assert flux[0, 0] == pytest.approx(-0.125, abs=1e-15)
@@ -32,7 +39,7 @@ def test_upwind_flux_p3_mobility_enters_linearly():
     # balance hold at every exponent (the velocity-power form would give
     # (0.5 * 0.25)^(1/2) here instead)
     g, kernels, mob, _, state = s1_setup()
-    flux = upwind_flux(state.rho, kernels, mob, Exponents(3.0), g)
+    flux = upwind_flux(System(g, kernels, mob, Exponents(3.0)), state.rho)
     expected = -0.25 * np.sqrt(0.5)
     assert flux[0, 0] == pytest.approx(expected, abs=1e-15)  # on the edge (0, 1)
 
@@ -40,7 +47,7 @@ def test_upwind_flux_p3_mobility_enters_linearly():
 def test_upwind_flux_uniform_state_is_zero():
     g, kernels, mob, exps, _ = s1_setup()
     uniform = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert np.all(upwind_flux(uniform, kernels, mob, exps, g) == 0.0)
+    assert np.all(upwind_flux(System(g, kernels, mob, exps), uniform) == 0.0)
 
 
 def test_upwind_flux_rejects_threshold_violation():
@@ -48,16 +55,17 @@ def test_upwind_flux_rejects_threshold_violation():
     mob = volume_filling(1.0)
     bad = np.array([[1.4, 0.1], [0.5, 0.5]])
     with pytest.raises(ThresholdExceeded):
-        upwind_flux(bad, kernels, mob, exps, g)
+        upwind_flux(System(g, kernels, mob, exps), bad)
 
 
 def test_rhs_examples():
     g, kernels, mob, exps, state = s1_setup()
-    deriv = rhs(state.rho, kernels, mob, exps, g)
+    system = System(g, kernels, mob, exps)
+    deriv = rhs(system, state.rho)
     assert deriv[0] == pytest.approx([0.125, -0.125], abs=1e-15)
     assert np.all(deriv[1] == 0.0)
     mirrored = np.array([[0.25, 0.75], [0.5, 0.5]])
-    deriv_m = rhs(mirrored, kernels, mob, exps, g)
+    deriv_m = rhs(system, mirrored)
     assert deriv_m[0] == pytest.approx([-0.125, 0.125], abs=1e-15)
     # mass conservation of the right-hand side is exact
     assert abs(np.sum(deriv[0] * g.weights)) < 1e-16
@@ -65,7 +73,8 @@ def test_rhs_examples():
 
 def test_integrate_two_vertex_against_reference():
     g, kernels, mob, exps, state = s1_setup()
-    traj = integrate(state, 1.0, kernels, mob, exps, g)
+    system = System(g, kernels, mob, exps)
+    traj = integrate(system, state, 1.0)
 
     # independent dense reference: the reduced scalar system da/dt = b(a-b)
     def scalar_rhs(y):
@@ -79,21 +88,21 @@ def test_integrate_two_vertex_against_reference():
     assert np.all(np.diff(a_series) >= -1e-12)
     assert np.all(a_series >= 0.75 - 1e-12)
 
-    long = integrate(state, 10.0, kernels, mob, exps, g)
+    long = integrate(system, state, 10.0)
     assert long.states[-1, 0, 0] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_integrate_zero_kernels_constant():
     g, _, mob, exps, state = s1_setup()
     zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1, validate=False)
-    traj = integrate(state, 2.0, zero_set, mob, exps, g)
+    traj = integrate(System(g, zero_set, mob, exps), state, 2.0)
     assert np.allclose(traj.states[-1], state.rho)
     assert np.all(traj.energies == 0.0)
 
 
 def test_integrate_conservation_and_positivity():
     g, kernels, mob, exps, state = random_geometric_setup(seed=11, n=8)
-    traj = integrate(state, 1.0, kernels, mob, exps, g)
+    traj = integrate(System(g, kernels, mob, exps), state, 1.0)
     masses = traj.states @ g.weights
     assert np.max(np.abs(masses - 1.0)) < 1e-10
     assert traj.stats["min_density"] > -1e-12
@@ -107,7 +116,7 @@ def test_integrate_volume_filling_respects_threshold():
         seed=3, n=8, mobility_name="volume_filling"
     )
     mob = volume_filling(1.0)
-    traj = integrate(state, 1.0, kernels, mob, exps, g)
+    traj = integrate(System(g, kernels, mob, exps), state, 1.0)
     assert traj.stats["max_density"] <= 1.0 + 1e-12
     assert traj.stats["min_density"] >= -1e-12
 
@@ -115,29 +124,29 @@ def test_integrate_volume_filling_respects_threshold():
 def test_integrate_adversarial_zeros_stay_nonnegative():
     g, kernels, mob, exps, _ = s1_setup()
     state = SpeciesPairState.from_densities([1.0, 0.0], [0.0, 1.0])
-    traj = integrate(state, 1.0, kernels, mob, exps, g)
+    traj = integrate(System(g, kernels, mob, exps), state, 1.0)
     assert traj.stats["min_density"] >= -1e-12
 
 
 def test_integrate_energy_monotone():
     g, kernels, mob, exps, state = random_geometric_setup(seed=21, n=10, p=3.0)
-    traj = integrate(state, 1.0, kernels, mob, exps, g)
+    traj = integrate(System(g, kernels, mob, exps), state, 1.0)
     tol = 10.0 * (1e-10 + 1e-8 * np.max(np.abs(traj.energies)))
     assert np.all(np.diff(traj.energies) <= tol)
 
 
 def test_integrate_continuity_residual_per_step():
     g, kernels, mob, exps, state = s1_setup()
-    traj = integrate(state, 1.0, kernels, mob, exps, g,
-                     IntegratorOptions(max_dt=0.01))
+    system = System(g, kernels, mob, exps)
+    traj = integrate(system, state, 1.0, IntegratorOptions(max_dt=0.01))
     worst = 0.0
     for k in range(traj.n_steps):
         dt = traj.times[k + 1] - traj.times[k]
         for i in range(2):
-            flux_avg = 0.5 * (upwind_flux(traj.states[k], kernels, mob, exps, g)[i]
-                              + upwind_flux(traj.states[k + 1], kernels, mob, exps, g)[i])
+            flux_avg = 0.5 * (upwind_flux(system, traj.states[k])[i]
+                              + upwind_flux(system, traj.states[k + 1])[i])
             lhs = (traj.states[k + 1, i] - traj.states[k, i]) * g.weights
-            rhs_val = -dt * nonlocal_divergence(flux_avg, g) * g.weights
+            rhs_val = -dt * nonlocal_divergence(g, flux_avg) * g.weights
             worst = max(worst, float(np.max(np.abs(lhs - rhs_val))))
     # trapezoidal flux quadrature leaves an O(dt^3) defect per step
     assert worst < 5.0 * 0.01**3
@@ -156,7 +165,7 @@ def test_integrate_step_size_underflow():
     mob = Mobility("broken", broken)
     state = SpeciesPairState.from_densities([0.75, 0.25], [0.5, 0.5])
     with pytest.raises(StepSizeUnderflow) as err:
-        integrate(state, 10.0, kernels, mob, exps, g)
+        integrate(System(g, kernels, mob, exps), state, 10.0)
     assert err.value.state is not None and err.value.time is not None
 
 
@@ -173,8 +182,7 @@ def test_state_validation():
 def test_integrate_p3_against_reference():
     # reduced scalar system at p = 3: da/dt = b * sqrt(a - b) while a > b
     g, kernels, mob, _, state = s1_setup()
-    exps = Exponents(3.0)
-    traj = integrate(state, 1.0, kernels, mob, exps, g)
+    traj = integrate(System(g, kernels, mob, Exponents(3.0)), state, 1.0)
 
     def scalar_rhs(y):
         a, b = y
@@ -197,31 +205,33 @@ def test_upwind_flux_pair_equals_raw_formula_per_species(p):
     mob, exps = volume_filling(1.0), Exponents(p)
     rho = state.rho.copy()
     rho[:, ::5] = 0.0
-    got = upwind_flux(rho, kernels, mob, exps, g)
-    mats = kernels.on_graph(g)
+    system = System(g, kernels, mob, exps)
+    got = upwind_flux(system, rho)
+    k11, k12, k22 = system.matrices
+    mats = ((k11, k12), (k12, k22))
     masses = rho * g.weights
     qm1 = exps.q - 1.0
     src, dst, _ = ordered_edges(g)
     lo, hi, eta = g.link_lo, g.link_hi, g.link_eta
     for i in range(2):
-        phi = mats[i, 0] @ masses[0] + mats[i, 1] @ masses[1]
+        phi = mats[i][0] @ masses[0] + mats[i][1] @ masses[1]
         w = kernels.beta[i] * -(phi[dst] - phi[src])
         r, s = rho[i][src], rho[i][dst]
         want = mob(r, s) * np.maximum(w, 0.0) ** qm1 - mob(s, r) * np.maximum(-w, 0.0) ** qm1
         assert np.array_equal(edge_field(got[i]), want)
-        rate = rhs(rho, kernels, mob, exps, g)[i]
+        rate = rhs(system, rho)[i]
         terms = np.stack([eta * g.weights[hi] * got[i], -eta * g.weights[lo] * got[i]], axis=1)
         div = np.zeros(g.n_vertices)
         np.add.at(div, np.stack([lo, hi], axis=1).ravel(), terms.ravel())
         assert np.array_equal(rate, -div)
-        assert np.array_equal(rate, -nonlocal_divergence(got[i], g))
+        assert np.array_equal(rate, -nonlocal_divergence(g, got[i]))
         ordered = -ordered_edge_divergence(want, g)
         scale = np.max(np.abs(ordered))
         assert np.max(np.abs(rate - ordered)) <= 8 * np.finfo(float).eps * scale
     # descent velocities handed in give the same flux and are left unmodified
-    vel = descent_velocities(potentials(rho, kernels, g), g)
+    vel = descent_velocities(g, potentials(system, rho))
     kept = vel.copy()
-    assert np.array_equal(upwind_flux(rho, kernels, mob, exps, g, vel), got)
+    assert np.array_equal(upwind_flux(system, rho, vel), got)
     assert np.array_equal(vel, kept)
 
 
@@ -249,12 +259,13 @@ def test_integrator_options_reject_invalid_tolerances(field, value):
 def test_integrator_options_accept_unset_and_unbounded_steps():
     assert IntegratorOptions(max_dt=np.inf, dt_initial=None).max_dt == np.inf
     g, kernels, mob, exps, state = s1_setup()
-    traj = integrate(state, 0.1, kernels, mob, exps, g, IntegratorOptions(dt_initial=0.1))
+    traj = integrate(System(g, kernels, mob, exps), state, 0.1, IntegratorOptions(dt_initial=0.1))
     assert traj.dts[0] == 0.1
 
 
-def _component_rates_conserve_mass(g, rho, kernels, mob, exps, components):
-    rate = rhs(rho, kernels, mob, exps, g)
+def _component_rates_conserve_mass(system, rho, components):
+    g = system.graph
+    rate = rhs(system, rho)
     for part in components:
         drift = np.abs(np.sum(rate[:, part] * g.weights[part], axis=1))
         assert np.all(drift <= 1e-15), drift
@@ -272,8 +283,8 @@ def test_rhs_conserves_mass_per_component_with_isolated_vertex():
     kernels = build_kernel_set(distance(), distance(), distance(), zero(), dimension=1)
     rng = np.random.default_rng(4)
     rho = rng.uniform(0.1, 0.9, size=(2, 6))
-    rate = _component_rates_conserve_mass(g, rho, kernels, volume_filling(1.0), Exponents(1.5),
-                                          [[0, 1, 2], [3, 4], [5]])
+    system = System(g, kernels, volume_filling(1.0), Exponents(1.5))
+    rate = _component_rates_conserve_mass(system, rho, [[0, 1, 2], [3, 4], [5]])
     assert np.all(rate[:, 5] == 0.0)
     assert np.any(rate[:, :5] != 0.0)
 
@@ -283,6 +294,16 @@ def test_rhs_is_zero_on_edgeless_graph():
     assert g.n_links == 0
     kernels = build_kernel_set(distance(), distance(), distance(), zero(), dimension=1)
     rho = np.array([[0.2, 0.5, 0.3], [0.9, 0.1, 0.4]])
-    rate = rhs(rho, kernels, volume_filling(1.0), Exponents(2.0), g)
+    system = System(g, kernels, volume_filling(1.0), Exponents(2.0))
+    rate = rhs(system, rho)
     assert rate.shape == (2, 3) and np.all(rate == 0.0)
-    assert upwind_flux(rho, kernels, volume_filling(1.0), Exponents(2.0), g).shape == (2, 0)
+    assert upwind_flux(system, rho).shape == (2, 0)
+
+
+@pytest.mark.parametrize("t_final", [-1.0, 0.0, np.nan, np.inf])
+def test_integrate_rejects_a_horizon_that_is_not_finite_and_positive(t_final):
+    # -1 and NaN used to return a trajectory of zero steps, and inf overflowed
+    # before the step size underflowed
+    g, kernels, mob, exps, state = s1_setup()
+    with pytest.raises(ValueError, match="t_final"):
+        integrate(System(g, kernels, mob, exps), state, t_final)

@@ -125,18 +125,18 @@ def test_check_assumptions_profile_matches_loop_oracle():
 def test_nonlocal_gradient_examples():
     g = two_point_graph()
     # the one link (0, 1) carries the gradient on the edge (0, 1)
-    assert nonlocal_gradient(np.array([0.0, 1.0]), g).tolist() == [1.0]
-    assert np.all(nonlocal_gradient(np.array([3.3, 3.3]), g) == 0.0)
-    assert nonlocal_gradient(np.array([0.25, 0.75]), g).tolist() == [0.5]
+    assert nonlocal_gradient(g, np.array([0.0, 1.0])).tolist() == [1.0]
+    assert np.all(nonlocal_gradient(g, np.array([3.3, 3.3])) == 0.0)
+    assert nonlocal_gradient(g, np.array([0.25, 0.75])).tolist() == [0.5]
     with pytest.raises(SizeMismatch):
-        nonlocal_gradient(np.array([1.0, 2.0, 3.0]), g)
+        nonlocal_gradient(g, np.array([1.0, 2.0, 3.0]))
 
 
 def test_nonlocal_divergence_examples():
     g = two_point_graph()
-    div = nonlocal_divergence(np.array([-0.125]), g)  # -0.125 on (0, 1), 0.125 on (1, 0)
+    div = nonlocal_divergence(g, np.array([-0.125]))  # -0.125 on (0, 1), 0.125 on (1, 0)
     assert div == pytest.approx([-0.125, 0.125])
-    assert np.all(nonlocal_divergence(np.zeros(g.n_links), g) == 0.0)
+    assert np.all(nonlocal_divergence(g, np.zeros(g.n_links)) == 0.0)
     # a symmetric edge field has zero antisymmetric part and no divergence
     assert np.allclose(ordered_edge_divergence(np.array([0.7, 0.7]), g), 0.0)
 
@@ -155,9 +155,9 @@ def test_divergence_duality_identity_random():
             continue
         phi = rng.normal(size=n)
         j = rng.normal(size=g.n_links)
-        lhs = float(np.sum(phi * nonlocal_divergence(j, g) * g.weights))
+        lhs = float(np.sum(phi * nonlocal_divergence(g, j) * g.weights))
         rhs = -float(
-            np.sum(nonlocal_gradient(phi, g) * g.link_eta * j * weights[g.link_lo]
+            np.sum(nonlocal_gradient(g, phi) * g.link_eta * j * weights[g.link_lo]
                    * weights[g.link_hi])
         )
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
@@ -168,7 +168,7 @@ def test_antisymmetrize_examples():
     # part 1 on the link (0, 1), and the divergence of that link value
     g = two_point_graph()
     assert np.array_equal(ordered_edge_divergence(np.array([3.0, 1.0]), g), [1.0, -1.0])
-    assert np.array_equal(nonlocal_divergence(np.array([0.5 * (3.0 - 1.0)]), g), [1.0, -1.0])
+    assert np.array_equal(nonlocal_divergence(g, np.array([0.5 * (3.0 - 1.0)])), [1.0, -1.0])
 
 
 def test_antisymmetrize_preserves_divergence():
@@ -180,7 +180,7 @@ def test_antisymmetrize_preserves_divergence():
     for _ in range(20):
         f, b = rng.normal(size=(2, g.n_links))
         d1 = ordered_edge_divergence(np.concatenate([f, b]), g)
-        d2 = nonlocal_divergence(0.5 * (f - b), g)
+        d2 = nonlocal_divergence(g, 0.5 * (f - b))
         assert np.max(np.abs(d1 - d2)) < 1e-12
 
 
@@ -196,8 +196,8 @@ def test_species_pair_operators_equal_single_rows():
     g = build_graph(points, weights, lambda x, y: np.exp(-np.sum((x - y) ** 2, axis=-1)))
     phi = rng.normal(size=(2, n))
     j = rng.normal(size=(2, g.n_links))
-    grad = nonlocal_gradient(phi, g)
-    div = nonlocal_divergence(j, g)
+    grad = nonlocal_gradient(g, phi)
+    div = nonlocal_divergence(g, j)
     assert grad.shape == (2, g.n_links) and div.shape == (2, n)
     lo, hi, eta = g.link_lo, g.link_hi, g.link_eta
     for i in range(2):
@@ -208,16 +208,16 @@ def test_species_pair_operators_equal_single_rows():
         assert np.array_equal(div[i], want)
         ordered = ordered_edge_divergence(edge_field(j[i]), g)
         assert np.max(np.abs(div[i] - ordered)) <= 8 * np.finfo(float).eps * np.max(np.abs(ordered))
-        assert np.array_equal(grad[i], nonlocal_gradient(phi[i], g))
-        assert np.array_equal(div[i], nonlocal_divergence(j[i], g))
+        assert np.array_equal(grad[i], nonlocal_gradient(g, phi[i]))
+        assert np.array_equal(div[i], nonlocal_divergence(g, j[i]))
     # the cached action weight holds the product the formulas use
     assert np.array_equal(g.link_weight, eta * (weights[lo] * weights[hi]))
     with pytest.raises(SizeMismatch):
-        nonlocal_divergence(np.zeros((3, g.n_links)), g)
+        nonlocal_divergence(g, np.zeros((3, g.n_links)))
     with pytest.raises(SizeMismatch):
-        nonlocal_divergence(np.zeros((2, 2 * g.n_links)), g)  # an ordered-edge field
+        nonlocal_divergence(g, np.zeros((2, 2 * g.n_links)))  # an ordered-edge field
     with pytest.raises(SizeMismatch):
-        nonlocal_gradient(np.zeros((2, n + 1)), g)
+        nonlocal_gradient(g, np.zeros((2, n + 1)))
 
 
 def _gaussian_graph_with_isolated_vertex(seed):
@@ -256,7 +256,7 @@ def test_link_divergence_matches_ordered_edge_divergence():
     a = rng.normal(size=(3, g.n_links))
     for row in a:
         by_link = g.link_divergence @ row
-        assert np.array_equal(nonlocal_divergence(row, g), by_link)
+        assert np.array_equal(nonlocal_divergence(g, row), by_link)
         by_edge = ordered_edge_divergence(edge_field(row), g)
         assert np.max(np.abs(by_link - by_edge)) <= 8 * np.finfo(float).eps * np.max(np.abs(by_edge))
 

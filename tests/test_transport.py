@@ -10,7 +10,7 @@ from graphflow.config import RefinementPlan, project_initial
 from graphflow.dynamics import upwind_flux
 from graphflow.errors import InfeasibleEndpoints, InfiniteAction
 from graphflow.graph import Exponents, build_graph, nonlocal_divergence
-from graphflow.kernels import descent_velocities, energy, potentials
+from graphflow.kernels import System, descent_velocities, energy, potentials
 from graphflow.mobility import PRESETS, linear
 from graphflow.scenarios import random_geometric_setup, s1_setup, s2_endpoints, two_point_graph
 from graphflow.transport import (
@@ -42,13 +42,13 @@ from oracles import (
 BETA = (1.0, 1.0)
 
 
-def _velocities(rho, kernels, g):
-    return descent_velocities(potentials(rho, kernels, g), g)
+def _velocities(system, rho):
+    return descent_velocities(system.graph, potentials(system, rho))
 
 
 def _gradient_flux(setup):
     g, kernels, mob, exps, state = setup
-    return upwind_flux(state.rho, kernels, mob, exps, g)
+    return upwind_flux(System(g, kernels, mob, exps), state.rho)
 
 
 def test_action_of_gradient_flow_flux():
@@ -73,7 +73,7 @@ def test_action_zero_flux_and_infinite_case():
 
 def test_dual_action_examples_and_flux_of():
     g, kernels, mob, exps, state = s1_setup()
-    vel = kernels.beta[:, None] * _velocities(state.rho, kernels, g)
+    vel = kernels.beta[:, None] * _velocities(System(g, kernels, mob, exps), state.rho)
     value = dual_action(g, state.rho, vel, mob, BETA, exps)
     assert value.total == pytest.approx(0.0625, abs=1e-15)
     flux = flux_from_velocity(g, state.rho, vel, mob, exps)
@@ -85,7 +85,7 @@ def test_dual_action_examples_and_flux_of():
 def test_dual_action_consistency_identity(p):
     g, kernels, mob, _, state = s1_setup()
     exps = Exponents(p)
-    vel = kernels.beta[:, None] * _velocities(state.rho, kernels, g)
+    vel = kernels.beta[:, None] * _velocities(System(g, kernels, mob, exps), state.rho)
     tilde = dual_action(g, state.rho, vel, mob, BETA, exps).total
     through_flux = action(
         g, state.rho, flux_from_velocity(g, state.rho, vel, mob, exps), mob, BETA, exps
@@ -134,7 +134,7 @@ def test_pairing_l_requires_finite_action():
 
 def test_pairing_l_tilde_identities():
     g, kernels, mob, exps, state = s1_setup()
-    vel = kernels.beta[:, None] * _velocities(state.rho, kernels, g)
+    vel = kernels.beta[:, None] * _velocities(System(g, kernels, mob, exps), state.rho)
     diag = pairing_l_tilde(g, state.rho, vel, vel, mob, BETA, exps)
     assert diag == pytest.approx(0.0625, abs=1e-15)
     assert pairing_l_tilde(g, state.rho, vel, np.zeros_like(vel), mob, BETA, exps) == 0.0
@@ -196,15 +196,16 @@ def test_minkowski_norm_axioms():
 def test_negative_gradient_flux_pairing_identity(p):
     g, kernels, mob, _, state = s1_setup()
     exps = Exponents(p)
-    grad_flux = upwind_flux(state.rho, kernels, mob, exps, g)
+    system = System(g, kernels, mob, exps)
+    grad_flux = upwind_flux(system, state.rho)
 
     rng = np.random.default_rng(17)
     h = 1e-6
     for _ in range(5):
         test_flux = rng.normal(size=(2, g.n_links))
-        div = np.stack([nonlocal_divergence(test_flux[i], g) for i in range(2)])
-        e_plus = energy(state.rho - h * div, kernels, g)
-        e_minus = energy(state.rho + h * div, kernels, g)
+        div = np.stack([nonlocal_divergence(g, test_flux[i]) for i in range(2)])
+        e_plus = energy(system, state.rho - h * div)
+        e_minus = energy(system, state.rho + h * div)
         directional = (e_plus - e_minus) / (2 * h)  # dE along d rho/dt = -div j
         paired = pairing_l(g, state.rho, grad_flux, test_flux, mob, BETA, exps)
         assert paired == pytest.approx(-directional, abs=1e-6)
@@ -255,7 +256,7 @@ def test_action_convexity_random_segments():
 
 def test_action_lower_semicontinuity_spot_check():
     g, kernels, mob, exps, state = s1_setup()
-    flux = upwind_flux(state.rho, kernels, mob, exps, g)
+    flux = upwind_flux(System(g, kernels, mob, exps), state.rho)
     limit = action(g, state.rho, flux, mob, BETA, exps).total
     rng = np.random.default_rng(8)
     drho = rng.normal(size=state.rho.shape)
@@ -428,7 +429,7 @@ def test_transport_cost_against_independent_convex_solver():
     for u in range(links):
         basis = np.zeros(links)
         basis[u] = 1.0
-        div_op[:, u] = nonlocal_divergence(basis, g)
+        div_op[:, u] = nonlocal_divergence(g, basis)
     w = g.link_eta * (g.weights[g.link_lo] * g.weights[g.link_hi])
     terms, constraints = [], []
     for i in range(2):
@@ -513,7 +514,7 @@ def test_action_and_dual_action_equal_masked_references(p, mobility_name):
     beta = (1.0, 0.7)
     rho = state.rho.copy()
     rho[:, ::4] = 0.0  # m = 0 on edges into (geometric) or out of these vertices
-    vel = beta[0] * _velocities(rho, kernels, g)
+    vel = beta[0] * _velocities(System(g, kernels, mob, exps), rho)
     got = dual_action(g, rho, vel, mob, beta, exps)
     want = _masked_dual_action(g, rho, vel, mob, beta, exps)
     assert got.per_species == tuple(want) and got.total == want[0] + want[1]
@@ -548,7 +549,7 @@ def test_link_kernels_equal_action_and_dual_action_of_edge_fields(p, mobility_na
     rho = state.rho.copy()
     rho[:, ::4] = 0.0  # m = 0 on edges into (geometric) or out of these vertices
     links = g.n_links
-    vel = beta[0] * _velocities(rho, kernels, g)
+    vel = beta[0] * _velocities(System(g, kernels, mob, exps), rho)
     vel[:, ::6] = 0.0
     flux = rng.normal(size=(2, links))
     flux[:, ::5] = 0.0
@@ -582,7 +583,7 @@ def _divergence_columns(graph):
     for u in range(graph.n_links):
         basis = np.zeros(graph.n_links)
         basis[u] = 1.0
-        columns[:, u] = nonlocal_divergence(basis, graph)
+        columns[:, u] = nonlocal_divergence(graph, basis)
     return columns
 
 
@@ -654,7 +655,7 @@ def test_transport_cost_feasible_perturbations_never_lower_the_objective(p, mobi
     base = _path_objective(g, path, mob, exps)
 
     cycle = np.linalg.svd(_divergence_columns(g))[2][-1]
-    assert np.max(np.abs(nonlocal_divergence(cycle, g))) < 1e-14
+    assert np.max(np.abs(nonlocal_divergence(g, cycle))) < 1e-14
     flux_scale = np.max(np.abs(path.fluxes))
     shift = rng.normal(size=3)
     shift -= (shift @ g.weights) / g.weights.sum()
@@ -735,7 +736,7 @@ def test_continuity_residual_equals_per_species_loop():
     for k in range(K):
         for i in range(2):
             res = path.states[k + 1, i] - path.states[k, i] + (1.0 / K) * nonlocal_divergence(
-                path.fluxes[k, i], g)
+                g, path.fluxes[k, i])
             worst = max(worst, float(np.max(np.abs(res))))
     assert path.continuity_residual(g) == worst
 
@@ -835,3 +836,19 @@ def test_transport_cost_memory_on_the_complete_ladder_graph(monkeypatch):
     assert cert.converged
     assert len(live) == cert.iterations and max(live) == 0
     assert peak <= 20e6
+
+
+@pytest.mark.parametrize("k_steps", [0, -2, 2.5, True, "8", np.float64(8.0)])
+def test_transport_cost_rejects_a_step_count_that_is_not_a_positive_integer(k_steps):
+    # 2.5 used to fail inside numpy and True to run as K = 1
+    g, _, mob, exps, _ = s1_setup()
+    start, end = s2_endpoints()
+    with pytest.raises(ValueError, match="k_steps"):
+        transport_cost(g, start, end, k_steps, mob, BETA, exps)
+
+
+def test_transport_cost_accepts_a_numpy_integer_step_count():
+    g, _, mob, exps, _ = s1_setup()
+    start, end = s2_endpoints()
+    want = transport_cost(g, start, end, 4, mob, BETA, exps)[0]
+    assert transport_cost(g, start, end, np.int64(4), mob, BETA, exps)[0] == want
