@@ -25,7 +25,7 @@ from .config import (
     run_refinement_study,
 )
 from .errors import GraphflowError, NotConverged, SchemaError, SemanticError, StepSizeUnderflow
-from .graph import check_assumptions
+from .graph import check_assumptions, ordered_edges
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -185,7 +185,7 @@ def _cmd_metric(args):
     )
     _write_csv(os.path.join(out, "geodesic.csv"), _STATE_HEADER,
                _species_rows(path.times, path.states, np.arange(graph.n_vertices)))
-    src, dst, entry = _ordered_edges(graph)
+    src, dst, entry = ordered_edges(graph)
     _write_csv(
         os.path.join(out, "geodesic_fluxes.csv"),
         _FLUX_HEADER,
@@ -194,16 +194,6 @@ def _cmd_metric(args):
     )
     print(f"T = {t_value:.6f} (objective {certificate.objective:.6f}); wrote {out}/metric.json")
     return EXIT_OK
-
-
-def _ordered_edges(graph):
-    """Both orientations of every link, (src, dst) in row-major order as
-    ``metric`` writes them, and the ``entry`` of each among the links'
-    (lo, hi) values followed by their (hi, lo) values."""
-    src = np.concatenate([graph.link_lo, graph.link_hi])
-    dst = np.concatenate([graph.link_hi, graph.link_lo])
-    entry = np.lexsort((dst, src))
-    return src[entry], dst[entry], entry
 
 
 def _species_rows(index, values, *labels):
@@ -287,7 +277,7 @@ def _read_fluxes_csv(path, graph, n_intervals):
     n, links = graph.n_vertices, graph.n_links
     data = _read_table(path, dict(zip(_FLUX_HEADER, [(0, n_intervals), (1, 3), (0, n), (0, n), None])))
     interval, species, src, dst = data[:, :4].T.astype(np.int64)
-    edge_src, edge_dst, edge_entry = _ordered_edges(graph)
+    edge_src, edge_dst, edge_entry = ordered_edges(graph)
     keys, wanted = edge_src * n + edge_dst, src * n + dst
     _reject_row(path, ~np.isin(wanted, keys), lambda row: f"({src[row]}, {dst[row]}) is not an edge")
     block = interval * 2 + species - 1
@@ -377,23 +367,10 @@ def _cmd_diagnose(args):
     return EXIT_OK
 
 
-def _thread_count():
-    """``GRAPHFLOW_THREADS`` as an integer of at least 1; 1 when unset."""
-    raw = os.environ.get("GRAPHFLOW_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise SemanticError(f"GRAPHFLOW_THREADS must be an integer >= 1, got {raw!r}")
-    return workers
-
-
 def _cmd_refine(args):
-    workers = _thread_count()
     config = parse_config(_read(args.config))
     plan = parse_plan(_read(args.plan))
-    report = run_refinement_study(plan, config, max_workers=workers)
+    report = run_refinement_study(plan, config)
     out = _out_dir(config, args.out)
     _write_json(os.path.join(out, "refinement.json"), _summary_payload(config, report.as_dict()))
     gaps = ", ".join(f"{g:.4e}" for g in report.w1_gaps) or "none"

@@ -6,6 +6,7 @@ echoed verbatim into run summaries so that reruns are reproducible;
 ``parse_config(emit_config(cfg))`` reproduces the same resolved form.
 """
 
+import inspect
 import json
 import math
 import numbers
@@ -18,6 +19,8 @@ from . import diagnostics, dynamics, kernels as kernels_mod, mobility as mobilit
 from .errors import MassMismatch, SchemaError, SemanticError
 from .graph import Exponents, build_graph
 
+# defaults of the top-level scalars and of the sections with fixed keys; a
+# section that is given is merged over its defaults and may hold no other key
 _DEFAULTS = {
     "seed": 0,
     "p": 2.0,
@@ -25,8 +28,10 @@ _DEFAULTS = {
     "output_dir": "out",
     "integrator": {"rel_tol": 1e-8, "abs_tol": 1e-10, "max_dt": None, "dt_initial": None},
     "solver": {"steps": 32},
-    "mobility": {"preset": "linear", "params": {}},
 }
+
+# preset parameters that are length scales or caps, so must lie above zero
+_SCALES = frozenset({"sigma", "radius", "cap", "ell_a", "ell_r"})
 
 
 def _require(mapping, key, path, kind=None):
@@ -53,10 +58,10 @@ def _positive_or_null(integ, key):
     return float(value)
 
 
-def _preset_number(params, key, default, path, positive=False):
-    """params[key] (or the default) as a float: a finite real, not a boolean,
-    and above zero when ``positive``."""
-    value = params.get(key, default)
+def _preset_number(value, key, path):
+    """Preset parameter ``key`` as a float: a finite real, not a boolean, and
+    above zero for the scales in ``_SCALES``."""
+    positive = key in _SCALES
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not math.isfinite(value) or (positive and not value > 0)):
         raise SchemaError(f"{path}.params.{key}",
@@ -64,49 +69,95 @@ def _preset_number(params, key, default, path, positive=False):
     return float(value)
 
 
-def _eta_from_preset(spec, path):
-    name = _require(spec, "name", path, str)
+def _preset(presets, spec, path, key):
+    """The preset that ``spec[key]`` names in ``presets``, built from ``spec["params"]``.
+
+    ``presets`` maps each name to a factory whose keyword arguments are the
+    preset's parameters, with their defaults; every given parameter must be
+    one of them and pass :func:`_preset_number`.
+    """
+    name = _require(spec, key, path, str)
+    if name not in presets:
+        raise SchemaError(f"{path}.{key}",
+                          f"unknown preset {name!r}; expected one of {sorted(presets)}")
     params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise SchemaError(f"{path}.params", "expected an object")
-    if name == "constant":
-        value = _preset_number(params, "value", 1.0, path)
-        return lambda xs, ys: np.full(np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1]), value)
-    if name == "gaussian":
-        sigma = _preset_number(params, "sigma", 1.0, path, positive=True)
-        return lambda xs, ys: np.exp(-np.sum((xs - ys) ** 2, axis=-1) / (2.0 * sigma**2))
-    if name == "cutoff":
-        radius = _preset_number(params, "radius", 1.0, path, positive=True)
-        return lambda xs, ys: (np.linalg.norm(xs - ys, axis=-1) <= radius).astype(float)
-    raise SchemaError(f"{path}.name", f"unknown eta preset {name!r}")
+    _check_keys(params, inspect.signature(presets[name]).parameters, f"{path}.params")
+    return presets[name](**{param: _preset_number(value, param, path)
+                            for param, value in params.items()})
+
+
+def _constant_eta(value=1.0):
+    return lambda xs, ys: np.full(np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1]), value)
+
+
+def _gaussian_eta(sigma=1.0):
+    return lambda xs, ys: np.exp(-np.sum((xs - ys) ** 2, axis=-1) / (2.0 * sigma**2))
+
+
+def _cutoff_eta(radius=1.0):
+    return lambda xs, ys: (np.linalg.norm(xs - ys, axis=-1) <= radius).astype(float)
+
+
+ETA_PRESETS = {"constant": _constant_eta, "gaussian": _gaussian_eta, "cutoff": _cutoff_eta}
+
+
+def _finite_array(section, key, path):
+    """section[key], a JSON array of finite numbers, as a float array; a
+    string is not a number, also when it spells one."""
+    try:
+        values = np.asarray(_require(section, key, path, list))
+    except ValueError:  # ragged nesting
+        values = np.array(None)
+    if values.dtype.kind not in "if" or not np.all(np.isfinite(values)):
+        raise SchemaError(f"{path}.{key}", "expected an array of finite numbers")
+    return values.astype(float, copy=False)
 
 
 def _build_graph_section(section, path="graph"):
-    points = _require(section, "points", path, list)
-    weights = _require(section, "weights", path, list)
+    points = _finite_array(section, "points", path)
+    weights = _finite_array(section, "weights", path)
     if "eta_matrix" in section:
-        return build_graph(points, weights, np.asarray(section["eta_matrix"], dtype=float))
+        return build_graph(points, weights, _finite_array(section, "eta_matrix", path))
     if "eta_preset" in section:
-        return build_graph(points, weights, _eta_from_preset(section["eta_preset"], f"{path}.eta_preset"))
+        spec = _require(section, "eta_preset", path, dict)
+        return build_graph(points, weights, _preset(ETA_PRESETS, spec, f"{path}.eta_preset", "name"))
     raise SchemaError(path, "needs either eta_matrix or eta_preset")
 
 
-def _kernel_from_spec(spec, path):
+def _check_keys(section, allowed, path):
+    """Reject a ``section`` that is not an object or holds a key outside ``allowed``."""
+    if not isinstance(section, dict):
+        raise SchemaError(path, "expected an object")
+    for key in section:
+        if key not in allowed:
+            raise SchemaError(f"{path}.{key}", "unknown key")
+
+
+def _preset_or_expression(spec, path, presets, from_expression, thresholds=()):
+    """The function that the section ``spec`` names by exactly one of
+    ``preset``, with ``params``, or ``expression``, with ``thresholds``."""
+    if not isinstance(spec, dict):
+        raise SchemaError(path, "expected an object")
+    if ("preset" in spec) == ("expression" in spec):
+        raise SchemaError(path, "needs exactly one of preset or expression")
     if "preset" in spec:
-        name = spec["preset"]
-        if name not in kernels_mod.KERNEL_PRESETS:
-            raise SchemaError(f"{path}.preset", f"unknown kernel preset {name!r}")
-        params = spec.get("params", {})
-        try:
-            return kernels_mod.KERNEL_PRESETS[name](**params)
-        except TypeError as exc:
-            raise SchemaError(f"{path}.params", str(exc))
-    if "expression" in spec:
-        try:
-            return kernels_mod.kernel_from_expression(spec["expression"])
-        except ValueError as exc:
-            raise SchemaError(f"{path}.expression", str(exc))
-    raise SchemaError(path, "needs preset or expression")
+        _check_keys(spec, ("preset", "params"), path)
+        return _preset(presets, spec, path, "preset")
+    _check_keys(spec, ("expression", *thresholds), path)
+    caps = {key: _threshold(spec, key, path) for key in thresholds}
+    try:
+        return from_expression(_require(spec, "expression", path, str), **caps)
+    except ValueError as exc:
+        raise SchemaError(f"{path}.expression", str(exc))
+
+
+def _threshold(section, key, path):
+    """A mobility threshold: a positive number, not a boolean; absent or
+    infinite means unbounded."""
+    value = section.get(key, math.inf)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
+        raise SchemaError(f"{path}.{key}", f"must be a positive number, got {value!r}")
+    return float(value)
 
 
 def _build_kernels_section(section, dimension, path="kernels"):
@@ -116,36 +167,10 @@ def _build_kernels_section(section, dimension, path="kernels"):
         for b in beta
     ):
         raise SemanticError(f"{path}.beta must be two finite positive numbers, got {beta}")
-    fns = {}
-    for name in ("K11", "K12", "K21", "K22"):
-        spec = section.get(name, {"preset": "zero"})
-        if not isinstance(spec, dict):
-            raise SchemaError(f"{path}.{name}", "expected an object")
-        fns[name] = _kernel_from_spec(spec, f"{path}.{name}")
-    return kernels_mod.build_kernel_set(
-        fns["K11"], fns["K12"], fns["K21"], fns["K22"], beta=tuple(beta),
-        dimension=dimension, validate=True,
-    )
-
-
-def _build_mobility_section(section, path="mobility"):
-    if "preset" in section:
-        name = section["preset"]
-        if name not in mobility_mod.PRESETS:
-            raise SchemaError(f"{path}.preset", f"unknown mobility preset {name!r}")
-        params = section.get("params", {})
-        try:
-            return mobility_mod.PRESETS[name](**params)
-        except TypeError as exc:
-            raise SchemaError(f"{path}.params", str(exc))
-    if "expression" in section:
-        r_cap = section.get("R", math.inf)
-        s_cap = section.get("S", math.inf)
-        try:
-            return mobility_mod.from_expression(section["expression"], R=r_cap, S=s_cap)
-        except ValueError as exc:
-            raise SchemaError(f"{path}.expression", str(exc))
-    raise SchemaError(path, "needs preset or expression")
+    fns = [_preset_or_expression(section.get(name, {"preset": "zero"}), f"{path}.{name}",
+                                 kernels_mod.KERNEL_PRESETS, kernels_mod.kernel_from_expression)
+           for name in ("K11", "K12", "K21", "K22")]
+    return kernels_mod.build_kernel_set(*fns, beta=tuple(beta), dimension=dimension, validate=True)
 
 
 @dataclass
@@ -174,13 +199,13 @@ def parse_config(source):
         raise SchemaError("$", "top level must be an object")
 
     resolved = json.loads(json.dumps(raw))  # deep copy, JSON-normalized
-    for key, value in _DEFAULTS.items():
-        if isinstance(value, dict):
-            merged = dict(value)
-            merged.update(resolved.get(key, {}))
-            resolved[key] = merged
-        else:
-            resolved.setdefault(key, value)
+    for key, default in _DEFAULTS.items():
+        if not isinstance(default, dict):
+            resolved.setdefault(key, default)
+            continue
+        section = resolved.get(key, {})
+        _check_keys(section, default, key)
+        resolved[key] = {**default, **section}
 
     p = resolved["p"]
     if not isinstance(p, (int, float)) or not (1.0 < p < math.inf):
@@ -193,7 +218,11 @@ def parse_config(source):
     kernels = _build_kernels_section(
         _require(resolved, "kernels", "$", dict), graph.base.dimension
     )
-    mobility = _build_mobility_section(resolved["mobility"])
+    section = resolved.setdefault("mobility", {"preset": "linear"})
+    if isinstance(section, dict) and "preset" in section:
+        section.setdefault("params", {})  # echoed like every other default
+    mobility = _preset_or_expression(section, "mobility", mobility_mod.PRESETS,
+                                     mobility_mod.from_expression, thresholds=("R", "S"))
 
     t_final = resolved["time_horizon"]
     if isinstance(t_final, bool) or not isinstance(t_final, (int, float)) or not (
@@ -214,9 +243,6 @@ def parse_config(source):
     except ValueError as exc:  # e.g. a negative tolerance or an infinite first step
         raise SemanticError(f"integrator.{exc}") from exc
     sol = resolved["solver"]
-    for key in sol:
-        if key not in _DEFAULTS["solver"]:
-            raise SchemaError(f"solver.{key}", "unknown key")
     if not _is_integer(sol["steps"]) or sol["steps"] < 1:
         raise SemanticError(f"solver.steps must be an integer of at least 1, got {sol['steps']!r}")
 
@@ -333,23 +359,18 @@ def project_initial(positions, masses, base):
 # refinement studies
 # ---------------------------------------------------------------------------
 
-_DENSITIES = {
+def _gaussian_density(mean=0.0, sigma=1.0):
     # mean + sigma * Phi^-1(u); scipy.stats.norm.ppf computes the same
     # expression, but importing scipy.stats costs about half a second
-    "gaussian": lambda params: (
-        lambda u: params.get("mean", 0.0) + params.get("sigma", 1.0) * ndtri(u)
-    ),
-    "uniform": lambda params: (
-        lambda u: params.get("low", 0.0) + (params.get("high", 1.0) - params.get("low", 0.0)) * u
-    ),
-}
+    return lambda u: mean + sigma * ndtri(u)
 
 
-# (name, default, whether it must be positive) of each density parameter
-_DENSITY_PARAMS = {
-    "gaussian": (("mean", 0.0, False), ("sigma", 1.0, True)),
-    "uniform": (("low", 0.0, False), ("high", 1.0, False)),
-}
+def _uniform_density(low=0.0, high=1.0):
+    return lambda u: low + (high - low) * np.asarray(u)
+
+
+# quantile functions of the target densities, built from their parameters
+DENSITY_PRESETS = {"gaussian": _gaussian_density, "uniform": _uniform_density}
 
 
 @dataclass(frozen=True)
@@ -363,19 +384,16 @@ class RefinementPlan:
     initial_atoms: int = 64
     transport_diagnostic: bool = True
     transport_steps: int = 8
+    quantile: object = field(init=False, repr=False, compare=False)  # u -> x, from the density
 
     def __post_init__(self):
-        if self.density_name not in _DENSITIES:
-            raise SchemaError("plan.density", f"unknown density {self.density_name!r}")
+        density = {"name": self.density_name, "params": self.density_params}
+        object.__setattr__(self, "quantile", _preset(DENSITY_PRESETS, density, "plan.density", "name"))
         ladder = list(self.ladder)
         if not all(_is_integer(n) and n >= 1 for n in ladder):
             raise SchemaError("plan.ladder", f"vertex counts must be integers >= 1, got {ladder}")
         if ladder != sorted(set(ladder)) or len(ladder) == 0:
             raise SchemaError("plan.ladder", "must be strictly increasing and nonempty")
-        if not isinstance(self.density_params, dict):
-            raise SchemaError("plan.density.params", "expected an object")
-        for key, default, positive in _DENSITY_PARAMS[self.density_name]:
-            _preset_number(self.density_params, key, default, "plan.density", positive)
         for key in ("initial_atoms", "transport_steps"):
             value = getattr(self, key)
             if not _is_integer(value) or value < 1:
@@ -386,9 +404,6 @@ class RefinementPlan:
         if not isinstance(self.transport_diagnostic, bool):
             raise SchemaError("plan.transport_diagnostic",
                               f"must be true or false, got {self.transport_diagnostic!r}")
-
-    def quantile(self, u):
-        return _DENSITIES[self.density_name](self.density_params)(np.asarray(u))
 
     def sample_base(self, n):
         """n quantile midpoints of the target density, equal weights."""
@@ -444,7 +459,7 @@ class StudyReport:
         }
 
 
-def run_refinement_study(plan, config, max_workers=1):
+def run_refinement_study(plan, config):
     """Integrate the same data on a ladder of vertex counts and compare endpoints.
 
     Each level samples the plan's target density, projects the initial atoms,
@@ -452,8 +467,6 @@ def run_refinement_study(plan, config, max_workers=1):
     the study then lists W1 distances between consecutive final states.
     Failed levels are marked and skipped in the gap list.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     atoms_u = (np.arange(plan.initial_atoms) + 0.5) / plan.initial_atoms
     atom_positions = plan.quantile(atoms_u).reshape(-1, 1)
     atom_masses = np.full(plan.initial_atoms, 1.0 / plan.initial_atoms)
@@ -466,7 +479,8 @@ def run_refinement_study(plan, config, max_workers=1):
             # ladder graphs have their own vertex counts, so eta must come from
             # a preset; an explicit matrix in the config only fits its own graph
             eta_spec = config.resolved["graph"].get("eta_preset", {"name": "constant"})
-            graph = build_graph(points, weights, _eta_from_preset(eta_spec, "graph.eta_preset"))
+            graph = build_graph(points, weights,
+                                _preset(ETA_PRESETS, eta_spec, "graph.eta_preset", "name"))
             kernels = _build_kernels_section(config.resolved["kernels"], graph.base.dimension)
             system = kernels_mod.System(graph, kernels, mobility, exponents)
             rho, _ = project_initial(atom_positions, atom_masses, graph.base)
@@ -497,13 +511,7 @@ def run_refinement_study(plan, config, max_workers=1):
             level.error = f"{type(exc).__name__}: {exc}"
             return level, None, None
 
-    results = []
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run_level, plan.ladder))
-    else:
-        results = [run_level(n) for n in plan.ladder]
-
+    results = [run_level(n) for n in plan.ladder]
     levels = [r[0] for r in results]
     gaps = []
     previous = None

@@ -10,11 +10,11 @@ class NonSymmetricWeights(GraphflowError):
 
 
 class NegativeEdgeWeight(GraphflowError):
-    """Edge weight matrix has a negative entry."""
+    """Edge weight matrix has a negative or non-finite entry."""
 
 
 class NonPositiveWeight(GraphflowError):
-    """A vertex weight is zero or negative."""
+    """A vertex weight is zero, negative or not finite."""
 
 
 class DuplicatePoint(GraphflowError):

@@ -64,8 +64,11 @@ class BaseMeasure:
             raise SizeMismatch(
                 f"{points.shape[0]} points vs {weights.shape[0]} weights"
             )
-        if np.any(weights <= 0):
-            bad = int(np.argmin(weights))
+        if not np.all(np.isfinite(points)):
+            raise ValueError("vertex positions must be finite")
+        valid = (weights > 0) & (weights < np.inf)
+        if not np.all(valid):
+            bad = int(np.argmin(valid))
             raise NonPositiveWeight(f"weight {weights[bad]} at vertex {bad}")
         diff = points[:, None, :] - points[None, :, :]
         dist = np.linalg.norm(diff, axis=-1)
@@ -213,7 +216,8 @@ def build_graph(points, weights, eta_spec):
         eta = np.array(eta_spec, dtype=float)
         if eta.shape != (n, n):
             raise SizeMismatch(f"eta matrix shape {eta.shape}, expected ({n}, {n})")
-        gap = np.max(np.abs(eta - eta.T)) if n else 0.0
+        with np.errstate(invalid="ignore"):  # inf - inf; the check below rejects inf
+            gap = np.max(np.abs(eta - eta.T)) if n else 0.0
         if gap > SYMMETRY_TOL:
             l, k = np.unravel_index(int(np.argmax(np.abs(eta - eta.T))), eta.shape)
             raise NonSymmetricWeights(
@@ -221,9 +225,10 @@ def build_graph(points, weights, eta_spec):
             )
         eta = 0.5 * (eta + eta.T)
     np.fill_diagonal(eta, 0.0)
-    if np.any(eta < 0):
-        l, k = np.unravel_index(int(np.argmin(eta)), eta.shape)
-        raise NegativeEdgeWeight(f"eta({l},{k}) = {eta[l, k]} < 0")
+    valid = (eta >= 0) & (eta < np.inf)
+    if not np.all(valid):
+        l, k = np.unravel_index(int(np.argmin(valid)), eta.shape)
+        raise NegativeEdgeWeight(f"eta({l},{k}) = {eta[l, k]} is not a finite number >= 0")
 
     # row-major over the upper triangle, so each row's links are in order of hi
     lo, hi = np.nonzero(np.triu(eta, 1) > 0)
@@ -247,6 +252,16 @@ class AssumptionReport:
     n_edges: int
 
 
+def ordered_edges(graph):
+    """Both orientations of every link, as ``(src, dst, entry)``: the ordered
+    edges in row-major order of (src, dst), and the position of each in the
+    links' (lo, hi) values followed by their (hi, lo) values."""
+    src = np.concatenate([graph.link_lo, graph.link_hi])
+    dst = np.concatenate([graph.link_hi, graph.link_lo])
+    entry = np.lexsort((dst, src))
+    return src[entry], dst[entry], entry
+
+
 def check_assumptions(graph, exponents):
     """Evaluate the moment-bound constants and the local blow-up profile.
 
@@ -261,11 +276,7 @@ def check_assumptions(graph, exponents):
     if graph.n_links == 0:
         return AssumptionReport(c_mu, 0.0, 0.0, tuple(), graph.n_vertices, 0)
 
-    # both orientations of every link, in row-major order of (src, dst)
-    src = np.concatenate([graph.link_lo, graph.link_hi])
-    dst = np.concatenate([graph.link_hi, graph.link_lo])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    src, dst, order = ordered_edges(graph)
     lengths = np.tile(graph.link_lengths, 2)[order]
     eta = np.tile(graph.link_eta, 2)[order]
     mu_dst = graph.weights[dst]

@@ -12,12 +12,13 @@ unchanged for every choice of the species weights beta.
 
 A :class:`System` binds a graph, its kernels, a mobility and the exponents:
 the gradient-flow structure that the flow and the diagnostics act on.  It
-holds the kernel matrices on the graph's vertices, computed once when it is
-built.  Functions that need the kernels take the system first; functions
+holds the kernel matrices on the graph's vertices, built on first use.
+Functions that need the kernels take the system first; functions
 that need only the graph take the graph first.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,21 +63,19 @@ class KernelSet:
 
 @dataclass(frozen=True)
 class System:
-    """A graph, its kernels, a mobility and the exponents, bound together.
-
-    ``matrices`` stacks the kernel matrices K11, K12, K22 on the graph's
-    vertices, (3, n, n), computed once when the system is built.
-    """
+    """A graph, its kernels, a mobility and the exponents, bound together."""
 
     graph: FiniteGraph
     kernels: KernelSet
     mobility: object
     exponents: Exponents
-    matrices: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # a derived field set once at construction; nothing writes it later
-        vars(self)["matrices"] = self.kernels.on_graph(self.graph)
+    @cached_property
+    def matrices(self):
+        """The kernel matrices K11, K12, K22 on the graph's vertices, (3, n, n),
+        built on first use, so a system that is never evaluated skips the n²
+        kernel values."""
+        return self.kernels.on_graph(self.graph)
 
 
 def _check_symmetry(fn, name, rng, dim, box=2.0):

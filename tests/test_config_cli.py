@@ -110,22 +110,142 @@ def test_parse_config_eta_presets():
     assert config.system.graph.n_links == 0
 
 
+NAN = float("nan")
+
+
 @pytest.mark.parametrize("name, key, value", [
     ("gaussian", "sigma", "abc"),
     ("constant", "value", "x"),
     ("gaussian", "sigma", True),
     ("cutoff", "radius", True),
-    ("gaussian", "sigma", float("nan")),
+    ("gaussian", "sigma", NAN),
     ("cutoff", "radius", -1),
-], ids=["sigma-string", "value-string", "sigma-true", "radius-true", "sigma-nan", "radius-negative"])
+    ("gaussian", "width", 1.0),
+    ("K11.gaussian_well", "sigma", "abc"),
+    ("K11.gaussian_well", "sigma", True),
+    ("K11.gaussian_well", "sigma", 0),
+    ("K11.gaussian_well", "sigma", NAN),
+    ("K11.morse_like", "attract", "x"),
+    ("K22.morse_like", "ell_r", -0.5),
+    ("K11.distance", "scale", 2.0),
+    ("mobility.volume_filling", "cap", "abc"),
+    ("mobility.volume_filling", "cap", NAN),
+    ("mobility.volume_filling", "cap", True),
+    ("mobility.volume_filling", "cap", 0),
+    ("mobility.linear", "cap", 1.0),
+], ids=["sigma-string", "value-string", "sigma-true", "radius-true", "sigma-nan", "radius-negative",
+        "eta-unknown-key", "kernel-sigma-string", "kernel-sigma-true", "kernel-sigma-zero",
+        "kernel-sigma-nan", "kernel-attract-string", "kernel-ell-negative", "kernel-unknown-key",
+        "mobility-cap-string", "mobility-cap-nan", "mobility-cap-true", "mobility-cap-zero",
+        "mobility-unknown-key"])
 def test_cli_validate_graph_rejects_bad_eta_preset_parameter(tmp_path, capsys, name, key, value):
+    # the eta presets, and since they share one reader the kernel
+    # ("K11.<preset>") and mobility ("mobility.<preset>") presets too
     raw = s1_config()
-    del raw["graph"]["eta_matrix"]
-    raw["graph"]["eta_preset"] = {"name": name, "params": {key: value}}
+    section, _, name = name.rpartition(".")
+    if section == "mobility":
+        raw["mobility"] = {"preset": name, "params": {key: value}}
+        path = "mobility"
+    elif section:
+        raw["kernels"][section] = {"preset": name, "params": {key: value}}
+        path = f"kernels.{section}"
+    else:
+        del raw["graph"]["eta_matrix"]
+        raw["graph"]["eta_preset"] = {"name": name, "params": {key: value}}
+        path = "graph.eta_preset"
     cfg_path = _write(tmp_path / "cfg.json", raw)
     assert main_cli(["validate-graph", "--config", cfg_path]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("invalid input:") and f"graph.eta_preset.params.{key}" in err
+    assert err.startswith(f"invalid input: {path}.params.{key}:"), err
+    with pytest.raises(SchemaError, match=f"{path}.params.{key}"):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize("table", ["config.ETA_PRESETS", "kernels.KERNEL_PRESETS",
+                                   "mobility.PRESETS", "config.DENSITY_PRESETS"])
+def test_preset_factories_take_only_float_keywords(table):
+    # _preset reads a preset's parameters from its factory's signature, so a
+    # parameter without a float default, or a *args or **kwargs catch-all,
+    # would escape its checks
+    import importlib
+    import inspect
+
+    module, attr = table.split(".")
+    presets = getattr(importlib.import_module(f"graphflow.{module}"), attr)
+    assert presets
+    for name, factory in presets.items():
+        for param in inspect.signature(factory).parameters.values():
+            assert param.kind in (param.POSITIONAL_OR_KEYWORD, param.KEYWORD_ONLY), (name, param)
+            assert type(param.default) is float, (name, param)
+
+
+def test_parse_config_reads_the_readme_expression_mobility():
+    # the default {"preset": "linear"} used to be merged into this section,
+    # and the preset won
+    raw = s1_config()
+    raw["mobility"] = {"expression": "r*(1-s)", "S": 1.0}
+    config = parse_config(raw)
+    mobility = config.system.mobility
+    assert mobility.name == "expr:r*(1-s)"
+    assert (mobility.R, mobility.S) == (np.inf, 1.0)
+    assert mobility(0.5, 0.25) == 0.375
+    assert config.resolved["mobility"] == {"expression": "r*(1-s)", "S": 1.0}
+    raw["mobility"] = {"expression": "r", "R": float("inf")}
+    assert parse_config(raw).system.mobility.R == np.inf
+
+
+@pytest.mark.parametrize("path, section, message", [
+    ("integrator", "x", "expected an object"),
+    ("integrator", {"max_dtt": 0.01}, "integrator.max_dtt: unknown key"),
+    ("solver", [32], "expected an object"),
+    ("mobility", "linear", "expected an object"),
+    ("mobility", {"preset": "linear", "expression": "r"}, "needs exactly one of"),
+    ("mobility", {"params": {}}, "needs exactly one of"),
+    ("mobility", {"preset": "volume_filling", "cap": 0.5}, "mobility.cap: unknown key"),
+    ("mobility", {"expression": "r*(1-s)", "s": 1.0}, "mobility.s: unknown key"),
+    ("mobility", {"expression": "r", "R": -1}, "mobility.R: must be a positive number"),
+    ("mobility", {"expression": "r", "R": True}, "mobility.R: must be a positive number"),
+    ("mobility", {"expression": "r", "S": "abc"}, "mobility.S: must be a positive number"),
+    ("mobility", {"expression": "r", "S": None}, "mobility.S: must be a positive number"),
+    ("mobility", {"expression": "r", "S": NAN}, "mobility.S: must be a positive number"),
+    ("kernels.K11", "distance", "expected an object"),
+    ("kernels.K11", {"preset": "distance", "expression": "d"}, "needs exactly one of"),
+    ("kernels.K12", {"expression": 2}, "kernels.K12.expression: expected"),
+], ids=["integrator-string", "integrator-max-dtt", "solver-list", "mobility-string",
+        "mobility-both", "mobility-neither", "mobility-preset-stray-key",
+        "mobility-expression-stray-key", "mobility-R-negative", "mobility-R-true",
+        "mobility-S-string", "mobility-S-null", "mobility-S-nan", "kernel-string",
+        "kernel-both", "kernel-expression-number"])
+def test_cli_rejects_sections_that_say_something_else(tmp_path, capsys, path, section, message):
+    cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
+    *parents, key = path.split(".")
+    parent = cfg
+    for name in parents:
+        parent = parent[name]
+    parent[key] = section
+    assert main_cli(["simulate", "--config", _write(tmp_path / "cfg.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"invalid input: {path}") and message in err, err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SchemaError, match=message):
+        parse_config(cfg)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("points", [[0.0], [NAN]]), ("points", [[0.0], [float("inf")]]), ("points", [[0.0], ["a"]]),
+    ("points", [[0.0], ["1"]]), ("points", [[0.0], [1.0, 2.0]]), ("weights", [1.0, NAN]),
+    ("weights", [1.0, "abc"]), ("weights", [1.0, None]),
+    ("eta_matrix", [[0.0, NAN], [NAN, 0.0]]), ("eta_matrix", [[0.0, float("inf")], [float("inf"), 0.0]]),
+    ("eta_matrix", [[0.0, "x"], ["x", 0.0]]),
+])
+def test_cli_rejects_graph_data_that_is_not_finite_numbers(tmp_path, capsys, key, value):
+    # NaN points and weights used to pass, NaN eta dropped its edge, inf eta
+    # stayed, and a string died with a ValueError traceback
+    raw = s1_config()
+    raw["graph"][key] = value
+    assert main_cli(["validate-graph", "--config", _write(tmp_path / "cfg.json", raw)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"invalid input: graph.{key}: expected an array of finite numbers")
 
 
 def test_project_initial_identity_when_on_vertices():
@@ -219,6 +339,24 @@ def _refine_config():
 def _write(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+@pytest.mark.parametrize("command, calls", [("validate-graph", 0), ("metric", 0), ("simulate", 1)])
+def test_cli_builds_kernel_matrices_only_when_read(tmp_path, monkeypatch, capsys, command, calls):
+    # parse_config used to build the system's n^2 kernel matrices for every
+    # command, also for those that never read them
+    from graphflow.kernels import KernelSet
+
+    built = []
+    on_graph = KernelSet.on_graph
+    monkeypatch.setattr(KernelSet, "on_graph",
+                        lambda kernels, graph: built.append(graph) or on_graph(kernels, graph))
+    cfg_path = _write(tmp_path / "cfg.json", s1_config(t_final=0.1, out_dir=str(tmp_path / "out")))
+    start, end = s2_state_files()
+    extra = {"metric": ["--from", _write(tmp_path / "from.json", start),
+                        "--to", _write(tmp_path / "to.json", end), "--steps", "4"]}
+    assert main_cli([command, "--config", cfg_path, *extra.get(command, [])]) == 0
+    assert len(built) == calls
 
 
 def test_cli_unknown_subcommand_exits_64(capsys):
@@ -407,6 +545,7 @@ def test_cli_malformed_json_input_exits_1(tmp_path, capsys, command):
 @pytest.mark.parametrize("name, key, value", [
     ("gaussian", "sigma", "abc"), ("gaussian", "mean", "abc"), ("gaussian", "sigma", 0.0),
     ("gaussian", "mean", True), ("uniform", "low", None), ("uniform", "high", [1.0]),
+    ("gaussian", "sigma", NAN), ("gaussian", "width", 1.0), ("uniform", "sigma", 1.0),
 ])
 def test_cli_refine_rejects_invalid_density_params(tmp_path, capsys, name, key, value):
     # a string sigma used to raise a TypeError and a string mean a numpy
@@ -478,21 +617,6 @@ def test_run_refinement_study_single_level_no_gaps():
     report = run_refinement_study(plan, config)
     assert len(report.levels) == 1 and report.w1_gaps == []
     assert np.isfinite(report.levels[0].w1_start_to_final)
-
-
-def test_cli_refine_honors_thread_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("GRAPHFLOW_THREADS", "2")
-    cfg = _refine_config()
-    cfg["output_dir"] = str(tmp_path / "out")
-    cfg_path = _write(tmp_path / "cfg.json", cfg)
-    plan_path = _write(
-        tmp_path / "plan.json",
-        {"density": {"name": "gaussian", "params": {"sigma": 0.4}},
-         "ladder": [4, 8], "initial_atoms": 16, "transport_diagnostic": False},
-    )
-    assert main_cli(["refine", "--plan", plan_path, "--config", cfg_path]) == 0
-    report = json.loads((tmp_path / "out" / "refinement.json").read_text())
-    assert [level["n_vertices"] for level in report["levels"]] == [4, 8]
 
 
 def test_parse_config_initial_state_from_atoms():
@@ -728,25 +852,6 @@ def test_cli_rejects_a_single_time(tmp_path, capsys, command, option, written):
                      "--out", str(tmp_path / "single")]) == 1
     assert "needs at least two distinct times, got 1" in capsys.readouterr().err
     assert not (tmp_path / "single" / written).exists()
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_cli_refine_rejects_invalid_thread_env(tmp_path, monkeypatch, capsys, value):
-    # "abc" used to escape as a ValueError traceback, and 0 or -3 silently ran
-    # one worker
-    monkeypatch.setenv("GRAPHFLOW_THREADS", value)
-    cfg = _refine_config()
-    cfg["output_dir"] = str(tmp_path / "out")
-    cfg_path = _write(tmp_path / "cfg.json", cfg)
-    plan_path = _write(
-        tmp_path / "plan.json",
-        {"density": {"name": "gaussian", "params": {"sigma": 0.4}},
-         "ladder": [4], "initial_atoms": 8, "transport_diagnostic": False},
-    )
-    assert main_cli(["refine", "--plan", plan_path, "--config", cfg_path]) == 1
-    assert (f"invalid input: GRAPHFLOW_THREADS must be an integer >= 1, got {value!r}"
-            in capsys.readouterr().err)
-    assert not (tmp_path / "out" / "refinement.json").exists()
 
 
 def test_cli_rejects_infinite_first_step(tmp_path):

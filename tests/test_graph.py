@@ -6,6 +6,7 @@ from scipy import sparse
 
 from graphflow.errors import (
     DuplicatePoint,
+    NegativeEdgeWeight,
     NonPositiveWeight,
     NonSymmetricWeights,
     SizeMismatch,
@@ -67,6 +68,22 @@ def test_build_graph_rejects_bad_vertices():
         build_graph([[0.0], [1.0]], [1.0, 0.0], np.zeros((2, 2)))
     with pytest.raises(DuplicatePoint):
         build_graph([[0.0], [0.0]], [1.0, 1.0], np.zeros((2, 2)))
+    for weights in ([1.0, np.nan], [np.inf, 1.0]):
+        with pytest.raises(NonPositiveWeight):
+            build_graph([[0.0], [1.0]], weights, np.zeros((2, 2)))
+    for points in ([[0.0], [np.nan]], [[np.inf], [1.0]]):
+        with pytest.raises(ValueError, match="vertex positions must be finite"):
+            build_graph(points, [1.0, 1.0], np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_build_graph_rejects_non_finite_eta(value):
+    # a NaN weight used to drop its edge silently, and an infinite one stayed
+    eta = np.array([[0.0, value], [value, 0.0]])
+    with pytest.raises(NegativeEdgeWeight, match="is not a finite number"):
+        build_graph([[0.0], [1.0]], [1.0, 1.0], eta)
+    with pytest.raises(NegativeEdgeWeight, match="is not a finite number"):
+        build_graph([[0.0], [1.0]], [1.0, 1.0], lambda xs, ys: np.full((2, 2), value))
 
 
 def test_check_assumptions_two_point():
