@@ -73,9 +73,11 @@ def _preset(presets, spec, path, key):
     """The preset that ``spec[key]`` names in ``presets``, built from ``spec["params"]``.
 
     ``presets`` maps each name to a factory whose keyword arguments are the
-    preset's parameters, with their defaults; every given parameter must be
-    one of them and pass :func:`_preset_number`.
+    preset's parameters, with their defaults.  ``spec`` holds no key but
+    ``key`` and ``params``; every given parameter must be one of the
+    factory's and pass :func:`_preset_number`.
     """
+    _check_keys(spec, (key, "params"), path)
     name = _require(spec, key, path, str)
     if name not in presets:
         raise SchemaError(f"{path}.{key}",
@@ -114,14 +116,15 @@ def _finite_array(section, key, path):
 
 
 def _build_graph_section(section, path="graph"):
+    _check_keys(section, ("points", "weights", "eta_matrix", "eta_preset"), path)
+    if ("eta_matrix" in section) == ("eta_preset" in section):
+        raise SchemaError(path, "needs exactly one of eta_matrix or eta_preset")
     points = _finite_array(section, "points", path)
     weights = _finite_array(section, "weights", path)
     if "eta_matrix" in section:
         return build_graph(points, weights, _finite_array(section, "eta_matrix", path))
-    if "eta_preset" in section:
-        spec = _require(section, "eta_preset", path, dict)
-        return build_graph(points, weights, _preset(ETA_PRESETS, spec, f"{path}.eta_preset", "name"))
-    raise SchemaError(path, "needs either eta_matrix or eta_preset")
+    spec = _require(section, "eta_preset", path, dict)
+    return build_graph(points, weights, _preset(ETA_PRESETS, spec, f"{path}.eta_preset", "name"))
 
 
 def _check_keys(section, allowed, path):
@@ -141,7 +144,6 @@ def _preset_or_expression(spec, path, presets, from_expression, thresholds=()):
     if ("preset" in spec) == ("expression" in spec):
         raise SchemaError(path, "needs exactly one of preset or expression")
     if "preset" in spec:
-        _check_keys(spec, ("preset", "params"), path)
         return _preset(presets, spec, path, "preset")
     _check_keys(spec, ("expression", *thresholds), path)
     caps = {key: _threshold(spec, key, path) for key in thresholds}
@@ -161,6 +163,7 @@ def _threshold(section, key, path):
 
 
 def _build_kernels_section(section, dimension, path="kernels"):
+    _check_keys(section, ("K11", "K12", "K21", "K22", "beta"), path)
     beta = section.get("beta", [1.0, 1.0])
     if not isinstance(beta, list) or len(beta) != 2 or any(
         isinstance(b, bool) or not isinstance(b, (int, float)) or not 0 < b < math.inf
@@ -197,6 +200,8 @@ def parse_config(source):
     raw = source if isinstance(source, dict) else _parse_json(source)
     if not isinstance(raw, dict):
         raise SchemaError("$", "top level must be an object")
+    # "q" stays accepted: the conjugate exponent is always derived, never read
+    _check_keys(raw, (*_DEFAULTS, "graph", "kernels", "mobility", "initial_state", "q"), "$")
 
     resolved = json.loads(json.dumps(raw))  # deep copy, JSON-normalized
     for key, default in _DEFAULTS.items():
@@ -210,8 +215,7 @@ def parse_config(source):
     p = resolved["p"]
     if not isinstance(p, (int, float)) or not (1.0 < p < math.inf):
         raise SemanticError(f"p must lie in (1, inf), got {p}")
-    if "q" in resolved:
-        resolved.pop("q")  # conjugate exponent is always derived, never read
+    resolved.pop("q", None)
     exponents = Exponents(float(p))
 
     graph = _build_graph_section(_require(resolved, "graph", "$", dict))
@@ -276,9 +280,15 @@ def parse_state(source, graph):
 def _build_initial_state(section, graph, path="initial_state"):
     if not isinstance(section, dict):
         raise SchemaError(path, "expected an object")
-    if "rho1" in section or "rho2" in section:
-        rho1 = np.asarray(_require(section, "rho1", path, list), dtype=float)
-        rho2 = np.asarray(_require(section, "rho2", path, list), dtype=float)
+    densities = "rho1" in section or "rho2" in section
+    if densities == ("atoms1" in section or "atoms2" in section):
+        raise SchemaError(path, "needs exactly one of rho1/rho2 or atoms1/atoms2")
+    pair = ("rho1", "rho2") if densities else ("atoms1", "atoms2")
+    _check_keys(section, (*pair, "projection"), path)
+    _check_projection(section, path)
+    if densities:
+        rho1 = _finite_array(section, "rho1", path)
+        rho2 = _finite_array(section, "rho2", path)
         if rho1.shape != (graph.n_vertices,) or rho2.shape != (graph.n_vertices,):
             raise SchemaError(path, f"densities must have length {graph.n_vertices}")
         if np.min(rho1) < 0 or np.min(rho2) < 0:
@@ -290,17 +300,14 @@ def _build_initial_state(section, graph, path="initial_state"):
         # exact unit mass after round-off
         state.rho /= masses[:, None]
         return state
-    if "atoms1" in section and "atoms2" in section:
-        _check_projection(section, path)
-        densities = []
-        for name in ("atoms1", "atoms2"):
-            atoms = _require(section, name, path, dict)
-            positions = np.asarray(_require(atoms, "positions", f"{path}.{name}", list), dtype=float)
-            masses = np.asarray(_require(atoms, "masses", f"{path}.{name}", list), dtype=float)
-            rho, _ = project_initial(positions, masses, graph.base)
-            densities.append(rho)
-        return dynamics.SpeciesPairState.from_densities(*densities)
-    raise SchemaError(path, "needs rho1/rho2 or atoms1/atoms2")
+    projected = []
+    for name in pair:
+        atoms = _require(section, name, path, dict)
+        _check_keys(atoms, ("positions", "masses"), f"{path}.{name}")
+        rho, _ = project_initial(_finite_array(atoms, "positions", f"{path}.{name}"),
+                                 _finite_array(atoms, "masses", f"{path}.{name}"), graph.base)
+        projected.append(rho)
+    return dynamics.SpeciesPairState.from_densities(*projected)
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +422,10 @@ class RefinementPlan:
 
 def parse_plan(source):
     raw = _parse_json(source) if isinstance(source, str) else source
-    if not isinstance(raw, dict):
-        raise SchemaError("plan", "expected an object")
+    _check_keys(raw, ("density", "ladder", "total_mass", "initial_atoms", "transport_diagnostic",
+                      "transport_steps", "projection"), "plan")
     density = _require(raw, "density", "plan", dict)
+    _check_keys(density, ("name", "params"), "plan.density")
     _check_projection(raw, "plan")
     return RefinementPlan(
         density_name=_require(density, "name", "plan.density", str),

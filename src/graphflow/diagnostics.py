@@ -66,10 +66,6 @@ class DeGiorgiReport:
     g_t: float
     series: tuple  # ((t, energy, dissipation, action), ...)
 
-    @property
-    def horizon(self):
-        return self.series[-1][0] if self.series else 0.0
-
 
 def _state_terms(system, trajectory, k):
     """Energy, descent velocities and flux of state k, from one potentials evaluation.

@@ -88,7 +88,3 @@ class SchemaError(GraphflowError):
 
 class SemanticError(GraphflowError):
     """Configuration is structurally valid but semantically inconsistent."""
-
-
-class UsageError(GraphflowError):
-    """Command line was malformed."""

@@ -1,30 +1,34 @@
-"""Minimal arithmetic expression parser for mobility and kernel formulas.
+"""Mobility and kernel formulas, read with :mod:`ast` behind a whitelist.
 
-Grammar (infix, usual precedence, ``^`` is right-associative power)::
-
-    expr   := term (('+'|'-') term)*
-    term   := unary (('*'|'/') unary)*
-    unary  := '-' unary | power
-    power  := atom ('^' unary)?
-    atom   := NUMBER | NAME | NAME '(' expr (',' expr)* ')' | '(' expr ')'
-
-Allowed functions: ``min``, ``max``, ``exp``, ``sqrt``, ``abs``.  Variable
-names are restricted to the whitelist passed at compile time (``r``, ``s``
-for mobilities, ``d`` for kernels).  All operations are numpy-vectorized.
+A formula is ASCII text of decimal literals (``2``, ``.5``, ``3.``,
+``1.5E+2``), the variables named at compile time (``r``, ``s`` for
+mobilities, ``d`` for kernels), parentheses, unary minus, ``+ - * /`` and the
+power ``^`` (or ``**``), which as in Python is right-associative and binds
+tighter than unary minus: ``-r^2`` is ``-(r^2)``.  ``min`` and ``max`` take one
+or more arguments, ``exp``, ``sqrt`` and ``abs`` exactly one.  Anything else
+(literals such as ``0x10``, ``1_0`` or ``1j``, other names, operators or
+calls, keyword or starred arguments, nesting deeper than 200 levels) raises
+:class:`ExpressionError`.  The syntax tree becomes closures over numpy
+ufuncs; nothing is compiled to bytecode or handed to the interpreter.
 """
 
+import ast
 import re
 
 import numpy as np
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?|([A-Za-z_]\w*)|(\*\*|[()+\-*/^,]))")
-
+_MAX_DEPTH = 200  # evaluation recurses once per level, so deep trees would hit the stack
+_ALPHABET = re.compile(r"[\w .()+\-*/,]*", re.ASCII)
+_LITERAL = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
+_BINARY = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.divide,
+           ast.Pow: np.power}
+# name -> (function, number of arguments; None for one or more)
 _FUNCTIONS = {
-    "min": lambda *a: np.minimum.reduce(np.broadcast_arrays(*a)) if len(a) > 1 else a[0],
-    "max": lambda *a: np.maximum.reduce(np.broadcast_arrays(*a)) if len(a) > 1 else a[0],
-    "exp": np.exp,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
+    "min": (lambda *a: np.minimum.reduce(np.broadcast_arrays(*a)) if len(a) > 1 else a[0], None),
+    "max": (lambda *a: np.maximum.reduce(np.broadcast_arrays(*a)) if len(a) > 1 else a[0], None),
+    "exp": (np.exp, 1),
+    "sqrt": (np.sqrt, 1),
+    "abs": (np.abs, 1),
 }
 
 
@@ -32,146 +36,54 @@ class ExpressionError(ValueError):
     """Raised for malformed or disallowed expressions."""
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None or match.end() == pos:
-            if text[pos:].strip():
-                raise ExpressionError(f"unexpected character at position {pos}: {text[pos:]!r}")
-            break
-        number, name, op = match.group(1), match.group(2), match.group(3)
-        if number is not None:
-            tokens.append(("num", float(match.group(0))))
-        elif name is not None:
-            tokens.append(("name", name))
-        elif op is not None:
-            tokens.append(("op", "^" if op == "**" else op))
-        pos = match.end()
-    tokens.append(("end", ""))
-    return tokens
+def _closure(node, source, names, depth=0):
+    """The function of the argument list that the whitelisted ``node`` computes."""
+    if depth > _MAX_DEPTH:
+        raise ExpressionError(f"formula nested deeper than {_MAX_DEPTH} levels")
+    text = source[node.col_offset:node.end_col_offset]
 
+    def build(child):
+        return _closure(child, source, names, depth + 1)
 
-class _Parser:
-    def __init__(self, tokens, variables):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, op):
-        kind, value = self.advance()
-        if kind != "op" or value != op:
-            raise ExpressionError(f"expected {op!r}, got {value!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise ExpressionError(f"trailing input near {self.peek()[1]!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.advance()[1]
-            rhs = self.term()
-            node = (np.add if op == "+" else np.subtract, node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.advance()[1]
-            rhs = self.unary()
-            node = (np.multiply if op == "*" else np.divide, node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.advance()
-            return (np.negative, self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.advance()
-            exponent = self.unary()
-            return (np.power, base, exponent)
-        return base
-
-    def atom(self):
-        kind, value = self.advance()
-        if kind == "num":
-            return ("const", value)
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                if value not in _FUNCTIONS:
-                    raise ExpressionError(f"unknown function {value!r}")
-                self.advance()
-                args = [self.expr()]
-                while self.peek() == ("op", ","):
-                    self.advance()
-                    args.append(self.expr())
-                self.expect(")")
-                return ("call", value, args)
-            if value not in self.variables:
-                raise ExpressionError(f"unknown variable {value!r} (allowed: {sorted(self.variables)})")
-            return ("var", value)
-        if (kind, value) == ("op", "("):
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ExpressionError(f"unexpected token {value!r}")
-
-
-def _evaluate(node, env):
-    tag = node[0]
-    if tag == "const":
-        return node[1]
-    if tag == "var":
-        return env[node[1]]
-    if tag == "call":
-        args = [_evaluate(arg, env) for arg in node[2]]
-        return _FUNCTIONS[node[1]](*args)
-    func = node[0]
-    return func(*[_evaluate(child, env) for child in node[1:]])
+    if isinstance(node, ast.Constant) and _LITERAL.fullmatch(text):
+        value = float(text)
+        return lambda args: value
+    if isinstance(node, ast.Name) and node.id in names:
+        index = names.index(node.id)
+        return lambda args: args[index]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        operand = build(node.operand)
+        return lambda args: np.negative(operand(args))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        func, left, right = _BINARY[type(node.op)], build(node.left), build(node.right)
+        return lambda args: func(left(args), right(args))
+    # a call names its function unparenthesized and ends without a trailing comma
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and node.func.col_offset == node.col_offset
+            and not text[:-1].rstrip().endswith(",")):
+        func, arity = _FUNCTIONS[node.func.id]
+        if node.keywords or not node.args or arity not in (None, len(node.args)):
+            raise ExpressionError(f"{node.func.id} takes {arity or 'one or more'} "
+                                  f"positional argument(s): {text!r}")
+        operands = [build(arg) for arg in node.args]
+        return lambda args: func(*[operand(args) for operand in operands])
+    raise ExpressionError(f"not allowed in a formula of {list(names)}: {text!r}")
 
 
 def compile_expression(text, variables):
-    """Compile ``text`` into a vectorized function of the named ``variables``.
-
-    Parameters
-    ----------
-    text : str
-        Expression using ``+ - * / ^``, ``min``/``max``/``exp``/``sqrt``/``abs``
-        and the given variable names.
-    variables : sequence of str
-        Positional argument names, e.g. ``("r", "s")``.
-
-    Returns
-    -------
-    callable
-        Function taking one array per variable.
-    """
+    """Compile ``text`` into a vectorized function of one array per name in ``variables``."""
     names = tuple(variables)
-    tree = _Parser(_tokenize(text), set(names)).parse()
+    source = " ".join(text.split()).replace("^", "**")
+    if not _ALPHABET.fullmatch(source):
+        raise ExpressionError(f"unexpected character in {text!r}")
+    try:
+        body = _closure(ast.parse(source, mode="eval").body, source, names)
+    except (SyntaxError, RecursionError) as exc:
+        raise ExpressionError(f"cannot read {text!r}: {type(exc).__name__}") from None
 
     def fn(*args):
         if len(args) != len(names):
             raise TypeError(f"expected {len(names)} arguments {names}, got {len(args)}")
-        env = dict(zip(names, (np.asarray(a, dtype=float) for a in args)))
-        out = _evaluate(tree, env)
-        return np.asarray(out, dtype=float)
+        return np.asarray(body([np.asarray(a, dtype=float) for a in args]), dtype=float)
 
-    fn.expression = text
-    fn.variables = names
     return fn

@@ -11,7 +11,7 @@ the threshold box [0, R] x [0, S].  Infinity is a value here, never an error;
 NaN is always a bug.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class Mobility:
     S: float = np.inf
     recession_fn: object = None
     grad_fn: object = None
-    params: dict = field(default_factory=dict)
 
     def __call__(self, r, s):
         return np.asarray(self.fn(np.asarray(r, dtype=float), np.asarray(s, dtype=float)), dtype=float)
@@ -103,7 +102,6 @@ def volume_filling(cap=1.0):
         R=np.inf,
         S=cap,
         grad_fn=lambda r, s: ((cap - s) / cap, -r / cap),
-        params={"cap": cap},
     )
 
 
@@ -136,7 +134,7 @@ PRESETS = {
 def from_expression(text, R=np.inf, S=np.inf):
     """Build a mobility from an expression in the variables ``r`` and ``s``."""
     fn = compile_expression(text, ("r", "s"))
-    return Mobility(f"expr:{text}", fn, R=float(R), S=float(S), params={"expression": text})
+    return Mobility(f"expr:{text}", fn, R=float(R), S=float(S))
 
 
 def positive_part(x):
@@ -213,7 +211,7 @@ def recession(mobility):
         )
     if mobility.recession_fn is not None:
         rec = mobility.recession_fn
-        return Mobility(f"{mobility.name}_recession", rec, recession_fn=rec, params=dict(mobility.params))
+        return Mobility(f"{mobility.name}_recession", rec, recession_fn=rec)
 
     lam = _RICHARDSON_LAMBDAS
 
@@ -233,7 +231,7 @@ def recession(mobility):
             )
         return e2
 
-    return Mobility(f"{mobility.name}_recession", numeric, recession_fn=numeric, params=dict(mobility.params))
+    return Mobility(f"{mobility.name}_recession", numeric, recession_fn=numeric)
 
 
 def is_uniformly_sublinear(mobility, n_samples=16, box=4.0, tol=1e-6):

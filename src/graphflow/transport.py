@@ -36,9 +36,6 @@ class ActionValue:
     total: float
     per_species: tuple
 
-    def __float__(self):
-        return self.total
-
 
 def _link_densities(graph, rho_pair):
     """Densities at the ``lo`` and ``hi`` end of every link for both species, (2, links) each."""

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,98 @@ def test_cli_rejects_graph_data_that_is_not_finite_numbers(tmp_path, capsys, key
     assert main_cli(["validate-graph", "--config", _write(tmp_path / "cfg.json", raw)]) == 1
     assert capsys.readouterr().err.startswith(
         f"invalid input: graph.{key}: expected an array of finite numbers")
+
+
+INF = float("inf")
+ATOMS = {"positions": [[0.1]], "masses": [1.0]}
+
+
+def _set_path(cfg, path, value):
+    """Set the key that the dotted ``path`` names in ``cfg`` to ``value``."""
+    *parents, key = path.split(".")
+    for name in parents:
+        cfg = cfg[name]
+    cfg[key] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    ("initial_state.rho1", [NAN, 1.0]), ("initial_state.rho1", [INF, 1.0]),
+    ("initial_state.rho2", ["abc", 1.0]),
+    ("initial_state.atoms1.positions", [[NAN]]), ("initial_state.atoms1.positions", [[INF]]),
+    ("initial_state.atoms2.positions", [["abc"]]),
+    ("initial_state.atoms1.masses", [NAN]), ("initial_state.atoms1.masses", [INF]),
+    ("initial_state.atoms2.masses", ["abc"]),
+], ids=["rho1-nan", "rho1-inf", "rho2-string", "positions-nan", "positions-inf",
+        "positions-string", "masses-nan", "masses-inf", "masses-string"])
+def test_cli_rejects_initial_data_that_is_not_finite_numbers(tmp_path, capsys, path, value):
+    # a NaN density passed the nonnegativity and unit-mass checks, since
+    # every comparison with NaN is false, and gave an all-NaN state
+    raw = s1_config()
+    if ".atoms" in path:
+        raw["initial_state"] = {"atoms1": dict(ATOMS), "atoms2": dict(ATOMS)}
+    _set_path(raw, path, value)
+    assert main_cli(["validate-graph", "--config", _write(tmp_path / "cfg.json", raw)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"invalid input: {path}: expected an array of finite numbers")
+    with pytest.raises(SchemaError, match=path):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize("path, value, message", [
+    ("time_horzion", 5.0, "$.time_horzion: unknown key"),
+    ("graph.eta_preset", {"name": "constant"},
+     "graph: needs exactly one of eta_matrix or eta_preset"),
+    ("graph", {"points": [[0.0], [1.0]], "weights": [1.0, 1.0],
+               "eta_preset": {"name": "gaussian", "sigma": 1.0}}, "graph.eta_preset.sigma: unknown key"),
+    ("graph.eta", [[0.0, 1.0], [1.0, 0.0]], "graph.eta: unknown key"),
+    ("kernels.K13", {"preset": "zero"}, "kernels.K13: unknown key"),
+    ("initial_state.atoms1", ATOMS,
+     "initial_state: needs exactly one of rho1/rho2 or atoms1/atoms2"),
+    ("initial_state", {"rho1": [0.75, 0.25], "rho2": [0.5, 0.5], "rho3": [1.0, 1.0]},
+     "initial_state.rho3: unknown key"),
+    ("initial_state", {"atoms1": ATOMS, "atoms2": {**ATOMS, "weights": [1.0]}},
+     "initial_state.atoms2.weights: unknown key"),
+    ("initial_state", {"atoms1": ATOMS, "atoms2": ATOMS, "projetion": "nearest"},
+     "initial_state.projetion: unknown key"),
+], ids=["top-level-typo", "graph-eta-matrix-and-preset", "eta-preset-stray-key", "graph-typo",
+        "kernels-K13", "initial-rho-and-atoms", "initial-rho-stray-key", "atom-set-stray-key",
+        "initial-atoms-typo"])
+def test_cli_rejects_unknown_config_keys(tmp_path, capsys, path, value, message):
+    # each of these used to run with the key ignored
+    raw = s1_config()
+    _set_path(raw, path, value)
+    assert main_cli(["validate-graph", "--config", _write(tmp_path / "cfg.json", raw)]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid input: {message}")
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        parse_config(raw)
+
+
+def test_parse_config_keeps_accepting_seed_q_and_projection():
+    raw = s1_config()
+    raw.update(seed=3, q=2.0)
+    raw["initial_state"]["projection"] = "nearest"
+    config = parse_config(raw)
+    assert config.seed == 3 and "q" not in config.resolved
+    assert parse_config(emit_config(config)).resolved == config.resolved
+
+
+@pytest.mark.parametrize("command, path, expression", [
+    ("simulate", "mobility", "sqrt(r, s)"),
+    ("validate-graph", "kernels.K11", "sqrt(d, 2)"),
+    ("validate-graph", "kernels.K11", "-" * 5000 + "d"),
+    ("validate-graph", "kernels.K11", "+".join(["d"] * 20000)),
+], ids=["mobility-sqrt-two-arguments", "kernel-sqrt-two-arguments", "kernel-deep-unary-minus",
+        "kernel-long-sum"])
+def test_cli_rejects_formulas_when_they_are_compiled(tmp_path, capsys, command, path, expression):
+    # sqrt(r, s) ran: numpy took s as its out= buffer, so the mobility
+    # overwrote the destination densities; sqrt(d, 2) died with a TypeError
+    # traceback and the deep formulas with a RecursionError traceback
+    cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
+    section = cfg if path == "mobility" else cfg["kernels"]
+    section[path.rpartition(".")[2]] = {"expression": expression}
+    assert main_cli([command, "--config", _write(tmp_path / "cfg.json", cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid input: {path}.expression:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_project_initial_identity_when_on_vertices():
@@ -508,6 +601,7 @@ def test_cli_rejects_zero_tolerances(tmp_path, capsys):
     ("total_mass", -2), ("total_mass", 0), ("total_mass", "2"), ("total_mass", True),
     ("transport_steps", 2.5), ("transport_steps", 0), ("transport_steps", False),
     ("transport_diagnostic", "no"), ("transport_diagnostic", 0),
+    ("transport_step", 4), ("density", {"name": "uniform", "low": 0.0}),
 ])
 def test_cli_refine_rejects_invalid_plan(tmp_path, capsys, key, value):
     cfg = _refine_config()
