@@ -16,7 +16,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import diagnostics, dynamics, kernels as kernels_mod, mobility as mobility_mod
-from .errors import MassMismatch, SchemaError, SemanticError
+from .errors import (MassMismatch, NotConcave, NotPositive, NotUpwindAdmissible, SchemaError,
+                     SemanticError)
 from .graph import Exponents, build_graph
 
 # defaults of the top-level scalars and of the sections with fixed keys; a
@@ -227,6 +228,10 @@ def parse_config(source):
         section.setdefault("params", {})  # echoed like every other default
     mobility = _preset_or_expression(section, "mobility", mobility_mod.PRESETS,
                                      mobility_mod.from_expression, thresholds=("R", "S"))
+    try:
+        mobility_mod.validate_mobility(mobility)
+    except (NotUpwindAdmissible, NotPositive, NotConcave) as exc:
+        raise SchemaError("mobility", str(exc)) from None
 
     t_final = resolved["time_horizon"]
     if isinstance(t_final, bool) or not isinstance(t_final, (int, float)) or not (

@@ -29,7 +29,7 @@ from .mobility import flux_law
 
 STATE_TOL = 1e-8  # slack accepted on raw states before ThresholdExceeded
 GUARD_TOL = 1e-12  # simplex guard on accepted integrator steps
-DT_MIN = 1e-14  # integrator steps below this raise StepSizeUnderflow
+DT_MIN = 1e-14  # integrator steps below this (or 1e-10 t_final) raise StepSizeUnderflow
 
 
 @dataclass
@@ -196,7 +196,9 @@ def integrate(system, state0, t_final, options=None):
     [-GUARD_TOL, threshold + GUARD_TOL]; accepted states are clamped into the
     box and renormalized in mass, with both amounts accumulated in the run
     statistics.  Evaluation failures at wild trial states count as rejections.
-    ``t_final`` must be finite and > 0.
+    ``t_final`` must be finite and > 0.  A step that the controller shrinks
+    below max(DT_MIN, 1e-10 t_final), or more than 60 rejections in a row,
+    raise :class:`StepSizeUnderflow`.
     """
     if not 0.0 < t_final < np.inf:
         raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
@@ -224,12 +226,15 @@ def integrate(system, state0, t_final, options=None):
 
     k1 = rhs(system, y)
     rejects_in_a_row = 0
+    # a run whose steps fall below this would not reach t_final in 1e10 of them
+    dt_floor = max(DT_MIN, 1e-10 * t_final)
     while t < t_final - 1e-14:
-        dt = min(dt, options.max_dt, t_final - t)
-        if dt < DT_MIN or rejects_in_a_row > 60:
+        dt = min(dt, options.max_dt)
+        if dt < dt_floor or rejects_in_a_row > 60:
             raise StepSizeUnderflow(
                 f"dt underflow at t={t:.6g}", state=SpeciesPairState(y.copy()), time=t
             )
+        dt = min(dt, t_final - t)
         stages = [k1]
         try:
             for row in range(1, 7):

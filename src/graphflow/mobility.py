@@ -34,9 +34,10 @@ class Mobility:
 
     ``fn`` must be vectorized over numpy arrays.  ``R`` and ``S`` are the
     right-open thresholds of the domain [0, R) x [0, S); at finite thresholds
-    the function is evaluated by its boundary limit value.  ``grad_fn``, when
-    given, returns the pair of partial derivatives (dm/dr, dm/ds); solvers
-    fall back to central differences otherwise.
+    the function is evaluated by its boundary limit value.  Every preset and
+    :func:`from_expression` make ``fn`` a compiled formula, whose ``jet``
+    gives the value with its exact gradient and Hessian, as the transport
+    solver needs them; a bare callable has none.
     """
 
     name: str
@@ -44,7 +45,6 @@ class Mobility:
     R: float = np.inf
     S: float = np.inf
     recession_fn: object = None
-    grad_fn: object = None
 
     def __call__(self, r, s):
         return np.asarray(self.fn(np.asarray(r, dtype=float), np.asarray(s, dtype=float)), dtype=float)
@@ -81,38 +81,27 @@ class MobilityValidation:
     min_interior_value: float
 
 
+def _formula(text):
+    return compile_expression(text, ("r", "s"))
+
+
 def linear():
     """m(r, s) = r, the Benamou-Brenier mobility; 1-homogeneous."""
-    return Mobility(
-        "linear",
-        lambda r, s: r,
-        recession_fn=lambda r, s: r,
-        grad_fn=lambda r, s: (np.ones_like(r), np.zeros_like(r)),
-    )
+    fn = _formula("r")
+    return Mobility("linear", fn, recession_fn=fn)
 
 
 def volume_filling(cap=1.0):
     """m(r, s) = r (cap - s)/cap on [0, inf) x [0, cap): inflow saturates at cap."""
     cap = float(cap)
-    if cap <= 0:
-        raise ValueError("volume_filling cap must be positive")
-    return Mobility(
-        "volume_filling",
-        lambda r, s: r * (cap - s) / cap,
-        R=np.inf,
-        S=cap,
-        grad_fn=lambda r, s: ((cap - s) / cap, -r / cap),
-    )
+    if not 0 < cap < np.inf:
+        raise ValueError("volume_filling cap must be positive and finite")
+    return Mobility("volume_filling", _formula(f"r*({cap!r}-s)/{cap!r}"), R=np.inf, S=cap)
 
 
 def saturating():
     """m(r, s) = r/(1+r): uniformly sublinear growth, recession identically zero."""
-    return Mobility(
-        "saturating",
-        lambda r, s: r / (1.0 + r),
-        recession_fn=lambda r, s: np.zeros_like(np.asarray(r, dtype=float)),
-        grad_fn=lambda r, s: (1.0 / (1.0 + r) ** 2, np.zeros_like(np.asarray(r, dtype=float))),
-    )
+    return Mobility("saturating", _formula("r/(1.0+r)"), recession_fn=_formula("0"))
 
 
 def geometric():
@@ -120,7 +109,8 @@ def geometric():
 
     Violates every clause of condition (A); kept as a negative test case.
     """
-    return Mobility("geometric", lambda r, s: np.sqrt(r * s), recession_fn=lambda r, s: np.sqrt(r * s))
+    fn = _formula("sqrt(r*s)")
+    return Mobility("geometric", fn, recession_fn=fn)
 
 
 PRESETS = {
@@ -133,8 +123,7 @@ PRESETS = {
 
 def from_expression(text, R=np.inf, S=np.inf):
     """Build a mobility from an expression in the variables ``r`` and ``s``."""
-    fn = compile_expression(text, ("r", "s"))
-    return Mobility(f"expr:{text}", fn, R=float(R), S=float(S))
+    return Mobility(f"expr:{text}", _formula(text), R=float(R), S=float(S))
 
 
 def positive_part(x):
@@ -254,7 +243,8 @@ def validate_mobility(mobility, grid_size=16, box=4.0):
     Raises
     ------
     NotUpwindAdmissible, NotPositive, NotConcave
-        With the witnessing sample in the message.
+        With the witnessing sample in the message; a NaN value of ``m``
+        fails the admissibility or positivity check.
     """
     if grid_size < 8:
         raise ValueError("grid_size must be at least 8")
@@ -265,7 +255,7 @@ def validate_mobility(mobility, grid_size=16, box=4.0):
 
     at_zero = mobility(np.zeros_like(s_grid), s_grid)
     worst = int(np.argmax(np.abs(at_zero)))
-    if np.max(np.abs(at_zero)) > 1e-12:
+    if not np.max(np.abs(at_zero)) <= 1e-12:  # NaN fails too
         raise NotUpwindAdmissible(
             f"m(0, {s_grid[worst]:.6g}) = {at_zero[worst]:.3e} != 0 for {mobility.name}"
         )
@@ -273,7 +263,7 @@ def validate_mobility(mobility, grid_size=16, box=4.0):
     rr, ss = np.meshgrid(r_grid[1:], s_grid[1:], indexing="ij")
     interior = mobility(rr.ravel(), ss.ravel())
     min_interior = float(np.min(interior))
-    if min_interior <= 0:
+    if not min_interior > 0:
         idx = int(np.argmin(interior))
         raise NotPositive(
             f"m({rr.ravel()[idx]:.6g}, {ss.ravel()[idx]:.6g}) = {interior[idx]:.3e} <= 0"
@@ -281,31 +271,19 @@ def validate_mobility(mobility, grid_size=16, box=4.0):
 
     max_violation = 0.0
     witness = None
-    # midpoint concavity along r for each fixed s, then along s for each fixed r
-    for fixed_s in s_grid:
-        a, b = np.meshgrid(r_grid, r_grid, indexing="ij")
-        lhs = mobility(0.5 * (a + b).ravel(), np.full(a.size, fixed_s))
-        rhs = 0.5 * (
-            mobility(a.ravel(), np.full(a.size, fixed_s))
-            + mobility(b.ravel(), np.full(a.size, fixed_s))
-        )
-        gap = rhs - lhs
+    # midpoint concavity along r at each fixed s (step 1), then along s at each
+    # fixed r (step -1, which swaps the arguments)
+    for grid, other, step in ((r_grid, s_grid, 1), (s_grid, r_grid, -1)):
+        a, b, fixed = (x.ravel() for x in np.meshgrid(grid, grid, other, indexing="ij"))
+
+        def along(x):
+            return mobility(*(x, fixed)[::step])
+
+        gap = 0.5 * (along(a) + along(b)) - along(0.5 * (a + b))
         k = int(np.argmax(gap))
         if gap[k] > max_violation:
             max_violation = float(gap[k])
-            witness = (a.ravel()[k], fixed_s, b.ravel()[k], fixed_s)
-    for fixed_r in r_grid:
-        a, b = np.meshgrid(s_grid, s_grid, indexing="ij")
-        lhs = mobility(np.full(a.size, fixed_r), 0.5 * (a + b).ravel())
-        rhs = 0.5 * (
-            mobility(np.full(a.size, fixed_r), a.ravel())
-            + mobility(np.full(a.size, fixed_r), b.ravel())
-        )
-        gap = rhs - lhs
-        k = int(np.argmax(gap))
-        if gap[k] > max_violation:
-            max_violation = float(gap[k])
-            witness = (fixed_r, a.ravel()[k], fixed_r, b.ravel()[k])
+            witness = (a[k], fixed[k])[::step] + (b[k], fixed[k])[::step]
     if max_violation > 1e-10:
         raise NotConcave(
             f"midpoint concavity violated by {max_violation:.3e} between "

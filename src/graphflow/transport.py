@@ -138,8 +138,6 @@ _MAX_ITERATIONS = 200  # interior-point iterations per species
 _TO_BOUNDARY = 0.995  # share of the step to the boundary that is taken
 _ARMIJO = 1e-4  # sufficient decrease of the barrier merit along a step
 _UNIFORM_BLEND = 0.1  # weight of the uniform density in the starting states
-_FD_STEP = 1e-6  # central-difference step of mobility gradients
-_FD_STEP_SECOND = 1e-4  # central-difference step of their derivatives
 _CONSTRAINT_BOUND = 1e-7  # certified continuity and endpoint residual
 _OPTIMALITY_BOUND = 1e-4  # certified duality gap and scaled stationarity
 
@@ -219,32 +217,11 @@ def min_norm_flux(graph, rates):
 
 
 def _mobility_derivatives(mobility, r, s):
-    """m(r, s), its gradient (r, s) and Hessian (rr, rs, ss) at (r, s).
-
-    The gradient comes from ``grad_fn`` when given, else from central
-    differences; second derivatives are central differences of the gradient.
-    Each step is shrunk to half the distance to the threshold box, so every
-    evaluation stays in [0, R] x [0, S] where the mobility is defined.
-    """
-
-    def step(h, x, cap):
-        return np.minimum(h, 0.5 * np.minimum(x, cap - x))
-
-    def gradient(r, s):
-        if mobility.grad_fn is not None:
-            return [np.broadcast_to(np.asarray(g, dtype=float), r.shape)
-                    for g in mobility.grad_fn(r, s)]
-        h_r, h_s = step(_FD_STEP, r, mobility.R), step(_FD_STEP, s, mobility.S)
-        return [(mobility(r + h_r, s) - mobility(r - h_r, s)) / (2 * h_r),
-                (mobility(r, s + h_s) - mobility(r, s - h_s)) / (2 * h_s)]
-
-    h_r, h_s = step(_FD_STEP_SECOND, r, mobility.R), step(_FD_STEP_SECOND, s, mobility.S)
-    m_r, m_s = gradient(r, s)
-    r_up, r_down = gradient(r + h_r, s), gradient(r - h_r, s)
-    s_up, s_down = gradient(r, s + h_s), gradient(r, s - h_s)
-    return SimpleNamespace(m=mobility(r, s), r=m_r, s=m_s, rr=(r_up[0] - r_down[0]) / (2 * h_r),
-                           rs=(s_up[0] - s_down[0]) / (2 * h_s),
-                           ss=(s_up[1] - s_down[1]) / (2 * h_s))
+    """m(r, s), its gradient (r, s) and Hessian (rr, rs, ss) at (r, s), exact:
+    one second-order forward evaluation (a jet) of the mobility's formula.
+    A derivative that vanishes identically is the float 0.0."""
+    m, (m_r, m_s), (rr, rs, ss) = mobility.fn.jet(r, s)
+    return SimpleNamespace(m=m, r=m_r, s=m_s, rr=rr, rs=rs, ss=ss)
 
 
 class _NewtonSystem:
@@ -624,6 +601,10 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents):
 
     Raises
     ------
+    ValueError
+        When ``k_steps`` is not an integer >= 1, or the mobility is a bare
+        callable rather than a formula (a preset or ``from_expression``),
+        so that its exact derivatives are unknown.
     InfeasibleEndpoints
         When the species masses of the endpoints disagree on some connected
         component of the graph.
@@ -634,6 +615,9 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents):
     """
     if isinstance(k_steps, bool) or not isinstance(k_steps, numbers.Integral) or k_steps < 1:
         raise ValueError(f"k_steps must be an integer >= 1, got {k_steps!r}")
+    if not hasattr(mobility.fn, "jet"):
+        raise ValueError(f"mobility {mobility.name!r} is not a formula, so the solver has no "
+                         "exact derivatives of it; build it with from_expression")
     rho0 = np.asarray(getattr(start, "rho", start), dtype=float)
     rho1 = np.asarray(getattr(end, "rho", end), dtype=float)
     mass0, mass1 = (_row_bincount(graph.component, rho * graph.weights, graph.ground.size)

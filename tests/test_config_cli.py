@@ -341,6 +341,30 @@ def test_cli_rejects_formulas_when_they_are_compiled(tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("expression, message", [
+    ("-r", "<= 0"),  # ran uphill, and diagnose wrote "g_t": Infinity
+    ("r-0.5", "!= 0"),  # raised the energy
+    ("1+r", "!= 0"),  # spun in the integrator
+    ("1", "!= 0"),
+])
+def test_cli_rejects_mobilities_that_fail_validation(tmp_path, capsys, expression, message):
+    cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
+    cfg["mobility"] = {"expression": expression}
+    assert main_cli(["simulate", "--config", _write(tmp_path / "cfg.json", cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: mobility:") and message in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_runs_a_constant_kernel_formula(tmp_path):
+    # a constant formula used to come back 0-d, and simulate died on the
+    # stacked kernel matrices
+    cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
+    cfg["kernels"]["K11"] = {"expression": "1"}
+    assert main_cli(["simulate", "--config", _write(tmp_path / "cfg.json", cfg)]) == 0
+    assert np.array_equal(parse_config(cfg).system.matrices[0], np.ones((2, 2)))
+
+
 def test_project_initial_identity_when_on_vertices():
     base = BaseMeasure(np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
     rho, info = project_initial(np.array([[0.0], [1.0]]), [0.3, 0.7], base)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,19 @@ def test_integrate_step_size_underflow():
     with pytest.raises(StepSizeUnderflow) as err:
         integrate(System(g, kernels, mob, exps), state, 10.0)
     assert err.value.state is not None and err.value.time is not None
+
+
+def test_integrate_stops_when_steps_stop_making_progress():
+    # 1 + r emits mass from an empty vertex: once species 1 empties vertex 2
+    # (t ~ 0.3054) dt stayed near 1e-12, far above DT_MIN, and the run spun
+    from graphflow.mobility import from_expression
+
+    g, kernels, _, exps, state = s1_setup()
+    start = time.perf_counter()
+    with pytest.raises(StepSizeUnderflow) as err:
+        integrate(System(g, kernels, from_expression("1+r"), exps), state, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert 0.3 < err.value.time < 0.31
 
 
 def test_state_validation():

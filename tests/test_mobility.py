@@ -135,6 +135,25 @@ def test_validate_rejects_not_admissible_and_not_positive():
         validate_mobility(Mobility("parabola", lambda r, s: r * (1.0 - r)))
 
 
+def test_validate_rejects_constant_nan_and_negative_formulas():
+    # a constant formula used to come back 0-d, and the check died with an IndexError
+    with pytest.raises(NotUpwindAdmissible):
+        validate_mobility(from_expression("1"))
+    with pytest.raises(NotUpwindAdmissible), np.errstate(invalid="ignore"):
+        validate_mobility(from_expression("sqrt(r - 1)"))  # NaN at r = 0
+    with pytest.raises(NotPositive):
+        validate_mobility(from_expression("-r"))
+
+
+def test_validate_checks_concavity_along_each_variable():
+    with pytest.raises(NotConcave, match=r"between \(0, 4\) and \(4, 4\)"):
+        validate_mobility(from_expression("r^2*(1 + s)"))
+    with pytest.raises(NotConcave, match=r"between \(4, 0\) and \(4, 4\)"):
+        validate_mobility(from_expression("r*(1 + s^2)"))
+    # joint concavity is not checked: r*s is linear in each variable
+    assert validate_mobility(from_expression("r*s")).max_concavity_violation < 1e-10
+
+
 def test_expression_mobility_matches_volume_filling():
     expr = from_expression("r*(1-s)", S=1.0)
     ref = volume_filling(1.0)
@@ -154,7 +173,7 @@ def test_expression_parser_grammar():
 # each formula against the numpy expression it must evaluate, operation for operation
 VALID_FORMULAS = [
     ("r", lambda r, s: r),
-    ("2", lambda r, s: np.asarray(2.0)),
+    ("2", lambda r, s: np.full_like(r, 2.0)),  # a constant has the arguments' shape
     (".5*r", lambda r, s: 0.5 * r),
     ("3.*s", lambda r, s: 3.0 * s),
     ("1.5E+2 - s", lambda r, s: 150.0 - s),
@@ -198,6 +217,96 @@ def test_expression_evaluates_its_numpy_form_bit_for_bit(text, numpy_form):
     assert np.array_equal(got, want, equal_nan=True)
     # a formula never writes into its arguments
     assert np.array_equal(r, before[0]) and np.array_equal(s, before[1])
+
+
+def _hand_jets():
+    """Each formula with its hand-written (r, s, rr, rs, ss) derivatives: one
+    formula per whitelisted node."""
+    def sign(x):
+        return np.where(x < 0, -1.0, 1.0)
+
+    def sqrt_rs(r, s):
+        g = np.sqrt(r * s)
+        return (0.5 * s / g, 0.5 * r / g, -0.25 * s * s / g**3, 0.25 / g, -0.25 * r * r / g**3)
+
+    def power_rs(r, s):
+        v, log = r**s, np.log(r)
+        return (s * r ** (s - 1), v * log, s * (s - 1) * r ** (s - 2),
+                r ** (s - 1) * (1 + s * log), v * log**2)
+
+    def exp_rs(r, s):
+        e = np.exp(r * s)
+        return (e * s, e * r, e * s * s, e * (1 + r * s), e * r * r)
+
+    def min_r_2s(r, s):
+        low = 2 * s < r
+        return (np.where(low, 0.0, 1.0), np.where(low, 2.0, 0.0), 0.0, 0.0, 0.0)
+
+    def max_r_s2_1(r, s):
+        pick = np.argmax(np.stack([r, s * s, np.ones_like(r)]), axis=0)
+        return (1.0 * (pick == 0), 2 * s * (pick == 1), 0.0, 0.0, 2.0 * (pick == 1))
+
+    return [
+        ("r", lambda r, s: (1.0, 0.0, 0.0, 0.0, 0.0)),
+        ("2.5", lambda r, s: (0.0, 0.0, 0.0, 0.0, 0.0)),
+        ("-r*s", lambda r, s: (-s, -r, 0.0, -1.0, 0.0)),
+        ("r + 3*s", lambda r, s: (1.0, 3.0, 0.0, 0.0, 0.0)),
+        ("r - s*s", lambda r, s: (1.0, -2 * s, 0.0, 0.0, -2.0)),
+        ("r/s", lambda r, s: (1 / s, -r / s**2, 0.0, -1 / s**2, 2 * r / s**3)),
+        ("r/(1 + r)", lambda r, s: (1 / (1 + r) ** 2, 0.0, -2 / (1 + r) ** 3, 0.0, 0.0)),
+        ("s/4", lambda r, s: (0.0, 0.25, 0.0, 0.0, 0.0)),
+        ("r^3", lambda r, s: (3 * r**2, 0.0, 6 * r, 0.0, 0.0)),
+        ("r^0.5", lambda r, s: (0.5 / np.sqrt(r), 0.0, -0.25 / r**1.5, 0.0, 0.0)),
+        ("r^s", power_rs),
+        ("2^s", lambda r, s: (0.0, 2**s * np.log(2), 0.0, 0.0, 2**s * np.log(2) ** 2)),
+        ("exp(r*s)", exp_rs),
+        ("sqrt(r*s)", sqrt_rs),
+        ("abs(r - s)", lambda r, s: (sign(r - s), -sign(r - s), 0.0, 0.0, 0.0)),
+        ("min(r, 2*s)", min_r_2s),
+        ("max(r, s^2, 1)", max_r_s2_1),
+        ("min(r)", lambda r, s: (1.0, 0.0, 0.0, 0.0, 0.0)),
+    ]
+
+
+JET_FORMULAS = _hand_jets()
+
+
+@pytest.mark.parametrize("text, derivatives", JET_FORMULAS, ids=[f for f, _ in JET_FORMULAS])
+def test_jet_matches_hand_written_derivatives(text, derivatives):
+    rng = np.random.default_rng(5)
+    r, s = rng.uniform(0.2, 2.5, size=(2, 3, 40))
+    fn = compile_expression(text, ("r", "s"))
+    value, first, second = fn.jet(r, s)
+    assert value.shape == r.shape
+    assert np.array_equal(value, fn(r, s))  # the value as the formula computes it
+    want = derivatives(r, s)
+    for got, expected in zip((*first, *second), want):
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12), text
+        if isinstance(expected, float) and expected == 0.0:
+            assert got == 0.0 and isinstance(got, float)  # a vanishing derivative costs nothing
+
+
+def test_jet_of_one_variable_formulas():
+    fn = compile_expression("d^2 - exp(-d)", ("d",))
+    d = np.linspace(0.5, 2.0, 7)
+    value, (first,), (second,) = fn.jet(d)
+    assert np.array_equal(value, fn(d))
+    assert np.allclose(first, 2 * d + np.exp(-d), rtol=1e-14)
+    assert np.allclose(second, 2 - np.exp(-d), rtol=1e-14)
+
+
+def test_presets_equal_their_numpy_forms_bit_for_bit():
+    rng = np.random.default_rng(6)
+    r, s = rng.uniform(0.0, 3.0, size=(2, 4, 300))
+    r[:, ::9], s[:, ::7] = 0.0, 0.0
+    for cap in (1.0, 0.3, 2.5, 1e-3):
+        s_cap = np.minimum(s, cap)
+        assert np.array_equal(volume_filling(cap)(r, s_cap), r * (cap - s_cap) / cap)
+    assert np.array_equal(linear()(r, s), r)
+    assert np.array_equal(saturating()(r, s), r / (1.0 + r))
+    assert np.array_equal(geometric()(r, s), np.sqrt(r * s))
+    assert np.array_equal(recession(saturating())(r, s), np.zeros_like(r))
+    assert np.array_equal(recession(geometric())(r, s), np.sqrt(r * s))
 
 
 INVALID_FORMULAS = [

@@ -400,15 +400,26 @@ def test_geodesic_profile_constant_for_interior_endpoints():
 
 
 def test_transport_cost_expression_mobility_matches_preset():
-    # the expression path exercises the finite-difference mobility partials
+    # a preset is a formula too, so both give the solver the same exact jets
     from graphflow.mobility import from_expression
 
     g, _, _, exps, _ = s1_setup()
     r0 = np.array([[0.8, 0.2], [0.5, 0.5]])
     r1 = np.array([[0.25, 0.75], [0.5, 0.5]])
-    t_preset, _, _ = transport_cost(g, r0, r1, 16, linear(), BETA, exps)
-    t_expr, _, _ = transport_cost(g, r0, r1, 16, from_expression("r"), BETA, exps)
-    assert t_expr == pytest.approx(t_preset, abs=1e-6)
+    for text, preset in [("r", "linear"), ("r/(1+r)", "saturating")]:
+        t_preset, _, cert_preset = transport_cost(g, r0, r1, 16, PRESETS[preset](), BETA, exps)
+        t_expr, _, cert_expr = transport_cost(g, r0, r1, 16, from_expression(text), BETA, exps)
+        assert t_expr == pytest.approx(t_preset, rel=1e-12), text
+        assert cert_expr.iterations == cert_preset.iterations, text
+
+
+def test_transport_cost_refuses_a_mobility_without_a_formula():
+    from graphflow.mobility import Mobility
+
+    g, _, _, exps, _ = s1_setup()
+    r0 = np.array([[0.8, 0.2], [0.5, 0.5]])
+    with pytest.raises(ValueError, match="not a formula"):
+        transport_cost(g, r0, r0, 4, Mobility("bare", lambda r, s: r), BETA, exps)
 
 
 def test_transport_cost_against_independent_convex_solver():
