@@ -229,7 +229,8 @@ def parse_config(source):
     mobility = _preset_or_expression(section, "mobility", mobility_mod.PRESETS,
                                      mobility_mod.from_expression, thresholds=("R", "S"))
     try:
-        mobility_mod.validate_mobility(mobility)
+        with np.errstate(all="ignore"):  # a NaN value fails the check without a warning
+            mobility_mod.validate_mobility(mobility)
     except (NotUpwindAdmissible, NotPositive, NotConcave) as exc:
         raise SchemaError("mobility", str(exc)) from None
 
