@@ -123,13 +123,10 @@ def _jet_sqrt(u):
     return u.chain(v, f1, -0.5 * f1 / u.v)
 
 
-def _jet_select(ufunc, better):
-    """min or max of two jets, with the derivatives of the argument it selects."""
-    def rule(a, b):
-        take = better(b.v, a.v)
-        pick = lambda x, y: 0.0 if _zero(x) and _zero(y) else np.where(take, y, x)
-        return _Jet(ufunc(a.v, b.v), map(pick, a.d, b.d), {k: pick(a.h[k], b.h[k]) for k in a.h})
-    return rule
+def _jet_select(v, take, a, b):
+    """The jet of min or max with value ``v``: b's derivatives where ``take``, else a's."""
+    pick = lambda x, y: 0.0 if _zero(x) and _zero(y) else np.where(take, y, x)
+    return _Jet(v, map(pick, a.d, b.d), {k: pick(a.h[k], b.h[k]) for k in a.h})
 
 
 _JET_RULES = {
@@ -144,8 +141,8 @@ _JET_RULES = {
     np.sqrt: _jet_sqrt,
     # abs follows the branch u or -u that it takes, u at 0
     np.absolute: lambda u: u.chain(np.absolute(u.v), np.where(u.v < 0, -1.0, 1.0), 0.0),
-    np.minimum: _jet_select(np.minimum, np.less),
-    np.maximum: _jet_select(np.maximum, np.greater),
+    np.minimum: lambda a, b: _jet_select(np.minimum(a.v, b.v), b.v < a.v, a, b),
+    np.maximum: lambda a, b: _jet_select(np.maximum(a.v, b.v), b.v > a.v, a, b),
 }
 
 
