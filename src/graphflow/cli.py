@@ -59,8 +59,22 @@ def _atomic_write(path, text):
         raise
 
 
+def _finite(value):
+    """``value`` with every non-finite float inside it replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    if isinstance(value, (float, np.floating)):
+        return float(value) if np.isfinite(value) else None
+    return value
+
+
 def _write_json(path, payload):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
+    """Strict JSON: a non-finite number is written as null, never as NaN or
+    Infinity, which strict parsers reject; whatever produced it says why."""
+    text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False, default=float)
+    _atomic_write(path, text + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -140,9 +154,9 @@ def _cmd_simulate(args):
     trajectory = dynamics.integrate(
         config.system, config.initial_state, config.time_horizon, config.integrator)
     out = _out_dir(config, args.out)
-    _write_csv(os.path.join(out, "trajectory.csv"), _STATE_HEADER,
-               _species_rows(trajectory.times, trajectory.states,
-                             np.arange(config.system.graph.n_vertices)))
+    _atomic_write(os.path.join(out, "trajectory.csv"),
+                  _species_csv(_STATE_HEADER, trajectory.times, trajectory.states,
+                               np.arange(config.system.graph.n_vertices)))
     summary = _summary_payload(
         config,
         {
@@ -183,26 +197,36 @@ def _cmd_metric(args):
             },
         ),
     )
-    _write_csv(os.path.join(out, "geodesic.csv"), _STATE_HEADER,
-               _species_rows(path.times, path.states, np.arange(graph.n_vertices)))
+    _atomic_write(os.path.join(out, "geodesic.csv"),
+                  _species_csv(_STATE_HEADER, path.times, path.states,
+                               np.arange(graph.n_vertices)))
     src, dst, entry = ordered_edges(graph)
-    _write_csv(
+    _atomic_write(
         os.path.join(out, "geodesic_fluxes.csv"),
-        _FLUX_HEADER,
-        _species_rows(np.arange(path.n_intervals),
-                      np.concatenate([path.fluxes, -path.fluxes], axis=-1)[..., entry], src, dst),
+        _species_csv(_FLUX_HEADER, np.arange(path.n_intervals),
+                     np.concatenate([path.fluxes, -path.fluxes], axis=-1)[..., entry], src, dst),
     )
     print(f"T = {t_value:.6f} (objective {certificate.objective:.6f}); wrote {out}/metric.json")
     return EXIT_OK
 
 
-def _species_rows(index, values, *labels):
-    """CSV rows ``(index[k], species, *(label[m] for label in labels),
-    values[k, species - 1, m])`` of a (K, 2, m) array, in its C order."""
-    count, _, m = values.shape
-    columns = [np.repeat(index, 2 * m), np.tile(np.repeat((1, 2), m), count)]
-    columns += [np.tile(label, 2 * count) for label in labels]
-    return zip(*(column.tolist() for column in columns), values.reshape(-1).tolist())
+def _species_csv(header, index, values, *labels):
+    """The CSV text, byte for byte as ``csv.writer`` writes it, of the header
+    and the rows ``(index[k], species, *(label[m] for label in labels),
+    values[k, species - 1, m])`` of a (K, 2, m) array, in its C order.
+
+    Each index and label is formatted once and each value by ``repr``, as
+    ``csv.writer`` formats a float; lines end in ``\\r\\n``.  The text is
+    joined from one chunk per index and species.
+    """
+    keys = [",".join(key) for key in zip(*(map(str, np.asarray(label).tolist())
+                                          for label in labels))]
+    index = np.asarray(index).tolist()
+    chunks = [",".join(header) + "\r\n"]
+    for block, row in enumerate(values.reshape(-1, values.shape[-1]).tolist()):
+        lead = f"{index[block // 2]},{block % 2 + 1},"
+        chunks.append("".join([f"{lead}{key},{value!r}\r\n" for key, value in zip(keys, row)]))
+    return "".join(chunks)
 
 
 def _read_table(path, columns):
@@ -364,6 +388,9 @@ def _cmd_diagnose(args):
         list(report.series),
     )
     print(f"G_T = {report.g_t:.6e}; wrote {out}/de_giorgi.json and {out}/diagnostics.csv")
+    if not np.isfinite(report.g_t):
+        print(f"numerical failure: the De Giorgi functional G_T is {report.g_t}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

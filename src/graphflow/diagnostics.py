@@ -22,7 +22,7 @@ from scipy import sparse
 from . import transport
 from .dynamics import SpeciesPairState, integrate, upwind_flux
 from .errors import MassMismatch
-from .graph import Exponents, build_graph, nonlocal_divergence, nonlocal_gradient
+from .graph import Exponents, build_graph, link_ends, nonlocal_divergence, nonlocal_gradient
 from .kernels import (
     System,
     build_kernel_set,
@@ -32,7 +32,7 @@ from .kernels import (
     potentials,
     zero,
 )
-from .mobility import linear
+from .mobility import cost_density, dual_density, flux_law, linear, outside_box, velocity_law
 
 __all__ = [
     "dissipation",
@@ -68,22 +68,53 @@ class DeGiorgiReport:
 
 
 def _state_terms(system, trajectory, k):
-    """Energy, descent velocities and flux of state k, from one potentials evaluation.
+    """Energy, beta-scaled descent velocities and flux of state k, with the
+    mobility at its links in both orientations and its links outside the box.
 
-    Trajectories from :func:`graphflow.dynamics.integrate` store no fluxes,
-    so the flux is the gradient-flow flux law at the state, bit for bit the
-    flux the integrator's right-hand side used there; hand-built curves
+    One potentials evaluation gives the energy (the trajectory's stored
+    energies are not read) and the velocities.  One gather gives the
+    densities at both ends of every link, and the mobility is evaluated once
+    per orientation, ``fwd`` = m(rho_lo, rho_hi) and ``bwd`` = m(rho_hi,
+    rho_lo); the flux, the dissipation and the action all take these
+    values.  Trajectories from :func:`graphflow.dynamics.integrate` store no
+    fluxes, so the flux is the gradient-flow flux law at the state, bit for
+    bit the flux the integrator's right-hand side used there; a state
+    outside its box leaves it to :func:`~graphflow.dynamics.upwind_flux`,
+    which takes the mobility at the clipped densities.  Hand-built curves
     (e.g. non-gradient perturbations) supply ``node_fluxes`` themselves.
+    ``outside`` holds the masks of :func:`~graphflow.mobility.outside_box`
+    for both orientations, None for a state inside its box.
     """
+    graph, mobility = system.graph, system.mobility
     rho = trajectory.states[k]
     phi = potentials(system, rho)
-    velocities = descent_velocities(system.graph, phi)
+    inside = rho.min() >= 0 and rho.max() <= mobility.threshold_cap
+    r_lo, r_hi = link_ends(graph, rho)
+    link_mobility = mobility(r_lo, r_hi), mobility(r_hi, r_lo)
+    outside = (None, None) if inside else (outside_box(r_lo, r_hi, mobility),
+                                           outside_box(r_hi, r_lo, mobility))
+    del r_lo, r_hi  # the state's terms need only the values and masks above
+    velocities = descent_velocities(graph, phi)
     node_fluxes = getattr(trajectory, "node_fluxes", None)
-    if node_fluxes is None:
+    flux = None if node_fluxes is None else np.asarray(node_fluxes[k], dtype=float)
+    if flux is None and not inside:
         flux = upwind_flux(system, rho, velocities)
-    else:
-        flux = np.asarray(node_fluxes[k], dtype=float)
-    return energy_from_potentials(system.graph, phi, rho), velocities, flux
+    scaled = np.multiply(velocities, system.kernels.beta[:, None], out=velocities)
+    if flux is None:
+        flux = flux_law(scaled, *link_mobility, system.exponents)
+    return energy_from_potentials(graph, phi, rho), scaled, flux, link_mobility, outside
+
+
+def _de_giorgi_terms(system, trajectory, k):
+    """Energy, dissipation and action of state k, by the kernels of
+    :func:`~graphflow.transport.dual_action` and
+    :func:`~graphflow.transport.action` on the state's shared link terms."""
+    graph, beta, exponents = system.graph, system.kernels.beta, system.exponents
+    energy, scaled, flux, (fwd, bwd), outside = _state_terms(system, trajectory, k)
+    diss = transport.link_total(graph, dual_density(scaled, fwd, bwd, exponents), beta)
+    terms = cost_density(flux, fwd, exponents, outside[0])
+    terms += cost_density(-flux, bwd, exponents, outside[1])
+    return energy, diss.total, transport.link_total(graph, terms, beta).total
 
 
 def de_giorgi(system, trajectory):
@@ -92,25 +123,19 @@ def de_giorgi(system, trajectory):
     The residual budget is roughly 10x the integrator tolerance times the
     horizon plus an O(max_dt^2) quadrature term, so cap the step size when a
     tight certificate is needed (the acceptance runs use max_dt = 1/128).
-    Each state's potentials are computed once: they give its energy (the
-    trajectory's stored energies are not read) and its descent velocities,
-    which feed both its dissipation and, when the trajectory stores no
-    fluxes, its gradient-flow flux; every term is evaluated once per link.
+    Each state is evaluated once (:func:`_state_terms`): its potentials give
+    its energy and descent velocities, and one mobility evaluation per link
+    and orientation feeds its flux, its dissipation (the dual action of the
+    scaled velocities) and the action of its flux.
     """
-    graph, beta = system.graph, system.kernels.beta
-    mobility, exponents = system.mobility, system.exponents
     times = trajectory.times
     energies = np.empty(len(times))
     diss = np.empty(len(times))
     act = np.empty(len(times))
     for k in range(len(times)):
-        rho = trajectory.states[k]
-        energies[k], velocities, flux = _state_terms(system, trajectory, k)
-        diss[k] = transport.dual_action(graph, rho, beta[:, None] * velocities, mobility, beta,
-                                        exponents).total
-        act[k] = transport.action(graph, rho, flux, mobility, beta, exponents).total
-    q = exponents.q
-    p = exponents.p
+        energies[k], diss[k], act[k] = _de_giorgi_terms(system, trajectory, k)
+    q = system.exponents.q
+    p = system.exponents.p
     diss_integral = float(np.trapezoid(diss / q, times))
     vel_integral = float(np.trapezoid(act / p, times))
     e0 = float(energies[0])
@@ -129,27 +154,31 @@ def de_giorgi(system, trajectory):
     )
 
 
+def _chain_rule_terms(system, trajectory, k):
+    """Energy of state k and the velocity-side pairing of its flux with its
+    ascent direction, by the kernels of
+    :func:`~graphflow.transport.pairing_l_tilde` on its shared link terms."""
+    graph, beta, exponents = system.graph, system.kernels.beta, system.exponents
+    energy, scaled, flux, link_mobility, _ = _state_terms(system, trajectory, k)
+    vel = velocity_law(flux, *link_mobility, exponents)
+    kernel = flux_law(vel, *link_mobility, exponents)
+    return energy, transport.link_total(graph, np.negative(scaled) * kernel, beta).total
+
+
 def chain_rule_residual(system, trajectory):
     """Max over subintervals of |E(t) - E(s) - int_s^t l~(v)[beta grad dE]|.
 
     Velocities are recovered from the trajectory's fluxes by the dual
     representation; along gradient flows the integrand equals -D(rho).  The
     energies, like those of :func:`de_giorgi`, come from each state's
-    potentials, not from the trajectory's stored energies.
+    potentials, not from the trajectory's stored energies, and each state's
+    mobility is evaluated once per link and orientation.
     """
-    graph, beta = system.graph, system.kernels.beta
-    mobility, exponents = system.mobility, system.exponents
     times = trajectory.times
     energies = np.empty(len(times))
     integrand = np.empty(len(times))
     for k in range(len(times)):
-        rho = trajectory.states[k]
-        energies[k], velocities, flux = _state_terms(system, trajectory, k)
-        vel = transport.velocity_from_flux(graph, rho, flux, mobility, exponents)
-        ascent = -beta[:, None] * velocities
-        integrand[k] = transport.pairing_l_tilde(
-            graph, rho, vel, ascent, mobility, beta, exponents
-        )
+        energies[k], integrand[k] = _chain_rule_terms(system, trajectory, k)
     cumulative = np.concatenate(
         [[0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(times))]
     )

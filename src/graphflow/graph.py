@@ -106,7 +106,10 @@ class FiniteGraph:
     a link field with value ``a`` on (lo, hi), ``eta mu_hi a`` at ``lo``
     (``link_div_lo``) and ``-eta mu_lo a`` at ``hi`` (``link_div_hi``), and
     ``link_divergence``, the (n, links) CSR matrix of them, each row's
-    entries in link order.
+    entries in link order; and ``lo_counts``, the number of links at each
+    vertex as their ``lo`` end when the links are sorted by ``lo``, as
+    :func:`build_graph` makes them (None otherwise), which lets
+    :func:`link_ends` repeat values instead of gathering them.
 
     ``component`` labels the connected components in order of their lowest
     vertex, which ``ground`` holds, one per component; the divergence
@@ -121,6 +124,7 @@ class FiniteGraph:
     link_div_lo: np.ndarray = field(init=False, repr=False, compare=False)
     link_div_hi: np.ndarray = field(init=False, repr=False, compare=False)
     link_divergence: sparse.csr_matrix = field(init=False, repr=False, compare=False)
+    lo_counts: np.ndarray = field(init=False, repr=False, compare=False)
     component: np.ndarray = field(init=False, repr=False, compare=False)
     ground: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -142,6 +146,7 @@ class FiniteGraph:
             "link_div_lo": div_lo,
             "link_div_hi": div_hi,
             "link_divergence": divergence,
+            "lo_counts": np.bincount(lo, minlength=n) if np.all(lo[1:] >= lo[:-1]) else None,
             "component": component,
             "ground": np.unique(component, return_index=True)[1],
         }
@@ -305,16 +310,30 @@ def check_assumptions(graph, exponents):
     return AssumptionReport(c_mu, c_eta, c_eta_prime, profile, graph.n_vertices, 2 * graph.n_links)
 
 
+def link_ends(graph, values):
+    """The values of a node field at the ``lo`` and at the ``hi`` end of every link.
+
+    Takes one node field (n,) or a species pair (2, n) and returns two new
+    (links,) or (2, links) arrays.  Links sorted by ``lo`` take their ``lo``
+    values by repeating each vertex's value once per link, a cheaper pass
+    than the gather that other link orders need.
+    """
+    values = graph.check_node_field(values, pair=np.ndim(values) == 2)
+    if graph.lo_counts is None:
+        at_lo = np.take(values, graph.link_lo, axis=-1)
+    else:
+        at_lo = np.repeat(values, graph.lo_counts, axis=-1)
+    return at_lo, np.take(values, graph.link_hi, axis=-1)
+
+
 def nonlocal_gradient(graph, phi):
     """Link difference phi(hi) - phi(lo): the gradient on the edge (lo, hi).
 
     Takes one node field (n,) or a species pair (2, n) and returns (links,)
     or (2, links); each row equals the call on that row alone.
     """
-    phi = graph.check_node_field(phi, pair=np.ndim(phi) == 2)
-    grad = np.take(phi, graph.link_hi, axis=-1)
-    grad -= np.take(phi, graph.link_lo, axis=-1)
-    return grad
+    at_lo, at_hi = link_ends(graph, phi)
+    return np.subtract(at_hi, at_lo, out=at_hi)
 
 
 def nonlocal_divergence(graph, j):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SemanticError
 from .expressions import compile_expression
-from .graph import Exponents, FiniteGraph, nonlocal_gradient
+from .graph import Exponents, FiniteGraph, link_ends
 
 _SYMMETRY_TOL = 1e-9
 
@@ -228,5 +228,5 @@ def energy_from_potentials(graph, phi, rho_pair):
 def descent_velocities(graph, phi):
     """Descent velocities -grad phi of the (2, n) potentials ``phi``, (2, links):
     phi(lo) - phi(hi) on every edge (lo, hi)."""
-    grad = nonlocal_gradient(graph, phi)
-    return np.negative(grad, out=grad)
+    at_lo, at_hi = link_ends(graph, phi)
+    return np.subtract(at_lo, at_hi, out=at_lo)

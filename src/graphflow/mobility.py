@@ -56,7 +56,7 @@ class Mobility:
 
     @property
     def bounded(self):
-        return np.isfinite(self.threshold_cap)
+        return bool(np.isfinite(self.threshold_cap))
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,17 @@ def positive_part(x):
     return np.maximum(np.asarray(x, dtype=float), 0.0)
 
 
+def outside_box(r, s, mobility):
+    """Where the density pairs (r, s) lie outside [0, R] x [0, S], or None
+    when every pair lies inside: four reductions tell that common case
+    apart without forming the mask."""
+    R, S = mobility.R, mobility.S
+    if (r.min(initial=np.inf) >= 0 and s.min(initial=np.inf) >= 0
+            and r.max(initial=-np.inf) <= R and s.max(initial=-np.inf) <= S):
+        return None
+    return (r < 0) | (s < 0) | (r > R) | (s > S)
+
+
 def alpha_density(j, r, s, mobility, exponents):
     """Upwind cost density (j_+)^p / m(r,s)^(p-1) as an extended real.
 
@@ -137,54 +148,98 @@ def alpha_density(j, r, s, mobility, exponents):
     is inf; 0/0 = 0 and a/0 = inf for a > 0.  Inputs broadcast.  The
     mobility is evaluated on the whole array, with the arguments clipped
     into the box when some point lies outside it (clipping leaves every
-    point inside unchanged); the cases are then written into the ratio's
-    buffer in place.
+    point inside unchanged), and :func:`cost_density` applies the
+    conventions.  The outside-box mask is formed, and each convention mask
+    written, only where it can change a value.
     """
     j, r, s = (np.asarray(x, dtype=float) for x in (j, r, s))
     scalar = j.ndim == r.ndim == s.ndim == 0
     # a scalar is evaluated as a one-element array, by the same array loops
     j, r, s = np.broadcast_arrays(np.atleast_1d(j), r, s)
-    p = exponents.p
-    outside = (r < 0) | (s < 0) | (r > mobility.R) | (s > mobility.S)
-    jp = positive_part(j)
-    if np.any(outside):
+    outside = outside_box(r, s, mobility)
+    if outside is not None and np.any(outside):
         r, s = np.clip(r, 0.0, mobility.R), np.clip(s, 0.0, mobility.S)
-    m_vals = mobility(r, s)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = jp**p
-        out /= m_vals if p == 2.0 else m_vals ** (p - 1.0)
-    # an undefined mobility value carries no cost, a/0 = inf for a > 0 (m <= 0)
-    np.copyto(out, 0.0, where=~(m_vals > 0))
-    np.copyto(out, np.inf, where=m_vals <= 0)
-    np.copyto(out, 0.0, where=~(jp > 0))
-    np.copyto(out, np.inf, where=outside)
+    out = cost_density(j, mobility(r, s), exponents, outside)
     return float(out[0]) if scalar else out
 
 
-def flux_law(w, r, s, mobility, exponents):
+def cost_density(j, m, exponents, outside=None):
+    """The cost density (j_+)^p / m^(p-1) of fluxes ``j`` at mobility values
+    ``m`` of their shape, with the conventions of :func:`alpha_density`.
+
+    An undefined mobility value (NaN) carries no cost, a/0 = inf for a > 0
+    (m <= 0 counts as 0), 0/0 = 0, and the value is inf wherever the mask
+    ``outside`` (or None) holds.  The convention masks are written into the
+    ratio's buffer only when one can change a value: with every m > 0 and no
+    NaN in the ratio, 0/m^(p-1) is already 0 and no other case occurs.
+    """
+    p = exponents.p
+    out = positive_part(j)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out **= p
+        out /= m if p == 2.0 else m ** (p - 1.0)
+    if not (m.min(initial=np.inf) > 0 and not np.isnan(out.max(initial=-np.inf))):
+        np.copyto(out, 0.0, where=~(m > 0))
+        np.copyto(out, np.inf, where=m <= 0)
+        np.copyto(out, 0.0, where=~(j > 0))  # j_+ = 0, or j is NaN
+    if outside is not None:
+        np.copyto(out, np.inf, where=outside)
+    return out
+
+
+def dual_density(v, fwd, bwd, exponents):
+    """Velocity-form cost density m_up |v|^q of velocities ``v``, with m_up
+    the mobility in the direction each points: ``fwd`` = m(r, s) where
+    v > 0, else ``bwd`` = m(s, r).
+
+    The value is 0 where v = 0 or m_up <= 0: a vanishing mobility carries
+    neither flux nor cost.  That mask is written only when it can change a
+    value: with every m_up > 0 and no NaN in the product, 0 |v|^q is
+    already 0.
+    """
+    vals = np.abs(v)
+    vals **= exponents.q
+    m_up = np.where(v > 0, fwd, bwd)
+    vals *= m_up
+    if not (m_up.min(initial=np.inf) > 0 and not np.isnan(vals.max(initial=-np.inf))):
+        np.copyto(vals, 0.0, where=~(np.abs(v) > 0) | (m_up <= 0))
+    return vals
+
+
+def flux_law(w, fwd, bwd, exponents):
     """Upwind flux m(r,s) (w_+)^(q-1) - m(s,r) (w_-)^(q-1), elementwise.
 
-    ``w`` is the edge velocity and ``r``, ``s`` the densities at the source
-    and destination of each edge, for one species or a stacked pair; inputs
-    broadcast.  This is the Legendre dual of :func:`alpha_density`: the flux
-    whose action equals its pairing with w.  The parts are formed in place,
-    the power only when q - 1 != 1, and the difference goes into the buffer
-    of the positive part whenever that has the broadcast shape.
+    ``w`` is the edge velocity, and ``fwd`` = m(r, s) and ``bwd`` = m(s, r)
+    the mobility at the densities r, s at the source and destination of
+    each edge, for one species or a stacked pair; inputs broadcast.  This is
+    the Legendre dual of :func:`alpha_density`: the flux whose action equals
+    its pairing with w.  The parts are formed in place, the power only when
+    q - 1 != 1, and the difference goes into the buffer of the positive part
+    whenever that has the broadcast shape.
     """
     qm1 = exponents.q - 1.0
     w = np.asarray(w, dtype=float)
-    fwd = mobility(r, s)
-    bwd = mobility(s, r)
     up = positive_part(w)
     down = np.negative(w)
     down = np.maximum(down, 0.0, out=down if w.ndim else None)
     if qm1 != 1.0:
         up **= qm1
         down **= qm1
-    in_place = w.ndim > 0 and w.shape == np.broadcast_shapes(w.shape, fwd.shape, bwd.shape)
+    in_place = w.ndim > 0 and w.shape == np.broadcast_shapes(w.shape, np.shape(fwd),
+                                                              np.shape(bwd))
     buffers = (up, down) if in_place else (None, None)
     out = np.multiply(up, fwd, out=buffers[0])
     return np.subtract(out, np.multiply(down, bwd, out=buffers[1]), out=buffers[0])
+
+
+def velocity_law(j, fwd, bwd, exponents):
+    """Inverse of :func:`flux_law`: the velocity (j/fwd)^(p-1) where j > 0,
+    -(-j/bwd)^(p-1) where j < 0, and 0 where the upwind mobility vanishes."""
+    pm1 = exponents.p - 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        up = (j / fwd) ** pm1
+        down = -((-j / bwd) ** pm1)
+    return np.where((j > 0) & (fwd > 0), up, np.where((j < 0) & (bwd > 0), down, 0.0))
 
 
 def recession(mobility):

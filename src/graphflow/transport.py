@@ -25,8 +25,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import InfeasibleEndpoints, InfiniteAction, NotConverged
-from .graph import nonlocal_divergence
-from .mobility import alpha_density, flux_law
+from .graph import link_ends, nonlocal_divergence
+from .mobility import alpha_density, dual_density, flux_law, velocity_law
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,11 @@ class ActionValue:
     per_species: tuple
 
 
-def _link_densities(graph, rho_pair):
-    """Densities at the ``lo`` and ``hi`` end of every link for both species, (2, links) each."""
-    rho_pair = np.asarray(rho_pair, dtype=float)
-    return np.take(rho_pair, graph.link_lo, axis=1), np.take(rho_pair, graph.link_hi, axis=1)
-
-
-def _action_value(bare, beta):
-    """ActionValue of per-species sums (2,) divided by beta."""
-    parts = bare / np.asarray(beta, dtype=float)
+def link_total(graph, terms, beta):
+    """ActionValue of per-link terms (2, links): their sums weighted by
+    eta mu_lo mu_hi, divided by beta.  ``terms`` is scaled in place."""
+    terms *= graph.link_weight
+    parts = np.sum(terms, axis=1) / np.asarray(beta, dtype=float)
     return ActionValue(total=float(parts[0] + parts[1]),
                        per_species=(float(parts[0]), float(parts[1])))
 
@@ -54,50 +50,40 @@ def action(graph, rho_pair, flux_pair, mobility, beta, exponents):
     """Two-species upwind action of the (2, links) fluxes; infinity encodes
     infeasibility, not an error."""
     flux_pair = graph.check_link_field(flux_pair, pair=True)
-    r_lo, r_hi = _link_densities(graph, rho_pair)
+    r_lo, r_hi = link_ends(graph, rho_pair)
     terms = alpha_density(flux_pair, r_lo, r_hi, mobility, exponents)
     terms += alpha_density(-flux_pair, r_hi, r_lo, mobility, exponents)
-    terms *= graph.link_weight
-    return _action_value(np.sum(terms, axis=1), beta)
+    return link_total(graph, terms, beta)
 
 
 def dual_action(graph, rho_pair, velocity_pair, mobility, beta, exponents):
     """Action in velocity form, sum_i (1/beta_i) sum m(rho_up, rho_down) |v|^q eta mu mu.
 
     Only the orientation a link's velocity points along has a positive part,
-    so the mobility is evaluated once per link, upwind; equals ``action`` of
-    :func:`flux_from_velocity` of the same velocities.
+    so each link is charged once, through the mobility upwind
+    (:func:`~graphflow.mobility.dual_density`); equals ``action`` of
+    :func:`flux_from_velocity` of the same velocities.  A link with zero
+    velocity or a mobility <= 0 upwind costs 0, and that mask is written
+    only where it can change a value.
     """
     v = graph.check_link_field(velocity_pair, pair=True)
-    r_lo, r_hi = _link_densities(graph, rho_pair)
-    forward = v > 0
-    m_up = mobility(np.where(forward, r_lo, r_hi), np.where(forward, r_hi, r_lo))
-    speed = np.abs(v)
-    vals = speed**exponents.q
-    vals *= m_up
-    # m = 0 with a positive speed carries zero flux and zero cost in velocity form
-    np.copyto(vals, 0.0, where=~(speed > 0) | (m_up <= 0))
-    vals *= graph.link_weight
-    return _action_value(np.sum(vals, axis=1), beta)
+    r_lo, r_hi = link_ends(graph, rho_pair)
+    vals = dual_density(v, mobility(r_lo, r_hi), mobility(r_hi, r_lo), exponents)
+    return link_total(graph, vals, beta)
 
 
 def flux_from_velocity(graph, rho_pair, velocity_pair, mobility, exponents):
     """Dual representation: j = m(rho_lo, rho_hi) (v_+)^(q-1) - m(rho_hi, rho_lo) (v_-)^(q-1)."""
     v = graph.check_link_field(velocity_pair, pair=True)
-    return flux_law(v, *_link_densities(graph, rho_pair), mobility, exponents)
+    r_lo, r_hi = link_ends(graph, rho_pair)
+    return flux_law(v, mobility(r_lo, r_hi), mobility(r_hi, r_lo), exponents)
 
 
 def velocity_from_flux(graph, rho_pair, flux_pair, mobility, exponents):
     """Invert the dual representation; links with vanishing upwind mobility carry v = 0."""
     j = graph.check_link_field(flux_pair, pair=True)
-    r_lo, r_hi = _link_densities(graph, rho_pair)
-    m_fwd = mobility(r_lo, r_hi)
-    m_bwd = mobility(r_hi, r_lo)
-    pm1 = exponents.p - 1.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        up = (j / m_fwd) ** pm1
-        down = -((-j / m_bwd) ** pm1)
-    return np.where((j > 0) & (m_fwd > 0), up, np.where((j < 0) & (m_bwd > 0), down, 0.0))
+    r_lo, r_hi = link_ends(graph, rho_pair)
+    return velocity_law(j, mobility(r_lo, r_hi), mobility(r_hi, r_lo), exponents)
 
 
 def pairing_l(graph, rho_pair, flux_pair, other_flux_pair, mobility, beta, exponents):
@@ -112,15 +98,14 @@ def pairing_l(graph, rho_pair, flux_pair, other_flux_pair, mobility, beta, expon
         if not np.isfinite(action(graph, rho_pair, pair, mobility, beta, exponents).total):
             raise InfiniteAction("pairing requires fluxes of finite action")
     velocity = velocity_from_flux(graph, rho_pair, flux_pair, mobility, exponents)
-    return _action_value(np.sum(other_flux_pair * velocity * graph.link_weight, axis=1),
-                         beta).total
+    return link_total(graph, other_flux_pair * velocity, beta).total
 
 
 def pairing_l_tilde(graph, rho_pair, velocity_pair, other_velocity_pair, mobility, beta, exponents):
     """Velocity-side pairing; linear in the second slot, diagonal equals the dual action."""
     vbar = graph.check_link_field(other_velocity_pair, pair=True)
     kernel = flux_from_velocity(graph, rho_pair, velocity_pair, mobility, exponents)
-    return _action_value(np.sum(vbar * kernel * graph.link_weight, axis=1), beta).total
+    return link_total(graph, vbar * kernel, beta).total
 
 
 def minkowski_norm(graph, rho_pair, flux_pair, mobility, beta, exponents):

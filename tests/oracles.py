@@ -240,7 +240,8 @@ def _ordered_edge_state(system, trajectory, k):
     cap = mobility.threshold_cap
     rho_box = np.clip(rho, 0.0, cap if np.isfinite(cap) else None)
     scaled = system.kernels.beta[:, None] * velocities
-    return velocities, flux_law(scaled, rho_box[:, src], rho_box[:, dst], mobility,
+    r_src, r_dst = rho_box[:, src], rho_box[:, dst]
+    return velocities, flux_law(scaled, mobility(r_src, r_dst), mobility(r_dst, r_src),
                                 system.exponents)
 
 
@@ -285,7 +286,7 @@ def chain_rule_residual_ordered_edges(system, trajectory):
         with np.errstate(divide="ignore", invalid="ignore"):
             vel = np.where((flux > 0) & (m_fwd > 0), (flux / m_fwd) ** pm1,
                            np.where((flux < 0) & (m_bwd > 0), -((-flux / m_bwd) ** pm1), 0.0))
-        kernel = flux_law(vel, r_src, r_dst, mobility, exponents)
+        kernel = flux_law(vel, m_fwd, m_bwd, exponents)
         ascent = -beta[:, None] * velocities
         integrand.append(float(np.sum(0.5 * np.sum(ascent * kernel * weight, axis=1) / beta)))
     integrand = np.array(integrand)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import re
@@ -5,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from graphflow.cli import _read_states_csv, main_cli
+from graphflow import cli, diagnostics
+from graphflow.cli import _read_states_csv, _species_csv, main_cli
 from graphflow.config import (
     RefinementPlan,
     emit_config,
@@ -1046,3 +1049,81 @@ def test_cli_trajectory_csv_round_trip(tmp_path):
     expected = trajectory.states.copy()
     expected[1, 1, 1] = 0.0
     assert np.array_equal(states, expected)
+
+
+def _csv_writer_text(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def test_species_csv_is_byte_for_byte_csv_writer_text():
+    # numbers whose repr is long or unusual, formatted as csv.writer does
+    times = np.array([0.0, 0.1 + 0.2, 5e-324, 1e22])
+    values = np.array([0.1 + 0.2, 5e-324, -0.0, 1 / 3, 1e-300, np.inf, -np.inf, np.nan])
+    values = np.resize(values, (4, 2, 3))
+    rows = [(t, i + 1, m, values[k, i, m]) for k, t in enumerate(times.tolist())
+            for i in range(2) for m in range(3)]
+    got = _species_csv(("t", "species", "vertex", "density"), times, values, np.arange(3))
+    assert got == _csv_writer_text(("t", "species", "vertex", "density"), rows)
+    src, dst = np.array([0, 2, 1]), np.array([2, 0, 1])
+    rows = [(k, i + 1, src[m], dst[m], values[k, i, m]) for k in range(4)
+            for i in range(2) for m in range(3)]
+    header = ("interval", "species", "src", "dst", "flux")
+    assert _species_csv(header, np.arange(4), values, src, dst) == _csv_writer_text(header, rows)
+
+
+def test_cli_trajectory_csv_bytes_equal_csv_writer_rows(tmp_path):
+    cfg = s1_config(t_final=0.25, out_dir=str(tmp_path / "out"))
+    cfg["integrator"] = {"max_dt": 0.05}
+    config, trajectory = _simulated_states(tmp_path, cfg)
+    n = config.system.graph.n_vertices
+    rows = [(t, i + 1, m, trajectory.states[k, i, m])
+            for k, t in enumerate(trajectory.times.tolist()) for i in range(2) for m in range(n)]
+    with open(tmp_path / "out" / "trajectory.csv", newline="", encoding="utf-8") as handle:
+        assert handle.read() == _csv_writer_text(("t", "species", "vertex", "density"), rows)
+
+
+def _no_constants(name):
+    raise AssertionError(f"non-strict JSON constant {name}")
+
+
+def test_cli_refine_writes_strict_json(tmp_path):
+    # level 0 has no previous level, so its W1 gap is not a number: null
+    cfg = _refine_config()
+    cfg["output_dir"] = str(tmp_path / "out")
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    plan_path = _write(tmp_path / "plan.json", {
+        "density": {"name": "gaussian", "params": {"sigma": 0.4}},
+        "ladder": [4, 8], "initial_atoms": 16})
+    assert main_cli(["refine", "--plan", plan_path, "--config", cfg_path]) == 0
+    text = (tmp_path / "out" / "refinement.json").read_text()
+    report = json.loads(text, parse_constant=_no_constants)
+    assert report["levels"][0]["w1_gap_from_previous"] is None
+    assert isinstance(report["levels"][1]["w1_gap_from_previous"], float)
+
+
+def test_cli_diagnose_exits_2_on_a_non_finite_residual(tmp_path, capsys, monkeypatch):
+    cfg = s1_config(t_final=0.25, out_dir=str(tmp_path / "out"))
+    cfg["integrator"] = {"max_dt": 0.05}
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    assert main_cli(["simulate", "--config", cfg_path]) == 0
+    de_giorgi = diagnostics.de_giorgi
+
+    def infinite(system, trajectory):
+        report = de_giorgi(system, trajectory)
+        return diagnostics.DeGiorgiReport(report.energy_start, report.energy_end, np.inf,
+                                          report.velocity_integral, np.inf, report.series)
+
+    monkeypatch.setattr(cli.diagnostics, "de_giorgi", infinite)
+    capsys.readouterr()
+    args = ["diagnose", "--trajectory", str(tmp_path / "out" / "trajectory.csv"),
+            "--config", cfg_path]
+    assert main_cli(args) == 2
+    assert "G_T is inf" in capsys.readouterr().err
+    text = (tmp_path / "out" / "de_giorgi.json").read_text()
+    report = json.loads(text, parse_constant=_no_constants)
+    assert report["g_t"] is None and report["dissipation_integral"] is None
+    assert isinstance(report["energy_end"], float)

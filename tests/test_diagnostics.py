@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from graphflow import diagnostics
+from graphflow import diagnostics, transport
 from graphflow.diagnostics import (
     chain_rule_residual,
     de_giorgi,
@@ -17,7 +17,8 @@ from graphflow.diagnostics import (
 from graphflow.dynamics import IntegratorOptions, Trajectory, integrate, upwind_flux
 from graphflow.errors import MassMismatch
 from graphflow.graph import Exponents
-from graphflow.kernels import System, build_kernel_set, energy, zero
+from graphflow.kernels import System, build_kernel_set, descent_velocities, energy, potentials, zero
+from graphflow.mobility import PRESETS
 from graphflow.scenarios import random_geometric_setup, s1_setup
 
 from oracles import (
@@ -299,3 +300,49 @@ def test_chain_rule_holds_along_non_gradient_curves(p):
 def test_property_harness_decoupling_suite():
     report = property_harness("decoupling", seed=1, n_samples=3)
     assert report.passed, report.failures[:1]
+
+
+def _public_terms(system, rho, flux):
+    """Dissipation, action and chain-rule integrand of one state by the public
+    transport functions, each gathering the state and evaluating the mobility
+    itself."""
+    g, beta, mob, exps = system.graph, system.kernels.beta, system.mobility, system.exponents
+    ascent = -beta[:, None] * descent_velocities(g, potentials(system, rho))
+    vel = transport.velocity_from_flux(g, rho, flux, mob, exps)
+    return (dissipation(system, rho), transport.action(g, rho, flux, mob, beta, exps).total,
+            transport.pairing_l_tilde(g, rho, vel, ascent, mob, beta, exps))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+@pytest.mark.parametrize("mobility_name", ["linear", "volume_filling", "geometric"])
+def test_shared_state_terms_equal_the_public_kernels(p, mobility_name):
+    # de_giorgi and chain_rule_residual gather each state once and share its
+    # link mobilities: bit for bit the public calls, for states inside their
+    # box, with an empty vertex, and outside it within the flux law's slack
+    # (whose flux takes the clipped densities), and for a curve with its own
+    # fluxes outside the box (infinite action)
+    g, kernels, _, exps, state = random_geometric_setup(seed=3, n=9, p=p)
+    system = System(g, kernels, PRESETS[mobility_name](), exps)
+    rho = 0.5 * state.rho / np.max(state.rho)
+    states = np.array([rho.copy() for _ in range(4)])
+    states[1][:, 2] = 0.0
+    states[2][0, 3] = -1e-9
+    states[3][1, 4] = 1.0 + 1e-9
+    times = np.linspace(0.0, 0.3, 4)
+    own = np.random.default_rng(2).normal(size=(4, 2, g.n_links))
+    for traj in (Trajectory(times=times, states=states, energies=None),
+                 Trajectory(times=times, states=states - 0.05, energies=None, node_fluxes=own)):
+        integrand = []
+        with np.errstate(invalid="ignore"):  # the geometric mean of a negative entry
+            report = de_giorgi(system, traj)
+            for k, rho in enumerate(traj.states):
+                flux = upwind_flux(system, rho) if traj.node_fluxes is None else own[k]
+                diss, act, pairing = _public_terms(system, rho, flux)
+                assert np.array_equal(report.series[k][2:], (diss, act), equal_nan=True)
+                integrand.append(pairing)
+            got = chain_rule_residual(system, traj)
+        energies = [energy(system, rho) for rho in traj.states]
+        steps = 0.5 * (np.array(integrand[1:]) + integrand[:-1]) * np.diff(times)
+        defect = energies - np.concatenate([[0.0], np.cumsum(steps)])
+        assert got == float(np.max(defect) - np.min(defect)) or np.isnan(got)
+    assert not np.isfinite(report.g_t)

@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from graphflow import dynamics
 from graphflow.dynamics import (
     IntegratorOptions,
     SpeciesPairState,
@@ -322,3 +323,19 @@ def test_integrate_rejects_a_horizon_that_is_not_finite_and_positive(t_final):
     g, kernels, mob, exps, state = s1_setup()
     with pytest.raises(ValueError, match="t_final"):
         integrate(System(g, kernels, mob, exps), state, t_final)
+
+
+@pytest.mark.parametrize("mobility_name", ["linear", "volume_filling"])
+def test_integrate_reuses_the_last_stage_of_each_step(mobility_name, monkeypatch):
+    # first same as last: one rate at the start, then six per accepted step;
+    # the rate at the 5th-order state starts the next step, and every rate
+    # conserves mass exactly, so the masses stay at round-off
+    g, kernels, mob, exps, state = random_geometric_setup(seed=4, n=10, p=2.0,
+                                                          mobility_name=mobility_name)
+    system = System(g, kernels, mob, exps)
+    calls = []
+    monkeypatch.setattr(dynamics, "rhs", lambda *a: calls.append(1) or rhs(*a))
+    traj = integrate(system, state, 0.5, IntegratorOptions(max_dt=1 / 16))
+    assert traj.stats["rejected_steps"] == 0 and traj.stats["accepted_steps"] >= 8
+    assert len(calls) == 1 + 6 * traj.stats["accepted_steps"]
+    assert traj.stats["mass_drift"] <= 1e-15

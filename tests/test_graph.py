@@ -16,6 +16,7 @@ from graphflow.graph import (
     FiniteGraph,
     build_graph,
     check_assumptions,
+    link_ends,
     nonlocal_divergence,
     nonlocal_gradient,
 )
@@ -308,3 +309,28 @@ def test_graph_memory_grows_with_edges():
     # and two divergence entries of 12 bytes each: 72 bytes
     total = sum(size for _, _, size in stored)
     assert total <= 96 * g.n_links + 32 * n, (total, n, g.n_links)
+
+
+def test_link_ends_equal_gathers_in_any_link_order():
+    # links sorted by lo repeat each vertex's value once per link; any other
+    # link order falls back to a gather, with the same values
+    rng = np.random.default_rng(8)
+    n = 9
+    eta = rng.uniform(0.0, 1.0, size=(n, n))
+    eta = np.where(eta + eta.T > 0.8, eta + eta.T, 0.0)
+    g = build_graph(rng.uniform(size=(n, 2)), rng.uniform(0.5, 1.5, size=n), eta)
+    order = rng.permutation(g.n_links)
+    shuffled = FiniteGraph(base=g.base, link_lo=g.link_lo[order], link_hi=g.link_hi[order],
+                           link_eta=g.link_eta[order])
+    assert g.lo_counts is not None and shuffled.lo_counts is None
+    assert np.array_equal(g.lo_counts, np.bincount(g.link_lo, minlength=n))
+    values = rng.normal(size=(2, n))
+    for graph in (g, shuffled):
+        for field in (values, values[0]):
+            at_lo, at_hi = link_ends(graph, field)
+            assert np.array_equal(at_lo, np.take(field, graph.link_lo, axis=-1))
+            assert np.array_equal(at_hi, np.take(field, graph.link_hi, axis=-1))
+        with pytest.raises(SizeMismatch):
+            link_ends(graph, values[:, 1:])
+    assert np.array_equal(nonlocal_gradient(shuffled, values),
+                          nonlocal_gradient(g, values)[:, order])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from graphflow.errors import (
 from graphflow.expressions import ExpressionError, compile_expression
 from graphflow.graph import Exponents
 from graphflow.mobility import (
+    PRESETS,
     Mobility,
     alpha_density,
     flux_law,
@@ -366,16 +369,26 @@ def test_flux_law_pair_equals_raw_formula_per_species(p):
     w = rng.normal(size=(2, 300))
     w[:, ::4] = 0.0
     r, s = rng.uniform(0.0, 1.0, size=(2, 2, 300))
-    got = flux_law(w, r, s, mob, exps)
+    got = flux_law(w, mob(r, s), mob(s, r), exps)
     qm1 = exps.q - 1.0
     for i in range(2):
         want = (mob(r[i], s[i]) * np.maximum(w[i], 0.0) ** qm1
                 - mob(s[i], r[i]) * np.maximum(-w[i], 0.0) ** qm1)
         assert np.array_equal(got[i], want)
     # scalar and narrower velocity inputs broadcast as before
-    assert np.array_equal(flux_law(w[0], r, s, mob, exps)[1],
+    assert np.array_equal(flux_law(w[0], mob(r, s), mob(s, r), exps)[1],
                           mob(r[1], s[1]) * np.maximum(w[0], 0.0) ** qm1
                           - mob(s[1], r[1]) * np.maximum(-w[0], 0.0) ** qm1)
-    scalar = flux_law(0.3, 0.5, 0.2, mob, exps)
+    scalar = flux_law(0.3, mob(0.5, 0.2), mob(0.2, 0.5), exps)
     assert np.ndim(scalar) == 0
     assert scalar == mob(0.5, 0.2) * np.maximum(np.float64(0.3), 0.0) ** qm1
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_mobility_class_flags_are_python_bools(name):
+    # bounded_thresholds was numpy's bool, which json cannot write
+    mob = PRESETS[name]()
+    flags = vars(validate_mobility(mob).flags)
+    assert type(mob.bounded) is bool
+    assert all(type(value) is bool for value in flags.values())
+    assert json.loads(json.dumps(flags)) == flags

@@ -11,7 +11,7 @@ from graphflow.dynamics import upwind_flux
 from graphflow.errors import InfeasibleEndpoints, InfiniteAction
 from graphflow.graph import Exponents, build_graph, nonlocal_divergence
 from graphflow.kernels import System, descent_velocities, energy, potentials
-from graphflow.mobility import PRESETS, linear
+from graphflow.mobility import PRESETS, alpha_density, linear, outside_box
 from graphflow.scenarios import random_geometric_setup, s1_setup, s2_endpoints, two_point_graph
 from graphflow.transport import (
     DiscretePath,
@@ -537,6 +537,77 @@ def test_action_and_dual_action_equal_masked_references(p, mobility_name):
         want = _masked_action(g, states, flux, mob, beta, exps)
         assert got.per_species == tuple(want) and got.total == want[0] + want[1]
     assert np.isinf(action(g, rho - 0.3, flux, mob, beta, exps).total)
+
+
+def _table_states(rho, cap):
+    """Named density pairs for the kernel table: strictly inside the box,
+    with an empty vertex, with a negative entry, with an entry above the cap
+    of 1, and within the flux law's slack on either side of the box."""
+    rho = 0.5 * rho / np.max(rho)  # every entry in (0, 0.5]
+    states = {name: rho.copy() for name in
+              ("inside", "zero", "negative", "above_cap", "slack_low", "slack_high")}
+    states["zero"][:, 3] = 0.0
+    states["negative"][0, 2] = -0.2
+    states["above_cap"][1, 4] = 1.3
+    states["slack_low"][0, 2] = -1e-9
+    states["slack_high"][1, 4] = min(cap, 1.0) + 1e-9
+    return states
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("mobility_name", sorted(PRESETS))
+def test_link_kernels_equal_masked_oracles_bit_for_bit(p, mobility_name):
+    # both sides of every convention-mask skip: states inside the box with
+    # m > 0 everywhere skip the masks, an empty vertex (m = 0), entries
+    # outside the box and NaN fluxes or velocities run them; the flux law is
+    # compared on the states it accepts, inside its slack
+    g, kernels, _, exps, state = random_geometric_setup(seed=5, n=12, p=p)
+    mob = PRESETS[mobility_name]()
+    system = System(g, kernels, mob, exps)
+    rng = np.random.default_rng(int(10 * p))
+    beta = (1.0, 0.7)
+    lo, hi = g.link_lo, g.link_hi
+    src, dst = np.concatenate([lo, hi]), np.concatenate([hi, lo])
+    flux = rng.normal(size=(2, g.n_links))
+    flux[:, ::5] = 0.0
+    nan_flux = flux.copy()
+    nan_flux[0, 1] = nan_flux[1, 7] = np.nan
+    qm1 = exps.q - 1.0
+    states = _table_states(state.rho, mob.threshold_cap)
+    assert outside_box(states["inside"][:, lo], states["inside"][:, hi], mob) is None
+    assert outside_box(states["negative"][:, lo], states["negative"][:, hi], mob) is not None
+    for name, rho in states.items():
+        with np.errstate(invalid="ignore"):  # the geometric mean of a negative entry
+            vel = _velocities(system, np.clip(rho, 0.0, None))
+            vel[:, ::6] = 0.0
+            nan_vel = vel.copy()
+            nan_vel[1, 2] = np.nan
+            for j in (flux, nan_flux):
+                for r, s, sign in ((rho[:, lo], rho[:, hi], 1.0), (rho[:, hi], rho[:, lo], -1.0)):
+                    got = alpha_density(sign * j, r, s, mob, exps)
+                    want = masked_alpha_density(sign * j, r, s, mob, exps)
+                    assert np.array_equal(got, want), name
+                got = action(g, rho, j, mob, beta, exps)
+                want = _masked_action(g, rho, j, mob, beta, exps)
+                assert got.per_species == tuple(want) and got.total == want[0] + want[1], name
+            for v in (vel, nan_vel):
+                got = dual_action(g, rho, v, mob, beta, exps)
+                want = _masked_dual_action(g, rho, v, mob, beta, exps)
+                if mobility_name == "geometric" and name in ("negative", "slack_low"):
+                    # an undefined mobility value (NaN) upwind of a moving
+                    # link is not masked in velocity form: the action is NaN
+                    assert np.isnan(got.per_species[0]) and got.per_species[1] == want[1]
+                    continue
+                assert got.per_species == tuple(want) and got.total == want[0] + want[1], name
+        if name == "negative" or (name == "above_cap" and mob.bounded):
+            continue  # beyond the flux law's slack: ThresholdExceeded
+        got = upwind_flux(system, rho)
+        box = np.clip(rho, 0.0, mob.threshold_cap if mob.bounded else None)
+        phi = potentials(system, rho)
+        w = np.asarray(kernels.beta)[:, None] * (phi[:, src] - phi[:, dst])
+        r, s = box[:, src], box[:, dst]
+        want = mob(r, s) * np.maximum(w, 0.0) ** qm1 - mob(s, r) * np.maximum(-w, 0.0) ** qm1
+        assert np.array_equal(edge_field(got), want), name
 
 
 def _assert_same_value(got, want):
