@@ -86,7 +86,7 @@ def _state_terms(system, trajectory, k):
     for both orientations, None for a state inside its box.
     """
     graph, mobility = system.graph, system.mobility
-    rho = trajectory.states[k]
+    rho = np.asarray(trajectory.states[k], dtype=float)
     phi = potentials(system, rho)
     inside = rho.min() >= 0 and rho.max() <= mobility.threshold_cap
     r_lo, r_hi = link_ends(graph, rho)
