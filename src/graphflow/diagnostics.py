@@ -20,9 +20,9 @@ import numpy as np
 from scipy import sparse
 
 from . import transport
-from .dynamics import SpeciesPairState, integrate, upwind_flux
+from .dynamics import SpeciesPairState, check_slack, integrate
 from .errors import MassMismatch
-from .graph import Exponents, build_graph, link_ends, nonlocal_divergence, nonlocal_gradient
+from .graph import Exponents, build_graph, nonlocal_divergence, nonlocal_gradient
 from .kernels import (
     System,
     build_kernel_set,
@@ -32,7 +32,7 @@ from .kernels import (
     potentials,
     zero,
 )
-from .mobility import cost_density, dual_density, flux_law, linear, outside_box, velocity_law
+from .mobility import cost_density, dual_density, flux_law, link_mobility, linear, velocity_law
 
 __all__ = [
     "dissipation",
@@ -72,37 +72,25 @@ def _state_terms(system, trajectory, k):
     mobility at its links in both orientations and its links outside the box.
 
     One potentials evaluation gives the energy (the trajectory's stored
-    energies are not read) and the velocities.  One gather gives the
-    densities at both ends of every link, and the mobility is evaluated once
-    per orientation, ``fwd`` = m(rho_lo, rho_hi) and ``bwd`` = m(rho_hi,
-    rho_lo); the flux, the dissipation and the action all take these
-    values.  Trajectories from :func:`graphflow.dynamics.integrate` store no
-    fluxes, so the flux is the gradient-flow flux law at the state, bit for
-    bit the flux the integrator's right-hand side used there; a state
-    outside its box leaves it to :func:`~graphflow.dynamics.upwind_flux`,
-    which takes the mobility at the clipped densities.  Hand-built curves
-    (e.g. non-gradient perturbations) supply ``node_fluxes`` themselves.
-    ``outside`` holds the masks of :func:`~graphflow.mobility.outside_box`
-    for both orientations, None for a state inside its box.
+    energies are not read) and the velocities; one
+    :func:`~graphflow.mobility.link_mobility` gives the mobilities and the
+    mask, which the flux, the dissipation and the action all take.  A curve
+    without ``node_fluxes`` (as :func:`graphflow.dynamics.integrate` returns
+    them) takes the flux law at each state, bit for bit the integrator's
+    flux there, and refuses a state beyond the slack as it does.
     """
     graph, mobility = system.graph, system.mobility
     rho = np.asarray(trajectory.states[k], dtype=float)
-    phi = potentials(system, rho)
-    inside = rho.min() >= 0 and rho.max() <= mobility.threshold_cap
-    r_lo, r_hi = link_ends(graph, rho)
-    link_mobility = mobility(r_lo, r_hi), mobility(r_hi, r_lo)
-    outside = (None, None) if inside else (outside_box(r_lo, r_hi, mobility),
-                                           outside_box(r_hi, r_lo, mobility))
-    del r_lo, r_hi  # the state's terms need only the values and masks above
-    velocities = descent_velocities(graph, phi)
     node_fluxes = getattr(trajectory, "node_fluxes", None)
-    flux = None if node_fluxes is None else np.asarray(node_fluxes[k], dtype=float)
-    if flux is None and not inside:
-        flux = upwind_flux(system, rho, velocities)
-    scaled = np.multiply(velocities, system.kernels.beta[:, None], out=velocities)
-    if flux is None:
-        flux = flux_law(scaled, *link_mobility, system.exponents)
-    return energy_from_potentials(graph, phi, rho), scaled, flux, link_mobility, outside
+    if node_fluxes is None:
+        check_slack(rho, mobility)
+    phi = potentials(system, rho)
+    fwd, bwd, outside = link_mobility(graph, rho, mobility)
+    scaled = descent_velocities(graph, phi)
+    scaled *= system.kernels.beta[:, None]
+    flux = (flux_law(scaled, fwd, bwd, system.exponents) if node_fluxes is None
+            else np.asarray(node_fluxes[k], dtype=float))
+    return energy_from_potentials(graph, phi, rho), scaled, flux, (fwd, bwd), outside
 
 
 def _de_giorgi_terms(system, trajectory, k):
@@ -112,8 +100,8 @@ def _de_giorgi_terms(system, trajectory, k):
     graph, beta, exponents = system.graph, system.kernels.beta, system.exponents
     energy, scaled, flux, (fwd, bwd), outside = _state_terms(system, trajectory, k)
     diss = transport.link_total(graph, dual_density(scaled, fwd, bwd, exponents), beta)
-    terms = cost_density(flux, fwd, exponents, outside[0])
-    terms += cost_density(-flux, bwd, exponents, outside[1])
+    terms = cost_density(flux, fwd, exponents, outside)
+    terms += cost_density(-flux, bwd, exponents, outside)
     return energy, diss.total, transport.link_total(graph, terms, beta).total
 
 

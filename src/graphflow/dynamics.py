@@ -11,7 +11,9 @@ identity l_rho(j)[.] = -dE[.] and the exact dissipation balance
 dE/dt = -D(rho) hold for every exponent p; the resulting trajectories are
 curves of maximal slope (zeros of the De Giorgi functional).  The flux is
 antisymmetric, so it is a (2, links) array of its values on the edges
-(lo, hi), one flux-law evaluation per link.
+(lo, hi), one flux-law evaluation per link, with the mobility of the state
+clipped into its box from :func:`~graphflow.mobility.link_mobility`, as the
+action, the dual action and the De Giorgi terms take it.
 
 The flow is that of a :class:`~graphflow.kernels.System`, which binds the
 graph, kernels, mobility and exponents; the flux, the right-hand side and
@@ -24,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeUnderflow, ThresholdExceeded
-from .graph import link_ends
+from .graph import nonlocal_divergence
 from .kernels import descent_velocities, energy, potentials
-from .mobility import flux_law
+from .mobility import flux_law, link_mobility
 
 STATE_TOL = 1e-8  # slack accepted on raw states before ThresholdExceeded
 GUARD_TOL = 1e-12  # simplex guard on accepted integrator steps
@@ -80,46 +82,37 @@ class SpeciesPairState:
         return self
 
 
-def _clip_to_box(rho, mobility):
-    hi = mobility.threshold_cap
-    return np.clip(rho, 0.0, hi if np.isfinite(hi) else None)
-
-
-def upwind_flux(system, rho_pair, velocities=None):
-    """Gradient-flow flux pair (2, links): its values on the edges (lo, hi).
-
-    Raises ThresholdExceeded when the state leaves [0, R] x [0, S] (or goes
-    negative) by more than a small slack; inside the slack the mobility
-    arguments are clamped to the box.  ``velocities``, when given, must be
-    the state's :func:`~graphflow.kernels.descent_velocities`; they are left
-    unmodified.
-    """
-    graph, beta, mobility = system.graph, system.kernels.beta, system.mobility
-    rho_pair = np.asarray(rho_pair, dtype=float)
-    lo = float(np.min(rho_pair))
-    hi = float(np.max(rho_pair))
+def check_slack(rho_pair, mobility):
+    """Raise ThresholdExceeded when a state leaves [0, cap] by more than STATE_TOL."""
+    lo, hi = float(np.min(rho_pair)), float(np.max(rho_pair))
     cap = mobility.threshold_cap
-    if lo < -STATE_TOL or (np.isfinite(cap) and hi > cap + STATE_TOL):
+    if lo < -STATE_TOL or hi > cap + STATE_TOL:
         raise ThresholdExceeded(
             f"state outside [0, {cap}] by more than {STATE_TOL}: min={lo:.3e} max={hi:.3e}"
         )
-    if velocities is None:
-        scaled = descent_velocities(graph, potentials(system, rho_pair))
-        scaled *= beta[:, None]
-    else:
-        scaled = beta[:, None] * velocities
-    r_lo, r_hi = link_ends(graph, _clip_to_box(rho_pair, mobility))
-    return flux_law(scaled, mobility(r_lo, r_hi), mobility(r_hi, r_lo), system.exponents)
+
+
+def upwind_flux(system, rho_pair):
+    """Gradient-flow flux pair (2, links): its values on the edges (lo, hi).
+
+    Raises ThresholdExceeded beyond the slack of :func:`check_slack`; within
+    it the mobility is that of the state clipped into the box.
+    """
+    graph, mobility = system.graph, system.mobility
+    check_slack(rho_pair, mobility)
+    scaled = descent_velocities(graph, potentials(system, rho_pair))
+    scaled *= system.kernels.beta[:, None]
+    fwd, bwd, _ = link_mobility(graph, rho_pair, mobility)
+    return flux_law(scaled, fwd, bwd, system.exponents)
 
 
 def rhs(system, rho_pair):
     """Density time derivative -div(j) per species; conserves mass exactly.
 
-    The flux is evaluated once per link and its divergence taken by the
-    graph's link divergence matrix, one species row at a time.
+    The flux is evaluated once per link and its divergence taken by
+    :func:`~graphflow.graph.nonlocal_divergence`, one species row at a time.
     """
-    flux = upwind_flux(system, rho_pair)
-    rate = np.stack([system.graph.link_divergence @ row for row in flux])
+    rate = nonlocal_divergence(system.graph, upwind_flux(system, rho_pair))
     return np.negative(rate, out=rate)
 
 

@@ -100,16 +100,17 @@ class FiniteGraph:
     """Base measure plus the links with their symmetric weights.
 
     ``link_lo`` < ``link_hi`` and ``link_eta`` enumerate every unordered
-    pair with positive weight; a dense eta is rebuilt from these three
-    arrays.  Everything else is derived, once, at construction: the action
+    pair with positive weight in increasing order of (lo, hi), as
+    :func:`build_graph` makes them (SizeMismatch otherwise); a dense eta is
+    rebuilt from these three arrays.  Everything else is derived, once, at
+    construction: the action
     weight ``link_weight = eta mu_lo mu_hi``; the divergence coefficients of
     a link field with value ``a`` on (lo, hi), ``eta mu_hi a`` at ``lo``
     (``link_div_lo``) and ``-eta mu_lo a`` at ``hi`` (``link_div_hi``), and
     ``link_divergence``, the (n, links) CSR matrix of them, each row's
     entries in link order; and ``lo_counts``, the number of links at each
-    vertex as their ``lo`` end when the links are sorted by ``lo``, as
-    :func:`build_graph` makes them (None otherwise), which lets
-    :func:`link_ends` repeat values instead of gathering them.
+    vertex as their ``lo`` end, which lets :func:`link_ends` repeat values
+    instead of gathering them.
 
     ``component`` labels the connected components in order of their lowest
     vertex, which ``ground`` holds, one per component; the divergence
@@ -131,6 +132,9 @@ class FiniteGraph:
     def __post_init__(self):
         n = self.base.n_vertices
         lo, hi, eta = self.link_lo, self.link_hi, self.link_eta
+        if not (lo.ndim == 1 and lo.shape == hi.shape == eta.shape
+                and np.all((0 <= lo) & (lo < hi) & (hi < n)) and np.all(np.diff(lo * n + hi) > 0)):
+            raise SizeMismatch(f"links must be 0 <= lo < hi < {n} in increasing (lo, hi) order")
         div_lo = eta * self.weights[hi]
         div_hi = -eta * self.weights[lo]
         links = np.arange(lo.size)
@@ -146,7 +150,7 @@ class FiniteGraph:
             "link_div_lo": div_lo,
             "link_div_hi": div_hi,
             "link_divergence": divergence,
-            "lo_counts": np.bincount(lo, minlength=n) if np.all(lo[1:] >= lo[:-1]) else None,
+            "lo_counts": np.bincount(lo, minlength=n),
             "component": component,
             "ground": np.unique(component, return_index=True)[1],
         }
@@ -314,15 +318,11 @@ def link_ends(graph, values):
     """The values of a node field at the ``lo`` and at the ``hi`` end of every link.
 
     Takes one node field (n,) or a species pair (2, n) and returns two new
-    (links,) or (2, links) arrays.  Links sorted by ``lo`` take their ``lo``
-    values by repeating each vertex's value once per link, a cheaper pass
-    than the gather that other link orders need.
+    (links,) or (2, links) arrays.  The links are sorted by ``lo``, so the
+    ``lo`` values repeat each vertex's value once per link, with no gather.
     """
     values = graph.check_node_field(values, pair=np.ndim(values) == 2)
-    if graph.lo_counts is None:
-        at_lo = np.take(values, graph.link_lo, axis=-1)
-    else:
-        at_lo = np.repeat(values, graph.lo_counts, axis=-1)
+    at_lo = np.repeat(values, graph.lo_counts, axis=-1)
     return at_lo, np.take(values, graph.link_hi, axis=-1)
 
 

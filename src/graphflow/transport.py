@@ -10,6 +10,9 @@ state/flux pair is
 with the convex density alpha(j, r, s) = (j_+)^p / m(r, s)^(p-1): half the
 sum of the same two terms over both orientations of every edge, so each
 link is charged once, through the mobility at the source end of its flux.
+Every state-dependent link quantity takes the mobility of the state clipped
+into its box [0, cap] from :func:`~graphflow.mobility.link_mobility`, and
+the action is inf on links with an end outside the box.
 The quasi-metric T(rho_0, rho_1) is the p-th root of the minimal
 time-integrated action over discrete paths solving the continuity equation;
 with midpoint interval densities the objective is jointly convex when the
@@ -25,8 +28,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import InfeasibleEndpoints, InfiniteAction, NotConverged
-from .graph import link_ends, nonlocal_divergence
-from .mobility import alpha_density, dual_density, flux_law, velocity_law
+from .graph import nonlocal_divergence
+from .mobility import cost_density, dual_density, flux_law, link_mobility, velocity_law
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,10 @@ def link_total(graph, terms, beta):
 def action(graph, rho_pair, flux_pair, mobility, beta, exponents):
     """Two-species upwind action of the (2, links) fluxes; infinity encodes
     infeasibility, not an error."""
-    flux_pair = graph.check_link_field(flux_pair, pair=True)
-    r_lo, r_hi = link_ends(graph, rho_pair)
-    terms = alpha_density(flux_pair, r_lo, r_hi, mobility, exponents)
-    terms += alpha_density(-flux_pair, r_hi, r_lo, mobility, exponents)
+    j = graph.check_link_field(flux_pair, pair=True)
+    fwd, bwd, outside = link_mobility(graph, rho_pair, mobility)
+    terms = cost_density(j, fwd, exponents, outside)
+    terms += cost_density(-j, bwd, exponents, outside)
     return link_total(graph, terms, beta)
 
 
@@ -62,28 +65,26 @@ def dual_action(graph, rho_pair, velocity_pair, mobility, beta, exponents):
     Only the orientation a link's velocity points along has a positive part,
     so each link is charged once, through the mobility upwind
     (:func:`~graphflow.mobility.dual_density`); equals ``action`` of
-    :func:`flux_from_velocity` of the same velocities.  A link with zero
-    velocity or a mobility <= 0 upwind costs 0, and that mask is written
-    only where it can change a value.
+    :func:`flux_from_velocity` of the same velocities at a state in the box.
+    A link with zero velocity or no positive mobility upwind costs 0.
     """
     v = graph.check_link_field(velocity_pair, pair=True)
-    r_lo, r_hi = link_ends(graph, rho_pair)
-    vals = dual_density(v, mobility(r_lo, r_hi), mobility(r_hi, r_lo), exponents)
-    return link_total(graph, vals, beta)
+    fwd, bwd, _ = link_mobility(graph, rho_pair, mobility)
+    return link_total(graph, dual_density(v, fwd, bwd, exponents), beta)
 
 
 def flux_from_velocity(graph, rho_pair, velocity_pair, mobility, exponents):
     """Dual representation: j = m(rho_lo, rho_hi) (v_+)^(q-1) - m(rho_hi, rho_lo) (v_-)^(q-1)."""
     v = graph.check_link_field(velocity_pair, pair=True)
-    r_lo, r_hi = link_ends(graph, rho_pair)
-    return flux_law(v, mobility(r_lo, r_hi), mobility(r_hi, r_lo), exponents)
+    fwd, bwd, _ = link_mobility(graph, rho_pair, mobility)
+    return flux_law(v, fwd, bwd, exponents)
 
 
 def velocity_from_flux(graph, rho_pair, flux_pair, mobility, exponents):
     """Invert the dual representation; links with vanishing upwind mobility carry v = 0."""
     j = graph.check_link_field(flux_pair, pair=True)
-    r_lo, r_hi = link_ends(graph, rho_pair)
-    return velocity_law(j, mobility(r_lo, r_hi), mobility(r_hi, r_lo), exponents)
+    fwd, bwd, _ = link_mobility(graph, rho_pair, mobility)
+    return velocity_law(j, fwd, bwd, exponents)
 
 
 def pairing_l(graph, rho_pair, flux_pair, other_flux_pair, mobility, beta, exponents):

@@ -1105,6 +1105,25 @@ def test_cli_refine_writes_strict_json(tmp_path):
     assert isinstance(report["levels"][1]["w1_gap_from_previous"], float)
 
 
+def test_cli_diagnose_exits_1_on_a_state_beyond_the_slack(tmp_path, capsys):
+    # a stored state below 0 by more than the flux law's slack is a
+    # ThresholdExceeded, a validation error, not a certificate of G_T = inf
+    cfg = s1_config(t_final=0.25, out_dir=str(tmp_path / "out"))
+    cfg["integrator"] = {"max_dt": 0.05}
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    assert main_cli(["simulate", "--config", cfg_path]) == 0
+    path = tmp_path / "out" / "trajectory.csv"
+    lines = path.read_text().splitlines()
+    t, species, vertex, _ = lines[-1].split(",")
+    lines[-1] = ",".join([t, species, vertex, "-1e-6"])
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main_cli(["diagnose", "--trajectory", str(path), "--config", cfg_path,
+                     "--out", str(tmp_path / "diag")]) == 1
+    assert "outside" in capsys.readouterr().err
+    assert not (tmp_path / "diag" / "de_giorgi.json").exists()
+
+
 def test_cli_diagnose_exits_2_on_a_non_finite_residual(tmp_path, capsys, monkeypatch):
     cfg = s1_config(t_final=0.25, out_dir=str(tmp_path / "out"))
     cfg["integrator"] = {"max_dt": 0.05}

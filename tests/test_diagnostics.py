@@ -14,8 +14,8 @@ from graphflow.diagnostics import (
     w1_between_states,
     w1_distance,
 )
-from graphflow.dynamics import IntegratorOptions, Trajectory, integrate, upwind_flux
-from graphflow.errors import MassMismatch
+from graphflow.dynamics import IntegratorOptions, Trajectory, integrate, rhs, upwind_flux
+from graphflow.errors import MassMismatch, ThresholdExceeded
 from graphflow.graph import Exponents
 from graphflow.kernels import System, build_kernel_set, descent_velocities, energy, potentials, zero
 from graphflow.mobility import PRESETS
@@ -106,6 +106,37 @@ def test_dissipation_matches_energy_decay_rate(p):
     e_minus = energy(system, state.rho - h * rate)
     de_dt = (e_plus - e_minus) / (2 * h)
     assert de_dt == pytest.approx(-dissipation(system, state.rho), abs=1e-6)
+
+
+@pytest.mark.parametrize("species, vertex, value", [(0, 0, -5e-9), (1, 2, 1.0 + 5e-9)])
+def test_energy_decays_at_the_dissipation_rate_inside_the_slack(species, vertex, value):
+    # the flux and the dissipation read the same clipped link mobilities, so
+    # dE/dt = sum phi rho' mu = -D holds to round-off also at a state that
+    # leaves the box by less than the flux law's slack
+    g, kernels, mob, exps, state = random_geometric_setup(seed=3, n=9,
+                                                          mobility_name="volume_filling")
+    system = System(g, kernels, mob, exps)
+    rho = state.rho.copy()
+    rho[species, vertex] = value
+    de_dt = float(np.sum(potentials(system, rho) * rhs(system, rho) * g.weights))
+    diss = dissipation(system, rho)
+    assert diss > 0 and abs(de_dt + diss) <= 1e-14 * diss
+
+
+def test_diagnostics_refuse_a_state_beyond_the_slack():
+    # a curve without fluxes takes the flux law at its states, which refuses
+    # a state beyond the slack as the integrator's right-hand side does
+    g, kernels, mob, exps, state = random_geometric_setup(seed=3, n=9,
+                                                          mobility_name="volume_filling")
+    system = System(g, kernels, mob, exps)
+    for index, value in (((0, 1), -1e-6), ((1, 3), 1.0 + 1e-6)):
+        states = np.array([state.rho, state.rho])
+        states[(1,) + index] = value
+        traj = Trajectory(times=np.array([0.0, 0.1]), states=states, energies=None)
+        with pytest.raises(ThresholdExceeded):
+            de_giorgi(system, traj)
+        with pytest.raises(ThresholdExceeded):
+            chain_rule_residual(system, traj)
 
 
 def test_chain_rule_residual_small_on_gradient_flow():

@@ -13,14 +13,7 @@ from graphflow.dynamics import (
 )
 from graphflow.errors import StepSizeUnderflow, ThresholdExceeded
 from graphflow.graph import Exponents, build_graph, nonlocal_divergence
-from graphflow.kernels import (
-    System,
-    build_kernel_set,
-    descent_velocities,
-    distance,
-    potentials,
-    zero,
-)
+from graphflow.kernels import System, build_kernel_set, distance, zero
 from graphflow.mobility import Mobility, volume_filling
 from graphflow.scenarios import random_geometric_setup, s1_setup
 
@@ -244,11 +237,6 @@ def test_upwind_flux_pair_equals_raw_formula_per_species(p):
         ordered = -ordered_edge_divergence(want, g)
         scale = np.max(np.abs(ordered))
         assert np.max(np.abs(rate - ordered)) <= 8 * np.finfo(float).eps * scale
-    # descent velocities handed in give the same flux and are left unmodified
-    vel = descent_velocities(g, potentials(system, rho))
-    kept = vel.copy()
-    assert np.array_equal(upwind_flux(system, rho, vel), got)
-    assert np.array_equal(vel, kept)
 
 
 @pytest.mark.parametrize("field, value", [("dt_initial", 0.0), ("dt_initial", -1e-3),

@@ -311,26 +311,37 @@ def test_graph_memory_grows_with_edges():
     assert total <= 96 * g.n_links + 32 * n, (total, n, g.n_links)
 
 
-def test_link_ends_equal_gathers_in_any_link_order():
-    # links sorted by lo repeat each vertex's value once per link; any other
-    # link order falls back to a gather, with the same values
+def test_finite_graph_rejects_links_out_of_order():
+    # links are 0 <= lo < hi < n in strictly increasing (lo, hi) order, as
+    # build_graph makes them, so link_ends repeats each vertex's value once
+    # per link as its lo end; any other link arrays are refused
     rng = np.random.default_rng(8)
     n = 9
     eta = rng.uniform(0.0, 1.0, size=(n, n))
     eta = np.where(eta + eta.T > 0.8, eta + eta.T, 0.0)
     g = build_graph(rng.uniform(size=(n, 2)), rng.uniform(0.5, 1.5, size=n), eta)
-    order = rng.permutation(g.n_links)
-    shuffled = FiniteGraph(base=g.base, link_lo=g.link_lo[order], link_hi=g.link_hi[order],
-                           link_eta=g.link_eta[order])
-    assert g.lo_counts is not None and shuffled.lo_counts is None
     assert np.array_equal(g.lo_counts, np.bincount(g.link_lo, minlength=n))
     values = rng.normal(size=(2, n))
-    for graph in (g, shuffled):
-        for field in (values, values[0]):
-            at_lo, at_hi = link_ends(graph, field)
-            assert np.array_equal(at_lo, np.take(field, graph.link_lo, axis=-1))
-            assert np.array_equal(at_hi, np.take(field, graph.link_hi, axis=-1))
+    for field in (values, values[0]):
+        at_lo, at_hi = link_ends(g, field)
+        assert np.array_equal(at_lo, np.take(field, g.link_lo, axis=-1))
+        assert np.array_equal(at_hi, np.take(field, g.link_hi, axis=-1))
+    with pytest.raises(SizeMismatch):
+        link_ends(g, values[:, 1:])
+    lo, hi, w = g.link_lo, g.link_hi, g.link_eta
+    order = rng.permutation(g.n_links)
+    bad = {
+        "shuffled": (lo[order], hi[order], w[order]),
+        "swapped": (hi, lo, w),
+        "repeated": (np.append(lo, lo[-1]), np.append(hi, hi[-1]), np.append(w, w[-1])),
+        "loop": (np.append(lo, n - 1), np.append(hi, n - 1), np.append(w, 1.0)),
+        "out of range": (np.append(lo, n - 1), np.append(hi, n), np.append(w, 1.0)),
+        "negative": (np.insert(lo, 0, -1), np.insert(hi, 0, 0), np.insert(w, 0, 1.0)),
+        "lengths": (lo, hi, w[1:]),
+        "not flat": (lo[None], hi[None], w[None]),
+    }
+    for name, (link_lo, link_hi, link_eta) in bad.items():
         with pytest.raises(SizeMismatch):
-            link_ends(graph, values[:, 1:])
-    assert np.array_equal(nonlocal_gradient(shuffled, values),
-                          nonlocal_gradient(g, values)[:, order])
+            FiniteGraph(base=g.base, link_lo=link_lo, link_hi=link_hi, link_eta=link_eta)
+    same = FiniteGraph(base=g.base, link_lo=lo, link_hi=hi, link_eta=w)
+    assert np.array_equal(nonlocal_gradient(same, values), nonlocal_gradient(g, values))

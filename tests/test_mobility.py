@@ -16,6 +16,8 @@ from graphflow.mobility import (
     PRESETS,
     Mobility,
     alpha_density,
+    cost_density,
+    dual_density,
     flux_law,
     from_expression,
     geometric,
@@ -96,11 +98,34 @@ def test_recession_numeric_limit():
         assert hom(lam * 0.7, lam * 0.3) == pytest.approx(lam * hom(0.7, 0.3), rel=1e-6)
 
 
+def test_recession_extrapolates_any_power_law_tail():
+    # a tail c lambda^(-1/2) has no 1/lambda error model, and the delta-squared
+    # extrapolation does not assume one: sqrt(r) is uniformly sublinear, and
+    # r + sqrt(r) recedes to r
+    sqrt = Mobility("sqrt", lambda r, s: np.sqrt(r))
+    assert is_uniformly_sublinear(sqrt)
+    assert validate_mobility(from_expression("sqrt(r)")).flags.uniformly_sublinear
+    tail = recession(Mobility("slow_tail", lambda r, s: r + np.sqrt(np.maximum(r, 0.0))))
+    assert tail(1.0, 1.0) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_recession_nonconvergent():
-    # sqrt correction decays like lambda^(-1/2), violating the c/lambda model
-    m = Mobility("slow_tail", lambda r, s: r + np.sqrt(np.maximum(r, 0.0)))
+    # a logarithmic tail is no power law: the extrapolations from the first
+    # and from the last three samples disagree
+    m = Mobility("log_tail", lambda r, s: r * (1.0 + 1.0 / np.log(2.0 + r)))
     with pytest.raises(NonConvergent):
         recession(m)(1.0, 1.0)
+
+
+def test_undefined_upwind_mobility_carries_no_cost():
+    # a NaN mobility upwind of a moving link costs 0 in flux and in velocity form
+    exps = Exponents(2.0)
+    v = np.array([[0.5, -0.5, 0.5], [0.0, 0.3, -0.2]])
+    fwd = np.array([[np.nan, 1.0, 2.0], [1.0, 1.0, 1.0]])
+    bwd = np.ones_like(fwd)
+    for density in (cost_density(v, fwd, exps), dual_density(v, fwd, bwd, exps)):
+        assert density[0, 0] == 0.0
+        assert not np.any(np.isnan(density))
 
 
 def test_validate_linear():

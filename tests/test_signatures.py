@@ -13,7 +13,7 @@ import inspect
 
 import pytest
 
-MODULES = ("graph", "kernels", "dynamics", "diagnostics", "transport")
+MODULES = ("graph", "kernels", "mobility", "dynamics", "diagnostics", "transport")
 
 
 def _public_functions():
@@ -30,7 +30,8 @@ FUNCTIONS = dict(_public_functions())
 
 def test_the_guard_sees_the_flow_layer():
     for name in ("kernels.potentials", "dynamics.integrate", "diagnostics.de_giorgi",
-                 "graph.nonlocal_gradient", "transport.transport_cost"):
+                 "graph.nonlocal_gradient", "mobility.link_mobility",
+                 "transport.transport_cost"):
         assert name in FUNCTIONS
 
 

@@ -16,13 +16,13 @@ from graphflow.scenarios import s1_config
 from test_tracer_names import tracing
 
 # traced names that a simulate + diagnose run does not call: the flow path
-# takes link differences, divergences, actions and dual actions in place
+# takes link differences, actions and dual actions in place; rhs takes its
+# divergence from graph.nonlocal_divergence
 NOT_CALLED = [
     "config.project_initial",
     "config.run_refinement_study",
     "diagnostics.dissipation",
     "diagnostics.w1_distance",
-    "graph.nonlocal_divergence",
     "graph.nonlocal_gradient",
     "transport.action",
     "transport.dual_action",

@@ -11,7 +11,7 @@ from graphflow.dynamics import upwind_flux
 from graphflow.errors import InfeasibleEndpoints, InfiniteAction
 from graphflow.graph import Exponents, build_graph, nonlocal_divergence
 from graphflow.kernels import System, descent_velocities, energy, potentials
-from graphflow.mobility import PRESETS, alpha_density, linear, outside_box
+from graphflow.mobility import PRESETS, alpha_density, linear, link_mobility
 from graphflow.scenarios import random_geometric_setup, s1_setup, s2_endpoints, two_point_graph
 from graphflow.transport import (
     DiscretePath,
@@ -482,13 +482,14 @@ def test_transport_cost_is_genuinely_asymmetric():
 
 def _masked_dual_action(graph, rho_pair, velocity_pair, mobility, beta, exponents):
     """Reference: the velocity-form action with boolean gathers and scatters,
-    one species at a time: m at the upwind end of each link times |v|^q."""
+    one species at a time: m at the upwind end of each link times |v|^q, at
+    the state clipped into the box [0, cap]."""
     q = exponents.q
     lo, hi = graph.link_lo, graph.link_hi
     weight = graph.link_eta * (graph.weights[lo] * graph.weights[hi])
     parts = []
     for i in range(2):
-        v, r = velocity_pair[i], rho_pair[i]
+        v, r = velocity_pair[i], np.clip(rho_pair[i], 0.0, mobility.threshold_cap)
         m_up = np.zeros_like(v)
         forward, backward = v > 0, v < 0
         m_up[forward] = mobility(r[lo][forward], r[hi][forward])
@@ -574,8 +575,8 @@ def test_link_kernels_equal_masked_oracles_bit_for_bit(p, mobility_name):
     nan_flux[0, 1] = nan_flux[1, 7] = np.nan
     qm1 = exps.q - 1.0
     states = _table_states(state.rho, mob.threshold_cap)
-    assert outside_box(states["inside"][:, lo], states["inside"][:, hi], mob) is None
-    assert outside_box(states["negative"][:, lo], states["negative"][:, hi], mob) is not None
+    assert link_mobility(g, states["inside"], mob)[2] is None
+    assert link_mobility(g, states["negative"], mob)[2] is not None
     for name, rho in states.items():
         with np.errstate(invalid="ignore"):  # the geometric mean of a negative entry
             vel = _velocities(system, np.clip(rho, 0.0, None))
@@ -593,11 +594,6 @@ def test_link_kernels_equal_masked_oracles_bit_for_bit(p, mobility_name):
             for v in (vel, nan_vel):
                 got = dual_action(g, rho, v, mob, beta, exps)
                 want = _masked_dual_action(g, rho, v, mob, beta, exps)
-                if mobility_name == "geometric" and name in ("negative", "slack_low"):
-                    # an undefined mobility value (NaN) upwind of a moving
-                    # link is not masked in velocity form: the action is NaN
-                    assert np.isnan(got.per_species[0]) and got.per_species[1] == want[1]
-                    continue
                 assert got.per_species == tuple(want) and got.total == want[0] + want[1], name
         if name == "negative" or (name == "above_cap" and mob.bounded):
             continue  # beyond the flux law's slack: ThresholdExceeded
