@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from . import transport
-from .dynamics import SpeciesPairState, check_slack, integrate
+from .dynamics import SpeciesPairState, integrate
 from .errors import MassMismatch
 from .graph import Exponents, build_graph, nonlocal_divergence, nonlocal_gradient
 from .kernels import (
@@ -32,7 +32,8 @@ from .kernels import (
     potentials,
     zero,
 )
-from .mobility import cost_density, dual_density, flux_law, link_mobility, linear, velocity_law
+from .mobility import (check_slack, cost_density, dual_density, flux_law, link_mobility, linear,
+                       velocity_law)
 
 __all__ = [
     "dissipation",

@@ -28,9 +28,8 @@ import numpy as np
 from .errors import StepSizeUnderflow, ThresholdExceeded
 from .graph import nonlocal_divergence
 from .kernels import descent_velocities, energy, potentials
-from .mobility import flux_law, link_mobility
+from .mobility import check_slack, flux_law, link_mobility
 
-STATE_TOL = 1e-8  # slack accepted on raw states before ThresholdExceeded
 GUARD_TOL = 1e-12  # simplex guard on accepted integrator steps
 DT_MIN = 1e-14  # integrator steps below this (or 1e-10 t_final) raise StepSizeUnderflow
 
@@ -80,16 +79,6 @@ class SpeciesPairState:
                     f"density {np.max(self.rho):.6g} exceeds mobility threshold {cap}"
                 )
         return self
-
-
-def check_slack(rho_pair, mobility):
-    """Raise ThresholdExceeded when a state leaves [0, cap] by more than STATE_TOL."""
-    lo, hi = float(np.min(rho_pair)), float(np.max(rho_pair))
-    cap = mobility.threshold_cap
-    if lo < -STATE_TOL or hi > cap + STATE_TOL:
-        raise ThresholdExceeded(
-            f"state outside [0, {cap}] by more than {STATE_TOL}: min={lo:.3e} max={hi:.3e}"
-        )
 
 
 def upwind_flux(system, rho_pair):

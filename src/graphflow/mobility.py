@@ -21,12 +21,14 @@ from .errors import (
     NotConcave,
     NotPositive,
     NotUpwindAdmissible,
+    ThresholdExceeded,
 )
 from .expressions import compile_expression
 from .graph import link_ends
 
 _RECESSION_LAMBDAS = (2.0**10, 2.0**12, 2.0**14, 2.0**16)
 _RECESSION_RTOL = 1e-6
+STATE_TOL = 1e-8  # slack accepted on raw states before ThresholdExceeded
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,16 @@ def alpha_density(j, r, s, mobility, exponents):
     m = mobility(np.clip(r, 0.0, mobility.R), np.clip(s, 0.0, mobility.S))
     out = cost_density(j, m, exponents, outside)
     return float(out[0]) if scalar else out
+
+
+def check_slack(rho_pair, mobility):
+    """Raise ThresholdExceeded when a state leaves [0, cap] by more than STATE_TOL."""
+    lo, hi = float(np.min(rho_pair)), float(np.max(rho_pair))
+    cap = mobility.threshold_cap
+    if lo < -STATE_TOL or hi > cap + STATE_TOL:
+        raise ThresholdExceeded(
+            f"state outside [0, {cap}] by more than {STATE_TOL}: min={lo:.3e} max={hi:.3e}"
+        )
 
 
 def link_mobility(graph, rho_pair, mobility):

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy import sparse
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import splu
 
-from .errors import InfeasibleEndpoints, InfiniteAction, NotConverged
+from .errors import InfeasibleEndpoints, InfiniteAction, NotApplicable, NotConverged
 from .graph import nonlocal_divergence
-from .mobility import cost_density, dual_density, flux_law, link_mobility, velocity_law
+from .mobility import (check_slack, cost_density, dual_density, flux_law, link_mobility,
+                       velocity_law)
 
 
 @dataclass(frozen=True)
@@ -211,7 +212,7 @@ def _mobility_derivatives(mobility, r, s):
 
 
 class _NewtonSystem:
-    """Sparse pattern of the reduced Newton system of one species.
+    """Band storage of the reduced Newton system of one species.
 
     With the flux block eliminated the unknowns are the interior states and
     the continuity multipliers, ordered by time: lambda_0, R_1, lambda_1, ...,
@@ -220,20 +221,24 @@ class _NewtonSystem:
     with R_{k+1} - R_k.  So the matrix is block tridiagonal in time, and
     every nonzero n x n block (R_k-R_k, R_k-R_{k+1}, R_k-lambda_k,
     R_{k+1}-lambda_k, their transposes and lambda_k-lambda_k) has the pattern
-    of the graph's adjacency plus the identity.  The pattern is built once
-    per solve, in CSC form, with one gather index from the block data onto
-    it, and ``matrix`` fills the blocks from per-link 2 x 2 values.  One
-    continuity row per connected component is dropped from the last
-    interval: the endpoint masses agree, so the rows of each component sum
-    to an identity, and keeping them all makes the matrix singular.  The
-    interior-point loop drops an iteration's factors before it factors the
-    next, so one factorization is alive at a time.
+    of the graph's adjacency plus the identity.  Its half-bandwidth kl = ku is
+    the pattern's largest |row - col| (3n - 1 on a complete graph), and an LU
+    factorization with partial pivoting fills no entry outside LAPACK's band
+    layout of 2 kl + ku + 1 rows.  The pattern is mapped once per solve onto
+    that layout, with one gather index from the block data and one flat
+    index into the band, and ``matrix`` fills the blocks from per-link 2 x 2
+    values into one band buffer, which both species share and ``factor``
+    overwrites with the LU factors.  One continuity row per connected
+    component is dropped from the last interval: the endpoint masses agree,
+    so the rows of each component sum to an identity, and keeping them all
+    makes the matrix singular.
     """
 
     def __init__(self, graph, k_steps):
         n, K, links = graph.n_vertices, k_steps, graph.link_lo.size
-        lo, hi = graph.link_lo, graph.link_hi
-        vertices, link_ids = np.arange(n), np.arange(links)
+        # every index below is an np.intc (int32), which halves the build's memory
+        lo, hi = graph.link_lo.astype(np.intc), graph.link_hi.astype(np.intc)
+        vertices, link_ids = np.arange(n, dtype=np.intc), np.arange(links, dtype=np.intc)
         # the slots of a block's pattern: the diagonal, then each link's (lo, hi)
         # and (hi, lo) entry
         pattern_rows = np.concatenate([vertices, lo, hi])
@@ -253,7 +258,7 @@ class _NewtonSystem:
             (2 * inner, 2 * inner + 1, 2 * K - 1 + inner, -1),  # R_k-lambda_k
             (2 * k[:-1] + 2, 2 * k[:-1] + 1, 2 * K - 1 + k[:-1], 1),  # R_{k+1}-lambda_k
             (2 * k + 1, 2 * k + 1, 3 * K - 1 + k, 0),  # lambda_k-lambda_k
-        )], axis=1)
+        )], axis=1).astype(np.intc)
         # the matrix is symmetric: a block off the diagonal has a mirror that
         # reads the same data row through the transposed slots
         mirror = blocks[:, blocks[0] != blocks[1]]
@@ -261,28 +266,36 @@ class _NewtonSystem:
         block_col = np.concatenate([blocks[1], mirror[0]])
         data_row = np.concatenate([blocks[2], mirror[2]])
         coupling = np.concatenate([blocks[3], mirror[3]])
-        slot = np.concatenate([np.broadcast_to(np.arange(self.width), (blocks.shape[1], self.width)),
+        slot = np.concatenate([np.broadcast_to(np.arange(self.width, dtype=np.intc),
+                                               (blocks.shape[1], self.width)),
                                np.broadcast_to(transpose, (mirror.shape[1], self.width))])
 
         size = (2 * K + 1) * n
-        self.kept = np.ones(size, dtype=bool)
-        self.kept[:n] = False  # R_0 and R_K are fixed
-        self.kept[2 * K * n:] = False
-        self.kept[(2 * K - 1) * n + graph.ground] = False  # lambda_{K-1} at each ground
-        position = np.full(size, -1)
-        position[self.kept] = np.arange(np.count_nonzero(self.kept))
-        self.size = int(np.count_nonzero(self.kept))
+        kept = np.ones(size, dtype=bool)
+        kept[:n] = False  # R_0 and R_K are fixed
+        kept[2 * K * n:] = False
+        kept[(2 * K - 1) * n + graph.ground] = False  # lambda_{K-1} at each ground
+        self.kept, self.dropped = np.flatnonzero(kept), np.flatnonzero(~kept)
+        self.size = self.kept.size
+        position = np.full(size, -1, dtype=np.intc)
+        position[self.kept] = np.arange(self.size, dtype=np.intc)
         rows = position[block_row[:, None] * n + pattern_rows]
         cols = position[block_col[:, None] * n + pattern_cols]
         valid = (rows >= 0) & (cols >= 0)
         rows, cols = rows[valid], cols[valid]
-        order = np.argsort(cols * self.size + rows)
-        # SuperLU's index type, so that no factorization converts them
-        self.indices = rows[order].astype(np.intc)
-        self.indptr = np.searchsorted(cols[order], np.arange(self.size + 1)).astype(np.intc)
-        self.gather = (data_row[:, None] * self.width + slot)[valid][order]
-        sign = (coupling[:, None] * (slot < n))[valid][order]
-        self.plus, self.minus = np.flatnonzero(sign > 0), np.flatnonzero(sign < 0)
+        self.kl = self.ku = int(np.max(np.abs(rows - cols), initial=0))
+        # LAPACK's band layout: A[i, j] in row kl + ku + i - j of column j, in
+        # Fortran order; the first kl rows hold the fill of the pivoting
+        ldab = 2 * self.kl + self.ku + 1
+        if ldab * self.size > np.iinfo(np.intc).max:
+            raise ValueError(f"the Newton band holds {ldab * self.size} entries, "
+                             "more than its int32 indices reach")
+        self.band_index = cols * ldab + (self.kl + self.ku) + rows - cols
+        self.gather = (data_row[:, None] * self.width + slot)[valid]
+        sign = (coupling[:, None] * (slot < n))[valid]
+        self.plus, self.minus = self.band_index[sign > 0], self.band_index[sign < 0]
+        self.flat_band = np.zeros(ldab * self.size)
+        self.band = self.flat_band.reshape(self.size, ldab).T  # (ldab, size), Fortran order
         self.div_lo, self.div_hi = graph.link_div_lo, graph.link_div_hi
         self.K, self.n = K, n
 
@@ -291,13 +304,14 @@ class _NewtonSystem:
         return _row_bincount(self.slots, np.concatenate([ll, lh, hl, hh], axis=1), self.width)
 
     def matrix(self, hess, cross, weight, state_diagonal):
-        """The Newton matrix of the per-link (K, links) values: the state
-        Hessian ``hess`` (ll, lh, hh), ``cross`` (lo, hi) coupling the states
-        with the divergence into the multipliers, and ``weight`` w of the
-        multiplier block w div div^T, plus the (K-1, n) state diagonal and the
-        continuity coupling.  An interval's state Hessian enters its four
-        state blocks with weight 1/4 and its cross term both state-multiplier
-        blocks with weight 1/2, as midpoint densities average two states."""
+        """The band of the Newton matrix of the per-link (K, links) values:
+        the state Hessian ``hess`` (ll, lh, hh), ``cross`` (lo, hi) coupling
+        the states with the divergence into the multipliers, and ``weight`` w
+        of the multiplier block w div div^T, plus the (K-1, n) state diagonal
+        and the continuity coupling.  An interval's state Hessian enters its
+        four state blocks with weight 1/4 and its cross term both
+        state-multiplier blocks with weight 1/2, as midpoint densities average
+        two states.  Fills the shared band buffer in place and returns it."""
         h_ll, h_lh, h_hh = hess
         c_lo, c_hi = cross
         d_lo, d_hi = self.div_lo, self.div_hi
@@ -309,20 +323,33 @@ class _NewtonSystem:
         multiplier = self._blocks(weight * (d_lo * d_lo), lo_hi, lo_hi, weight * (d_hi * d_hi))
         # the data rows that __init__ numbers: R_k-R_k for k = 1..K-1, then per
         # interval the state-state, state-multiplier and multiplier blocks
-        data = np.concatenate([diagonal, quarter, half_cross, multiplier]).ravel()[self.gather]
-        data[self.plus] += 1.0
-        data[self.minus] -= 1.0
-        return sparse.csc_matrix((data, self.indices, self.indptr), shape=(self.size, self.size))
+        data = np.concatenate([diagonal, quarter, half_cross, multiplier], axis=None)
+        self.flat_band.fill(0.0)
+        self.flat_band[self.band_index] = data[self.gather]
+        self.flat_band[self.plus] += 1.0
+        self.flat_band[self.minus] -= 1.0
+        return self.band
 
-    def solve(self, lu, state_rhs, continuity_rhs):
+    def factor(self, band):
+        """LU factors (band, pivots) of a filled band, by LAPACK's banded LU
+        with partial pivoting in place, or None when a pivot is exactly zero
+        (the matrix is singular).  The factors are valid until the next fill."""
+        lu, pivots, info = dgbtrf(band, self.kl, self.ku, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"dgbtrf rejected its argument {-info}")
+        return None if info > 0 else (lu, pivots)
+
+    def solve(self, factors, state_rhs, continuity_rhs):
         """Solve for (dR, dlambda), given the (K-1, n) interior state rows and
         the (K, n) continuity rows of the right-hand side, as (K+1, n) state
         steps (zero at the fixed endpoints) and (K, n) multiplier steps."""
         full = np.zeros((2 * self.K + 1, self.n))
         full[2:-1:2], full[1::2] = state_rhs, continuity_rhs
         flat = full.reshape(-1)
-        flat[self.kept] = lu.solve(flat[self.kept])
-        flat[~self.kept] = 0.0
+        if self.size:
+            lu, pivots = factors
+            flat[self.kept] = dgbtrs(lu, self.kl, self.ku, flat[self.kept], pivots)[0]
+        flat[self.dropped] = 0.0
         return full[0::2], full[1::2]
 
 
@@ -338,6 +365,10 @@ class _SplitProblem:
     c_u = eta mu_l mu_k' / beta and rbar the interval midpoint, equals the raw
     action of the flux P - M whenever min(P, M) = 0, which holds at the
     optimum.  Continuity R_{k+1} - R_k + dt D a_k = 0 is linear.
+
+    The variables held off a bound, x = (P, M, R) and, below a finite cap,
+    cap - R, form one flat vector, and so do their multipliers z; ``parts``
+    gives the per-part views.
     """
 
     def __init__(self, graph, rho0, rho1, k_steps, mobility, beta, exponents):
@@ -346,8 +377,17 @@ class _SplitProblem:
         self.K, self.dt = k_steps, 1.0 / k_steps
         self.mobility = mobility
         self.p = exponents.p
-        self.cap = mobility.threshold_cap
+        self.cap, self.capped = mobility.threshold_cap, mobility.bounded
         self.coef = self.dt * graph.link_weight / beta
+        flux, state = (k_steps, graph.n_links), (k_steps - 1, graph.n_vertices)
+        self.shapes = [flux, flux, state] + ([state] if self.capped else [])
+        self.ends = np.cumsum([0] + [rows * cols for rows, cols in self.shapes]).tolist()
+        # the objective does not depend on the cap's slack
+        self.slack_gradient = [np.zeros(self.ends[-1] - self.ends[3])] if self.capped else []
+
+    def parts(self, v):
+        """Views (P, M, R[, cap - R]) of a flat primal or dual vector."""
+        return [v[a:b].reshape(shape) for a, b, shape in zip(self.ends, self.ends[1:], self.shapes)]
 
     def states(self, R):
         return np.concatenate([self.rho0[None], R, self.rho1[None]])
@@ -355,7 +395,8 @@ class _SplitProblem:
     def start(self):
         """Linear interpolation blended with the uniform density of the same
         component masses (strictly positive even at vertices empty at both
-        ends) and the least-norm flux between it, split with a positive shift."""
+        ends) and the least-norm flux between it, split with a positive shift;
+        as the flat vector x."""
         graph = self.graph
         taus = np.linspace(0.0, 1.0, self.K + 1)[1:-1, None]
         mu = graph.weights
@@ -368,11 +409,8 @@ class _SplitProblem:
         scale = max(float(np.max(np.abs(a), initial=0.0)),
                     float(np.max(uniform)) / float(np.max(np.abs(graph.link_div_lo), initial=1.0)))
         shift = 0.1 * scale
-        return np.maximum(a, 0.0) + shift, np.maximum(-a, 0.0) + shift, R
-
-    def slacks(self, P, M, R):
-        """The variables held off a bound: P, M, R and, below a finite cap, cap - R."""
-        return [P, M, R] + ([self.cap - R] if np.isfinite(self.cap) else [])
+        P, M = np.maximum(a, 0.0) + shift, np.maximum(-a, 0.0) + shift
+        return np.concatenate([P, M, R] + ([self.cap - R] if self.capped else []), axis=None)
 
     def _perspective(self, flux, m):
         """c X^p m^(1-p) and its first and second derivatives in (X, m)."""
@@ -383,10 +421,11 @@ class _SplitProblem:
         return SimpleNamespace(value=c * power * flux, a=c * p * power, m=c * (1.0 - p) * power * ratio,
                       aa=curvature / ratio, am=-curvature, mm=curvature * ratio)
 
-    def evaluate(self, P, M, R):
-        """The objective and its derivatives at (P, M, R); F is inf where a
-        midpoint mobility is not positive."""
+    def evaluate(self, x):
+        """The objective, its flat gradient in x and its derivatives at x; F
+        is inf where a midpoint mobility is not positive."""
         graph = self.graph
+        P, M, R = self.parts(x)[:3]
         states = self.states(R)
         mid = 0.5 * (states[:-1] + states[1:])
         r_lo, r_hi = mid[:, graph.link_lo], mid[:, graph.link_hi]
@@ -397,19 +436,19 @@ class _SplitProblem:
         f, b = self._perspective(P, fwd.m), self._perspective(M, bwd.m)
         # the backward mobility m(rbar_k', rbar_l) has its source slot at hi
         g_mid = _scatter(graph, f.m * fwd.r + b.m * bwd.s, f.m * fwd.s + b.m * bwd.r)
+        g_R = 0.5 * (g_mid[:-1] + g_mid[1:])
         continuity = np.diff(states, axis=0) + self.dt * (graph.link_divergence @ (P - M).T).T
         return SimpleNamespace(F=float(np.sum(f.value) + np.sum(b.value)), f=f, b=b, fwd=fwd, bwd=bwd,
-                      g_R=0.5 * (g_mid[:-1] + g_mid[1:]), continuity=continuity)
+                               grad=np.concatenate([f.a, b.a, g_R] + self.slack_gradient, axis=None),
+                               continuity=continuity)
 
     def merit(self, ev, x, target):
         """Barrier merit F - target * sum(log x) of a primal-feasible point."""
-        return ev.F - target * sum(float(np.sum(np.log(xi))) for xi in x)
+        return ev.F - target * float(np.sum(np.log(x)))
 
     def merit_slope(self, ev, x, dx, target):
         """Directional derivative of the barrier merit along dx."""
-        grads = [ev.f.a, ev.b.a, ev.g_R]
-        return (sum(float(np.sum(g * d)) for g, d in zip(grads, dx))
-                - target * sum(float(np.sum(d / xi)) for xi, d in zip(x, dx)))
+        return float(np.sum(ev.grad * dx)) - target * float(np.sum(dx / x))
 
     def stationarity(self, ev, lam, x, z):
         """Max-norm of the Lagrangian stationarity residual, each component
@@ -417,29 +456,46 @@ class _SplitProblem:
         change under a relative perturbation of the variable, in the units of
         F.  It stays defined where a bound is active and the perspective
         function's gradient at (0, 0) is not."""
-        r = self.gradients(ev, lam)
-        r = [r[0] - z[0], r[1] - z[1], r[2] - z[2] + (z[3] if len(z) == 4 else 0.0)]
-        distance = x[:2] + [np.minimum(x[2], x[3]) if len(x) == 4 else x[2]]
-        return max(float(np.max(np.abs(ri * di), initial=0.0)) for ri, di in zip(r, distance))
+        r = self.gradients(ev, lam) - z
+        distance = x
+        if self.capped:  # R's residual takes the cap's multiplier, once
+            distance = x.copy()
+            _, _, r_R, r_S = self.parts(r)
+            _, _, d_R, d_S = self.parts(distance)
+            r_R -= r_S
+            np.minimum(d_R, d_S, out=d_R)
+            d_S.fill(0.0)
+        return float(np.max(np.abs(r * distance), initial=0.0))
 
     def gradients(self, ev, lam):
-        """Gradients of the Lagrangian F + sum_k lambda_k . continuity_k in P, M, R."""
+        """Flat gradient of the Lagrangian F + sum_k lambda_k . continuity_k in x."""
         d_lam = self.dt * _adjoint(self.graph, lam)
-        return [ev.f.a + d_lam, ev.b.a - d_lam, ev.g_R + lam[:-1] - lam[1:]]
+        g = ev.grad.copy()
+        g_P, g_M, g_R = self.parts(g)[:3]
+        g_P += d_lam
+        g_M -= d_lam
+        g_R += lam[:-1]
+        g_R -= lam[1:]
+        return g
 
     def newton(self, system, ev, lam, x, z):
         """Factor the reduced Newton system at (x, lambda, z) once and return
-        the solver of its right-hand sides: (target, corrections) -> steps.
+        the solver of its right-hand sides, (target, corrections) -> steps,
+        or None when the factorization meets an exact zero pivot.
 
         The flux block is diagonal and eliminated.  Its midpoint-midpoint
         remainder uses the closed form c g_mm h / (c g_aa + h), h the barrier
         Hessian, which holds because g_aa g_mm = g_am^2 for the perspective
         function and avoids the cancellation of g_mm - g_am^2 / (g_aa + h).
+        The remaining states and multipliers are factored as a band (see
+        ``_NewtonSystem``), which overwrites the previous iteration's factors.
         """
         graph, dt = self.graph, self.dt
         f, b, mf, mb = ev.f, ev.b, ev.fwd, ev.bwd
-        diag_P, diag_M = f.aa + z[0] / x[0], b.aa + z[1] / x[1]
-        e_f, e_b = f.mm * (z[0] / x[0]) / diag_P, b.mm * (z[1] / x[1]) / diag_M
+        zx = z / x
+        zx_P, zx_M, *zx_R = self.parts(zx)
+        diag_P, diag_M = f.aa + zx_P, b.aa + zx_M
+        e_f, e_b = f.mm * zx_P / diag_P, b.mm * zx_M / diag_M
         q_f, q_b = f.am / diag_P, b.am / diag_M
         h_ll = e_f * mf.r**2 + f.m * mf.rr + e_b * mb.s**2 + b.m * mb.ss
         h_lh = e_f * mf.r * mf.s + f.m * mf.rs + e_b * mb.r * mb.s + b.m * mb.rs
@@ -451,36 +507,35 @@ class _SplitProblem:
         h_ll, h_hh = h_ll + shift, h_hh + shift
         cross = (dt * (q_b * mb.s - q_f * mf.r), dt * (q_b * mb.r - q_f * mf.s))
         weight = -dt * dt * (1.0 / diag_P + 1.0 / diag_M)
-        state_diagonal = sum(zi / xi for zi, xi in zip(z[2:], x[2:]))
-        # factored in natural (time) order, which fills the block tridiagonal band
-        lu = splu(system.matrix((h_ll, h_lh, h_hh), cross, weight, state_diagonal),
-                  permc_spec="NATURAL")
+        factors = system.factor(system.matrix((h_ll, h_lh, h_hh), cross, weight, sum(zx_R)))
+        if factors is None:
+            return None
         grads = self.gradients(ev, lam)
 
         def direction(target, corrections):
-            rhs = [target / xi - g for xi, g in zip(x, grads)]
+            rhs = target / x - grads
             if corrections is not None:
-                rhs = [r - ci / xi for r, ci, xi in zip(rhs, corrections, x)]
-            if len(x) == 4:  # the cap's slack moves against R
-                rhs[2] = rhs[2] - target / x[3] + (0.0 if corrections is None
-                                                   else corrections[3] / x[3])
-            u_P, u_M = rhs[0] / diag_P, rhs[1] / diag_M
+                rhs -= corrections / x
+            u_P, u_M, r_R, *r_S = self.parts(rhs)
+            if self.capped:  # the cap's slack moves against R
+                r_R -= r_S[0]
+            u_P /= diag_P
+            u_M /= diag_M
             r_lo = -(f.am * u_P * mf.r + b.am * u_M * mb.s)
             r_hi = -(f.am * u_P * mf.s + b.am * u_M * mb.r)
             # each interval's link values reach the states at both of its ends
             r_mid = _scatter(graph, r_lo, r_hi)
             d_states, d_lam = system.solve(
-                lu, rhs[2] + 0.5 * (r_mid[:-1] + r_mid[1:]),
+                factors, r_R + 0.5 * (r_mid[:-1] + r_mid[1:]),
                 (graph.link_divergence @ (-dt * (u_P - u_M)).T).T - ev.continuity)
             d_mid = 0.5 * (d_states[:-1] + d_states[1:])
             d_lo, d_hi = d_mid[:, graph.link_lo], d_mid[:, graph.link_hi]
             d_div = dt * _adjoint(graph, d_lam)
             d_P = u_P - (f.am * (mf.r * d_lo + mf.s * d_hi) + d_div) / diag_P
             d_M = u_M - (b.am * (mb.r * d_hi + mb.s * d_lo) - d_div) / diag_M
-            dx = [d_P, d_M, d_states[1:-1]] + ([-d_states[1:-1]] if len(x) == 4 else [])
-            corr = corrections or [0.0] * len(x)
-            dz = [(target - ci) / xi - zi - zi / xi * dxi
-                  for xi, zi, dxi, ci in zip(x, z, dx, corr)]
+            d_R = d_states[1:-1]
+            dx = np.concatenate([d_P, d_M, d_R] + ([-d_R] if self.capped else []), axis=None)
+            dz = (target - (0.0 if corrections is None else corrections)) / x - z - zx * dx
             return dx, d_lam, dz
 
         return direction
@@ -497,16 +552,12 @@ class _SpeciesSolution:
 
 
 def _step_to_boundary(values, steps):
-    """Largest alpha with every values + alpha * steps >= 0."""
-    alpha = np.inf
-    for v, dv in zip(values, steps):
-        shrinking = dv < 0
-        if np.any(shrinking):
-            alpha = min(alpha, float(np.min(-v[shrinking] / dv[shrinking])))
-    return alpha
+    """Largest alpha with values + alpha * steps >= 0."""
+    shrinking = steps < 0
+    return float(np.min(-values[shrinking] / steps[shrinking], initial=np.inf))
 
 
-def _interior_point(problem, system):
+def _interior_point(problem, system, species):
     """Mehrotra predictor-corrector interior-point method on one species.
 
     Primal-dual, with objective weight 1 and barrier weight mu: each
@@ -516,36 +567,38 @@ def _interior_point(problem, system):
     decreases the barrier merit F - tau sum(log x) at its target tau (and
     keeps F finite).  Stops when the complementarity sum is at most
     1e-13 + 1e-11 F and the scaled stationarity residual at most
-    1e-10 (1 + F).
+    1e-10 (1 + F), and early when the Newton matrix is singular or the
+    backtracking shrinks the step to nothing.  Raises NotApplicable, naming
+    the species, when the starting path is not strictly interior.
     """
-    P, M, R = problem.start()
-    x = problem.slacks(P, M, R)
-    ev = problem.evaluate(P, M, R)
-    count = sum(xi.size for xi in x)
-    mu0 = problem.p * ev.F / max(P.size + M.size, 1)
-    z = [mu0 / xi for xi in x]
+    x = problem.start()
+    ev = problem.evaluate(x)
+    if not (np.all(x > 0.0) and np.isfinite(ev.F)):
+        raise NotApplicable(
+            f"species {species}: the starting path is not strictly inside (0, {problem.cap}) "
+            "with a positive mobility on every link, so the interior-point method cannot start")
+    mu0 = problem.p * ev.F / max(problem.ends[2], 1)
+    z = mu0 / x
     lam = np.zeros_like(ev.continuity)
     converged = False
     iteration = 0
     while iteration < _MAX_ITERATIONS:
-        complementarity = sum(float(np.sum(xi * zi)) for xi, zi in zip(x, z))
+        complementarity = float(np.sum(x * z))
         if (complementarity <= 1e-13 + 1e-11 * ev.F
                 and problem.stationarity(ev, lam, x, z) <= 1e-10 * (1.0 + ev.F)):
             converged = True
             break
         iteration += 1
-        mu = complementarity / count
-        direction = None  # the previous factors are freed before the next are computed
-        try:
-            direction = problem.newton(system, ev, lam, x, z)
-        except RuntimeError:  # splu: the Newton matrix is singular
+        mu = complementarity / x.size
+        direction = None  # the previous factors are dropped before the band is refilled
+        direction = problem.newton(system, ev, lam, x, z)
+        if direction is None:  # the Newton matrix is singular
             break
         dx, d_lam, dz = direction(0.0, None)
         a_p, a_d = min(1.0, _step_to_boundary(x, dx)), min(1.0, _step_to_boundary(z, dz))
-        mu_aff = sum(float(np.sum((xi + a_p * dxi) * (zi + a_d * dzi)))
-                     for xi, dxi, zi, dzi in zip(x, dx, z, dz)) / count
+        mu_aff = float(np.sum((x + a_p * dx) * (z + a_d * dz))) / x.size
         target = (mu_aff / mu) ** 3 * mu
-        dx, d_lam, dz = direction(target, [dxi * dzi for dxi, dzi in zip(dx, dz)])
+        dx, d_lam, dz = direction(target, dx * dz)
         slope = problem.merit_slope(ev, x, dx, target)
         if slope >= 0.0:  # the corrector spoiled descent: centre without it
             dx, d_lam, dz = direction(target, None)
@@ -554,24 +607,27 @@ def _interior_point(problem, system):
                     _TO_BOUNDARY * _step_to_boundary(z, dz))
         merit = problem.merit(ev, x, target)
         # halve the step until F is finite and the merit decreases enough,
-        # allowing round-off in the merit once the step is tiny
-        for _ in range(60):
-            trial = [xi + alpha * dxi for xi, dxi in zip(x, dx)]
-            trial_ev = problem.evaluate(*trial[:3])
+        # allowing round-off in the merit once the step is tiny; stop when
+        # the step no longer moves x, or is not finite
+        trial = x + alpha * dx
+        while np.all(np.isfinite(trial)) and not np.array_equal(trial, x):
+            trial_ev = problem.evaluate(trial)
             if np.isfinite(trial_ev.F) and (
                     slope >= 0.0 or problem.merit(trial_ev, trial, target)
                     <= merit + _ARMIJO * alpha * slope + 1e-15 * abs(merit)):
                 break
             alpha *= 0.5
+            trial = x + alpha * dx
         else:
             break
         x, ev = trial, trial_ev
         lam = lam + alpha * d_lam
-        z = [zi + alpha * dzi for zi, dzi in zip(z, dz)]
+        z = z + alpha * dz
 
+    P, M, R = problem.parts(x)[:3]
     return _SpeciesSolution(
-        states=problem.states(x[2]), flux=x[0] - x[1],
-        complementarity=sum(float(np.sum(xi * zi)) for xi, zi in zip(x, z)),
+        states=problem.states(R), flux=P - M,
+        complementarity=float(np.sum(x * z)),
         stationarity=problem.stationarity(ev, lam, x, z),
         iterations=iteration, converged=converged)
 
@@ -591,9 +647,16 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents):
         When ``k_steps`` is not an integer >= 1, or the mobility is a bare
         callable rather than a formula (a preset or ``from_expression``),
         so that its exact derivatives are unknown.
+    ThresholdExceeded
+        When an endpoint leaves the box [0, cap] by more than the flow's
+        slack ``STATE_TOL``.
     InfeasibleEndpoints
         When the species masses of the endpoints disagree on some connected
         component of the graph.
+    NotApplicable
+        When a species' starting path is not strictly interior: some state
+        at a bound (a species without mass on a component, or at the cap
+        there) or a midpoint mobility that is not positive.
     NotConverged
         When the solver stops short of its targets or the recomputed
         certificate exceeds its bounds (constraint residual 1e-7, optimality
@@ -606,6 +669,8 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents):
                          "exact derivatives of it; build it with from_expression")
     rho0 = np.asarray(getattr(start, "rho", start), dtype=float)
     rho1 = np.asarray(getattr(end, "rho", end), dtype=float)
+    for rho in (rho0, rho1):
+        check_slack(rho, mobility)
     mass0, mass1 = (_row_bincount(graph.component, rho * graph.weights, graph.ground.size)
                     for rho in (rho0, rho1))
     if np.max(np.abs(mass0 - mass1)) > 1e-10:
@@ -615,7 +680,7 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents):
     beta = np.asarray(beta, dtype=float)
     solutions = [
         _interior_point(_SplitProblem(graph, rho0[i], rho1[i], k_steps, mobility, beta[i],
-                                      exponents), system)
+                                      exponents), system, i + 1)
         for i in range(2)
     ]
     path = DiscretePath(

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import weakref
 
@@ -8,11 +9,14 @@ from scipy.sparse.csgraph import connected_components
 from graphflow import transport
 from graphflow.config import RefinementPlan, project_initial
 from graphflow.dynamics import upwind_flux
-from graphflow.errors import InfeasibleEndpoints, InfiniteAction
+from graphflow.cli import main_cli
+from graphflow.errors import (InfeasibleEndpoints, InfiniteAction, NotApplicable, NotConverged,
+                              ThresholdExceeded)
 from graphflow.graph import Exponents, build_graph, nonlocal_divergence
 from graphflow.kernels import System, descent_velocities, energy, potentials
 from graphflow.mobility import PRESETS, alpha_density, linear, link_mobility
-from graphflow.scenarios import random_geometric_setup, s1_setup, s2_endpoints, two_point_graph
+from graphflow.scenarios import (random_geometric_setup, s1_config, s1_setup, s2_endpoints,
+                                 s2_state_files, two_point_graph)
 from graphflow.transport import (
     DiscretePath,
     action,
@@ -855,56 +859,97 @@ def _volume_filling_problem():
     return g, start.rho, end, mob, exps
 
 
-@pytest.mark.parametrize("make", [_ladder_problem, _two_component_problem,
-                                  _volume_filling_problem],
-                         ids=["complete-ladder-64", "cutoff-two-components", "volume-filling-cap"])
-def test_newton_matrix_handed_to_splu_equals_element_assembly(make, monkeypatch):
+_SEAM_PROBLEMS = pytest.mark.parametrize(
+    "make", [_ladder_problem, _two_component_problem, _volume_filling_problem],
+    ids=["complete-ladder-64", "cutoff-two-components", "volume-filling-cap"])
+
+
+def _band_to_dense(band, kl, ku):
+    """The square matrix held in LAPACK band storage (2 kl + ku + 1, n):
+    A[i, j] in row kl + ku + i - j of column j for -ku <= i - j <= kl."""
+    rows, cols = np.indices((band.shape[1],) * 2)
+    inside = (rows - cols <= kl) & (cols - rows <= ku)
+    dense = np.zeros(rows.shape)
+    dense[inside] = band[kl + ku + rows[inside] - cols[inside], cols[inside]]
+    return dense
+
+
+def _recorded_solve(make, monkeypatch, K=8):
+    """Solve a seam problem; the arguments of every Newton matrix the solve
+    fills, and each band it hands to dgbtrf as a dense matrix."""
     g, start, end, mob, exps = make()
-    K = 8
     values, handed = [], []
-    matrix, splu = transport._NewtonSystem.matrix, transport.splu
+    matrix, dgbtrf = transport._NewtonSystem.matrix, transport.dgbtrf
 
     def recording_matrix(self, *args):
         values.append(args)
         return matrix(self, *args)
 
-    def recording_splu(a, **kwargs):
-        if kwargs.get("permc_spec") == "NATURAL":  # not min_norm_flux's Laplacian
-            handed.append(a.copy())
-        return splu(a, **kwargs)
+    def recording_dgbtrf(ab, kl, ku, **kwargs):
+        handed.append(_band_to_dense(ab, kl, ku))
+        return dgbtrf(ab, kl, ku, **kwargs)
 
     monkeypatch.setattr(transport._NewtonSystem, "matrix", recording_matrix)
-    monkeypatch.setattr(transport, "splu", recording_splu)
+    monkeypatch.setattr(transport, "dgbtrf", recording_dgbtrf)
     _, _, cert = transport_cost(g, start, end, K, mob, BETA, exps)
+    monkeypatch.undo()
+    return g, cert, values, handed
+
+
+@_SEAM_PROBLEMS
+def test_newton_matrix_handed_to_lu_equals_element_assembly(make, monkeypatch):
+    K = 8
+    g, cert, values, handed = _recorded_solve(make, monkeypatch, K)
     assert cert.converged
     assert len(handed) == len(values) == cert.iterations
     for args, got in zip(values, handed):
         want = newton_matrix_dense(g, K, *args)
         assert got.shape == want.shape
-        assert np.max(np.abs(got.toarray() - want)) <= 1e-13 * np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@_SEAM_PROBLEMS
+def test_band_factor_solves_the_element_assembled_newton_matrix(make, monkeypatch):
+    K = 8
+    g, cert, values, _ = _recorded_solve(make, monkeypatch, K)
+    assert cert.converged
+    n = g.n_vertices
+    system = transport._NewtonSystem(g, K)
+    kept = np.ones((2 * K + 1) * n, dtype=bool)  # the unknowns of newton_matrix_dense
+    kept[:n] = kept[2 * K * n:] = False
+    kept[(2 * K - 1) * n + g.ground] = False
+    rng = np.random.default_rng(5)
+    for args in (values[0], values[len(values) // 2], values[-1]):
+        want = newton_matrix_dense(g, K, *args)
+        factors = system.factor(system.matrix(*args))
+        state_rhs, continuity_rhs = rng.normal(size=(K - 1, n)), rng.normal(size=(K, n))
+        d_states, d_lam = system.solve(factors, state_rhs, continuity_rhs)
+        rhs, got = np.zeros((2 * K + 1, n)), np.zeros((2 * K + 1, n))
+        rhs[2:-1:2], rhs[1::2] = state_rhs, continuity_rhs
+        got[0::2], got[1::2] = d_states, d_lam
+        rhs, got = rhs.ravel(), got.ravel()
+        assert np.all(got[~kept] == 0.0)  # fixed endpoints and dropped rows
+        reference = np.linalg.solve(want, rhs[kept])
+        scale = np.linalg.norm(rhs[kept])
+        assert np.linalg.norm(want @ got[kept] - rhs[kept]) <= 1e-10 * scale
+        assert np.linalg.norm(want @ (got[kept] - reference)) <= 1e-10 * scale
 
 
 def test_transport_cost_memory_on_the_complete_ladder_graph(monkeypatch):
-    # at n = 64 and K = 8 the solve peaks at about 15 MB; per-contribution
-    # (K, links, 6, 6) elements and their index arrays took it to 37 MB, and
-    # keeping the previous iteration's factors alive adds about 3 MB
+    # at n = 64 and K = 8 the solve peaks at about 15.5 MB, 4.4 MB of it the
+    # band that every factorization overwrites; per-contribution
+    # (K, links, 6, 6) elements and their index arrays took it to 37 MB
     g, start, end, mob, exps = _ladder_problem()
-    live, factors = [], []
-    splu = transport.splu
+    live, pivots = [], []
+    dgbtrf = transport.dgbtrf
 
-    class Factors:  # a weakly referenceable holder of one Newton factorization
-        def __init__(self, lu):
-            self.solve = lu.solve
+    def counting_dgbtrf(ab, kl, ku, **kwargs):
+        live.append(sum(ref() is not None for ref in pivots))
+        lu, piv, info = dgbtrf(ab, kl, ku, **kwargs)
+        pivots.append(weakref.ref(piv))  # the pivots live as long as their factors
+        return lu, piv, info
 
-    def counting_splu(a, **kwargs):
-        if kwargs.get("permc_spec") != "NATURAL":
-            return splu(a, **kwargs)
-        live.append(sum(ref() is not None for ref in factors))
-        held = Factors(splu(a, **kwargs))
-        factors.append(weakref.ref(held))
-        return held
-
-    monkeypatch.setattr(transport, "splu", counting_splu)
+    monkeypatch.setattr(transport, "dgbtrf", counting_dgbtrf)
     tracemalloc.start()
     try:
         _, _, cert = transport_cost(g, start, end, 8, mob, BETA, exps)
@@ -914,6 +959,102 @@ def test_transport_cost_memory_on_the_complete_ladder_graph(monkeypatch):
     assert cert.converged
     assert len(live) == cert.iterations and max(live) == 0
     assert peak <= 20e6
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # no step is taken from singular factors
+def test_singular_newton_matrix_stops_the_solve_with_a_certificate(monkeypatch, tmp_path):
+    # a zero column makes the band factor meet an exact zero pivot (info > 0)
+    matrix = transport._NewtonSystem.matrix
+
+    def singular_matrix(self, *args):
+        band = matrix(self, *args)
+        band[:, 0] = 0.0
+        return band
+
+    monkeypatch.setattr(transport._NewtonSystem, "matrix", singular_matrix)
+    g, _, mob, exps, _ = s1_setup()
+    start, end = s2_endpoints()
+    with pytest.raises(NotConverged) as caught:
+        transport_cost(g, start, end, 4, mob, BETA, exps)
+    cert = caught.value.certificate
+    assert cert is not None and not cert.converged
+    assert cert.iterations == 2  # one singular factor per species
+
+    paths = []
+    for name, payload in zip(("cfg", "from", "to"),
+                             (s1_config(out_dir=str(tmp_path / "out")), *s2_state_files())):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(payload))
+    assert main_cli(["metric", "--config", str(paths[0]), "--from", str(paths[1]),
+                     "--to", str(paths[2]), "--steps", "4"]) == 2
+
+
+def test_transport_cost_at_one_step():
+    # K = 1 leaves no interior state: the Newton system holds multipliers only
+    g, _, mob, exps, _ = s1_setup()
+    start, end = s2_endpoints()
+    T, path, cert = transport_cost(g, start, end, 1, mob, BETA, exps)
+    assert cert.converged and path.states.shape == (2, 2, 2)
+    assert T == pytest.approx(1.4142135623730954, rel=1e-14)
+
+
+def test_transport_cost_without_links_is_zero():
+    # one vertex at K = 1: the Newton system is empty
+    one = build_graph([[0.0]], [1.0], np.zeros((1, 1)))
+    state = np.ones((2, 1))
+    assert transport_cost(one, state, state, 1, linear(), BETA, Exponents(2.0))[0] == 0.0
+    # two vertices without a link at K = 4: every vertex is its own component
+    apart = build_graph([[0.0], [1.0]], [1.0, 1.0], np.zeros((2, 2)))
+    state = np.array([[0.3, 0.7], [0.5, 0.5]])
+    T, _, cert = transport_cost(apart, state, state, 4, linear(), BETA, Exponents(2.0))
+    assert T == 0.0 and cert.converged
+
+
+def _volume_filling_pair(rho1, rho2):
+    """Two vertices of weight 1/2 under volume filling (cap 1), and endpoint
+    pairs (start, end) with species 1 swapped between the vertices."""
+    g = build_graph([[0.0], [1.0]], [0.5, 0.5], np.array([[0.0, 1.0], [1.0, 0.0]]))
+    start = np.array([rho1, rho2], dtype=float)
+    end = np.array([rho1[::-1], rho2], dtype=float)
+    return g, start, end
+
+
+def _volume_filling_config(tmp_path, start, end):
+    cfg = s1_config(out_dir=str(tmp_path / "out"))
+    cfg["graph"]["weights"] = [0.5, 0.5]
+    cfg["mobility"] = {"preset": "volume_filling"}
+    cfg["initial_state"] = {"rho1": [1.0, 1.0], "rho2": [1.0, 1.0]}
+    paths = []
+    for name, state in (("from", start), ("to", end)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"rho1": state[0].tolist(), "rho2": state[1].tolist()}))
+        paths.append(str(path))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return ["metric", "--config", str(cfg_path), "--from", paths[0], "--to", paths[1],
+            "--steps", "4"]
+
+
+def test_transport_cost_rejects_an_endpoint_above_the_cap(tmp_path, capsys):
+    # used to crash with AttributeError on the infinite objective of the start
+    g, start, end = _volume_filling_pair([1.2, 0.8], [1.0, 1.0])
+    with pytest.raises(ThresholdExceeded):
+        transport_cost(g, start, end, 4, PRESETS["volume_filling"](), BETA, Exponents(2.0))
+    assert main_cli(_volume_filling_config(tmp_path, start, end)) == 1
+    assert "error: state outside [0, 1.0]" in capsys.readouterr().err
+
+
+def test_transport_cost_reports_a_start_without_an_interior_path(tmp_path, capsys):
+    # species 2 fills both vertices to the cap at both ends, so every path of
+    # it sits on the bound, and its mobility m(1, 1) vanishes; it used to
+    # crash with AttributeError on the infinite objective of the start
+    g, start, end = _volume_filling_pair([0.3, 0.5], [1.0, 1.0])
+    with pytest.raises(NotApplicable, match="species 2"):
+        transport_cost(g, start, end, 4, PRESETS["volume_filling"](), BETA, Exponents(2.0))
+    # unit masses, as the command line requires: both species fill the cap
+    g, start, end = _volume_filling_pair([1.0, 1.0], [1.0, 1.0])
+    assert main_cli(_volume_filling_config(tmp_path, start, end)) == 1
+    assert "species 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k_steps", [0, -2, 2.5, True, "8", np.float64(8.0)])
