@@ -71,9 +71,10 @@ def _finite(value):
 
 
 def _write_json(path, payload):
-    """Strict JSON: a non-finite number is written as null, never as NaN or
-    Infinity, which strict parsers reject; whatever produced it says why."""
-    text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False, default=float)
+    """Strict JSON on one line: a non-finite number is written as null, never
+    as NaN or Infinity, which strict parsers reject; whatever produced it
+    says why.  Without an indent, json serializes with its C encoder."""
+    text = json.dumps(_finite(payload), sort_keys=True, allow_nan=False, default=float)
     _atomic_write(path, text + "\n")
 
 

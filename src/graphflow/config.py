@@ -13,7 +13,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import diagnostics, dynamics, kernels as kernels_mod, mobility as mobility_mod
 from .errors import (MassMismatch, NotConcave, NotPositive, NotUpwindAdmissible, SchemaError,
@@ -374,7 +373,10 @@ def project_initial(positions, masses, base):
 
 def _gaussian_density(mean=0.0, sigma=1.0):
     # mean + sigma * Phi^-1(u); scipy.stats.norm.ppf computes the same
-    # expression, but importing scipy.stats costs about half a second
+    # expression, but importing scipy.stats costs about half a second, and
+    # scipy.special is imported here so that only refinement studies load it
+    from scipy.special import ndtri
+
     return lambda u: mean + sigma * ndtri(u)
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DuplicatePoint,
@@ -114,7 +113,10 @@ class FiniteGraph:
 
     ``component`` labels the connected components in order of their lowest
     vertex, which ``ground`` holds, one per component; the divergence
-    conserves the mass of each component.
+    conserves the mass of each component.  They are found over the link
+    arrays (see :func:`_components`): each round hooks every root to the
+    smallest root across its links and pointer-jumps until every tree is a
+    star, so each component's root is its lowest vertex.
     """
 
     base: BaseMeasure
@@ -143,8 +145,7 @@ class FiniteGraph:
              (np.concatenate([lo, hi]), np.concatenate([links, links]))),
             shape=(n, links.size))
         divergence.sort_indices()
-        adjacency = sparse.csr_matrix((np.ones(links.size), (lo, hi)), shape=(n, n))
-        _, component = connected_components(adjacency, directed=False)
+        component, ground = _components(n, lo, hi)
         derived = {
             "link_weight": eta * (self.weights[lo] * self.weights[hi]),
             "link_div_lo": div_lo,
@@ -152,7 +153,7 @@ class FiniteGraph:
             "link_divergence": divergence,
             "lo_counts": np.bincount(lo, minlength=n),
             "component": component,
-            "ground": np.unique(component, return_index=True)[1],
+            "ground": ground,
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -177,13 +178,39 @@ class FiniteGraph:
     def link_lengths(self):
         return np.linalg.norm(self.points[self.link_hi] - self.points[self.link_lo], axis=1)
 
-    def check_node_field(self, values, pair=False):
-        """``values`` as a float (n,) array, or (2, n) for a species ``pair``."""
-        return _check_field(values, (2, self.n_vertices) if pair else (self.n_vertices,), "node")
+    def check_node_field(self, values):
+        """``values`` as a float (..., n) array: node fields along its last axis."""
+        return _check_field(values, np.shape(values)[:-1] + (self.n_vertices,), "node")
 
-    def check_link_field(self, values, pair=False):
-        """``values`` as a float (links,) array, or (2, links) for a species ``pair``."""
-        return _check_field(values, (2, self.n_links) if pair else (self.n_links,), "link")
+    def check_link_field(self, values, pair=False, intervals=False):
+        """``values`` as a float (links,) array, or (2, links) for a species
+        ``pair``, after a leading axis of any length when ``intervals``."""
+        shape = (2, self.n_links) if pair else (self.n_links,)
+        return _check_field(values, np.shape(values)[:1] + shape if intervals else shape, "link")
+
+
+def _components(n, lo, hi):
+    """Connected components of the n vertices joined by the links (lo, hi):
+    the (n,) labels, numbered in order of each component's lowest vertex,
+    and those lowest vertices.  Hooking a root only to a smaller root keeps
+    every parent at or below its vertex, so the rounds, which stop when
+    every link joins equal roots, leave each component's lowest vertex as
+    its root."""
+    parent = np.arange(n)
+    while True:
+        root_lo, root_hi = parent[lo], parent[hi]
+        split = root_lo != root_hi
+        if not split.any():
+            break
+        root_lo, root_hi = root_lo[split], root_hi[split]
+        np.minimum.at(parent, np.maximum(root_lo, root_hi), np.minimum(root_lo, root_hi))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    ground, component = np.unique(parent, return_inverse=True)
+    return component, ground
 
 
 def _check_field(values, shape, kind):
@@ -317,11 +344,12 @@ def check_assumptions(graph, exponents):
 def link_ends(graph, values):
     """The values of a node field at the ``lo`` and at the ``hi`` end of every link.
 
-    Takes one node field (n,) or a species pair (2, n) and returns two new
-    (links,) or (2, links) arrays.  The links are sorted by ``lo``, so the
-    ``lo`` values repeat each vertex's value once per link, with no gather.
+    Takes node fields (..., n), one node field (n,), a species pair (2, n)
+    or one pair per interval (K, 2, n), and returns two new (..., links)
+    arrays.  The links are sorted by ``lo``, so the ``lo`` values repeat each
+    vertex's value once per link, with no gather.
     """
-    values = graph.check_node_field(values, pair=np.ndim(values) == 2)
+    values = graph.check_node_field(values)
     at_lo = np.repeat(values, graph.lo_counts, axis=-1)
     return at_lo, np.take(values, graph.link_hi, axis=-1)
 

@@ -164,9 +164,10 @@ def check_slack(rho_pair, mobility):
 
 def link_mobility(graph, rho_pair, mobility):
     """``fwd`` = m(rho_lo, rho_hi) and ``bwd`` = m(rho_hi, rho_lo) at every
-    link of a species pair (2, n), at the state clipped into the box [0, cap],
-    cap = min(R, S), and the (2, links) mask of the links with an end outside
-    it, None when the state lies in the box.  The mask is the union of the
+    link of a species pair (2, n), or of one pair per interval (K, 2, n), at
+    the state clipped into the box [0, cap], cap = min(R, S), and the
+    (2, links) or (K, 2, links) mask of the links with an end outside it,
+    None when every state lies in the box.  The mask is the union of the
     masks :func:`alpha_density` forms for the two orientations of a link.
     """
     rho = np.asarray(rho_pair, dtype=float)

@@ -24,11 +24,8 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse.linalg import splu
 
 from .errors import InfeasibleEndpoints, InfiniteAction, NotApplicable, NotConverged
-from .graph import nonlocal_divergence
 from .mobility import (check_slack, cost_density, dual_density, flux_law, link_mobility,
                        velocity_law)
 
@@ -37,23 +34,28 @@ from .mobility import (check_slack, cost_density, dual_density, flux_law, link_m
 class ActionValue:
     """Total action and its per-species parts (already 1/beta weighted)."""
 
-    total: float
+    total: float  # or a (K,) array, one value per interval
     per_species: tuple
 
 
 def link_total(graph, terms, beta):
     """ActionValue of per-link terms (2, links): their sums weighted by
-    eta mu_lo mu_hi, divided by beta.  ``terms`` is scaled in place."""
+    eta mu_lo mu_hi, divided by beta.  Terms (K, 2, links) of K intervals
+    give (K,) arrays, each interval's values as its own call would give
+    them.  ``terms`` is scaled in place."""
     terms *= graph.link_weight
-    parts = np.sum(terms, axis=1) / np.asarray(beta, dtype=float)
-    return ActionValue(total=float(parts[0] + parts[1]),
-                       per_species=(float(parts[0]), float(parts[1])))
+    parts = np.sum(terms, axis=-1) / np.asarray(beta, dtype=float)
+    first, second = parts[..., 0], parts[..., 1]
+    if parts.ndim == 1:
+        first, second = float(first), float(second)
+    return ActionValue(total=first + second, per_species=(first, second))
 
 
 def action(graph, rho_pair, flux_pair, mobility, beta, exponents):
-    """Two-species upwind action of the (2, links) fluxes; infinity encodes
-    infeasibility, not an error."""
-    j = graph.check_link_field(flux_pair, pair=True)
+    """Two-species upwind action of the (2, links) fluxes at the (2, n)
+    state, or per interval of (K, 2, links) fluxes at (K, 2, n) states;
+    infinity encodes infeasibility, not an error."""
+    j = graph.check_link_field(flux_pair, pair=True, intervals=np.ndim(flux_pair) == 3)
     fwd, bwd, outside = link_mobility(graph, rho_pair, mobility)
     terms = cost_density(j, fwd, exponents, outside)
     terms += cost_density(-j, bwd, exponents, outside)
@@ -147,11 +149,10 @@ class DiscretePath:
     def continuity_residual(self, graph):
         """Max-norm residual of rho_{k+1} - rho_k + dt * div(j_k) = 0."""
         dt = self.times[1] - self.times[0]
-        worst = 0.0
-        for k in range(self.n_intervals):
-            res = self.states[k + 1] - self.states[k] + dt * nonlocal_divergence(graph, self.fluxes[k])
-            worst = max(worst, float(np.max(np.abs(res))))
-        return worst
+        intervals, species, links = self.fluxes.shape
+        div = graph.link_divergence @ self.fluxes.reshape(intervals * species, links).T
+        res = np.diff(self.states, axis=0) + dt * div.T.reshape(self.states[1:].shape)
+        return float(np.max(np.abs(res), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -197,6 +198,8 @@ def min_norm_flux(graph, rates):
     y = np.zeros_like(rows)
     free = np.setdiff1d(np.arange(graph.n_vertices), graph.ground)
     if free.size:
+        from scipy.sparse.linalg import splu  # deferred: the flow path never loads it
+
         laplacian = graph.link_divergence @ graph.link_divergence.T
         solve = splu(laplacian[free][:, free].tocsc()).solve
         y[:, free] = solve(np.ascontiguousarray(rows[:, free].T)).T
@@ -235,6 +238,9 @@ class _NewtonSystem:
     """
 
     def __init__(self, graph, k_steps):
+        from scipy.linalg.lapack import dgbtrf, dgbtrs  # deferred: the flow path never loads it
+
+        self.dgbtrf, self.dgbtrs = dgbtrf, dgbtrs
         n, K, links = graph.n_vertices, k_steps, graph.link_lo.size
         # every index below is an np.intc (int32), which halves the build's memory
         lo, hi = graph.link_lo.astype(np.intc), graph.link_hi.astype(np.intc)
@@ -334,7 +340,7 @@ class _NewtonSystem:
         """LU factors (band, pivots) of a filled band, by LAPACK's banded LU
         with partial pivoting in place, or None when a pivot is exactly zero
         (the matrix is singular).  The factors are valid until the next fill."""
-        lu, pivots, info = dgbtrf(band, self.kl, self.ku, overwrite_ab=1)
+        lu, pivots, info = self.dgbtrf(band, self.kl, self.ku, overwrite_ab=1)
         if info < 0:
             raise ValueError(f"dgbtrf rejected its argument {-info}")
         return None if info > 0 else (lu, pivots)
@@ -348,7 +354,7 @@ class _NewtonSystem:
         flat = full.reshape(-1)
         if self.size:
             lu, pivots = factors
-            flat[self.kept] = dgbtrs(lu, self.kl, self.ku, flat[self.kept], pivots)[0]
+            flat[self.kept] = self.dgbtrs(lu, self.kl, self.ku, flat[self.kept], pivots)[0]
         flat[self.dropped] = 0.0
         return full[0::2], full[1::2]
 
@@ -725,10 +731,4 @@ def geodesic_profile(graph, path, mobility, beta, exponents):
     every K: on the two-vertex unit-mass problem the final interval carries
     about 1.8 times the mean action.
     """
-    mids = path.midpoint_states()
-    return np.array(
-        [
-            action(graph, mids[k], path.fluxes[k], mobility, beta, exponents).total
-            for k in range(path.n_intervals)
-        ]
-    )
+    return action(graph, path.midpoint_states(), path.fluxes, mobility, beta, exponents).total

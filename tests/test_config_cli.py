@@ -999,7 +999,30 @@ def test_gaussian_plan_quantiles_equal_norm_ppf():
         RefinementPlan("gaussian", {"sigma": 0.0}, ladder=(4,))
 
 
-def test_import_leaves_scipy_stats_unloaded():
+_FLOW_GUARD = """
+import json, os, sys
+from graphflow.cli import main_cli
+from graphflow.scenarios import s1_config, s2_state_files
+
+work = sys.argv[1]
+paths = {}
+for name, payload in zip(("cfg", "from", "to"),
+                         (s1_config(t_final=0.25, out_dir=work), *s2_state_files())):
+    paths[name] = os.path.join(work, name + ".json")
+    with open(paths[name], "w") as handle:
+        json.dump(payload, handle)
+codes = [main_cli(["simulate", "--config", paths["cfg"]]),
+         main_cli(["diagnose", "--config", paths["cfg"],
+                   "--trajectory", os.path.join(work, "trajectory.csv")]),
+         main_cli(["validate-graph", "--config", paths["cfg"]])]
+flow = sorted(m for m in sys.modules if m.startswith(tuple(sys.argv[2:])))
+codes.append(main_cli(["metric", "--config", paths["cfg"], "--from", paths["from"],
+                       "--to", paths["to"], "--steps", "4"]))
+print(json.dumps({"codes": codes, "flow": flow, "metric_linalg": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
     # both are slow to import and graphflow needs neither at import time;
     # the W1 LP for points of dimension above 1 imports scipy.optimize itself
     import subprocess
@@ -1014,6 +1037,17 @@ def test_import_leaves_scipy_stats_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "[]"
+
+    # the flow commands need only scipy.sparse, for the link divergence; the
+    # transport solve of `metric` imports the LAPACK band solver when it runs
+    unloaded = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special",
+                "scipy.optimize")
+    done = subprocess.run([sys.executable, "-c", _FLOW_GUARD, str(tmp_path), *unloaded], env=env,
+                          capture_output=True, text=True, check=True)
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["flow"] == []
+    assert report["metric_linalg"]
 
 
 def _simulated_states(tmp_path, cfg):

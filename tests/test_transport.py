@@ -4,9 +4,11 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from graphflow import transport
+from graphflow import graph as graph_mod, transport
 from graphflow.config import RefinementPlan, project_initial
 from graphflow.dynamics import upwind_flux
 from graphflow.cli import main_cli
@@ -403,6 +405,27 @@ def test_geodesic_profile_constant_for_interior_endpoints():
     assert np.max(np.abs(profile3 - profile3.mean())) / profile3.mean() < 1e-3
 
 
+@pytest.mark.parametrize("mobility", ["linear", "volume_filling"])
+def test_geodesic_profile_and_residual_equal_their_per_interval_loops(mobility):
+    # both evaluate every interval in one pass; each interval's value is the
+    # one-interval call's, bit for bit, also next to intervals with a state
+    # outside the box
+    rng = np.random.default_rng(9)
+    g, mob, exps, K = _cutoff_graph(0.4), PRESETS[mobility](), Exponents(1.5), 6
+    states = rng.uniform(0.0, 0.9, size=(K + 1, 2, g.n_vertices))
+    states[3:5, 0, 2], states[3:5, 1, 0] = 1.2, -0.1  # interval 3's midpoint leaves the box
+    fluxes = rng.normal(size=(K, 2, g.n_links))
+    path = DiscretePath(np.linspace(0.0, 1.0, K + 1), states, fluxes)
+    mids = path.midpoint_states()
+    loop = [action(g, mids[k], fluxes[k], mob, BETA, exps).total for k in range(K)]
+    assert np.array_equal(geodesic_profile(g, path, mob, BETA, exps), loop)
+    assert not np.all(np.isfinite(loop)) and np.any(np.isfinite(loop))
+    dt = path.times[1] - path.times[0]
+    residuals = [states[k + 1] - states[k] + dt * nonlocal_divergence(g, fluxes[k])
+                 for k in range(K)]
+    assert path.continuity_residual(g) == max(float(np.max(np.abs(r))) for r in residuals)
+
+
 def test_transport_cost_expression_mobility_matches_preset():
     # a preset is a formula too, so both give the solver the same exact jets
     from graphflow.mobility import from_expression
@@ -681,13 +704,32 @@ def _triangle_edge_isolated_graph():
     (lambda: _cutoff_graph(0.2), 6),
     (_triangle_edge_isolated_graph, 3),
     (lambda: build_graph([[0.0], [1.0], [3.0]], [0.5, 0.25, 0.25], np.zeros((3, 3))), 3),
-], ids=["cutoff", "triangle-edge-isolated", "edgeless"])
+    (lambda: build_graph(np.arange(24.0)[:, None], np.full(24, 0.5), np.ones((24, 24))), 1),
+], ids=["cutoff", "triangle-edge-isolated", "edgeless", "complete"])
 def test_graph_components_match_connected_components(make, count):
     g = make()
     found, labels = connected_components(dense_eta(g) > 0, directed=False)
     assert found == count
     assert np.array_equal(g.component, labels)
     assert np.array_equal(g.ground, [np.flatnonzero(labels == c)[0] for c in range(count)])
+
+
+@pytest.mark.parametrize("cuts", [0, 5])
+def test_components_of_a_shuffled_path_match_connected_components(cuts):
+    # a 4096-vertex path visiting the vertices in random order, whole and cut
+    # into cuts + 1 pieces: each piece takes many hooking rounds.  A graph of
+    # 4096 vertices holds dense (n, n) arrays, so the links go in directly
+    n = 4096
+    rng = np.random.default_rng(12)
+    order = rng.permutation(n)
+    kept = np.delete(np.arange(n - 1), rng.choice(n - 1, size=cuts, replace=False))
+    lo, hi = np.sort([order[:-1][kept], order[1:][kept]], axis=0)
+    component, ground = graph_mod._components(n, lo, hi)
+    found, labels = connected_components(
+        csr_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n)), directed=False)
+    assert found == cuts + 1
+    assert np.array_equal(component, labels)
+    assert np.array_equal(ground, [np.flatnonzero(labels == c)[0] for c in range(found)])
 
 
 @pytest.mark.parametrize("radius", [0.4, 0.2])  # one component, and six
@@ -879,7 +921,7 @@ def _recorded_solve(make, monkeypatch, K=8):
     fills, and each band it hands to dgbtrf as a dense matrix."""
     g, start, end, mob, exps = make()
     values, handed = [], []
-    matrix, dgbtrf = transport._NewtonSystem.matrix, transport.dgbtrf
+    matrix, dgbtrf = transport._NewtonSystem.matrix, scipy.linalg.lapack.dgbtrf
 
     def recording_matrix(self, *args):
         values.append(args)
@@ -890,7 +932,7 @@ def _recorded_solve(make, monkeypatch, K=8):
         return dgbtrf(ab, kl, ku, **kwargs)
 
     monkeypatch.setattr(transport._NewtonSystem, "matrix", recording_matrix)
-    monkeypatch.setattr(transport, "dgbtrf", recording_dgbtrf)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", recording_dgbtrf)
     _, _, cert = transport_cost(g, start, end, K, mob, BETA, exps)
     monkeypatch.undo()
     return g, cert, values, handed
@@ -941,7 +983,7 @@ def test_transport_cost_memory_on_the_complete_ladder_graph(monkeypatch):
     # (K, links, 6, 6) elements and their index arrays took it to 37 MB
     g, start, end, mob, exps = _ladder_problem()
     live, pivots = [], []
-    dgbtrf = transport.dgbtrf
+    dgbtrf = scipy.linalg.lapack.dgbtrf
 
     def counting_dgbtrf(ab, kl, ku, **kwargs):
         live.append(sum(ref() is not None for ref in pivots))
@@ -949,7 +991,7 @@ def test_transport_cost_memory_on_the_complete_ladder_graph(monkeypatch):
         pivots.append(weakref.ref(piv))  # the pivots live as long as their factors
         return lu, piv, info
 
-    monkeypatch.setattr(transport, "dgbtrf", counting_dgbtrf)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", counting_dgbtrf)
     tracemalloc.start()
     try:
         _, _, cert = transport_cost(g, start, end, 8, mob, BETA, exps)
