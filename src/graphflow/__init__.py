@@ -30,7 +30,6 @@ from .kernels import (
     KernelSet,
     System,
     build_kernel_set,
-    descent_velocities,
     energy,
 )
 from .mobility import (

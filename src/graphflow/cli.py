@@ -17,13 +17,7 @@ import warnings
 import numpy as np
 
 from . import __version__, diagnostics, dynamics, transport
-from .config import (
-    emit_config,
-    parse_config,
-    parse_plan,
-    parse_state,
-    run_refinement_study,
-)
+from .config import parse_config, parse_plan, parse_state, run_refinement_study
 from .errors import GraphflowError, NotConverged, SchemaError, SemanticError, StepSizeUnderflow
 from .graph import check_assumptions, ordered_edges
 
@@ -142,7 +136,7 @@ def _out_dir(config, override):
 def _summary_payload(config, extra):
     payload = {
         "version": __version__,
-        "resolved_config": json.loads(emit_config(config)),
+        "resolved_config": config.resolved,
     }
     payload.update(extra)
     return payload

@@ -48,16 +48,6 @@ def _is_integer(value):
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _positive_or_null(integ, key):
-    """integrator.<key> as a positive float, or None when null or absent."""
-    value = integ.get(key)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
-        raise SemanticError(f"integrator.{key} must be a positive number or null, got {value!r}")
-    return float(value)
-
-
 def _preset_number(value, key, path):
     """Preset parameter ``key`` as a float: a finite real, not a boolean, and
     above zero for the scales in ``_SCALES``."""
@@ -241,13 +231,12 @@ def parse_config(source):
         raise SemanticError(f"seed must be an integer, got {resolved['seed']!r}")
 
     integ = resolved["integrator"]
-    max_dt = _positive_or_null(integ, "max_dt")
-    try:
+    try:  # null leaves a step size unset; the options check every value
         integrator = dynamics.IntegratorOptions(
             rel_tol=integ["rel_tol"],
             abs_tol=integ["abs_tol"],
-            max_dt=np.inf if max_dt is None else max_dt,
-            dt_initial=_positive_or_null(integ, "dt_initial"),
+            max_dt=np.inf if integ["max_dt"] is None else integ["max_dt"],
+            dt_initial=integ["dt_initial"],
         )
     except ValueError as exc:  # e.g. a negative tolerance or an infinite first step
         raise SemanticError(f"integrator.{exc}") from exc

@@ -26,7 +26,6 @@ from .graph import Exponents, build_graph, nonlocal_divergence, nonlocal_gradien
 from .kernels import (
     System,
     build_kernel_set,
-    descent_velocities,
     distance,
     energy_from_potentials,
     potentials,
@@ -53,7 +52,8 @@ def dissipation(system, rho_pair):
     """D(rho): dual action of the beta-scaled descent velocities, one term per link."""
     graph, beta = system.graph, system.kernels.beta
     rho_pair = np.asarray(rho_pair, dtype=float)
-    scaled = beta[:, None] * descent_velocities(graph, potentials(system, rho_pair))
+    scaled = nonlocal_gradient(graph, potentials(system, rho_pair))
+    scaled *= -beta[:, None]
     return transport.dual_action(graph, rho_pair, scaled, system.mobility, beta,
                                  system.exponents).total
 
@@ -87,8 +87,8 @@ def _state_terms(system, trajectory, k):
         check_slack(rho, mobility)
     phi = potentials(system, rho)
     fwd, bwd, outside = link_mobility(graph, rho, mobility)
-    scaled = descent_velocities(graph, phi)
-    scaled *= system.kernels.beta[:, None]
+    scaled = nonlocal_gradient(graph, phi)
+    scaled *= -system.kernels.beta[:, None]
     flux = (flux_law(scaled, fwd, bwd, system.exponents) if node_fluxes is None
             else np.asarray(node_fluxes[k], dtype=float))
     return energy_from_potentials(graph, phi, rho), scaled, flux, (fwd, bwd), outside

@@ -13,7 +13,8 @@ curves of maximal slope (zeros of the De Giorgi functional).  The flux is
 antisymmetric, so it is a (2, links) array of its values on the edges
 (lo, hi), one flux-law evaluation per link, with the mobility of the state
 clipped into its box from :func:`~graphflow.mobility.link_mobility`, as the
-action, the dual action and the De Giorgi terms take it.
+action, the dual action and the De Giorgi terms take it.  The gradient and
+the divergence are those of :mod:`graphflow.graph`, as in the transport solver.
 
 The flow is that of a :class:`~graphflow.kernels.System`, which binds the
 graph, kernels, mobility and exponents; the flux, the right-hand side and
@@ -26,12 +27,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeUnderflow, ThresholdExceeded
-from .graph import nonlocal_divergence
-from .kernels import descent_velocities, energy, potentials
+from .graph import nonlocal_divergence, nonlocal_gradient
+from .kernels import energy, potentials
 from .mobility import check_slack, flux_law, link_mobility
 
 GUARD_TOL = 1e-12  # simplex guard on accepted integrator steps
 DT_MIN = 1e-14  # integrator steps below this (or 1e-10 t_final) raise StepSizeUnderflow
+
+
+def _is_real(value):
+    """Whether ``value`` is a real number; True and False are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -89,8 +95,8 @@ def upwind_flux(system, rho_pair):
     """
     graph, mobility = system.graph, system.mobility
     check_slack(rho_pair, mobility)
-    scaled = descent_velocities(graph, potentials(system, rho_pair))
-    scaled *= system.kernels.beta[:, None]
+    scaled = nonlocal_gradient(graph, potentials(system, rho_pair))
+    scaled *= -system.kernels.beta[:, None]
     fwd, bwd, _ = link_mobility(graph, rho_pair, mobility)
     return flux_law(scaled, fwd, bwd, system.exponents)
 
@@ -115,16 +121,16 @@ class IntegratorOptions:
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-                    0.0 <= value < np.inf):
+            if not (_is_real(value) and 0.0 <= value < np.inf):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if self.rel_tol == 0.0 and self.abs_tol == 0.0:
             raise ValueError("rel_tol and abs_tol must not both be 0")
         # only None means "unset": a zero first step must not fall back to the default
-        if self.dt_initial is not None and not 0.0 < self.dt_initial < np.inf:
-            raise ValueError(f"dt_initial must be None or finite and > 0, got {self.dt_initial!r}")
-        if not self.max_dt > 0.0:
-            raise ValueError(f"max_dt must be > 0 (inf allowed), got {self.max_dt!r}")
+        dt0 = self.dt_initial
+        if dt0 is not None and not (_is_real(dt0) and 0.0 < dt0 < np.inf):
+            raise ValueError(f"dt_initial must be None or a finite number > 0, got {dt0!r}")
+        if not (_is_real(self.max_dt) and self.max_dt > 0.0):
+            raise ValueError(f"max_dt must be a number > 0 (inf allowed), got {self.max_dt!r}")
 
 
 @dataclass
@@ -183,20 +189,29 @@ def integrate(system, state0, t_final, options=None):
     ``rhs`` evaluations: the accepted state differs from the 5th-order one
     only by the clamp, at most GUARD_TOL, and the renormalization, at
     round-off, and every rate conserves mass exactly.
-    ``t_final`` must be finite and > 0.  A step that the controller shrinks
-    below max(DT_MIN, 1e-10 t_final), or more than 60 rejections in a row,
-    raise :class:`StepSizeUnderflow`.
+    ``t_final`` must be a finite number > 0, and the initial state must pass
+    the guard of an accepted step (ThresholdExceeded, naming the first entry
+    outside it, otherwise).  A step that the controller shrinks below
+    max(DT_MIN, 1e-10 t_final), or more than 60 rejections in a row, raise
+    :class:`StepSizeUnderflow`.
     """
-    if not 0.0 < t_final < np.inf:
-        raise ValueError(f"t_final must be finite and > 0, got {t_final!r}")
+    if not (_is_real(t_final) and 0.0 < t_final < np.inf):
+        raise ValueError(f"t_final must be a finite number > 0, got {t_final!r}")
     graph, mobility = system.graph, system.mobility
     options = options or IntegratorOptions()
     state0 = state0 if isinstance(state0, SpeciesPairState) else SpeciesPairState(state0)
-    masses0 = state0.masses(graph)
-    state0.validate(graph, mobility, masses=masses0)
-    cap = mobility.threshold_cap
-
     y = state0.rho.copy()
+    if y.shape[1] != graph.n_vertices:
+        raise ValueError(f"state has {y.shape[1]} vertices, graph has {graph.n_vertices}")
+    cap = mobility.threshold_cap
+    inside = np.isfinite(y) & (y >= -GUARD_TOL) & (y <= cap + GUARD_TOL)
+    if not np.all(inside):
+        species, vertex = np.unravel_index(np.argmin(inside), y.shape)
+        raise ThresholdExceeded(f"initial density {y[species, vertex]:.3e} of species "
+                                f"{species + 1} at vertex {vertex} is outside [0, {cap}] "
+                                f"by more than GUARD_TOL = {GUARD_TOL}")
+    masses0 = state0.masses(graph)
+
     t = 0.0
     dt = options.dt_initial
     if dt is None:

@@ -1,4 +1,4 @@
-"""Interaction kernels, the cross-interaction energy, and descent velocities.
+"""Interaction kernels and the cross-interaction energy with its potentials.
 
 The energy of a density pair is
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SemanticError
 from .expressions import compile_expression
-from .graph import Exponents, FiniteGraph, link_ends
+from .graph import Exponents, FiniteGraph
 
 _SYMMETRY_TOL = 1e-9
 
@@ -223,10 +223,3 @@ def energy_from_potentials(graph, phi, rho_pair):
     """The energy of ``rho_pair`` given its potentials ``phi``: half their pairing with its masses."""
     masses = rho_pair * graph.weights[None, :]
     return 0.5 * float(np.sum(phi * masses))
-
-
-def descent_velocities(graph, phi):
-    """Descent velocities -grad phi of the (2, n) potentials ``phi``, (2, links):
-    phi(lo) - phi(hi) on every edge (lo, hi)."""
-    at_lo, at_hi = link_ends(graph, phi)
-    return np.subtract(at_lo, at_hi, out=at_lo)

@@ -17,6 +17,8 @@ The quasi-metric T(rho_0, rho_1) is the p-th root of the minimal
 time-integrated action over discrete paths solving the continuity equation;
 with midpoint interval densities the objective is jointly convex when the
 mobility is jointly concave (linear, for instance; volume filling is not).
+The solver takes its link-end values and its divergences from the flow's
+operators, :func:`~graphflow.graph.link_ends` and ``nonlocal_divergence``.
 """
 
 import numbers
@@ -26,6 +28,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import InfeasibleEndpoints, InfiniteAction, NotApplicable, NotConverged
+from .graph import link_ends, nonlocal_divergence
 from .mobility import (check_slack, cost_density, dual_density, flux_law, link_mobility,
                        velocity_law)
 
@@ -149,9 +152,7 @@ class DiscretePath:
     def continuity_residual(self, graph):
         """Max-norm residual of rho_{k+1} - rho_k + dt * div(j_k) = 0."""
         dt = self.times[1] - self.times[0]
-        intervals, species, links = self.fluxes.shape
-        div = graph.link_divergence @ self.fluxes.reshape(intervals * species, links).T
-        res = np.diff(self.states, axis=0) + dt * div.T.reshape(self.states[1:].shape)
+        res = np.diff(self.states, axis=0) + dt * nonlocal_divergence(graph, self.fluxes)
         return float(np.max(np.abs(res), initial=0.0))
 
 
@@ -168,7 +169,8 @@ class SolverCertificate:
 
 def _adjoint(graph, y):
     """D^T y per link: (m, n) -> (m, links)."""
-    return graph.link_div_lo * y[:, graph.link_lo] + graph.link_div_hi * y[:, graph.link_hi]
+    y_lo, y_hi = link_ends(graph, y)
+    return graph.link_div_lo * y_lo + graph.link_div_hi * y_hi
 
 
 def _row_bincount(index, weights, bins):
@@ -434,7 +436,7 @@ class _SplitProblem:
         P, M, R = self.parts(x)[:3]
         states = self.states(R)
         mid = 0.5 * (states[:-1] + states[1:])
-        r_lo, r_hi = mid[:, graph.link_lo], mid[:, graph.link_hi]
+        r_lo, r_hi = link_ends(graph, mid)
         fwd = _mobility_derivatives(self.mobility, r_lo, r_hi)
         bwd = _mobility_derivatives(self.mobility, r_hi, r_lo)
         if not (np.all(fwd.m > 0) and np.all(bwd.m > 0)):
@@ -443,7 +445,7 @@ class _SplitProblem:
         # the backward mobility m(rbar_k', rbar_l) has its source slot at hi
         g_mid = _scatter(graph, f.m * fwd.r + b.m * bwd.s, f.m * fwd.s + b.m * bwd.r)
         g_R = 0.5 * (g_mid[:-1] + g_mid[1:])
-        continuity = np.diff(states, axis=0) + self.dt * (graph.link_divergence @ (P - M).T).T
+        continuity = np.diff(states, axis=0) + self.dt * nonlocal_divergence(graph, P - M)
         return SimpleNamespace(F=float(np.sum(f.value) + np.sum(b.value)), f=f, b=b, fwd=fwd, bwd=bwd,
                                grad=np.concatenate([f.a, b.a, g_R] + self.slack_gradient, axis=None),
                                continuity=continuity)
@@ -533,9 +535,9 @@ class _SplitProblem:
             r_mid = _scatter(graph, r_lo, r_hi)
             d_states, d_lam = system.solve(
                 factors, r_R + 0.5 * (r_mid[:-1] + r_mid[1:]),
-                (graph.link_divergence @ (-dt * (u_P - u_M)).T).T - ev.continuity)
+                nonlocal_divergence(graph, -dt * (u_P - u_M)) - ev.continuity)
             d_mid = 0.5 * (d_states[:-1] + d_states[1:])
-            d_lo, d_hi = d_mid[:, graph.link_lo], d_mid[:, graph.link_hi]
+            d_lo, d_hi = link_ends(graph, d_mid)
             d_div = dt * _adjoint(graph, d_lam)
             d_P = u_P - (f.am * (mf.r * d_lo + mf.s * d_hi) + d_div) / diag_P
             d_M = u_M - (b.am * (mb.r * d_hi + mb.s * d_lo) - d_div) / diag_M

@@ -16,8 +16,8 @@ from graphflow.diagnostics import (
 )
 from graphflow.dynamics import IntegratorOptions, Trajectory, integrate, rhs, upwind_flux
 from graphflow.errors import MassMismatch, ThresholdExceeded
-from graphflow.graph import Exponents
-from graphflow.kernels import System, build_kernel_set, descent_velocities, energy, potentials, zero
+from graphflow.graph import Exponents, nonlocal_gradient
+from graphflow.kernels import System, build_kernel_set, energy, potentials, zero
 from graphflow.mobility import PRESETS
 from graphflow.scenarios import random_geometric_setup, s1_setup
 
@@ -338,7 +338,7 @@ def _public_terms(system, rho, flux):
     transport functions, each gathering the state and evaluating the mobility
     itself."""
     g, beta, mob, exps = system.graph, system.kernels.beta, system.mobility, system.exponents
-    ascent = -beta[:, None] * descent_velocities(g, potentials(system, rho))
+    ascent = -beta[:, None] * -nonlocal_gradient(g, potentials(system, rho))
     vel = transport.velocity_from_flux(g, rho, flux, mob, exps)
     return (dissipation(system, rho), transport.action(g, rho, flux, mob, beta, exps).total,
             transport.pairing_l_tilde(g, rho, vel, ascent, mob, beta, exps))

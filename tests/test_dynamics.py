@@ -260,6 +260,39 @@ def test_integrator_options_reject_invalid_tolerances(field, value):
     assert IntegratorOptions(rel_tol=0, abs_tol=1e-12).rel_tol == 0
 
 
+@pytest.mark.parametrize("field, value", [("max_dt", True), ("dt_initial", True),
+                                          ("max_dt", "abc"), ("dt_initial", "0.1")])
+def test_integrator_options_reject_steps_that_are_not_numbers(field, value):
+    # True used to pass as a step of 1, and a string raised a TypeError
+    with pytest.raises(ValueError, match=field):
+        IntegratorOptions(**{field: value})
+
+
+@pytest.mark.parametrize("t_final", [True, "0.5"])
+def test_integrate_rejects_a_horizon_that_is_not_a_number(t_final):
+    # True used to run to t = 1
+    g, kernels, mob, exps, state = s1_setup()
+    with pytest.raises(ValueError, match="t_final"):
+        integrate(System(g, kernels, mob, exps), state, t_final)
+
+
+@pytest.mark.parametrize("mobility, rho, entry", [
+    (None, [[1.5, -5e-10], [0.5, 0.5]], "species 1 at vertex 1"),
+    (None, [[1.5, 0.5], [np.nan, 1.0]], "species 2 at vertex 0"),
+    (volume_filling(1.0), [[1.0, 1.0], [1.0 + 5e-10, 0.0]], "species 2 at vertex 0"),
+], ids=["negative", "nan", "above-cap"])
+def test_integrate_refuses_an_initial_state_outside_the_step_guard(mobility, rho, entry):
+    # every accepted step must lie within GUARD_TOL of the box; a start
+    # between GUARD_TOL and 1e-9 outside it used to pass and have every step
+    # rejected, ending in StepSizeUnderflow at t = 0
+    g, kernels, mob, exps, _ = s1_setup()
+    system = System(g, kernels, mobility or mob, exps)
+    with pytest.raises(ThresholdExceeded, match=entry):
+        integrate(system, rho, 0.5)
+    inside = np.clip(np.nan_to_num(rho, nan=0.5), 0.0, system.mobility.threshold_cap)
+    assert integrate(system, inside, 0.5).times[-1] == 0.5
+
+
 def test_integrator_options_accept_unset_and_unbounded_steps():
     assert IntegratorOptions(max_dt=np.inf, dt_initial=None).max_dt == np.inf
     g, kernels, mob, exps, state = s1_setup()

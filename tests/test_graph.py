@@ -230,12 +230,34 @@ def test_species_pair_operators_equal_single_rows():
         assert np.array_equal(div[i], nonlocal_divergence(g, j[i]))
     # the cached action weight holds the product the formulas use
     assert np.array_equal(g.link_weight, eta * (weights[lo] * weights[hi]))
-    with pytest.raises(SizeMismatch):
-        nonlocal_divergence(g, np.zeros((3, g.n_links)))
+    three = rng.normal(size=(3, g.n_links))
+    assert np.array_equal(nonlocal_divergence(g, three),
+                          [nonlocal_divergence(g, row) for row in three])
     with pytest.raises(SizeMismatch):
         nonlocal_divergence(g, np.zeros((2, 2 * g.n_links)))  # an ordered-edge field
     with pytest.raises(SizeMismatch):
         nonlocal_gradient(g, np.zeros((2, n + 1)))
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_divergence_of_stacked_rows_equals_each_row(n):
+    # one or two rows are multiplied one at a time, more rows as one product;
+    # both give each row's own divergence bit for bit
+    rng = np.random.default_rng(n)
+    points = rng.uniform(0.0, 1.0, size=(n, 2))
+    weights = rng.uniform(0.5, 1.5, size=n)
+    g = build_graph(points, weights, lambda x, y: np.exp(-np.sum((x - y) ** 2, axis=-1)))
+    for shape in [(1,), (2,), (3,), (16,), (1, 2), (3, 2), (16, 2)]:
+        j = rng.normal(size=shape + (g.n_links,))
+        div = nonlocal_divergence(g, j)
+        rows = j.reshape(-1, g.n_links)
+        assert div.shape == shape + (n,)
+        assert np.array_equal(div.reshape(-1, n), [nonlocal_divergence(g, row) for row in rows])
+    edgeless = build_graph(points, weights, np.zeros((n, n)))
+    assert edgeless.n_links == 0
+    for shape in [(), (2,), (3,), (16, 2)]:
+        div = nonlocal_divergence(edgeless, np.zeros(shape + (0,)))
+        assert div.shape == shape + (n,) and not np.any(div)
 
 
 def _gaussian_graph_with_isolated_vertex(seed):

@@ -6,12 +6,11 @@ import pytest
 
 from graphflow.dynamics import upwind_flux
 from graphflow.errors import SemanticError
-from graphflow.graph import Exponents, build_graph
+from graphflow.graph import Exponents, build_graph, nonlocal_gradient
 from graphflow.kernels import (
     System,
     _pairwise,
     build_kernel_set,
-    descent_velocities,
     distance,
     energy,
     estimate_growth_constant,
@@ -82,13 +81,13 @@ def test_edge_velocity_examples():
     g = two_point_graph()
     state = s1_state()
     system = _system(g, s1_kernels())
-    velocities = descent_velocities(g, potentials(system, state.rho))
+    velocities = -nonlocal_gradient(g, potentials(system, state.rho))
     # one value per link: the descent velocity on the edge (0, 1)
     assert velocities.shape == (2, 1)
     assert velocities[0, 0] == pytest.approx(-0.5)
     assert np.all(velocities[1] == 0.0)
     uniform = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert np.allclose(descent_velocities(g, potentials(system, uniform)), 0.0)
+    assert np.allclose(-nonlocal_gradient(g, potentials(system, uniform)), 0.0)
 
 
 def test_cross_kernel_symmetrization_preserves_dynamics():

@@ -1,11 +1,20 @@
-"""No module of the library calls ``eval`` or ``exec``.
+"""Guards over the library's source text.
 
-Mobility and kernel formulas come from run configurations.
-:mod:`graphflow.expressions` reads them through a whitelist of syntax-tree
-nodes, so text from a configuration never reaches the interpreter; this guard
-keeps a later shortcut through ``eval`` or ``exec`` out of the package.
+No module of the library calls ``eval`` or ``exec``.  Mobility and kernel
+formulas come from run configurations.  :mod:`graphflow.expressions` reads
+them through a whitelist of syntax-tree nodes, so text from a configuration
+never reaches the interpreter; this guard keeps a later shortcut through
+``eval`` or ``exec`` out of the package.
+
+One link calculus.  Outside ``graph.py`` no function reads the link index
+arrays ``link_lo`` and ``link_hi`` or the divergence matrix
+``link_divergence``, so every gather of link ends goes through
+``graph.link_ends`` and every divergence through
+``graph.nonlocal_divergence``, and no second copy of either drifts back.
+The transport solver's sums into its own slots are the only exceptions.
 """
 
+import ast
 import io
 import pathlib
 import tokenize
@@ -14,6 +23,13 @@ import graphflow
 
 FORBIDDEN = {"eval", "exec"}
 MODULES = sorted(pathlib.Path(graphflow.__file__).parent.rglob("*.py"))
+LINK_ARRAYS = {"link_lo", "link_hi", "link_divergence"}
+# (module, function) -> the link arrays it reads
+ALLOWED = {
+    ("transport.py", "_NewtonSystem.__init__"): {"link_lo", "link_hi"},  # the band pattern
+    ("transport.py", "_scatter"): {"link_lo", "link_hi"},  # the bincount index of its sums
+    ("transport.py", "min_norm_flux"): {"link_divergence"},  # the Laplacian D D^T
+}
 
 
 def _forbidden_calls(text):
@@ -22,6 +38,24 @@ def _forbidden_calls(text):
               if tok.type not in (tokenize.NL, tokenize.NEWLINE, tokenize.COMMENT)]
     return [tok.start[0] for tok, following in zip(tokens, tokens[1:])
             if tok.type == tokenize.NAME and tok.string in FORBIDDEN and following.string == "("]
+
+
+def _link_array_reads(text):
+    """(function, array) of every read of a name in LINK_ARRAYS as an
+    attribute, the function named by its dotted path of enclosing functions
+    and classes ("" at module level)."""
+    reads = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Attribute) and node.attr in LINK_ARRAYS:
+            reads.append((scope, node.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(text), "")
+    return reads
 
 
 def test_the_guard_sees_calls_and_not_text():
@@ -33,3 +67,24 @@ def test_the_guard_sees_calls_and_not_text():
 def test_no_module_calls_eval_or_exec():
     calls = {path.name: _forbidden_calls(path.read_text(encoding="utf-8")) for path in MODULES}
     assert {name: lines for name, lines in calls.items() if lines} == {}
+
+
+def test_the_link_guard_sees_gathers_and_divergences_and_not_text():
+    text = ("def gather(graph, y):\n"
+            "    lo = graph.link_lo  # link_hi\n"
+            "    return y[:, lo], np.take(y, graph.link_hi, axis=-1)\n"
+            "class Solver:\n"
+            "    def step(self, graph, j):\n"
+            "        return (graph.link_divergence @ j.T).T\n"
+            "def calculus(graph, y, j):\n"
+            "    '''link_lo'''\n"
+            "    return link_ends(graph, y), nonlocal_divergence(graph, j)\n")
+    assert _link_array_reads(text) == [("gather", "link_lo"), ("gather", "link_hi"),
+                                       ("Solver.step", "link_divergence")]
+
+
+def test_only_the_graph_gathers_link_ends_and_takes_divergences():
+    reads = {(path.name, scope, array) for path in MODULES if path.name != "graph.py"
+             for scope, array in _link_array_reads(path.read_text(encoding="utf-8"))}
+    assert sorted(read for read in reads if read[2] not in ALLOWED.get(read[:2], ())) == []
+    assert {read[:2] for read in reads} == set(ALLOWED)  # no stale exception

@@ -4,8 +4,9 @@
 functions it wraps.  A rewrite that stops calling one of them through its
 module binding makes its counter read 0 without any error; this pins, for a
 small ``simulate`` + ``diagnose`` run, the ``rhs`` count of the integrator
-(one rate at the start, then six per accepted step) and the set of traced
-names that such a run never calls.
+(one rate at the start, then six per accepted step), the gradient count
+(one per flux and one per state that the De Giorgi report evaluates) and
+the set of traced names that such a run never calls.
 """
 
 import json
@@ -16,14 +17,14 @@ from graphflow.scenarios import s1_config
 from test_tracer_names import tracing
 
 # traced names that a simulate + diagnose run does not call: the flow path
-# takes link differences, actions and dual actions in place; rhs takes its
-# divergence from graph.nonlocal_divergence
+# takes actions and dual actions in place; the flux takes its velocities
+# from graph.nonlocal_gradient and rhs its divergence from
+# graph.nonlocal_divergence
 NOT_CALLED = [
     "config.project_initial",
     "config.run_refinement_study",
     "diagnostics.dissipation",
     "diagnostics.w1_distance",
-    "graph.nonlocal_gradient",
     "transport.action",
     "transport.dual_action",
     "transport.transport_cost",
@@ -48,5 +49,7 @@ def test_flow_op_feeds_the_tracer_its_pinned_counts(tmp_path):
     assert tracer.calls["dynamics.rhs"] == 1 + 6 * stats["accepted_steps"]
     assert tracer.calls["dynamics.upwind_flux"] == tracer.calls["dynamics.rhs"]
     assert tracer.calls["diagnostics.de_giorgi"] == 1
+    states = 1 + stats["accepted_steps"]
+    assert tracer.calls["graph.nonlocal_gradient"] == tracer.calls["dynamics.upwind_flux"] + states
     names = sorted(set(tracing.FUNCTIONS) | set(tracing.METHODS))
     assert [name for name in names if tracer.calls[name] == 0] == NOT_CALLED

@@ -14,8 +14,8 @@ from graphflow.dynamics import upwind_flux
 from graphflow.cli import main_cli
 from graphflow.errors import (InfeasibleEndpoints, InfiniteAction, NotApplicable, NotConverged,
                               ThresholdExceeded)
-from graphflow.graph import Exponents, build_graph, nonlocal_divergence
-from graphflow.kernels import System, descent_velocities, energy, potentials
+from graphflow.graph import Exponents, build_graph, nonlocal_divergence, nonlocal_gradient
+from graphflow.kernels import System, energy, potentials
 from graphflow.mobility import PRESETS, alpha_density, linear, link_mobility
 from graphflow.scenarios import (random_geometric_setup, s1_config, s1_setup, s2_endpoints,
                                  s2_state_files, two_point_graph)
@@ -49,7 +49,7 @@ BETA = (1.0, 1.0)
 
 
 def _velocities(system, rho):
-    return descent_velocities(system.graph, potentials(system, rho))
+    return -nonlocal_gradient(system.graph, potentials(system, rho))
 
 
 def _gradient_flux(setup):
