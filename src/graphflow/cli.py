@@ -8,6 +8,7 @@ validate-graph, properties.  Exit codes: 0 success, 1 validation failure,
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -364,19 +365,8 @@ def _cmd_diagnose(args):
     trajectory = dynamics.Trajectory(times=times, states=states, energies=None)
     report = diagnostics.de_giorgi(config.system, trajectory)
     out = _out_dir(config, args.out)
-    _write_json(
-        os.path.join(out, "de_giorgi.json"),
-        _summary_payload(
-            config,
-            {
-                "energy_start": report.energy_start,
-                "energy_end": report.energy_end,
-                "dissipation_integral": report.dissipation_integral,
-                "velocity_integral": report.velocity_integral,
-                "g_t": report.g_t,
-            },
-        ),
-    )
+    payload = {key: value for key, value in vars(report).items() if key != "series"}
+    _write_json(os.path.join(out, "de_giorgi.json"), _summary_payload(config, payload))
     _write_csv(
         os.path.join(out, "diagnostics.csv"),
         ("t", "energy", "dissipation", "action"),
@@ -394,7 +384,8 @@ def _cmd_refine(args):
     plan = parse_plan(_read(args.plan))
     report = run_refinement_study(plan, config)
     out = _out_dir(config, args.out)
-    _write_json(os.path.join(out, "refinement.json"), _summary_payload(config, report.as_dict()))
+    _write_json(os.path.join(out, "refinement.json"),
+                _summary_payload(config, dataclasses.asdict(report)))
     gaps = ", ".join(f"{g:.4e}" for g in report.w1_gaps) or "none"
     print(f"levels {[level.n_vertices for level in report.levels]}, W1 gaps: {gaps}; "
           f"wrote {out}/refinement.json")
@@ -408,28 +399,13 @@ def _cmd_refine(args):
 def _cmd_validate_graph(args):
     config = parse_config(_read(args.config))
     report = check_assumptions(config.system.graph, config.system.exponents)
-    payload = {
-        "c_mu": report.c_mu,
-        "c_eta": report.c_eta,
-        "c_eta_prime": report.c_eta_prime,
-        "bc_profile": [list(pair) for pair in report.bc_profile],
-        "n_vertices": report.n_vertices,
-        "n_edges": report.n_edges,
-    }
-    print(json.dumps(payload))  # indent would select the pure-Python encoder
+    print(json.dumps(vars(report)))  # indent would select the pure-Python encoder
     return EXIT_OK
 
 
 def _cmd_properties(args):
     report = diagnostics.property_harness(args.suite, seed=args.seed, n_samples=args.samples)
-    payload = {
-        "suite": report.suite,
-        "seed": report.seed,
-        "n_samples": report.n_samples,
-        "max_violation": report.max_violation,
-        "failures": [vars(f) for f in report.failures],
-        "note": report.note,
-    }
+    payload = dataclasses.asdict(report)
     if args.out:
         _write_json(args.out, payload)
     print(json.dumps(payload, indent=2))

@@ -10,7 +10,7 @@ import inspect
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -154,16 +154,14 @@ def _threshold(section, key, path):
 
 def _build_kernels_section(section, dimension, path="kernels"):
     _check_keys(section, ("K11", "K12", "K21", "K22", "beta"), path)
-    beta = section.get("beta", [1.0, 1.0])
-    if not isinstance(beta, list) or len(beta) != 2 or any(
-        isinstance(b, bool) or not isinstance(b, (int, float)) or not 0 < b < math.inf
-        for b in beta
-    ):
-        raise SemanticError(f"{path}.beta must be two finite positive numbers, got {beta}")
     fns = [_preset_or_expression(section.get(name, {"preset": "zero"}), f"{path}.{name}",
                                  kernels_mod.KERNEL_PRESETS, kernels_mod.kernel_from_expression)
            for name in ("K11", "K12", "K21", "K22")]
-    return kernels_mod.build_kernel_set(*fns, beta=tuple(beta), dimension=dimension, validate=True)
+    given = {"beta": section["beta"]} if "beta" in section else {}
+    try:  # the kernel set checks beta and the kernels; its messages start with the field
+        return kernels_mod.build_kernel_set(*fns, dimension=dimension, **given)
+    except SemanticError as exc:
+        raise SemanticError(f"{path}.{exc}") from None
 
 
 @dataclass
@@ -202,11 +200,11 @@ def parse_config(source):
         _check_keys(section, default, key)
         resolved[key] = {**default, **section}
 
-    p = resolved["p"]
-    if not isinstance(p, (int, float)) or not (1.0 < p < math.inf):
-        raise SemanticError(f"p must lie in (1, inf), got {p}")
+    try:
+        exponents = Exponents(resolved["p"])
+    except ValueError as exc:  # the message starts with p, the key's path
+        raise SemanticError(str(exc)) from None
     resolved.pop("q", None)
-    exponents = Exponents(float(p))
 
     graph = _build_graph_section(_require(resolved, "graph", "$", dict))
     kernels = _build_kernels_section(
@@ -419,19 +417,16 @@ class RefinementPlan:
 
 def parse_plan(source):
     raw = _parse_json(source) if isinstance(source, str) else source
-    _check_keys(raw, ("density", "ladder", "total_mass", "initial_atoms", "transport_diagnostic",
-                      "transport_steps", "projection"), "plan")
+    options = ("total_mass", "initial_atoms", "transport_diagnostic", "transport_steps")
+    _check_keys(raw, ("density", "ladder", "projection", *options), "plan")
     density = _require(raw, "density", "plan", dict)
     _check_keys(density, ("name", "params"), "plan.density")
     _check_projection(raw, "plan")
-    return RefinementPlan(
+    return RefinementPlan(  # an option the plan leaves out keeps the field's default
         density_name=_require(density, "name", "plan.density", str),
         density_params=density.get("params", {}),
         ladder=tuple(_require(raw, "ladder", "plan", list)),
-        total_mass=raw.get("total_mass", 2.0),
-        initial_atoms=raw.get("initial_atoms", 64),
-        transport_diagnostic=raw.get("transport_diagnostic", True),
-        transport_steps=raw.get("transport_steps", 8),
+        **{key: raw[key] for key in options if key in raw},
     )
 
 
@@ -457,12 +452,6 @@ class StudyReport:
     levels: list
     w1_gaps: list  # consecutive gaps between final states
 
-    def as_dict(self):
-        return {
-            "levels": [vars(level) for level in self.levels],
-            "w1_gaps": self.w1_gaps,
-        }
-
 
 def run_refinement_study(plan, config):
     """Integrate the same data on a ladder of vertex counts and compare endpoints.
@@ -475,7 +464,6 @@ def run_refinement_study(plan, config):
     atoms_u = (np.arange(plan.initial_atoms) + 0.5) / plan.initial_atoms
     atom_positions = plan.quantile(atoms_u).reshape(-1, 1)
     atom_masses = np.full(plan.initial_atoms, 1.0 / plan.initial_atoms)
-    mobility, exponents = config.system.mobility, config.system.exponents
 
     def run_level(n):
         level = StudyLevel(n_vertices=n)
@@ -486,8 +474,7 @@ def run_refinement_study(plan, config):
             eta_spec = config.resolved["graph"].get("eta_preset", {"name": "constant"})
             graph = build_graph(points, weights,
                                 _preset(ETA_PRESETS, eta_spec, "graph.eta_preset", "name"))
-            kernels = _build_kernels_section(config.resolved["kernels"], graph.base.dimension)
-            system = kernels_mod.System(graph, kernels, mobility, exponents)
+            system = replace(config.system, graph=graph)  # the config's kernels, on this graph
             rho, _ = project_initial(atom_positions, atom_masses, graph.base)
             state = dynamics.SpeciesPairState.from_densities(rho, rho.copy())
             trajectory = dynamics.integrate(system, state, config.time_horizon, config.integrator)
@@ -507,9 +494,9 @@ def run_refinement_study(plan, config):
 
                 t_value, _, _ = transport_cost(
                     graph, trajectory.states[0], trajectory.states[-1],
-                    plan.transport_steps, mobility, kernels.beta, exponents,
+                    plan.transport_steps, system.mobility, system.kernels.beta, system.exponents,
                 )
-                level.transport_start_to_final = t_value ** (1.0 / exponents.p)
+                level.transport_start_to_final = t_value ** (1.0 / system.exponents.p)
             return level, graph, trajectory.states[-1]
         except Exception as exc:  # levels fail independently
             level.failed = True

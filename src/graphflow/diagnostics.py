@@ -281,8 +281,8 @@ class HarnessReport:
     suite: str
     seed: int
     n_samples: int
-    failures: list = field(default_factory=list)
     max_violation: float = 0.0
+    failures: list = field(default_factory=list)
     note: str = ""
 
     @property
@@ -455,13 +455,19 @@ def property_harness(suite, seed=0, n_samples=100):
     """Run a named randomized property suite with per-sample derived seeds.
 
     Failures are data, not exceptions; each failure records the child seed
-    and the violation magnitude so the sample can be replayed.
+    and the violation magnitude so the sample can be replayed.  An unknown
+    suite, a negative seed or fewer than one sample checks nothing and is
+    reported in ``note``.
     """
+    note = ""
     if suite not in _SUITES:
-        return HarnessReport(
-            suite=suite, seed=seed, n_samples=0, note=f"unknown suite {suite!r}; "
-            f"available: {sorted(_SUITES)}"
-        )
+        note = f"unknown suite {suite!r}; available: {sorted(_SUITES)}"
+    elif seed < 0:
+        note = f"seed must be a non-negative integer, got {seed}"
+    elif n_samples < 1:
+        note = f"n_samples must be at least 1, got {n_samples}"
+    if note:
+        return HarnessReport(suite=suite, seed=seed, n_samples=0, note=note)
     fn, tol = _SUITES[suite]
     report = HarnessReport(suite=suite, seed=seed, n_samples=n_samples)
     children = np.random.SeedSequence(seed).spawn(n_samples)

@@ -21,23 +21,17 @@ graph, kernels, mobility and exponents; the flux, the right-hand side and
 the integrator take it as their first argument.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import StepSizeUnderflow, ThresholdExceeded
-from .graph import nonlocal_divergence, nonlocal_gradient
+from .graph import _is_real, nonlocal_divergence, nonlocal_gradient
 from .kernels import energy, potentials
 from .mobility import check_slack, flux_law, link_mobility
 
 GUARD_TOL = 1e-12  # simplex guard on accepted integrator steps
 DT_MIN = 1e-14  # integrator steps below this (or 1e-10 t_final) raise StepSizeUnderflow
-
-
-def _is_real(value):
-    """Whether ``value`` is a real number; True and False are not."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass
@@ -66,25 +60,6 @@ class SpeciesPairState:
 
     def masses(self, graph):
         return self.rho @ graph.weights
-
-    def validate(self, graph, mobility=None, masses=(1.0, 1.0), tol=1e-9):
-        if self.rho.shape[1] != graph.n_vertices:
-            raise ValueError(
-                f"state has {self.rho.shape[1]} vertices, graph has {graph.n_vertices}"
-            )
-        if np.min(self.rho) < -tol:
-            raise ThresholdExceeded(f"negative density {np.min(self.rho):.3e}")
-        got = self.masses(graph)
-        drift = np.abs(got - np.asarray(masses, dtype=float))
-        if np.max(drift) > max(tol, 1e-9):
-            raise ValueError(f"species masses {got} differ from target {masses}")
-        if mobility is not None and mobility.bounded:
-            cap = mobility.threshold_cap
-            if np.max(self.rho) > cap + tol:
-                raise ThresholdExceeded(
-                    f"density {np.max(self.rho):.6g} exceeds mobility threshold {cap}"
-                )
-        return self
 
 
 def upwind_flux(system, rho_pair):
@@ -161,7 +136,6 @@ class Trajectory:
 
 
 # Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     [],
     [1 / 5],
@@ -218,7 +192,7 @@ def integrate(system, state0, t_final, options=None):
         dt = min(options.max_dt, max(t_final / 100.0, 1e-6), t_final)
 
     times = [0.0]
-    states = [y.copy()]
+    states = [y]
     energies = [energy(system, y)]
     min_density = float(np.min(y))
     max_density = float(np.max(y))
@@ -243,16 +217,13 @@ def integrate(system, state0, t_final, options=None):
                 trial = y + dt * sum(
                     a * k for a, k in zip(_DP_A[row], stages)
                 )
-                if row < 6:
-                    stages.append(rhs(system, trial))
-                else:
-                    y5 = trial  # row 6 coefficients equal the 5th-order weights
-                    stages.append(rhs(system, y5))
+                stages.append(rhs(system, trial))
         except (ThresholdExceeded, FloatingPointError):
             dt *= 0.5
             rejected += 1
             rejects_in_a_row += 1
             continue
+        y5 = trial  # row 6 coefficients equal the 5th-order weights
 
         err_vec = dt * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, stages))
         scale = options.abs_tol + options.rel_tol * np.maximum(np.abs(y), np.abs(y5))
@@ -281,7 +252,7 @@ def integrate(system, state0, t_final, options=None):
         t += dt
         y = y_new
         times.append(t)
-        states.append(y.copy())
+        states.append(y)
         energies.append(energy(system, y))
         accepted += 1
         k1 = stages[6]  # first same as last: the rate at y5, which y equals up to the guard

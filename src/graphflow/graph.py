@@ -12,6 +12,7 @@ vertex.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +30,16 @@ SYMMETRY_TOL = 1e-12
 DENSE_VERTEX_LIMIT = 4096
 
 
+def _is_real(value):
+    """Whether ``value`` is a real number; True and False are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Exponents:
     """Integrability exponent p with its conjugate derived, never stored.
 
+    ``p`` is a real number in (1, inf), not a boolean, stored as a float;
     ``q`` always satisfies 1/p + 1/q = 1 exactly up to round-off, because it
     is computed from ``p`` on access.
     """
@@ -40,8 +47,9 @@ class Exponents:
     p: float
 
     def __post_init__(self):
-        if not (1.0 < self.p * 1.0 < np.inf):
-            raise ValueError(f"p must lie in (1, inf), got {self.p}")
+        if not (_is_real(self.p) and 1.0 < self.p < np.inf):
+            raise ValueError(f"p must lie in (1, inf), got {self.p!r}")
+        object.__setattr__(self, "p", float(self.p))
 
     @property
     def q(self):

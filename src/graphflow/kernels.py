@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SemanticError
 from .expressions import compile_expression
-from .graph import Exponents, FiniteGraph
+from .graph import Exponents, FiniteGraph, _is_real
 
 _SYMMETRY_TOL = 1e-9
 
@@ -86,7 +86,7 @@ def _check_symmetry(fn, name, rng, dim, box=2.0):
     scale = max(1.0, float(np.max(np.abs(a))))
     gap = float(np.max(np.abs(a - b)))
     if gap > _SYMMETRY_TOL * scale:
-        raise SemanticError(f"kernel {name} violates K(x,y)=K(y,x) by {gap:.3e}")
+        raise SemanticError(f"{name} violates K(x,y)=K(y,x) by {gap:.3e}")
 
 
 def _cross_ratio(k12, k21, rng, dim, box=2.0):
@@ -100,24 +100,27 @@ def _cross_ratio(k12, k21, rng, dim, box=2.0):
     if scale_a < 1e-14 and scale_b < 1e-14:
         return 1.0
     if scale_a < 1e-14 or scale_b < 1e-14:
-        raise SemanticError("one cross kernel vanishes while the other does not")
+        raise SemanticError("K12 is not a positive multiple of K21: one of them vanishes")
     mask = np.abs(b) > 1e-10 * scale_b
     ratios = a[mask] / b[mask]
     c = float(np.median(ratios))
     if c <= 0 or np.max(np.abs(a - c * b)) > 1e-8 * max(scale_a, 1.0):
-        raise SemanticError(
-            "cross kernels are not positive multiples of each other (K12 != c*K21)"
-        )
+        raise SemanticError("K12 is not a positive multiple of K21 (K12 != c*K21)")
     return c
 
 
 def build_kernel_set(k11, k12, k21, k22, beta=(1.0, 1.0), dimension=1, validate=True, seed=0):
     """Validate kernels and return the canonical :class:`KernelSet`.
 
+    ``beta`` is a list, tuple or 1-D array of two real numbers, none a
+    boolean; :class:`KernelSet` then requires both finite and positive.
     Symmetry K(x,y) = K(y,x) and the cross-proportionality K12 = c * K21 are
     checked on random samples; the cross kernels are then replaced by their
     average (K12 + K21)/2, which preserves the energy exactly.
     """
+    pair = list(beta) if isinstance(beta, np.ndarray) and beta.ndim == 1 else beta
+    if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_real, pair))):
+        raise SemanticError(f"beta must be two real numbers, not booleans, got {beta!r}")
     rng = np.random.default_rng(seed)
     if validate:
         for fn, name in ((k11, "K11"), (k12, "K12"), (k21, "K21"), (k22, "K22")):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -11,6 +12,8 @@ from graphflow import cli, diagnostics
 from graphflow.cli import _read_states_csv, _species_csv, main_cli
 from graphflow.config import (
     RefinementPlan,
+    StudyLevel,
+    StudyReport,
     emit_config,
     parse_config,
     parse_plan,
@@ -19,7 +22,7 @@ from graphflow.config import (
 )
 from graphflow.dynamics import integrate
 from graphflow.errors import MassMismatch, SchemaError, SemanticError
-from graphflow.graph import BaseMeasure
+from graphflow.graph import AssumptionReport, BaseMeasure
 from graphflow.scenarios import s1_config, s2_state_files
 
 from oracles import dense_eta
@@ -539,6 +542,52 @@ def test_cli_validate_graph_and_properties(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["failures"] == []
     assert main_cli(["properties", "--suite", "bogus"]) == 1
+
+
+@pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--samples", "-3"),
+                                           ("--samples", "0")])
+def test_cli_properties_refuses_a_negative_seed_or_no_samples(capsys, option, value):
+    # a negative seed or sample count used to escape with a traceback, and
+    # zero samples passed a check of nothing
+    assert main_cli(["properties", "--suite", "duality", option, value]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["n_samples"] == 0 and report["note"]
+
+
+def _field_names(report_class):
+    return [item.name for item in dataclasses.fields(report_class)]
+
+
+def test_cli_json_outputs_carry_their_reports_fields(tmp_path, capsys):
+    # each JSON output is built from its report dataclass, so a field added to
+    # a report reaches its output; the printed payloads keep the field order
+    out = tmp_path / "out"
+    cfg_path = _write(tmp_path / "cfg.json", s1_config(t_final=0.1, out_dir=str(out)))
+    summary = ["resolved_config", "version"]
+    assert main_cli(["simulate", "--config", cfg_path]) == 0
+    assert main_cli(["diagnose", "--trajectory", str(out / "trajectory.csv"),
+                     "--config", cfg_path]) == 0
+    de_giorgi = json.loads((out / "de_giorgi.json").read_text())
+    assert sorted(de_giorgi) == sorted(
+        summary + [name for name in _field_names(diagnostics.DeGiorgiReport) if name != "series"])
+
+    capsys.readouterr()
+    assert main_cli(["validate-graph", "--config", cfg_path]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == _field_names(AssumptionReport)
+
+    props = out / "properties.json"
+    assert main_cli(["properties", "--suite", "duality", "--samples", "2",
+                     "--out", str(props)]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == _field_names(diagnostics.HarnessReport)
+    assert sorted(json.loads(props.read_text())) == sorted(_field_names(diagnostics.HarnessReport))
+
+    plan_path = _write(tmp_path / "plan.json", {"density": {"name": "uniform"}, "ladder": [4],
+                                                "initial_atoms": 8,
+                                                "transport_diagnostic": False})
+    assert main_cli(["refine", "--plan", plan_path, "--config", cfg_path]) == 0
+    refinement = json.loads((out / "refinement.json").read_text())
+    assert sorted(refinement) == sorted(summary + _field_names(StudyReport))
+    assert [sorted(level) for level in refinement["levels"]] == [sorted(_field_names(StudyLevel))]
 
 
 def test_cli_invalid_config_exits_1(tmp_path):

@@ -178,16 +178,6 @@ def test_integrate_stops_when_steps_stop_making_progress():
     assert 0.3 < err.value.time < 0.31
 
 
-def test_state_validation():
-    g, _, mob, _, _ = s1_setup()
-    state = SpeciesPairState.from_densities([0.75, 0.25], [0.5, 0.5])
-    state.validate(g, mob)
-    with pytest.raises(ThresholdExceeded):
-        SpeciesPairState.from_densities([-0.2, 1.2], [0.5, 0.5]).validate(g, mob)
-    with pytest.raises(ValueError):
-        SpeciesPairState.from_densities([0.5, 0.25], [0.5, 0.5]).validate(g, mob)
-
-
 def test_integrate_p3_against_reference():
     # reduced scalar system at p = 3: da/dt = b * sqrt(a - b) while a > b
     g, kernels, mob, _, state = s1_setup()

@@ -32,7 +32,7 @@ def test_exponents_conjugate_relation():
     assert Exponents(2.0).q == 2.0
 
 
-@pytest.mark.parametrize("bad", [1.0, 0.5, np.inf, -2.0])
+@pytest.mark.parametrize("bad", [1.0, 0.5, np.inf, -2.0, "2", None, [2.0]])
 def test_exponents_rejects_out_of_range(bad):
     with pytest.raises(ValueError):
         Exponents(bad)

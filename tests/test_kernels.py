@@ -130,7 +130,8 @@ def test_kernel_symmetry_validated():
 
 
 def test_beta_validation():
-    for beta in [(1.0, -1.0), (float("nan"), 1.0), (1.0, float("inf"))]:
+    for beta in [(1.0, -1.0), (float("nan"), 1.0), (1.0, float("inf")),
+                 (True, 1.0), ("1", 2.0), [[1.0, 1.0]]]:
         with pytest.raises(SemanticError):
             build_kernel_set(zero(), zero(), zero(), zero(), beta=beta, dimension=1)
 
