@@ -59,6 +59,5 @@ from .diagnostics import (
     w1_distance,
 )
 from .config import RunConfig, parse_config, emit_config, project_initial, run_refinement_study
-from .cli import main_cli
 
 __all__ = [name for name in dir() if not name.startswith("_")]

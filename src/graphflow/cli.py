@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__, diagnostics, dynamics, transport
 from .config import parse_config, parse_plan, parse_state, run_refinement_study
 from .errors import GraphflowError, NotConverged, SchemaError, SemanticError, StepSizeUnderflow
-from .graph import check_assumptions, ordered_edges
+from .graph import check_assumptions, link_ends
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -65,12 +65,15 @@ def _finite(value):
     return value
 
 
+def _strict_json(payload, **layout):
+    """Strict JSON, written or printed: a non-finite number is null, never
+    NaN or Infinity, which strict parsers reject; whatever produced it says
+    why.  Without an indent, json serializes with its C encoder."""
+    return json.dumps(_finite(payload), allow_nan=False, default=float, **layout)
+
+
 def _write_json(path, payload):
-    """Strict JSON on one line: a non-finite number is written as null, never
-    as NaN or Infinity, which strict parsers reject; whatever produced it
-    says why.  Without an indent, json serializes with its C encoder."""
-    text = json.dumps(_finite(payload), sort_keys=True, allow_nan=False, default=float)
-    _atomic_write(path, text + "\n")
+    _atomic_write(path, _strict_json(payload, sort_keys=True) + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -196,12 +199,9 @@ def _cmd_metric(args):
     _atomic_write(os.path.join(out, "geodesic.csv"),
                   _species_csv(_STATE_HEADER, path.times, path.states,
                                np.arange(graph.n_vertices)))
-    src, dst, entry = ordered_edges(graph)
-    _atomic_write(
-        os.path.join(out, "geodesic_fluxes.csv"),
-        _species_csv(_FLUX_HEADER, np.arange(path.n_intervals),
-                     np.concatenate([path.fluxes, -path.fluxes], axis=-1)[..., entry], src, dst),
-    )
+    _atomic_write(os.path.join(out, "geodesic_fluxes.csv"),
+                  _species_csv(_FLUX_HEADER, np.arange(path.n_intervals), path.fluxes,
+                               *link_ends(graph, np.arange(graph.n_vertices))))
     print(f"T = {t_value:.6f} (objective {certificate.objective:.6f}); wrote {out}/metric.json")
     return EXIT_OK
 
@@ -209,13 +209,14 @@ def _cmd_metric(args):
 def _species_csv(header, index, values, *labels):
     """The CSV text, byte for byte as ``csv.writer`` writes it, of the header
     and the rows ``(index[k], species, *(label[m] for label in labels),
-    values[k, species - 1, m])`` of a (K, 2, m) array, in its C order.
+    values[k, species - 1, m])`` of a (K, 2, m) array, in its C order, with
+    integer labels.
 
     Each index and label is formatted once and each value by ``repr``, as
     ``csv.writer`` formats a float; lines end in ``\\r\\n``.  The text is
     joined from one chunk per index and species.
     """
-    keys = [",".join(key) for key in zip(*(map(str, np.asarray(label).tolist())
+    keys = [",".join(key) for key in zip(*(map(str, np.asarray(label, dtype=np.int64).tolist())
                                           for label in labels))]
     index = np.asarray(index).tolist()
     chunks = [",".join(header) + "\r\n"]
@@ -268,64 +269,60 @@ def _reject_row(path, bad, describe):
         raise SchemaError(path, f"row {row + 1}: {describe(row)}")
 
 
+def _place(path, keys, values, shape, describe):
+    """The ``shape`` array holding each row's value at its index ``keys``.
+
+    Every entry appears exactly once: a SchemaError names a repeated entry's
+    row, or a missing entry by ``describe(*index)``.  One count over the
+    slots finds both; a repeat's row is looked up only then.
+    """
+    slot = np.ravel_multi_index(keys, shape)
+    counts = np.bincount(slot, minlength=int(np.prod(shape)))
+    if counts.max(initial=0) > 1:
+        _, first, which = np.unique(slot, return_index=True, return_inverse=True)
+        _reject_row(path, first[which] != np.arange(slot.size),
+                    lambda row: "repeats " + describe(*np.unravel_index(slot[row], shape)))
+    if not np.all(counts):
+        missing = np.unravel_index(np.argmin(counts), shape)
+        raise SchemaError(path, "no row for " + describe(*missing))
+    placed = np.empty(shape)
+    placed.reshape(-1)[slot] = values
+    return placed
+
+
 def _read_states_csv(path, graph):
     """Read a (t, species, vertex, density) CSV into times and state arrays.
 
-    Rows may come in any order; entries missing for a time stay zero.  A
-    path or trajectory needs at least two distinct times.
+    Rows may come in any order, and each (t, species, vertex) entry appears
+    exactly once.  A path or trajectory needs at least two distinct times.
     """
-    data = _read_table(path, dict(zip(_STATE_HEADER, [None, (1, 3), (0, graph.n_vertices), None])))
-    if len(data) == 0:
-        raise SchemaError(path, "no data rows")
-    times, slot = np.unique(data[:, 0], return_inverse=True)
+    n = graph.n_vertices
+    data = _read_table(path, dict(zip(_STATE_HEADER, [None, (1, 3), (0, n), None])))
+    times, index = np.unique(data[:, 0], return_inverse=True)
     if len(times) < 2:
         raise SchemaError(path, f"needs at least two distinct times, got {len(times)}")
-    states = np.zeros((len(times), 2, graph.n_vertices))
-    states[slot, data[:, 1].astype(np.int64) - 1, data[:, 2].astype(np.int64)] = data[:, 3]
-    return times, states
+    species, vertex = data[:, 1:3].T.astype(np.int64)
+    return times, _place(path, (index, species - 1, vertex), data[:, 3], (len(times), 2, n),
+                         lambda k, i, m: f"t {times[k].item()!r}, species {i + 1}, vertex {m}")
 
 
 def _read_fluxes_csv(path, graph, n_intervals):
     """Read an (interval, species, src, dst, flux) CSV into (K, 2, links) fluxes.
 
-    Each (interval, species, edge) entry must appear exactly once, in both
-    orientations of every link, as ``metric`` writes them: a repeated entry
-    or a missing one is a SchemaError, since no flux value can stand in for
-    it, and so is a (hi, lo) value that is not the negative of its (lo, hi)
-    value up to 1e-12 max(1, max|j|) of its interval and species.
+    Each link's flux is one row with ``src = lo < dst = hi``, as ``metric``
+    writes it, and each (interval, species, link) entry appears exactly
+    once; a (hi, lo) pair is not a link.
     """
-    n, links = graph.n_vertices, graph.n_links
-    data = _read_table(path, dict(zip(_FLUX_HEADER, [(0, n_intervals), (1, 3), (0, n), (0, n), None])))
+    n = graph.n_vertices
+    data = _read_table(path, dict(zip(_FLUX_HEADER, [(0, n_intervals), (1, 3), (0, n), (0, n),
+                                                     None])))
     interval, species, src, dst = data[:, :4].T.astype(np.int64)
-    edge_src, edge_dst, edge_entry = ordered_edges(graph)
-    keys, wanted = edge_src * n + edge_dst, src * n + dst
-    _reject_row(path, ~np.isin(wanted, keys), lambda row: f"({src[row]}, {dst[row]}) is not an edge")
-    block = interval * 2 + species - 1
-    slot = block * 2 * links + np.searchsorted(keys, wanted)
-    first = np.zeros(slot.size, dtype=bool)
-    first[np.unique(slot, return_index=True)[1]] = True
-    _reject_row(path, ~first, lambda row: f"repeats interval {interval[row]}, species "
-                                          f"{species[row]}, edge ({src[row]}, {dst[row]})")
-    seen = np.zeros(n_intervals * 2 * 2 * links, dtype=bool)
-    seen[slot] = True
-    if not np.all(seen):
-        k, rest = divmod(int(np.argmin(seen)), 2 * 2 * links)
-        i, rank = divmod(rest, 2 * links)
-        raise SchemaError(path, f"no row for interval {k}, species {i + 1}, "
-                                f"edge ({edge_src[rank]}, {edge_dst[rank]})")
-    values = np.empty((n_intervals, 2, 2 * links))
-    values.reshape(-1)[slot] = data[:, 4]
-    values = values[..., np.argsort(edge_entry)]
-    fluxes, reverse = values[..., :links], values[..., links:]
-    scale = np.maximum(1.0, np.max(np.abs(values), axis=-1, initial=0.0))
-    skewed = np.abs(fluxes + reverse) > 1e-12 * scale[..., None]
-    entry = edge_entry[slot % (2 * links)]  # (lo, hi) below links, (hi, lo) above
-    pair = block * links + entry % links
-    _reject_row(path, (entry >= links) & skewed.reshape(-1)[pair],
-                lambda row: f"flux {data[row, 4]:g} on ({src[row]}, {dst[row]}) is not the "
-                            f"negative of {fluxes.reshape(-1)[pair[row]]:g} on "
-                            f"({dst[row]}, {src[row]})")
-    return fluxes
+    lo, hi = (ends.astype(np.int64) for ends in link_ends(graph, np.arange(n)))
+    keys, wanted = lo * n + hi, src * n + dst
+    _reject_row(path, ~np.isin(wanted, keys), lambda row: f"({src[row]}, {dst[row]}) is not a link")
+    return _place(path, (interval, species - 1, np.searchsorted(keys, wanted)), data[:, 4],
+                  (n_intervals, 2, graph.n_links),
+                  lambda k, i, m: f"interval {k}, species {i + 1}, link ({lo[m]}, {hi[m]})")
 
 
 def _cmd_geodesic_profile(args):
@@ -399,7 +396,7 @@ def _cmd_refine(args):
 def _cmd_validate_graph(args):
     config = parse_config(_read(args.config))
     report = check_assumptions(config.system.graph, config.system.exponents)
-    print(json.dumps(vars(report)))  # indent would select the pure-Python encoder
+    print(_strict_json(vars(report)))
     return EXIT_OK
 
 
@@ -408,7 +405,7 @@ def _cmd_properties(args):
     payload = dataclasses.asdict(report)
     if args.out:
         _write_json(args.out, payload)
-    print(json.dumps(payload, indent=2))
+    print(_strict_json(payload, indent=2))
     if report.note:
         return EXIT_VALIDATION
     return EXIT_OK if report.passed else EXIT_NUMERICAL

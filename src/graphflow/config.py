@@ -306,10 +306,9 @@ def _build_initial_state(section, graph, path="initial_state"):
 # initial-data projection
 # ---------------------------------------------------------------------------
 
-# Names accepted for the "projection" key.  All of them denote the one optimal
-# map that ``project_initial`` computes; "transport" and "auto" stay accepted so
-# that existing configurations keep parsing.
-PROJECTIONS = ("auto", "nearest", "transport")
+# The one name of the "projection" key: the nearest-vertex map, an optimal
+# plan, that ``project_initial`` computes.
+PROJECTIONS = ("nearest",)
 
 
 def _check_projection(section, path):

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from graphflow import cli, diagnostics
+from graphflow import cli, diagnostics, transport
 from graphflow.cli import _read_states_csv, _species_csv, main_cli
 from graphflow.config import (
     RefinementPlan,
@@ -17,13 +17,14 @@ from graphflow.config import (
     emit_config,
     parse_config,
     parse_plan,
+    parse_state,
     project_initial,
     run_refinement_study,
 )
 from graphflow.dynamics import integrate
 from graphflow.errors import MassMismatch, SchemaError, SemanticError
 from graphflow.graph import AssumptionReport, BaseMeasure
-from graphflow.scenarios import s1_config, s2_state_files
+from graphflow.scenarios import random_geometric_setup, s1_config, s2_state_files
 
 from oracles import dense_eta
 
@@ -802,8 +803,9 @@ def test_parse_config_initial_state_from_atoms():
     assert config.initial_state.rho2 == pytest.approx([0.0, 1.0])
 
 
-def test_projection_names_give_identical_densities():
-    # "auto" and "transport" name the same optimal map as "nearest"
+def test_projection_names_other_than_nearest_are_refused():
+    # "auto" and "transport" ran the one nearest-vertex map that "nearest"
+    # names, so they said something other than what they did
     raw = s1_config()
     rng = np.random.default_rng(3)
     raw["initial_state"] = {
@@ -811,13 +813,16 @@ def test_projection_names_give_identical_densities():
                    "masses": np.full(40, 1 / 40).tolist()},
         "atoms2": {"positions": [[0.5], [0.2]], "masses": [0.5, 0.5]},
     }
-    densities = []
-    for name in ("transport", "auto", "nearest", None):
-        if name is not None:
-            raw["initial_state"]["projection"] = name
-        densities.append(parse_config(json.dumps(raw)).initial_state.rho)
-    for rho in densities[1:]:
-        assert np.array_equal(rho, densities[0])
+    default = parse_config(json.dumps(raw)).initial_state.rho
+    raw["initial_state"]["projection"] = "nearest"
+    assert np.array_equal(parse_config(json.dumps(raw)).initial_state.rho, default)
+    plan = {"density": {"name": "uniform"}, "ladder": [4]}
+    for name in ("auto", "transport"):
+        raw["initial_state"]["projection"] = name
+        with pytest.raises(SchemaError, match=r"initial_state\.projection: .*'nearest'"):
+            parse_config(json.dumps(raw))
+        with pytest.raises(SchemaError, match=r"plan\.projection: .*'nearest'"):
+            parse_plan(dict(plan, projection=name))
 
 
 def test_cli_validate_graph_rejects_unknown_projection(tmp_path, capsys):
@@ -900,7 +905,8 @@ def test_cli_geodesic_profile_states_only_fallback(tmp_path):
 
 
 @pytest.mark.parametrize("name, row, message", [
-    ("geodesic_fluxes.csv", "0,1,0,0,0.5", "(0, 0) is not an edge"),
+    ("geodesic_fluxes.csv", "0,1,0,0,0.5", "(0, 0) is not a link"),
+    ("geodesic_fluxes.csv", "0,1,1,0,0.5", "(1, 0) is not a link"),
     ("geodesic_fluxes.csv", "0,0,0,1,0.5", "species 0 is not an integer in 1..2"),
     ("geodesic_fluxes.csv", "0,3,0,1,0.5", "species 3 is not an integer in 1..2"),
     ("geodesic_fluxes.csv", "-1,1,0,1,0.5", "interval -1 is not an integer in 0..7"),
@@ -944,19 +950,16 @@ def _metric_outputs(tmp_path):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda lines: lines[:1], "no row for interval 0, species 1, edge (0, 1)"),
-    (lambda lines: lines[:-1], "no row for interval 7, species 2, edge (1, 0)"),
-    (lambda lines: lines[:3] + lines[4:], "no row for interval 0, species 2, edge (0, 1)"),
-    (lambda lines: lines + [lines[1]], "row 33: repeats interval 0, species 1, edge (0, 1)"),
-    (lambda lines: lines[:5] + [lines[2]] + lines[6:],
-     "row 5: repeats interval 0, species 1, edge (1, 0)"),
-    (lambda lines: lines[:2] + ["0,1,1,0,0.5"] + lines[3:],
-     "row 2: flux 0.5 on (1, 0) is not the negative of 1.67203 on (0, 1)"),
-], ids=["header-only", "truncated", "one-missing", "appended-duplicate", "replaced-by-duplicate",
-        "not-antisymmetric"])
+    (lambda lines: lines[:1], "no row for interval 0, species 1, link (0, 1)"),
+    (lambda lines: lines[:-1], "no row for interval 7, species 2, link (0, 1)"),
+    (lambda lines: lines[:2] + lines[3:], "no row for interval 0, species 2, link (0, 1)"),
+    (lambda lines: lines + [lines[1]], "row 17: repeats interval 0, species 1, link (0, 1)"),
+    (lambda lines: lines[:3] + [lines[1]] + lines[4:],
+     "row 3: repeats interval 0, species 1, link (0, 1)"),
+], ids=["header-only", "truncated", "one-missing", "appended-duplicate", "replaced-by-duplicate"])
 def test_cli_geodesic_profile_requires_every_flux_entry_once(tmp_path, capsys, edit, message):
     # a missing entry used to read as zero flux: a header-only file printed
-    # "profile mean 0.000000" with exit 0
+    # "profile mean 0.000000" with exit 0; the file holds one row per link
     cfg_path = _metric_outputs(tmp_path)
     target = tmp_path / "out" / "geodesic_fluxes.csv"
     target.write_text("\n".join(edit(target.read_text().splitlines())) + "\n")
@@ -973,34 +976,57 @@ def test_cli_geodesic_profile_reads_flux_rows_in_any_order(tmp_path):
     assert main_cli(command) == 0
     written = (out / "profile.csv").read_bytes()
     lines = (out / "geodesic_fluxes.csv").read_text().splitlines()
-    shuffled = [lines[0]] + [lines[1:][i] for i in np.random.default_rng(0).permutation(32)]
+    shuffled = [lines[0]] + [lines[1:][i] for i in np.random.default_rng(0).permutation(16)]
     (out / "geodesic_fluxes.csv").write_text("\n".join(shuffled) + "\n")
     assert main_cli(command) == 0
     assert (out / "profile.csv").read_bytes() == written
 
 
-def test_cli_geodesic_profile_checks_flux_antisymmetry_per_species(tmp_path, capsys):
-    # each species of each interval is scaled by its own largest flux: 1e-10
-    # of skew passes next to species-1 fluxes of about 1000, but not on the
-    # zero fluxes of species 2, which a scale shared by both would allow
-    cfg_path = _metric_outputs(tmp_path)
-    target = tmp_path / "out" / "geodesic_fluxes.csv"
-    header, *rows = target.read_text().splitlines()
-    scaled = []
-    for row in rows:
-        *key, value = row.split(",")
-        scaled.append(",".join(key + [repr(1000.0 * float(value) if key[1] == "1" else
-                                           float(value))]))
-    command = ["geodesic-profile", "--path", str(tmp_path / "out" / "geodesic.csv"),
-               "--config", cfg_path]
-    skewed = scaled[:1] + [f"0,1,1,0,{-float(scaled[0].split(',')[-1]) + 1e-10!r}"] + scaled[2:]
-    target.write_text("\n".join([header] + skewed) + "\n")
-    assert main_cli(command) == 0
-    skewed = scaled[:3] + ["0,2,1,0,1e-10"] + scaled[4:]
-    target.write_text("\n".join([header] + skewed) + "\n")
-    capsys.readouterr()
-    assert main_cli(command) == 1
-    assert "row 4: flux 1e-10 on (1, 0) is not the negative of 0 on (0, 1)" in capsys.readouterr().err
+def _rgg_metric(tmp_path):
+    """Run ``metric`` at K = 8 on an 8-vertex volume-filling RGG with 28
+    links; return the parsed config, the endpoints and the output directory."""
+    graph, _, _, _, state = random_geometric_setup(seed=5, n=8, p=3.0,
+                                                   mobility_name="volume_filling")
+    end = np.random.default_rng(6).uniform(0.3, 0.7, size=(2, 8))
+    end /= (end @ graph.weights)[:, None]
+    states = [{"rho1": rho[0].tolist(), "rho2": rho[1].tolist()} for rho in (state.rho, end)]
+    cfg = s1_config(p=3.0, out_dir=str(tmp_path / "out"))
+    cfg["graph"] = {"points": graph.points.tolist(), "weights": graph.weights.tolist(),
+                    "eta_preset": {"name": "gaussian", "params": {"sigma": 0.5}}}
+    cfg["mobility"] = {"preset": "volume_filling"}
+    cfg["initial_state"] = states[0]
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    assert main_cli(["metric", "--config", cfg_path, "--from", _write(tmp_path / "from.json",
+                                                                      states[0]),
+                     "--to", _write(tmp_path / "to.json", states[1]), "--steps", "8"]) == 0
+    config = parse_config(cfg)
+    assert config.system.graph.n_links == 28
+    return config, [parse_state(rho, config.system.graph) for rho in states], tmp_path / "out"
+
+
+def test_cli_metric_writes_one_flux_row_per_link(tmp_path):
+    # each flux is antisymmetric, so its (lo, hi) value is all there is;
+    # both orientations used to be written
+    config, _, out = _rgg_metric(tmp_path)
+    with open(out / "geodesic_fluxes.csv", newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["interval", "species", "src", "dst", "flux"]
+    assert len(rows) == 8 * 2 * 28
+    assert all(int(row[2]) < int(row[3]) for row in rows)
+
+
+def test_cli_geodesic_profile_equals_the_in_memory_profile(tmp_path):
+    # the profile of the stored path is the solver's profile bit for bit
+    config, (start, end), out = _rgg_metric(tmp_path)
+    system = config.system
+    _, path, _ = transport.transport_cost(system.graph, start, end, 8, system.mobility,
+                                          system.kernels.beta, system.exponents)
+    expected = transport.geodesic_profile(system.graph, path, system.mobility,
+                                          system.kernels.beta, system.exponents)
+    assert main_cli(["geodesic-profile", "--path", str(out / "geodesic.csv"),
+                     "--config", str(tmp_path / "cfg.json")]) == 0
+    profile = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(profile[:, 2], expected)
 
 
 @pytest.mark.parametrize("command, option, written", [
@@ -1099,6 +1125,22 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     assert report["metric_linalg"]
 
 
+@pytest.mark.parametrize("module", ["graphflow", "graphflow.cli"])
+def test_python_m_runs_the_command_line_without_warnings(module):
+    # `python -m graphflow` had no __main__ module, and `python -m
+    # graphflow.cli` warned that the package had already imported it
+    import subprocess
+    import sys
+
+    import graphflow
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphflow.__file__)))
+    done = subprocess.run([sys.executable, "-m", module, "--version"], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, f"graphflow {graphflow.__version__}\n", "")
+
+
 def _simulated_states(tmp_path, cfg):
     cfg_path = _write(tmp_path / "cfg.json", cfg)
     assert main_cli(["simulate", "--config", cfg_path]) == 0
@@ -1124,14 +1166,13 @@ def test_cli_trajectory_csv_round_trip(tmp_path):
     times, states = _read_states_csv(str(shuffled), config.system.graph)
     assert np.array_equal(times, trajectory.times)
     assert np.array_equal(states, trajectory.states)
-    # entries missing for a time read as zero
-    kept = [row for row in rows if not row.startswith(f"{float(trajectory.times[1])!r},2,1,")]
+    # an entry missing for a time is refused, not read as zero
+    t = float(trajectory.times[1])
+    kept = [row for row in rows if not row.startswith(f"{t!r},2,1,")]
     assert len(kept) == len(rows) - 1
     shuffled.write_text(header + "".join(kept))
-    _, states = _read_states_csv(str(shuffled), config.system.graph)
-    expected = trajectory.states.copy()
-    expected[1, 1, 1] = 0.0
-    assert np.array_equal(states, expected)
+    with pytest.raises(SchemaError, match=re.escape(f"no row for t {t!r}, species 2, vertex 1")):
+        _read_states_csv(str(shuffled), config.system.graph)
 
 
 def _csv_writer_text(header, rows):
@@ -1205,6 +1246,39 @@ def test_cli_diagnose_exits_1_on_a_state_beyond_the_slack(tmp_path, capsys):
                      "--out", str(tmp_path / "diag")]) == 1
     assert "outside" in capsys.readouterr().err
     assert not (tmp_path / "diag" / "de_giorgi.json").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines + [lines[1]], "row 33: repeats t 0.0, species 1, vertex 0"),
+    (lambda lines: lines[:-1], "no row for t 0.5, species 2, vertex 1"),
+], ids=["repeated", "missing"])
+def test_cli_diagnose_requires_every_state_entry_once(tmp_path, capsys, edit, message):
+    # a missing row used to read as zero density and a repeated one to
+    # overwrite the first, each certifying a wrong G_T with exit 0
+    cfg = s1_config(t_final=0.5, out_dir=str(tmp_path / "out"))
+    cfg["integrator"] = {"max_dt": 0.1}
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    assert main_cli(["simulate", "--config", cfg_path]) == 0
+    path = tmp_path / "out" / "trajectory.csv"
+    lines = path.read_text().splitlines()
+    assert len(lines) == 33
+    path.write_text("\n".join(edit(lines)) + "\n")
+    capsys.readouterr()
+    assert main_cli(["diagnose", "--trajectory", str(path), "--config", cfg_path,
+                     "--out", str(tmp_path / "diag")]) == 1
+    assert f"invalid input: {path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "diag" / "de_giorgi.json").exists()
+
+
+def test_cli_validate_graph_prints_strict_json(tmp_path, capsys):
+    # points 1e200 apart overflow the assumption constants: they used to be
+    # printed as Infinity, which strict parsers reject
+    cfg = s1_config()
+    cfg["graph"]["points"] = [[0.0], [1e200]]
+    assert main_cli(["validate-graph", "--config", _write(tmp_path / "cfg.json", cfg)]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+    assert report["c_mu"] is None and report["bc_profile"][0][0] is None
+    assert list(report) == _field_names(AssumptionReport)
 
 
 def test_cli_diagnose_exits_2_on_a_non_finite_residual(tmp_path, capsys, monkeypatch):
