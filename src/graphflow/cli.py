@@ -169,6 +169,11 @@ def _cmd_simulate(args):
     _write_json(os.path.join(out, "summary.json"), summary)
     print(f"wrote {out}/trajectory.csv and {out}/summary.json "
           f"({trajectory.n_steps} steps, mass drift {trajectory.stats['mass_drift']:.2e})")
+    k = int(np.argmin(np.isfinite(trajectory.energies)))  # the first non-finite energy, if any
+    if not np.isfinite(trajectory.energies[k]):
+        print(f"numerical failure: the energy is {trajectory.energies[k]} at t = "
+              f"{trajectory.times[k]}", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 
@@ -184,18 +189,8 @@ def _cmd_metric(args):
     t_value, path, certificate = transport.transport_cost(
         graph, start, end, steps, system.mobility, system.kernels.beta, system.exponents)
     out = _out_dir(config, args.out)
-    _write_json(
-        os.path.join(out, "metric.json"),
-        _summary_payload(
-            config,
-            {
-                "T": t_value,
-                "objective": certificate.objective,
-                "certificate": vars(certificate),
-                "steps": steps,
-            },
-        ),
-    )
+    _write_json(os.path.join(out, "metric.json"), _summary_payload(
+        config, {"T": t_value, "certificate": vars(certificate), "steps": steps}))
     _atomic_write(os.path.join(out, "geodesic.csv"),
                   _species_csv(_STATE_HEADER, path.times, path.states,
                                np.arange(graph.n_vertices)))

@@ -17,7 +17,7 @@ import numpy as np
 from . import diagnostics, dynamics, kernels as kernels_mod, mobility as mobility_mod
 from .errors import (MassMismatch, NotConcave, NotPositive, NotUpwindAdmissible, SchemaError,
                      SemanticError)
-from .graph import Exponents, build_graph
+from .graph import Exponents, build_graph, pair_distance
 
 # defaults of the top-level scalars and of the sections with fixed keys; a
 # section that is given is merged over its defaults and may hold no other key
@@ -83,11 +83,14 @@ def _constant_eta(value=1.0):
 
 
 def _gaussian_eta(sigma=1.0):
-    return lambda xs, ys: np.exp(-np.sum((xs - ys) ** 2, axis=-1) / (2.0 * sigma**2))
+    def eta(xs, ys):
+        with np.errstate(over="ignore"):  # a square beyond the float range gives exp(-inf) = 0
+            return np.exp(-np.sum((xs - ys) ** 2, axis=-1) / (2.0 * sigma**2))
+    return eta
 
 
 def _cutoff_eta(radius=1.0):
-    return lambda xs, ys: (np.linalg.norm(xs - ys, axis=-1) <= radius).astype(float)
+    return lambda xs, ys: (pair_distance(xs, ys) <= radius).astype(float)
 
 
 ETA_PRESETS = {"constant": _constant_eta, "gaussian": _gaussian_eta, "cutoff": _cutoff_eta}
@@ -279,27 +282,26 @@ def _build_initial_state(section, graph, path="initial_state"):
     _check_keys(section, (*pair, "projection"), path)
     _check_projection(section, path)
     if densities:
-        rho1 = _finite_array(section, "rho1", path)
-        rho2 = _finite_array(section, "rho2", path)
-        if rho1.shape != (graph.n_vertices,) or rho2.shape != (graph.n_vertices,):
+        rhos = [_finite_array(section, name, path) for name in pair]
+        if any(rho.shape != (graph.n_vertices,) for rho in rhos):
             raise SchemaError(path, f"densities must have length {graph.n_vertices}")
-        if np.min(rho1) < 0 or np.min(rho2) < 0:
+        if min(np.min(rho) for rho in rhos) < 0:
             raise SemanticError("initial densities must be nonnegative")
-        state = dynamics.SpeciesPairState.from_densities(rho1, rho2)
-        masses = state.masses(graph)
-        if np.max(np.abs(masses - 1.0)) > 1e-8:
-            raise SemanticError(f"initial species masses {masses} are not 1")
-        # exact unit mass after round-off
-        state.rho /= masses[:, None]
-        return state
-    projected = []
-    for name in pair:
-        atoms = _require(section, name, path, dict)
-        _check_keys(atoms, ("positions", "masses"), f"{path}.{name}")
-        rho, _ = project_initial(_finite_array(atoms, "positions", f"{path}.{name}"),
-                                 _finite_array(atoms, "masses", f"{path}.{name}"), graph.base)
-        projected.append(rho)
-    return dynamics.SpeciesPairState.from_densities(*projected)
+    else:
+        rhos = []
+        for name in pair:
+            atoms = _require(section, name, path, dict)
+            _check_keys(atoms, ("positions", "masses"), f"{path}.{name}")
+            rho, _ = project_initial(_finite_array(atoms, "positions", f"{path}.{name}"),
+                                     _finite_array(atoms, "masses", f"{path}.{name}"), graph.base)
+            rhos.append(rho)
+    state = dynamics.SpeciesPairState.from_densities(*rhos)  # one mass rule for both
+    masses = state.masses(graph)
+    if np.max(np.abs(masses - 1.0)) > 1e-8:
+        raise SemanticError(f"initial species masses {masses} are not 1")
+    # exact unit mass after round-off
+    state.rho /= masses[:, None]
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +341,7 @@ def project_initial(positions, masses, base):
     if total <= 0:
         raise MassMismatch("total input mass must be positive")
 
-    dist = np.linalg.norm(positions[:, None, :] - base.points[None, :, :], axis=-1)
+    dist = pair_distance(positions[:, None, :], base.points[None, :, :])
     assign = np.argmin(dist, axis=1)  # argmin already favors lower indices on ties
     vertex_mass = np.bincount(assign, weights=masses, minlength=base.n_vertices)
     moved = float(np.sum(dist[np.arange(masses.size), assign] * masses))
@@ -435,11 +437,9 @@ class StudyLevel:
     failed: bool = False
     error: str = ""
     g_t: float = math.nan
-    energy_start: float = math.nan
-    energy_end: float = math.nan
     w1_gap_from_previous: float = math.nan
     final_masses: tuple = ()
-    energy_series: tuple = ()  # (t, energy) pairs along the level's trajectory
+    energy_series: tuple = ()  # (t, energy) pairs along the level's trajectory, ends included
     # joint W1 / T^(1/p) report between the level's initial and final states;
     # the continuum comparison constant is unknown, so these are not asserted
     w1_start_to_final: float = math.nan
@@ -449,7 +449,26 @@ class StudyLevel:
 @dataclass
 class StudyReport:
     levels: list
-    w1_gaps: list  # consecutive gaps between final states
+
+    @property
+    def w1_gaps(self):
+        """Each later level's W1 gap to its predecessor; a failed level breaks the chain."""
+        return [level.w1_gap_from_previous
+                for previous, level in zip(self.levels, self.levels[1:])
+                if not (previous.failed or level.failed)]
+
+
+def _ladder_eta(section):
+    """The eta preset of a refinement study's graphs, which have their own vertex
+    counts: the graph section's, or the constant of its eta_matrix off the diagonal."""
+    if "eta_preset" in section:
+        return section["eta_preset"]
+    eta = np.asarray(section["eta_matrix"], dtype=float)  # symmetric, as the graph checked
+    values = np.unique(eta[np.triu_indices(len(eta), 1)]).tolist()
+    if len(values) > 1:
+        raise SchemaError("graph.eta_matrix", "a refinement study needs eta constant off the "
+                          f"diagonal, got values from {values[0]!r} to {values[-1]!r}")
+    return {"name": "constant", "params": {"value": values[0]} if values else {}}
 
 
 def run_refinement_study(plan, config):
@@ -460,27 +479,20 @@ def run_refinement_study(plan, config):
     the study then lists W1 distances between consecutive final states.
     Failed levels are marked and skipped in the gap list.
     """
-    atoms_u = (np.arange(plan.initial_atoms) + 0.5) / plan.initial_atoms
-    atom_positions = plan.quantile(atoms_u).reshape(-1, 1)
+    atom_positions, _ = plan.sample_base(plan.initial_atoms)  # the atoms at the quantile midpoints
     atom_masses = np.full(plan.initial_atoms, 1.0 / plan.initial_atoms)
+    eta = _preset(ETA_PRESETS, _ladder_eta(config.resolved["graph"]), "graph.eta_preset", "name")
 
     def run_level(n):
         level = StudyLevel(n_vertices=n)
         try:
-            points, weights = plan.sample_base(n)
-            # ladder graphs have their own vertex counts, so eta must come from
-            # a preset; an explicit matrix in the config only fits its own graph
-            eta_spec = config.resolved["graph"].get("eta_preset", {"name": "constant"})
-            graph = build_graph(points, weights,
-                                _preset(ETA_PRESETS, eta_spec, "graph.eta_preset", "name"))
+            graph = build_graph(*plan.sample_base(n), eta)
             system = replace(config.system, graph=graph)  # the config's kernels, on this graph
             rho, _ = project_initial(atom_positions, atom_masses, graph.base)
             state = dynamics.SpeciesPairState.from_densities(rho, rho.copy())
             trajectory = dynamics.integrate(system, state, config.time_horizon, config.integrator)
             report = diagnostics.de_giorgi(system, trajectory)
             level.g_t = report.g_t
-            level.energy_start = report.energy_start
-            level.energy_end = report.energy_end
             level.final_masses = tuple((trajectory.states[-1] @ graph.weights).tolist())
             level.energy_series = tuple(
                 (float(t), float(e)) for t, e in zip(trajectory.times, trajectory.energies)
@@ -503,16 +515,8 @@ def run_refinement_study(plan, config):
             return level, None, None
 
     results = [run_level(n) for n in plan.ladder]
-    levels = [r[0] for r in results]
-    gaps = []
-    previous = None
-    for level, graph, final in results:
-        if level.failed:
-            previous = None
-            continue
-        if previous is not None:
-            gap = diagnostics.w1_between_states(previous[1], final, previous[0], graph)
-            level.w1_gap_from_previous = gap
-            gaps.append(gap)
-        previous = (graph, final)
-    return StudyReport(levels=levels, w1_gaps=gaps)
+    for (previous, graph_a, final_a), (level, graph_b, final_b) in zip(results, results[1:]):
+        if not (previous.failed or level.failed):
+            level.w1_gap_from_previous = diagnostics.w1_between_states(final_a, final_b,
+                                                                       graph_a, graph_b)
+    return StudyReport(levels=[level for level, _, _ in results])

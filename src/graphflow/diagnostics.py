@@ -404,9 +404,7 @@ def _suite_duality(rng, tol, scale=1.0):
 def _suite_nonneg(rng, tol, scale=1.0):
     graph, _, _, _ = _random_setup(rng, n_min=3, n_max=4)
     exponents = Exponents(2.0)
-    kernels = build_kernel_set(
-        distance(), zero(), zero(), distance(), dimension=2, validate=False
-    )
+    kernels = build_kernel_set(distance(), zero(), zero(), distance(), dimension=2)
     rho = rng.uniform(0.0, 1.0, size=(2, graph.n_vertices))
     # adversarial zeros: empty vertices must emit nothing
     for i in range(2):

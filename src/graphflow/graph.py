@@ -30,6 +30,20 @@ SYMMETRY_TOL = 1e-12
 DENSE_VERTEX_LIMIT = 4096
 
 
+def pair_distance(xs, ys):
+    """|x - y| along the last axis of broadcast point arrays: ``np.linalg.norm(xs - ys,
+    axis=-1)`` bit for bit where that is finite, and where only the squares overflow the
+    norm of the difference over its largest coordinate, so points 1e200 apart are 1e200 apart."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = np.subtract(xs, ys)
+        dist = np.linalg.norm(diff, axis=-1)
+        if np.isinf(dist).any():
+            scale = np.max(np.abs(diff), axis=-1)
+            scaled = scale * np.linalg.norm(diff / scale[..., None], axis=-1)
+            dist = np.where(np.isinf(dist) & np.isfinite(scale), scaled, dist)[()]
+    return dist
+
+
 def _is_real(value):
     """Whether ``value`` is a real number; True and False are not."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
@@ -78,8 +92,7 @@ class BaseMeasure:
         if not np.all(valid):
             bad = int(np.argmin(valid))
             raise NonPositiveWeight(f"weight {weights[bad]} at vertex {bad}")
-        diff = points[:, None, :] - points[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
+        dist = pair_distance(points[:, None, :], points[None, :, :])
         np.fill_diagonal(dist, np.inf)
         if np.any(dist < 1e-12):
             l, k = np.unravel_index(int(np.argmin(dist)), dist.shape)
@@ -96,11 +109,6 @@ class BaseMeasure:
     @property
     def total_mass(self):
         return float(np.sum(self.weights))
-
-    def moment_constant(self, p):
-        """Sum of (1 + |x|^p) mu over vertices (individual moment bound)."""
-        norms = np.linalg.norm(self.points, axis=1)
-        return float(np.sum((1.0 + norms**p) * self.weights))
 
 
 @dataclass(frozen=True)
@@ -185,7 +193,7 @@ class FiniteGraph:
 
     @property
     def link_lengths(self):
-        return np.linalg.norm(self.points[self.link_hi] - self.points[self.link_lo], axis=1)
+        return pair_distance(self.points[self.link_hi], self.points[self.link_lo])
 
     def check_node_field(self, values):
         """``values`` as a float (..., n) array: node fields along its last axis."""
@@ -297,16 +305,7 @@ class AssumptionReport:
     n_edges: int
 
 
-def ordered_edges(graph):
-    """Both orientations of every link, as ``(src, dst, entry)``: the ordered
-    edges in row-major order of (src, dst), and the position of each in the
-    links' (lo, hi) values followed by their (hi, lo) values."""
-    src = np.concatenate([graph.link_lo, graph.link_hi])
-    dst = np.concatenate([graph.link_hi, graph.link_lo])
-    entry = np.lexsort((dst, src))
-    return src[entry], dst[entry], entry
-
-
+@np.errstate(over="ignore")  # a constant beyond the float range is inf
 def check_assumptions(graph, exponents):
     """Evaluate the moment-bound constants and the local blow-up profile.
 
@@ -317,13 +316,15 @@ def check_assumptions(graph, exponents):
     ``n_edges`` counts ordered edges, two per link.
     """
     p, q = exponents.p, exponents.q
-    c_mu = graph.base.moment_constant(p)
+    c_mu = float(np.sum((1.0 + pair_distance(graph.points, 0.0) ** p) * graph.weights))
     if graph.n_links == 0:
         return AssumptionReport(c_mu, 0.0, 0.0, tuple(), graph.n_vertices, 0)
 
-    src, dst, order = ordered_edges(graph)
-    lengths = np.tile(graph.link_lengths, 2)[order]
-    eta = np.tile(graph.link_eta, 2)[order]
+    # each link from hi, then from lo: at every vertex the other ends ascend
+    src = np.concatenate([graph.link_hi, graph.link_lo])
+    dst = np.concatenate([graph.link_lo, graph.link_hi])
+    lengths = np.tile(graph.link_lengths, 2)
+    eta = np.tile(graph.link_eta, 2)
     mu_dst = graph.weights[dst]
     kernel = np.maximum(lengths**q, lengths ** (p * q)) * eta
     per_vertex = np.bincount(src, weights=kernel * mu_dst, minlength=graph.n_vertices)

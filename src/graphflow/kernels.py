@@ -24,9 +24,13 @@ import numpy as np
 
 from .errors import SemanticError
 from .expressions import compile_expression
-from .graph import Exponents, FiniteGraph, _is_real
+from .graph import Exponents, FiniteGraph, _is_real, pair_distance
 
 _SYMMETRY_TOL = 1e-9
+# the kernel checks and the growth estimate sample [-_BOX, _BOX]^d, seeded alike on every run
+_BOX = 2.0
+_SEED = 0
+_GROWTH_SAMPLES = 400
 
 
 def _pairwise(fn, xs, ys):
@@ -78,9 +82,9 @@ class System:
         return self.kernels.on_graph(self.graph)
 
 
-def _check_symmetry(fn, name, rng, dim, box=2.0):
-    xs = rng.uniform(-box, box, size=(24, dim))
-    ys = rng.uniform(-box, box, size=(24, dim))
+def _check_symmetry(fn, name, rng, dim):
+    xs = rng.uniform(-_BOX, _BOX, size=(24, dim))
+    ys = rng.uniform(-_BOX, _BOX, size=(24, dim))
     a = np.asarray(fn(xs, ys), dtype=float)
     b = np.asarray(fn(ys, xs), dtype=float)
     scale = max(1.0, float(np.max(np.abs(a))))
@@ -89,10 +93,10 @@ def _check_symmetry(fn, name, rng, dim, box=2.0):
         raise SemanticError(f"{name} violates K(x,y)=K(y,x) by {gap:.3e}")
 
 
-def _cross_ratio(k12, k21, rng, dim, box=2.0):
+def _cross_ratio(k12, k21, rng, dim):
     """Return c > 0 with K12 = c * K21 on samples, or raise SemanticError."""
-    xs = rng.uniform(-box, box, size=(64, dim))
-    ys = rng.uniform(-box, box, size=(64, dim))
+    xs = rng.uniform(-_BOX, _BOX, size=(64, dim))
+    ys = rng.uniform(-_BOX, _BOX, size=(64, dim))
     a = np.asarray(k12(xs, ys), dtype=float).ravel()
     b = np.asarray(k21(xs, ys), dtype=float).ravel()
     scale_a = float(np.max(np.abs(a)))
@@ -109,23 +113,22 @@ def _cross_ratio(k12, k21, rng, dim, box=2.0):
     return c
 
 
-def build_kernel_set(k11, k12, k21, k22, beta=(1.0, 1.0), dimension=1, validate=True, seed=0):
+def build_kernel_set(k11, k12, k21, k22, beta=(1.0, 1.0), dimension=1):
     """Validate kernels and return the canonical :class:`KernelSet`.
 
     ``beta`` is a list, tuple or 1-D array of two real numbers, none a
     boolean; :class:`KernelSet` then requires both finite and positive.
     Symmetry K(x,y) = K(y,x) and the cross-proportionality K12 = c * K21 are
-    checked on random samples; the cross kernels are then replaced by their
+    always checked on seeded samples; the cross kernels are then replaced by their
     average (K12 + K21)/2, which preserves the energy exactly.
     """
     pair = list(beta) if isinstance(beta, np.ndarray) and beta.ndim == 1 else beta
     if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_real, pair))):
         raise SemanticError(f"beta must be two real numbers, not booleans, got {beta!r}")
-    rng = np.random.default_rng(seed)
-    if validate:
-        for fn, name in ((k11, "K11"), (k12, "K12"), (k21, "K21"), (k22, "K22")):
-            _check_symmetry(fn, name, rng, dimension)
-        _cross_ratio(k12, k21, rng, dimension)
+    rng = np.random.default_rng(_SEED)
+    for fn, name in ((k11, "K11"), (k12, "K12"), (k21, "K21"), (k22, "K22")):
+        _check_symmetry(fn, name, rng, dimension)
+    _cross_ratio(k12, k21, rng, dimension)
 
     def cross(xs, ys, _a=k12, _b=k21):
         return 0.5 * (np.asarray(_a(xs, ys), dtype=float) + np.asarray(_b(xs, ys), dtype=float))
@@ -133,15 +136,15 @@ def build_kernel_set(k11, k12, k21, k22, beta=(1.0, 1.0), dimension=1, validate=
     return KernelSet(k11=k11, k12=cross, k22=k22, beta=np.asarray(beta, dtype=float).ravel())
 
 
-def estimate_growth_constant(kernels, dimension, exponents, n_samples=400, box=2.0, seed=0):
+def estimate_growth_constant(kernels, dimension, exponents):
     """Sampled lower estimate of L_K in |K(z) - K(z')| <= L_K (|z-z'| v |z-z'|^p)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEED)
     p = exponents.p
     worst = 0.0
     # the cross kernel stands for K12 and K21, so it is sampled twice
     for fn in (kernels.k11, kernels.k12, kernels.k12, kernels.k22):
-        z0 = rng.uniform(-box, box, size=(n_samples, 2 * dimension))
-        z1 = rng.uniform(-box, box, size=(n_samples, 2 * dimension))
+        z0 = rng.uniform(-_BOX, _BOX, size=(_GROWTH_SAMPLES, 2 * dimension))
+        z1 = rng.uniform(-_BOX, _BOX, size=(_GROWTH_SAMPLES, 2 * dimension))
         x0, y0 = z0[:, :dimension], z0[:, dimension:]
         x1, y1 = z1[:, :dimension], z1[:, dimension:]
         num = np.abs(
@@ -159,30 +162,26 @@ def estimate_growth_constant(kernels, dimension, exponents, n_samples=400, box=2
 # kernel presets
 # ---------------------------------------------------------------------------
 
-def _dist(xs, ys):
-    return np.linalg.norm(xs - ys, axis=-1)
-
-
 def distance():
     """K(x, y) = |x - y| (attractive for clustered mass)."""
-    return lambda xs, ys: _dist(xs, ys)
+    return pair_distance
 
 
 def quadratic():
     """K(x, y) = |x - y|^2; legal under p-growth for p >= 2."""
-    return lambda xs, ys: _dist(xs, ys) ** 2
+    return lambda xs, ys: pair_distance(xs, ys) ** 2
 
 
 def gaussian_well(sigma=1.0):
     """K(x, y) = -exp(-|x-y|^2 / sigma^2), a smooth attractive well."""
     sigma = float(sigma)
-    return lambda xs, ys: -np.exp(-(_dist(xs, ys) ** 2) / sigma**2)
+    return lambda xs, ys: -np.exp(-(pair_distance(xs, ys) ** 2) / sigma**2)
 
 
 def morse_like(attract=1.0, ell_a=1.0, repulse=0.5, ell_r=0.5):
     """a exp(-|x-y|/l_a) - r exp(-|x-y|/l_r): short-range repulsion, long-range attraction."""
-    return lambda xs, ys: attract * np.exp(-_dist(xs, ys) / ell_a) - repulse * np.exp(
-        -_dist(xs, ys) / ell_r
+    return lambda xs, ys: attract * np.exp(-pair_distance(xs, ys) / ell_a) - repulse * np.exp(
+        -pair_distance(xs, ys) / ell_r
     )
 
 
@@ -202,7 +201,7 @@ KERNEL_PRESETS = {
 def kernel_from_expression(text):
     """Kernel from an expression in the edge length variable ``d`` = |x - y|."""
     fn = compile_expression(text, ("d",))
-    return lambda xs, ys: fn(_dist(xs, ys))
+    return lambda xs, ys: fn(pair_distance(xs, ys))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,10 @@ from .graph import link_ends
 _RECESSION_LAMBDAS = (2.0**10, 2.0**12, 2.0**14, 2.0**16)
 _RECESSION_RTOL = 1e-6
 STATE_TOL = 1e-8  # slack accepted on raw states before ThresholdExceeded
+# the sampled checks: a _GRID x _GRID grid, cut at _BOX; a recession under _SUBLINEAR_TOL is 0
+_GRID = 16
+_BOX = 4.0
+_SUBLINEAR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,6 @@ class MobilityClass:
 @dataclass(frozen=True)
 class MobilityValidation:
     mobility_name: str
-    grid_size: int
     flags: MobilityClass
     max_concavity_violation: float
     min_interior_value: float
@@ -302,21 +305,21 @@ def recession(mobility):
     return Mobility(f"{mobility.name}_recession", numeric, recession_fn=numeric)
 
 
-def is_uniformly_sublinear(mobility, n_samples=16, box=4.0, tol=1e-6):
+def is_uniformly_sublinear(mobility):
     """True when the (numeric or closed-form) recession vanishes on samples."""
     if mobility.bounded:
         return False
     rec = recession(mobility)
-    grid = np.linspace(0.0, box, n_samples)
+    grid = np.linspace(0.0, _BOX, _GRID)
     r, s = np.meshgrid(grid, grid)
-    return bool(np.max(np.abs(rec(r.ravel(), s.ravel()))) <= tol)
+    return bool(np.max(np.abs(rec(r.ravel(), s.ravel()))) <= _SUBLINEAR_TOL)
 
 
-def validate_mobility(mobility, grid_size=16, box=4.0):
+def validate_mobility(mobility):
     """Sampled admissibility / positivity / concavity checks plus class flags.
 
     Concavity is checked by midpoint inequalities along each variable
-    separately on a grid over [0, R) x [0, S) (truncated at ``box`` for
+    separately on a grid over [0, R) x [0, S) (truncated at ``_BOX`` for
     infinite thresholds).  This is a best-effort sampler, not a proof.
 
     Raises
@@ -325,12 +328,10 @@ def validate_mobility(mobility, grid_size=16, box=4.0):
         With the witnessing sample in the message; a NaN value of ``m``
         fails the admissibility or positivity check.
     """
-    if grid_size < 8:
-        raise ValueError("grid_size must be at least 8")
-    r_hi = min(mobility.R, box) * (1.0 - 1e-9)
-    s_hi = min(mobility.S, box) * (1.0 - 1e-9)
-    r_grid = np.linspace(0.0, r_hi, grid_size)
-    s_grid = np.linspace(0.0, s_hi, grid_size)
+    r_hi = min(mobility.R, _BOX) * (1.0 - 1e-9)
+    s_hi = min(mobility.S, _BOX) * (1.0 - 1e-9)
+    r_grid = np.linspace(0.0, r_hi, _GRID)
+    s_grid = np.linspace(0.0, s_hi, _GRID)
 
     at_zero = mobility(np.zeros_like(s_grid), s_grid)
     worst = int(np.argmax(np.abs(at_zero)))
@@ -371,11 +372,11 @@ def validate_mobility(mobility, grid_size=16, box=4.0):
 
     # m(r, s) = 0 iff r = 0: already know m(0, s) = 0; check m > 0 for r > 0
     # including the s = 0 boundary, where e.g. the geometric mean vanishes.
-    edge_vals = mobility(r_grid[1:], np.zeros(grid_size - 1))
+    edge_vals = mobility(r_grid[1:], np.zeros(_GRID - 1))
     vanishing_iff_source_zero = bool(np.all(edge_vals > 0)) and min_interior > 0
 
     try:
-        sublinear = is_uniformly_sublinear(mobility, n_samples=grid_size, box=box)
+        sublinear = is_uniformly_sublinear(mobility)
     except (NotApplicable, NonConvergent):
         sublinear = False
 
@@ -386,7 +387,6 @@ def validate_mobility(mobility, grid_size=16, box=4.0):
     )
     return MobilityValidation(
         mobility_name=mobility.name,
-        grid_size=grid_size,
         flags=flags,
         max_concavity_violation=max_violation,
         min_interior_value=min_interior,

@@ -5,7 +5,7 @@ import numpy as np
 from .dynamics import SpeciesPairState
 from .graph import Exponents, build_graph
 from .kernels import build_kernel_set, distance, zero
-from .mobility import linear
+from .mobility import PRESETS, linear
 
 
 def two_point_graph():
@@ -15,8 +15,7 @@ def two_point_graph():
 
 def s1_kernels():
     """Distance self-interaction for species 1 only, beta = (1, 1)."""
-    return build_kernel_set(distance(), zero(), zero(), zero(), beta=(1.0, 1.0),
-                            dimension=1, validate=False)
+    return build_kernel_set(distance(), zero(), zero(), zero(), beta=(1.0, 1.0), dimension=1)
 
 
 def s1_state():
@@ -65,16 +64,13 @@ def s2_state_files():
     return start, end
 
 
-def random_geometric_setup(seed, n=16, p=2.0, mobility_name="linear", cross_scale=0.5):
+def random_geometric_setup(seed, n=16, p=2.0, mobility_name="linear"):
     """Two-species scenario on random points with Gaussian edge weights.
 
     Vertex weights total 2 so the average density stays near 1/2, leaving
-    headroom for volume-filling thresholds.  Distance kernels with a scaled
-    symmetric cross term couple the species.
+    headroom for volume-filling thresholds.  Distance kernels with the
+    symmetric cross term half the distance couple the species.
     """
-    from .kernels import KERNEL_PRESETS
-    from .mobility import PRESETS
-
     rng = np.random.default_rng(seed)
     points = rng.uniform(0.0, 1.0, size=(n, 2))
     weights = rng.uniform(1.5, 2.5, size=n) / n
@@ -84,13 +80,12 @@ def random_geometric_setup(seed, n=16, p=2.0, mobility_name="linear", cross_scal
         return np.exp(-4.0 * d2)
 
     graph = build_graph(points, weights, eta)
-    dist = KERNEL_PRESETS["distance"]()
+    dist = distance()
 
     def cross(xs, ys):
-        return cross_scale * dist(xs, ys)
+        return 0.5 * dist(xs, ys)
 
-    kernels = build_kernel_set(dist, cross, cross, dist, beta=(1.0, 1.0),
-                               dimension=2, validate=False)
+    kernels = build_kernel_set(dist, cross, cross, dist, beta=(1.0, 1.0), dimension=2)
     mobility = PRESETS[mobility_name]()
     rho = rng.uniform(0.1, 1.0, size=(2, n))
     rho /= (rho @ graph.weights)[:, None]

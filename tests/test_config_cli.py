@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -756,7 +757,7 @@ def test_cli_refine(tmp_path):
     assert main_cli(["refine", "--plan", plan_path, "--config", cfg_path]) == 0
     report = json.loads((tmp_path / "out" / "refinement.json").read_text())
     assert len(report["levels"]) == 2
-    assert len(report["w1_gaps"]) == 1
+    assert np.isfinite(report["levels"][1]["w1_gap_from_previous"])  # the one gap
 
 
 def test_run_refinement_study_marks_failed_levels(monkeypatch):
@@ -1272,12 +1273,14 @@ def test_cli_diagnose_requires_every_state_entry_once(tmp_path, capsys, edit, me
 
 def test_cli_validate_graph_prints_strict_json(tmp_path, capsys):
     # points 1e200 apart overflow the assumption constants: they used to be
-    # printed as Infinity, which strict parsers reject
+    # printed as Infinity, which strict parsers reject; the link's length,
+    # once inf from the squared coordinates, is 1e200
     cfg = s1_config()
     cfg["graph"]["points"] = [[0.0], [1e200]]
     assert main_cli(["validate-graph", "--config", _write(tmp_path / "cfg.json", cfg)]) == 0
     report = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
-    assert report["c_mu"] is None and report["bc_profile"][0][0] is None
+    assert report["c_mu"] is None and report["c_eta"] is None
+    assert report["bc_profile"] == [[1e200, 0.0]]
     assert list(report) == _field_names(AssumptionReport)
 
 
@@ -1303,3 +1306,119 @@ def test_cli_diagnose_exits_2_on_a_non_finite_residual(tmp_path, capsys, monkeyp
     report = json.loads(text, parse_constant=_no_constants)
     assert report["g_t"] is None and report["dissipation_integral"] is None
     assert isinstance(report["energy_end"], float)
+
+
+def _far_apart_config(tmp_path, points):
+    """S1 on the given points with a gaussian eta, which vanishes between
+    them, so the states stay where they start."""
+    cfg = s1_config(t_final=0.25, out_dir=str(tmp_path / "out"))
+    cfg["graph"] = {"points": points, "weights": [1.0, 1.0], "eta_preset": {"name": "gaussian"}}
+    return _write(tmp_path / "cfg.json", cfg)
+
+
+def test_cli_gives_points_far_apart_finite_energies_without_warnings(tmp_path, capsys):
+    # the distance kernel squared the coordinates, so points 1e200 apart were
+    # infinitely far: simulate exited 0 with every energy null, diagnose then
+    # reported G_T = nan, and each command warned of the overflow
+    cfg_path = _far_apart_config(tmp_path, [[0.0], [1e200]])
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main_cli(["simulate", "--config", cfg_path]) == 0
+        assert main_cli(["diagnose", "--trajectory", str(out / "trajectory.csv"),
+                         "--config", cfg_path]) == 0
+        assert main_cli(["validate-graph", "--config", cfg_path]) == 0
+    printed = capsys.readouterr().out.splitlines()[-1]
+    assert json.loads(printed, parse_constant=_no_constants)["bc_profile"] == []
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_no_constants)
+    # E = (1/2) (0.75 * 0.25 + 0.25 * 0.75) 1e200 at every time
+    assert [row["energy"] for row in summary["energy_series"]] == pytest.approx(
+        [1.875e199] * len(summary["energy_series"]), rel=1e-15)
+    assert json.loads((out / "de_giorgi.json").read_text())["g_t"] == 0.0
+
+
+def test_cli_simulate_exits_2_on_a_non_finite_energy(tmp_path, capsys):
+    # points 2e308 apart are beyond the float range, so the energy is inf;
+    # simulate used to exit 0 and write it as null, unremarked
+    cfg_path = _far_apart_config(tmp_path, [[-1e308], [1e308]])
+    assert main_cli(["simulate", "--config", cfg_path]) == 2
+    assert "numerical failure: the energy is inf at t = 0.0" in capsys.readouterr().err
+    text = (tmp_path / "out" / "summary.json").read_text()
+    summary = json.loads(text, parse_constant=_no_constants)
+    assert summary["energy_series"][0]["energy"] is None
+
+
+def test_atoms_initial_states_need_unit_species_mass(tmp_path, capsys):
+    # densities of species mass 5 were refused while atoms of total mass 5 ran
+    raw = s1_config()
+    raw["initial_state"] = {"atoms1": {"positions": [[0.1]], "masses": [5.0]},
+                            "atoms2": dict(ATOMS)}
+    assert main_cli(["validate-graph", "--config", _write(tmp_path / "cfg.json", raw)]) == 1
+    assert re.search(r"invalid input: initial species masses \[5\. 1\.\] are not 1",
+                     capsys.readouterr().err)
+
+
+def _refine_levels(tmp_path, name, graph):
+    """The levels that ``refine`` writes for S1's vertices with ``graph``'s eta."""
+    cfg = _refine_config()
+    cfg["graph"] = {"points": [[0.0], [1.0]], "weights": [1.0, 1.0], **graph}
+    cfg["output_dir"] = str(tmp_path / name)
+    plan = {"density": {"name": "gaussian", "params": {"sigma": 0.4}}, "ladder": [4, 8],
+            "initial_atoms": 16, "transport_diagnostic": False}
+    assert main_cli(["refine", "--plan", _write(tmp_path / "plan.json", plan),
+                     "--config", _write(tmp_path / f"{name}.json", cfg)]) == 0
+    return json.loads((tmp_path / name / "refinement.json").read_text())["levels"]
+
+
+def test_cli_refine_runs_an_eta_matrix_with_its_constant(tmp_path):
+    # refine ran every eta_matrix config with eta = 1, whatever the matrix held
+    matrix = _refine_levels(tmp_path, "matrix", {"eta_matrix": [[0.0, 5.0], [5.0, 0.0]]})
+    preset = _refine_levels(tmp_path, "preset",
+                            {"eta_preset": {"name": "constant", "params": {"value": 5.0}}})
+    unit = _refine_levels(tmp_path, "unit", {"eta_matrix": [[0.0, 1.0], [1.0, 0.0]]})
+    assert matrix == preset != unit
+    assert unit == _refine_levels(tmp_path, "default", {"eta_preset": {"name": "constant"}})
+
+
+def test_cli_refine_refuses_an_eta_matrix_that_is_not_constant(tmp_path, capsys):
+    cfg = _refine_config()
+    cfg["graph"] = {"points": [[0.0], [1.0], [2.0]], "weights": [1.0, 1.0, 1.0],
+                    "eta_matrix": [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]}
+    cfg["output_dir"] = str(tmp_path / "out")
+    plan = {"density": {"name": "uniform"}, "ladder": [4], "initial_atoms": 8}
+    assert main_cli(["refine", "--plan", _write(tmp_path / "plan.json", plan),
+                     "--config", _write(tmp_path / "cfg.json", cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "invalid input: graph.eta_matrix: a refinement study needs eta constant off the "
+        "diagonal, got values from 1.0 to 2.0")
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_metric_and_refine_json_hold_each_value_once(tmp_path):
+    # metric.json held the objective twice, at the top level and in the
+    # certificate; refinement.json held each W1 gap twice, in a w1_gaps list
+    # and in the later level, and each level's first and last energy twice,
+    # as energy_start and energy_end and in its energy_series
+    out = tmp_path / "out"
+    cfg = s1_config(t_final=0.1, out_dir=str(out))
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    start, end = s2_state_files()
+    assert main_cli(["metric", "--config", cfg_path, "--from", _write(tmp_path / "a.json", start),
+                     "--to", _write(tmp_path / "b.json", end), "--steps", "4"]) == 0
+    metric = json.loads((out / "metric.json").read_text())
+    assert sorted(metric) == ["T", "certificate", "resolved_config", "steps", "version"]
+    assert isinstance(metric["certificate"]["objective"], float)
+
+    plan = {"density": {"name": "uniform"}, "ladder": [4, 6, 8], "initial_atoms": 8,
+            "transport_diagnostic": False}
+    assert main_cli(["refine", "--plan", _write(tmp_path / "plan.json", plan),
+                     "--config", cfg_path]) == 0
+    refinement = json.loads((out / "refinement.json").read_text())
+    assert sorted(refinement) == ["levels", "resolved_config", "version"]
+    for level in refinement["levels"]:
+        assert "energy_start" not in level and "energy_end" not in level
+        assert len(level["energy_series"]) >= 2
+    report = run_refinement_study(parse_plan(plan), parse_config(cfg))
+    gaps = [level.w1_gap_from_previous for level in report.levels[1:]]
+    assert report.w1_gaps == gaps == [level["w1_gap_from_previous"]
+                                      for level in refinement["levels"][1:]]

@@ -38,7 +38,7 @@ def test_dissipation_examples():
     assert dissipation(system, state.rho) == pytest.approx(0.0625, abs=1e-15)
     mirrored = np.array([[0.25, 0.75], [0.5, 0.5]])
     assert dissipation(system, mirrored) == pytest.approx(0.0625, abs=1e-15)
-    zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1, validate=False)
+    zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1)
     assert dissipation(System(g, zero_set, mob, exps), state.rho) == 0.0
 
 
@@ -55,7 +55,7 @@ def test_de_giorgi_gradient_flow_residual_small():
 
 def test_de_giorgi_constant_trajectory_exact_zero():
     g, _, mob, exps, state = s1_setup()
-    zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1, validate=False)
+    zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1)
     system = System(g, zero_set, mob, exps)
     report = de_giorgi(system, integrate(system, state, 1.0))
     assert report.g_t == 0.0
@@ -148,7 +148,7 @@ def test_chain_rule_residual_small_on_gradient_flow():
 
 def test_chain_rule_residual_zero_on_constant():
     g, _, mob, exps, state = s1_setup()
-    zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1, validate=False)
+    zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1)
     system = System(g, zero_set, mob, exps)
     assert chain_rule_residual(system, integrate(system, state, 1.0)) == 0.0
 

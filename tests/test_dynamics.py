@@ -90,7 +90,7 @@ def test_integrate_two_vertex_against_reference():
 
 def test_integrate_zero_kernels_constant():
     g, _, mob, exps, state = s1_setup()
-    zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1, validate=False)
+    zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1)
     traj = integrate(System(g, zero_set, mob, exps), state, 2.0)
     assert np.allclose(traj.states[-1], state.rho)
     assert np.all(traj.energies == 0.0)

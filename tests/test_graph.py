@@ -19,6 +19,7 @@ from graphflow.graph import (
     link_ends,
     nonlocal_divergence,
     nonlocal_gradient,
+    pair_distance,
 )
 from graphflow.scenarios import two_point_graph
 
@@ -85,6 +86,18 @@ def test_build_graph_rejects_non_finite_eta(value):
         build_graph([[0.0], [1.0]], [1.0, 1.0], eta)
     with pytest.raises(NegativeEdgeWeight, match="is not a finite number"):
         build_graph([[0.0], [1.0]], [1.0, 1.0], lambda xs, ys: np.full((2, 2), value))
+
+
+def test_pair_distance_is_the_norm_where_finite_and_scales_where_squares_overflow():
+    rng = np.random.default_rng(5)
+    xs, ys = rng.normal(size=(6, 1, 3)), rng.normal(size=(1, 4, 3))
+    assert np.array_equal(pair_distance(xs, ys), np.linalg.norm(xs - ys, axis=-1))
+    # the squares of 3e200 and 4e200 overflow, their root does not
+    far = pair_distance(np.array([[0.0, 0.0], [3e200, 4e200], [1e308, 0.0]]),
+                        np.array([[1e200, 0.0], [0.0, 0.0], [-1e308, 0.0]]))
+    assert far[0] == 1e200 and far[1] == pytest.approx(5e200, rel=1e-15)
+    assert far[2] == np.inf  # 2e308 is beyond the float range
+    assert pair_distance(np.array([0.0]), np.array([1e200])) == 1e200
 
 
 def test_check_assumptions_two_point():

@@ -37,7 +37,7 @@ def test_convolve_potential_examples():
     alone = np.stack([state.rho1, np.zeros(2)])
     pot = potentials(system, alone)[0]
     assert pot == pytest.approx([0.25, 0.75])
-    zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1, validate=False)
+    zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1)
     assert np.all(potentials(_system(g, zero_set), alone)[0] == 0.0)
     uniform = potentials(system, np.array([[0.5, 0.5], [0.0, 0.0]]))[0]
     assert uniform == pytest.approx([0.5, 0.5])
@@ -48,7 +48,7 @@ def test_system_is_frozen_and_holds_the_kernel_matrices_of_its_graph():
     g = build_graph(rng.uniform(size=(6, 2)), rng.uniform(0.5, 1.5, 6),
                     lambda x, y: np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))
     kernels = build_kernel_set(distance(), quadratic(), quadratic(), gaussian_well(),
-                               dimension=2, validate=False)
+                               dimension=2)
     system = _system(g, kernels)
     assert len(system.matrices) == 3
     for mat, fn in zip(system.matrices, (kernels.k11, kernels.k12, kernels.k22)):
@@ -67,11 +67,11 @@ def test_energy_examples():
     kernels = s1_kernels()
     assert energy(_system(g, kernels), state.rho) == pytest.approx(0.1875)
 
-    zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1, validate=False)
+    zero_set = build_kernel_set(zero(), zero(), zero(), zero(), dimension=1)
     assert energy(_system(g, zero_set), state.rho) == 0.0
 
     all_distance = build_kernel_set(
-        distance(), distance(), distance(), distance(), dimension=1, validate=False
+        distance(), distance(), distance(), distance(), dimension=1
     )
     both_uniform = np.array([[0.5, 0.5], [0.5, 0.5]])
     assert energy(_system(g, all_distance), both_uniform) == pytest.approx(1.0)
@@ -140,8 +140,7 @@ def test_energy_continuity_bound():
     rng = np.random.default_rng(5)
     g = build_graph(rng.normal(size=(6, 2)), rng.uniform(0.5, 1.5, 6),
                     lambda x, y: np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))
-    system = _system(g, build_kernel_set(distance(), zero(), zero(), distance(), dimension=2,
-                                         validate=False))
+    system = _system(g, build_kernel_set(distance(), zero(), zero(), distance(), dimension=2))
     k_max = float(np.max(np.abs(system.matrices)))
     rho = rng.uniform(0.1, 1.0, size=(2, 6))
     rho /= (rho @ g.weights)[:, None]
@@ -157,23 +156,20 @@ def test_system_kernel_matrices_follow_the_graph():
     # graphs built and freed in a loop reuse each other's ids; every energy
     # must still come from the kernel matrices of its own graph
     rng = np.random.default_rng(3)
-    kernels = build_kernel_set(distance(), zero(), zero(), distance(), dimension=2,
-                               validate=False)
+    kernels = build_kernel_set(distance(), zero(), zero(), distance(), dimension=2)
     rho = np.full((2, 5), 0.2)
     for _ in range(50):
         g = build_graph(rng.uniform(size=(5, 2)), np.ones(5),
                         lambda x, y: np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))
-        fresh = build_kernel_set(distance(), zero(), zero(), distance(), dimension=2,
-                                 validate=False)
+        fresh = build_kernel_set(distance(), zero(), zero(), distance(), dimension=2)
         assert energy(_system(g, kernels), rho) == energy(_system(g, fresh), rho)
         del g
         gc.collect()
 
 
 def test_growth_constant_estimate_distance():
-    kernels = build_kernel_set(distance(), zero(), zero(), zero(), dimension=1,
-                               validate=False)
-    est = estimate_growth_constant(kernels, 1, Exponents(2.0), seed=1)
+    kernels = build_kernel_set(distance(), zero(), zero(), zero(), dimension=1)
+    est = estimate_growth_constant(kernels, 1, Exponents(2.0))
     # | |x-y| - |x'-y'| | <= sqrt(2) |(x,y)-(x',y')| in one dimension
     assert 0.3 <= est <= np.sqrt(2.0) + 1e-9
 

@@ -1,16 +1,23 @@
-"""Metamorphic checks of the transport solver.
+"""Metamorphic checks of the transport solver and of the flow.
 
-Each test compares the costs of two related problems through an exact
-symmetry of the paper's transportation cost, so it holds for any correct
-solver, whatever its iterates, and needs no reference value.  The problems
-are 10-vertex random geometric graphs (``random_geometric_setup``, seed 3)
-with linear mobility, K = 16 and beta = (1, 1.5), between the scenario's
-state and a second seeded state of the same species masses.
+Each test compares two related problems through an exact symmetry of the
+paper's transportation cost or of its gradient flow, so it holds for any
+correct solver or integrator, whatever its iterates, and needs no reference
+value.  The problems are 10-vertex random geometric graphs
+(``random_geometric_setup``, seed 3) with beta = (1, 1.5).  The transport
+checks use linear mobility and K = 16, between the scenario's state and a
+second seeded state of the same species masses; the flow starts at the
+scenario's state.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from graphflow.diagnostics import de_giorgi
+from graphflow.dynamics import IntegratorOptions, integrate
+from graphflow.kernels import System
 from graphflow.scenarios import random_geometric_setup
 from graphflow.transport import transport_cost
 
@@ -44,3 +51,26 @@ def test_swapping_the_species_leaves_the_cost_unchanged(p):
     cost = transport_cost(graph, a, b, K, mobility, BETA, exponents)[0]
     swapped = transport_cost(graph, a[::-1], b[::-1], K, mobility, BETA[::-1], exponents)[0]
     assert swapped == cost
+
+
+@pytest.mark.parametrize("mobility_name", ["linear", "volume_filling"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_scaling_beta_runs_the_flow_on_a_rescaled_clock(p, mobility_name):
+    # c beta scales the descent velocity w by c and the flux m (w_+)^(q-1)
+    # by c^(q-1), so the flow with c beta up to t = 1 is the flow with beta
+    # up to t = c^(q-1).  At c = 2 that factor is 4 for p = 1.5 and 2 for
+    # p = 2: powers of 2 scale every rate and step exactly, so the two runs
+    # agree bit for bit.  At p = 3 it is sqrt(2), and the step sequences differ.
+    graph, kernels, mobility, exponents, state = random_geometric_setup(
+        seed=3, n=10, p=p, mobility_name=mobility_name)
+    options = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
+    runs = []
+    for c, horizon in ((2.0, 1.0), (1.0, 2.0 ** (exponents.q - 1.0))):
+        system = System(graph, replace(kernels, beta=c * np.array(BETA)), mobility, exponents)
+        trajectory = integrate(system, state, horizon, options)
+        runs.append((trajectory.states[-1], de_giorgi(system, trajectory).g_t))
+    (fast, g_fast), (slow, g_slow) = runs
+    if p < 3.0:
+        assert np.array_equal(fast, slow) and g_fast == g_slow
+    else:
+        assert np.max(np.abs(fast - slow)) <= 1e-9 and abs(g_fast - g_slow) <= 1e-9
