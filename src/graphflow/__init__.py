@@ -58,6 +58,6 @@ from .diagnostics import (
     property_harness,
     w1_distance,
 )
-from .config import RunConfig, parse_config, emit_config, project_initial, run_refinement_study
+from .config import RunConfig, parse_config, project_initial, run_refinement_study
 
 __all__ = [name for name in dir() if not name.startswith("_")]

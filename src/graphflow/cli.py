@@ -181,8 +181,8 @@ def _cmd_metric(args):
     config = parse_config(_read(args.config))
     system = config.system
     graph = system.graph
-    start = parse_state(_read(args.state_from), graph)
-    end = parse_state(_read(args.state_to), graph)
+    start = parse_state(_read(args.state_from), graph, args.state_from)
+    end = parse_state(_read(args.state_to), graph, args.state_to)
     steps = config.solver_steps if args.steps is None else args.steps
     if steps < 1:
         raise SemanticError(f"--steps must be at least 1, got {steps}")
@@ -332,6 +332,10 @@ def _cmd_geodesic_profile(args):
         rates = np.diff(states, axis=0) / np.diff(times)[:, None, None]
         fluxes = transport.min_norm_flux(system.graph, rates)
     path = transport.DiscretePath(times=times, states=states, fluxes=fluxes)
+    residual = path.continuity_residual(system.graph)
+    if not residual <= transport.CONSTRAINT_BOUND:  # NaN fails too
+        raise SemanticError(f"{args.path}: the path does not solve the continuity equation: "
+                            f"residual {residual:.3e} above {transport.CONSTRAINT_BOUND:g}")
     profile = transport.geodesic_profile(
         system.graph, path, system.mobility, system.kernels.beta, system.exponents)
     out = _out_dir(config, args.out)

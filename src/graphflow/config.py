@@ -2,8 +2,8 @@
 
 Configurations are JSON documents.  Parsing fills every default and returns
 both the constructed objects and the fully resolved dictionary, which is
-echoed verbatim into run summaries so that reruns are reproducible;
-``parse_config(emit_config(cfg))`` reproduces the same resolved form.
+echoed verbatim into run summaries so that reruns are reproducible: parsing
+the resolved form again reproduces it.
 """
 
 import inspect
@@ -22,7 +22,6 @@ from .graph import Exponents, build_graph, pair_distance
 # defaults of the top-level scalars and of the sections with fixed keys; a
 # section that is given is merged over its defaults and may hold no other key
 _DEFAULTS = {
-    "seed": 0,
     "p": 2.0,
     "time_horizon": 1.0,
     "output_dir": "out",
@@ -108,16 +107,16 @@ def _finite_array(section, key, path):
     return values.astype(float, copy=False)
 
 
-def _build_graph_section(section, path="graph"):
-    _check_keys(section, ("points", "weights", "eta_matrix", "eta_preset"), path)
+def _build_graph_section(section):
+    _check_keys(section, ("points", "weights", "eta_matrix", "eta_preset"), "graph")
     if ("eta_matrix" in section) == ("eta_preset" in section):
-        raise SchemaError(path, "needs exactly one of eta_matrix or eta_preset")
-    points = _finite_array(section, "points", path)
-    weights = _finite_array(section, "weights", path)
+        raise SchemaError("graph", "needs exactly one of eta_matrix or eta_preset")
+    points = _finite_array(section, "points", "graph")
+    weights = _finite_array(section, "weights", "graph")
     if "eta_matrix" in section:
-        return build_graph(points, weights, _finite_array(section, "eta_matrix", path))
-    spec = _require(section, "eta_preset", path, dict)
-    return build_graph(points, weights, _preset(ETA_PRESETS, spec, f"{path}.eta_preset", "name"))
+        return build_graph(points, weights, _finite_array(section, "eta_matrix", "graph"))
+    spec = _require(section, "eta_preset", "graph", dict)
+    return build_graph(points, weights, _preset(ETA_PRESETS, spec, "graph.eta_preset", "name"))
 
 
 def _check_keys(section, allowed, path):
@@ -155,16 +154,16 @@ def _threshold(section, key, path):
     return float(value)
 
 
-def _build_kernels_section(section, dimension, path="kernels"):
-    _check_keys(section, ("K11", "K12", "K21", "K22", "beta"), path)
-    fns = [_preset_or_expression(section.get(name, {"preset": "zero"}), f"{path}.{name}",
+def _build_kernels_section(section, dimension):
+    _check_keys(section, ("K11", "K12", "K21", "K22", "beta"), "kernels")
+    fns = [_preset_or_expression(section.get(name, {"preset": "zero"}), f"kernels.{name}",
                                  kernels_mod.KERNEL_PRESETS, kernels_mod.kernel_from_expression)
            for name in ("K11", "K12", "K21", "K22")]
     given = {"beta": section["beta"]} if "beta" in section else {}
     try:  # the kernel set checks beta and the kernels; its messages start with the field
         return kernels_mod.build_kernel_set(*fns, dimension=dimension, **given)
     except SemanticError as exc:
-        raise SemanticError(f"{path}.{exc}") from None
+        raise SemanticError(f"kernels.{exc}") from None
 
 
 @dataclass
@@ -175,7 +174,6 @@ class RunConfig:
     integrator: dynamics.IntegratorOptions
     solver_steps: int
     output_dir: str
-    seed: int
     resolved: dict = field(repr=False)
 
 
@@ -191,8 +189,7 @@ def parse_config(source):
     raw = source if isinstance(source, dict) else _parse_json(source)
     if not isinstance(raw, dict):
         raise SchemaError("$", "top level must be an object")
-    # "q" stays accepted: the conjugate exponent is always derived, never read
-    _check_keys(raw, (*_DEFAULTS, "graph", "kernels", "mobility", "initial_state", "q"), "$")
+    _check_keys(raw, (*_DEFAULTS, "graph", "kernels", "mobility", "initial_state"), "$")
 
     resolved = json.loads(json.dumps(raw))  # deep copy, JSON-normalized
     for key, default in _DEFAULTS.items():
@@ -207,7 +204,6 @@ def parse_config(source):
         exponents = Exponents(resolved["p"])
     except ValueError as exc:  # the message starts with p, the key's path
         raise SemanticError(str(exc)) from None
-    resolved.pop("q", None)
 
     graph = _build_graph_section(_require(resolved, "graph", "$", dict))
     kernels = _build_kernels_section(
@@ -228,8 +224,6 @@ def parse_config(source):
     if isinstance(t_final, bool) or not isinstance(t_final, (int, float)) or not (
             0 < t_final < math.inf):
         raise SemanticError(f"time_horizon must be a positive finite number, got {t_final!r}")
-    if not _is_integer(resolved["seed"]):
-        raise SemanticError(f"seed must be an integer, got {resolved['seed']!r}")
 
     integ = resolved["integrator"]
     try:  # null leaves a step size unset; the options check every value
@@ -256,20 +250,15 @@ def parse_config(source):
         integrator=integrator,
         solver_steps=sol["steps"],
         output_dir=str(resolved["output_dir"]),
-        seed=resolved["seed"],
         resolved=resolved,
     )
 
 
-def emit_config(config):
-    """Serialize the resolved configuration; parse(emit(c)) reproduces it."""
-    resolved = config.resolved if isinstance(config, RunConfig) else config
-    return json.dumps(resolved, indent=2, sort_keys=True)
-
-
-def parse_state(source, graph):
+def parse_state(source, graph, path):
+    """The state that ``source``, JSON text or a dict like a config's
+    ``initial_state``, gives on ``graph``; its errors name ``path``."""
     raw = _parse_json(source) if isinstance(source, str) else source
-    return _build_initial_state(raw, graph)
+    return _build_initial_state(raw, graph, path)
 
 
 def _build_initial_state(section, graph, path="initial_state"):
@@ -286,7 +275,7 @@ def _build_initial_state(section, graph, path="initial_state"):
         if any(rho.shape != (graph.n_vertices,) for rho in rhos):
             raise SchemaError(path, f"densities must have length {graph.n_vertices}")
         if min(np.min(rho) for rho in rhos) < 0:
-            raise SemanticError("initial densities must be nonnegative")
+            raise SemanticError(f"initial densities must be nonnegative in {path}")
     else:
         rhos = []
         for name in pair:
@@ -298,7 +287,7 @@ def _build_initial_state(section, graph, path="initial_state"):
     state = dynamics.SpeciesPairState.from_densities(*rhos)  # one mass rule for both
     masses = state.masses(graph)
     if np.max(np.abs(masses - 1.0)) > 1e-8:
-        raise SemanticError(f"initial species masses {masses} are not 1")
+        raise SemanticError(f"initial species masses {masses} are not 1 in {path}")
     # exact unit mass after round-off
     state.rho /= masses[:, None]
     return state

@@ -34,19 +34,6 @@ from .kernels import (
 from .mobility import (check_slack, cost_density, dual_density, flux_law, link_mobility, linear,
                        velocity_law)
 
-__all__ = [
-    "dissipation",
-    "DeGiorgiReport",
-    "de_giorgi",
-    "chain_rule_residual",
-    "moment",
-    "w1_distance",
-    "w1_between_states",
-    "flux_bound_report",
-    "property_harness",
-    "HarnessReport",
-]
-
 
 def dissipation(system, rho_pair):
     """D(rho): dual action of the beta-scaled descent velocities, one term per link."""

@@ -199,10 +199,10 @@ class FiniteGraph:
         """``values`` as a float (..., n) array: node fields along its last axis."""
         return _check_field(values, np.shape(values)[:-1] + (self.n_vertices,), "node")
 
-    def check_link_field(self, values, pair=False, intervals=False):
-        """``values`` as a float (links,) array, or (2, links) for a species
-        ``pair``, after a leading axis of any length when ``intervals``."""
-        shape = (2, self.n_links) if pair else (self.n_links,)
+    def check_link_field(self, values, intervals=False):
+        """``values`` as a float (2, links) array, a species pair's link
+        field, after a leading axis of any length when ``intervals``."""
+        shape = (2, self.n_links)
         return _check_field(values, np.shape(values)[:1] + shape if intervals else shape, "link")
 
 

@@ -162,31 +162,48 @@ def estimate_growth_constant(kernels, dimension, exponents):
 # kernel presets
 # ---------------------------------------------------------------------------
 
+def kernel_from_expression(text):
+    """Kernel from an expression in the edge length variable ``d`` = |x - y|.
+
+    An overflow inside the formula gives inf without a warning: the square
+    of a distance of 1e200 is inf, and ``exp(-d^2)`` there is exactly 0.
+    The presets below are such formulas, with their parameters written in
+    as numbers, so a non-finite parameter raises ExpressionError, a
+    ValueError; a configuration refuses one before.
+    """
+    fn = compile_expression(text, ("d",))
+
+    def kernel(xs, ys):
+        with np.errstate(over="ignore"):
+            return fn(pair_distance(xs, ys))
+    return kernel
+
+
 def distance():
     """K(x, y) = |x - y| (attractive for clustered mass)."""
-    return pair_distance
+    return kernel_from_expression("d")
 
 
 def quadratic():
     """K(x, y) = |x - y|^2; legal under p-growth for p >= 2."""
-    return lambda xs, ys: pair_distance(xs, ys) ** 2
+    return kernel_from_expression("d^2")
 
 
 def gaussian_well(sigma=1.0):
     """K(x, y) = -exp(-|x-y|^2 / sigma^2), a smooth attractive well."""
-    sigma = float(sigma)
-    return lambda xs, ys: -np.exp(-(pair_distance(xs, ys) ** 2) / sigma**2)
+    return kernel_from_expression(f"-exp(-d^2/{float(sigma) ** 2!r})")
 
 
 def morse_like(attract=1.0, ell_a=1.0, repulse=0.5, ell_r=0.5):
     """a exp(-|x-y|/l_a) - r exp(-|x-y|/l_r): short-range repulsion, long-range attraction."""
-    return lambda xs, ys: attract * np.exp(-pair_distance(xs, ys) / ell_a) - repulse * np.exp(
-        -pair_distance(xs, ys) / ell_r
-    )
+    attract, ell_a, repulse, ell_r = map(float, (attract, ell_a, repulse, ell_r))
+    return kernel_from_expression(
+        f"{attract!r}*exp(-d/{ell_a!r})-{repulse!r}*exp(-d/{ell_r!r})")
 
 
 def zero():
-    return lambda xs, ys: np.zeros(np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1]))
+    """K(x, y) = 0."""
+    return kernel_from_expression("0")
 
 
 KERNEL_PRESETS = {
@@ -196,12 +213,6 @@ KERNEL_PRESETS = {
     "morse_like": morse_like,
     "zero": zero,
 }
-
-
-def kernel_from_expression(text):
-    """Kernel from an expression in the edge length variable ``d`` = |x - y|."""
-    fn = compile_expression(text, ("d",))
-    return lambda xs, ys: fn(pair_distance(xs, ys))
 
 
 # ---------------------------------------------------------------------------

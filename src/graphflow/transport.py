@@ -58,7 +58,7 @@ def action(graph, rho_pair, flux_pair, mobility, beta, exponents):
     """Two-species upwind action of the (2, links) fluxes at the (2, n)
     state, or per interval of (K, 2, links) fluxes at (K, 2, n) states;
     infinity encodes infeasibility, not an error."""
-    j = graph.check_link_field(flux_pair, pair=True, intervals=np.ndim(flux_pair) == 3)
+    j = graph.check_link_field(flux_pair, intervals=np.ndim(flux_pair) == 3)
     fwd, bwd, outside = link_mobility(graph, rho_pair, mobility)
     terms = cost_density(j, fwd, exponents, outside)
     terms += cost_density(-j, bwd, exponents, outside)
@@ -74,21 +74,21 @@ def dual_action(graph, rho_pair, velocity_pair, mobility, beta, exponents):
     :func:`flux_from_velocity` of the same velocities at a state in the box.
     A link with zero velocity or no positive mobility upwind costs 0.
     """
-    v = graph.check_link_field(velocity_pair, pair=True)
+    v = graph.check_link_field(velocity_pair)
     fwd, bwd, _ = link_mobility(graph, rho_pair, mobility)
     return link_total(graph, dual_density(v, fwd, bwd, exponents), beta)
 
 
 def flux_from_velocity(graph, rho_pair, velocity_pair, mobility, exponents):
     """Dual representation: j = m(rho_lo, rho_hi) (v_+)^(q-1) - m(rho_hi, rho_lo) (v_-)^(q-1)."""
-    v = graph.check_link_field(velocity_pair, pair=True)
+    v = graph.check_link_field(velocity_pair)
     fwd, bwd, _ = link_mobility(graph, rho_pair, mobility)
     return flux_law(v, fwd, bwd, exponents)
 
 
 def velocity_from_flux(graph, rho_pair, flux_pair, mobility, exponents):
     """Invert the dual representation; links with vanishing upwind mobility carry v = 0."""
-    j = graph.check_link_field(flux_pair, pair=True)
+    j = graph.check_link_field(flux_pair)
     fwd, bwd, _ = link_mobility(graph, rho_pair, mobility)
     return velocity_law(j, fwd, bwd, exponents)
 
@@ -100,7 +100,7 @@ def pairing_l(graph, rho_pair, flux_pair, other_flux_pair, mobility, beta, expon
     flux leaves a vertex with vanishing mobility, so ``velocity_from_flux``
     inverts the flux law on every link that carries flux.
     """
-    other_flux_pair = graph.check_link_field(other_flux_pair, pair=True)
+    other_flux_pair = graph.check_link_field(other_flux_pair)
     for pair in (flux_pair, other_flux_pair):
         if not np.isfinite(action(graph, rho_pair, pair, mobility, beta, exponents).total):
             raise InfiniteAction("pairing requires fluxes of finite action")
@@ -110,7 +110,7 @@ def pairing_l(graph, rho_pair, flux_pair, other_flux_pair, mobility, beta, expon
 
 def pairing_l_tilde(graph, rho_pair, velocity_pair, other_velocity_pair, mobility, beta, exponents):
     """Velocity-side pairing; linear in the second slot, diagonal equals the dual action."""
-    vbar = graph.check_link_field(other_velocity_pair, pair=True)
+    vbar = graph.check_link_field(other_velocity_pair)
     kernel = flux_from_velocity(graph, rho_pair, velocity_pair, mobility, exponents)
     return link_total(graph, vbar * kernel, beta).total
 
@@ -130,13 +130,14 @@ _MAX_ITERATIONS = 200  # interior-point iterations per species
 _TO_BOUNDARY = 0.995  # share of the step to the boundary that is taken
 _ARMIJO = 1e-4  # sufficient decrease of the barrier merit along a step
 _UNIFORM_BLEND = 0.1  # weight of the uniform density in the starting states
-_CONSTRAINT_BOUND = 1e-7  # certified continuity and endpoint residual
+CONSTRAINT_BOUND = 1e-7  # certified continuity and endpoint residual
 _OPTIMALITY_BOUND = 1e-4  # certified duality gap and scaled stationarity
 
 
 @dataclass
 class DiscretePath:
-    """Uniform time grid on [0, 1] with states at nodes and fluxes on intervals."""
+    """States at the nodes of a time grid and fluxes on its intervals; the
+    solver's grid is uniform on [0, 1]."""
 
     times: np.ndarray  # (K+1,)
     states: np.ndarray  # (K+1, 2, n)
@@ -150,8 +151,9 @@ class DiscretePath:
         return 0.5 * (self.states[:-1] + self.states[1:])
 
     def continuity_residual(self, graph):
-        """Max-norm residual of rho_{k+1} - rho_k + dt * div(j_k) = 0."""
-        dt = self.times[1] - self.times[0]
+        """Max-norm residual of rho_{k+1} - rho_k + dt_k * div(j_k) = 0, with
+        dt_k the length of interval k."""
+        dt = np.diff(self.times)[:, None, None]
         res = np.diff(self.states, axis=0) + dt * nonlocal_divergence(graph, self.fluxes)
         return float(np.max(np.abs(res), initial=0.0))
 
@@ -712,7 +714,7 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents):
         iterations=sum(s.iterations for s in solutions),
         objective=objective,
         converged=all(s.converged for s in solutions)
-        and c_final <= _CONSTRAINT_BOUND and opt_res <= _OPTIMALITY_BOUND,
+        and c_final <= CONSTRAINT_BOUND and opt_res <= _OPTIMALITY_BOUND,
     )
     if not certificate.converged:
         raise NotConverged(

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shutil
 import warnings
 
 import numpy as np
@@ -15,7 +16,6 @@ from graphflow.config import (
     RefinementPlan,
     StudyLevel,
     StudyReport,
-    emit_config,
     parse_config,
     parse_plan,
     parse_state,
@@ -41,17 +41,9 @@ def test_parse_config_s1_defaults_and_derived_q():
     assert config.resolved["solver"]["steps"] == 32
 
 
-def test_parse_config_ignores_supplied_q():
-    raw = s1_config()
-    raw["q"] = 17.0  # the conjugate exponent is always derived, never read
-    config = parse_config(json.dumps(raw))
-    assert config.system.exponents.q == 2.0
-    assert "q" not in config.resolved
-
-
 def test_parse_config_round_trip():
     config = parse_config(json.dumps(s1_config()))
-    again = parse_config(emit_config(config))
+    again = parse_config(json.dumps(config.resolved))
     assert again.resolved == config.resolved
 
 
@@ -321,13 +313,34 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys, path, value, message)
         parse_config(raw)
 
 
-def test_parse_config_keeps_accepting_seed_q_and_projection():
-    raw = s1_config()
-    raw.update(seed=3, q=2.0)
+def test_parse_config_ignores_supplied_q(tmp_path, capsys):
+    # the name is kept from when a supplied q was read and dropped: q is
+    # derived from p, and q = 17 beside p = 2 used to run at q = 2; now it
+    # is an unknown key and nothing runs
+    raw = {**s1_config(out_dir=str(tmp_path / "out")), "q": 17.0}
+    assert main_cli(["simulate", "--config", _write(tmp_path / "cfg.json", raw)]) == 1
+    assert capsys.readouterr().err.startswith("invalid input: $.q: unknown key")
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(SchemaError, match=re.escape("$.q: unknown key")):
+        parse_config(raw)
+
+
+def test_parse_config_keeps_accepting_seed_q_and_projection(tmp_path, capsys):
+    # the name is kept from when seed and q were accepted: nothing reads a
+    # seed and q is derived from p, so both are refused, even a q that
+    # agrees with p; projection is still accepted
+    raw = s1_config(out_dir=str(tmp_path / "out"))
+    for key, value in (("seed", 3), ("q", 2.0)):
+        assert main_cli(["simulate", "--config", _write(tmp_path / "cfg.json",
+                                                        {**raw, key: value})]) == 1
+        assert capsys.readouterr().err.startswith(f"invalid input: $.{key}: unknown key")
+        with pytest.raises(SchemaError, match=re.escape(f"$.{key}: unknown key")):
+            parse_config({**raw, key: value})
+    assert not (tmp_path / "out").exists()
     raw["initial_state"]["projection"] = "nearest"
     config = parse_config(raw)
-    assert config.seed == 3 and "q" not in config.resolved
-    assert parse_config(emit_config(config)).resolved == config.resolved
+    assert "seed" not in config.resolved and "q" not in config.resolved
+    assert parse_config(json.dumps(config.resolved)).resolved == config.resolved
 
 
 @pytest.mark.parametrize("command, path, expression", [
@@ -640,7 +653,7 @@ def test_cli_rejects_non_positive_solver_steps(tmp_path, capsys, steps):
 
 @pytest.mark.parametrize("path, value", [
     ("solver.steps", "abc"), ("solver.steps", 2.7), ("solver.steps", True),
-    ("seed", "abc"), ("seed", 1.5), ("seed", False),
+    ("p", 1), ("p", True), ("p", "2"),
     ("integrator.rel_tol", -1), ("integrator.abs_tol", -1e-10), ("integrator.rel_tol", "abc"),
     ("integrator.abs_tol", True), ("integrator.rel_tol", None),
     ("time_horizon", True), ("time_horizon", "1"), ("time_horizon", 0),
@@ -659,6 +672,25 @@ def test_cli_rejects_invalid_config_scalars(tmp_path, capsys, path, value):
     assert not (tmp_path / "out").exists()
     with pytest.raises(SemanticError, match=path):
         parse_config(cfg)
+
+
+@pytest.mark.parametrize("option", ["--from", "--to"])
+@pytest.mark.parametrize("state, message", [
+    ({"rho1": [1.0, 0.0], "rho2": [0.5, 0.5], "rho3": [1.0, 1.0]}, "{}.rho3: unknown key"),
+    ({"rho1": [1.5, 0.0], "rho2": [0.5, 0.5]},
+     "initial species masses [1.5 1. ] are not 1 in {}"),
+], ids=["unknown-key", "mass"])
+def test_cli_metric_state_errors_name_their_file(tmp_path, capsys, option, state, message):
+    # they used to name initial_state, a config key they are not in
+    cfg_path = _write(tmp_path / "cfg.json", s1_config(out_dir=str(tmp_path / "out")))
+    start, end = s2_state_files()
+    files = {"--from": _write(tmp_path / "from.json", start),
+             "--to": _write(tmp_path / "to.json", end)}
+    files[option] = _write(tmp_path / "bad.json", state)
+    assert main_cli(["metric", "--config", cfg_path, "--from", files["--from"],
+                     "--to", files["--to"]]) == 1
+    assert capsys.readouterr().err.startswith("invalid input: " + message.format(files[option]))
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_zero_tolerances(tmp_path, capsys):
@@ -758,6 +790,20 @@ def test_cli_refine(tmp_path):
     report = json.loads((tmp_path / "out" / "refinement.json").read_text())
     assert len(report["levels"]) == 2
     assert np.isfinite(report["levels"][1]["w1_gap_from_previous"])  # the one gap
+
+
+def test_cli_refine_exits_2_when_levels_fail(tmp_path, capsys):
+    # 8 atoms of total mass 1 on a uniform base of total mass 0.5 put a
+    # density of 2 on a vertex, above the volume-filling cap 1, at every level
+    cfg = s1_config(out_dir=str(tmp_path / "out"))
+    cfg["mobility"] = {"preset": "volume_filling"}
+    plan = {"density": {"name": "uniform"}, "ladder": [4, 8], "initial_atoms": 8,
+            "total_mass": 0.5}
+    assert main_cli(["refine", "--config", _write(tmp_path / "cfg.json", cfg),
+                     "--plan", _write(tmp_path / "plan.json", plan)]) == 2
+    assert "levels failed: [4, 8]" in capsys.readouterr().err
+    levels = json.loads((tmp_path / "out" / "refinement.json").read_text())["levels"]
+    assert all(level["error"].startswith("ThresholdExceeded") for level in levels)
 
 
 def test_run_refinement_study_marks_failed_levels(monkeypatch):
@@ -905,6 +951,32 @@ def test_cli_geodesic_profile_states_only_fallback(tmp_path):
     assert (tmp_path / "out" / "profile.csv").exists()
 
 
+def test_cli_geodesic_profile_refuses_a_path_off_the_continuity_equation(tmp_path, capsys):
+    # the states of one metric run with the fluxes of another, and states
+    # whose mass grows, which no flux explains, were profiled with exit 0
+    cfg_path = _metric_outputs(tmp_path)  # S1 at K = 8 from a to b, in out/
+    out, other, grown = tmp_path / "out", tmp_path / "other", tmp_path / "grown.csv"
+    start, _ = s2_state_files()
+    assert main_cli(["metric", "--config", cfg_path, "--from", _write(tmp_path / "a.json", start),
+                     "--to", _write(tmp_path / "c.json", {"rho1": [0.5, 0.5], "rho2": [0.5, 0.5]}),
+                     "--out", str(other)]) == 0
+    profile = ["--config", cfg_path, "--out", str(tmp_path / "profile")]
+    for own in (out, other):  # metric's own pairs solve it
+        assert main_cli(["geodesic-profile", "--path", str(own / "geodesic.csv"), *profile]) == 0
+    shutil.copy(out / "geodesic.csv", other / "a_to_b.csv")  # beside the fluxes from a to c
+    states = np.array([[[1.0, 0.0], [0.5, 0.5]], [[1.0, 0.25], [0.5, 0.5]],
+                       [[1.0, 0.5], [0.5, 0.5]]])  # species 1's mass grows from 1 to 1.5
+    grown.write_text(_species_csv(("t", "species", "vertex", "density"), [0.0, 0.5, 1.0],
+                                  states, np.arange(2)))
+    shutil.rmtree(tmp_path / "profile")
+    capsys.readouterr()
+    for path in (other / "a_to_b.csv", grown):
+        assert main_cli(["geodesic-profile", "--path", str(path), *profile]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"invalid input: {path}: the path does not solve the continuity equation: residual")
+    assert not (tmp_path / "profile").exists()
+
+
 @pytest.mark.parametrize("name, row, message", [
     ("geodesic_fluxes.csv", "0,1,0,0,0.5", "(0, 0) is not a link"),
     ("geodesic_fluxes.csv", "0,1,1,0,0.5", "(1, 0) is not a link"),
@@ -1002,7 +1074,8 @@ def _rgg_metric(tmp_path):
                      "--to", _write(tmp_path / "to.json", states[1]), "--steps", "8"]) == 0
     config = parse_config(cfg)
     assert config.system.graph.n_links == 28
-    return config, [parse_state(rho, config.system.graph) for rho in states], tmp_path / "out"
+    ends = [parse_state(rho, config.system.graph, "state") for rho in states]
+    return config, ends, tmp_path / "out"
 
 
 def test_cli_metric_writes_one_flux_row_per_link(tmp_path):
@@ -1308,11 +1381,12 @@ def test_cli_diagnose_exits_2_on_a_non_finite_residual(tmp_path, capsys, monkeyp
     assert isinstance(report["energy_end"], float)
 
 
-def _far_apart_config(tmp_path, points):
+def _far_apart_config(tmp_path, points, k11=None):
     """S1 on the given points with a gaussian eta, which vanishes between
-    them, so the states stay where they start."""
+    them, so the states stay where they start, and K11 if given."""
     cfg = s1_config(t_final=0.25, out_dir=str(tmp_path / "out"))
     cfg["graph"] = {"points": points, "weights": [1.0, 1.0], "eta_preset": {"name": "gaussian"}}
+    cfg["kernels"]["K11"] = k11 or cfg["kernels"]["K11"]
     return _write(tmp_path / "cfg.json", cfg)
 
 
@@ -1335,6 +1409,24 @@ def test_cli_gives_points_far_apart_finite_energies_without_warnings(tmp_path, c
     assert [row["energy"] for row in summary["energy_series"]] == pytest.approx(
         [1.875e199] * len(summary["energy_series"]), rel=1e-15)
     assert json.loads((out / "de_giorgi.json").read_text())["g_t"] == 0.0
+
+
+@pytest.mark.parametrize("k11, code", [
+    ({"preset": "gaussian_well"}, 0), ({"expression": "exp(-d^2)"}, 0),
+    ({"preset": "quadratic"}, 2), ({"expression": "d^2"}, 2),
+], ids=["gaussian_well", "exp", "quadratic", "square"])
+def test_cli_squares_distances_beyond_the_float_range_without_warnings(tmp_path, capsys, k11,
+                                                                       code):
+    # the square of a distance of 1e200 overflows to inf, which makes a
+    # gaussian well exactly 0 and the quadratic energy inf; each run warned
+    # of the overflow on stderr
+    cfg_path = _far_apart_config(tmp_path, [[0.0], [1e200]], k11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main_cli(["simulate", "--config", cfg_path]) == code
+    err = capsys.readouterr().err
+    assert "Warning" not in err
+    assert ("the energy is inf" in err) == (code == 2)
 
 
 def test_cli_simulate_exits_2_on_a_non_finite_energy(tmp_path, capsys):

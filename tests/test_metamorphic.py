@@ -5,9 +5,9 @@ paper's transportation cost or of its gradient flow, so it holds for any
 correct solver or integrator, whatever its iterates, and needs no reference
 value.  The problems are 10-vertex random geometric graphs
 (``random_geometric_setup``, seed 3) with beta = (1, 1.5).  The transport
-checks use linear mobility and K = 16, between the scenario's state and a
-second seeded state of the same species masses; the flow starts at the
-scenario's state.
+checks use K = 16 and linear mobility, volume filling too where named,
+between the scenario's state and a second seeded state of the same species
+masses; the flow starts at the scenario's state.
 """
 
 from dataclasses import replace
@@ -17,6 +17,7 @@ import pytest
 
 from graphflow.diagnostics import de_giorgi
 from graphflow.dynamics import IntegratorOptions, integrate
+from graphflow.graph import build_graph
 from graphflow.kernels import System
 from graphflow.scenarios import random_geometric_setup
 from graphflow.transport import transport_cost
@@ -25,9 +26,10 @@ K = 16
 BETA = (1.0, 1.5)
 
 
-def _problem(p):
+def _problem(p, mobility_name="linear"):
     """Graph, mobility, exponents and the two endpoints (2, n) at exponent p."""
-    graph, _, mobility, exponents, state = random_geometric_setup(seed=3, n=10, p=p)
+    graph, _, mobility, exponents, state = random_geometric_setup(
+        seed=3, n=10, p=p, mobility_name=mobility_name)
     end = np.random.default_rng(4).uniform(0.1, 1.0, size=state.rho.shape)
     end *= (state.rho @ graph.weights / (end @ graph.weights))[:, None]
     return graph, mobility, exponents, state.rho, end
@@ -51,6 +53,28 @@ def test_swapping_the_species_leaves_the_cost_unchanged(p):
     cost = transport_cost(graph, a, b, K, mobility, BETA, exponents)[0]
     swapped = transport_cost(graph, a[::-1], b[::-1], K, mobility, BETA[::-1], exponents)[0]
     assert swapped == cost
+
+
+def _relabelled(graph, perm):
+    """The graph whose vertex k is ``graph``'s vertex ``perm[k]``."""
+    eta = np.zeros((graph.n_vertices, graph.n_vertices))
+    eta[graph.link_lo, graph.link_hi] = eta[graph.link_hi, graph.link_lo] = graph.link_eta
+    return build_graph(graph.points[perm], graph.weights[perm], eta[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("mobility_name", ["linear", "volume_filling"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_relabelling_the_vertices_leaves_the_cost_unchanged(p, mobility_name):
+    # the cost does not depend on the vertices' names; the links are numbered
+    # in the new vertex order, so only the solver's round-off may change
+    graph, mobility, exponents, a, b = _problem(p, mobility_name)
+    perm = np.random.default_rng(6).permutation(graph.n_vertices)
+    cost, path, certificate = transport_cost(graph, a, b, K, mobility, BETA, exponents)
+    moved, moved_path, moved_certificate = transport_cost(
+        _relabelled(graph, perm), a[:, perm], b[:, perm], K, mobility, BETA, exponents)
+    assert moved == pytest.approx(cost, rel=1e-12, abs=0.0)
+    assert moved_certificate.iterations == certificate.iterations
+    assert np.max(np.abs(moved_path.states - path.states[:, :, perm])) <= 1e-12
 
 
 @pytest.mark.parametrize("mobility_name", ["linear", "volume_filling"])
