@@ -9,7 +9,6 @@ the resolved form again reproduces it.
 import inspect
 import json
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from . import diagnostics, dynamics, kernels as kernels_mod, mobility as mobility_mod
 from .errors import (MassMismatch, NotConcave, NotPositive, NotUpwindAdmissible, SchemaError,
                      SemanticError)
-from .graph import Exponents, build_graph, pair_distance
+from .graph import Exponents, _is_integer, _is_real, build_graph, pair_distance
 
 # defaults of the top-level scalars and of the sections with fixed keys; a
 # section that is given is merged over its defaults and may hold no other key
@@ -42,17 +41,11 @@ def _require(mapping, key, path, kind=None):
     return value
 
 
-def _is_integer(value):
-    """Whether ``value`` is an integer; JSON true and false are not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _preset_number(value, key, path):
     """Preset parameter ``key`` as a float: a finite real, not a boolean, and
     above zero for the scales in ``_SCALES``."""
     positive = key in _SCALES
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or (positive and not value > 0)):
+    if not _is_real(value) or not math.isfinite(value) or (positive and not value > 0):
         raise SchemaError(f"{path}.params.{key}",
                           f"must be a finite {'positive ' if positive else ''}number, got {value!r}")
     return float(value)
@@ -82,9 +75,15 @@ def _constant_eta(value=1.0):
 
 
 def _gaussian_eta(sigma=1.0):
+    # a square beyond the float range is inf and one below it 0, without a
+    # warning: a width beyond the range gives eta = exp(-d^2/inf) = 1, one below
+    # it exp(-d^2/0) = 0 between distinct points, and a distance beyond it exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        scale = 2.0 * np.float64(sigma) ** 2
+
     def eta(xs, ys):
-        with np.errstate(over="ignore"):  # a square beyond the float range gives exp(-inf) = 0
-            return np.exp(-np.sum((xs - ys) ** 2, axis=-1) / (2.0 * sigma**2))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return np.exp(-np.sum((xs - ys) ** 2, axis=-1) / scale)
     return eta
 
 
@@ -149,7 +148,7 @@ def _threshold(section, key, path):
     """A mobility threshold: a positive number, not a boolean; absent or
     infinite means unbounded."""
     value = section.get(key, math.inf)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
+    if not _is_real(value) or not value > 0:
         raise SchemaError(f"{path}.{key}", f"must be a positive number, got {value!r}")
     return float(value)
 
@@ -221,8 +220,7 @@ def parse_config(source):
         raise SchemaError("mobility", str(exc)) from None
 
     t_final = resolved["time_horizon"]
-    if isinstance(t_final, bool) or not isinstance(t_final, (int, float)) or not (
-            0 < t_final < math.inf):
+    if not (_is_real(t_final) and 0 < t_final < math.inf):
         raise SemanticError(f"time_horizon must be a positive finite number, got {t_final!r}")
 
     integ = resolved["integrator"]
@@ -391,7 +389,7 @@ class RefinementPlan:
             if not _is_integer(value) or value < 1:
                 raise SchemaError(f"plan.{key}", f"must be an integer of at least 1, got {value!r}")
         mass = self.total_mass
-        if isinstance(mass, bool) or not isinstance(mass, numbers.Real) or not 0 < mass < math.inf:
+        if not (_is_real(mass) and 0 < mass < math.inf):
             raise SchemaError("plan.total_mass", f"must be a finite number > 0, got {mass!r}")
         if not isinstance(self.transport_diagnostic, bool):
             raise SchemaError("plan.transport_diagnostic",

@@ -258,9 +258,13 @@ def flux_bound_report(graph, rho_pair, flux_pair, mobility, beta, exponents):
 
 @dataclass
 class HarnessFailure:
+    """A failing sample's violation, and the smallest halved field scale at
+    which its replay still fails, with the violation there."""
+
     sample: int
-    description: str
     magnitude: float
+    shrunk_scale: float
+    shrunk_magnitude: float
 
 
 @dataclass
@@ -277,6 +281,16 @@ class HarnessReport:
         return not self.failures and not self.note
 
 
+_LINEAR = linear()  # the mobility of every suite
+
+
+def _random_density(rng, graph):
+    """A random density pair, each species of unit mass."""
+    rho = rng.uniform(0.05, 1.0, size=(2, graph.n_vertices))
+    rho /= (rho @ graph.weights)[:, None]
+    return rho
+
+
 def _random_setup(rng, n_min=3, n_max=6):
     n = int(rng.integers(n_min, n_max + 1))
     points = rng.uniform(-1.5, 1.5, size=(n, 2))
@@ -285,112 +299,76 @@ def _random_setup(rng, n_min=3, n_max=6):
     eta = 0.5 * (eta + eta.T)
     np.fill_diagonal(eta, 0.0)
     graph = build_graph(points, weights, eta)
-    p = float(rng.uniform(1.3, 3.5))
-    exponents = Exponents(p)
-    rho = rng.uniform(0.05, 1.0, size=(2, n))
-    rho /= (rho @ graph.weights)[:, None]
+    exponents = Exponents(float(rng.uniform(1.3, 3.5)))
+    rho = _random_density(rng, graph)
     beta = rng.uniform(0.5, 2.0, size=2)
     return graph, exponents, rho, beta
 
 
-def _random_fluxes(rng, graph, scale=1.0):
-    """A random (2, links) field pair."""
-    return rng.normal(scale=scale, size=(2, graph.n_links))
+def _holder(pairing, s, s_dual):
+    """The Hölder inequality pairing(a)[b] <= pairing(b)[b]^(1/s) pairing(a)[a]^(1/s')
+    of two random link field pairs, where ``s`` and ``s_dual`` name the exponents:
+    (p, q) for the flux pairing l, (q, p) for the velocity pairing l~, the two sides
+    of the Legendre duality between the action and the dual action."""
+    def suite(rng, scale):
+        graph, exponents, rho, beta = _random_setup(rng)
+        a, b = rng.normal(scale=scale, size=(2, 2, graph.n_links))
+
+        def value(x, y):
+            return pairing(graph, rho, x, y, _LINEAR, beta, exponents)
+        return value(a, b) - (value(b, b) ** (1.0 / getattr(exponents, s))
+                              * value(a, a) ** (1.0 / getattr(exponents, s_dual)))
+    return suite
 
 
-def _suite_holder_l(rng, tol, scale=1.0):
+def _suite_minkowski(rng, scale):
     graph, exponents, rho, beta = _random_setup(rng)
-    mob = linear()
-    pair = _random_fluxes(rng, graph, scale)
-    pair_bar = _random_fluxes(rng, graph, scale)
-    lhs = transport.pairing_l(graph, rho, pair, pair_bar, mob, beta, exponents)
-    diag = transport.pairing_l(graph, rho, pair, pair, mob, beta, exponents)
-    diag_bar = transport.pairing_l(graph, rho, pair_bar, pair_bar, mob, beta, exponents)
-    rhs_val = diag_bar ** (1.0 / exponents.p) * diag ** (1.0 / exponents.q)
-    violation = lhs - rhs_val
-    return violation > tol, float(violation)
-
-
-def _suite_holder_ltilde(rng, tol, scale=1.0):
-    graph, exponents, rho, beta = _random_setup(rng)
-    mob = linear()
-    v = _random_fluxes(rng, graph, scale)
-    vbar = _random_fluxes(rng, graph, scale)
-    lhs = transport.pairing_l_tilde(graph, rho, v, vbar, mob, beta, exponents)
-    diag = transport.pairing_l_tilde(graph, rho, v, v, mob, beta, exponents)
-    diag_bar = transport.pairing_l_tilde(graph, rho, vbar, vbar, mob, beta, exponents)
-    rhs_val = diag ** (1.0 / exponents.p) * diag_bar ** (1.0 / exponents.q)
-    violation = lhs - rhs_val
-    return violation > tol, float(violation)
-
-
-def _suite_minkowski(rng, tol, scale=1.0):
-    graph, exponents, rho, beta = _random_setup(rng)
-    mob = linear()
-    j = _random_fluxes(rng, graph, scale)
-    jbar = _random_fluxes(rng, graph, scale)
+    j, jbar = rng.normal(scale=scale, size=(2, 2, graph.n_links))
     lam = float(rng.uniform(0.1, 3.0))
-    norm = transport.minkowski_norm(graph, rho, j, mob, beta, exponents)
-    norm_scaled = transport.minkowski_norm(graph, rho, lam * j, mob, beta, exponents)
-    homogeneity = abs(norm_scaled - lam * norm)
-    norm_bar = transport.minkowski_norm(graph, rho, jbar, mob, beta, exponents)
-    norm_sum = transport.minkowski_norm(graph, rho, j + jbar, mob, beta, exponents)
-    triangle = norm_sum - (norm + norm_bar)
-    violation = max(homogeneity, triangle)
-    return violation > tol, float(violation)
+
+    def norm(flux):
+        return transport.minkowski_norm(graph, rho, flux, _LINEAR, beta, exponents)
+    return max(abs(norm(lam * j) - lam * norm(j)), norm(j + jbar) - (norm(j) + norm(jbar)))
 
 
-def _suite_antisym(rng, tol, scale=1.0):
+def _suite_antisym(rng, scale):
     """A raw edge field, f on every (lo, hi) and b on (hi, lo), has the action
     (A(f) + A(-b)) / 2: each orientation's two alpha terms are those of a
     link field.  Its antisymmetric part (f - b) / 2 has the same divergence
     and, A being convex, never a larger action."""
     graph, exponents, rho, beta = _random_setup(rng)
-    mob = linear()
-    f = scale * np.abs(rng.normal(size=(2, graph.n_links)))
-    b = scale * np.abs(rng.normal(size=(2, graph.n_links)))
-    act_raw = 0.5 * (transport.action(graph, rho, f, mob, beta, exponents).total
-                     + transport.action(graph, rho, -b, mob, beta, exponents).total)
-    act_sym = transport.action(graph, rho, 0.5 * (f - b), mob, beta, exponents).total
-    violation = act_sym - act_raw if np.isfinite(act_raw) else 0.0
-    return violation > tol, float(violation)
+    f, b = scale * np.abs(rng.normal(size=(2, 2, graph.n_links)))
+
+    def action(flux):
+        return transport.action(graph, rho, flux, _LINEAR, beta, exponents).total
+    act_raw = 0.5 * (action(f) + action(-b))
+    return action(0.5 * (f - b)) - act_raw if np.isfinite(act_raw) else 0.0
 
 
-def _suite_convexity(rng, tol, scale=1.0):
+def _suite_convexity(rng, scale):
     graph, exponents, rho0, beta = _random_setup(rng)
-    mob = linear()
-    rho1 = rng.uniform(0.05, 1.0, size=rho0.shape)
-    rho1 /= (rho1 @ graph.weights)[:, None]
-    j0 = _random_fluxes(rng, graph, scale)
-    j1 = _random_fluxes(rng, graph, scale)
+    rho1 = _random_density(rng, graph)
+    j0, j1 = rng.normal(scale=scale, size=(2, 2, graph.n_links))
     tau = float(rng.uniform(0.0, 1.0))
-    blend_rho = (1 - tau) * rho0 + tau * rho1
-    blend_j = (1 - tau) * j0 + tau * j1
-    a_blend = transport.action(graph, blend_rho, blend_j, mob, beta, exponents).total
-    a0 = transport.action(graph, rho0, j0, mob, beta, exponents).total
-    a1 = transport.action(graph, rho1, j1, mob, beta, exponents).total
-    violation = a_blend - ((1 - tau) * a0 + tau * a1)
-    if not np.isfinite(violation):
-        violation = 0.0  # inf <= inf blends
-    return violation > tol, float(violation)
+
+    def action(rho, flux):
+        return transport.action(graph, rho, flux, _LINEAR, beta, exponents).total
+    violation = (action((1 - tau) * rho0 + tau * rho1, (1 - tau) * j0 + tau * j1)
+                 - ((1 - tau) * action(rho0, j0) + tau * action(rho1, j1)))
+    return violation if np.isfinite(violation) else 0.0  # inf <= inf blends
 
 
-def _suite_duality(rng, tol, scale=1.0):
-    graph, exponents, rho, beta = _random_setup(rng)
+def _suite_duality(rng, scale):
+    graph, _, _, _ = _random_setup(rng)
     phi = scale * rng.normal(size=graph.n_vertices)
     j = scale * rng.normal(size=graph.n_links)
-    div = nonlocal_divergence(graph, j)
-    lhs = float(np.sum(phi * div * graph.weights))
-    grad = nonlocal_gradient(graph, phi)
-    rhs_val = -float(np.sum(grad * j * graph.link_weight))
-    scale = max(1.0, abs(lhs), abs(rhs_val))
-    violation = abs(lhs - rhs_val) / scale
-    return violation > tol, float(violation)
+    lhs = float(np.sum(phi * nonlocal_divergence(graph, j) * graph.weights))
+    rhs = -float(np.sum(nonlocal_gradient(graph, phi) * j * graph.link_weight))
+    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
-def _suite_nonneg(rng, tol, scale=1.0):
+def _suite_nonneg(rng, scale):
     graph, _, _, _ = _random_setup(rng, n_min=3, n_max=4)
-    exponents = Exponents(2.0)
     kernels = build_kernel_set(distance(), zero(), zero(), distance(), dimension=2)
     rho = rng.uniform(0.0, 1.0, size=(2, graph.n_vertices))
     # adversarial zeros: empty vertices must emit nothing
@@ -400,33 +378,23 @@ def _suite_nonneg(rng, tol, scale=1.0):
         if np.sum(rho[i] * graph.weights) <= 0:
             rho[i, (kill + 1) % graph.n_vertices] = 1.0
     rho /= (rho @ graph.weights)[:, None]
-    traj = integrate(System(graph, kernels, linear(), exponents), SpeciesPairState(rho), 0.2)
-    violation = -float(traj.stats["min_density"])
-    return violation > tol, float(violation)
+    system = System(graph, kernels, _LINEAR, Exponents(2.0))
+    return -integrate(system, SpeciesPairState(rho), 0.2).stats["min_density"]
 
 
-def _suite_decoupling(rng, tol, scale=1.0):
+def _suite_decoupling(rng, scale):
     graph, _, rho0, beta = _random_setup(rng, n_min=2, n_max=3)
-    exponents = Exponents(2.0)
-    mob = linear()
-    rho1 = rng.uniform(0.05, 1.0, size=rho0.shape)
-    rho1 /= (rho1 @ graph.weights)[:, None]
+    rho1 = _random_density(rng, graph)
     rho1[1] = rho0[1]  # species 2 fixed
-    t_pair, _, _ = transport.transport_cost(
-        graph, rho0, rho1, 8, mob, beta, exponents
-    )
-    single0 = rho0.copy()
-    single1 = rho1.copy()
-    t_single, _, _ = transport.transport_cost(
-        graph, single0, single1, 8, mob, (1.0, 1.0), exponents
-    )
-    violation = abs(t_pair**2 - t_single**2 / beta[0])
-    return violation > tol, float(violation)
+
+    def cost(weights):
+        return transport.transport_cost(graph, rho0, rho1, 8, _LINEAR, weights, Exponents(2.0))[0]
+    return abs(cost(beta) ** 2 - cost((1.0, 1.0)) ** 2 / beta[0])
 
 
 _SUITES = {
-    "holder": (_suite_holder_l, 1e-10),
-    "holder_tilde": (_suite_holder_ltilde, 1e-10),
+    "holder": (_holder(transport.pairing_l, "p", "q"), 1e-10),
+    "holder_tilde": (_holder(transport.pairing_l_tilde, "q", "p"), 1e-10),
     "minkowski": (_suite_minkowski, 1e-10),
     "antisym": (_suite_antisym, 1e-12),
     "convexity": (_suite_convexity, 1e-10),
@@ -439,10 +407,11 @@ _SUITES = {
 def property_harness(suite, seed=0, n_samples=100):
     """Run a named randomized property suite with per-sample derived seeds.
 
-    Failures are data, not exceptions; each failure records the child seed
-    and the violation magnitude so the sample can be replayed.  An unknown
-    suite, a negative seed or fewer than one sample checks nothing and is
-    reported in ``note``.
+    A suite gives a sample's violation, which fails above its tolerance.
+    Failures are data, not exceptions: the child seed of the sample's index
+    replays it, at halved field scales (down to 2^-12) while it still fails.
+    An unknown suite, a negative seed or fewer than one sample checks
+    nothing and is reported in ``note``.
     """
     note = ""
     if suite not in _SUITES:
@@ -454,29 +423,17 @@ def property_harness(suite, seed=0, n_samples=100):
     if note:
         return HarnessReport(suite=suite, seed=seed, n_samples=0, note=note)
     fn, tol = _SUITES[suite]
+
+    def violation(child, scale):
+        return float(fn(np.random.default_rng(child), scale))
+
     report = HarnessReport(suite=suite, seed=seed, n_samples=n_samples)
-    children = np.random.SeedSequence(seed).spawn(n_samples)
-    for idx, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        bad, magnitude = fn(rng, tol)
+    for idx, child in enumerate(np.random.SeedSequence(seed).spawn(n_samples)):
+        magnitude = violation(child, 1.0)
         report.max_violation = max(report.max_violation, magnitude)
-        if bad:
-            # shrink: replay the same sample at halved field scales while it
-            # still fails, reporting the smallest failing scale
-            scale, magnitude_small = 1.0, magnitude
-            while scale > 2.0**-12:
-                still_bad, mag = fn(np.random.default_rng(child), tol, scale=0.5 * scale)
-                if not still_bad:
-                    break
-                scale, magnitude_small = 0.5 * scale, mag
-            report.failures.append(
-                HarnessFailure(
-                    sample=idx,
-                    description=(
-                        f"suite {suite} sample {idx} violated by {magnitude:.3e} "
-                        f"(still {magnitude_small:.3e} at field scale {scale:g})"
-                    ),
-                    magnitude=magnitude,
-                )
-            )
+        if magnitude > tol:
+            scale, shrunk = 1.0, magnitude
+            while scale > 2.0**-12 and (smaller := violation(child, 0.5 * scale)) > tol:
+                scale, shrunk = 0.5 * scale, smaller
+            report.failures.append(HarnessFailure(idx, magnitude, scale, shrunk))
     return report

@@ -49,6 +49,11 @@ def _is_real(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_integer(value):
+    """Whether ``value`` is an integer; True and False are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Exponents:
     """Integrability exponent p with its conjugate derived, never stored.

@@ -190,8 +190,10 @@ def quadratic():
 
 
 def gaussian_well(sigma=1.0):
-    """K(x, y) = -exp(-|x-y|^2 / sigma^2), a smooth attractive well."""
-    return kernel_from_expression(f"-exp(-d^2/{float(sigma) ** 2!r})")
+    """K(x, y) = -exp(-(|x-y| / sigma)^2), a smooth attractive well; -1 at every
+    distance for a sigma whose square overflows, 0 off the diagonal for one whose
+    square underflows."""
+    return kernel_from_expression(f"-exp(-(d/{float(sigma)!r})^2)")
 
 
 def morse_like(attract=1.0, ell_a=1.0, repulse=0.5, ell_r=0.5):

@@ -21,14 +21,13 @@ The solver takes its link-end values and its divergences from the flow's
 operators, :func:`~graphflow.graph.link_ends` and ``nonlocal_divergence``.
 """
 
-import numbers
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import InfeasibleEndpoints, InfiniteAction, NotApplicable, NotConverged
-from .graph import link_ends, nonlocal_divergence
+from .graph import _is_integer, link_ends, nonlocal_divergence
 from .mobility import (check_slack, cost_density, dual_density, flux_law, link_mobility,
                        velocity_law)
 
@@ -672,7 +671,7 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents):
         certificate exceeds its bounds (constraint residual 1e-7, optimality
         residual 1e-4); the partial certificate is attached to the exception.
     """
-    if isinstance(k_steps, bool) or not isinstance(k_steps, numbers.Integral) or k_steps < 1:
+    if not (_is_integer(k_steps) and k_steps >= 1):
         raise ValueError(f"k_steps must be an integer >= 1, got {k_steps!r}")
     if not hasattr(mobility.fn, "jet"):
         raise ValueError(f"mobility {mobility.name!r} is not a formula, so the solver has no "

@@ -573,7 +573,7 @@ def _field_names(report_class):
     return [item.name for item in dataclasses.fields(report_class)]
 
 
-def test_cli_json_outputs_carry_their_reports_fields(tmp_path, capsys):
+def test_cli_json_outputs_carry_their_reports_fields(tmp_path, monkeypatch, capsys):
     # each JSON output is built from its report dataclass, so a field added to
     # a report reaches its output; the printed payloads keep the field order
     out = tmp_path / "out"
@@ -595,6 +595,15 @@ def test_cli_json_outputs_carry_their_reports_fields(tmp_path, capsys):
                      "--out", str(props)]) == 0
     assert list(json.loads(capsys.readouterr().out)) == _field_names(diagnostics.HarnessReport)
     assert sorted(json.loads(props.read_text())) == sorted(_field_names(diagnostics.HarnessReport))
+    # a suite whose violation is its field scale fails both samples, so
+    # properties exits 2 and lists each failure by its fields
+    monkeypatch.setitem(diagnostics._SUITES, "scale", (lambda rng, scale: scale, 0.1))
+    assert main_cli(["properties", "--suite", "scale", "--samples", "2",
+                     "--out", str(props)]) == 2
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert [list(failure) for failure in failures] == [
+        _field_names(diagnostics.HarnessFailure)] * 2
+    assert json.loads(props.read_text())["failures"] == failures
 
     plan_path = _write(tmp_path / "plan.json", {"density": {"name": "uniform"}, "ladder": [4],
                                                 "initial_atoms": 8,
@@ -1427,6 +1436,48 @@ def test_cli_squares_distances_beyond_the_float_range_without_warnings(tmp_path,
     err = capsys.readouterr().err
     assert "Warning" not in err
     assert ("the energy is inf" in err) == (code == 2)
+
+
+def _simulate_without_warnings(tmp_path, name, cfg):
+    """Run ``simulate`` on ``cfg`` into tmp_path/name, warnings as errors;
+    the exit code and the config's system."""
+    cfg["output_dir"] = str(tmp_path / name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return (main_cli(["simulate", "--config", _write(tmp_path / f"{name}.json", cfg)]),
+                parse_config(cfg).system)
+
+
+@pytest.mark.parametrize("sigma, links", [(1e200, [1.0]), (1e-200, [])])
+def test_cli_takes_gaussian_eta_widths_at_the_ends_of_the_float_range(tmp_path, capsys, sigma,
+                                                                      links):
+    # 2 sigma^2 overflowed at sigma = 1e200 (OverflowError, exit 1) and was 0
+    # at sigma = 1e-200, where eta warned of dividing by zero; now a width
+    # beyond the float range gives eta = 1 and one below it no link
+    cfg = s1_config(t_final=0.25)
+    del cfg["graph"]["eta_matrix"]
+    cfg["graph"]["eta_preset"] = {"name": "gaussian", "params": {"sigma": sigma}}
+    code, system = _simulate_without_warnings(tmp_path, "gaussian", cfg)
+    assert code == 0 and "Warning" not in capsys.readouterr().err
+    assert system.graph.link_eta.tolist() == links
+    if links:  # the eta of S1, so S1's run bit for bit
+        assert _simulate_without_warnings(tmp_path, "s1", s1_config(t_final=0.25))[0] == 0
+        assert ((tmp_path / "gaussian" / "trajectory.csv").read_bytes()
+                == (tmp_path / "s1" / "trajectory.csv").read_bytes())
+
+
+@pytest.mark.parametrize("sigma, k11", [(1e200, [[-1.0, -1.0], [-1.0, -1.0]]),
+                                        (1e-200, [[-1.0, 0.0], [0.0, -1.0]])])
+def test_cli_takes_gaussian_well_widths_at_the_ends_of_the_float_range(tmp_path, capsys, sigma,
+                                                                       k11):
+    # sigma^2 overflowed at sigma = 1e200 (OverflowError, exit 1) and was 0
+    # at sigma = 1e-200, where K(x, x) = -exp(-0/0) was NaN and the run ended
+    # in dt underflow (exit 2); now the width divides the distance
+    cfg = s1_config(t_final=0.25)
+    cfg["kernels"]["K11"] = {"preset": "gaussian_well", "params": {"sigma": sigma}}
+    code, system = _simulate_without_warnings(tmp_path, "well", cfg)
+    assert code == 0 and "Warning" not in capsys.readouterr().err
+    assert system.matrices[0].tolist() == k11
 
 
 def test_cli_simulate_exits_2_on_a_non_finite_energy(tmp_path, capsys):

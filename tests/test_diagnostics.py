@@ -247,6 +247,16 @@ def test_property_harness_unknown_suite():
     assert "unknown suite" in report.note
 
 
+def test_property_harness_records_and_shrinks_each_failure(monkeypatch):
+    # a violation equal to the field scale fails every sample at tolerance
+    # 0.1, and its replays at halved scales still fail down to 0.125
+    monkeypatch.setitem(diagnostics._SUITES, "scale", (lambda rng, scale: scale, 0.1))
+    report = property_harness("scale", seed=3, n_samples=4)
+    assert not report.passed and report.max_violation == 1.0
+    assert report.failures == [diagnostics.HarnessFailure(sample, 1.0, 0.125, 0.125)
+                               for sample in range(4)]
+
+
 def test_de_giorgi_random_geometric_all_exponents():
     for p in (1.5, 2.0, 3.0):
         g, kernels, mob, exps, state = random_geometric_setup(seed=1, n=8, p=p)

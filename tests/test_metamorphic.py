@@ -7,7 +7,8 @@ value.  The problems are 10-vertex random geometric graphs
 (``random_geometric_setup``, seed 3) with beta = (1, 1.5).  The transport
 checks use K = 16 and linear mobility, volume filling too where named,
 between the scenario's state and a second seeded state of the same species
-masses; the flow starts at the scenario's state.
+masses; the flow starts at the scenario's state, with beta = (1, 1.5) too
+where the test says so.
 """
 
 from dataclasses import replace
@@ -98,3 +99,52 @@ def test_scaling_beta_runs_the_flow_on_a_rescaled_clock(p, mobility_name):
         assert np.array_equal(fast, slow) and g_fast == g_slow
     else:
         assert np.max(np.abs(fast - slow)) <= 1e-9 and abs(g_fast - g_slow) <= 1e-9
+
+
+def _moved(graph):
+    """The graph on the points turned by a seeded rotation and shifted by up
+    to 5 in each coordinate, its eta that of the scenario, exp(-4 |x - y|^2),
+    evaluated again on the moved points."""
+    rng = np.random.default_rng(8)
+    angle = rng.uniform(0.0, 2.0 * np.pi)
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    points = graph.points @ rotation.T + rng.uniform(-5.0, 5.0, size=2)
+
+    def eta(xs, ys):
+        return np.exp(-4.0 * np.sum((xs - ys) ** 2, axis=-1))
+    moved = build_graph(points, graph.weights, eta)
+    assert np.array_equal(moved.link_lo, graph.link_lo)
+    assert np.array_equal(moved.link_hi, graph.link_hi)
+    return moved
+
+
+@pytest.mark.parametrize("mobility_name", ["linear", "volume_filling"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_a_rigid_motion_of_the_points_leaves_the_cost_unchanged(p, mobility_name):
+    # the graph sees its points only through their distances, which a
+    # rotation and a shift keep up to round-off
+    graph, mobility, exponents, a, b = _problem(p, mobility_name)
+    cost, _, certificate = transport_cost(graph, a, b, K, mobility, BETA, exponents)
+    moved, _, moved_certificate = transport_cost(_moved(graph), a, b, K, mobility, BETA,
+                                                 exponents)
+    assert moved == pytest.approx(cost, rel=1e-12, abs=0.0)
+    assert moved_certificate.iterations == certificate.iterations
+
+
+@pytest.mark.parametrize("mobility_name", ["linear", "volume_filling"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_a_rigid_motion_of_the_points_leaves_the_flow_unchanged(p, mobility_name):
+    # the distance kernels, like eta, are functions of the distances
+    graph, kernels, mobility, exponents, state = random_geometric_setup(
+        seed=3, n=10, p=p, mobility_name=mobility_name)
+    kernels = replace(kernels, beta=np.array(BETA))
+    options = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12)
+    runs = []
+    for on in (graph, _moved(graph)):
+        system = System(on, kernels, mobility, exponents)
+        trajectory = integrate(system, state, 1.0, options)
+        runs.append((trajectory, de_giorgi(system, trajectory).g_t))
+    (still, g_still), (moved, g_moved) = runs
+    assert moved.stats["accepted_steps"] == still.stats["accepted_steps"]
+    assert np.max(np.abs(moved.states[-1] - still.states[-1])) <= 1e-12
+    assert abs(g_moved - g_still) <= 1e-12

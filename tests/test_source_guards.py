@@ -12,6 +12,12 @@ arrays ``link_lo`` and ``link_hi`` or the divergence matrix
 ``graph.link_ends`` and every divergence through
 ``graph.nonlocal_divergence``, and no second copy of either drifts back.
 The transport solver's sums into its own slots are the only exceptions.
+
+One predicate per kind of number.  Outside ``graph.py`` no boolean
+expression tests ``isinstance(..., bool)`` beside a number type, so every
+check of a real number or an integer that refuses ``True`` and ``False``
+calls ``graph._is_real`` or ``graph._is_integer``, and no second copy of
+either drifts back.
 """
 
 import ast
@@ -30,6 +36,7 @@ ALLOWED = {
     ("transport.py", "_scatter"): {"link_lo", "link_hi"},  # the bincount index of its sums
     ("transport.py", "min_norm_flux"): {"link_divergence"},  # the Laplacian D D^T
 }
+NUMBER_TYPES = {"numbers.Real", "numbers.Integral", "int", "float"}
 
 
 def _forbidden_calls(text):
@@ -56,6 +63,20 @@ def _link_array_reads(text):
 
     visit(ast.parse(text), "")
     return reads
+
+
+def _spelled_out_predicates(text):
+    """Line numbers of boolean expressions that test ``isinstance(..., bool)``
+    beside an ``isinstance`` of a name in NUMBER_TYPES."""
+    lines = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.BoolOp):
+            types = {ast.unparse(kind) for call in ast.walk(node)
+                     if isinstance(call, ast.Call) and ast.unparse(call.func) == "isinstance"
+                     for kind in ast.walk(call.args[1])}
+            if "bool" in types and types & NUMBER_TYPES:
+                lines.add(node.lineno)
+    return sorted(lines)
 
 
 def test_the_guard_sees_calls_and_not_text():
@@ -88,3 +109,21 @@ def test_only_the_graph_gathers_link_ends_and_takes_divergences():
              for scope, array in _link_array_reads(path.read_text(encoding="utf-8"))}
     assert sorted(read for read in reads if read[2] not in ALLOWED.get(read[:2], ())) == []
     assert {read[:2] for read in reads} == set(ALLOWED)  # no stale exception
+
+
+def test_the_predicate_guard_sees_spelled_out_predicates_and_not_text():
+    text = ("ok = isinstance(x, numbers.Real) and not isinstance(x, bool)\n"
+            "if (isinstance(n, bool)\n"
+            "        or not isinstance(n, (int, float))):\n"
+            "    pass\n"
+            "flag = isinstance(x, bool)  # numbers.Integral\n"
+            "pair = isinstance(x, (list, tuple)) and all(map(_is_real, x))\n"
+            "fine = _is_integer(n) and n >= 1\n")
+    assert _spelled_out_predicates(text) == [1, 2]
+
+
+def test_only_the_graph_spells_out_the_number_predicates():
+    found = {path.name: _spelled_out_predicates(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    # graph.py writes out the two predicates, _is_real and _is_integer
+    assert {name: len(lines) for name, lines in found.items() if lines} == {"graph.py": 2}
