@@ -17,7 +17,6 @@ first; those that need only the graph take the graph first.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from . import transport
 from .dynamics import SpeciesPairState, integrate
@@ -88,8 +87,7 @@ def _de_giorgi_terms(system, trajectory, k):
     graph, beta, exponents = system.graph, system.kernels.beta, system.exponents
     energy, scaled, flux, (fwd, bwd), outside = _state_terms(system, trajectory, k)
     diss = transport.link_total(graph, dual_density(scaled, fwd, bwd, exponents), beta)
-    terms = cost_density(flux, fwd, exponents, outside)
-    terms += cost_density(-flux, bwd, exponents, outside)
+    terms = cost_density(np.abs(flux), np.where(flux > 0, fwd, bwd), exponents, outside)
     return energy, diss.total, transport.link_total(graph, terms, beta).total
 
 
@@ -203,7 +201,7 @@ def w1_distance(positions_a, masses_a, positions_b, masses_b):
         order = np.argsort(xs, kind="stable")
         cdf_gap = np.cumsum(np.concatenate([ma, -mb])[order])[:-1]
         return float(np.sum(np.abs(cdf_gap) * np.diff(xs[order])))
-    from scipy.optimize import linprog  # deferred: importing scipy.optimize is slow
+    from scipy import optimize, sparse  # deferred: slow to import, and the flows need neither
 
     cost = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1).ravel()
     # transportation polytope: row sums ma, column sums mb of the row-major
@@ -212,7 +210,7 @@ def w1_distance(positions_a, masses_a, positions_b, masses_b):
     cols = sparse.kron(np.ones((1, na)), sparse.eye(nb))
     a_eq = sparse.vstack([rows, cols], format="csr")[:-1]
     b_eq = np.concatenate([ma, mb])[:-1]
-    result = linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    result = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not result.success:
         raise RuntimeError(f"transport LP failed: {result.message}")
     return float(result.fun)

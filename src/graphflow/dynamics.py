@@ -79,8 +79,7 @@ def upwind_flux(system, rho_pair):
 def rhs(system, rho_pair):
     """Density time derivative -div(j) per species; conserves mass exactly.
 
-    The flux is evaluated once per link and its divergence taken by
-    :func:`~graphflow.graph.nonlocal_divergence`, one species row at a time.
+    The flux is evaluated once per link, then its divergence taken.
     """
     rate = nonlocal_divergence(system.graph, upwind_flux(system, rho_pair))
     return np.negative(rate, out=rate)

@@ -11,12 +11,10 @@ on ``(hi, lo)`` is the negative.  Node fields are arrays of one value per
 vertex.
 """
 
-import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
 from .errors import (
     DuplicatePoint,
@@ -124,14 +122,15 @@ class FiniteGraph:
     pair with positive weight in increasing order of (lo, hi), as
     :func:`build_graph` makes them (SizeMismatch otherwise); a dense eta is
     rebuilt from these three arrays.  Everything else is derived, once, at
-    construction: the action
-    weight ``link_weight = eta mu_lo mu_hi``; the divergence coefficients of
-    a link field with value ``a`` on (lo, hi), ``eta mu_hi a`` at ``lo``
-    (``link_div_lo``) and ``-eta mu_lo a`` at ``hi`` (``link_div_hi``), and
-    ``link_divergence``, the (n, links) CSR matrix of them, each row's
-    entries in link order; and ``lo_counts``, the number of links at each
+    construction: the action weight ``link_weight = eta mu_lo mu_hi``; the
+    divergence coefficients of a link field with value ``a`` on (lo, hi),
+    ``eta mu_hi a`` at ``lo`` (``link_div_lo``) and ``-eta mu_lo a`` at
+    ``hi`` (``link_div_hi``); ``lo_counts``, the number of links at each
     vertex as their ``lo`` end, which lets :func:`link_ends` repeat values
-    instead of gathering them.
+    instead of gathering them; and for the divergence, ``hi_order`` (the
+    links in stable order of ``hi``) with ``hi_div`` (``link_div_hi`` in that
+    order), and ``lo_runs`` and ``hi_runs``: each vertex with links at that
+    end (row 0) and where its run starts (row 1).
 
     ``component`` labels the connected components in order of their lowest
     vertex, which ``ground`` holds, one per component; the divergence
@@ -148,8 +147,11 @@ class FiniteGraph:
     link_weight: np.ndarray = field(init=False, repr=False, compare=False)
     link_div_lo: np.ndarray = field(init=False, repr=False, compare=False)
     link_div_hi: np.ndarray = field(init=False, repr=False, compare=False)
-    link_divergence: sparse.csr_matrix = field(init=False, repr=False, compare=False)
     lo_counts: np.ndarray = field(init=False, repr=False, compare=False)
+    hi_order: np.ndarray = field(init=False, repr=False, compare=False)
+    hi_div: np.ndarray = field(init=False, repr=False, compare=False)
+    lo_runs: np.ndarray = field(init=False, repr=False, compare=False)
+    hi_runs: np.ndarray = field(init=False, repr=False, compare=False)
     component: np.ndarray = field(init=False, repr=False, compare=False)
     ground: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -159,21 +161,18 @@ class FiniteGraph:
         if not (lo.ndim == 1 and lo.shape == hi.shape == eta.shape
                 and np.all((0 <= lo) & (lo < hi) & (hi < n)) and np.all(np.diff(lo * n + hi) > 0)):
             raise SizeMismatch(f"links must be 0 <= lo < hi < {n} in increasing (lo, hi) order")
-        div_lo = eta * self.weights[hi]
+        hi_order = np.argsort(hi, kind="stable")
         div_hi = -eta * self.weights[lo]
-        links = np.arange(lo.size)
-        divergence = sparse.csr_matrix(
-            (np.concatenate([div_lo, div_hi]),
-             (np.concatenate([lo, hi]), np.concatenate([links, links]))),
-            shape=(n, links.size))
-        divergence.sort_indices()
         component, ground = _components(n, lo, hi)
         derived = {
             "link_weight": eta * (self.weights[lo] * self.weights[hi]),
-            "link_div_lo": div_lo,
+            "link_div_lo": eta * self.weights[hi],
             "link_div_hi": div_hi,
-            "link_divergence": divergence,
             "lo_counts": np.bincount(lo, minlength=n),
+            "hi_order": hi_order,
+            "hi_div": div_hi[hi_order],
+            "lo_runs": _runs(lo),
+            "hi_runs": _runs(hi[hi_order]),
             "component": component,
             "ground": ground,
         }
@@ -209,6 +208,12 @@ class FiniteGraph:
         field, after a leading axis of any length when ``intervals``."""
         shape = (2, self.n_links)
         return _check_field(values, np.shape(values)[:1] + shape if intervals else shape, "link")
+
+
+def _runs(ends):
+    """Each vertex of sorted link ends once (row 0), and where its run starts (row 1)."""
+    starts = np.flatnonzero(np.diff(ends, prepend=-1))
+    return np.stack([ends[starts], starts])
 
 
 def _components(n, lo, hi):
@@ -389,16 +394,19 @@ def nonlocal_divergence(graph, j):
         sum_l phi(l) div(l) mu_l = -sum_links (phi(hi) - phi(lo)) eta j mu_lo mu_hi
 
     for every node field phi (half the sum over both orientations), which
-    gives div(lo) = eta mu_hi j and div(hi) = -eta mu_lo j per link: the
-    product with ``link_divergence``.  Takes link fields (..., links) and
-    returns (..., n).  One field or a species pair is multiplied one row at
-    a time, and more rows as one product of the stacked rows, which is
-    faster for many short rows; each row equals the call on that row alone.
+    gives div(lo) = eta mu_hi j and div(hi) = -eta mu_lo j per link, summed
+    in two ``np.add.reduceat`` runs per vertex: its links as their ``hi`` end
+    (contiguous in ``hi_order``) and as their ``lo`` end (in link order).
+    Takes link fields (..., links) and returns (..., n); each row equals the
+    call on that row alone, and a vertex without links gets 0.
     """
     j = _check_field(j, np.shape(j)[:-1] + (graph.n_links,), "link")
-    rows = j.reshape(math.prod(j.shape[:-1]), graph.n_links)  # -1 fails without links
-    if 0 < len(rows) <= 2:
-        div = np.stack([graph.link_divergence @ row for row in rows])
-    else:
-        div = (graph.link_divergence @ rows.T).T
-    return div.reshape(j.shape[:-1] + (graph.n_vertices,))
+    div = np.zeros(j.shape[:-1] + (graph.n_vertices,))
+    terms = np.take(j, graph.hi_order, axis=-1)
+    terms *= graph.hi_div
+    vertex, start = graph.hi_runs
+    div[..., vertex] = np.add.reduceat(terms, start, axis=-1)
+    vertex, start = graph.lo_runs
+    np.multiply(j, graph.link_div_lo, out=terms)
+    div[..., vertex] += np.add.reduceat(terms, start, axis=-1)
+    return div

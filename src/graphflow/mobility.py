@@ -132,10 +132,6 @@ def from_expression(text, R=np.inf, S=np.inf):
     return Mobility(f"expr:{text}", _formula(text), R=float(R), S=float(S))
 
 
-def positive_part(x):
-    return np.maximum(np.asarray(x, dtype=float), 0.0)
-
-
 def alpha_density(j, r, s, mobility, exponents):
     """Upwind cost density (j_+)^p / m(r,s)^(p-1) as an extended real.
 
@@ -194,7 +190,7 @@ def cost_density(j, m, exponents, outside=None):
     NaN in the ratio, 0/m^(p-1) is already 0 and no other case occurs.
     """
     p = exponents.p
-    out = positive_part(j)
+    out = np.maximum(np.asarray(j, dtype=float), 0.0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out **= p
         out /= m if p == 2.0 else m ** (p - 1.0)
@@ -234,23 +230,13 @@ def flux_law(w, fwd, bwd, exponents):
     the mobility at the densities r, s at the source and destination of
     each edge, for one species or a stacked pair; inputs broadcast.  This is
     the Legendre dual of :func:`alpha_density`: the flux whose action equals
-    its pairing with w.  The parts are formed in place, the power only when
-    q - 1 != 1, and the difference goes into the buffer of the positive part
-    whenever that has the broadcast shape.
+    its pairing with w.  It reads only the upwind mobility, ``fwd`` where
+    w > 0 and ``bwd`` elsewhere, times sign(w) |w|^(q-1): a NaN mobility at
+    the destination never reaches the flux.
     """
-    qm1 = exponents.q - 1.0
     w = np.asarray(w, dtype=float)
-    up = positive_part(w)
-    down = np.negative(w)
-    down = np.maximum(down, 0.0, out=down if w.ndim else None)
-    if qm1 != 1.0:
-        up **= qm1
-        down **= qm1
-    in_place = w.ndim > 0 and w.shape == np.broadcast_shapes(w.shape, np.shape(fwd),
-                                                              np.shape(bwd))
-    buffers = (up, down) if in_place else (None, None)
-    out = np.multiply(up, fwd, out=buffers[0])
-    return np.subtract(out, np.multiply(down, bwd, out=buffers[1]), out=buffers[0])
+    rate = w if exponents.q == 2.0 else np.copysign(np.abs(w) ** (exponents.q - 1.0), w)
+    return np.multiply(np.where(w > 0, fwd, bwd), rate)
 
 
 def velocity_law(j, fwd, bwd, exponents):

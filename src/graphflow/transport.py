@@ -56,11 +56,11 @@ def link_total(graph, terms, beta):
 def action(graph, rho_pair, flux_pair, mobility, beta, exponents):
     """Two-species upwind action of the (2, links) fluxes at the (2, n)
     state, or per interval of (K, 2, links) fluxes at (K, 2, n) states;
-    infinity encodes infeasibility, not an error."""
+    infinity encodes infeasibility, not an error.  A link is charged once, at
+    the mobility of the end its flux leaves; the other orientation costs 0."""
     j = graph.check_link_field(flux_pair, intervals=np.ndim(flux_pair) == 3)
     fwd, bwd, outside = link_mobility(graph, rho_pair, mobility)
-    terms = cost_density(j, fwd, exponents, outside)
-    terms += cost_density(-j, bwd, exponents, outside)
+    terms = cost_density(np.abs(j), np.where(j > 0, fwd, bwd), exponents, outside)
     return link_total(graph, terms, beta)
 
 
@@ -197,15 +197,24 @@ def min_norm_flux(graph, rates):
     component fixes y up to that kernel, which D^T maps to zero.
     """
     rates = np.asarray(rates, dtype=float)
-    rows = rates.reshape(-1, graph.n_vertices)
+    n = graph.n_vertices
+    rows = rates.reshape(-1, n)
     y = np.zeros_like(rows)
-    free = np.setdiff1d(np.arange(graph.n_vertices), graph.ground)
+    free = np.setdiff1d(np.arange(n), graph.ground)
     if free.size:
-        from scipy.sparse.linalg import splu  # deferred: the flow path never loads it
+        from scipy.sparse import csc_matrix, linalg  # deferred: the flow path loads no scipy
 
-        laplacian = graph.link_divergence @ graph.link_divergence.T
-        solve = splu(laplacian[free][:, free].tocsc()).solve
-        y[:, free] = solve(np.ascontiguousarray(rows[:, free].T)).T
+        lo, hi = (end.astype(np.intp) for end in link_ends(graph, np.arange(n)))
+        # each diagonal entry sums D's row in its order: links as hi end, then as lo end
+        ends, at_end = np.r_[hi, lo], np.r_[graph.link_div_hi, graph.link_div_lo]
+        cross = graph.link_div_lo * graph.link_div_hi
+        values = np.r_[np.bincount(ends, at_end * at_end, n), cross, cross]
+        slot = np.full(n, -1)
+        slot[free] = np.arange(free.size)
+        row, col = slot[np.r_[0:n, ends]], slot[np.r_[0:n, lo, hi]]
+        kept = (row >= 0) & (col >= 0)
+        laplacian = csc_matrix((values[kept], (row[kept], col[kept])), shape=(free.size,) * 2)
+        y[:, free] = linalg.splu(laplacian).solve(np.ascontiguousarray(rows[:, free].T)).T
     return np.negative(_adjoint(graph, y)).reshape(rates.shape[:-1] + (graph.n_links,))
 
 

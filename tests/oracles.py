@@ -165,6 +165,22 @@ def ordered_edge_divergence(j, graph):
     return 0.5 * (outgoing - incoming)
 
 
+def run_divergence(j, graph):
+    """The divergence of one link field (links,) summed in the order
+    ``nonlocal_divergence`` sums it, written out per vertex: the terms
+    eta mu_hi j of its links as their lo end, in link order, then the terms
+    -eta mu_lo j of its links as their hi end, in link order, each run
+    reduced as numpy reduces a run (its first term plus the sum of the
+    rest) and the second run's sum added to the first's."""
+    lo, hi, eta = graph.link_lo, graph.link_hi, graph.link_eta
+    at_lo, at_hi = eta * graph.weights[hi] * j, -eta * graph.weights[lo] * j
+
+    def run(terms):
+        return terms[0] + np.sum(terms[1:]) if terms.size else 0.0
+
+    return np.array([run(at_lo[lo == v]) + run(at_hi[hi == v]) for v in range(graph.n_vertices)])
+
+
 def masked_alpha_density(j, r, s, mobility, exponents):
     """Upwind cost density (j_+)^p / m(r,s)^(p-1) with boolean gathers and
     scatters: the mobility is evaluated only inside [0, R] x [0, S] and the

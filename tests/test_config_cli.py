@@ -1159,6 +1159,7 @@ def test_gaussian_plan_quantiles_equal_norm_ppf():
 
 _FLOW_GUARD = """
 import json, os, sys
+from graphflow import diagnostics
 from graphflow.cli import main_cli
 from graphflow.scenarios import s1_config, s2_state_files
 
@@ -1173,10 +1174,14 @@ codes = [main_cli(["simulate", "--config", paths["cfg"]]),
          main_cli(["diagnose", "--config", paths["cfg"],
                    "--trajectory", os.path.join(work, "trajectory.csv")]),
          main_cli(["validate-graph", "--config", paths["cfg"]])]
-flow = sorted(m for m in sys.modules if m.startswith(tuple(sys.argv[2:])))
+codes += [main_cli(["properties", "--suite", suite, "--samples", "3"])
+          for suite in sorted(diagnostics._SUITES) if suite != "decoupling"]
+flow = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 codes.append(main_cli(["metric", "--config", paths["cfg"], "--from", paths["from"],
                        "--to", paths["to"], "--steps", "4"]))
-print(json.dumps({"codes": codes, "flow": flow, "metric_linalg": "scipy.linalg" in sys.modules}))
+metric_linalg = "scipy.linalg" in sys.modules
+codes.append(main_cli(["properties", "--suite", "decoupling", "--samples", "3"]))
+print(json.dumps({"codes": codes, "flow": flow, "metric_linalg": metric_linalg}))
 """
 
 
@@ -1196,14 +1201,13 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
                           check=True)
     assert done.stdout.strip() == "[]"
 
-    # the flow commands need only scipy.sparse, for the link divergence; the
-    # transport solve of `metric` imports the LAPACK band solver when it runs
-    unloaded = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph", "scipy.special",
-                "scipy.optimize")
-    done = subprocess.run([sys.executable, "-c", _FLOW_GUARD, str(tmp_path), *unloaded], env=env,
+    # simulate, diagnose, validate-graph and the property suites load numpy
+    # alone, no scipy module at all; the transport solves of `metric` and of
+    # the decoupling suite import the LAPACK band solver when they run
+    done = subprocess.run([sys.executable, "-c", _FLOW_GUARD, str(tmp_path)], env=env,
                           capture_output=True, text=True, check=True)
     report = json.loads(done.stdout.strip().splitlines()[-1])
-    assert report["codes"] == [0, 0, 0, 0]
+    assert report["codes"] == [0] * (3 + len(diagnostics._SUITES) + 1)
     assert report["flow"] == []
     assert report["metric_linalg"]
 

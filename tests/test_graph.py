@@ -2,7 +2,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from graphflow.errors import (
     DuplicatePoint,
@@ -23,7 +22,8 @@ from graphflow.graph import (
 )
 from graphflow.scenarios import two_point_graph
 
-from oracles import blowup_profile_loop, dense_eta, edge_field, ordered_edge_divergence
+from oracles import (blowup_profile_loop, dense_eta, edge_field, ordered_edge_divergence,
+                     run_divergence)
 
 
 def test_exponents_conjugate_relation():
@@ -217,9 +217,10 @@ def test_antisymmetrize_preserves_divergence():
 
 def test_species_pair_operators_equal_single_rows():
     # a stacked (2, .) call must give each row bit for bit, written here from
-    # the raw formulas: phi(hi) - phi(lo), and the eta-weighted scatter of
-    # each link value at lo and hi, summed in link order; the ordered-edge
-    # bincount sums in another order, so it agrees to a few ulp
+    # the raw formulas: phi(hi) - phi(lo), and the eta-weighted terms of each
+    # vertex's links summed in two runs, as lo end and as hi end (see
+    # run_divergence); the ordered-edge bincount sums in another order, so it
+    # agrees to a few ulp
     rng = np.random.default_rng(11)
     n = 24
     points = rng.uniform(0.0, 1.0, size=(n, 2))
@@ -233,10 +234,7 @@ def test_species_pair_operators_equal_single_rows():
     lo, hi, eta = g.link_lo, g.link_hi, g.link_eta
     for i in range(2):
         assert np.array_equal(grad[i], phi[i][hi] - phi[i][lo])
-        terms = np.stack([eta * weights[hi] * j[i], -eta * weights[lo] * j[i]], axis=1)
-        want = np.zeros(n)
-        np.add.at(want, np.stack([lo, hi], axis=1).ravel(), terms.ravel())
-        assert np.array_equal(div[i], want)
+        assert np.array_equal(div[i], run_divergence(j[i], g))
         ordered = ordered_edge_divergence(edge_field(j[i]), g)
         assert np.max(np.abs(div[i] - ordered)) <= 8 * np.finfo(float).eps * np.max(np.abs(ordered))
         assert np.array_equal(grad[i], nonlocal_gradient(g, phi[i]))
@@ -293,14 +291,25 @@ def test_links_are_the_edges_taken_once():
     assert np.array_equal(g.link_lo, lo) and np.array_equal(g.link_hi, hi)
     assert np.array_equal(g.link_eta, eta[lo, hi])
     assert np.count_nonzero(eta) == 2 * g.n_links
-    # one CSR column per link: eta mu_hi at lo and -eta mu_lo at hi, each row in link order
-    dense = g.link_divergence.toarray()
-    links = np.arange(g.n_links)
-    assert dense.shape == (g.n_vertices, g.n_links)
-    assert np.array_equal(dense[g.link_lo, links], g.link_eta * g.weights[g.link_hi])
-    assert np.array_equal(dense[g.link_hi, links], -g.link_eta * g.weights[g.link_lo])
-    assert g.link_divergence.nnz == 2 * g.n_links and g.link_divergence.has_sorted_indices
-    assert not np.any(dense[-1])
+    # per link: eta mu_hi at lo and -eta mu_lo at hi, the ordered-edge
+    # divergence of a unit field on that link alone
+    assert np.array_equal(g.link_div_lo, g.link_eta * g.weights[g.link_hi])
+    assert np.array_equal(g.link_div_hi, -g.link_eta * g.weights[g.link_lo])
+    for link in range(g.n_links):
+        unit = np.zeros(g.n_links)
+        unit[link] = 1.0
+        want = np.zeros(g.n_vertices)
+        want[[g.link_lo[link], g.link_hi[link]]] = g.link_div_lo[link], g.link_div_hi[link]
+        assert np.allclose(ordered_edge_divergence(edge_field(unit), g), want, rtol=1e-15, atol=0)
+        assert np.array_equal(nonlocal_divergence(g, unit), want)
+    # the runs the divergence sums: hi_order sorts the links by hi, stably
+    assert np.array_equal(g.hi_order, np.argsort(g.link_hi, kind="stable"))
+    assert np.array_equal(g.hi_div, g.link_div_hi[g.hi_order])
+    for ends, (vertex, start) in ((g.link_lo, g.lo_runs), (g.link_hi[g.hi_order], g.hi_runs)):
+        assert np.array_equal(vertex, np.unique(ends))
+        assert np.array_equal(start, np.searchsorted(ends, vertex))
+    assert g.n_vertices - 1 not in g.lo_runs[0] and 0 not in g.hi_runs[0]
+    assert g.n_vertices - 1 not in g.hi_runs[0]  # the isolated vertex
 
 
 def test_link_divergence_matches_ordered_edge_divergence():
@@ -308,24 +317,54 @@ def test_link_divergence_matches_ordered_edge_divergence():
     rng = np.random.default_rng(8)
     a = rng.normal(size=(3, g.n_links))
     for row in a:
-        by_link = g.link_divergence @ row
-        assert np.array_equal(nonlocal_divergence(g, row), by_link)
+        by_link = nonlocal_divergence(g, row)
+        assert np.array_equal(by_link, run_divergence(row, g))
         by_edge = ordered_edge_divergence(edge_field(row), g)
         assert np.max(np.abs(by_link - by_edge)) <= 8 * np.finfo(float).eps * np.max(np.abs(by_edge))
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2,), (16, 2)])
+def test_run_sums_equal_the_dense_divergence(shape):
+    # the divergence against the dense (n, links) matrix of its coefficients,
+    # on an edgeless graph, a graph with an isolated vertex and a complete
+    # graph, whose last vertex is no link's lo end; and the duality identity
+    rng = np.random.default_rng(len(shape))
+    points = rng.uniform(0.0, 1.0, size=(9, 2))
+    weights = rng.uniform(0.5, 1.5, size=9)
+    graphs = [build_graph(points, weights, np.zeros((9, 9))),
+              _gaussian_graph_with_isolated_vertex(4),
+              build_graph(points, weights, lambda x, y: np.exp(-np.sum((x - y) ** 2, axis=-1)))]
+    eps = np.finfo(float).eps
+    for g in graphs:
+        n, links = g.n_vertices, np.arange(g.n_links)
+        dense = np.zeros((n, g.n_links))
+        dense[g.link_lo, links] = g.link_div_lo
+        dense[g.link_hi, links] = g.link_div_hi
+        j = rng.normal(size=shape + (g.n_links,))
+        div = nonlocal_divergence(g, j)
+        want = j @ dense.T
+        scale = np.abs(j) @ np.abs(dense.T)
+        assert div.shape == shape + (n,)
+        assert np.all(np.abs(div - want) <= 8 * eps * scale)
+        assert not np.any(div[..., ~np.isin(np.arange(n), np.concatenate([g.link_lo, g.link_hi]))])
+        # sum_l phi(l) div(l) mu_l = -sum_links (phi(hi) - phi(lo)) eta j mu_lo mu_hi
+        phi = rng.normal(size=n)
+        lhs = np.sum(phi * div * g.weights, axis=-1)
+        rhs = -np.sum(nonlocal_gradient(g, phi) * j * g.link_weight, axis=-1)
+        bound = np.sum(np.abs(phi) * scale * g.weights, axis=-1)
+        assert np.all(np.abs(lhs - rhs) <= 16 * eps * bound)
+    assert graphs[0].n_links == 0 and not graphs[2].lo_counts[-1]
+
+
 def _stored_arrays(g):
     """(name, element count, bytes) of every array the graph stores, its
-    base measure's included; a sparse matrix counts its three CSR buffers."""
+    base measure's included."""
     stored = [("points", g.base.points), ("weights", g.base.weights)]
     stored += [(f.name, getattr(g, f.name)) for f in dataclasses.fields(FiniteGraph)]
     out = []
     for name, value in stored:
         if isinstance(value, np.ndarray):
             out.append((name, value.size, value.nbytes))
-        elif sparse.issparse(value):
-            buffers = value.data.nbytes + value.indices.nbytes + value.indptr.nbytes
-            out.append((name, value.nnz, buffers))
     return out
 
 
@@ -340,8 +379,9 @@ def test_graph_memory_grows_with_edges():
     stored = _stored_arrays(g)
     assert len(stored) >= 11
     assert all(count < n * n for _, count, _ in stored), stored
-    # each link stores three indices or weights and three derived values,
-    # and two divergence entries of 12 bytes each: 72 bytes
+    # each link stores three indices or weights, four derived values and
+    # its place in hi_order: 64 bytes; the divergence's runs store two
+    # indices per vertex and end, up to 32 bytes per vertex
     total = sum(size for _, _, size in stored)
     assert total <= 96 * g.n_links + 32 * n, (total, n, g.n_links)
 

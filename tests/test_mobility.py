@@ -409,6 +409,23 @@ def test_flux_law_pair_equals_raw_formula_per_species(p):
     assert scalar == mob(0.5, 0.2) * np.maximum(np.float64(0.3), 0.0) ** qm1
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_flux_law_reads_only_the_upwind_mobility(p):
+    # each link carries mass with the mobility at its source: a NaN mobility
+    # at the destination leaves the flux finite, and equal to the flux with
+    # any finite value there, while a NaN at the source makes the flux NaN
+    exps = Exponents(p)
+    w = np.array([0.7, -0.4, 0.0, 1.3, -2.1])
+    fwd = np.array([0.5, np.nan, 0.3, np.nan, 0.8])
+    bwd = np.array([np.nan, 0.2, 0.6, 0.9, np.nan])
+    got = flux_law(w, fwd, bwd, exps)
+    source_nan = np.array([False, False, False, True, True])
+    assert np.all(np.isnan(got) == source_nan)
+    filled = flux_law(w, np.nan_to_num(fwd, nan=4.0), np.nan_to_num(bwd, nan=4.0), exps)
+    assert np.array_equal(got[~source_nan], filled[~source_nan])
+    assert got[0] > 0 > got[1] and got[2] == 0.0
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_mobility_class_flags_are_python_bools(name):
     # bounded_thresholds was numpy's bool, which json cannot write

@@ -7,8 +7,8 @@ never reaches the interpreter; this guard keeps a later shortcut through
 ``eval`` or ``exec`` out of the package.
 
 One link calculus.  Outside ``graph.py`` no function reads the link index
-arrays ``link_lo`` and ``link_hi`` or the divergence matrix
-``link_divergence``, so every gather of link ends goes through
+arrays ``link_lo`` and ``link_hi`` or the divergence's runs ``hi_order``,
+``hi_div``, ``lo_runs`` and ``hi_runs``, so every gather of link ends goes through
 ``graph.link_ends`` and every divergence through
 ``graph.nonlocal_divergence``, and no second copy of either drifts back.
 The transport solver's sums into its own slots are the only exceptions.
@@ -29,12 +29,11 @@ import graphflow
 
 FORBIDDEN = {"eval", "exec"}
 MODULES = sorted(pathlib.Path(graphflow.__file__).parent.rglob("*.py"))
-LINK_ARRAYS = {"link_lo", "link_hi", "link_divergence"}
+LINK_ARRAYS = {"link_lo", "link_hi", "hi_order", "hi_div", "lo_runs", "hi_runs"}
 # (module, function) -> the link arrays it reads
 ALLOWED = {
     ("transport.py", "_NewtonSystem.__init__"): {"link_lo", "link_hi"},  # the band pattern
     ("transport.py", "_scatter"): {"link_lo", "link_hi"},  # the bincount index of its sums
-    ("transport.py", "min_norm_flux"): {"link_divergence"},  # the Laplacian D D^T
 }
 NUMBER_TYPES = {"numbers.Real", "numbers.Integral", "int", "float"}
 
@@ -96,12 +95,12 @@ def test_the_link_guard_sees_gathers_and_divergences_and_not_text():
             "    return y[:, lo], np.take(y, graph.link_hi, axis=-1)\n"
             "class Solver:\n"
             "    def step(self, graph, j):\n"
-            "        return (graph.link_divergence @ j.T).T\n"
+            "        return np.bincount(graph.link_hi, weights=j)\n"
             "def calculus(graph, y, j):\n"
             "    '''link_lo'''\n"
             "    return link_ends(graph, y), nonlocal_divergence(graph, j)\n")
     assert _link_array_reads(text) == [("gather", "link_lo"), ("gather", "link_hi"),
-                                       ("Solver.step", "link_divergence")]
+                                       ("Solver.step", "link_hi")]
 
 
 def test_only_the_graph_gathers_link_ends_and_takes_divergences():

@@ -16,7 +16,7 @@ from graphflow.errors import (InfeasibleEndpoints, InfiniteAction, NotApplicable
                               ThresholdExceeded)
 from graphflow.graph import Exponents, build_graph, nonlocal_divergence, nonlocal_gradient
 from graphflow.kernels import System, energy, potentials
-from graphflow.mobility import PRESETS, alpha_density, linear, link_mobility
+from graphflow.mobility import PRESETS, Mobility, alpha_density, cost_density, linear, link_mobility
 from graphflow.scenarios import (random_geometric_setup, s1_config, s1_setup, s2_endpoints,
                                  s2_state_files, two_point_graph)
 from graphflow.transport import (
@@ -565,6 +565,36 @@ def test_action_and_dual_action_equal_masked_references(p, mobility_name):
         want = _masked_action(g, states, flux, mob, beta, exps)
         assert got.per_species == tuple(want) and got.total == want[0] + want[1]
     assert np.isinf(action(g, rho - 0.3, flux, mob, beta, exps).total)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_action_charges_each_link_once_bit_for_bit(p):
+    # the action (and the De Giorgi action, by the same expression) charges a
+    # link once, at the mobility of the end its flux leaves; the sum of one
+    # cost density per orientation adds an exact 0 for the orientation
+    # without flux, so the two agree bit for bit, also at an empty vertex, a
+    # zero or NaN mobility and a state outside the box
+    g, _, _, exps, state = random_geometric_setup(seed=5, n=12, p=p)
+    holes = Mobility("holes", lambda r, s: np.where(s > 0.45, np.nan, r * (1.0 - s)), S=1.0)
+    rng = np.random.default_rng(int(10 * p) + 3)
+    beta = (1.0, 0.7)
+    flux = rng.normal(size=(2, g.n_links))
+    flux[:, ::5] = 0.0
+    rho = 0.5 * state.rho / np.max(state.rho)
+    rho[:, 3] = 0.0  # an empty vertex: m = 0 on its outgoing links
+    above = rho.copy()
+    above[1, 4] = 1.3  # outside the box [0, 1]
+    for states in (rho, above):
+        fwd, bwd, outside = link_mobility(g, states, holes)
+        assert np.isnan(fwd).any() and np.isnan(bwd).any() and (fwd == 0.0).any()
+        assert (outside is None) == (states is rho)
+        two_terms = cost_density(flux, fwd, exps, outside) + cost_density(-flux, bwd, exps, outside)
+        once = cost_density(np.abs(flux), np.where(flux > 0, fwd, bwd), exps, outside)
+        assert np.array_equal(once, two_terms)
+        want = transport.link_total(g, two_terms, beta)
+        got = action(g, states, flux, holes, beta, exps)
+        assert got.per_species == want.per_species and got.total == want.total
+    assert np.isinf(got.total)
 
 
 def _table_states(rho, cap):
