@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diagnostics, dynamics, kernels as kernels_mod, mobility as mobility_mod
-from .errors import (MassMismatch, NotConcave, NotPositive, NotUpwindAdmissible, SchemaError,
-                     SemanticError)
+from .errors import (GraphflowError, MassMismatch, NotConcave, NotPositive, NotUpwindAdmissible,
+                     SchemaError, SemanticError)
 from .graph import Exponents, _is_integer, _is_real, build_graph, pair_distance
 
 # defaults of the top-level scalars and of the sections with fixed keys; a
@@ -71,23 +71,16 @@ def _preset(presets, spec, path, key):
 
 
 def _constant_eta(value=1.0):
-    return lambda xs, ys: np.full(np.broadcast_shapes(xs.shape[:-1], ys.shape[:-1]), value)
+    return kernels_mod.kernel_from_expression(f"{float(value)!r}")
 
 
 def _gaussian_eta(sigma=1.0):
-    # a square beyond the float range is inf and one below it 0, without a
-    # warning: a width beyond the range gives eta = exp(-d^2/inf) = 1, one below
-    # it exp(-d^2/0) = 0 between distinct points, and a distance beyond it exp(-inf) = 0
-    with np.errstate(over="ignore"):
-        scale = 2.0 * np.float64(sigma) ** 2
-
-    def eta(xs, ys):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return np.exp(-np.sum((xs - ys) ** 2, axis=-1) / scale)
-    return eta
+    """exp(-(|x-y| / sigma)^2 / 2): the width divides the distance before the
+    square, so widths and distances at either end of the float range give no NaN."""
+    return kernels_mod.kernel_from_expression(f"exp(-(d/{float(sigma)!r})^2/2)")
 
 
-def _cutoff_eta(radius=1.0):
+def _cutoff_eta(radius=1.0):  # a closure: the formula grammar has no comparison
     return lambda xs, ys: (pair_distance(xs, ys) <= radius).astype(float)
 
 
@@ -496,7 +489,7 @@ def run_refinement_study(plan, config):
                 )
                 level.transport_start_to_final = t_value ** (1.0 / system.exponents.p)
             return level, graph, trajectory.states[-1]
-        except Exception as exc:  # levels fail independently
+        except GraphflowError as exc:  # levels fail independently; a coding defect propagates
             level.failed = True
             level.error = f"{type(exc).__name__}: {exc}"
             return level, None, None

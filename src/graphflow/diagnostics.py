@@ -20,7 +20,7 @@ import numpy as np
 
 from . import transport
 from .dynamics import SpeciesPairState, integrate
-from .errors import MassMismatch
+from .errors import MassMismatch, NotApplicable
 from .graph import Exponents, build_graph, nonlocal_divergence, nonlocal_gradient
 from .kernels import (
     System,
@@ -172,11 +172,11 @@ def moment(graph, density, order):
 
 
 def w1_distance(positions_a, masses_a, positions_b, masses_b):
-    """Exact 1-Wasserstein distance between atomic measures.
+    """Exact 1-Wasserstein distance between atomic measures on the line: the
+    L1 distance between the two cumulative distribution functions.
 
-    On the line it is the L1 distance between the two cumulative
-    distribution functions; in higher dimensions it is the optimum of the
-    transport LP.
+    Raises NotApplicable for points in two or more dimensions, and
+    MassMismatch when the total masses differ.
     """
     positions_a = np.atleast_2d(np.asarray(positions_a, dtype=float))
     positions_b = np.atleast_2d(np.asarray(positions_b, dtype=float))
@@ -186,34 +186,20 @@ def w1_distance(positions_a, masses_a, positions_b, masses_b):
         positions_a = positions_a.T
     if positions_b.shape[0] == 1 and masses_b.size > 1:
         positions_b = positions_b.T
+    dimension = max(positions_a.shape[1], positions_b.shape[1])
+    if dimension != 1:
+        raise NotApplicable(f"w1_distance takes points on the line, got dimension {dimension}")
     total_a, total_b = float(np.sum(masses_a)), float(np.sum(masses_b))
     if abs(total_a - total_b) > 1e-10 * max(1.0, total_a):
         raise MassMismatch(f"total masses differ: {total_a} vs {total_b}")
     keep_a = masses_a > 0
     keep_b = masses_b > 0
-    pa, ma = positions_a[keep_a], masses_a[keep_a]
-    pb, mb = positions_b[keep_b], masses_b[keep_b]
-    na, nb = len(ma), len(mb)
-    if na == 0 or nb == 0:
+    if not (np.any(keep_a) and np.any(keep_b)):
         return 0.0
-    if pa.shape[1] == 1 and pb.shape[1] == 1:
-        xs = np.concatenate([pa[:, 0], pb[:, 0]])
-        order = np.argsort(xs, kind="stable")
-        cdf_gap = np.cumsum(np.concatenate([ma, -mb])[order])[:-1]
-        return float(np.sum(np.abs(cdf_gap) * np.diff(xs[order])))
-    from scipy import optimize, sparse  # deferred: slow to import, and the flows need neither
-
-    cost = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1).ravel()
-    # transportation polytope: row sums ma, column sums mb of the row-major
-    # flattened plan; one of the na + nb constraints is implied by the equal totals
-    rows = sparse.kron(sparse.eye(na), np.ones((1, nb)))
-    cols = sparse.kron(np.ones((1, na)), sparse.eye(nb))
-    a_eq = sparse.vstack([rows, cols], format="csr")[:-1]
-    b_eq = np.concatenate([ma, mb])[:-1]
-    result = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    if not result.success:
-        raise RuntimeError(f"transport LP failed: {result.message}")
-    return float(result.fun)
+    xs = np.concatenate([positions_a[keep_a, 0], positions_b[keep_b, 0]])
+    order = np.argsort(xs, kind="stable")
+    cdf_gap = np.cumsum(np.concatenate([masses_a[keep_a], -masses_b[keep_b]])[order])[:-1]
+    return float(np.sum(np.abs(cdf_gap) * np.diff(xs[order])))
 
 
 def w1_between_states(state_a, state_b, graph_a, graph_b=None):
@@ -227,27 +213,6 @@ def w1_between_states(state_a, state_b, graph_a, graph_b=None):
             graph_a.points, rho_a[i] * graph_a.weights, graph_b.points, rho_b[i] * graph_b.weights
         )
     return total
-
-
-def flux_bound_report(graph, rho_pair, flux_pair, mobility, beta, exponents):
-    """Weighted flux integrals for the standard test factors, and their ratio
-    to action^(1/p).  No constant is asserted; the ratio is informational.
-    The integrals run over both orientations of every edge, so each link
-    counts twice."""
-    lengths = graph.link_lengths
-    weight = 2.0 * graph.link_weight
-    act = transport.action(graph, rho_pair, flux_pair, mobility, beta, exponents).total
-    abs_flux = np.sum(np.abs(np.asarray(flux_pair, dtype=float)), axis=0)
-    phi1 = float(np.sum(np.minimum(2.0, lengths) * abs_flux * weight))
-    phi2 = float(np.sum(np.maximum(lengths, lengths**exponents.p) * abs_flux * weight))
-    root = act ** (1.0 / exponents.p) if np.isfinite(act) else np.inf
-    return {
-        "action": act,
-        "phi1_integral": phi1,
-        "phi2_integral": phi2,
-        "phi1_ratio": phi1 / root if root > 0 else 0.0,
-        "phi2_ratio": phi2 / root if root > 0 else 0.0,
-    }
 
 
 # ---------------------------------------------------------------------------

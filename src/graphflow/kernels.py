@@ -27,10 +27,9 @@ from .expressions import compile_expression
 from .graph import Exponents, FiniteGraph, _is_real, pair_distance
 
 _SYMMETRY_TOL = 1e-9
-# the kernel checks and the growth estimate sample [-_BOX, _BOX]^d, seeded alike on every run
+# the kernel checks sample [-_BOX, _BOX]^d, seeded alike on every run
 _BOX = 2.0
 _SEED = 0
-_GROWTH_SAMPLES = 400
 
 
 def _pairwise(fn, xs, ys):
@@ -136,28 +135,6 @@ def build_kernel_set(k11, k12, k21, k22, beta=(1.0, 1.0), dimension=1):
     return KernelSet(k11=k11, k12=cross, k22=k22, beta=np.asarray(beta, dtype=float).ravel())
 
 
-def estimate_growth_constant(kernels, dimension, exponents):
-    """Sampled lower estimate of L_K in |K(z) - K(z')| <= L_K (|z-z'| v |z-z'|^p)."""
-    rng = np.random.default_rng(_SEED)
-    p = exponents.p
-    worst = 0.0
-    # the cross kernel stands for K12 and K21, so it is sampled twice
-    for fn in (kernels.k11, kernels.k12, kernels.k12, kernels.k22):
-        z0 = rng.uniform(-_BOX, _BOX, size=(_GROWTH_SAMPLES, 2 * dimension))
-        z1 = rng.uniform(-_BOX, _BOX, size=(_GROWTH_SAMPLES, 2 * dimension))
-        x0, y0 = z0[:, :dimension], z0[:, dimension:]
-        x1, y1 = z1[:, :dimension], z1[:, dimension:]
-        num = np.abs(
-            np.asarray(fn(x0, y0), dtype=float) - np.asarray(fn(x1, y1), dtype=float)
-        )
-        dist = np.linalg.norm(z0 - z1, axis=1)
-        den = np.maximum(dist, dist**p)
-        good = den > 1e-9
-        if np.any(good):
-            worst = max(worst, float(np.max(num[good] / den[good])))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # kernel presets
 # ---------------------------------------------------------------------------
@@ -190,9 +167,9 @@ def quadratic():
 
 
 def gaussian_well(sigma=1.0):
-    """K(x, y) = -exp(-(|x-y| / sigma)^2), a smooth attractive well; -1 at every
-    distance for a sigma whose square overflows, 0 off the diagonal for one whose
-    square underflows."""
+    """K(x, y) = -exp(-(|x-y| / sigma)^2), a smooth attractive well; the width
+    divides the distance before the square, so widths and distances at either
+    end of the float range give no NaN."""
     return kernel_from_expression(f"-exp(-(d/{float(sigma)!r})^2)")
 
 

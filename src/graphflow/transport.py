@@ -306,8 +306,8 @@ class _NewtonSystem:
         # Fortran order; the first kl rows hold the fill of the pivoting
         ldab = 2 * self.kl + self.ku + 1
         if ldab * self.size > np.iinfo(np.intc).max:
-            raise ValueError(f"the Newton band holds {ldab * self.size} entries, "
-                             "more than its int32 indices reach")
+            raise NotApplicable(f"the Newton band holds {ldab * self.size} entries, "
+                                "more than its int32 indices reach")
         self.band_index = cols * ldab + (self.kl + self.ku) + rows - cols
         self.gather = (data_row[:, None] * self.width + slot)[valid]
         sign = (coupling[:, None] * (slot < n))[valid]
@@ -674,7 +674,9 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents):
     NotApplicable
         When a species' starting path is not strictly interior: some state
         at a bound (a species without mass on a component, or at the cap
-        there) or a midpoint mobility that is not positive.
+        there) or a midpoint mobility that is not positive; or when the
+        Newton band of the graph and ``k_steps`` holds more entries than
+        int32 indices reach.
     NotConverged
         When the solver stops short of its targets or the recomputed
         certificate exceeds its bounds (constraint residual 1e-7, optimality

@@ -8,6 +8,7 @@ them.
 """
 
 import numpy as np
+from scipy import optimize, sparse
 from scipy.linalg import solve_banded
 
 from graphflow.kernels import potentials
@@ -104,6 +105,25 @@ def w1_one_dimensional(positions_a, masses_a, positions_b, masses_b):
     signed = np.concatenate([np.ravel(masses_a), -np.ravel(masses_b)])[order]
     cdf_gap = np.cumsum(signed)[:-1]
     return float(np.sum(np.abs(cdf_gap) * np.diff(xs_sorted)))
+
+
+def w1_plane_lp(positions_a, masses_a, positions_b, masses_b):
+    """Exact W1 between atomic measures in any dimension: the optimum of the
+    transport LP over plans with row sums ``masses_a`` and column sums
+    ``masses_b``, at the Euclidean cost of each pair."""
+    pa, pb = np.asarray(positions_a, dtype=float), np.asarray(positions_b, dtype=float)
+    ma, mb = np.ravel(masses_a), np.ravel(masses_b)
+    na, nb = ma.size, mb.size
+    cost = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=-1).ravel()
+    # row and column sums of the row-major flattened plan; one of the na + nb
+    # constraints is implied by the equal totals
+    rows = sparse.kron(sparse.eye(na), np.ones((1, nb)))
+    cols = sparse.kron(np.ones((1, na)), sparse.eye(nb))
+    a_eq = sparse.vstack([rows, cols], format="csr")[:-1]
+    b_eq = np.concatenate([ma, mb])[:-1]
+    result = optimize.linprog(cost, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert result.success, result.message
+    return float(result.fun)
 
 
 def blowup_profile_loop(graph, exponents):

@@ -13,6 +13,7 @@ import pytest
 from graphflow import cli, diagnostics, transport
 from graphflow.cli import _read_states_csv, _species_csv, main_cli
 from graphflow.config import (
+    ETA_PRESETS,
     RefinementPlan,
     StudyLevel,
     StudyReport,
@@ -837,6 +838,23 @@ def test_run_refinement_study_marks_failed_levels(monkeypatch):
     assert report.w1_gaps == []  # the failed level breaks the consecutive chain
 
 
+def test_run_refinement_study_lets_a_coding_defect_propagate(monkeypatch):
+    # a level fails on a GraphflowError only; any other exception is a coding
+    # defect, which keeps its traceback instead of exiting 2 as a numerical failure
+    import graphflow.config as config_mod
+
+    plan = RefinementPlan("uniform", {}, ladder=(4, 8), initial_atoms=16,
+                          transport_diagnostic=False)
+    config = parse_config(json.dumps(_refine_config()))
+
+    def defect(system, state, t_final, options=None):
+        raise TypeError("planted coding defect")
+
+    monkeypatch.setattr(config_mod.dynamics, "integrate", defect)
+    with pytest.raises(TypeError, match="planted coding defect"):
+        run_refinement_study(plan, config)
+
+
 def test_run_refinement_study_single_level_no_gaps():
     plan = RefinementPlan("uniform", {}, ladder=(6,), initial_atoms=12,
                           transport_diagnostic=False)
@@ -1181,13 +1199,19 @@ codes.append(main_cli(["metric", "--config", paths["cfg"], "--from", paths["from
                        "--to", paths["to"], "--steps", "4"]))
 metric_linalg = "scipy.linalg" in sys.modules
 codes.append(main_cli(["properties", "--suite", "decoupling", "--samples", "3"]))
-print(json.dumps({"codes": codes, "flow": flow, "metric_linalg": metric_linalg}))
+paths["plan"] = os.path.join(work, "plan.json")
+with open(paths["plan"], "w") as handle:
+    json.dump({"density": {"name": "gaussian"}, "ladder": [4, 8], "initial_atoms": 8,
+               "transport_steps": 4}, handle)
+codes.append(main_cli(["refine", "--plan", paths["plan"], "--config", paths["cfg"]]))
+optimize = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+print(json.dumps({"codes": codes, "flow": flow, "metric_linalg": metric_linalg,
+                  "optimize": optimize}))
 """
 
 
 def test_import_leaves_scipy_stats_unloaded(tmp_path):
-    # both are slow to import and graphflow needs neither at import time;
-    # the W1 LP for points of dimension above 1 imports scipy.optimize itself
+    # both are slow to import and graphflow needs neither at import time
     import subprocess
     import sys
 
@@ -1202,14 +1226,16 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     assert done.stdout.strip() == "[]"
 
     # simulate, diagnose, validate-graph and the property suites load numpy
-    # alone, no scipy module at all; the transport solves of `metric` and of
-    # the decoupling suite import the LAPACK band solver when they run
+    # alone, no scipy module at all; the transport solves of `metric`, of
+    # the decoupling suite and of `refine` import the LAPACK band solver when
+    # they run, and no command loads scipy.optimize
     done = subprocess.run([sys.executable, "-c", _FLOW_GUARD, str(tmp_path)], env=env,
                           capture_output=True, text=True, check=True)
     report = json.loads(done.stdout.strip().splitlines()[-1])
-    assert report["codes"] == [0] * (3 + len(diagnostics._SUITES) + 1)
+    assert report["codes"] == [0] * (3 + len(diagnostics._SUITES) + 2)
     assert report["flow"] == []
     assert report["metric_linalg"]
+    assert report["optimize"] == []
 
 
 @pytest.mark.parametrize("module", ["graphflow", "graphflow.cli"])
@@ -1468,6 +1494,27 @@ def test_cli_takes_gaussian_eta_widths_at_the_ends_of_the_float_range(tmp_path, 
         assert _simulate_without_warnings(tmp_path, "s1", s1_config(t_final=0.25))[0] == 0
         assert ((tmp_path / "gaussian" / "trajectory.csv").read_bytes()
                 == (tmp_path / "s1" / "trajectory.csv").read_bytes())
+
+
+def test_gaussian_eta_between_points_beyond_the_float_range(tmp_path, capsys):
+    # the width divides the distance before the square, as in the kernel
+    # presets: d^2 / (2 sigma^2) would be inf/inf = NaN for points 1e200
+    # apart at sigma = 1e200, where eta is exp(-1/2)
+    cfg = s1_config()
+    del cfg["graph"]["eta_matrix"]
+    cfg["graph"]["points"] = [[0.0], [1e200]]
+    cfg["graph"]["eta_preset"] = {"name": "gaussian", "params": {"sigma": 1e200}}
+    assert main_cli(["validate-graph", "--config", _write(tmp_path / "cfg.json", cfg)]) == 0
+    assert "Warning" not in capsys.readouterr().err
+    assert parse_config(cfg).system.graph.link_eta.tolist() == [np.exp(-0.5)]
+    # a width whose square overflows gives 1, one whose square underflows 0
+    # between distinct points
+    xs = np.array([[0.0], [1.0], [1e200]])
+    wide, narrow = (ETA_PRESETS["gaussian"](sigma)(xs[:, None], xs[None])
+                    for sigma in (1e200, 1e-200))
+    assert wide.tolist() == [[1.0, 1.0, np.exp(-0.5)], [1.0, 1.0, np.exp(-0.5)],
+                             [np.exp(-0.5), np.exp(-0.5), 1.0]]
+    assert narrow.tolist() == np.eye(3).tolist()
 
 
 @pytest.mark.parametrize("sigma, k11", [(1e200, [[-1.0, -1.0], [-1.0, -1.0]]),

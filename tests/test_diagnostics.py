@@ -8,14 +8,13 @@ from graphflow.diagnostics import (
     chain_rule_residual,
     de_giorgi,
     dissipation,
-    flux_bound_report,
     moment,
     property_harness,
     w1_between_states,
     w1_distance,
 )
 from graphflow.dynamics import IntegratorOptions, Trajectory, integrate, rhs, upwind_flux
-from graphflow.errors import MassMismatch, ThresholdExceeded
+from graphflow.errors import MassMismatch, NotApplicable, ThresholdExceeded
 from graphflow.graph import Exponents, nonlocal_gradient
 from graphflow.kernels import System, build_kernel_set, energy, potentials, zero
 from graphflow.mobility import PRESETS
@@ -27,9 +26,8 @@ from oracles import (
     edge_field,
     ordered_edges,
     w1_one_dimensional,
+    w1_plane_lp,
 )
-
-BETA = (1.0, 1.0)
 
 
 def test_dissipation_examples():
@@ -207,9 +205,16 @@ def test_w1_distance_line_formula_matches_plane_lp():
         ma[0] += 0.1
         mb *= ma.sum() / mb.sum()
         line = w1_distance(xa, ma, xb, mb)
-        plane = w1_distance(np.hstack([xa, np.zeros_like(xa)]), ma,
+        plane = w1_plane_lp(np.hstack([xa, np.zeros_like(xa)]), ma,
                             np.hstack([xb, np.zeros_like(xb)]), mb)
         assert line == pytest.approx(plane, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (1, 3)])
+def test_w1_distance_refuses_points_off_the_line(dims):
+    pts = [np.zeros((2, dim)) for dim in dims]
+    with pytest.raises(NotApplicable, match=f"dimension {max(dims)}"):
+        w1_distance(pts[0], [0.5, 0.5], pts[1], [0.5, 0.5])
 
 
 def test_w1_between_states_sums_species():
@@ -217,15 +222,6 @@ def test_w1_between_states_sums_species():
     a = np.array([[1.0, 0.0], [1.0, 0.0]])
     b = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert w1_between_states(a, b, g) == pytest.approx(1.0)
-
-
-def test_flux_bound_report_finite():
-    g, kernels, mob, exps, state = s1_setup()
-    flux = upwind_flux(System(g, kernels, mob, exps), state.rho)
-    report = flux_bound_report(g, state.rho, flux, mob, BETA, exps)
-    assert np.isfinite(report["phi1_integral"])
-    assert np.isfinite(report["phi1_ratio"]) and report["phi1_ratio"] >= 0
-    assert np.isfinite(report["phi2_ratio"])
 
 
 @pytest.mark.parametrize("suite", ["holder", "holder_tilde", "minkowski", "antisym",

@@ -13,7 +13,6 @@ from graphflow.kernels import (
     build_kernel_set,
     distance,
     energy,
-    estimate_growth_constant,
     gaussian_well,
     kernel_from_expression,
     morse_like,
@@ -165,13 +164,6 @@ def test_system_kernel_matrices_follow_the_graph():
         assert energy(_system(g, kernels), rho) == energy(_system(g, fresh), rho)
         del g
         gc.collect()
-
-
-def test_growth_constant_estimate_distance():
-    kernels = build_kernel_set(distance(), zero(), zero(), zero(), dimension=1)
-    est = estimate_growth_constant(kernels, 1, Exponents(2.0))
-    # | |x-y| - |x'-y'| | <= sqrt(2) |(x,y)-(x',y')| in one dimension
-    assert 0.3 <= est <= np.sqrt(2.0) + 1e-9
 
 
 def test_kernel_presets_and_expressions():

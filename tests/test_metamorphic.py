@@ -18,8 +18,9 @@ import pytest
 
 from graphflow.diagnostics import de_giorgi
 from graphflow.dynamics import IntegratorOptions, integrate
-from graphflow.graph import build_graph
+from graphflow.graph import Exponents, build_graph
 from graphflow.kernels import System
+from graphflow.mobility import PRESETS
 from graphflow.scenarios import random_geometric_setup
 from graphflow.transport import transport_cost
 
@@ -27,10 +28,10 @@ K = 16
 BETA = (1.0, 1.5)
 
 
-def _problem(p, mobility_name="linear"):
+def _problem(p, mobility_name="linear", n=10, seed=3):
     """Graph, mobility, exponents and the two endpoints (2, n) at exponent p."""
     graph, _, mobility, exponents, state = random_geometric_setup(
-        seed=3, n=10, p=p, mobility_name=mobility_name)
+        seed=seed, n=n, p=p, mobility_name=mobility_name)
     end = np.random.default_rng(4).uniform(0.1, 1.0, size=state.rho.shape)
     end *= (state.rho @ graph.weights / (end @ graph.weights))[:, None]
     return graph, mobility, exponents, state.rho, end
@@ -148,3 +149,55 @@ def test_a_rigid_motion_of_the_points_leaves_the_flow_unchanged(p, mobility_name
     assert moved.stats["accepted_steps"] == still.stats["accepted_steps"]
     assert np.max(np.abs(moved.states[-1] - still.states[-1])) <= 1e-12
     assert abs(g_moved - g_still) <= 1e-12
+
+
+def _splitting_defects(graph, mobility, beta, exponents, a, c):
+    """delta = 1 - (right side) / T_K(a, c)^p of the path-splitting identity
+
+        T_K(a, c)^p = (K/k)^(p-1) T_k(a, b)^p + (K/(K-k))^(p-1) T_{K-k}(b, c)^p
+
+    at b = rho_k, the returned K-interval path's state at node k, cut at
+    k = K/4 and K/2."""
+    def objective(start, end, steps):
+        return transport_cost(graph, start, end, steps, mobility, beta, exponents)[2].objective
+
+    p = exponents.p
+    _, path, certificate = transport_cost(graph, a, c, K, mobility, beta, exponents)
+    defects = []
+    for k in (K // 4, K // 2):
+        b = path.states[k]
+        right = ((K / k) ** (p - 1) * objective(a, b, k)
+                 + (K / (K - k)) ** (p - 1) * objective(b, c, K - k))
+        defects.append(1.0 - right / certificate.objective)
+    return defects
+
+
+@pytest.mark.parametrize("mobility_name", ["linear", "volume_filling"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_the_optimal_path_splits_into_optimal_paths(p, mobility_name):
+    # rescaling the first k intervals of a K-interval path to [0, 1], and the
+    # last K - k, gives paths a -> b and b -> c, and joining two such paths
+    # gives one a -> c; the action is p-homogeneous in the flux and the
+    # midpoint rule reads each interval alone, so at the discrete optimum the
+    # identity is exact, for any mobility.  delta > 0 means the K-interval
+    # path is not optimal, delta < 0 that a shorter one is not.  The graphs
+    # are those of metric-small's 6-vertex instances
+    graph, mobility, exponents, a, c = _problem(p, mobility_name, n=6, seed=6001)
+    defects = _splitting_defects(graph, mobility, BETA, exponents, a, c)
+    assert max(map(abs, defects)) <= 1e-10, defects
+
+
+@pytest.mark.parametrize("mobility_name", ["linear", "volume_filling", "geometric"])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_a_degenerate_optimal_path_splits_into_optimal_paths(p, mobility_name):
+    # the problems of test_transport_cost_vertex_empty_at_both_endpoints: a
+    # vertex empty at both endpoints, where the solver's path rests on round-off
+    rng = np.random.default_rng(3)
+    graph = build_graph(rng.normal(size=(4, 2)), rng.uniform(0.5, 1.5, 4),
+                        lambda x, y: np.exp(-np.sum((x - y) ** 2, -1)))
+    a, c = rng.uniform(0.2, 1.0, (2, 2, 4))
+    a[:, 2] = c[:, 2] = 0.0
+    a /= 2.0 * (a @ graph.weights)[:, None]
+    c /= 2.0 * (c @ graph.weights)[:, None]
+    defects = _splitting_defects(graph, PRESETS[mobility_name](), (1.0, 1.0), Exponents(p), a, c)
+    assert max(map(abs, defects)) <= 1e-10, defects
