@@ -27,7 +27,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import InfeasibleEndpoints, InfiniteAction, NotApplicable, NotConverged
-from .graph import _is_integer, link_ends, nonlocal_divergence
+from .graph import _components, _is_integer, link_ends, nonlocal_divergence
 from .mobility import (check_slack, cost_density, dual_density, flux_law, link_mobility,
                        velocity_law)
 
@@ -195,6 +195,17 @@ def min_norm_flux(graph, rates):
     j = -D^T y with (D D^T) y = rate, a weighted graph Laplacian.  Its kernel
     is the vertex weights on each component; grounding one vertex per
     component fixes y up to that kernel, which D^T maps to zero.
+
+    The grounded Laplacian is symmetric positive definite.  It is stored as
+    an upper band of half-width kd, the largest gap between the free indices
+    at the two ends of a link, and factored by LAPACK's band Cholesky
+    (``dpbtrf``) in O(n kd^2) time and O(n kd) memory, so the vertex
+    numbering sets the cost: kd is small on a path numbered along it and
+    near n on a randomly numbered graph.  Raises NotApplicable, naming the
+    component, when the links whose Laplacian weight (D D^T)_lo,hi does not
+    underflow to 0 leave a component disconnected, or when the factorization
+    meets a pivot that is not positive (the Laplacian is singular in floating
+    point).
     """
     rates = np.asarray(rates, dtype=float)
     n = graph.n_vertices
@@ -202,20 +213,46 @@ def min_norm_flux(graph, rates):
     y = np.zeros_like(rows)
     free = np.setdiff1d(np.arange(n), graph.ground)
     if free.size:
-        from scipy.sparse import csc_matrix, linalg  # deferred: the flow path loads no scipy
+        from scipy.linalg.lapack import dpbtrf, dpbtrs  # deferred: the flow path loads no scipy
 
         lo, hi = (end.astype(np.intp) for end in link_ends(graph, np.arange(n)))
-        # each diagonal entry sums D's row in its order: links as hi end, then as lo end
-        ends, at_end = np.r_[hi, lo], np.r_[graph.link_div_hi, graph.link_div_lo]
         cross = graph.link_div_lo * graph.link_div_hi
-        values = np.r_[np.bincount(ends, at_end * at_end, n), cross, cross]
+        weighted = cross != 0.0
+        if not weighted.all():
+            _, grounds = _components(n, lo[weighted], hi[weighted])
+            split = np.bincount(graph.component[grounds], minlength=graph.ground.size) > 1
+            if split.any():
+                raise NotApplicable(_singular_laplacian(
+                    graph, np.argmax(split), "its links of nonzero weight leave it disconnected"))
+        # free vertices keep their order, and the hi end of a link is never a
+        # ground (the lowest vertex of its component), so row < col where row >= 0
         slot = np.full(n, -1)
         slot[free] = np.arange(free.size)
-        row, col = slot[np.r_[0:n, ends]], slot[np.r_[0:n, lo, hi]]
-        kept = (row >= 0) & (col >= 0)
-        laplacian = csc_matrix((values[kept], (row[kept], col[kept])), shape=(free.size,) * 2)
-        y[:, free] = linalg.splu(laplacian).solve(np.ascontiguousarray(rows[:, free].T)).T
+        row, col = slot[lo], slot[hi]
+        kept = row >= 0
+        row, col = row[kept], col[kept]
+        kd = int(np.max(col - row, initial=0))
+        # LAPACK's upper band layout: A[i, j] in row kd + i - j of column j, in Fortran order
+        band = np.zeros((free.size, kd + 1)).T
+        # each diagonal entry sums D's row in its order: links as hi end, then as lo end
+        ends, at_end = np.r_[hi, lo], np.r_[graph.link_div_hi, graph.link_div_lo]
+        band[kd] = np.bincount(ends, at_end * at_end, n)[free]
+        band[kd + row - col, col] = cross[kept]
+        factor, info = dpbtrf(band, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"dpbtrf rejected its argument {-info}")
+        if info > 0:
+            raise NotApplicable(_singular_laplacian(
+                graph, graph.component[free[info - 1]],
+                f"its factorization meets a pivot that is not positive at vertex {free[info - 1]}"))
+        y[:, free] = dpbtrs(factor, rows[:, free].T)[0].T
     return np.negative(_adjoint(graph, y)).reshape(rates.shape[:-1] + (graph.n_links,))
+
+
+def _singular_laplacian(graph, component, reason):
+    """The message of a grounded Laplacian that ``min_norm_flux`` cannot factor."""
+    return (f"component {component} (lowest vertex {graph.ground[component]}) has a singular "
+            f"grounded Laplacian, as {reason}, so the least-norm flux on it is undefined")
 
 
 def _mobility_derivatives(mobility, r, s):
@@ -308,10 +345,13 @@ class _NewtonSystem:
         if ldab * self.size > np.iinfo(np.intc).max:
             raise NotApplicable(f"the Newton band holds {ldab * self.size} entries, "
                                 "more than its int32 indices reach")
-        self.band_index = cols * ldab + (self.kl + self.ku) + rows - cols
-        self.gather = (data_row[:, None] * self.width + slot)[valid]
+        band_index = cols * ldab + (self.kl + self.ku) + rows - cols
         sign = (coupling[:, None] * (slot < n))[valid]
-        self.plus, self.minus = self.band_index[sign > 0], self.band_index[sign < 0]
+        self.plus, self.minus = band_index[sign > 0], band_index[sign < 0]
+        # ``matrix`` indexes with these two on every call: as intp, numpy does
+        # not cast them first
+        self.band_index = band_index.astype(np.intp)
+        self.gather = (data_row[:, None] * self.width + slot)[valid].astype(np.intp)
         self.flat_band = np.zeros(ldab * self.size)
         self.band = self.flat_band.reshape(self.size, ldab).T  # (ldab, size), Fortran order
         self.div_lo, self.div_hi = graph.link_div_lo, graph.link_div_hi
@@ -674,8 +714,11 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents):
     NotApplicable
         When a species' starting path is not strictly interior: some state
         at a bound (a species without mass on a component, or at the cap
-        there) or a midpoint mobility that is not positive; or when the
-        Newton band of the graph and ``k_steps`` holds more entries than
+        there) or a midpoint mobility that is not positive; when the
+        grounded Laplacian of the starting flux is singular in floating
+        point on some component (see :func:`min_norm_flux`), as when its
+        links' Laplacian weights eta^2 mu_lo mu_hi underflow to 0; or when
+        the Newton band of the graph and ``k_steps`` holds more entries than
         int32 indices reach.
     NotConverged
         When the solver stops short of its targets or the recomputed

@@ -546,6 +546,30 @@ def test_cli_metric_and_profile(tmp_path):
     assert (tmp_path / "out" / "profile.csv").exists()
 
 
+def test_cli_refuses_links_whose_laplacian_weight_underflows(tmp_path, capsys):
+    # eta 1e-170 at vertex 2 is a link, but its Laplacian weight eta^2
+    # underflows to 0: `metric` and the states-only fallback of
+    # `geodesic-profile` died in SuperLU with a RuntimeError traceback
+    cfg = s1_config(out_dir=str(tmp_path / "out"))
+    cfg["graph"] = {"points": [[0.0], [1.0], [2.0]], "weights": [1.0, 1.0, 1.0],
+                    "eta_matrix": [[0, 1, 1e-170], [1, 0, 1e-170], [1e-170, 1e-170, 0]]}
+    start = {"rho1": [0.5, 0.25, 0.25], "rho2": [1 / 3] * 3}
+    end = {"rho1": [0.25, 0.5, 0.25], "rho2": [1 / 3] * 3}
+    cfg["initial_state"] = start
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    assert main_cli(["metric", "--config", cfg_path, "--from", _write(tmp_path / "a.json", start),
+                     "--to", _write(tmp_path / "b.json", end)]) == 1
+    states = np.array([[start["rho1"], start["rho2"]], [end["rho1"], end["rho2"]]])
+    path = tmp_path / "geodesic.csv"
+    path.write_text(_species_csv(("t", "species", "vertex", "density"), [0.0, 1.0], states,
+                                 np.arange(3)))
+    assert main_cli(["geodesic-profile", "--path", str(path), "--config", cfg_path]) == 1
+    expected = ("error: component 0 (lowest vertex 0) has a singular grounded Laplacian, as its "
+                "links of nonzero weight leave it disconnected, so the least-norm flux on it is "
+                "undefined\n")
+    assert capsys.readouterr().err == 2 * expected
+
+
 def test_cli_validate_graph_and_properties(tmp_path, capsys):
     cfg_path = _write(tmp_path / "cfg.json", s1_config())
     assert main_cli(["validate-graph", "--config", cfg_path]) == 0
@@ -1205,8 +1229,9 @@ with open(paths["plan"], "w") as handle:
                "transport_steps": 4}, handle)
 codes.append(main_cli(["refine", "--plan", paths["plan"], "--config", paths["cfg"]]))
 optimize = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+sparse = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
 print(json.dumps({"codes": codes, "flow": flow, "metric_linalg": metric_linalg,
-                  "optimize": optimize}))
+                  "optimize": optimize, "sparse": sparse}))
 """
 
 
@@ -1236,6 +1261,7 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     assert report["flow"] == []
     assert report["metric_linalg"]
     assert report["optimize"] == []
+    assert report["sparse"] == []
 
 
 @pytest.mark.parametrize("module", ["graphflow", "graphflow.cli"])

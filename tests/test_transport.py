@@ -776,6 +776,60 @@ def test_min_norm_flux_equals_pinv_formula(radius):
     assert np.allclose(-np.einsum("ve,kie->kiv", div, got), rates, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("radius", [0.4, 0.2])  # one component, and six
+@pytest.mark.parametrize("numbering", ["random", "by-x"])
+def test_min_norm_flux_of_relabelled_vertices_is_the_relabelled_pinv_flux(radius, numbering):
+    # the numbering sets the Laplacian's band: numbered along x it narrows
+    # from 22 to 10 (one component) and from 15 to 3 (six), and the flux
+    # must not move beyond round-off either way
+    g = _cutoff_graph(radius)
+    div = _divergence_columns(g)
+    rng = np.random.default_rng(6)
+    rates = -np.einsum("ve,kie->kiv", div, rng.normal(size=(3, 2, g.n_links)))
+    reference = -np.einsum("ev,kiv->kie", np.linalg.pinv(div), rates)
+    # vertex v of the relabelled graph is vertex order[v] of g
+    order = rng.permutation(g.n_vertices) if numbering == "random" else np.argsort(g.points[:, 0])
+    relabelled = build_graph(g.points[order], g.weights[order], dense_eta(g)[np.ix_(order, order)])
+    # link (lo, hi) of the relabelled graph is the link between order[lo]
+    # and order[hi], reversed, so its flux negated, where order[lo] > order[hi]
+    lo, hi = order[relabelled.link_lo], order[relabelled.link_hi]
+    keys = np.minimum(lo, hi) * g.n_vertices + np.maximum(lo, hi)
+    link = np.searchsorted(g.link_lo * g.n_vertices + g.link_hi, keys)
+    expected = reference[..., link] * np.where(lo < hi, 1.0, -1.0)
+    got = min_norm_flux(relabelled, rates[..., order])
+    assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def _underflow_graph():
+    # a triangle whose links at vertex 2 have eta 1e-170: eta^2 underflows,
+    # so vertex 2 has no link of nonzero Laplacian weight
+    eta = np.array([[0.0, 1.0, 1e-170], [1.0, 0.0, 1e-170], [1e-170, 1e-170, 0.0]])
+    return build_graph(np.arange(3.0)[:, None], np.ones(3), eta)
+
+
+def _cancelling_graph():
+    # a triangle whose links at vertex 0 have eta 1e-10: grounded at 0, the
+    # Laplacian [[1 + 1e-20, -1], [-1, 1 + 1e-20]] rounds to a singular matrix
+    eta = np.array([[0.0, 1e-10, 1e-10], [1e-10, 0.0, 1.0], [1e-10, 1.0, 0.0]])
+    return build_graph(np.arange(3.0)[:, None], np.ones(3), eta)
+
+
+@pytest.mark.parametrize("make, reason", [
+    (_underflow_graph, "links of nonzero weight leave it disconnected"),
+    (_cancelling_graph, "pivot that is not positive at vertex 2"),
+], ids=["underflow", "cancellation"])
+def test_min_norm_flux_refuses_a_laplacian_singular_in_floating_point(make, reason):
+    # SuperLU raised RuntimeError "Factor is exactly singular" on both
+    g = make()
+    assert g.ground.size == 1
+    rho0, rho1 = np.full((2, 3), 1.0 / 3.0), np.array([[0.5, 0.25, 0.25], [1 / 3] * 3])
+    message = f"component 0 \\(lowest vertex 0\\) has a singular grounded Laplacian.*{reason}"
+    with pytest.raises(NotApplicable, match=message):
+        min_norm_flux(g, rho1 - rho0)
+    with pytest.raises(NotApplicable, match=message):
+        transport_cost(g, rho0, rho1, 4, linear(), BETA, Exponents(2.0))
+
+
 def test_transport_cost_two_vertex_objective_equals_matched_oracle():
     # the solver minimizes the exact discrete problem the oracle solves
     g, _, mob, exps, _ = s1_setup()
@@ -1008,8 +1062,9 @@ def test_band_factor_solves_the_element_assembled_newton_matrix(make, monkeypatc
 
 
 def test_transport_cost_memory_on_the_complete_ladder_graph(monkeypatch):
-    # at n = 64 and K = 8 the solve peaks at about 15.5 MB, 4.4 MB of it the
-    # band that every factorization overwrites; per-contribution
+    # at n = 64 and K = 8 the solve peaks at about 17.3 MB, 4.4 MB of it the
+    # band that every factorization overwrites and 3.6 MB the band's intp
+    # fill indices (1.8 MB more than as int32); per-contribution
     # (K, links, 6, 6) elements and their index arrays took it to 37 MB
     g, start, end, mob, exps = _ladder_problem()
     live, pivots = [], []
