@@ -76,14 +76,12 @@ def _write_json(path, payload):
     _atomic_write(path, _strict_json(payload, sort_keys=True) + "\n")
 
 
-def _write_csv(path, header, rows):
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows(rows)
-    _atomic_write(path, buffer.getvalue())
+def _table_csv(header, rows):
+    """The CSV text, byte for byte as ``csv.writer`` writes it, of the header
+    and rows of Python ints and floats: each number by ``repr``, lines
+    ending in ``\r\n``."""
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
+    return "\r\n".join(lines) + "\r\n"
 
 
 def _read(path):
@@ -104,7 +102,6 @@ def _build_parser():
     met.add_argument("--config", required=True)
     met.add_argument("--from", dest="state_from", required=True)
     met.add_argument("--to", dest="state_to", required=True)
-    met.add_argument("--steps", type=int, default=None)
     met.add_argument("--out", default=None)
 
     geo = sub.add_parser("geodesic-profile", help="per-interval actions of a stored path")
@@ -133,10 +130,6 @@ def _build_parser():
     return parser
 
 
-def _out_dir(config, override):
-    return override or config.output_dir
-
-
 def _summary_payload(config, extra):
     payload = {
         "version": __version__,
@@ -146,13 +139,11 @@ def _summary_payload(config, extra):
     return payload
 
 
-def _cmd_simulate(args):
-    config = parse_config(_read(args.config))
+def _cmd_simulate(args, config, out):
     if config.initial_state is None:
         raise SemanticError("simulate requires initial_state in the config")
     trajectory = dynamics.integrate(
         config.system, config.initial_state, config.time_horizon, config.integrator)
-    out = _out_dir(config, args.out)
     _atomic_write(os.path.join(out, "trajectory.csv"),
                   _species_csv(_STATE_HEADER, trajectory.times, trajectory.states,
                                np.arange(config.system.graph.n_vertices)))
@@ -177,20 +168,16 @@ def _cmd_simulate(args):
     return EXIT_OK
 
 
-def _cmd_metric(args):
-    config = parse_config(_read(args.config))
+def _cmd_metric(args, config, out):
     system = config.system
     graph = system.graph
     start = parse_state(_read(args.state_from), graph, args.state_from)
     end = parse_state(_read(args.state_to), graph, args.state_to)
-    steps = config.solver_steps if args.steps is None else args.steps
-    if steps < 1:
-        raise SemanticError(f"--steps must be at least 1, got {steps}")
     t_value, path, certificate = transport.transport_cost(
-        graph, start, end, steps, system.mobility, system.kernels.beta, system.exponents)
-    out = _out_dir(config, args.out)
+        graph, start, end, config.solver_steps, system.mobility, system.kernels.beta,
+        system.exponents)
     _write_json(os.path.join(out, "metric.json"), _summary_payload(
-        config, {"T": t_value, "certificate": vars(certificate), "steps": steps}))
+        config, {"T": t_value, "certificate": vars(certificate)}))
     _atomic_write(os.path.join(out, "geodesic.csv"),
                   _species_csv(_STATE_HEADER, path.times, path.states,
                                np.arange(graph.n_vertices)))
@@ -320,8 +307,7 @@ def _read_fluxes_csv(path, graph, n_intervals):
                   lambda k, i, m: f"interval {k}, species {i + 1}, link ({lo[m]}, {hi[m]})")
 
 
-def _cmd_geodesic_profile(args):
-    config = parse_config(_read(args.config))
+def _cmd_geodesic_profile(args, config, out):
     system = config.system
     times, states = _read_states_csv(args.path, system.graph)
     flux_file = os.path.join(os.path.dirname(os.path.abspath(args.path)), "geodesic_fluxes.csv")
@@ -338,36 +324,26 @@ def _cmd_geodesic_profile(args):
                             f"residual {residual:.3e} above {transport.CONSTRAINT_BOUND:g}")
     profile = transport.geodesic_profile(
         system.graph, path, system.mobility, system.kernels.beta, system.exponents)
-    out = _out_dir(config, args.out)
-    _write_csv(
-        os.path.join(out, "profile.csv"),
+    times = path.times.tolist()
+    _atomic_write(os.path.join(out, "profile.csv"), _table_csv(
         ("interval", "t_mid", "action"),
-        [
-            (k, 0.5 * (path.times[k] + path.times[k + 1]), profile[k])
-            for k in range(path.n_intervals)
-        ],
-    )
+        [(k, 0.5 * (times[k] + times[k + 1]), value) for k, value in enumerate(profile.tolist())]))
     mean = float(np.mean(profile))
     spread = float(np.max(np.abs(profile - mean)) / mean) if mean > 0 else 0.0
     print(f"profile mean {mean:.6f}, max relative deviation {spread:.3%}; wrote {out}/profile.csv")
     return EXIT_OK
 
 
-def _cmd_diagnose(args):
-    config = parse_config(_read(args.config))
+def _cmd_diagnose(args, config, out):
     times, states = _read_states_csv(args.trajectory, config.system.graph)
     # gradient-flow trajectories: energies and node fluxes are recomputed
     # from the states, by de_giorgi from each state's potentials
     trajectory = dynamics.Trajectory(times=times, states=states, energies=None)
     report = diagnostics.de_giorgi(config.system, trajectory)
-    out = _out_dir(config, args.out)
     payload = {key: value for key, value in vars(report).items() if key != "series"}
     _write_json(os.path.join(out, "de_giorgi.json"), _summary_payload(config, payload))
-    _write_csv(
-        os.path.join(out, "diagnostics.csv"),
-        ("t", "energy", "dissipation", "action"),
-        list(report.series),
-    )
+    _atomic_write(os.path.join(out, "diagnostics.csv"),
+                  _table_csv(("t", "energy", "dissipation", "action"), report.series))
     print(f"G_T = {report.g_t:.6e}; wrote {out}/de_giorgi.json and {out}/diagnostics.csv")
     if not np.isfinite(report.g_t):
         print(f"numerical failure: the De Giorgi functional G_T is {report.g_t}", file=sys.stderr)
@@ -375,11 +351,9 @@ def _cmd_diagnose(args):
     return EXIT_OK
 
 
-def _cmd_refine(args):
-    config = parse_config(_read(args.config))
+def _cmd_refine(args, config, out):
     plan = parse_plan(_read(args.plan))
     report = run_refinement_study(plan, config)
-    out = _out_dir(config, args.out)
     _write_json(os.path.join(out, "refinement.json"),
                 _summary_payload(config, dataclasses.asdict(report)))
     gaps = ", ".join(f"{g:.4e}" for g in report.w1_gaps) or "none"
@@ -392,8 +366,7 @@ def _cmd_refine(args):
     return EXIT_OK
 
 
-def _cmd_validate_graph(args):
-    config = parse_config(_read(args.config))
+def _cmd_validate_graph(args, config, out):
     report = check_assumptions(config.system.graph, config.system.exponents)
     print(_strict_json(vars(report)))
     return EXIT_OK
@@ -417,7 +390,6 @@ _COMMANDS = {
     "diagnose": _cmd_diagnose,
     "refine": _cmd_refine,
     "validate-graph": _cmd_validate_graph,
-    "properties": _cmd_properties,
 }
 
 
@@ -433,7 +405,12 @@ def main_cli(argv=None):
         parser.print_help(sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        if args.command == "properties":  # the one command without a run configuration
+            return _cmd_properties(args)
+        config = parse_config(_read(args.config))
+        if getattr(args, "out", None):  # the summaries echo the directory the run writes
+            config.output_dir = config.resolved["output_dir"] = args.out
+        return _COMMANDS[args.command](args, config, config.output_dir)
     except (SchemaError, SemanticError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

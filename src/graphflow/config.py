@@ -15,7 +15,7 @@ import numpy as np
 
 from . import diagnostics, dynamics, kernels as kernels_mod, mobility as mobility_mod
 from .errors import (GraphflowError, MassMismatch, NotConcave, NotPositive, NotUpwindAdmissible,
-                     SchemaError, SemanticError)
+                     SchemaError, SemanticError, SizeMismatch)
 from .graph import Exponents, _is_integer, _is_real, build_graph, pair_distance
 
 # defaults of the top-level scalars and of the sections with fixed keys; a
@@ -24,7 +24,7 @@ _DEFAULTS = {
     "p": 2.0,
     "time_horizon": 1.0,
     "output_dir": "out",
-    "integrator": {"rel_tol": 1e-8, "abs_tol": 1e-10, "max_dt": None, "dt_initial": None},
+    "integrator": {"rel_tol": 1e-8, "abs_tol": 1e-10, "max_dt": None},
     "solver": {"steps": 32},
 }
 
@@ -161,7 +161,7 @@ def _build_kernels_section(section, dimension):
 @dataclass
 class RunConfig:
     system: kernels_mod.System
-    initial_state: object  # SpeciesPairState or None when given as a recipe
+    initial_state: object  # SpeciesPairState, or None when the config has no initial_state
     time_horizon: float
     integrator: dynamics.IntegratorOptions
     solver_steps: int
@@ -217,14 +217,13 @@ def parse_config(source):
         raise SemanticError(f"time_horizon must be a positive finite number, got {t_final!r}")
 
     integ = resolved["integrator"]
-    try:  # null leaves a step size unset; the options check every value
+    try:  # null leaves the step size unbounded; the options check every value
         integrator = dynamics.IntegratorOptions(
             rel_tol=integ["rel_tol"],
             abs_tol=integ["abs_tol"],
             max_dt=np.inf if integ["max_dt"] is None else integ["max_dt"],
-            dt_initial=integ["dt_initial"],
         )
-    except ValueError as exc:  # e.g. a negative tolerance or an infinite first step
+    except ValueError as exc:  # e.g. a negative tolerance or a zero max_dt
         raise SemanticError(f"integrator.{exc}") from exc
     sol = resolved["solver"]
     if not _is_integer(sol["steps"]) or sol["steps"] < 1:
@@ -259,8 +258,7 @@ def _build_initial_state(section, graph, path="initial_state"):
     if densities == ("atoms1" in section or "atoms2" in section):
         raise SchemaError(path, "needs exactly one of rho1/rho2 or atoms1/atoms2")
     pair = ("rho1", "rho2") if densities else ("atoms1", "atoms2")
-    _check_keys(section, (*pair, "projection"), path)
-    _check_projection(section, path)
+    _check_keys(section, pair, path)
     if densities:
         rhos = [_finite_array(section, name, path) for name in pair]
         if any(rho.shape != (graph.n_vertices,) for rho in rhos):
@@ -272,8 +270,12 @@ def _build_initial_state(section, graph, path="initial_state"):
         for name in pair:
             atoms = _require(section, name, path, dict)
             _check_keys(atoms, ("positions", "masses"), f"{path}.{name}")
-            rho, _ = project_initial(_finite_array(atoms, "positions", f"{path}.{name}"),
-                                     _finite_array(atoms, "masses", f"{path}.{name}"), graph.base)
+            try:
+                rho, _ = project_initial(_finite_array(atoms, "positions", f"{path}.{name}"),
+                                         _finite_array(atoms, "masses", f"{path}.{name}"),
+                                         graph.base)
+            except SizeMismatch as exc:
+                raise SchemaError(f"{path}.{name}", str(exc)) from None
             rhos.append(rho)
     state = dynamics.SpeciesPairState.from_densities(*rhos)  # one mass rule for both
     masses = state.masses(graph)
@@ -288,18 +290,6 @@ def _build_initial_state(section, graph, path="initial_state"):
 # initial-data projection
 # ---------------------------------------------------------------------------
 
-# The one name of the "projection" key: the nearest-vertex map, an optimal
-# plan, that ``project_initial`` computes.
-PROJECTIONS = ("nearest",)
-
-
-def _check_projection(section, path):
-    name = section.get("projection", "nearest")
-    if name not in PROJECTIONS:
-        raise SchemaError(f"{path}.projection",
-                          f"unknown projection {name!r}; expected one of {list(PROJECTIONS)}")
-
-
 def project_initial(positions, masses, base):
     """Project an atomic measure onto the vertices of the base measure.
 
@@ -307,12 +297,17 @@ def project_initial(positions, masses, base):
     index.  This is an optimal plan of the transport problem with the vertex
     marginal free (minimal total |x - y| times mass moved), which separates
     per atom.  Returns (densities w.r.t. mu, info dict); mass is renormalized
-    to exactly match the input, drift logged.
+    to exactly match the input, drift logged.  A flat list of positions is
+    one coordinate per atom; atoms of another dimension than the vertices
+    raise SizeMismatch.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     masses = np.asarray(masses, dtype=float).ravel()
     if positions.shape[0] == 1 and masses.size > 1:
         positions = positions.T
+    if positions.shape[1] != base.dimension:
+        raise SizeMismatch(f"atoms have dimension {positions.shape[1]}, "
+                           f"vertices dimension {base.dimension}")
     if positions.shape[0] != masses.size:
         raise MassMismatch(f"{positions.shape[0]} atoms vs {masses.size} masses")
     if np.any(masses < 0):
@@ -399,10 +394,9 @@ class RefinementPlan:
 def parse_plan(source):
     raw = _parse_json(source) if isinstance(source, str) else source
     options = ("total_mass", "initial_atoms", "transport_diagnostic", "transport_steps")
-    _check_keys(raw, ("density", "ladder", "projection", *options), "plan")
+    _check_keys(raw, ("density", "ladder", *options), "plan")
     density = _require(raw, "density", "plan", dict)
     _check_keys(density, ("name", "params"), "plan.density")
-    _check_projection(raw, "plan")
     return RefinementPlan(  # an option the plan leaves out keeps the field's default
         density_name=_require(density, "name", "plan.density", str),
         density_params=density.get("params", {}),

@@ -90,7 +90,6 @@ class IntegratorOptions:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
     max_dt: float = np.inf
-    dt_initial: float = None
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
@@ -99,10 +98,6 @@ class IntegratorOptions:
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
         if self.rel_tol == 0.0 and self.abs_tol == 0.0:
             raise ValueError("rel_tol and abs_tol must not both be 0")
-        # only None means "unset": a zero first step must not fall back to the default
-        dt0 = self.dt_initial
-        if dt0 is not None and not (_is_real(dt0) and 0.0 < dt0 < np.inf):
-            raise ValueError(f"dt_initial must be None or a finite number > 0, got {dt0!r}")
         if not (_is_real(self.max_dt) and self.max_dt > 0.0):
             raise ValueError(f"max_dt must be a number > 0 (inf allowed), got {self.max_dt!r}")
 
@@ -161,7 +156,9 @@ def integrate(system, state0, t_final, options=None):
     the first stage of the next (first same as last), so a step costs six
     ``rhs`` evaluations: the accepted state differs from the 5th-order one
     only by the clamp, at most GUARD_TOL, and the renormalization, at
-    round-off, and every rate conserves mass exactly.
+    round-off, and every rate conserves mass exactly.  The first step is
+    min(max_dt, max(t_final / 100, 1e-6), t_final); the controller adapts
+    from there.
     ``t_final`` must be a finite number > 0, and the initial state must pass
     the guard of an accepted step (ThresholdExceeded, naming the first entry
     outside it, otherwise).  A step that the controller shrinks below
@@ -186,9 +183,7 @@ def integrate(system, state0, t_final, options=None):
     masses0 = state0.masses(graph)
 
     t = 0.0
-    dt = options.dt_initial
-    if dt is None:
-        dt = min(options.max_dt, max(t_final / 100.0, 1e-6), t_final)
+    dt = min(options.max_dt, max(t_final / 100.0, 1e-6), t_final)
 
     times = [0.0]
     states = [y]

@@ -24,7 +24,7 @@ from graphflow.config import (
     run_refinement_study,
 )
 from graphflow.dynamics import integrate
-from graphflow.errors import MassMismatch, SchemaError, SemanticError
+from graphflow.errors import MassMismatch, SchemaError, SemanticError, SizeMismatch
 from graphflow.graph import AssumptionReport, BaseMeasure
 from graphflow.scenarios import random_geometric_setup, s1_config, s2_state_files
 
@@ -327,21 +327,39 @@ def test_parse_config_ignores_supplied_q(tmp_path, capsys):
 
 
 def test_parse_config_keeps_accepting_seed_q_and_projection(tmp_path, capsys):
-    # the name is kept from when seed and q were accepted: nothing reads a
-    # seed and q is derived from p, so both are refused, even a q that
-    # agrees with p; projection is still accepted
+    # the name is kept from when seed, q and projection were accepted:
+    # nothing reads a seed and q is derived from p, so both are refused, even
+    # a q that agrees with p; the projection's one name, "nearest", named the
+    # only map there is, so the key is refused too
     raw = s1_config(out_dir=str(tmp_path / "out"))
-    for key, value in (("seed", 3), ("q", 2.0)):
-        assert main_cli(["simulate", "--config", _write(tmp_path / "cfg.json",
-                                                        {**raw, key: value})]) == 1
-        assert capsys.readouterr().err.startswith(f"invalid input: $.{key}: unknown key")
-        with pytest.raises(SchemaError, match=re.escape(f"$.{key}: unknown key")):
-            parse_config({**raw, key: value})
+    projection = {**raw["initial_state"], "projection": "nearest"}
+    for path, bad in [("$.seed", {**raw, "seed": 3}), ("$.q", {**raw, "q": 2.0}),
+                      ("initial_state.projection", {**raw, "initial_state": projection})]:
+        assert main_cli(["simulate", "--config", _write(tmp_path / "cfg.json", bad)]) == 1
+        assert capsys.readouterr().err.startswith(f"invalid input: {path}: unknown key")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: unknown key")):
+            parse_config(bad)
     assert not (tmp_path / "out").exists()
-    raw["initial_state"]["projection"] = "nearest"
     config = parse_config(raw)
-    assert "seed" not in config.resolved and "q" not in config.resolved
     assert parse_config(json.dumps(config.resolved)).resolved == config.resolved
+
+
+def test_projection_names_other_than_nearest_are_refused():
+    # "auto" and "transport" ran the one nearest-vertex map that "nearest"
+    # names; with one map left the key is gone, so every name, "nearest"
+    # included, is refused in a config's initial_state and in a plan
+    raw = s1_config()
+    raw["initial_state"] = {
+        "atoms1": {"positions": [[0.1]], "masses": [1.0]},
+        "atoms2": {"positions": [[0.5], [0.2]], "masses": [0.5, 0.5]},
+    }
+    plan = {"density": {"name": "uniform"}, "ladder": [4]}
+    for name in ("nearest", "auto", "transport"):
+        raw["initial_state"]["projection"] = name
+        with pytest.raises(SchemaError, match=re.escape("initial_state.projection: unknown key")):
+            parse_config(json.dumps(raw))
+        with pytest.raises(SchemaError, match=re.escape("plan.projection: unknown key")):
+            parse_plan(dict(plan, projection=name))
 
 
 @pytest.mark.parametrize("command, path, expression", [
@@ -429,6 +447,32 @@ def test_project_initial_mass_errors():
         project_initial(np.array([[0.0]]), [0.0], base)
 
 
+def test_project_initial_refuses_atoms_of_another_dimension():
+    # atoms used to be broadcast against the vertices: a 2-D atom on a line
+    # of 3 vertices went to vertex 2 with w1_moved 3.2, and 1-D atoms on a
+    # 2-D graph were measured as the points (x, x)
+    line = BaseMeasure(np.array([[0.0], [1.0], [2.0]]), np.ones(3))
+    with pytest.raises(SizeMismatch, match="atoms have dimension 2, vertices dimension 1"):
+        project_initial([[0.9, 5.0]], [1.0], line)
+    plane = BaseMeasure(np.array([[0.0, 0.0], [1.0, 1.0]]), np.ones(2))
+    with pytest.raises(SizeMismatch, match="atoms have dimension 1, vertices dimension 2"):
+        project_initial([[0.5], [0.2]], [0.5, 0.5], plane)
+    # a flat list holds one coordinate per atom
+    rho, info = project_initial([0.9, 1.6], [0.5, 0.5], line)
+    assert rho.tolist() == [0.0, 0.5, 0.5] and info["w1_moved"] == pytest.approx(0.25)
+
+
+def test_cli_refuses_atoms_of_another_dimension(tmp_path, capsys):
+    # simulate ran S1 from a 2-D atom and exited 0
+    cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
+    cfg["initial_state"] = {"atoms1": {"positions": [[0.1]], "masses": [1.0]},
+                            "atoms2": {"positions": [[0.9, 5.0]], "masses": [1.0]}}
+    assert main_cli(["simulate", "--config", _write(tmp_path / "cfg.json", cfg)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "invalid input: initial_state.atoms2: atoms have dimension 2, vertices dimension 1")
+    assert not (tmp_path / "out").exists()
+
+
 def test_refinement_plan_validation():
     with pytest.raises(SchemaError):
         RefinementPlan("gaussian", {}, ladder=(8, 8))
@@ -490,10 +534,12 @@ def test_cli_builds_kernel_matrices_only_when_read(tmp_path, monkeypatch, capsys
     on_graph = KernelSet.on_graph
     monkeypatch.setattr(KernelSet, "on_graph",
                         lambda kernels, graph: built.append(graph) or on_graph(kernels, graph))
-    cfg_path = _write(tmp_path / "cfg.json", s1_config(t_final=0.1, out_dir=str(tmp_path / "out")))
+    cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
+    cfg["solver"] = {"steps": 4}
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
     start, end = s2_state_files()
     extra = {"metric": ["--from", _write(tmp_path / "from.json", start),
-                        "--to", _write(tmp_path / "to.json", end), "--steps", "4"]}
+                        "--to", _write(tmp_path / "to.json", end)]}
     assert main_cli([command, "--config", cfg_path, *extra.get(command, [])]) == 0
     assert len(built) == calls
 
@@ -502,6 +548,49 @@ def test_cli_unknown_subcommand_exits_64(capsys):
     assert main_cli(["frobnicate"]) == 64
     assert main_cli([]) == 64
     assert main_cli(["simulate"]) == 64  # missing required --config
+
+
+def test_cli_metric_takes_its_steps_from_the_config_alone(tmp_path, capsys):
+    # metric --steps overrode solver.steps, so metric.json held K twice, as
+    # steps and in resolved_config, with two values
+    cfg = s1_config(out_dir=str(tmp_path / "out"))
+    start, end = s2_state_files()
+    states = ["--from", _write(tmp_path / "from.json", start),
+              "--to", _write(tmp_path / "to.json", end)]
+    assert main_cli(["metric", "--config", _write(tmp_path / "cfg.json", cfg), *states,
+                     "--steps", "8"]) == 64
+    assert "unrecognized arguments: --steps 8" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_echoed_resolved_config_reruns_its_run(tmp_path):
+    # an echoed config said other than what its run did: a `metric --steps 8`
+    # run on S1 echoed solver.steps = 32, and its rerun gave T = 1.965889
+    # where the run reported T = 1.875212; a run under --out echoed the
+    # config's output_dir, not the directory it wrote
+    cfg = s1_config(t_final=0.25, out_dir=str(tmp_path / "unused"))
+    cfg["integrator"] = {"max_dt": 0.05}
+    cfg["solver"] = {"steps": 8}
+    cfg_path = _write(tmp_path / "cfg.json", cfg)
+    start, end = s2_state_files()
+    states = ["--from", _write(tmp_path / "from.json", start),
+              "--to", _write(tmp_path / "to.json", end)]
+    first = tmp_path / "first"
+    runs = {"simulate": ([], "summary.json", "trajectory.csv"),
+            "metric": (states, "metric.json", "geodesic.csv", "geodesic_fluxes.csv")}
+    for command, (extra, summary, *curves) in runs.items():
+        assert main_cli([command, "--config", cfg_path, "--out", str(first), *extra]) == 0
+        echoed = json.loads((first / summary).read_text())["resolved_config"]
+        assert echoed["output_dir"] == str(first)  # the directory --out chose
+        again = tmp_path / f"again-{command}"
+        echoed["output_dir"] = str(again)
+        assert main_cli([command, "--config", _write(tmp_path / f"{command}.json", echoed),
+                         *extra]) == 0
+        assert (again / summary).read_text().replace(json.dumps(str(again)), json.dumps(
+            str(first))) == (first / summary).read_text()
+        for name in curves:
+            assert (again / name).read_bytes() == (first / name).read_bytes(), name
+    assert not (tmp_path / "unused").exists()
 
 
 def test_cli_simulate_and_diagnose(tmp_path, capsys):
@@ -526,13 +615,13 @@ def test_cli_simulate_and_diagnose(tmp_path, capsys):
 
 def test_cli_metric_and_profile(tmp_path):
     cfg = s1_config(out_dir=str(tmp_path / "out"))
+    cfg["solver"] = {"steps": 64}
     cfg_path = _write(tmp_path / "cfg.json", cfg)
     start, end = s2_state_files()
     from_path = _write(tmp_path / "from.json", start)
     to_path = _write(tmp_path / "to.json", end)
     assert main_cli([
         "metric", "--config", cfg_path, "--from", from_path, "--to", to_path,
-        "--steps", "64",
     ]) == 0
     metric = json.loads((tmp_path / "out" / "metric.json").read_text())
     # unit mass across the unit edge costs about 2, up to the O(1/K)
@@ -646,7 +735,7 @@ def test_cli_invalid_config_exits_1(tmp_path):
     assert main_cli(["simulate", "--config", cfg_path]) == 1
 
 
-@pytest.mark.parametrize("field, value", [("max_dt", 0), ("max_dt", -0.1), ("dt_initial", 0)])
+@pytest.mark.parametrize("field, value", [("max_dt", 0), ("max_dt", -0.1)])
 def test_cli_rejects_non_positive_step_sizes(tmp_path, field, value):
     cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
     cfg["integrator"] = {field: value}
@@ -671,16 +760,14 @@ def test_cli_rejects_unknown_solver_keys(tmp_path, capsys, key):
 @pytest.mark.parametrize("steps", [0, -4])
 def test_cli_rejects_non_positive_solver_steps(tmp_path, capsys, steps):
     cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
+    cfg["solver"] = {"steps": steps}
     cfg_path = _write(tmp_path / "cfg.json", cfg)
     start, end = s2_state_files()
     states = ["--from", _write(tmp_path / "from.json", start),
               "--to", _write(tmp_path / "to.json", end)]
-    assert main_cli(["metric", "--config", cfg_path, *states, "--steps", str(steps)]) == 1
-    assert "invalid input: --steps" in capsys.readouterr().err
-    cfg["solver"] = {"steps": steps}
-    cfg_path = _write(tmp_path / "cfg.json", cfg)
-    assert main_cli(["simulate", "--config", cfg_path]) == 1
-    assert "solver.steps" in capsys.readouterr().err
+    for command in (["simulate"], ["metric", *states]):
+        assert main_cli([*command, "--config", cfg_path]) == 1
+        assert "invalid input: solver.steps" in capsys.readouterr().err
     with pytest.raises(SemanticError, match="solver.steps"):
         parse_config(cfg)
 
@@ -893,34 +980,11 @@ def test_parse_config_initial_state_from_atoms():
     raw["initial_state"] = {
         "atoms1": {"positions": [[0.1], [0.9], [0.4]], "masses": [0.5, 0.25, 0.25]},
         "atoms2": {"positions": [[0.6]], "masses": [1.0]},
-        "projection": "nearest",
     }
     config = parse_config(json.dumps(raw))
     # 0.1 and 0.4 snap to vertex 0, 0.9 to vertex 1; 0.6 to vertex 1
     assert config.initial_state.rho1 == pytest.approx([0.75, 0.25])
     assert config.initial_state.rho2 == pytest.approx([0.0, 1.0])
-
-
-def test_projection_names_other_than_nearest_are_refused():
-    # "auto" and "transport" ran the one nearest-vertex map that "nearest"
-    # names, so they said something other than what they did
-    raw = s1_config()
-    rng = np.random.default_rng(3)
-    raw["initial_state"] = {
-        "atoms1": {"positions": rng.uniform(-0.5, 1.5, size=(40, 1)).tolist(),
-                   "masses": np.full(40, 1 / 40).tolist()},
-        "atoms2": {"positions": [[0.5], [0.2]], "masses": [0.5, 0.5]},
-    }
-    default = parse_config(json.dumps(raw)).initial_state.rho
-    raw["initial_state"]["projection"] = "nearest"
-    assert np.array_equal(parse_config(json.dumps(raw)).initial_state.rho, default)
-    plan = {"density": {"name": "uniform"}, "ladder": [4]}
-    for name in ("auto", "transport"):
-        raw["initial_state"]["projection"] = name
-        with pytest.raises(SchemaError, match=r"initial_state\.projection: .*'nearest'"):
-            parse_config(json.dumps(raw))
-        with pytest.raises(SchemaError, match=r"plan\.projection: .*'nearest'"):
-            parse_plan(dict(plan, projection=name))
 
 
 def test_cli_validate_graph_rejects_unknown_projection(tmp_path, capsys):
@@ -1119,10 +1183,11 @@ def _rgg_metric(tmp_path):
                     "eta_preset": {"name": "gaussian", "params": {"sigma": 0.5}}}
     cfg["mobility"] = {"preset": "volume_filling"}
     cfg["initial_state"] = states[0]
+    cfg["solver"] = {"steps": 8}
     cfg_path = _write(tmp_path / "cfg.json", cfg)
     assert main_cli(["metric", "--config", cfg_path, "--from", _write(tmp_path / "from.json",
                                                                       states[0]),
-                     "--to", _write(tmp_path / "to.json", states[1]), "--steps", "8"]) == 0
+                     "--to", _write(tmp_path / "to.json", states[1])]) == 0
     config = parse_config(cfg)
     assert config.system.graph.n_links == 28
     ends = [parse_state(rho, config.system.graph, "state") for rho in states]
@@ -1175,13 +1240,18 @@ def test_cli_rejects_a_single_time(tmp_path, capsys, command, option, written):
     assert not (tmp_path / "single" / written).exists()
 
 
-def test_cli_rejects_infinite_first_step(tmp_path):
+def test_cli_rejects_infinite_first_step(tmp_path, capsys):
+    # the first step follows from time_horizon and max_dt, so a config sets
+    # none, finite or not
     cfg = s1_config(t_final=0.1, out_dir=str(tmp_path / "out"))
-    cfg["integrator"] = {"dt_initial": float("inf")}
-    cfg_path = _write(tmp_path / "cfg.json", cfg)
-    assert main_cli(["simulate", "--config", cfg_path]) == 1
-    with pytest.raises(SemanticError, match="integrator.dt_initial"):
-        parse_config(cfg)
+    for value in (float("inf"), 0.01):
+        cfg["integrator"] = {"dt_initial": value}
+        assert main_cli(["simulate", "--config", _write(tmp_path / "cfg.json", cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "invalid input: integrator.dt_initial: unknown key")
+        with pytest.raises(SchemaError, match=re.escape("integrator.dt_initial: unknown key")):
+            parse_config(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_gaussian_plan_quantiles_equal_norm_ppf():
@@ -1208,7 +1278,8 @@ from graphflow.scenarios import s1_config, s2_state_files
 work = sys.argv[1]
 paths = {}
 for name, payload in zip(("cfg", "from", "to"),
-                         (s1_config(t_final=0.25, out_dir=work), *s2_state_files())):
+                         ({**s1_config(t_final=0.25, out_dir=work), "solver": {"steps": 4}},
+                          *s2_state_files())):
     paths[name] = os.path.join(work, name + ".json")
     with open(paths[name], "w") as handle:
         json.dump(payload, handle)
@@ -1220,7 +1291,7 @@ codes += [main_cli(["properties", "--suite", suite, "--samples", "3"])
           for suite in sorted(diagnostics._SUITES) if suite != "decoupling"]
 flow = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 codes.append(main_cli(["metric", "--config", paths["cfg"], "--from", paths["from"],
-                       "--to", paths["to"], "--steps", "4"]))
+                       "--to", paths["to"]]))
 metric_linalg = "scipy.linalg" in sys.modules
 codes.append(main_cli(["properties", "--suite", "decoupling", "--samples", "3"]))
 paths["plan"] = os.path.join(work, "plan.json")
@@ -1621,12 +1692,14 @@ def test_cli_metric_and_refine_json_hold_each_value_once(tmp_path):
     # as energy_start and energy_end and in its energy_series
     out = tmp_path / "out"
     cfg = s1_config(t_final=0.1, out_dir=str(out))
+    cfg["solver"] = {"steps": 4}
     cfg_path = _write(tmp_path / "cfg.json", cfg)
     start, end = s2_state_files()
     assert main_cli(["metric", "--config", cfg_path, "--from", _write(tmp_path / "a.json", start),
-                     "--to", _write(tmp_path / "b.json", end), "--steps", "4"]) == 0
+                     "--to", _write(tmp_path / "b.json", end)]) == 0
     metric = json.loads((out / "metric.json").read_text())
-    assert sorted(metric) == ["T", "certificate", "resolved_config", "steps", "version"]
+    # K is resolved_config.solver.steps; a steps field beside it held K twice
+    assert sorted(metric) == ["T", "certificate", "resolved_config", "version"]
     assert isinstance(metric["certificate"]["objective"], float)
 
     plan = {"density": {"name": "uniform"}, "ladder": [4, 6, 8], "initial_atoms": 8,

@@ -228,12 +228,8 @@ def test_upwind_flux_pair_equals_raw_formula_per_species(p):
         assert np.max(np.abs(rate - ordered)) <= 8 * np.finfo(float).eps * scale
 
 
-@pytest.mark.parametrize("field, value", [("dt_initial", 0.0), ("dt_initial", -1e-3),
-                                          ("dt_initial", np.inf), ("dt_initial", np.nan),
-                                          ("max_dt", 0.0), ("max_dt", -0.1), ("max_dt", np.nan)])
+@pytest.mark.parametrize("field, value", [("max_dt", 0.0), ("max_dt", -0.1), ("max_dt", np.nan)])
 def test_integrator_options_reject_non_positive_steps(field, value):
-    # dt_initial=0 used to be read as "unset" and silently replaced by the
-    # default first step
     with pytest.raises(ValueError, match=field):
         IntegratorOptions(**{field: value})
 
@@ -249,8 +245,7 @@ def test_integrator_options_reject_invalid_tolerances(field, value):
     assert IntegratorOptions(rel_tol=0, abs_tol=1e-12).rel_tol == 0
 
 
-@pytest.mark.parametrize("field, value", [("max_dt", True), ("dt_initial", True),
-                                          ("max_dt", "abc"), ("dt_initial", "0.1")])
+@pytest.mark.parametrize("field, value", [("max_dt", True), ("max_dt", "abc")])
 def test_integrator_options_reject_steps_that_are_not_numbers(field, value):
     # True used to pass as a step of 1, and a string raised a TypeError
     with pytest.raises(ValueError, match=field):
@@ -283,10 +278,15 @@ def test_integrate_refuses_an_initial_state_outside_the_step_guard(mobility, rho
 
 
 def test_integrator_options_accept_unset_and_unbounded_steps():
-    assert IntegratorOptions(max_dt=np.inf, dt_initial=None).max_dt == np.inf
+    # the first step is min(max_dt, max(t_final / 100, 1e-6), t_final); no
+    # option sets it
+    assert IntegratorOptions(max_dt=np.inf).max_dt == np.inf
+    with pytest.raises(TypeError, match="dt_initial"):
+        IntegratorOptions(dt_initial=0.1)
     g, kernels, mob, exps, state = s1_setup()
-    traj = integrate(System(g, kernels, mob, exps), state, 0.1, IntegratorOptions(dt_initial=0.1))
-    assert traj.dts[0] == 0.1
+    system = System(g, kernels, mob, exps)
+    assert integrate(system, state, 0.1).dts[0] == 0.1 / 100
+    assert integrate(system, state, 0.1, IntegratorOptions(max_dt=1e-4)).dts[0] == 1e-4
 
 
 def _component_rates_conserve_mass(system, rho, components):

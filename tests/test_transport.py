@@ -1108,12 +1108,12 @@ def test_singular_newton_matrix_stops_the_solve_with_a_certificate(monkeypatch, 
     assert cert.iterations == 2  # one singular factor per species
 
     paths = []
-    for name, payload in zip(("cfg", "from", "to"),
-                             (s1_config(out_dir=str(tmp_path / "out")), *s2_state_files())):
+    cfg = {**s1_config(out_dir=str(tmp_path / "out")), "solver": {"steps": 4}}
+    for name, payload in zip(("cfg", "from", "to"), (cfg, *s2_state_files())):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(payload))
     assert main_cli(["metric", "--config", str(paths[0]), "--from", str(paths[1]),
-                     "--to", str(paths[2]), "--steps", "4"]) == 2
+                     "--to", str(paths[2])]) == 2
 
 
 def test_transport_cost_at_one_step():
@@ -1151,6 +1151,7 @@ def _volume_filling_config(tmp_path, start, end):
     cfg["graph"]["weights"] = [0.5, 0.5]
     cfg["mobility"] = {"preset": "volume_filling"}
     cfg["initial_state"] = {"rho1": [1.0, 1.0], "rho2": [1.0, 1.0]}
+    cfg["solver"] = {"steps": 4}
     paths = []
     for name, state in (("from", start), ("to", end)):
         path = tmp_path / f"{name}.json"
@@ -1158,8 +1159,7 @@ def _volume_filling_config(tmp_path, start, end):
         paths.append(str(path))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    return ["metric", "--config", str(cfg_path), "--from", paths[0], "--to", paths[1],
-            "--steps", "4"]
+    return ["metric", "--config", str(cfg_path), "--from", paths[0], "--to", paths[1]]
 
 
 def test_transport_cost_rejects_an_endpoint_above_the_cap(tmp_path, capsys):
