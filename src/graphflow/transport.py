@@ -131,6 +131,8 @@ _ARMIJO = 1e-4  # sufficient decrease of the barrier merit along a step
 _UNIFORM_BLEND = 0.1  # weight of the uniform density in the starting states
 CONSTRAINT_BOUND = 1e-7  # certified continuity and endpoint residual
 _OPTIMALITY_BOUND = 1e-4  # certified duality gap and scaled stationarity
+_SUM_TERMS = 8192  # link terms per bincount of the Newton band's block diagonals
+_LAPACK_INDEX_MAX = 2**31 - 1  # the largest band offset LAPACK's 32-bit integers reach
 
 
 @dataclass
@@ -276,90 +278,120 @@ class _NewtonSystem:
     of the graph's adjacency plus the identity.  Its half-bandwidth kl = ku is
     the pattern's largest |row - col| (3n - 1 on a complete graph), and an LU
     factorization with partial pivoting fills no entry outside LAPACK's band
-    layout of 2 kl + ku + 1 rows.  The pattern is mapped once per solve onto
-    that layout, with one gather index from the block data and one flat
-    index into the band, and ``matrix`` fills the blocks from per-link 2 x 2
-    values into one band buffer, which both species share and ``factor``
-    overwrites with the LU factors.  One continuity row per connected
+    layout of 2 kl + ku + 1 rows.  One continuity row per connected
     component is dropped from the last interval: the endpoint masses agree,
     so the rows of each component sum to an identity, and keeping them all
     makes the matrix singular.
+
+    The band is filled one kind of block at a time, with no per-entry index.
+    The same block one interval later lies 2n rows and 2n columns further
+    on, so 2n ldab entries further on in the flat band: one offset vector
+    of n + 2 links entries places a kind's values in all its intervals,
+    through a strided view of the band with one row per interval, and the
+    offsets of the transposed entries place its mirror block from the same
+    values.  Only the blocks on lambda_{K-1}, whose ground rows are dropped,
+    take an index of their own.  ``matrix`` writes the links' values as they
+    come and sums only the block diagonals, by bincounts of at most
+    _SUM_TERMS link terms each, into one band buffer, which both species
+    share and ``factor`` overwrites with the LU factors.
     """
 
+    # the planes of ``matrix``'s values per interval, each of n values (a
+    # block's diagonal) or one value per link (its (lo, hi) or (hi, lo) entry):
+    # w div div^T's diagonal and links; half the cross term's diagonal + 1,
+    # lo-hi and hi-lo links and diagonal - 1; a quarter of the state Hessian's
+    # diagonal and links (twice); and R_k-R_k's diagonal and links
+    _PLANES = ("diag", "lohi", "diag", "lohi", "hilo", "diag", "diag", "lohi", "hilo", "diag",
+               "lohi")
+
     def __init__(self, graph, k_steps):
+        n, K = graph.n_vertices, k_steps
+        lo, hi = graph.link_lo.astype(np.intp), graph.link_hi.astype(np.intp)
+        vertices = np.arange(n)
+        entries = {"diag": (vertices, vertices), "lohi": (lo, hi), "hilo": (hi, lo)}
+        starts = np.cumsum([0] + [entries[kind][0].size for kind in self._PLANES]).tolist()
+        # the blocks the planes fill, per run of intervals [first, stop), as
+        # (plane, block row, block column) with interval k's R_k, lambda_k and
+        # R_{k+1} numbered 0, 1, 2; each value also fills the transposed entry
+        runs = [(first, stop, blocks) for first, stop, blocks in [
+            (0, K - 1, [(0, 1, 1), (1, 1, 1),  # lambda_k-lambda_k
+                        (2, 2, 1), (3, 2, 1), (4, 2, 1)]),  # R_{k+1}-lambda_k
+            (1, K - 1, [(3, 0, 1), (4, 0, 1), (5, 0, 1),  # R_k-lambda_k
+                        (6, 0, 2), (7, 0, 2), (8, 0, 2)]),  # R_k-R_{k+1}
+            (1, K, [(9, 0, 0), (10, 0, 0)]),  # R_k-R_k
+        ] if stop > first]
+        # interval K-1's blocks on lambda_{K-1}; at K = 1 R_0-lambda_0 is dropped
+        last = [(0, 1, 1), (1, 1, 1)] + ([(3, 0, 1), (4, 0, 1), (5, 0, 1)] if K > 1 else [])
+        free = np.ones(n, dtype=bool)
+        free[graph.ground] = False
+        kept_row = np.cumsum(free) - 1
+
+        def place(k, block, v):
+            """Rows of the vertices v of interval k's block (-1 where dropped)."""
+            if k == K - 1 and block == 1:  # lambda_{K-1} keeps its free vertices' rows
+                return np.where(free[v], (2 * K - 2) * n + kept_row[v], -1)
+            return (2 * k + block - 1) * n + v
+
+        def pattern(k, blocks):
+            """Rows and columns of interval k's entries of ``blocks``, and the
+            value columns they take."""
+            rows, cols, columns = [], [], []
+            for plane, block_row, block_col in blocks:
+                row_vertices, col_vertices = entries[self._PLANES[plane]]
+                rows.append(place(k, block_row, row_vertices))
+                cols.append(place(k, block_col, col_vertices))
+                columns.append(starts[plane] + np.arange(row_vertices.size))
+            return np.concatenate(rows), np.concatenate(cols), np.concatenate(columns)
+
+        patterns = [pattern(first, blocks) for first, _, blocks in runs]
+        rows, cols, columns = pattern(K - 1, last)
+        on_band = (rows >= 0) & (cols >= 0)
+        patterns.append((rows[on_band], cols[on_band], columns[on_band]))
+        self.kl = self.ku = int(max(np.max(np.abs(r - c), initial=0) for r, c, _ in patterns))
+        # LAPACK's band layout: A[i, j] in row kl + ku + i - j of column j, in
+        # Fortran order; the first kl rows hold the fill of the pivoting
+        ldab = 2 * self.kl + self.ku + 1
+        self.size = (2 * K - 1) * n - graph.ground.size
+        if ldab * self.size > _LAPACK_INDEX_MAX:
+            raise NotApplicable(
+                f"the Newton band of {self.size} unknowns holds {ldab * self.size} entries, more "
+                f"than LAPACK's 32-bit band indexing reaches ({_LAPACK_INDEX_MAX})")
         from scipy.linalg.lapack import dgbtrf, dgbtrs  # deferred: the flow path never loads it
 
         self.dgbtrf, self.dgbtrs = dgbtrf, dgbtrs
-        n, K, links = graph.n_vertices, k_steps, graph.link_lo.size
-        # every index below is an np.intc (int32), which halves the build's memory
-        lo, hi = graph.link_lo.astype(np.intc), graph.link_hi.astype(np.intc)
-        vertices, link_ids = np.arange(n, dtype=np.intc), np.arange(links, dtype=np.intc)
-        # the slots of a block's pattern: the diagonal, then each link's (lo, hi)
-        # and (hi, lo) entry
-        pattern_rows = np.concatenate([vertices, lo, hi])
-        pattern_cols = np.concatenate([vertices, hi, lo])
-        self.width = pattern_rows.size
-        lo_hi, hi_lo = n + link_ids, n + links + link_ids
-        self.slots = np.concatenate([lo, lo_hi, hi_lo, hi])  # a link's (ll, lh, hl, hh) entries
-        transpose = np.concatenate([vertices, hi_lo, lo_hi])
 
-        # the nonzero blocks with state rows, and lambda_k-lambda_k, in the
-        # full layout R_0, lambda_0, ..., R_K (R_k is block 2k, lambda_k 2k + 1):
-        # (block row, block column, data row of ``matrix``, continuity coupling)
-        inner, k = np.arange(1, K), np.arange(K)
-        blocks = np.concatenate([np.stack(np.broadcast_arrays(*block)) for block in (
-            (2 * inner, 2 * inner, inner - 1, 0),  # R_k-R_k
-            (2 * inner[:-1], 2 * inner[:-1] + 2, K - 1 + inner[:-1], 0),  # R_k-R_{k+1}
-            (2 * inner, 2 * inner + 1, 2 * K - 1 + inner, -1),  # R_k-lambda_k
-            (2 * k[:-1] + 2, 2 * k[:-1] + 1, 2 * K - 1 + k[:-1], 1),  # R_{k+1}-lambda_k
-            (2 * k + 1, 2 * k + 1, 3 * K - 1 + k, 0),  # lambda_k-lambda_k
-        )], axis=1).astype(np.intc)
-        # the matrix is symmetric: a block off the diagonal has a mirror that
-        # reads the same data row through the transposed slots
-        mirror = blocks[:, blocks[0] != blocks[1]]
-        block_row = np.concatenate([blocks[0], mirror[1]])
-        block_col = np.concatenate([blocks[1], mirror[0]])
-        data_row = np.concatenate([blocks[2], mirror[2]])
-        coupling = np.concatenate([blocks[3], mirror[3]])
-        slot = np.concatenate([np.broadcast_to(np.arange(self.width, dtype=np.intc),
-                                               (blocks.shape[1], self.width)),
-                               np.broadcast_to(transpose, (mirror.shape[1], self.width))])
+        def flat(rows, cols):
+            """Flat band offsets of the entries and of their transposes, (2, entries)."""
+            return np.stack([cols * (ldab - 1) + rows, rows * (ldab - 1) + cols]) + 2 * self.kl
 
-        size = (2 * K + 1) * n
-        kept = np.ones(size, dtype=bool)
+        self.flat_band = np.zeros(ldab * self.size)
+        self.band = self.flat_band.reshape(self.size, ldab).T  # (ldab, size), Fortran order
+        self.fills = []  # (strided view, offsets in it, intervals, value columns)
+        for (first, stop, blocks), (rows, cols, columns) in zip(runs, patterns):
+            at = flat(rows, cols)
+            origin = int(at.min())
+            view = np.lib.stride_tricks.as_strided(
+                self.flat_band[origin:], (stop - first, int(at.max()) - origin + 1),
+                (2 * n * ldab * self.flat_band.itemsize, self.flat_band.itemsize))
+            self.fills.append((view, at - origin, slice(first, stop),
+                               slice(columns[0], columns[-1] + 1)))
+        rows, cols, columns = patterns[-1]
+        self.last_at, self.last_from = flat(rows, cols).ravel(), np.concatenate([columns, columns])
+        self.planes = [slice(a, b) for a, b in zip(starts, starts[1:])]
+        # the bincount index of the link ends into the three block diagonals,
+        # of as many intervals as one bincount of _SUM_TERMS terms sums
+        ends = np.concatenate([lo, hi, n + lo, n + hi, 2 * n + lo, 2 * n + hi])
+        self.sum_rows = max(1, min(K, _SUM_TERMS // max(ends.size, 1)))
+        self.sum_index = (3 * n * np.arange(self.sum_rows)[:, None] + ends).reshape(-1)
+        kept = np.ones((2 * K + 1) * n, dtype=bool)
         kept[:n] = False  # R_0 and R_K are fixed
         kept[2 * K * n:] = False
         kept[(2 * K - 1) * n + graph.ground] = False  # lambda_{K-1} at each ground
         self.kept, self.dropped = np.flatnonzero(kept), np.flatnonzero(~kept)
-        self.size = self.kept.size
-        position = np.full(size, -1, dtype=np.intc)
-        position[self.kept] = np.arange(self.size, dtype=np.intc)
-        rows = position[block_row[:, None] * n + pattern_rows]
-        cols = position[block_col[:, None] * n + pattern_cols]
-        valid = (rows >= 0) & (cols >= 0)
-        rows, cols = rows[valid], cols[valid]
-        self.kl = self.ku = int(np.max(np.abs(rows - cols), initial=0))
-        # LAPACK's band layout: A[i, j] in row kl + ku + i - j of column j, in
-        # Fortran order; the first kl rows hold the fill of the pivoting
-        ldab = 2 * self.kl + self.ku + 1
-        if ldab * self.size > np.iinfo(np.intc).max:
-            raise NotApplicable(f"the Newton band holds {ldab * self.size} entries, "
-                                "more than its int32 indices reach")
-        band_index = cols * ldab + (self.kl + self.ku) + rows - cols
-        sign = (coupling[:, None] * (slot < n))[valid]
-        self.plus, self.minus = band_index[sign > 0], band_index[sign < 0]
-        # ``matrix`` indexes with these two on every call: as intp, numpy does
-        # not cast them first
-        self.band_index = band_index.astype(np.intp)
-        self.gather = (data_row[:, None] * self.width + slot)[valid].astype(np.intp)
-        self.flat_band = np.zeros(ldab * self.size)
-        self.band = self.flat_band.reshape(self.size, ldab).T  # (ldab, size), Fortran order
-        self.div_lo, self.div_hi = graph.link_div_lo, graph.link_div_hi
+        d_lo, d_hi = graph.link_div_lo, graph.link_div_hi
+        self.div_lo, self.div_hi = d_lo, d_hi
+        self.div_ll, self.div_lh, self.div_hh = d_lo * d_lo, d_lo * d_hi, d_hi * d_hi
         self.K, self.n = K, n
-
-    def _blocks(self, ll, lh, hl, hh):
-        """Block data (m, width) of the (m, links) per-link 2 x 2 values."""
-        return _row_bincount(self.slots, np.concatenate([ll, lh, hl, hh], axis=1), self.width)
 
     def matrix(self, hess, cross, weight, state_diagonal):
         """The band of the Newton matrix of the per-link (K, links) values:
@@ -372,20 +404,46 @@ class _NewtonSystem:
         two states.  Fills the shared band buffer in place and returns it."""
         h_ll, h_lh, h_hh = hess
         c_lo, c_hi = cross
-        d_lo, d_hi = self.div_lo, self.div_hi
-        quarter = 0.25 * self._blocks(h_ll, h_lh, h_lh, h_hh)
-        diagonal = quarter[:-1] + quarter[1:]
-        diagonal[:, :self.n] += state_diagonal
-        half_cross = 0.5 * self._blocks(c_lo * d_lo, c_lo * d_hi, c_hi * d_lo, c_hi * d_hi)
-        lo_hi = weight * (d_lo * d_hi)
-        multiplier = self._blocks(weight * (d_lo * d_lo), lo_hi, lo_hi, weight * (d_hi * d_hi))
-        # the data rows that __init__ numbers: R_k-R_k for k = 1..K-1, then per
-        # interval the state-state, state-multiplier and multiplier blocks
-        data = np.concatenate([diagonal, quarter, half_cross, multiplier], axis=None)
+        d_lo, d_hi, n = self.div_lo, self.div_hi, self.n
+        links = d_lo.size
+        values = np.empty((self.K, self.planes[-1].stop))
+        # the block diagonals of the state Hessian, the cross term and w div
+        # div^T, summed from their link terms, which the values then overwrite
+        terms = values.reshape(-1)[:6 * links * self.K].reshape(self.K, 6, links)
+        np.copyto(terms[:, 0], h_ll)
+        np.copyto(terms[:, 1], h_hh)
+        np.multiply(c_lo, d_lo, out=terms[:, 2])
+        np.multiply(c_hi, d_hi, out=terms[:, 3])
+        np.multiply(weight, self.div_ll, out=terms[:, 4])
+        np.multiply(weight, self.div_hh, out=terms[:, 5])
+        sums = np.empty((self.K, 3 * n))
+        for first in range(0, self.K, self.sum_rows):
+            rows = terms[first:first + self.sum_rows]
+            sums[first:first + len(rows)] = np.bincount(
+                self.sum_index[:rows.size], rows.reshape(-1), len(rows) * 3 * n).reshape(-1, 3 * n)
+        (w_diag, w_link, c_plus, c_lohi, c_hilo, c_minus, q_diag, q_link, q_link_t, s_diag,
+         s_link) = (values[:, plane] for plane in self.planes)
+        np.copyto(w_diag, sums[:, 2 * n:])
+        np.multiply(weight, self.div_lh, out=w_link)
+        # R_{k+1}-lambda_k and R_k-lambda_k: the continuity coupling is +1 and -1
+        np.multiply(sums[:, n:2 * n], 0.5, out=c_minus)
+        np.add(c_minus, 1.0, out=c_plus)
+        c_minus -= 1.0
+        np.multiply(c_lo, d_hi, out=c_lohi)
+        c_lohi *= 0.5
+        np.multiply(c_hi, d_lo, out=c_hilo)
+        c_hilo *= 0.5
+        np.multiply(sums[:, :n], 0.25, out=q_diag)
+        np.multiply(h_lh, 0.25, out=q_link)
+        np.copyto(q_link_t, q_link)
+        # R_k-R_k, k = 1..K-1, takes the quarters of intervals k - 1 and k
+        np.add(q_diag[:-1], q_diag[1:], out=s_diag[1:])
+        s_diag[1:] += state_diagonal
+        np.add(q_link[:-1], q_link[1:], out=s_link[1:])
         self.flat_band.fill(0.0)
-        self.flat_band[self.band_index] = data[self.gather]
-        self.flat_band[self.plus] += 1.0
-        self.flat_band[self.minus] -= 1.0
+        for view, at, intervals, columns in self.fills:
+            view[:, at] = values[intervals, None, columns]
+        self.flat_band[self.last_at] = values[-1, self.last_from]
         return self.band
 
     def factor(self, band):
@@ -719,7 +777,7 @@ def transport_cost(graph, start, end, k_steps, mobility, beta, exponents):
         point on some component (see :func:`min_norm_flux`), as when its
         links' Laplacian weights eta^2 mu_lo mu_hi underflow to 0; or when
         the Newton band of the graph and ``k_steps`` holds more entries than
-        int32 indices reach.
+        LAPACK's 32-bit band indexing reaches.
     NotConverged
         When the solver stops short of its targets or the recomputed
         certificate exceeds its bounds (constraint residual 1e-7, optimality

@@ -373,3 +373,81 @@ def newton_matrix_dense(graph, k_steps, hess, cross, weight, state_diagonal):
     kept[:n] = kept[2 * K * n:] = False
     kept[(2 * K - 1) * n + graph.ground] = False
     return full[np.ix_(kept, kept)]
+
+
+def newton_band_by_entry_maps(graph, k_steps, hess, cross, weight, state_diagonal):
+    """LAPACK band (and kl = ku) of the reduced Newton matrix of one species,
+    assembled through one index per band entry.
+
+    Each block's data row is summed by a bincount over its pattern's slots
+    (the diagonal, then each link's (lo, hi) and (hi, lo) entry); every
+    nonzero block of the full layout R_0, lambda_0, ..., R_K, and the mirror
+    of each block off the diagonal through the transposed slots, is mapped
+    entry by entry onto the kept rows and columns; the band is one scatter
+    of one gather of the data, plus the +-1 continuity coupling.  Sums run
+    in the same order as the solver's, so the bands agree value for value.
+    """
+    n, K = graph.n_vertices, k_steps
+    lo, hi, links = graph.link_lo, graph.link_hi, graph.n_links
+    vertices, link_ids = np.arange(n), np.arange(links)
+    pattern_rows = np.concatenate([vertices, lo, hi])
+    pattern_cols = np.concatenate([vertices, hi, lo])
+    width = pattern_rows.size
+    lo_hi, hi_lo = n + link_ids, n + links + link_ids
+    slots = np.concatenate([lo, lo_hi, hi_lo, hi])  # a link's (ll, lh, hl, hh) entries
+    transpose = np.concatenate([vertices, hi_lo, lo_hi])
+
+    def block_data(ll, lh, hl, hh):
+        weights = np.concatenate([ll, lh, hl, hh], axis=1)
+        flat = (np.arange(weights.shape[0])[:, None] * width + slots).ravel()
+        return np.bincount(flat, weights=weights.ravel(),
+                           minlength=weights.shape[0] * width).reshape(-1, width)
+
+    # (block row, block column, data row, continuity coupling), R_k block 2k
+    inner, k = np.arange(1, K), np.arange(K)
+    blocks = np.concatenate([np.stack(np.broadcast_arrays(*block)) for block in (
+        (2 * inner, 2 * inner, inner - 1, 0),  # R_k-R_k
+        (2 * inner[:-1], 2 * inner[:-1] + 2, K - 1 + inner[:-1], 0),  # R_k-R_{k+1}
+        (2 * inner, 2 * inner + 1, 2 * K - 1 + inner, -1),  # R_k-lambda_k
+        (2 * k[:-1] + 2, 2 * k[:-1] + 1, 2 * K - 1 + k[:-1], 1),  # R_{k+1}-lambda_k
+        (2 * k + 1, 2 * k + 1, 3 * K - 1 + k, 0),  # lambda_k-lambda_k
+    )], axis=1)
+    mirror = blocks[:, blocks[0] != blocks[1]]
+    block_row = np.concatenate([blocks[0], mirror[1]])
+    block_col = np.concatenate([blocks[1], mirror[0]])
+    data_row = np.concatenate([blocks[2], mirror[2]])
+    coupling = np.concatenate([blocks[3], mirror[3]])
+    slot = np.concatenate([np.broadcast_to(np.arange(width), (blocks.shape[1], width)),
+                           np.broadcast_to(transpose, (mirror.shape[1], width))])
+    kept = np.ones((2 * K + 1) * n, dtype=bool)
+    kept[:n] = kept[2 * K * n:] = False
+    kept[(2 * K - 1) * n + graph.ground] = False
+    size = int(kept.sum())
+    position = np.full(kept.size, -1)
+    position[kept] = np.arange(size)
+    rows = position[block_row[:, None] * n + pattern_rows]
+    cols = position[block_col[:, None] * n + pattern_cols]
+    valid = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[valid], cols[valid]
+    kl = int(np.max(np.abs(rows - cols), initial=0))
+    ldab = 3 * kl + 1
+    band_index = cols * ldab + 2 * kl + rows - cols
+    sign = (coupling[:, None] * (slot < n))[valid]
+    gather = (data_row[:, None] * width + slot)[valid]
+
+    h_ll, h_lh, h_hh = hess
+    c_lo, c_hi = cross
+    d_lo, d_hi = graph.link_div_lo, graph.link_div_hi
+    quarter = 0.25 * block_data(h_ll, h_lh, h_lh, h_hh)
+    diagonal = quarter[:-1] + quarter[1:]
+    diagonal[:, :n] += state_diagonal
+    half_cross = 0.5 * block_data(c_lo * d_lo, c_lo * d_hi, c_hi * d_lo, c_hi * d_hi)
+    multiplier_lh = weight * (d_lo * d_hi)
+    multiplier = block_data(weight * (d_lo * d_lo), multiplier_lh, multiplier_lh,
+                            weight * (d_hi * d_hi))
+    data = np.concatenate([diagonal, quarter, half_cross, multiplier], axis=None)
+    flat_band = np.zeros(ldab * size)
+    flat_band[band_index] = data[gather]
+    flat_band[band_index[sign > 0]] += 1.0
+    flat_band[band_index[sign < 0]] -= 1.0
+    return flat_band.reshape(size, ldab).T, kl

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 import weakref
 
@@ -38,6 +39,7 @@ from oracles import (
     edge_field,
     interval_actions,
     masked_alpha_density,
+    newton_band_by_entry_maps,
     newton_matrix_dense,
     ordered_edge_action,
     ordered_edge_divergence,
@@ -1061,11 +1063,68 @@ def test_band_factor_solves_the_element_assembled_newton_matrix(make, monkeypatc
         assert np.linalg.norm(want @ (got[kept] - reference)) <= 1e-10 * scale
 
 
+def _assert_band_equals_entry_maps(system, graph, k_steps, args):
+    want, kl = newton_band_by_entry_maps(graph, k_steps, *args)
+    got = system.matrix(*args)
+    assert (system.kl, system.ku, got.shape) == (kl, kl, want.shape)
+    assert np.array_equal(got, want)
+
+
+@_SEAM_PROBLEMS
+def test_every_newton_band_of_a_solve_equals_the_entry_map_assembly(make, monkeypatch):
+    K = 8
+    g, cert, values, _ = _recorded_solve(make, monkeypatch, K)
+    assert cert.converged
+    system = transport._NewtonSystem(g, K)
+    for args in values:
+        _assert_band_equals_entry_maps(system, g, K, args)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _cutoff_graph(0.4),
+    _triangle_edge_isolated_graph,
+    lambda: _two_component_problem()[0],
+    lambda: _volume_filling_problem()[0],
+], ids=["cutoff", "triangle-edge-isolated", "two-components", "volume-filling"])
+@pytest.mark.parametrize("k_steps", [1, 2, 3, 8])
+def test_newton_band_equals_the_entry_map_assembly(make, k_steps):
+    # K = 1 holds lambda_0 alone, K = 2 no R_k-R_{k+1} block, K = 3 every
+    # kind of block once
+    g = make()
+    rng = np.random.default_rng(k_steps)
+    shape = (k_steps, g.n_links)
+    args = (tuple(rng.normal(size=shape) for _ in range(3)),
+            tuple(rng.normal(size=shape) for _ in range(2)), rng.normal(size=shape),
+            rng.normal(size=(k_steps - 1, g.n_vertices)))
+    _assert_band_equals_entry_maps(transport._NewtonSystem(g, k_steps), g, k_steps, args)
+
+
+def test_a_newton_band_beyond_lapack_indexing_is_refused_before_it_is_built(tmp_path, capsys):
+    # at K = 5e7 on S1's two vertices the band holds 3.2e9 entries; it is
+    # refused from the block pattern, before anything of K's size exists
+    g, _, mob, exps, _ = s1_setup()
+    start, end = s2_endpoints()
+    began = time.perf_counter()
+    with pytest.raises(NotApplicable, match="LAPACK's 32-bit band indexing"):
+        transport_cost(g, start, end, 50_000_000, mob, BETA, exps)
+    assert time.perf_counter() - began < 0.1
+    paths = []
+    cfg = {**s1_config(out_dir=str(tmp_path / "out")), "solver": {"steps": 50_000_000}}
+    for name, payload in zip(("cfg", "from", "to"), (cfg, *s2_state_files())):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main_cli(["metric", "--config", str(paths[0]), "--from", str(paths[1]),
+                     "--to", str(paths[2])]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "32-bit" in err[0]
+
+
 def test_transport_cost_memory_on_the_complete_ladder_graph(monkeypatch):
-    # at n = 64 and K = 8 the solve peaks at about 17.3 MB, 4.4 MB of it the
-    # band that every factorization overwrites and 3.6 MB the band's intp
-    # fill indices (1.8 MB more than as int32); per-contribution
-    # (K, links, 6, 6) elements and their index arrays took it to 37 MB
+    # at n = 64 and K = 8 the solve peaks at about 12.6 MB, 4.4 MB of it the
+    # band that every factorization overwrites; two intp maps with one entry
+    # per band entry took it to 17.3 MB, and per-contribution
+    # (K, links, 6, 6) elements and their index arrays to 37 MB
     g, start, end, mob, exps = _ladder_problem()
     live, pivots = [], []
     dgbtrf = scipy.linalg.lapack.dgbtrf
@@ -1085,7 +1144,7 @@ def test_transport_cost_memory_on_the_complete_ladder_graph(monkeypatch):
         tracemalloc.stop()
     assert cert.converged
     assert len(live) == cert.iterations and max(live) == 0
-    assert peak <= 20e6
+    assert peak <= 14e6
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # no step is taken from singular factors
