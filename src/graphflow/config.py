@@ -335,12 +335,21 @@ def project_initial(positions, masses, base):
 # ---------------------------------------------------------------------------
 
 def _gaussian_density(mean=0.0, sigma=1.0):
-    # mean + sigma * Phi^-1(u); scipy.stats.norm.ppf computes the same
-    # expression, but importing scipy.stats costs about half a second, and
-    # scipy.special is imported here so that only refinement studies load it
-    from scipy.special import ndtri
+    # mean + sigma * Phi^-1(u), by the standard library's AS241 (Wichura
+    # 1988) within a few ulp of the exact quantile, so that a refinement
+    # study loads no scipy module for it; inv_cdf raises at u = 0 and 1,
+    # where the quantile is -inf and +inf
+    from statistics import NormalDist
 
-    return lambda u: mean + sigma * ndtri(u)
+    inv_cdf = NormalDist().inv_cdf
+
+    def quantile(u):
+        u = np.asarray(u, dtype=float)
+        x = [-np.inf if v == 0.0 else np.inf if v == 1.0 else inv_cdf(v)
+             for v in u.ravel().tolist()]
+        return mean + sigma * np.reshape(x, u.shape)
+
+    return quantile
 
 
 def _uniform_density(low=0.0, high=1.0):

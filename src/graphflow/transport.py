@@ -706,7 +706,6 @@ def _interior_point(problem, system, species):
             break
         iteration += 1
         mu = complementarity / x.size
-        direction = None  # the previous factors are dropped before the band is refilled
         direction = problem.newton(system, ev, lam, x, z)
         if direction is None:  # the Newton matrix is singular
             break
@@ -719,6 +718,9 @@ def _interior_point(problem, system, species):
         if slope >= 0.0:  # the corrector spoiled descent: centre without it
             dx, d_lam, dz = direction(target, None)
             slope = problem.merit_slope(ev, x, dx, target)
+        # the solver holds the factors and this evaluation's arrays: drop
+        # them before the line search and the next convergence check
+        direction = None
         alpha = min(1.0, _TO_BOUNDARY * _step_to_boundary(x, dx),
                     _TO_BOUNDARY * _step_to_boundary(z, dz))
         merit = problem.merit(ev, x, target)

@@ -1255,18 +1255,37 @@ def test_cli_rejects_infinite_first_step(tmp_path, capsys):
 
 
 def test_gaussian_plan_quantiles_equal_norm_ppf():
+    # the quantile is the standard library's AS241, within a few ulp of the
+    # exact value as scipy's is; bit equality with scipy's approximation is
+    # not a property of the study, so the two agree to round-off of the
+    # affine map: at most 3.0 eps (|mean| + sigma |x|) on this grid
     from scipy.stats import norm
 
+    eps = np.finfo(float).eps
+    tails = np.array([1e-300, 1e-20, 1.0 - 2.0**-53])
     for mean in np.linspace(-1.0, 1.0, 9):
         for sigma in (0.05, 0.5, 1.0, 3.0):
             plan = RefinementPlan("gaussian", {"mean": float(mean), "sigma": sigma}, ladder=(4,))
-            for n in (3, 64, 512):
-                u = (np.arange(n) + 0.5) / n
-                assert np.array_equal(plan.quantile(u), norm.ppf(u, loc=mean, scale=sigma))
+            for u in [(np.arange(n) + 0.5) / n for n in (3, 64, 512)] + [tails]:
+                scale = abs(mean) + sigma * np.abs(norm.ppf(u))
+                got = plan.quantile(u)
+                assert np.all(np.abs(got - norm.ppf(u, loc=mean, scale=sigma)) <= 8 * eps * scale)
+            assert np.array_equal(plan.quantile([0.0, 1.0]), [-np.inf, np.inf])
     plan = RefinementPlan("gaussian", {}, ladder=(4,))
-    assert np.array_equal(plan.quantile([0.0, 0.25, 1.0]), norm.ppf([0.0, 0.25, 1.0]))
+    assert np.array_equal(plan.quantile([0.0, 1.0]), norm.ppf([0.0, 1.0]))
     with pytest.raises(SchemaError, match="sigma"):
         RefinementPlan("gaussian", {"sigma": 0.0}, ladder=(4,))
+
+
+def test_gaussian_plan_quantile_keeps_the_shape_of_its_argument():
+    quantile = RefinementPlan("gaussian", {"mean": 1.0, "sigma": 2.0}, ladder=(4,)).quantile
+    assert quantile(0.5) == 1.0 and np.ndim(quantile(0.5)) == 0
+    u = np.array([[0.0, 0.25, 0.5], [0.5, 0.75, 1.0]])
+    got = quantile(u)
+    assert got.shape == (2, 3) and got.dtype == float
+    assert np.array_equal(got[:, [0, 2]], [[-np.inf, 1.0], [1.0, np.inf]])
+    assert got[0, 1] < 1.0 < got[1, 1]
+    assert quantile([]).shape == (0,)
 
 
 _FLOW_GUARD = """
@@ -1301,8 +1320,9 @@ with open(paths["plan"], "w") as handle:
 codes.append(main_cli(["refine", "--plan", paths["plan"], "--config", paths["cfg"]]))
 optimize = sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
 sparse = sorted(m for m in sys.modules if m.startswith("scipy.sparse"))
+special = sorted(m for m in sys.modules if m.startswith("scipy.special"))
 print(json.dumps({"codes": codes, "flow": flow, "metric_linalg": metric_linalg,
-                  "optimize": optimize, "sparse": sparse}))
+                  "optimize": optimize, "sparse": sparse, "special": special}))
 """
 
 
@@ -1324,7 +1344,8 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     # simulate, diagnose, validate-graph and the property suites load numpy
     # alone, no scipy module at all; the transport solves of `metric`, of
     # the decoupling suite and of `refine` import the LAPACK band solver when
-    # they run, and no command loads scipy.optimize
+    # they run, and no command loads scipy.optimize, scipy.sparse or
+    # scipy.special
     done = subprocess.run([sys.executable, "-c", _FLOW_GUARD, str(tmp_path)], env=env,
                           capture_output=True, text=True, check=True)
     report = json.loads(done.stdout.strip().splitlines()[-1])
@@ -1333,6 +1354,7 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
     assert report["metric_linalg"]
     assert report["optimize"] == []
     assert report["sparse"] == []
+    assert report["special"] == []
 
 
 @pytest.mark.parametrize("module", ["graphflow", "graphflow.cli"])
