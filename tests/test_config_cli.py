@@ -1271,8 +1271,11 @@ def test_gaussian_plan_quantiles_equal_norm_ppf():
                 got = plan.quantile(u)
                 assert np.all(np.abs(got - norm.ppf(u, loc=mean, scale=sigma)) <= 8 * eps * scale)
             assert np.array_equal(plan.quantile([0.0, 1.0]), [-np.inf, np.inf])
+    # the default plan is the standard normal: mean 0 and sigma 1
     plan = RefinementPlan("gaussian", {}, ladder=(4,))
     assert np.array_equal(plan.quantile([0.0, 1.0]), norm.ppf([0.0, 1.0]))
+    u = np.array([0.25])
+    assert np.all(np.abs(plan.quantile(u) - norm.ppf(u)) <= 8 * eps * np.abs(norm.ppf(u)))
     with pytest.raises(SchemaError, match="sigma"):
         RefinementPlan("gaussian", {"sigma": 0.0}, ladder=(4,))
 
